@@ -50,10 +50,13 @@ profile-smoke:
 	scripts/profile-smoke.sh
 
 # The full continuous-integration gate (mirrored by the GitHub workflow).
+# benchmark/ is a Go module of its own, so the root ./... skips its
+# golden-digest, ledger and compare tests; they run from inside it.
 ci:
 	go vet ./...
 	go build ./...
 	go test ./...
+	cd benchmark && go vet ./... && go test ./...
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
 	go test -race ./internal/experiments/ -run 'TestExecFusedMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s

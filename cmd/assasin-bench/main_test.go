@@ -121,17 +121,19 @@ func TestCLITimelineAndDiff(t *testing.T) {
 	}
 }
 
-// TestCLIJSONRefreshesTrajectory checks the bench/BENCH_<exp>.json refresh:
-// when the file exists relative to the working directory and -json points
-// elsewhere, both copies are written with identical bytes.
-func TestCLIJSONRefreshesTrajectory(t *testing.T) {
+// TestCLIJSONLeavesBaselines checks that -json writes only into its own
+// directory: run from a tree holding a committed bench/BENCH_<exp>.json
+// baseline, a -json run elsewhere leaves that file byte-identical, so a
+// compare script reads a baseline it did not just write.
+func TestCLIJSONLeavesBaselines(t *testing.T) {
 	bin := buildBench(t)
 	work := t.TempDir()
 	if err := os.MkdirAll(filepath.Join(work, "bench"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	traj := filepath.Join(work, "bench", "BENCH_table5.json")
-	if err := os.WriteFile(traj, []byte("stale\n"), 0o644); err != nil {
+	baseline := filepath.Join(work, "bench", "BENCH_table5.json")
+	committed := []byte("{\"experiment\": \"table5\", \"wall_seconds\": 1.5}\n")
+	if err := os.WriteFile(baseline, committed, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,34 +145,15 @@ func TestCLIJSONRefreshesTrajectory(t *testing.T) {
 	if err := cmd.Run(); err != nil {
 		t.Fatalf("%v\n%s", err, stderr.String())
 	}
-	got, err := os.ReadFile(traj)
+	if _, err := os.Stat(filepath.Join(work, "out", "BENCH_table5.json")); err != nil {
+		t.Fatalf("-json output missing: %v", err)
+	}
+	got, err := os.ReadFile(baseline)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if strings.Contains(string(got), "stale") {
-		t.Error("trajectory file not refreshed")
-	}
-	want, err := os.ReadFile(filepath.Join(work, "out", "BENCH_table5.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("trajectory copy differs from -json output")
-	}
-
-	// Without an existing trajectory file nothing is created.
-	if err := os.Remove(traj); err != nil {
-		t.Fatal(err)
-	}
-	cmd = exec.Command(bin, "-exp", "table5", "-quick", "-json", "out")
-	cmd.Dir = work
-	cmd.Stdout = new(bytes.Buffer)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
-	}
-	if _, err := os.Stat(traj); !os.IsNotExist(err) {
-		t.Errorf("trajectory file created from nothing (stat err %v)", err)
+	if !bytes.Equal(got, committed) {
+		t.Errorf("-json out rewrote bench/BENCH_table5.json:\n%s", got)
 	}
 }
 

@@ -65,25 +65,29 @@ type blockID struct {
 	channel, chip, block int
 }
 
+// blockState lives from nextSlot opening a block until collect erases it.
 type blockState struct {
-	valid  int  // valid pages
-	open   bool // currently receiving writes
-	filled int  // pages programmed (write pointer)
+	valid int  // valid pages
+	open  bool // currently receiving writes
+	// lpa is the reverse map: the lpa programmed into each page, -1 once
+	// invalidated; its length is the write pointer.
+	lpa []int32
 }
 
-// pageChunk is the lazy-allocation unit of the L2P/P2L tables. Devices are
-// sized in the hundreds of thousands of pages while most runs map a few
-// thousand, so flat pre-initialized tables dominated SSD construction cost
-// (and GC pressure) in whole-experiment sweeps; chunks materialize only for
-// touched regions of the address spaces.
+// pageChunk is the lazy-allocation unit of the L2P table (4-byte packed
+// physical page indexes, 16 KiB per chunk). Devices hold hundreds of
+// thousands of pages while most runs map a few thousand, so the FTL's
+// memory is sized to the pages an offload writes: L2P chunks for touched
+// logical regions, reverse maps only for opened blocks.
 const pageChunk = 1 << 12
 
 // freeBlocks is the free set of one (channel, chip) pair: a dense
-// bool-per-block slice with a count, cheaper to build and scan than the
-// map it replaces (chips have only a few hundred blocks).
+// bool-per-block slice with a count, cheaper to build and scan than a map
+// (chips have only a few hundred blocks). used stays nil until the chip's
+// first block opens, so chips an offload never writes cost nothing.
 type freeBlocks struct {
-	isFree []bool
-	n      int
+	used []bool
+	n    int
 }
 
 // FTL is the flash translation layer over one flash.Array.
@@ -92,9 +96,8 @@ type FTL struct {
 	cfg    flash.Config
 	policy Policy
 
-	total int           // device pages (logical and physical spaces)
-	l2p   [][]flash.PPA // chunked logical -> physical; nil chunk or Page == -1 means unmapped
-	p2l   [][]int       // chunked physical page index -> lpa; nil chunk or -1 invalid
+	total int                 // device pages (logical and physical spaces)
+	l2p   []*[pageChunk]int32 // chunked logical -> physical page index (ppaIndex); nil chunk or -1 means unmapped
 
 	blocks map[blockID]*blockState
 	// free blocks per (channel, chip)
@@ -142,21 +145,23 @@ func (s Stats) WriteAmplification() float64 {
 	return float64(s.HostWrites+s.GCWrites) / float64(s.HostWrites)
 }
 
-// New returns an FTL over arr with the given placement policy.
+// New returns an FTL over arr with the given placement policy. The maps
+// hold 32-bit page indexes, so it panics on an array of 2^31 pages or more.
 func New(arr *flash.Array, policy Policy) *FTL {
 	cfg := arr.Config()
 	if policy == nil {
 		policy = StripedPolicy{}
 	}
 	total := arr.TotalPages()
-	chunks := (total + pageChunk - 1) / pageChunk
+	if total > 1<<31-1 {
+		panic("ftl: flash array too large for 32-bit page indexes")
+	}
 	f := &FTL{
 		arr:         arr,
 		cfg:         cfg,
 		policy:      policy,
 		total:       total,
-		l2p:         make([][]flash.PPA, chunks),
-		p2l:         make([][]int, chunks),
+		l2p:         make([]*[pageChunk]int32, (total+pageChunk-1)/pageChunk),
 		blocks:      make(map[blockID]*blockState),
 		GCThreshold: 2,
 	}
@@ -166,24 +171,29 @@ func New(arr *flash.Array, policy Policy) *FTL {
 		f.free[c] = make([]freeBlocks, cfg.ChipsPerChannel)
 		f.open[c] = make([]int, cfg.ChipsPerChannel)
 		for d := 0; d < cfg.ChipsPerChannel; d++ {
-			fb := &f.free[c][d]
-			fb.isFree = make([]bool, cfg.BlocksPerChip)
-			for b := range fb.isFree {
-				fb.isFree[b] = true
-			}
-			fb.n = cfg.BlocksPerChip
+			f.free[c][d].n = cfg.BlocksPerChip
 			f.open[c][d] = -1
 		}
 	}
 	return f
 }
 
-// l2pAt returns the mapping of lpa (Page < 0 when unmapped).
+// l2pAt returns the mapping of lpa (Page < 0 when unmapped), decoding the
+// packed physical page index.
 func (f *FTL) l2pAt(lpa int) flash.PPA {
-	if c := f.l2p[lpa/pageChunk]; c != nil {
-		return c[lpa%pageChunk]
+	c := f.l2p[lpa/pageChunk]
+	if c == nil || c[lpa%pageChunk] < 0 {
+		return flash.PPA{Page: -1}
 	}
-	return flash.PPA{Page: -1}
+	idx := int(c[lpa%pageChunk])
+	perChip := f.cfg.BlocksPerChip * f.cfg.PagesPerBlock
+	perChannel := perChip * f.cfg.ChipsPerChannel
+	return flash.PPA{
+		Channel: idx / perChannel,
+		Chip:    idx % perChannel / perChip,
+		Block:   idx % perChip / f.cfg.PagesPerBlock,
+		Page:    idx % f.cfg.PagesPerBlock,
+	}
 }
 
 // l2pSet stores the mapping of lpa, materializing its chunk.
@@ -191,35 +201,13 @@ func (f *FTL) l2pSet(lpa int, ppa flash.PPA) {
 	ci := lpa / pageChunk
 	c := f.l2p[ci]
 	if c == nil {
-		c = make([]flash.PPA, pageChunk)
-		for i := range c {
-			c[i].Page = -1
-		}
-		f.l2p[ci] = c
-	}
-	c[lpa%pageChunk] = ppa
-}
-
-// p2lAt returns the lpa mapped to physical page index idx (-1 when none).
-func (f *FTL) p2lAt(idx int) int {
-	if c := f.p2l[idx/pageChunk]; c != nil {
-		return c[idx%pageChunk]
-	}
-	return -1
-}
-
-// p2lSet stores the reverse mapping of physical page index idx.
-func (f *FTL) p2lSet(idx, lpa int) {
-	ci := idx / pageChunk
-	c := f.p2l[ci]
-	if c == nil {
-		c = make([]int, pageChunk)
+		c = new([pageChunk]int32)
 		for i := range c {
 			c[i] = -1
 		}
-		f.p2l[ci] = c
+		f.l2p[ci] = c
 	}
-	c[idx%pageChunk] = lpa
+	c[lpa%pageChunk] = int32(f.ppaIndex(ppa))
 }
 
 // Array returns the underlying flash array.
@@ -258,8 +246,11 @@ func (f *FTL) pickFreeBlock(channel, chip int) (int, error) {
 	best := -1
 	var bestWear int64
 	fb := &f.free[channel][chip]
-	for b, free := range fb.isFree {
-		if !free {
+	if fb.used == nil {
+		fb.used = make([]bool, f.cfg.BlocksPerChip)
+	}
+	for b, used := range fb.used {
+		if used {
 			continue
 		}
 		w := f.arr.EraseCount(channel, chip, b)
@@ -271,7 +262,7 @@ func (f *FTL) pickFreeBlock(channel, chip int) (int, error) {
 	if best == -1 {
 		return 0, fmt.Errorf("ftl: no free block on ch%d/chip%d", channel, chip)
 	}
-	fb.isFree[best] = false
+	fb.used[best] = true
 	fb.n--
 	return best, nil
 }
@@ -283,7 +274,7 @@ func (f *FTL) nextSlot(channel, chip int) (flash.PPA, error) {
 	var st *blockState
 	if ob >= 0 {
 		st = f.blocks[blockID{channel, chip, ob}]
-		if st.filled >= f.cfg.PagesPerBlock {
+		if len(st.lpa) >= f.cfg.PagesPerBlock {
 			st.open = false
 			ob = -1
 		}
@@ -295,10 +286,10 @@ func (f *FTL) nextSlot(channel, chip int) (flash.PPA, error) {
 		}
 		ob = b
 		f.open[channel][chip] = b
-		st = &blockState{open: true}
+		st = &blockState{open: true, lpa: make([]int32, 0, f.cfg.PagesPerBlock)}
 		f.blocks[blockID{channel, chip, b}] = st
 	}
-	return flash.PPA{Channel: channel, Chip: chip, Block: ob, Page: st.filled}, nil
+	return flash.PPA{Channel: channel, Chip: chip, Block: ob, Page: len(st.lpa)}, nil
 }
 
 // chipForWrite spreads logical pages across a channel's chips by hash.
@@ -367,19 +358,19 @@ func (f *FTL) Install(lpa int, data []byte) error {
 	return nil
 }
 
+// commitMapping maps lpa to ppa, the next page of its open block.
 func (f *FTL) commitMapping(lpa int, ppa flash.PPA) {
 	// Invalidate the old physical page.
 	if old := f.l2pAt(lpa); old.Page >= 0 {
 		if st := f.blocks[blockID{old.Channel, old.Chip, old.Block}]; st != nil {
 			st.valid--
+			st.lpa[old.Page] = -1
 		}
-		f.p2lSet(f.ppaIndex(old), -1)
 	}
 	f.l2pSet(lpa, ppa)
-	f.p2lSet(f.ppaIndex(ppa), lpa)
 	st := f.blocks[blockID{ppa.Channel, ppa.Chip, ppa.Block}]
+	st.lpa = append(st.lpa, int32(lpa))
 	st.valid++
-	st.filled++
 }
 
 // Read returns the contents and completion time of a logical page read.
@@ -401,7 +392,7 @@ func (f *FTL) collect(at sim.Time, channel, chip int) error {
 	for b := 0; b < f.cfg.BlocksPerChip; b++ {
 		id := blockID{channel, chip, b}
 		st := f.blocks[id]
-		if st == nil || st.open || st.filled < f.cfg.PagesPerBlock {
+		if st == nil || st.open || len(st.lpa) < f.cfg.PagesPerBlock {
 			continue
 		}
 		wear := f.arr.EraseCount(channel, chip, b)
@@ -417,13 +408,15 @@ func (f *FTL) collect(at sim.Time, channel, chip int) error {
 	if victim < 0 {
 		return nil // nothing collectable yet
 	}
-	// Migrate valid pages.
-	base := f.ppaIndex(flash.PPA{Channel: channel, Chip: chip, Block: victim})
+	// Migrate valid pages. A migration write can run a nested collect that
+	// erases (or reopens) the victim, so its state is looked up per page.
+	id := blockID{channel, chip, victim}
 	for pg := 0; pg < f.cfg.PagesPerBlock; pg++ {
-		lpa := f.p2lAt(base + pg)
-		if lpa < 0 {
+		st := f.blocks[id]
+		if st == nil || pg >= len(st.lpa) || st.lpa[pg] < 0 {
 			continue
 		}
+		lpa := int(st.lpa[pg])
 		data, _, err := f.arr.Read(at, flash.PPA{Channel: channel, Chip: chip, Block: victim, Page: pg})
 		if err != nil {
 			return fmt.Errorf("ftl: gc read: %w", err)
@@ -436,9 +429,9 @@ func (f *FTL) collect(at sim.Time, channel, chip int) error {
 		return fmt.Errorf("ftl: gc erase: %w", err)
 	}
 	f.stats.Erases++
-	delete(f.blocks, blockID{channel, chip, victim})
+	delete(f.blocks, id)
 	fb := &f.free[channel][chip]
-	fb.isFree[victim] = true
+	fb.used[victim] = false
 	fb.n++
 	return nil
 }

@@ -158,6 +158,28 @@ func TestPrefetcherIgnoresIrregular(t *testing.T) {
 	}
 }
 
+// TestPrefetcherFIFOReplacement pins the table's replacement order: once
+// TableSize PCs are tracked, a new PC replaces the one inserted first, even
+// when that one was just used (FIFO, not LRU).
+func TestPrefetcherFIFOReplacement(t *testing.T) {
+	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{testDRAM()})
+	p := NewPrefetcher(1)
+	p.TableSize = 3
+	c.AttachPrefetcher(p)
+	for _, pc := range []uint32{1, 2, 3, 1, 4, 5} {
+		p.Observe(0, pc, 0x8000_0000+pc*64, "t")
+	}
+	// 4 replaced 1 (inserted first, although used since); 5 replaced 2.
+	for pc, want := range map[uint32]bool{1: false, 2: false, 3: true, 4: true, 5: true} {
+		if _, got := p.slot[pc]; got != want {
+			t.Errorf("pc %d tracked = %v, want %v", pc, got, want)
+		}
+	}
+	if len(p.table) != 3 {
+		t.Errorf("table holds %d entries, want TableSize 3", len(p.table))
+	}
+}
+
 func TestCacheBadGeometryPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

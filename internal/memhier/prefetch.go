@@ -16,13 +16,15 @@ import "assasin/internal/sim"
 type Prefetcher struct {
 	// Degree is how many lines ahead to prefetch once a pattern locks.
 	Degree int
-	// TableSize bounds the number of tracked PCs (FIFO replacement).
+	// TableSize bounds the number of tracked PCs (FIFO replacement); set
+	// it before the first Observe.
 	TableSize int
 
-	target  *Cache
-	entries map[uint32]*dcptEntry
-	order   []uint32
-	stats   PrefetchStats
+	target *Cache
+	slot   map[uint32]int // pc -> index in table
+	table  []dcptEntry    // FIFO ring of tracked PCs, filled in order
+	oldest int            // next slot to replace once table is full
+	stats  PrefetchStats
 }
 
 // PrefetchStats counts predictor behaviour.
@@ -33,6 +35,7 @@ type PrefetchStats struct {
 }
 
 type dcptEntry struct {
+	pc        uint32
 	lastAddr  uint32
 	lastDelta int32
 }
@@ -42,7 +45,7 @@ func NewPrefetcher(degree int) *Prefetcher {
 	if degree <= 0 {
 		degree = 4
 	}
-	return &Prefetcher{Degree: degree, TableSize: 64, entries: make(map[uint32]*dcptEntry)}
+	return &Prefetcher{Degree: degree, TableSize: 64, slot: make(map[uint32]int)}
 }
 
 // Stats returns a copy of the counters.
@@ -55,17 +58,24 @@ func (p *Prefetcher) Observe(at sim.Time, pc, addr uint32, client string) {
 		return
 	}
 	p.stats.Observations++
-	e := p.entries[pc]
-	if e == nil {
-		if len(p.order) >= p.TableSize {
-			oldest := p.order[0]
-			p.order = p.order[1:]
-			delete(p.entries, oldest)
+	i, ok := p.slot[pc]
+	if !ok {
+		// A kernel with more load PCs than TableSize (AES's unrolled
+		// rounds) replaces entries on most accesses, so the table is a
+		// fixed ring of values: replacement allocates nothing.
+		if len(p.table) < p.TableSize {
+			i = len(p.table)
+			p.table = append(p.table, dcptEntry{})
+		} else {
+			i = p.oldest
+			delete(p.slot, p.table[i].pc)
+			p.oldest = (i + 1) % len(p.table)
 		}
-		p.entries[pc] = &dcptEntry{lastAddr: addr}
-		p.order = append(p.order, pc)
+		p.table[i] = dcptEntry{pc: pc, lastAddr: addr}
+		p.slot[pc] = i
 		return
 	}
+	e := &p.table[i]
 	delta := int32(addr - e.lastAddr)
 	if delta != 0 && delta == e.lastDelta {
 		p.stats.PatternHits++

@@ -2,6 +2,7 @@ package memhier
 
 import (
 	"fmt"
+	"math/bits"
 
 	"assasin/internal/sim"
 )
@@ -14,8 +15,13 @@ import (
 // The paper's circuit evaluation (Fig. 20) shows a 64 KiB scratchpad cannot
 // be read in a single 1 GHz cycle; the timing-adjusted configurations raise
 // AccessCycles to 2. Both are expressed here.
+//
+// data holds only the written prefix (rounded up to a power of two, capped
+// at size): most kernels touch a few KiB of a 64 or 256 KiB scratchpad, and
+// bytes past the prefix read as zero.
 type Scratchpad struct {
 	data []byte
+	size int
 	// AccessCycles is the pipeline cost of one access; the core model
 	// charges (AccessCycles-1) stall cycles beyond the base cycle.
 	AccessCycles int
@@ -25,11 +31,11 @@ type Scratchpad struct {
 
 // NewScratchpad returns a scratchpad of size bytes with single-cycle access.
 func NewScratchpad(size int) *Scratchpad {
-	return &Scratchpad{data: make([]byte, size), AccessCycles: 1}
+	return &Scratchpad{size: size, AccessCycles: 1}
 }
 
 // Size returns the capacity in bytes.
-func (s *Scratchpad) Size() int { return len(s.data) }
+func (s *Scratchpad) Size() int { return s.size }
 
 // Reads returns the read access count.
 func (s *Scratchpad) Reads() int64 { return s.reads }
@@ -38,10 +44,20 @@ func (s *Scratchpad) Reads() int64 { return s.reads }
 func (s *Scratchpad) Writes() int64 { return s.writes }
 
 func (s *Scratchpad) check(off uint32, size int) error {
-	if int(off)+size > len(s.data) {
-		return fmt.Errorf("memhier: scratchpad access [%d,%d) out of range (size %d)", off, int(off)+size, len(s.data))
+	if int(off)+size > s.size {
+		return fmt.Errorf("memhier: scratchpad access [%d,%d) out of range (size %d)", off, int(off)+size, s.size)
 	}
 	return nil
+}
+
+// grow extends the written prefix to cover [0, end).
+func (s *Scratchpad) grow(end int) {
+	if end <= len(s.data) {
+		return
+	}
+	data := make([]byte, min(1<<bits.Len(uint(end-1)), s.size))
+	copy(data, s.data)
+	s.data = data
 }
 
 // Read returns size (1, 2 or 4) bytes at offset off, little-endian.
@@ -52,7 +68,9 @@ func (s *Scratchpad) Read(off uint32, size int) (uint32, error) {
 	s.reads++
 	var v uint32
 	for i := 0; i < size; i++ {
-		v |= uint32(s.data[off+uint32(i)]) << (8 * i)
+		if j := int(off) + i; j < len(s.data) {
+			v |= uint32(s.data[j]) << (8 * i)
+		}
 	}
 	return v, nil
 }
@@ -63,6 +81,7 @@ func (s *Scratchpad) Write(off uint32, size int, v uint32) error {
 		return err
 	}
 	s.writes++
+	s.grow(int(off) + size)
 	for i := 0; i < size; i++ {
 		s.data[off+uint32(i)] = byte(v >> (8 * i))
 	}
@@ -75,6 +94,7 @@ func (s *Scratchpad) LoadBytes(off uint32, data []byte) error {
 	if err := s.check(off, len(data)); err != nil {
 		return err
 	}
+	s.grow(int(off) + len(data))
 	copy(s.data[off:], data)
 	return nil
 }
@@ -85,7 +105,9 @@ func (s *Scratchpad) Bytes(off uint32, length int) ([]byte, error) {
 		return nil, err
 	}
 	out := make([]byte, length)
-	copy(out, s.data[off:])
+	if int(off) < len(s.data) {
+		copy(out, s.data[off:])
+	}
 	return out, nil
 }
 

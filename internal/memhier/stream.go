@@ -94,9 +94,10 @@ type InStream struct {
 }
 
 // NewInStream returns an input stream with a window of pages×pageSize bytes.
-// The ring backing is allocated on first Push: stream slots are recreated
-// per offload request and most requests use a fraction of them, so eager
-// window allocation used to dominate the construction profile.
+// The ring backing is sized to the bytes pushed so far (see growRing):
+// stream slots are recreated per offload request and most requests use a
+// fraction of them, so eager window allocation used to dominate the
+// construction profile.
 func NewInStream(pages, pageSize int) *InStream {
 	if pages <= 0 || pageSize <= 0 {
 		panic("memhier: bad stream window geometry")
@@ -111,6 +112,19 @@ func ringMask(cap int) int {
 		return cap - 1
 	}
 	return 0
+}
+
+// growRing returns ring grown to hold the stream bytes below end: one page
+// first, then ×8 steps, capped at capBytes. A ring short of capBytes has
+// never wrapped (pos(off) == off), so growing copies the prefix as is.
+func growRing(ring []byte, end int64, pageSize, capBytes int) []byte {
+	n := max(len(ring), pageSize)
+	for int64(n) < end && n < capBytes {
+		n *= 8
+	}
+	grown := make([]byte, min(n, capBytes))
+	copy(grown, ring)
+	return grown
 }
 
 // pos maps an absolute stream offset to a ring index.
@@ -154,8 +168,8 @@ func (s *InStream) Push(data []byte, availableAt sim.Time) error {
 	if !s.CanPush(len(data)) {
 		return fmt.Errorf("memhier: stream window overflow (%d buffered + %d > %d)", s.Buffered(), len(data), s.capBytes)
 	}
-	if s.ring == nil {
-		s.ring = make([]byte, s.capBytes)
+	if end := s.delivered + int64(len(data)); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
+		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
 	}
 	pos := s.pos(s.delivered)
 	n := copy(s.ring[pos:], data)
@@ -199,7 +213,7 @@ func (s *InStream) byteAt(off int64) byte {
 
 func (s *InStream) gather(off int64, width int) uint32 {
 	pos := s.pos(off)
-	if pos+width <= s.capBytes {
+	if pos+width <= len(s.ring) {
 		// Width-specialized little-endian loads over an exact-width
 		// subslice: one bounds check, and the compiler fuses each run of
 		// byte ORs into a single load. StreamLoad traffic is almost
@@ -398,7 +412,7 @@ type OutStream struct {
 }
 
 // NewOutStream returns an output stream with a window of pages×pageSize.
-// Like NewInStream, the ring backing is allocated on the first append.
+// Like NewInStream, the ring backing grows with the bytes appended.
 func NewOutStream(pages, pageSize int) *OutStream {
 	if pages <= 0 || pageSize <= 0 {
 		panic("memhier: bad stream window geometry")
@@ -442,11 +456,11 @@ func (s *OutStream) Append(v uint32, width int) bool {
 		}
 		return false
 	}
-	if s.ring == nil {
-		s.ring = make([]byte, s.capBytes)
+	if end := s.appended + int64(width); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
+		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
 	}
 	pos := s.pos(s.appended)
-	if pos+width <= s.capBytes {
+	if pos+width <= len(s.ring) {
 		r := s.ring[pos : pos+width]
 		for i := range r {
 			r[i] = byte(v >> (8 * i))
@@ -472,8 +486,8 @@ func (s *OutStream) BulkAppend(data []byte) bool {
 		}
 		return false
 	}
-	if s.ring == nil {
-		s.ring = make([]byte, s.capBytes)
+	if end := s.appended + int64(len(data)); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
+		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
 	}
 	pos := s.pos(s.appended)
 	n := copy(s.ring[pos:], data)

@@ -9,25 +9,37 @@ import (
 	"assasin/internal/sim"
 )
 
+// modelGeometry draws a window geometry for the model-based tests: pages of
+// 8, 16 or 32 bytes and window depths that include non-power-of-two
+// capacities (the modulo path) and windows deep enough for the ring to grow
+// in two ×8 steps (one page, 8 pages, then the cap).
+func modelGeometry(rng *rand.Rand) (pages, pageSize int) {
+	return []int{2, 3, 4, 5, 9, 12, 16, 70}[rng.Intn(8)], 8 << rng.Intn(3)
+}
+
 // TestInStreamModelBased drives an InStream with random interleavings of
-// Push / Load / Peek / Adv / ReadAt against a simple FIFO model and checks
-// every observable agrees.
+// Push / Load / Peek / Adv / ReadAt / CopyOut against a simple FIFO model and
+// against a twin whose ring is allocated at full capacity up front, and
+// checks every observable agrees: the growing ring must behave exactly like
+// a full-capacity one.
 func TestInStreamModelBased(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
-		pageSize := 8 << rng.Intn(3) // 8, 16, 32
-		pages := 2 + rng.Intn(4)
+		pages, pageSize := modelGeometry(rng)
 		s := NewInStream(pages, pageSize)
+		full := NewInStream(pages, pageSize)
+		full.ring = make([]byte, full.capBytes)
 
 		var model []byte    // bytes pushed, in order
 		var consumed int64  // model head
 		var delivered int64 // model tail
 		produced := byte(0)
+		grown := 0
 
-		for step := 0; step < 400; step++ {
-			switch rng.Intn(5) {
-			case 0: // push a page-or-smaller chunk
-				n := 1 + rng.Intn(pageSize)
+		for step := 0; step < 600; step++ {
+			switch rng.Intn(6) {
+			case 0: // push a chunk of up to two pages
+				n := 1 + rng.Intn(2*pageSize)
 				if !s.CanPush(n) {
 					if err := s.Push(make([]byte, n), 0); err == nil {
 						t.Fatal("overfull push accepted")
@@ -39,14 +51,25 @@ func TestInStreamModelBased(t *testing.T) {
 					chunk[i] = produced
 					produced++
 				}
+				before := len(s.ring)
 				if err := s.Push(chunk, sim.Time(step)); err != nil {
 					t.Fatal(err)
+				}
+				if err := full.Push(chunk, sim.Time(step)); err != nil {
+					t.Fatal(err)
+				}
+				if len(s.ring) != before {
+					grown++
 				}
 				model = append(model, chunk...)
 				delivered += int64(n)
 			case 1: // load
 				w := []int{1, 2, 4}[rng.Intn(3)]
-				v, _, st := s.Load(0, w)
+				v, ready, st := s.Load(0, w)
+				fv, fready, fst := full.Load(0, w)
+				if v != fv || ready != fready || st != fst {
+					t.Fatalf("trial %d step %d: load = (%#x,%d,%v), full ring (%#x,%d,%v)", trial, step, v, ready, st, fv, fready, fst)
+				}
 				if delivered-consumed < int64(w) {
 					if st == LoadOK {
 						t.Fatal("load succeeded with insufficient data")
@@ -69,9 +92,10 @@ func TestInStreamModelBased(t *testing.T) {
 					continue
 				}
 				off := int64(rng.Intn(int(delivered - consumed - 1)))
-				v, _, st := s.Peek(0, off, 1)
-				if st != LoadOK {
-					t.Fatal("peek failed within buffered range")
+				w := []int{1, 2}[rng.Intn(2)]
+				v, _, st := s.Peek(0, off, w)
+				if fv, _, _ := full.Peek(0, off, w); st != LoadOK || v != fv {
+					t.Fatalf("peek = %#x, %v; full ring %#x", v, st, fv)
 				}
 				if byte(v) != model[consumed+off] {
 					t.Fatal("peek value wrong")
@@ -82,6 +106,9 @@ func TestInStreamModelBased(t *testing.T) {
 				}
 				n := int64(1 + rng.Intn(int(delivered-consumed)))
 				if err := s.Adv(n); err != nil {
+					t.Fatal(err)
+				}
+				if err := full.Adv(n); err != nil {
 					t.Fatal(err)
 				}
 				consumed += n
@@ -97,55 +124,106 @@ func TestInStreamModelBased(t *testing.T) {
 				if byte(v) != model[off] {
 					t.Fatal("ReadAt value wrong")
 				}
+			case 5: // bulk copy of everything buffered
+				got := make([]byte, delivered-consumed)
+				want := make([]byte, len(got))
+				if n, fn := s.CopyOut(got, consumed), full.CopyOut(want, consumed); n != len(got) || fn != n {
+					t.Fatalf("CopyOut copied %d (full ring %d), want %d", n, fn, len(got))
+				}
+				if !bytes.Equal(got, want) || !bytes.Equal(got, model[consumed:delivered]) {
+					t.Fatal("CopyOut bytes wrong")
+				}
 			}
 			if s.Head() != consumed || s.Tail() != delivered {
 				t.Fatalf("pointer drift: got (%d,%d) want (%d,%d)", s.Head(), s.Tail(), consumed, delivered)
 			}
+			if len(s.ring) > s.capBytes {
+				t.Fatalf("ring grew to %d past capacity %d", len(s.ring), s.capBytes)
+			}
+		}
+		if pages > 8 && grown < 2 {
+			t.Fatalf("trial %d: %d-page window grew %d times, want at least two growth steps", trial, pages, grown)
 		}
 	}
 }
 
-// TestOutStreamModelBased checks Append/Drain against a byte queue.
+// TestOutStreamModelBased checks Append/BulkAppend/Drain against a byte
+// queue and against a twin whose ring is allocated at full capacity.
 func TestOutStreamModelBased(t *testing.T) {
-	for trial := 0; trial < 50; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
-		s := NewOutStream(2+rng.Intn(3), 8<<rng.Intn(3))
+		pages, pageSize := modelGeometry(rng)
+		s := NewOutStream(pages, pageSize)
+		full := NewOutStream(pages, pageSize)
+		full.ring = make([]byte, full.capBytes)
 		var model []byte
 		var drained []byte
 		var want []byte
 		produced := byte(0)
-		for step := 0; step < 400; step++ {
-			if rng.Intn(2) == 0 {
+		grown := 0
+		for step := 0; step < 600; step++ {
+			before := len(s.ring)
+			switch rng.Intn(3) {
+			case 0: // one word
 				w := []int{1, 2, 4}[rng.Intn(3)]
 				var v uint32
 				tmp := make([]byte, w)
 				for i := range tmp {
-					tmp[i] = produced
-					produced++
+					tmp[i] = produced + byte(i)
 					v |= uint32(tmp[i]) << (8 * i)
 				}
-				if s.CanAppend(w) {
-					if !s.Append(v, w) {
-						t.Fatal("append failed with space")
-					}
+				ok := s.CanAppend(w)
+				if got, fgot := s.Append(v, w), full.Append(v, w); got != ok || fgot != ok {
+					t.Fatalf("Append = %v (full ring %v), want %v", got, fgot, ok)
+				}
+				if ok {
+					produced += byte(w)
 					model = append(model, tmp...)
 					want = append(want, tmp...)
-				} else {
-					if s.Append(v, w) {
-						t.Fatal("append to full window succeeded")
-					}
-					produced -= byte(w) // roll back
 				}
-			} else if len(model) > 0 {
+			case 1: // a chunk of up to two pages
+				tmp := make([]byte, 1+rng.Intn(2*pageSize))
+				for i := range tmp {
+					tmp[i] = produced + byte(i)
+				}
+				ok := s.CanAppend(len(tmp))
+				if got, fgot := s.BulkAppend(tmp), full.BulkAppend(tmp); got != ok || fgot != ok {
+					t.Fatalf("BulkAppend = %v (full ring %v), want %v", got, fgot, ok)
+				}
+				if ok {
+					produced += byte(len(tmp))
+					model = append(model, tmp...)
+					want = append(want, tmp...)
+				}
+			case 2:
+				if len(model) == 0 {
+					continue
+				}
 				n := 1 + rng.Intn(len(model))
+				if got, fgot := s.PeekBytes(n), full.PeekBytes(n); !bytes.Equal(got, fgot) {
+					t.Fatalf("PeekBytes(%d) = %v, full ring %v", n, got, fgot)
+				}
 				got := s.Drain(n, 0)
+				if fgot := full.Drain(n, 0); !bytes.Equal(got, fgot) {
+					t.Fatalf("Drain(%d) = %v, full ring %v", n, got, fgot)
+				}
 				drained = append(drained, got...)
 				model = model[len(got):]
+			}
+			if len(s.ring) != before {
+				grown++
+			}
+			if s.Tail() != full.Tail() || s.Head() != full.Head() || len(s.ring) > s.capBytes {
+				t.Fatalf("pointer drift: (%d,%d) vs full ring (%d,%d), ring %d of %d",
+					s.Head(), s.Tail(), full.Head(), full.Tail(), len(s.ring), s.capBytes)
 			}
 		}
 		drained = append(drained, s.Drain(1<<30, 0)...)
 		if !bytes.Equal(drained, want) {
 			t.Fatalf("trial %d: drained bytes diverge from appended", trial)
+		}
+		if pages > 8 && grown < 2 {
+			t.Fatalf("trial %d: %d-page window grew %d times, want at least two growth steps", trial, pages, grown)
 		}
 	}
 }

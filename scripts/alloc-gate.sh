@@ -32,5 +32,9 @@ go test ./internal/cpu/ -run 'TestKProfDisabledZeroAlloc' -count 1
 # engine's per-request observation path is allocation-free.
 go test ./internal/telemetry/window/ -run 'TestWindowTickZeroAlloc|TestNilWindowsZeroCost' -count 1
 go test ./internal/telemetry/slo/ -run 'TestObserveRequestZeroAlloc' -count 1
+# Set-up cost: one 16 KiB offload per architecture stays within its byte
+# budget, so stream windows, scratchpads and FTL maps stay sized to the
+# pages an offload touches.
+go test ./internal/ssd/ -run 'TestOffloadAllocBudget' -count 1
 
 echo "alloc-gate: hot paths are allocation-free"
