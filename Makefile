@@ -50,9 +50,11 @@ profile-smoke:
 	scripts/profile-smoke.sh
 
 # The full continuous-integration gate (mirrored by the GitHub workflow).
+# It opens with the gofmt check: any file gofmt would rewrite fails it.
 # benchmark/ is a Go module of its own, so the root ./... skips its
 # golden-digest, ledger and compare tests; they run from inside it.
 ci:
+	@unformatted=$$(gofmt -l .); test -z "$$unformatted" || { echo "gofmt needed:"; echo "$$unformatted"; exit 1; }
 	go vet ./...
 	go build ./...
 	go test ./...

@@ -33,7 +33,7 @@ func equivEntries() []equivEntry {
 		{"Statistics", kernels.Stat{}, [][]byte{randData(kb, 41)}, 4, firmware.OutDiscard, 2},
 		{"RAID6", kernels.RAID6{K: 4},
 			[][]byte{randData(kb/4, 42), randData(kb/4, 43), randData(kb/4, 44), randData(kb/4, 45)}, 4, firmware.OutToFlash, 2},
-		{"AES-128", kernels.AES{}, [][]byte{randData(16 << 10, 46)}, 16, firmware.OutToFlash, 2},
+		{"AES-128", kernels.AES{}, [][]byte{randData(16<<10, 46)}, 16, firmware.OutToFlash, 2},
 		{"Filter", filterKernel(), [][]byte{lineitemTuples(kb)}, filterTupleSize, firmware.OutToHost, 2},
 		{"Select", kernels.Select{TupleSize: 32, FieldOffsets: []int{0, 16}}, [][]byte{lineitemTuples(kb)}, 32, firmware.OutToHost, 2},
 		{"PSF", kernels.PSF{NumFields: 16, Project: []int{0, 4, 10}}, [][]byte{psfCSV(kb, 47)}, 0, firmware.OutToHost, 1},

@@ -33,8 +33,8 @@ type psfDataset struct {
 	// Run options threaded from Config by the experiment entry points.
 	exec  cpu.ExecMode
 	plane firmware.PlaneMode
-	tel  *telemetry.Sink
-	log  *slog.Logger
+	tel   *telemetry.Sink
+	log   *slog.Logger
 }
 
 func newPSFDataset(sf float64) *psfDataset {

@@ -369,30 +369,31 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		}
 		// Self-perpetuating arrival chain: each arrival event submits one
 		// command and schedules the next arrival, keeping the event heap
-		// O(1) in the request count. All PRNG draws happen in arrival order,
-		// so the schedule is a pure function of the seed.
-		var arrive func(at sim.Time, left int)
-		arrive = func(at sim.Time, left int) {
-			s.Sched.Events.Schedule(at, func(now sim.Time) {
-				eng.Tick(int64(now))
-				req := nvme.IORequest{
-					LPA:      keyLPAs[int(zipf.Uint64())],
-					SubmitAt: now,
-					Tenant:   lc.Tenants[rng.Intn(len(lc.Tenants))],
-				}
-				if rng.Float64() < lc.ReadFraction {
-					req.Op, req.Pages, req.Discard = nvme.OpRead, lc.PagesPerIO, true
-				} else {
-					req.Op, req.Pages, req.Data = nvme.OpWrite, 1, pageBuf
-				}
-				ctl.Submit(req, onDone)
-				if left > 1 {
-					arrive(now+interarrival(), left-1)
-				}
-			})
+		// O(1) in the request count. The callback is bound once and counts
+		// down left, so an arrival allocates no closure. All PRNG draws
+		// happen in arrival order, so the schedule is a pure function of the
+		// seed.
+		left := lc.Requests
+		var arrive func(now sim.Time)
+		arrive = func(now sim.Time) {
+			eng.Tick(int64(now))
+			req := nvme.IORequest{
+				LPA:      keyLPAs[int(zipf.Uint64())],
+				SubmitAt: now,
+				Tenant:   lc.Tenants[rng.Intn(len(lc.Tenants))],
+			}
+			if rng.Float64() < lc.ReadFraction {
+				req.Op, req.Pages, req.Discard = nvme.OpRead, lc.PagesPerIO, true
+			} else {
+				req.Op, req.Pages, req.Data = nvme.OpWrite, 1, pageBuf
+			}
+			ctl.Submit(req, onDone)
+			if left--; left > 0 {
+				s.Sched.Events.Schedule(now+interarrival(), arrive)
+			}
 		}
-		if lc.Requests > 0 {
-			arrive(interarrival(), lc.Requests)
+		if left > 0 {
+			s.Sched.Events.Schedule(interarrival(), arrive)
 		}
 
 		// Optional concurrent offload: RunOffload drives the shared event

@@ -123,8 +123,8 @@ func (k LZDecompress) Build(p BuildParams) (*asm.Program, error) {
 	loadByte(asm.T0) // dist lo
 	loadByte(asm.T1) // dist hi
 	b.Slli(asm.T1, asm.T1, 8)
-	b.Or(asm.T0, asm.T0, asm.T1) // dist
-	loadByte(asm.A5)             // len
+	b.Or(asm.T0, asm.T0, asm.T1)  // dist
+	loadByte(asm.A5)              // len
 	b.Sub(asm.A6, asm.S2, asm.T0) // source cursor = write cursor - dist
 	copyLoop := b.Here()
 	b.And(asm.T1, asm.A6, asm.S3)

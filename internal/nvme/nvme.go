@@ -83,11 +83,73 @@ func DefaultConfig() Config {
 	return Config{LinkBandwidth: 8e9, LinkLatency: 5 * sim.Microsecond}
 }
 
+// traceKinds holds each opcode's request-trace kind, so a command names its
+// record without building a string.
+var traceKinds = [...]string{OpRead: "io-read", OpWrite: "io-write", OpSComp: "io-scomp"}
+
+// traceKind returns the request-trace kind of op.
+func traceKind(op Opcode) string {
+	if op >= 0 && int(op) < len(traceKinds) {
+		return traceKinds[op]
+	}
+	return "io-" + op.String()
+}
+
 // Controller fronts one SSD with the NVMe command model.
 type Controller struct {
 	drive *ssd.SSD
 	link  *sim.BandwidthServer
 	cfg   Config
+	// free recycles command records, so a steady stream of Submits
+	// allocates nothing per command.
+	free []*command
+}
+
+// command is one conventional command between submission and completion.
+// Records are pooled per controller; fire is bound once, when the record is
+// first allocated, so scheduling a command builds no closure.
+type command struct {
+	c *Controller
+	// out receives the completion: the record's own comp for Submit, the
+	// caller's slice element for RunMixed. out.Req is the request.
+	out    *IOCompletion
+	comp   IOCompletion
+	onDone func(IOCompletion)
+	fire   func(now sim.Time)
+}
+
+// submit schedules one command at req.SubmitAt on a pooled record whose
+// completion lands in out (nil selects the record's own slot). out must be
+// zero: a fresh slice element, or the slot of a released record.
+func (c *Controller) submit(req *IORequest, out *IOCompletion, onDone func(IOCompletion)) {
+	var cmd *command
+	if n := len(c.free); n > 0 {
+		cmd = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		cmd = &command{c: c}
+		cmd.fire = cmd.run
+	}
+	if out == nil {
+		out = &cmd.comp
+	}
+	out.Req = *req
+	cmd.out, cmd.onDone = out, onDone
+	c.drive.Sched.Events.Schedule(req.SubmitAt, cmd.fire)
+}
+
+// run is the command's submission event: execute, report, then recycle.
+// The record is released only after onDone returns, so an onDone that
+// submits a follow-up command never gets its own record back mid-call.
+func (cmd *command) run(now sim.Time) {
+	c := cmd.c
+	c.execute(cmd.out, now)
+	if cmd.onDone != nil {
+		cmd.onDone(*cmd.out)
+	}
+	cmd.comp = IOCompletion{} // drop payload and tenant references
+	cmd.out, cmd.onDone = nil, nil
+	c.free = append(c.free, cmd)
 }
 
 // New wraps an SSD (which must not have run an offload yet).
@@ -102,15 +164,17 @@ func New(drive *ssd.SSD, cfg Config) *Controller {
 	}
 }
 
-// execute services one conventional command whose submission event fired at
-// now, filling slot with the completion. It traces the command end to end
-// (Begin at submission, per-leg path stages, Complete or Abort).
-func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
+// execute services the conventional command slot.Req whose submission
+// event fired at now, filling slot with the completion. It traces the
+// command end to end (Begin at submission, per-leg path stages, Complete or
+// Abort).
+func (c *Controller) execute(slot *IOCompletion, now sim.Time) {
+	req := &slot.Req
 	ps := c.drive.Opt.Flash.PageSize
 	tracer := c.drive.Opt.Requests
 	// RequestIDs are assigned at submission; the event fires exactly
 	// at SubmitAt, and event order is deterministic, so IDs are too.
-	tr := tracer.Begin("io-"+req.Op.String(), "", int64(now))
+	tr := tracer.Begin(traceKind(req.Op), "", int64(now))
 	tr.SetTenant(req.Tenant)
 	switch req.Op {
 	case OpRead:
@@ -140,9 +204,9 @@ func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
 			}
 		}
 		if tr != nil {
-			tr.AddPathStage(reqtrace.ClassFlashWait, int64(critFlash))
-			tr.AddPathStage(reqtrace.ClassDRAMWait, int64(critDRAM))
-			tr.AddPathStage(reqtrace.ClassHostLink, int64(critLink))
+			tr.AddPathClass(reqtrace.IDFlashWait, int64(critFlash))
+			tr.AddPathClass(reqtrace.IDDRAMWait, int64(critDRAM))
+			tr.AddPathClass(reqtrace.IDHostLink, int64(critLink))
 		}
 		slot.Data = payload
 		slot.Done = done
@@ -175,9 +239,9 @@ func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
 			}
 		}
 		if tr != nil {
-			tr.AddPathStage(reqtrace.ClassHostLink, int64(critLink))
-			tr.AddPathStage(reqtrace.ClassDRAMWait, int64(critDRAM))
-			tr.AddPathStage(reqtrace.ClassFlashWait, int64(critFlash))
+			tr.AddPathClass(reqtrace.IDHostLink, int64(critLink))
+			tr.AddPathClass(reqtrace.IDDRAMWait, int64(critDRAM))
+			tr.AddPathClass(reqtrace.IDFlashWait, int64(critFlash))
 		}
 		slot.Done = done
 		slot.Latency = done - req.SubmitAt
@@ -194,29 +258,7 @@ func (c *Controller) execute(req IORequest, slot *IOCompletion, now sim.Time) {
 // retaining a completion slice. The drive's event queue must be driven (via
 // RunOffload or RunUntil) for the event to fire.
 func (c *Controller) Submit(req IORequest, onDone func(IOCompletion)) {
-	c.drive.Sched.Events.Schedule(req.SubmitAt, func(now sim.Time) {
-		var slot IOCompletion
-		slot.Req = req
-		c.execute(req, &slot, now)
-		if onDone != nil {
-			onDone(slot)
-		}
-	})
-}
-
-// scheduleIO queues the conventional commands as firmware events on the
-// SSD's scheduler and returns the slice completions will be written to.
-func (c *Controller) scheduleIO(reqs []IORequest) []IOCompletion {
-	completions := make([]IOCompletion, len(reqs))
-	for i := range reqs {
-		req := reqs[i]
-		completions[i].Req = req
-		slot := &completions[i]
-		c.drive.Sched.Events.Schedule(req.SubmitAt, func(now sim.Time) {
-			c.execute(req, slot, now)
-		})
-	}
-	return completions
+	c.submit(&req, nil, onDone)
 }
 
 // RunMixed executes an scomp offload while servicing conventional I/O on
@@ -224,7 +266,12 @@ func (c *Controller) scheduleIO(reqs []IORequest) []IOCompletion {
 // Either side may be empty: no tasks degenerates to pure I/O, no reqs to a
 // plain offload.
 func (c *Controller) RunMixed(tasks []ssd.TaskSpec, reqs []IORequest, deadline sim.Time) (*ssd.Result, []IOCompletion, error) {
-	completions := c.scheduleIO(reqs)
+	// The commands go through Submit's pooled path, completing straight
+	// into the returned slice.
+	completions := make([]IOCompletion, len(reqs))
+	for i := range reqs {
+		c.submit(&reqs[i], &completions[i], nil)
+	}
 	var res *ssd.Result
 	var err error
 	if len(tasks) > 0 {

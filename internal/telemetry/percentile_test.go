@@ -188,3 +188,33 @@ func TestSnapshotCarriesPercentiles(t *testing.T) {
 		t.Fatalf("snapshot P50 = 0 for a non-empty histogram")
 	}
 }
+
+// bucketOfLoop is the original bit-by-bit bucket rule, kept as the oracle
+// for the bits.Len64 form.
+func bucketOfLoop(v int64) int {
+	if v <= 0 {
+		return 0
+	}
+	b := 1
+	for v > 1 {
+		v >>= 1
+		b++
+	}
+	return b
+}
+
+func TestBucketOfMatchesLoop(t *testing.T) {
+	vals := []int64{0, -1, -2, math.MinInt64, 1, 2, math.MaxInt64}
+	for k := 1; k < 63; k++ {
+		p := int64(1) << k
+		vals = append(vals, p-1, p, p+1, -p)
+	}
+	for _, v := range vals {
+		if got, want := bucketOf(v), bucketOfLoop(v); got != want {
+			t.Fatalf("bucketOf(%d) = %d, want %d", v, got, want)
+		}
+	}
+	if got := bucketOf(math.MaxInt64); got != 63 {
+		t.Fatalf("bucketOf(MaxInt64) = %d, want 63", got)
+	}
+}

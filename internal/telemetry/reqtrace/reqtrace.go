@@ -51,14 +51,58 @@ const (
 	ClassHostLink  = "host-link-wait"
 )
 
-// execClasses is the fixed layout order of the core-execution window's
-// attribution segments.
-var execClasses = [5]string{
-	analyze.ClassCoreBusy,
-	analyze.ClassCacheDRAMWait,
-	analyze.ClassStreamRefillWait,
-	analyze.ClassOutFullWait,
-	analyze.ClassExecStall,
+// ClassID indexes the closed table of critical-path classes. Segments carry
+// their ClassID beside the exported name from the moment they are appended,
+// so completion accumulates per-class totals and histograms by array index
+// with no string hashing or comparison.
+type ClassID uint8
+
+// The class table. The first five are the core-execution window's
+// attribution classes, in layout order; the exported IDs are the
+// conventional-IO legs callers pass to AddPathClass.
+const (
+	idCoreBusy ClassID = iota
+	idCacheDRAMWait
+	idStreamRefillWait
+	idOutFullWait
+	idExecStall
+	idQueueing
+	idDrain
+	idUnattributed
+	IDFlashWait
+	IDDRAMWait
+	IDHostLink
+	numClasses
+)
+
+// classNames maps each ClassID to its segment class name.
+var classNames = [numClasses]string{
+	idCoreBusy:         analyze.ClassCoreBusy,
+	idCacheDRAMWait:    analyze.ClassCacheDRAMWait,
+	idStreamRefillWait: analyze.ClassStreamRefillWait,
+	idOutFullWait:      analyze.ClassOutFullWait,
+	idExecStall:        analyze.ClassExecStall,
+	idQueueing:         ClassQueueing,
+	idDrain:            ClassDrain,
+	idUnattributed:     ClassUnattributed,
+	IDFlashWait:        ClassFlashWait,
+	IDDRAMWait:         ClassDRAMWait,
+	IDHostLink:         ClassHostLink,
+}
+
+// execClasses is the number of core-execution window classes (idCoreBusy
+// through idExecStall).
+const execClasses = int(idExecStall) + 1
+
+// classOf resolves a class name to its ID; names outside the table map to
+// idUnattributed.
+func classOf(name string) ClassID {
+	for i, n := range classNames {
+		if n == name {
+			return ClassID(i)
+		}
+	}
+	return idUnattributed
 }
 
 // Segment is one critical-path link. Segments are an exact decomposition of
@@ -130,15 +174,24 @@ type Request struct {
 	Tasks     []TaskTrace `json:"tasks,omitempty"`
 
 	completePs int64
+	// critIDs holds the ClassID of each Critical segment, index for index.
+	critIDs []ClassID
 	// path is a staged pre-classified chain (conventional IO commands);
 	// when non-empty it replaces the task-derived critical path.
-	path []Segment
+	path []stage
+}
+
+// stage is one pre-classified chain link before normalization.
+type stage struct {
+	id  ClassID
+	dur int64
 }
 
 // reset prepares a pooled record for reuse, keeping slice capacity.
 func (r *Request) reset() {
 	r.Tasks = r.Tasks[:0]
 	r.Critical = r.Critical[:0]
+	r.critIDs = r.critIDs[:0]
 	r.path = r.path[:0]
 	r.Label, r.Tenant = "", ""
 	r.SubmitPs, r.completePs, r.LatencyPs = 0, 0, 0
@@ -233,12 +286,33 @@ func (r *Request) SetCoreDelta(task int, startPs, busy, mem, refill, outFull, ex
 
 // AddPathStage appends one pre-classified chain stage (conventional IO:
 // flash/DRAM/host-link legs of the command's slowest page). Stages are
-// normalized against the submit→complete span at completion.
+// normalized against the submit→complete span at completion. class must be
+// one of the table's class names; any other name is recorded as
+// ClassUnattributed, so the path still sums exactly to the latency. Hot
+// paths use AddPathClass, which skips the name lookup.
 func (r *Request) AddPathStage(class string, durPs int64) {
 	if r == nil {
 		return
 	}
-	r.path = append(r.path, Segment{Class: class, DurPs: durPs})
+	r.AddPathClass(classOf(class), durPs)
+}
+
+// AddPathClass is AddPathStage by ClassID. An ID outside the table is
+// recorded as ClassUnattributed.
+func (r *Request) AddPathClass(id ClassID, durPs int64) {
+	if r == nil {
+		return
+	}
+	if id >= numClasses {
+		id = idUnattributed
+	}
+	r.path = append(r.path, stage{id, durPs})
+}
+
+// addSegment appends one critical-path segment with its class ID.
+func (r *Request) addSegment(id ClassID, durPs int64) {
+	r.Critical = append(r.Critical, Segment{Class: classNames[id], DurPs: durPs})
+	r.critIDs = append(r.critIDs, id)
 }
 
 func clamp(v, lo, hi int64) int64 {
@@ -251,28 +325,27 @@ func clamp(v, lo, hi int64) int64 {
 	return v
 }
 
-// appendNormalized lays segs over the [0, span] window in order, truncating
-// at the window edge and padding any residue as unattributed, so the
-// appended durations sum exactly to span.
-func appendNormalized(dst []Segment, segs []Segment, span int64) []Segment {
+// appendNormalized lays stages over the [0, span] window in order,
+// truncating at the window edge and padding any residue as unattributed, so
+// the appended durations sum exactly to span.
+func (r *Request) appendNormalized(stages []stage, span int64) {
 	rem := span
-	for _, sg := range segs {
+	for _, sg := range stages {
 		if rem <= 0 {
 			break
 		}
-		d := sg.DurPs
+		d := sg.dur
 		if d > rem {
 			d = rem
 		}
 		if d > 0 {
-			dst = append(dst, Segment{Class: sg.Class, DurPs: d})
+			r.addSegment(sg.id, d)
 			rem -= d
 		}
 	}
 	if rem > 0 {
-		dst = append(dst, Segment{Class: ClassUnattributed, DurPs: rem})
+		r.addSegment(idUnattributed, rem)
 	}
-	return dst
 }
 
 // buildCritical derives the request's critical path. The construction
@@ -281,6 +354,7 @@ func appendNormalized(dst []Segment, segs []Segment, span int64) []Segment {
 // test additionally pins the unattributed residue to zero.
 func (r *Request) buildCritical() {
 	r.Critical = r.Critical[:0]
+	r.critIDs = r.critIDs[:0]
 	submit := r.SubmitPs
 	complete := r.completePs
 	if complete < submit {
@@ -289,12 +363,12 @@ func (r *Request) buildCritical() {
 	}
 	r.LatencyPs = complete - submit
 	if len(r.path) > 0 {
-		r.Critical = appendNormalized(r.Critical, r.path, complete-submit)
+		r.appendNormalized(r.path, complete-submit)
 		return
 	}
 	if len(r.Tasks) == 0 {
 		if complete > submit {
-			r.Critical = append(r.Critical, Segment{Class: ClassUnattributed, DurPs: complete - submit})
+			r.addSegment(idUnattributed, complete-submit)
 		}
 		return
 	}
@@ -319,18 +393,18 @@ func (r *Request) buildCritical() {
 	s2 := clamp(ct.HaltPs, submit, complete)
 	s1 := clamp(s2-sum, submit, s2)
 	if q := s1 - submit; q > 0 {
-		r.Critical = append(r.Critical, Segment{Class: ClassQueueing, DurPs: q})
+		r.addSegment(idQueueing, q)
 	}
-	window := [5]Segment{
-		{execClasses[0], ct.BusyPs},
-		{execClasses[1], ct.MemPs},
-		{execClasses[2], ct.RefillPs},
-		{execClasses[3], ct.OutFullPs},
-		{execClasses[4], ct.ExecPs},
+	window := [execClasses]stage{
+		{idCoreBusy, ct.BusyPs},
+		{idCacheDRAMWait, ct.MemPs},
+		{idStreamRefillWait, ct.RefillPs},
+		{idOutFullWait, ct.OutFullPs},
+		{idExecStall, ct.ExecPs},
 	}
-	r.Critical = appendNormalized(r.Critical, window[:], s2-s1)
+	r.appendNormalized(window[:], s2-s1)
 	if d := complete - s2; d > 0 {
-		r.Critical = append(r.Critical, Segment{Class: ClassDrain, DurPs: d})
+		r.addSegment(idDrain, d)
 	}
 }
 
@@ -353,11 +427,12 @@ type Tracer struct {
 	count       int64
 	latencySum  int64
 	latencyMax  int64
-	classTotals [5]int64         // exec-window stats deltas over all tasks
-	critTotals  map[string]int64 // summed critical segments by class
-	// critHists caches the per-class histograms so the steady state never
-	// rebuilds the "crit_<class>_ps" metric name (zero-alloc contract).
-	critHists map[string]*telemetry.Histogram
+	classTotals [execClasses]int64 // exec-window stats deltas over all tasks
+	critTotals  [numClasses]int64  // summed critical segments by class
+	critSeen    [numClasses]bool   // classes that have had a segment
+	// critHists holds the per-class histograms, registered on a class's
+	// first segment (so in first-seen order) and indexed ever after.
+	critHists [numClasses]*telemetry.Histogram
 
 	free []*Request
 	top  []*Request // latency desc, id asc
@@ -379,11 +454,9 @@ func New(sink *telemetry.Sink, cfg Config) *Tracer {
 		cfg.TopK = 8
 	}
 	return &Tracer{
-		cfg:        cfg,
-		sink:       sink,
-		lat:        sink.Histogram("req", "latency_ps"),
-		critTotals: make(map[string]int64),
-		critHists:  make(map[string]*telemetry.Histogram),
+		cfg:  cfg,
+		sink: sink,
+		lat:  sink.Histogram("req", "latency_ps"),
 	}
 }
 
@@ -445,14 +518,14 @@ func (t *Tracer) Complete(r *Request, completePs int64) {
 		t.classTotals[4] += tt.ExecPs
 	}
 	t.lat.Observe(lat)
-	for _, sg := range r.Critical {
-		t.critTotals[sg.Class] += sg.DurPs
-		h, ok := t.critHists[sg.Class]
-		if !ok {
-			h = t.sink.Histogram("req", "crit_"+sg.Class+"_ps")
-			t.critHists[sg.Class] = h
+	for i, sg := range r.Critical {
+		id := r.critIDs[i]
+		t.critTotals[id] += sg.DurPs
+		if !t.critSeen[id] {
+			t.critSeen[id] = true
+			t.critHists[id] = t.sink.Histogram("req", "crit_"+classNames[id]+"_ps")
 		}
-		h.Observe(sg.DurPs)
+		t.critHists[id].Observe(sg.DurPs)
 	}
 	if t.OnComplete != nil {
 		t.OnComplete(r)
@@ -524,20 +597,22 @@ func (t *Tracer) Summary(label string) *Summary {
 		LatencyMaxPs: t.latencyMax,
 	}
 	if t.count > 0 {
-		s.ClassTotalsPs = make(map[string]int64, len(execClasses))
-		for i, c := range execClasses {
-			s.ClassTotalsPs[c] = t.classTotals[i]
+		s.ClassTotalsPs = make(map[string]int64, execClasses)
+		for i, v := range t.classTotals {
+			s.ClassTotalsPs[classNames[i]] = v
 		}
-		s.CriticalTotalsPs = make(map[string]int64, len(t.critTotals))
-		for c, v := range t.critTotals {
-			s.CriticalTotalsPs[c] = v
+		s.CriticalTotalsPs = make(map[string]int64, numClasses)
+		for i, v := range t.critTotals {
+			if t.critSeen[i] {
+				s.CriticalTotalsPs[classNames[i]] = v
+			}
 		}
 	}
 	for _, r := range t.top {
 		cp := *r
 		cp.Critical = append([]Segment(nil), r.Critical...)
 		cp.Tasks = append([]TaskTrace(nil), r.Tasks...)
-		cp.path = nil
+		cp.critIDs, cp.path = nil, nil
 		s.Slowest = append(s.Slowest, cp)
 	}
 	return s

@@ -205,6 +205,7 @@ func TestNilZeroCost(t *testing.T) {
 		r2.NoteHalt(0, 8)
 		r2.SetCoreDelta(0, 0, 1, 2, 3, 4, 5, 6, 7)
 		r2.AddPathStage(ClassFlashWait, 9)
+		r2.AddPathClass(IDFlashWait, 9)
 		tr.Complete(r2, 10)
 		tr.Abort(r)
 	})
@@ -264,5 +265,70 @@ func TestHistogramsOnSink(t *testing.T) {
 	}
 	if _, ok := snap.Histograms["req/crit_"+ClassQueueing+"_ps"]; !ok {
 		t.Fatalf("missing queueing class histogram: %v", snap.Histograms)
+	}
+}
+
+// TestPathStageOutsideTable checks the documented rule for classes outside
+// the class table: AddPathStage with an unknown name and AddPathClass with
+// an out-of-range ID both record the stage as unattributed, so the path
+// still sums to the latency and every total lands on a table class.
+func TestPathStageOutsideTable(t *testing.T) {
+	sink := telemetry.NewSink()
+	tr := New(sink, Config{TopK: 2})
+	r := tr.Begin("io-read", "", 0)
+	r.AddPathStage(ClassFlashWait, 30)
+	r.AddPathStage("no-such-class", 20)
+	r.AddPathClass(numClasses+3, 10)
+	r.AddPathClass(IDHostLink, 40)
+	tr.Complete(r, 100)
+	want := []Segment{
+		{ClassFlashWait, 30},
+		{ClassUnattributed, 20},
+		{ClassUnattributed, 10},
+		{ClassHostLink, 40},
+	}
+	if len(r.Critical) != len(want) {
+		t.Fatalf("critical = %v, want %v", r.Critical, want)
+	}
+	for i := range want {
+		if r.Critical[i] != want[i] {
+			t.Fatalf("segment %d = %v, want %v", i, r.Critical[i], want[i])
+		}
+	}
+	sum := tr.Summary("x")
+	if got := sum.CriticalTotalsPs; len(got) != 3 || got[ClassUnattributed] != 30 || got[ClassFlashWait] != 30 || got[ClassHostLink] != 40 {
+		t.Fatalf("critical totals = %v", got)
+	}
+	snap := sink.Metrics()
+	if h := snap.Histograms["req/crit_"+ClassUnattributed+"_ps"]; h.Count != 2 {
+		t.Fatalf("unattributed histogram = %+v", h)
+	}
+	if _, ok := snap.Histograms["req/crit_no-such-class_ps"]; ok {
+		t.Fatal("unknown class registered its own histogram")
+	}
+}
+
+// TestClassTableNames pins every ClassID to its exported class name.
+func TestClassTableNames(t *testing.T) {
+	names := map[ClassID]string{
+		idCoreBusy:         analyze.ClassCoreBusy,
+		idCacheDRAMWait:    analyze.ClassCacheDRAMWait,
+		idStreamRefillWait: analyze.ClassStreamRefillWait,
+		idOutFullWait:      analyze.ClassOutFullWait,
+		idExecStall:        analyze.ClassExecStall,
+		idQueueing:         ClassQueueing,
+		idDrain:            ClassDrain,
+		idUnattributed:     ClassUnattributed,
+		IDFlashWait:        ClassFlashWait,
+		IDDRAMWait:         ClassDRAMWait,
+		IDHostLink:         ClassHostLink,
+	}
+	if len(names) != int(numClasses) {
+		t.Fatalf("table has %d classes, test names %d", numClasses, len(names))
+	}
+	for id, name := range names {
+		if classNames[id] != name || classOf(name) != id {
+			t.Fatalf("class %d: table %q, classOf(%q) = %d", id, classNames[id], name, classOf(name))
+		}
 	}
 }

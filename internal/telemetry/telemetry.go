@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -177,16 +178,13 @@ func (h *Histogram) Absorb(other *Histogram) {
 	}
 }
 
+// bucketOf returns v's bucket index: the bit length of v, so that
+// 2^(i-1) <= v < 2^i lands in bucket i, and 0 for v <= 0.
 func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 1
-	for v > 1 {
-		v >>= 1
-		b++
-	}
-	return b
+	return bits.Len64(uint64(v))
 }
 
 // bucketBounds returns bucket i's half-open value range [lo, hi) as floats

@@ -65,6 +65,7 @@ type Windows struct {
 
 	started bool
 	epoch   int64 // absolute index of the current bucket (time/bucketPs)
+	cur     int   // ring index of the current bucket (epoch % n)
 	firstPs int64 // start of the first observed bucket
 	nextPs  int64 // next rotation boundary (the Advance fast-path guard)
 
@@ -127,6 +128,7 @@ func (w *Windows) advanceSlow(nowPs int64) {
 	if !w.started {
 		w.started = true
 		w.epoch = newEpoch
+		w.cur = int(newEpoch % int64(w.n))
 		w.firstPs = newEpoch * w.bucketPs
 		w.nextPs = (newEpoch + 1) * w.bucketPs
 		return
@@ -145,7 +147,7 @@ func (w *Windows) advanceSlow(nowPs int64) {
 		for _, h := range w.hists {
 			h.slots[slot].Reset()
 		}
-		w.epoch = e
+		w.epoch, w.cur = e, slot
 		w.nextPs = (e + 1) * w.bucketPs
 		if w.OnRotate != nil {
 			w.OnRotate(e * w.bucketPs)
@@ -154,7 +156,7 @@ func (w *Windows) advanceSlow(nowPs int64) {
 }
 
 // slot returns the ring index of the current bucket.
-func (w *Windows) slot() int { return int(w.epoch % int64(w.n)) }
+func (w *Windows) slot() int { return w.cur }
 
 // register enforces unique metric names within the domain.
 func (w *Windows) register(name string) {

@@ -196,3 +196,26 @@ func TestWindowTickZeroAlloc(t *testing.T) {
 		t.Fatalf("window steady state allocates %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestCachedSlotMatchesEpoch pins the cached ring index against its
+// definition, epoch % n: after the first Advance, across single-bucket
+// rotations, and across jumps longer than the ring.
+func TestCachedSlotMatchesEpoch(t *testing.T) {
+	w := New(Config{WindowPs: 7 * ms, Buckets: 7}) // 1 ms buckets, odd ring
+	check := func(when string) {
+		t.Helper()
+		if want := int(w.epoch % int64(w.n)); w.slot() != want {
+			t.Fatalf("%s: slot = %d, want epoch %d %% %d = %d", when, w.slot(), w.epoch, w.n, want)
+		}
+	}
+	w.Advance(12*ms + 3) // first Advance starts mid-stream, epoch 12
+	check("first advance")
+	for i := int64(13); i < 30; i++ {
+		w.Advance(i * ms)
+		check("single rotation")
+	}
+	for _, jump := range []int64{8, 15, 100, 7} {
+		w.Advance((w.epoch + jump) * ms)
+		check("long jump")
+	}
+}

@@ -840,7 +840,7 @@ func q22() *QuerySpec {
 		PSF: kernels.PSF{
 			NumFields: CustomerCols,
 			Project:   []int{CCustKey, CPhone, CAcctBal},
-			Preds:     []kernels.PSFPred{pred(CAcctBal, 600000, 1<<31 - 1)},
+			Preds:     []kernels.PSFPred{pred(CAcctBal, 600000, 1<<31-1)},
 		},
 		Body: func(e *Exec, scan *Relation) *Relation {
 			// Average positive balance of the rich subset.

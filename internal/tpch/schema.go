@@ -68,7 +68,7 @@ const (
 // Column indices of the part table.
 const (
 	PPartKey = iota
-	PName // hash bucket standing in for p_name
+	PName    // hash bucket standing in for p_name
 	PMfgr
 	PBrand
 	PType // code 0-149 (the 150 TPC-H type strings)

@@ -32,6 +32,10 @@ go test ./internal/cpu/ -run 'TestKProfDisabledZeroAlloc' -count 1
 # engine's per-request observation path is allocation-free.
 go test ./internal/telemetry/window/ -run 'TestWindowTickZeroAlloc|TestNilWindowsZeroCost' -count 1
 go test ./internal/telemetry/slo/ -run 'TestObserveRequestZeroAlloc' -count 1
+# The conventional-command serving path: a pooled command record carries one
+# traced read through nvme, reqtrace, telemetry and the slo engine without
+# allocating.
+go test ./internal/nvme/ -run 'TestSubmitSteadyStateZeroAlloc' -count 1
 # Set-up cost: one 16 KiB offload per architecture stays within its byte
 # budget, so stream windows, scratchpads and FTL maps stay sized to the
 # pages an offload touches.
