@@ -15,18 +15,21 @@ test: build
 # accidental sharing from tests), and the observability layer that serves
 # concurrent scrapers against a running simulation. The cpu and data-plane
 # equivalence soaks (internal/experiments) also run here, plus the
-# request-trace parallel-determinism check: any Precise/Fused/Compiled or
+# request-trace parallel-determinism check: any Precise/Compiled or
 # coalesced/per-page divergence, and any worker-count-dependent request
 # summary, is a release blocker.
 race:
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecFusedMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
 
-# A short bounded differential-fuzz pass over the three execution engines;
-# the checked-in corpus under internal/cpu/testdata/fuzz seeds it with
-# kernel-shaped programs.
+# A short bounded pass over every fuzz target: the compiled-vs-precise
+# differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz
+# seeds it with kernel-shaped programs), the assembler parser and the SLO
+# duration parser. go test -fuzz takes one target per package run.
 fuzz-smoke:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
+	go test ./internal/asm/ -run '^$$' -fuzz FuzzParse -fuzztime 5s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseDuration -fuzztime 5s
 
 # Run the differential engine against the archived Stat metrics snapshots
 # and check the ranked headline.
@@ -60,8 +63,8 @@ ci:
 	go test ./...
 	cd benchmark && go vet ./... && go test ./...
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecFusedMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
-	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
+	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	$(MAKE) fuzz-smoke
 	scripts/alloc-gate.sh
 	scripts/serve-smoke.sh
 	scripts/diff-smoke.sh

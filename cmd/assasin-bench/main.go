@@ -30,9 +30,7 @@ import (
 	"time"
 
 	"assasin/internal/buildinfo"
-	"assasin/internal/cpu"
 	"assasin/internal/experiments"
-	"assasin/internal/firmware"
 	"assasin/internal/obs"
 	"assasin/internal/profiling"
 	"assasin/internal/runpool"
@@ -58,8 +56,6 @@ func main() {
 		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
 		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
 		parallel = flag.Int("parallel", runpool.DefaultWorkers(), "max concurrent simulation runs (1 = sequential; results are identical)")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
-		plane    = flag.String("dataplane", "coalesced", "firmware delivery event structure: coalesced (default) or perpage (results are identical)")
 		jsonDir  = flag.String("json", "", "directory to write BENCH_<exp>.json result files into")
 		tracePth = flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto; forces -parallel 1)")
 		metrPth  = flag.String("metrics", "", "write a flat telemetry metrics JSON file (parallel-safe: per-run sinks merged at run boundaries)")
@@ -121,16 +117,6 @@ func main() {
 	}
 	cfg.Workers = *parallel
 	cfg.Log = log
-	mode, err := cpu.ParseExecMode(*execMode)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Exec = mode
-	planeMode, err := firmware.ParsePlaneMode(*plane)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.DataPlane = planeMode
 
 	lc := experiments.DefaultLoad()
 	if *quick {

@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"assasin/internal/buildinfo"
-	"assasin/internal/cpu"
 	"assasin/internal/experiments"
 	"assasin/internal/obs"
 	"assasin/internal/telemetry"
@@ -62,7 +61,6 @@ func main() {
 		cores    = flag.Int("cores", 0, "override compute engine count")
 		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
 		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
 		once     = flag.Bool("once", false, "exit once the experiments finish instead of serving until interrupted")
 		requests = flag.Int("requests", 8, "retain the K slowest requests per run for /runs/{id}/requests (0 = off)")
 		kprofOn  = flag.Bool("kprof", true, "profile guest kernels per run for /runs/{id}/profile and /runs/{id}/profile.pb.gz")
@@ -102,11 +100,6 @@ func main() {
 	if err := experiments.ValidateOverrides(cfg.Cores, 1, cfg.TPCHScale, cfg.KernelMB); err != nil {
 		fatal(err)
 	}
-	mode, err := cpu.ParseExecMode(*execMode)
-	if err != nil {
-		fatal(err)
-	}
-	cfg.Exec = mode
 	cfg.Log = log
 
 	names := strings.Split(*exp, ",")

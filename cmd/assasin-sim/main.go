@@ -50,8 +50,6 @@ func main() {
 		cores    = flag.Int("cores", 8, "compute engines")
 		adjusted = flag.Bool("adjusted", false, "apply Fig 20 timing adjustments")
 		seed     = flag.Int64("seed", 1, "input data seed")
-		execMode = flag.String("exec", "compiled", "interpreter strategy: compiled (threaded code, default), fused, or precise (results are identical)")
-		plane    = flag.String("dataplane", "coalesced", "firmware delivery event structure: coalesced (default) or perpage (results are identical)")
 		tracePth = flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto)")
 		metrPth  = flag.String("metrics", "", "write a flat telemetry metrics JSON file")
 		tlPth    = flag.String("timeline", "", "write the run's sampled timeline JSON file")
@@ -94,14 +92,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	mode, err := cpu.ParseExecMode(*execMode)
-	if err != nil {
-		fail(err)
-	}
-	planeMode, err := firmware.ParsePlaneMode(*plane)
-	if err != nil {
-		fail(err)
-	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fail(err)
@@ -137,7 +127,7 @@ func main() {
 	if *kprofN > 0 {
 		kp = kprof.New()
 	}
-	s := ssd.New(ssd.Options{Arch: arch, Cores: *cores, TimingAdjusted: *adjusted, Exec: mode, DataPlane: planeMode, Telemetry: tel, Timeline: sampler, Requests: tracer, KProf: kp, Log: log})
+	s := ssd.New(ssd.Options{Arch: arch, Cores: *cores, TimingAdjusted: *adjusted, Telemetry: tel, Timeline: sampler, Requests: tracer, KProf: kp, Log: log})
 	size := int(*mb * (1 << 20))
 	size -= size % 64
 	var lpaLists [][]int

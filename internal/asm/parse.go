@@ -73,6 +73,10 @@ func Parse(src string) (*Program, error) {
 			continue
 		}
 		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+		if len(fields) == 0 {
+			fail("missing mnemonic")
+			return nil, firstErr
+		}
 		op := fields[0]
 		args := fields[1:]
 		if err := emitOne(b, label, op, args); err != nil {

@@ -7,8 +7,9 @@ import (
 	"assasin/internal/isa"
 )
 
-func TestParseBasicProgram(t *testing.T) {
-	p, err := Parse(`
+// The test sources, shared with FuzzParse as its seed corpus.
+const (
+	basicSrc = `
 		# sum the numbers 1..10
 		li   a0, 0
 		li   t0, 1
@@ -18,7 +19,46 @@ func TestParseBasicProgram(t *testing.T) {
 		addi t0, t0, 1
 		blt  t0, t1, loop
 		halt
-	`)
+	`
+	memStreamSrc = `
+		lw a0, 8(sp)
+		sw a0, -4(s0)
+		streamload a1, s0q, w4
+		streampeek a2, s1q, w2, 16
+		streamadv  s0q, 4096
+		streamstore s2q, w1, a1
+		streamend  t0, s0q
+		halt
+	`
+	forwardSrc = `
+		beq a0, zero, done
+		addi a1, a1, 1
+	done:
+		halt
+	`
+	streamLoopSrc = `
+	loop:
+		streamload a0, s0q, w1
+		streamstore s0q, w1, a0
+		j loop
+	`
+)
+
+// badSources must each fail to parse with an error, never a panic.
+var badSources = []string{
+	"frobnicate a0, a1",
+	"add a0, a1",
+	"lw a0, nope",
+	"streamload a0, s99q, w4",
+	"streamload a0, s0q, w3",
+	"li a0, zork",
+	"beq a0, zero, missing", // unbound label
+	",",                     // separators only
+	"l: ,",                  // label then separators only
+}
+
+func TestParseBasicProgram(t *testing.T) {
+	p, err := Parse(basicSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,16 +78,7 @@ func TestParseBasicProgram(t *testing.T) {
 }
 
 func TestParseMemoryAndStreamOps(t *testing.T) {
-	p, err := Parse(`
-		lw a0, 8(sp)
-		sw a0, -4(s0)
-		streamload a1, s0q, w4
-		streampeek a2, s1q, w2, 16
-		streamadv  s0q, 4096
-		streamstore s2q, w1, a1
-		streamend  t0, s0q
-		halt
-	`)
+	p, err := Parse(memStreamSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +97,7 @@ func TestParseMemoryAndStreamOps(t *testing.T) {
 }
 
 func TestParseForwardLabel(t *testing.T) {
-	p, err := Parse(`
-		beq a0, zero, done
-		addi a1, a1, 1
-	done:
-		halt
-	`)
+	p, err := Parse(forwardSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,20 +107,30 @@ func TestParseForwardLabel(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"frobnicate a0, a1",
-		"add a0, a1",
-		"lw a0, nope",
-		"streamload a0, s99q, w4",
-		"streamload a0, s0q, w3",
-		"li a0, zork",
-		"beq a0, zero, missing", // unbound label
-	}
-	for _, src := range bad {
+	for _, src := range badSources {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q) succeeded", src)
 		}
 	}
+	// A separators-only line is reported with its line number.
+	if _, err := Parse("nop\n , ,\nhalt"); err == nil || !strings.Contains(err.Error(), "line 2: missing mnemonic") {
+		t.Errorf("separators-only line: err = %v, want a line 2 missing-mnemonic error", err)
+	}
+}
+
+// FuzzParse feeds arbitrary text to the assembler, which must return a
+// program or an error and never panic. Run a bounded pass with
+// go test ./internal/asm -run '^$' -fuzz FuzzParse -fuzztime 5s
+func FuzzParse(f *testing.F) {
+	for _, src := range append([]string{basicSrc, memStreamSrc, forwardSrc, streamLoopSrc}, badSources...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err == nil && p == nil {
+			t.Fatalf("Parse(%q) returned neither a program nor an error", src)
+		}
+	})
 }
 
 // TestDisassembleParseRoundTrip: the disassembler's output re-assembles to
@@ -153,12 +189,7 @@ func fixStreamSlots(text string) string {
 func TestParsedProgramExecutes(t *testing.T) {
 	// End-to-end: text → program → (exercised via Encode, execution is
 	// covered by the cpu package).
-	p, err := Parse(`
-	loop:
-		streamload a0, s0q, w1
-		streamstore s0q, w1, a0
-		j loop
-	`)
+	p, err := Parse(streamLoopSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

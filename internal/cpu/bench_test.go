@@ -44,7 +44,7 @@ func BenchmarkCoreStepALU(b *testing.B) {
 	bb.Add(asm.T2, asm.T2, asm.T3)
 	bb.J(loop)
 	prog := bb.MustBuild()
-	for _, mode := range []ExecMode{ExecCompiled, ExecFused, ExecPrecise} {
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := DefaultConfig("bench")
 			cfg.BranchFree = true // keep the loop pure dispatch: no flush cycles
@@ -64,11 +64,11 @@ func BenchmarkCoreStepALU(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreFusedBlock compares the fused basic-block engine against
-// precise per-instruction stepping on the same straight-line ALU loop — the
-// speedup the fused default buys (the Stats the two modes produce are
-// byte-identical; see internal/experiments' equivalence soak).
-func BenchmarkCoreFusedBlock(b *testing.B) {
+// BenchmarkCoreALUBlock compares the compiled engine's whole-run ALU
+// blocks against precise per-instruction stepping on the same straight-line
+// ALU loop (the Stats the two modes produce are byte-identical; see
+// internal/experiments' equivalence soak).
+func BenchmarkCoreALUBlock(b *testing.B) {
 	build := func() *asm.Program {
 		bb := asm.New()
 		loop := bb.Here()
@@ -83,7 +83,7 @@ func BenchmarkCoreFusedBlock(b *testing.B) {
 		bb.J(loop)
 		return bb.MustBuild()
 	}
-	for _, mode := range []ExecMode{ExecCompiled, ExecFused, ExecPrecise} {
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := DefaultConfig("bench")
 			cfg.BranchFree = true
@@ -119,7 +119,7 @@ func BenchmarkCoreCompiledBlock(b *testing.B) {
 	bb.Bltu(asm.T0, asm.T1, loop)
 	bb.Halt()
 	prog := bb.MustBuild()
-	for _, mode := range []ExecMode{ExecCompiled, ExecFused, ExecPrecise} {
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := DefaultConfig("bench")
 			cfg.BranchFree = true
@@ -149,7 +149,7 @@ func BenchmarkStreamLoadPath(b *testing.B) {
 	bb.Add(asm.S0, asm.S0, asm.A0)
 	bb.J(loop)
 	prog := bb.MustBuild()
-	for _, mode := range []ExecMode{ExecCompiled, ExecFused, ExecPrecise} {
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := DefaultConfig("bench")
 			cfg.Exec = mode

@@ -1,37 +1,197 @@
 package cpu
 
-// Ahead-of-time translation (ExecCompiled): the default interpreter
-// strategy. At program-load time — after the fused engine's basic-block
-// partition (fused.go) — the decoded instruction stream is translated to
+// Ahead-of-time translation: the fast interpreter strategy. At program-load
+// time the decoded instruction stream is partitioned into straight ALU runs
+// and recognized stream-loop bodies (analyzeProgram), then translated to
 // threaded code: one specialized Go closure per instruction form with
 // registers, immediates, stream slots and cycle counts pre-resolved.
 // Straight ALU runs become a single pre-composed closure executed with one
 // time/stats accumulation; pure-ALU loop bodies become a closed-form
 // multi-iteration kernel; every other recognized loop body becomes a chain
-// of bodyFn closures driven by runLoop in place of its decode switch.
+// of bodyFn closures driven by runLoop.
 //
-// The timing-equivalence contract of the fused engine carries over
-// unchanged: every translated path reproduces exactly the c.at advance,
-// Stats deltas, and blocking/halting behavior of the equivalent sequence of
-// step() calls, so Precise, Fused and Compiled runs are byte-identical
-// (enforced by the three-way equivalence soak in internal/experiments and
-// the differential fuzz harness in this package). Translation happens at
-// load time — not lazily — so a core's execution is a pure function of the
-// loaded program and its inputs, which keeps runs deterministic and
-// resumable. See DESIGN.md, "Ahead-of-time translation".
+// Timing is byte-identical to ExecPrecise: every translated path reproduces
+// exactly the c.at advance, Stats deltas, and blocking/halting behavior of
+// the equivalent sequence of step() calls, and every Run call returns at
+// the same local-time boundary — so the scheduler interleaving, and with it
+// every shared-resource (DRAM, flash) access order, is unchanged (enforced
+// by the equivalence soak in internal/experiments and the differential fuzz
+// harness in this package). Translation happens at load time — not lazily —
+// so a core's execution is a pure function of the loaded program and its
+// inputs, which keeps runs deterministic and resumable. See DESIGN.md,
+// "Ahead-of-time translation".
 
 import (
+	"fmt"
+
 	"assasin/internal/isa"
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
 )
+
+// ExecMode selects the interpreter strategy.
+type ExecMode int
+
+const (
+	// ExecCompiled (default) runs the load-time threaded-code translation.
+	ExecCompiled ExecMode = iota
+	// ExecPrecise interprets one instruction per step — the reference
+	// semantics, kept as the equivalence oracle the tests select.
+	ExecPrecise
+)
+
+// String implements fmt.Stringer.
+func (m ExecMode) String() string {
+	if m == ExecPrecise {
+		return "precise"
+	}
+	return "compiled"
+}
+
+// streamNeed is the worst-case byte requirement of one loop iteration
+// against one stream slot.
+type streamNeed struct {
+	slot int
+	need int64
+}
+
+// loopInfo describes a recognized loop: a backward branch/jal at end
+// targeting head, whose body consists only of operations the translated
+// body can run without leaving the core (ALU/mul/div, loads/stores, stream
+// ops with compile-time extents, forward branches, halt). ins/outs give the
+// per-iteration worst-case stream consumption/production used to pre-check
+// that a whole iteration cannot block.
+type loopInfo struct {
+	head, end int
+	bodyLen   int64 // instruction-budget bound per iteration
+	ins       []streamNeed
+	outs      []streamNeed
+	// pureALU marks a body that is one straight ALU run closed by an
+	// unconditional x0-linked jal: iterations are identical in time and
+	// effect, so runLoop batches as many as fit the quantum in one pass.
+	pureALU bool
+}
+
+// analyzeProgram builds the loop analysis the translation consumes for a
+// decoded program: per-pc straight ALU run lengths and recognized loop
+// bodies.
+func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
+	n := len(dec)
+	aluRun := make([]int32, n+1)
+	for i := n - 1; i >= 0; i-- {
+		if dec[i].class == isa.ClassALU {
+			aluRun[i] = aluRun[i+1] + 1
+		}
+	}
+	loops := make([]*loopInfo, n)
+	for e := 0; e < n; e++ {
+		in := &dec[e]
+		back := false
+		switch in.class {
+		case isa.ClassBranch:
+			back = in.imm < 0
+		case isa.ClassJump:
+			back = in.op == isa.OpJal && in.imm < 0
+		}
+		if !back {
+			continue
+		}
+		head := e + int(in.imm)
+		if head < 0 || loops[head] != nil {
+			continue
+		}
+		li := buildLoop(dec, head, e)
+		if li != nil && e > head && int(aluRun[head]) == e-head &&
+			in.class == isa.ClassJump && in.rd == 0 {
+			li.pureALU = true
+		}
+		loops[head] = li
+	}
+	return aluRun[:n], loops
+}
+
+// buildLoop validates the body [head, end] and computes its per-slot stream
+// needs; it returns nil when any instruction is outside the translatable
+// subset. It is the one gate on what a loop body may hold: compileBodyElem
+// translates exactly the classes it accepts.
+func buildLoop(dec []decoded, head, end int) *loopInfo {
+	consume := map[int]int64{} // StreamLoad widths + Adv amounts per in slot
+	peek := map[int]int64{}    // max Peek extent (off+width) per in slot
+	produce := map[int]int64{} // StreamStore widths per out slot
+	for i := head; i <= end; i++ {
+		in := &dec[i]
+		switch in.class {
+		case isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassLoad, isa.ClassStore, isa.ClassHalt:
+			// Always translatable: loads/stores go through the same
+			// memhier.System calls as precise stepping.
+		case isa.ClassBranch:
+			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
+				return nil // inner backward branch: let the outer loop win
+			}
+		case isa.ClassJump:
+			if in.op != isa.OpJal {
+				return nil // jalr targets are data-dependent
+			}
+			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
+				return nil
+			}
+		case isa.ClassStreamLoad:
+			s := int(in.stream)
+			if in.op == isa.OpStreamLoad {
+				consume[s] += int64(in.width)
+			} else { // StreamPeek
+				if in.imm < 0 {
+					return nil
+				}
+				if ext := int64(in.imm) + int64(in.width); ext > peek[s] {
+					peek[s] = ext
+				}
+			}
+		case isa.ClassStreamStore:
+			produce[int(in.stream)] += int64(in.width)
+		case isa.ClassStreamCtl:
+			switch in.op {
+			case isa.OpStreamAdv:
+				if in.imm < 0 {
+					return nil
+				}
+				consume[int(in.stream)] += int64(in.imm) * int64(in.width)
+			case isa.OpStreamEnd:
+				// Computed exactly from Head/Tail/closed state.
+			case isa.OpStreamCsrR:
+				if in.imm != 0 && in.imm != 1 {
+					return nil
+				}
+			default:
+				return nil
+			}
+		default:
+			return nil
+		}
+	}
+	li := &loopInfo{head: head, end: end, bodyLen: int64(end - head + 1)}
+	for s := range peek {
+		if _, ok := consume[s]; !ok {
+			consume[s] = 0 // peek-only slot still needs an entry
+		}
+	}
+	for s, n := range consume {
+		// At any point in an iteration, bytes needed past the entry Head are
+		// bounded by the total consumption plus the largest peek extent.
+		li.ins = append(li.ins, streamNeed{slot: s, need: n + peek[s]})
+	}
+	for s, n := range produce {
+		li.outs = append(li.outs, streamNeed{slot: s, need: n})
+	}
+	return li
+}
 
 // regs is the architectural register file the translated closures act on.
 type regs = [isa.NumRegs]uint32
 
 // aluFn is one translated ALU instruction: a pure register-file effect with
 // rd/rs1/rs2/immediate pre-resolved. Timing and stats are accumulated in
-// bulk by the caller, exactly like execALUBlock.
+// bulk by the caller (runALUBlock, runLoop).
 type aluFn func(r *regs)
 
 // loopKernel executes m identical iterations of a pure-ALU loop body — the
@@ -70,7 +230,7 @@ type compiledProgram struct {
 	bodies  [][]bodyFn
 }
 
-// compileProgram translates the decoded program. It requires the fused
+// compileProgram translates the decoded program. It requires the loop
 // analysis (c.aluRun, c.loops) to be in place.
 func (c *Core) compileProgram() *compiledProgram {
 	dec := c.dec
@@ -106,12 +266,7 @@ func (c *Core) compileProgram() *compiledProgram {
 	return cp
 }
 
-// compileBody translates a recognized loop body to threaded code; nil means
-// an untranslatable instruction was found and runLoop keeps its decode
-// switch for this loop (cannot happen for bodies buildLoop accepted, kept
-// as a defensive fallback).
-//
-// Beyond per-instruction closures, straight-line elements are composed into
+// compileBody translates a recognized loop body to threaded code. Beyond per-instruction closures, straight-line elements are composed into
 // suffix chains: bodies[i] executes from i through the next control-flow
 // instruction in one call, so a typical iteration (ALU run, stream ops,
 // back edge) costs one driver dispatch instead of one per instruction. A
@@ -126,9 +281,6 @@ func (c *Core) compileBody(li *loopInfo) []bodyFn {
 	ctrl := make([]bool, n)
 	for i := li.head; i <= li.end; i++ {
 		f, size, isCtrl := c.compileBodyInst(i)
-		if f == nil {
-			return nil
-		}
 		elems[i-li.head] = f
 		sizes[i-li.head] = size
 		ctrl[i-li.head] = isCtrl
@@ -164,8 +316,8 @@ func (c *Core) countInst(cl isa.Class) {
 }
 
 // streamRetire advances time for the pre-validated stream access at pc
-// exactly like the fused loop path: busy one cycle, plus StreamExtraCycles
-// charged to kind.
+// without re-crossing the memhier.System wrappers: busy one cycle, plus
+// StreamExtraCycles charged to kind.
 func (c *Core) streamRetire(pc int, t0 sim.Time, kind StallKind) {
 	var extra sim.Time
 	if c.sys.StreamExtraCycles > 0 {
@@ -220,9 +372,10 @@ func (c *Core) compileBodyInst(pc int) (bodyFn, int, bool) {
 	return c.compileBodyElem(pc), size, ctrl
 }
 
-// compileBodyElem builds the closure itself. The arms mirror runLoop's
-// decode switch one-for-one; any timing or accounting drift between the two
-// is caught by the equivalence soak and the differential fuzz harness.
+// compileBodyElem builds the closure itself. The arms mirror Core.step
+// one-for-one for the pre-validated case; any timing or accounting drift
+// between the two is caught by the equivalence soak and the differential
+// fuzz harness.
 func (c *Core) compileBodyElem(pc int) bodyFn {
 	in := &c.dec[pc]
 	switch in.class {
@@ -475,11 +628,13 @@ func (c *Core) compileBodyElem(pc int) bodyFn {
 			return vpc, ctlHalted
 		}
 	}
-	return nil
+	// Invariant: buildLoop admits only the classes handled above, so an
+	// untranslatable instruction here means the two have drifted apart.
+	panic(fmt.Sprintf("cpu: loop body at pc %d holds %v (class %d), which buildLoop must reject", pc, in.op, in.class))
 }
 
 // compileALU specializes one ALU instruction to a register-file effect. The
-// op semantics mirror Core.alu / execALUBlock (kept in sync); rd == x0
+// op semantics mirror Core.alu (kept in sync); rd == x0
 // writes are dropped at translation time since ALU ops have no other
 // architectural effect.
 func compileALU(in *decoded) aluFn {
@@ -650,4 +805,180 @@ func loopKernelOf(fns []aluFn) loopKernel {
 			}
 		}
 	}
+}
+
+// runALUBlock executes up to n consecutive ALU instructions starting at pc
+// as one step: register updates in sequence, then a single c.at advance and
+// one BusyTime/Instructions accumulation. The executed count is clamped so
+// that, exactly like precise stepping, an instruction issues iff its start
+// time is <= limit and the instruction budget is never exceeded. The whole
+// run is one pre-composed closure; a clamped run sweeps the per-instruction
+// closures instead. It returns the next pc.
+func (c *Core) runALUBlock(pc, n int, limit sim.Time) int {
+	period := c.cfg.Clock.Period
+	whole := n
+	if rem := c.maxInsts - c.stats.Instructions; int64(n) > rem {
+		n = int(rem)
+	}
+	// Instruction i of the block issues at c.at + i*period and, like precise
+	// stepping, executes iff that start time is <= limit. The division only
+	// runs when the block straddles the quantum boundary.
+	if c.at+sim.Time(n-1)*period > limit {
+		n = int(int64((limit-c.at)/period)) + 1
+	}
+	cp := c.comp
+	if n == whole && cp.blocks[pc] != nil {
+		cp.blocks[pc](&c.regs)
+	} else {
+		for _, f := range cp.alu[pc : pc+n] {
+			f(&c.regs)
+		}
+	}
+	nt := sim.Time(n) * period
+	c.at += nt
+	c.stats.BusyTime += nt
+	c.stats.Instructions += int64(n)
+	c.stats.ByClass[isa.ClassALU] += int64(n)
+	if c.prof != nil {
+		// One O(1) range update for the whole run; the snapshot's prefix
+		// sum spreads it back over [pc, pc+n) at one issue cycle each,
+		// exactly what precise stepping records.
+		c.prof.BulkALU(pc, n)
+	}
+	return pc + n
+}
+
+// loopExit reports how a translated loop execution ended.
+type loopExit int
+
+const (
+	// loopNoProgress: no instruction ran (stream budget or instruction
+	// budget short at iteration entry); the caller must fall back to
+	// per-instruction stepping to guarantee forward progress.
+	loopNoProgress loopExit = iota
+	// loopProgress: >= 1 instruction ran; c.pc/c.at/stats are committed.
+	loopProgress
+	// loopBlockedExit: a load/store blocked mid-iteration (c.blockKind set,
+	// c.pc at the blocked instruction), after possibly running instructions.
+	loopBlockedExit
+	// loopHaltedExit: the program halted (cleanly or by error).
+	loopHaltedExit
+)
+
+// runLoop executes iterations of a recognized loop body while (a) the local
+// clock has not passed limit, (b) the instruction budget admits a full
+// iteration, and (c) BulkAvail/window-room pre-checks prove the iteration's
+// stream operations cannot block. Under (c), every StreamLoad/Peek resolves
+// at its issue time (the needed bytes were usable at iteration entry, and
+// availability is monotone), so stream ops bypass the memhier wrappers while
+// accruing the identical timing: busy one cycle plus StreamExtraCycles of
+// stream-wait (in) or out-full (out) stall. Loads and stores still go
+// through memhier.System — their timing is stateful (caches, DRAM) — and the
+// per-instruction limit check inside the body reproduces precise stepping's
+// stop-at-quantum behavior exactly.
+func (c *Core) runLoop(li *loopInfo, limit sim.Time) loopExit {
+	sys := c.sys
+	if sys.Streams == nil && (len(li.ins) > 0 || len(li.outs) > 0) {
+		return loopNoProgress
+	}
+	for _, sn := range li.ins {
+		if sn.slot >= len(sys.Streams.In) {
+			return loopNoProgress // slow path raises the precise error
+		}
+	}
+	for _, sn := range li.outs {
+		if sn.slot >= len(sys.Streams.Out) {
+			return loopNoProgress
+		}
+	}
+	cp := c.comp
+	body := cp.bodies[li.head]
+	progress := false
+
+	// Pure-ALU loops with a free back-edge have identical iterations: batch
+	// every full iteration that fits the quantum and instruction budget in
+	// one kernel call, then let the generic loop below run the partial tail
+	// with per-instruction limit checks. Iteration m's jal issues at
+	// c.at + n*m*period, so m full iterations fit iff n*m*period stays
+	// within the quantum.
+	if li.pureALU && c.jumpCycles == 0 {
+		period := c.cfg.Clock.Period
+		n := int64(li.end - li.head)
+		m := int64(limit-c.at) / int64(period) / n
+		if rem := (c.maxInsts - c.stats.Instructions) / (n + 1); m > rem {
+			m = rem
+		}
+		if m > 0 {
+			cp.kernels[li.head](&c.regs, m)
+			nt := sim.Time(n*m) * period
+			c.at += nt
+			c.stats.BusyTime += nt
+			c.stats.Instructions += (n + 1) * m
+			c.stats.ByClass[isa.ClassALU] += n * m
+			c.stats.ByClass[isa.ClassJump] += m
+			if c.prof != nil {
+				// m executions of the ALU body plus m zero-cycle back-edge
+				// jals (this batch only runs when jumpCycles == 0, where
+				// precise stepping records the jal as time-free too).
+				c.prof.BulkRange(li.head, li.end, m)
+				c.prof.Insts(li.end, m)
+			}
+			progress = true
+		}
+	}
+
+iterations:
+	for c.at <= limit {
+		if c.stats.Instructions+li.bodyLen > c.maxInsts {
+			break
+		}
+		for _, sn := range li.ins {
+			if sys.Streams.In[sn.slot].BulkAvail(c.at) < sn.need {
+				break iterations
+			}
+		}
+		for _, sn := range li.outs {
+			st := sys.Streams.Out[sn.slot]
+			if int64(st.WindowBytes()-st.Buffered()) < sn.need {
+				break iterations
+			}
+		}
+		vpc := li.head
+		for {
+			if c.at > limit {
+				c.pc = vpc
+				return loopProgress
+			}
+			// nv is where execution stopped: past the chain on a clean
+			// fall-through, at the blocked instruction on a block.
+			nv, s := body[vpc-li.head](c, vpc, limit)
+			switch s {
+			case ctlNext:
+			case ctlBlockedStream:
+				c.blockKind = StallStreamWait
+				c.pc = nv
+				return loopBlockedExit
+			case ctlBlockedOut:
+				c.blockKind = StallOutFull
+				c.pc = nv
+				return loopBlockedExit
+			default: // ctlHalted: pc and halt state set by the closure
+				return loopHaltedExit
+			}
+			vpc = nv
+			progress = true
+			if vpc == li.head {
+				continue iterations
+			}
+			if vpc < li.head || vpc > li.end {
+				c.pc = vpc // a forward branch left the body
+				return loopProgress
+			}
+		}
+	}
+	c.pc = li.head
+	if progress {
+		return loopProgress
+	}
+	return loopNoProgress
 }

@@ -8,13 +8,13 @@ import (
 	"assasin/internal/sim"
 )
 
-// execModes lists every interpreter strategy, reference first.
-var execModes = []ExecMode{ExecPrecise, ExecFused, ExecCompiled}
+// execModes lists both interpreter strategies, reference first.
+var execModes = []ExecMode{ExecPrecise, ExecCompiled}
 
 // TestCoreZeroAllocPerStep proves the per-step hot path allocates nothing in
 // any execution mode with telemetry disabled — the compiled engine's
 // closures are all built at load time, so steady-state dispatch must stay
-// allocation-free like the switch interpreters.
+// allocation-free like the precise interpreter.
 func TestCoreZeroAllocPerStep(t *testing.T) {
 	bb := asm.New()
 	loop := bb.Here()
@@ -46,7 +46,7 @@ func TestCoreZeroAllocPerStep(t *testing.T) {
 
 // TestCompiledMatchesPreciseStreamLoop runs a blocking stream loop — data
 // arriving in small pushes, output drained late, small dispatch quanta — in
-// all three modes and requires identical final registers, Stats, local time
+// both modes and requires identical final registers, Stats, local time
 // and output bytes. This covers the block/retry paths (stream-wait and
 // out-full) that the whole-experiment soak only reaches through the
 // firmware.
@@ -121,10 +121,7 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 			out:    collected,
 		}
 	}
-	ref := results[ExecPrecise]
-	for _, mode := range []ExecMode{ExecFused, ExecCompiled} {
-		if !reflect.DeepEqual(results[mode], ref) {
-			t.Errorf("%v diverges from precise:\nprecise: %+v\n%v: %+v", mode, ref, mode, results[mode])
-		}
+	if ref, got := results[ExecPrecise], results[ExecCompiled]; !reflect.DeepEqual(got, ref) {
+		t.Errorf("compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", ref, got)
 	}
 }

@@ -35,9 +35,8 @@ type Config struct {
 	// MaxInstructions aborts runaway programs (0 = default guard).
 	MaxInstructions int64
 	// Exec selects the interpreter strategy: ExecCompiled (default)
-	// translates the program to threaded code at load time, ExecFused runs
-	// basic blocks and recognized stream loops as macro-steps through the
-	// decode switch, ExecPrecise forces per-instruction stepping. All three
+	// translates the program to threaded code at load time, ExecPrecise
+	// forces per-instruction stepping (the equivalence oracle). Both
 	// produce byte-identical timing and results.
 	Exec ExecMode
 }
@@ -143,14 +142,13 @@ type Core struct {
 	dec     []decoded
 	decFrom *asm.Program // program the decode cache was built from
 
-	// Fused-execution metadata, rebuilt with the decode cache (fused.go):
-	// aluRun[i] is the length of the straight ALU run starting at i, and
-	// loops[i] non-nil marks i as the head of a recognized stream loop.
+	// Loop analysis and translation, rebuilt with the decode cache under
+	// ExecCompiled (compiled.go): aluRun[i] is the length of the straight
+	// ALU run starting at i, loops[i] non-nil marks i as the head of a
+	// recognized stream loop, and comp is the threaded-code translation.
 	aluRun []int32
 	loops  []*loopInfo
-	// comp is the load-time threaded-code translation (compiled.go);
-	// non-nil only under ExecCompiled.
-	comp *compiledProgram
+	comp   *compiledProgram
 
 	regs   [isa.NumRegs]uint32
 	pc     int
@@ -248,9 +246,7 @@ func (c *Core) LoadProgram(p *asm.Program) {
 		c.aluRun, c.loops, c.comp = nil, nil, nil
 		if c.cfg.Exec != ExecPrecise {
 			c.aluRun, c.loops = analyzeProgram(c.dec)
-			if c.cfg.Exec == ExecCompiled {
-				c.comp = c.compileProgram()
-			}
+			c.comp = c.compileProgram()
 		}
 		c.decFrom = p
 	}
@@ -305,10 +301,10 @@ func (c *Core) Wake(t sim.Time) {
 // With a track attached, Run emits one "exec" span per dispatch slice
 // [entry local time, exit local time) annotated with the instructions
 // retired in the slice, plus a "halt" instant when the program finishes.
-// Both execution engines share this instrumentation point, and the fused
+// Both execution engines share this instrumentation point, and the compiled
 // engine's invariant — every Run call returns at the same local-time
-// boundary as precise stepping — makes Fused and Precise traces identical
-// at this (block-aligned) granularity.
+// boundary as precise stepping — makes Compiled and Precise traces
+// identical at this (block-aligned) granularity.
 func (c *Core) AttachTelemetry(sink *telemetry.Sink) {
 	if sink == nil {
 		c.tel = nil
@@ -374,7 +370,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 		}
 		c.wakeAt = sim.MaxTime
 	}
-	fused := c.cfg.Exec != ExecPrecise
+	compiled := c.comp != nil
 	for c.at <= limit {
 		if c.pc < 0 || c.pc >= len(c.dec) {
 			c.fail(fmt.Errorf("cpu %s: pc %d out of program (len %d)", c.cfg.Name, c.pc, len(c.dec)))
@@ -384,7 +380,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 			c.fail(fmt.Errorf("cpu %s: instruction budget %d exceeded", c.cfg.Name, c.maxInsts))
 			return c.at, sim.StateDone, 0
 		}
-		if fused {
+		if compiled {
 			if li := c.loops[c.pc]; li != nil {
 				switch c.runLoop(li, limit) {
 				case loopProgress:

@@ -28,7 +28,7 @@ func TestKProfStallKindOrder(t *testing.T) {
 }
 
 // TestKProfDisabledZeroAlloc proves the profiler hooks cost nothing when no
-// profiler is attached: all three engines stay allocation-free per Run
+// profiler is attached: both engines stay allocation-free per Run
 // slice (the disabled-kprof half of the zero-cost contract; alloc-gate.sh
 // runs this alongside the firmware and reqtrace guards).
 func TestKProfDisabledZeroAlloc(t *testing.T) {
@@ -67,7 +67,7 @@ func TestKProfDisabledZeroAlloc(t *testing.T) {
 // TestKProfReconcilesAcrossModes drives the blocking stream loop of
 // TestCompiledMatchesPreciseStreamLoop with a profiler attached in every
 // mode and demands (a) byte-identical exports (JSON and pprof) across
-// Precise/Fused/Compiled, and (b) exact reconciliation of the profile's
+// Precise/Compiled, and (b) exact reconciliation of the profile's
 // totals with the core's Stats: instructions, busy time, and each stall
 // class.
 func TestKProfReconcilesAcrossModes(t *testing.T) {
@@ -162,15 +162,11 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 		}
 		results[mode] = outcome{stats: st, js: js, pb: pb}
 	}
-	ref := results[ExecPrecise]
-	for _, mode := range []ExecMode{ExecFused, ExecCompiled} {
-		got := results[mode]
-		if !bytes.Equal(got.js, ref.js) {
-			t.Errorf("%v profile JSON diverges from precise:\nprecise: %s\n%v: %s",
-				mode, ref.js, mode, got.js)
-		}
-		if !bytes.Equal(got.pb, ref.pb) {
-			t.Errorf("%v pprof bytes diverge from precise", mode)
-		}
+	ref, got := results[ExecPrecise], results[ExecCompiled]
+	if !bytes.Equal(got.js, ref.js) {
+		t.Errorf("compiled profile JSON diverges from precise:\nprecise: %s\ncompiled: %s", ref.js, got.js)
+	}
+	if !bytes.Equal(got.pb, ref.pb) {
+		t.Errorf("compiled pprof bytes diverge from precise")
 	}
 }

@@ -41,7 +41,6 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 			recordSize:  16,
 			outKind:     firmware.OutDiscard,
 			windowPages: p,
-			exec:        cfg.Exec,
 		}))
 		if err != nil {
 			return AblationWindowRow{}, fmt.Errorf("window %d: %w", p, err)
@@ -85,8 +84,6 @@ func AblationDRAM(cfg Config) ([]AblationDRAMRow, error) {
 			Arch:      arch,
 			Cores:     cfg.Cores,
 			DRAM:      memhier.DRAMConfig{BandwidthBytesPerSec: bw, Latency: 60 * sim.Nanosecond},
-			Exec:      cfg.Exec,
-			DataPlane: cfg.DataPlane,
 			Telemetry: cfg.Telemetry,
 			Log:       cfg.Log,
 		})
@@ -154,8 +151,7 @@ func MixedIO(cfg Config) (*MixedIOResult, error) {
 			}
 			cfg.Telemetry.StartRun(label)
 		}
-		s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores,
-			Exec: cfg.Exec, DataPlane: cfg.DataPlane, Telemetry: cfg.Telemetry, Log: cfg.Log})
+		s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores, Telemetry: cfg.Telemetry, Log: cfg.Log})
 		data := randData(int(cfg.ScanMB*(1<<20)), 33)
 		lpas, err := s.InstallBytes(data)
 		if err != nil {

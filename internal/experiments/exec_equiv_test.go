@@ -46,14 +46,14 @@ func equivEntries() []equivEntry {
 	}
 }
 
-// TestExecFusedMatchesPrecise is the three-way equivalence soak for the
-// fast execution engines: for every Table II workload on every
-// architecture, offload runs with ExecMode=Fused and ExecMode=Compiled must
-// both produce a byte-identical ssd.Result (duration, stall decomposition,
-// collected output bytes, final registers) to ExecMode=Precise. Any timing
-// or ordering divergence in the fused fast paths or the threaded-code
-// translation shows up here as a Duration or CoreStats mismatch.
-func TestExecFusedMatchesPrecise(t *testing.T) {
+// TestExecCompiledMatchesPrecise is the equivalence soak for the fast
+// execution engine: for every Table II workload on every architecture,
+// offload runs with ExecMode=Compiled must produce a byte-identical
+// ssd.Result (duration, stall decomposition, collected output bytes, final
+// registers) to ExecMode=Precise. Any timing or ordering divergence in the
+// threaded-code translation shows up here as a Duration or CoreStats
+// mismatch.
+func TestExecCompiledMatchesPrecise(t *testing.T) {
 	entries := equivEntries()
 	archs := ssd.AllArchs()
 
@@ -121,15 +121,13 @@ func compareExecModes(e equivEntry, arch ssd.Arch, quantum sim.Time) error {
 	if err != nil {
 		return err
 	}
-	for _, mode := range []cpu.ExecMode{cpu.ExecFused, cpu.ExecCompiled} {
-		got, err := run(mode)
-		if err != nil {
-			return err
-		}
-		if !reflect.DeepEqual(precise, got) {
-			return fmt.Errorf("%s on %v (quantum %v): %v result diverges from precise:\nprecise: duration %v stats %+v\n%v: duration %v stats %+v",
-				e.name, arch, quantum, mode, precise.Duration, precise.CoreStats, mode, got.Duration, got.CoreStats)
-		}
+	got, err := run(cpu.ExecCompiled)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(precise, got) {
+		return fmt.Errorf("%s on %v (quantum %v): compiled result diverges from precise:\nprecise: duration %v stats %+v\ncompiled: duration %v stats %+v",
+			e.name, arch, quantum, precise.Duration, precise.CoreStats, got.Duration, got.CoreStats)
 	}
 	return nil
 }

@@ -47,13 +47,6 @@ type Config struct {
 	// concurrently. 0 or 1 runs everything sequentially; results are
 	// identical either way (see internal/runpool).
 	Workers int
-	// Exec selects the core interpreter strategy for every run (default
-	// cpu.ExecCompiled; results are identical across modes).
-	Exec cpu.ExecMode `json:"exec,omitempty"`
-	// DataPlane selects the firmware delivery event structure for every
-	// run (default firmware.PlaneCoalesced; results are identical across
-	// modes — the soak in dataplane_equiv_test.go enforces it).
-	DataPlane firmware.PlaneMode `json:"dataplane,omitempty"`
 	// Telemetry, when non-nil, is handed to every SSD an experiment
 	// builds. The sink is not goroutine-safe, so callers must keep
 	// Workers <= 1 when setting it — unless PerRunTelemetry is also set,
@@ -155,12 +148,11 @@ type runOpts struct {
 	// windowPages overrides the per-slot input window depth (0 = arch
 	// default). Single-stream workloads may use the whole ISB capacity.
 	windowPages int
-	// exec selects the interpreter strategy (default cpu.ExecCompiled);
-	// the equivalence soak runs every mode and demands identical results.
-	exec cpu.ExecMode
-	// plane selects the firmware delivery event structure (default
-	// coalesced); the data-plane soak runs both and demands identical
-	// results.
+	// exec and plane select the interpreter and the firmware delivery
+	// event structure. Only the equivalence soaks set them, to run each
+	// oracle (cpu.ExecPrecise, firmware.PlanePerPage) against the default
+	// and demand identical results.
+	exec  cpu.ExecMode
 	plane firmware.PlaneMode
 	// coreQuantum overrides the per-core scheduler quantum (0 = default).
 	coreQuantum sim.Time
@@ -187,7 +179,6 @@ type runOpts struct {
 // instrument copies the Config-level observability hooks into the run
 // options so every runStandalone call site stays a one-liner.
 func (c Config) instrument(o runOpts) runOpts {
-	o.plane = c.DataPlane
 	o.telemetry = c.Telemetry
 	o.perRunTel = c.PerRunTelemetry
 	o.timeline = c.Timeline

@@ -94,7 +94,6 @@ func standaloneSweep(cfg Config, adjusted bool) ([]Fig13Row, error) {
 			recordSize: spec.recordSize,
 			outKind:    spec.outKind,
 			collect:    cfg.Verify && spec.outKind != firmware.OutDiscard,
-			exec:       cfg.Exec,
 		})
 		r, err := runStandalone(o)
 		if err != nil {
@@ -164,7 +163,6 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		recordSize: filterTupleSize,
 		outKind:    firmware.OutToHost,
 		collect:    cfg.Verify,
-		exec:       cfg.Exec,
 	})
 	r, err := runStandalone(o)
 	if err != nil {

@@ -6,7 +6,6 @@ import (
 	"log/slog"
 	"strings"
 
-	"assasin/internal/cpu"
 	"assasin/internal/firmware"
 	"assasin/internal/host"
 	"assasin/internal/runpool"
@@ -31,10 +30,8 @@ type psfDataset struct {
 	csv     map[string][]byte
 	offsets map[string][]int64
 	// Run options threaded from Config by the experiment entry points.
-	exec  cpu.ExecMode
-	plane firmware.PlaneMode
-	tel   *telemetry.Sink
-	log   *slog.Logger
+	tel *telemetry.Sink
+	log *slog.Logger
 }
 
 func newPSFDataset(sf float64) *psfDataset {
@@ -56,8 +53,7 @@ func (p *psfDataset) runQueryPSF(q *tpch.QuerySpec, arch ssd.Arch, cores int, ad
 	if p.tel != nil {
 		p.tel.StartRun(fmt.Sprintf("Q%d/%v", q.ID, arch))
 	}
-	s := ssd.New(ssd.Options{Arch: arch, Cores: cores, TimingAdjusted: adjusted,
-		Exec: p.exec, DataPlane: p.plane, Telemetry: p.tel, Log: p.log})
+	s := ssd.New(ssd.Options{Arch: arch, Cores: cores, TimingAdjusted: adjusted, Telemetry: p.tel, Log: p.log})
 	lpas, err := s.InstallBytes(csv)
 	if err != nil {
 		return nil, nil, err
@@ -116,7 +112,7 @@ func Fig21PSF(cfg Config) ([]Fig14Row, error) {
 
 func fig14Sweep(cfg Config, adjusted bool, archs []ssd.Arch) ([]Fig14Row, error) {
 	p := newPSFDataset(cfg.TPCHScale)
-	p.exec, p.plane, p.tel, p.log = cfg.Exec, cfg.DataPlane, cfg.Telemetry, cfg.Log
+	p.tel, p.log = cfg.Telemetry, cfg.Log
 	queries := tpch.Queries()
 	// Per-query reference outputs are computed up front (host-side, cheap)
 	// so the fan-out jobs only read them.
@@ -219,7 +215,7 @@ type Fig15Row struct {
 // computational SSD, and AssasinSb — the paper's end-to-end Fig. 15.
 func Fig15(cfg Config) ([]Fig15Row, error) {
 	p := newPSFDataset(cfg.TPCHScale)
-	p.exec, p.plane, p.tel, p.log = cfg.Exec, cfg.DataPlane, cfg.Telemetry, cfg.Log
+	p.tel, p.log = cfg.Telemetry, cfg.Log
 	hm := host.New(host.DefaultConfig())
 	// The end-to-end comparison always uses the paper's full 8-engine SSDs.
 	cores := cfg.Cores

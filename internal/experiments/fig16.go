@@ -60,7 +60,6 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 			// The single scan stream gets the whole 64 KiB ISB (the
 			// firmware allocates slot capacity to active streams).
 			windowPages: 16,
-			exec:        cfg.Exec,
 		}))
 		if err != nil {
 			return Fig16Point{}, fmt.Errorf("scan at %d cores: %w", cores, err)
@@ -194,8 +193,6 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 				Cores:        cores,
 				ChannelLocal: channelLocal,
 				Layout:       ftl.SkewedPolicy{Skew: skew},
-				Exec:         cfg.Exec,
-				DataPlane:    cfg.DataPlane,
 				Telemetry:    cfg.Telemetry,
 				Log:          cfg.Log,
 			})

@@ -19,7 +19,7 @@ import (
 //  1. the profile's per-pc totals sum exactly to the attribution engine's
 //     class times (core-busy, exec-stall, stream-refill-wait,
 //     out-full-wait, cache-dram-wait) and instruction count, and
-//  2. the compiled and fused engines' profiles are byte-identical to the
+//  2. the compiled engine's profile is byte-identical to the
 //     precise engine's after export (JSON and pprof both), proving the
 //     bulk-dispatch difference arrays spread exactly like per-instruction
 //     stepping.
@@ -86,25 +86,23 @@ func compareKProf(e equivEntry, arch ssd.Arch) error {
 	if err != nil {
 		return err
 	}
-	for _, mode := range []cpu.ExecMode{cpu.ExecFused, cpu.ExecCompiled} {
-		got, err := run(mode)
-		if err != nil {
-			return err
-		}
-		if err := checkProfileTotals(e.name, arch, got); err != nil {
-			return fmt.Errorf("%v: %w", mode, err)
-		}
-		js, pb, err := exportProfile(got.Profile)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(js, refJS) {
-			return fmt.Errorf("%s on %v: %v profile JSON diverges from precise:\nprecise: %s\n%v: %s",
-				e.name, arch, mode, refJS, mode, js)
-		}
-		if !bytes.Equal(pb, refPB) {
-			return fmt.Errorf("%s on %v: %v pprof bytes diverge from precise", e.name, arch, mode)
-		}
+	got, err := run(cpu.ExecCompiled)
+	if err != nil {
+		return err
+	}
+	if err := checkProfileTotals(e.name, arch, got); err != nil {
+		return fmt.Errorf("compiled: %w", err)
+	}
+	js, pb, err := exportProfile(got.Profile)
+	if err != nil {
+		return err
+	}
+	if !bytes.Equal(js, refJS) {
+		return fmt.Errorf("%s on %v: compiled profile JSON diverges from precise:\nprecise: %s\ncompiled: %s",
+			e.name, arch, refJS, js)
+	}
+	if !bytes.Equal(pb, refPB) {
+		return fmt.Errorf("%s on %v: compiled pprof bytes diverge from precise", e.name, arch)
 	}
 	return nil
 }

@@ -288,8 +288,6 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		s := ssd.New(ssd.Options{
 			Arch:      ssd.AssasinSb,
 			Cores:     cfg.Cores,
-			Exec:      cfg.Exec,
-			DataPlane: cfg.DataPlane,
 			Telemetry: tel,
 			Requests:  tracer,
 			OnAdvance: eng.Tick,

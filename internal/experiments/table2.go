@@ -82,7 +82,6 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			recordSize: rec,
 			outKind:    e.out,
 			collect:    cfg.Verify && e.out != firmware.OutDiscard,
-			exec:       cfg.Exec,
 		})
 		r, err := runStandalone(o)
 		if err != nil {

@@ -108,7 +108,8 @@ const (
 	// queue would have fired between them (see feeder.train).
 	PlaneCoalesced PlaneMode = iota
 	// PlanePerPage schedules one delivery event per page, exactly the
-	// structure the per-page reference implementation used.
+	// structure the per-page reference implementation used; the
+	// equivalence tests select it as the oracle for PlaneCoalesced.
 	PlanePerPage
 )
 
@@ -121,18 +122,6 @@ func (m PlaneMode) String() string {
 		return "perpage"
 	default:
 		return fmt.Sprintf("PlaneMode(%d)", int(m))
-	}
-}
-
-// ParsePlaneMode converts a -dataplane flag value.
-func ParsePlaneMode(s string) (PlaneMode, error) {
-	switch s {
-	case "", "coalesced":
-		return PlaneCoalesced, nil
-	case "perpage", "per-page":
-		return PlanePerPage, nil
-	default:
-		return 0, fmt.Errorf("firmware: unknown data-plane mode %q (want coalesced or perpage)", s)
 	}
 }
 

@@ -44,7 +44,7 @@ func BenchmarkStreamLoad(b *testing.B) {
 }
 
 // BenchmarkStreamBulkCopy measures the page-granular bulk stream paths the
-// fused interpreter and firmware ride: Push into an InStream, CopyOut of the
+// compiled interpreter and firmware ride: Push into an InStream, CopyOut of the
 // delivered window, and BulkAppend+Drain through an OutStream.
 func BenchmarkStreamBulkCopy(b *testing.B) {
 	const page = 4096

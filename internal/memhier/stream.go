@@ -241,7 +241,7 @@ func (s *InStream) gather(off int64, width int) uint32 {
 }
 
 // BulkAvail returns how many buffered bytes past Head are usable at time at:
-// the window the fused interpreter may consume without ever stalling on an
+// the window the compiled interpreter may consume without ever stalling on an
 // in-flight page. Availability segments are per-page (not per-byte), and
 // their At times are monotone, so one forward walk from the trim point
 // suffices.
@@ -281,7 +281,7 @@ func (s *InStream) CopyOut(dst []byte, off int64) int {
 }
 
 // LoadDirect consumes width bytes at Head and returns the little-endian
-// value, bypassing the availability scan. The caller (the fused-execution
+// value, bypassing the availability scan. The caller (the compiled
 // loop path in internal/cpu) must have already established via BulkAvail
 // that the bytes are buffered and usable at the access time; the consume
 // side effects (trim, OnFree) match Load exactly.

@@ -106,7 +106,7 @@ func TestInStreamTrimAvailInterleaved(t *testing.T) {
 	}
 }
 
-// TestInStreamBulkAvail covers the fused-interpreter budget query: only
+// TestInStreamBulkAvail covers the compiled-interpreter budget query: only
 // segments usable at the query time count, capped at Tail, zero once
 // everything is consumed.
 func TestInStreamBulkAvail(t *testing.T) {
@@ -133,7 +133,7 @@ func TestInStreamBulkAvail(t *testing.T) {
 	}
 }
 
-// TestInStreamLoadDirectMatchesLoad drives LoadDirect/PeekDirect (the fused
+// TestInStreamLoadDirectMatchesLoad drives LoadDirect/PeekDirect (the compiled
 // fast path) against Load/Peek on a second identical stream: same values,
 // same Head movement, same OnFree callbacks — including across a ring wrap.
 func TestInStreamLoadDirectMatchesLoad(t *testing.T) {

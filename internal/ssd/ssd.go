@@ -119,16 +119,17 @@ type Options struct {
 	WindowPages int
 	// OutWindowPages sizes the per-slot output window.
 	OutWindowPages int
-	// Exec selects the core interpreter strategy: cpu.ExecCompiled
-	// (default) translates programs to threaded code at load time,
-	// cpu.ExecFused runs basic blocks and recognized stream loops as
-	// macro-steps, cpu.ExecPrecise forces per-instruction stepping for
-	// debugging. All three produce byte-identical results.
+	// Exec is the equivalence-oracle selector for the core interpreter:
+	// the zero value cpu.ExecCompiled runs the load-time threaded-code
+	// translation; cpu.ExecPrecise steps one instruction at a time, the
+	// reference semantics the equivalence tests compare against. Both
+	// produce byte-identical results.
 	Exec cpu.ExecMode
-	// DataPlane selects the firmware delivery event structure:
-	// firmware.PlaneCoalesced (default) batches consecutive unconstrained
-	// page deliveries into single event dispatches, firmware.PlanePerPage
-	// keeps one event per page as the equivalence oracle. Both produce
+	// DataPlane is the equivalence-oracle selector for the firmware
+	// delivery event structure: the zero value firmware.PlaneCoalesced
+	// batches consecutive unconstrained page deliveries into single event
+	// dispatches; firmware.PlanePerPage keeps one event per page, the
+	// oracle the data-plane tests compare against. Both produce
 	// byte-identical results, timing, and telemetry.
 	DataPlane firmware.PlaneMode
 	// CoreQuantum, when > 0, gives compute cores a private scheduler run
@@ -160,8 +161,8 @@ type Options struct {
 	Requests *reqtrace.Tracer
 	// KProf, when non-nil, attaches the guest-kernel profiler to every
 	// compute core: each retired instruction's issue cycle and every
-	// stall is attributed to its (kernel, pc), with the compiled/fused
-	// engines recording bulk ALU dispatches as O(1) range updates. Like
+	// stall is attributed to its (kernel, pc), with the compiled
+	// engine recording bulk ALU dispatches as O(1) range updates. Like
 	// Telemetry, the profiler belongs to this SSD's simulation goroutine.
 	// Nil disables profiling at nil-pointer-branch cost.
 	KProf *kprof.Profiler

@@ -44,7 +44,7 @@ func runStatTelemetry(t *testing.T, tel *telemetry.Sink, mode cpu.ExecMode) *Res
 
 func TestTelemetryCountersNonzero(t *testing.T) {
 	tel := telemetry.NewSink()
-	runStatTelemetry(t, tel, cpu.ExecFused)
+	runStatTelemetry(t, tel, cpu.ExecCompiled)
 
 	for _, c := range [][2]string{
 		{"flash", "senses"},
@@ -82,7 +82,7 @@ func TestTelemetryCountersNonzero(t *testing.T) {
 // after an intentional timing or instrumentation change.
 func TestTelemetryGoldenChromeTrace(t *testing.T) {
 	tel := telemetry.NewSink()
-	runStatTelemetry(t, tel, cpu.ExecFused)
+	runStatTelemetry(t, tel, cpu.ExecCompiled)
 
 	var buf bytes.Buffer
 	if err := tel.WriteChromeTrace(&buf); err != nil {
@@ -145,12 +145,12 @@ func TestTelemetryGoldenChromeTrace(t *testing.T) {
 	}
 }
 
-// TestTelemetryFusedPreciseReconcile checks that the fused macro-execution
-// engine, the compiled threaded-code engine and the precise interpreter all
-// emit identical traces: the fast engines' invariant (every Run call
-// returns at the same local-time boundary) means span boundaries, instants,
-// and metrics all agree at dispatch-slice granularity.
-func TestTelemetryFusedPreciseReconcile(t *testing.T) {
+// TestTelemetryCompiledPreciseReconcile checks that the compiled
+// threaded-code engine and the precise interpreter emit identical traces:
+// the compiled engine's invariant (every Run call returns at the same
+// local-time boundary) means span boundaries, instants, and metrics all
+// agree at dispatch-slice granularity.
+func TestTelemetryCompiledPreciseReconcile(t *testing.T) {
 	telP := telemetry.NewSink()
 	runStatTelemetry(t, telP, cpu.ExecPrecise)
 	evP := telP.Events()
@@ -159,71 +159,47 @@ func TestTelemetryFusedPreciseReconcile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, mode := range []cpu.ExecMode{cpu.ExecFused, cpu.ExecCompiled} {
-		telF := telemetry.NewSink()
-		runStatTelemetry(t, telF, mode)
-
-		evF := telF.Events()
-		if len(evF) == 0 {
-			t.Fatalf("%v run recorded no events", mode)
-		}
-		if len(evF) != len(evP) {
-			t.Fatalf("event count mismatch: %v %d, precise %d", mode, len(evF), len(evP))
-		}
-		for i := range evF {
-			f, err := json.Marshal(evF[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := json.Marshal(evP[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(f, p) {
-				t.Fatalf("event %d diverges:\n  %v: %s\n  precise: %s", i, mode, f, p)
-			}
-		}
-
-		// The "exec" spans specifically must exist and reconcile — they are
-		// the per-dispatch compute record every engine emits.
-		var execSpans int
-		for _, e := range evF {
-			if e.Name == "exec" {
-				execSpans++
-			}
-		}
-		if execSpans == 0 {
-			t.Fatalf("%v run recorded no exec spans", mode)
-		}
-
-		// Metrics agree too (instruction-level counters are mode-independent).
-		var bufF bytes.Buffer
-		if err := telF.WriteMetricsJSON(&bufF); err != nil {
+	telC := telemetry.NewSink()
+	runStatTelemetry(t, telC, cpu.ExecCompiled)
+	evC := telC.Events()
+	if len(evC) == 0 {
+		t.Fatal("compiled run recorded no events")
+	}
+	if len(evC) != len(evP) {
+		t.Fatalf("event count mismatch: compiled %d, precise %d", len(evC), len(evP))
+	}
+	for i := range evC {
+		c, err := json.Marshal(evC[i])
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(bufF.Bytes(), bufP.Bytes()) {
-			t.Errorf("metrics snapshots diverge between %v and precise modes", mode)
+		p, err := json.Marshal(evP[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(c, p) {
+			t.Fatalf("event %d diverges:\n  compiled: %s\n  precise: %s", i, c, p)
 		}
 	}
-}
 
-// TestTelemetryCompiledMatchesGoldenTrace pins the compiled engine's Chrome
-// trace to the same golden the fused engine produces: the translation
-// changes how instructions execute, not when, so the exported trace must be
-// byte-identical.
-func TestTelemetryCompiledMatchesGoldenTrace(t *testing.T) {
-	tel := telemetry.NewSink()
-	runStatTelemetry(t, tel, cpu.ExecCompiled)
+	// The "exec" spans specifically must exist and reconcile — they are
+	// the per-dispatch compute record every engine emits.
+	var execSpans int
+	for _, e := range evC {
+		if e.Name == "exec" {
+			execSpans++
+		}
+	}
+	if execSpans == 0 {
+		t.Fatal("compiled run recorded no exec spans")
+	}
 
-	var buf bytes.Buffer
-	if err := tel.WriteChromeTrace(&buf); err != nil {
+	// Metrics agree too (instruction-level counters are mode-independent).
+	var bufC bytes.Buffer
+	if err := telC.WriteMetricsJSON(&bufC); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden_trace.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("compiled trace deviates from the fused golden (%d vs %d bytes)", buf.Len(), len(want))
+	if !bytes.Equal(bufC.Bytes(), bufP.Bytes()) {
+		t.Error("metrics snapshots diverge between compiled and precise modes")
 	}
 }

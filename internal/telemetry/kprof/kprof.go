@@ -1,8 +1,8 @@
 // Package kprof is the guest-kernel profiler: it attributes every core
 // cycle and retired instruction of the simulated RV32IM offload kernels to
-// a (kernel, basic block, pc) triple. The cpu package's three interpreter
-// strategies all record through the same per-program sink — Precise once
-// per retired instruction inside the retire primitives, Fused/Compiled with
+// a (kernel, basic block, pc) triple. The cpu package's two interpreter
+// strategies record through the same per-program sink — Precise once
+// per retired instruction inside the retire primitives, Compiled with
 // one O(1) range update per bulk ALU dispatch (difference arrays resolved
 // at snapshot time) — so a compiled-mode profile reconciles exactly, byte
 // for byte after export, with a precise-mode profile of the same run.
@@ -47,8 +47,8 @@ type CoreProfile struct {
 	insts  []int64                // per-pc retired instructions
 	busy   []int64                // per-pc issue time, ps
 	stall  [NumStallKinds][]int64 // per-class per-pc stall time, ps
-	// bulk is a difference array over pcs: the fused/compiled engines
-	// record a straight ALU run of n instructions at pc as bulk[pc]++ /
+	// bulk is a difference array over pcs: the compiled engine
+	// records a straight ALU run of n instructions at pc as bulk[pc]++ /
 	// bulk[pc+n]--, and a pure-ALU loop batch of m iterations as a single
 	// range update. The prefix sum at snapshot time yields per-pc
 	// execution counts; each counted execution is exactly one retired

@@ -22,6 +22,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -413,7 +414,8 @@ func ParseSpec(spec string) ([]Objective, error) {
 }
 
 // ParseDuration parses a simulated duration with a unit suffix (ps, ns,
-// us, ms, s) into picoseconds.
+// us, ms, s) into picoseconds. NaN, infinities, negative values and values
+// beyond math.MaxInt64 picoseconds (about 106 days) are rejected.
 func ParseDuration(s string) (int64, error) {
 	units := []struct {
 		suffix string
@@ -429,10 +431,16 @@ func ParseDuration(s string) (int64, error) {
 			if err != nil {
 				continue
 			}
-			if v < 0 {
+			ps := v * u.mult
+			switch {
+			case math.IsNaN(ps) || math.IsInf(ps, 0):
+				return 0, fmt.Errorf("duration %q is not finite", s)
+			case ps < 0:
 				return 0, fmt.Errorf("negative duration %q", s)
+			case ps >= math.MaxInt64: // float64(MaxInt64) rounds up to 2^63
+				return 0, fmt.Errorf("duration %q exceeds %d ps", s, int64(math.MaxInt64))
 			}
-			return int64(v * u.mult), nil
+			return int64(ps), nil
 		}
 	}
 	return 0, fmt.Errorf("duration %q needs a unit suffix (ps, ns, us, ms, s)", s)

@@ -217,3 +217,51 @@ func TestParseDuration(t *testing.T) {
 		}
 	}
 }
+
+// TestParseDurationRange pins the finite, in-range contract: NaN, the
+// infinities and anything past math.MaxInt64 ps are errors, not a
+// wrapped-around negative threshold.
+func TestParseDurationRange(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int64
+		ok   bool
+	}{
+		{"NaNs", 0, false},
+		{"NaNus", 0, false},
+		{"Infs", 0, false},
+		{"+Infms", 0, false},
+		{"-Infs", 0, false},
+		{"1e30s", 0, false},
+		{"9.3e6s", 0, false},
+		{"9223372036854775807ps", 0, false}, // rounds up to 2^63 as a float
+		{"9.2e6s", 9_200_000_000_000_000_000, true},
+		{"0s", 0, true},
+		{"-0ns", 0, true},
+	} {
+		got, err := ParseDuration(tc.in)
+		if tc.ok && (err != nil || got != tc.want) {
+			t.Errorf("ParseDuration(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
+		}
+		if !tc.ok && err == nil {
+			t.Errorf("ParseDuration(%q) = %d, want an error", tc.in, got)
+		}
+	}
+	if objs, err := ParseSpec("gold:99.9:NaNus"); err == nil {
+		t.Errorf("ParseSpec accepted a NaN latency: %+v", objs)
+	}
+}
+
+// FuzzParseDuration checks that ParseDuration never panics and that every
+// accepted duration is non-negative. Run a bounded pass with
+// go test ./internal/telemetry/slo -run '^$' -fuzz FuzzParseDuration -fuzztime 5s
+func FuzzParseDuration(f *testing.F) {
+	for _, s := range []string{"200us", "2.5ms", "1s", "42ps", "-1us", "NaNs", "Infs", "1e30s", "9.3e6s", "20"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if v, err := ParseDuration(s); err == nil && v < 0 {
+			t.Fatalf("ParseDuration(%q) = %d with no error", s, v)
+		}
+	})
+}

@@ -6,7 +6,7 @@
 # disabled and with a live request record attached) must pass. Any per-event
 # or per-page allocation that sneaks back in fails CI here with a benchmark
 # name attached. The guest-profiler guard rides along: with no kprof
-# profiler attached, all three exec engines must stay allocation-free per
+# profiler attached, both exec engines must stay allocation-free per
 # Run slice (the disabled half of the kprof zero-cost contract).
 set -eu
 cd "$(dirname "$0")/.."
