@@ -103,11 +103,11 @@ func BenchmarkCoreALUBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreCompiledBlock exercises the threaded-code loop-body driver on
-// a recognized loop that is NOT pure-ALU (its back edge is a conditional
-// branch), so every iteration runs the per-instruction closure chain rather
-// than the closed-form batch kernel — the cost profile of real stream-kernel
-// bodies with data-dependent control flow.
+// BenchmarkCoreCompiledBlock exercises the flat loop-body driver on a
+// recognized loop that is NOT pure-ALU (its back edge is a conditional
+// branch), so every iteration dispatches its elements — one ALU-run element
+// and the branch — rather than the closed-form batch kernel: the cost
+// profile of real stream-kernel bodies with data-dependent control flow.
 func BenchmarkCoreCompiledBlock(b *testing.B) {
 	bb := asm.New()
 	bb.Li(asm.T1, 1<<30)
@@ -131,6 +131,45 @@ func BenchmarkCoreCompiledBlock(b *testing.B) {
 			b.ResetTimer()
 			for c.Stats().Instructions < int64(b.N) {
 				c.Run(c.LocalTime() + 100*sim.Microsecond)
+			}
+			if c.Err() != nil {
+				b.Fatal(c.Err())
+			}
+		})
+	}
+}
+
+// BenchmarkCoreLongBody runs a loop whose body (about 1,200 instructions
+// of scratchpad loads, multiplies and ALU ops, like the MLP kernel's) takes
+// longer than the 1 us Run slice and closes on a conditional back edge, so
+// nearly every slice ends, and the next resumes, mid-body.
+func BenchmarkCoreLongBody(b *testing.B) {
+	bb := asm.New()
+	bb.Li(asm.T1, 1<<30)
+	bb.Li(asm.S1, int32(memhier.ScratchpadBase))
+	loop := bb.Here()
+	for r := int32(0); r < 240; r++ {
+		bb.Lw(asm.T4, asm.S1, 4*(r%64))
+		bb.Mul(asm.T3, asm.T4, asm.T0)
+		bb.Add(asm.T2, asm.T2, asm.T3)
+		bb.Addi(asm.T0, asm.T0, 1)
+		bb.Xor(asm.T5, asm.T5, asm.T2)
+	}
+	bb.Addi(asm.A1, asm.A1, 1)
+	bb.Bltu(asm.A1, asm.T1, loop)
+	bb.Halt()
+	prog := bb.MustBuild()
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := DefaultConfig("bench")
+			cfg.MaxInstructions = 1 << 62
+			cfg.Exec = mode
+			c := New(cfg, newTestSystem())
+			c.LoadProgram(prog)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c.Stats().Instructions < int64(b.N) {
+				c.Run(c.LocalTime() + sim.Microsecond)
 			}
 			if c.Err() != nil {
 				b.Fatal(c.Err())

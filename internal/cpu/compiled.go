@@ -6,9 +6,11 @@ package cpu
 // threaded code: one specialized Go closure per instruction form with
 // registers, immediates, stream slots and cycle counts pre-resolved.
 // Straight ALU runs become a single pre-composed closure executed with one
-// time/stats accumulation; pure-ALU loop bodies become a closed-form
-// multi-iteration kernel; every other recognized loop body becomes a chain
-// of bodyFn closures driven by runLoop.
+// time/stats accumulation. A recognized loop body becomes one element per
+// pc (an ALU run is one runALUBlock element), dispatched by runLoop's flat
+// driver; every body pc maps to its loop, so an iteration cut short by the
+// quantum or a blocked access resumes where it stopped. Pure-ALU bodies
+// also get a closed-form kernel that runs many iterations in one call.
 //
 // Timing is byte-identical to ExecPrecise: every translated path reproduces
 // exactly the c.at advance, Stats deltas, and blocking/halting behavior of
@@ -60,21 +62,25 @@ type streamNeed struct {
 // body can run without leaving the core (ALU/mul/div, loads/stores, stream
 // ops with compile-time extents, forward branches, halt). ins/outs give the
 // per-iteration worst-case stream consumption/production used to pre-check
-// that a whole iteration cannot block.
+// that a whole iteration — or any suffix of one — cannot block.
 type loopInfo struct {
 	head, end int
 	bodyLen   int64 // instruction-budget bound per iteration
 	ins       []streamNeed
 	outs      []streamNeed
-	// pureALU marks a body that is one straight ALU run closed by an
-	// unconditional x0-linked jal: iterations are identical in time and
-	// effect, so runLoop batches as many as fit the quantum in one pass.
-	pureALU bool
+	// body[i] is the translated element at pc head+i; every body pc is an
+	// entry point.
+	body []bodyFn
+	// kernel, set when the body is one straight ALU run closed by an
+	// unconditional x0-linked jal, runs m identical iterations in one call.
+	kernel loopKernel
 }
 
 // analyzeProgram builds the loop analysis the translation consumes for a
-// decoded program: per-pc straight ALU run lengths and recognized loop
-// bodies.
+// decoded program: per-pc straight ALU run lengths, and per pc the
+// recognized loop whose body holds it. Bodies never overlap: a body that
+// contained another's back edge would hold an inner backward branch, which
+// buildLoop rejects.
 func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
 	n := len(dec)
 	aluRun := make([]int32, n+1)
@@ -100,12 +106,11 @@ func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
 		if head < 0 || loops[head] != nil {
 			continue
 		}
-		li := buildLoop(dec, head, e)
-		if li != nil && e > head && int(aluRun[head]) == e-head &&
-			in.class == isa.ClassJump && in.rd == 0 {
-			li.pureALU = true
+		if li := buildLoop(dec, head, e); li != nil {
+			for pc := head; pc <= e; pc++ {
+				loops[pc] = li
+			}
 		}
-		loops[head] = li
 	}
 	return aluRun[:n], loops
 }
@@ -115,8 +120,9 @@ func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
 // subset. It is the one gate on what a loop body may hold: compileBodyElem
 // translates exactly the classes it accepts.
 func buildLoop(dec []decoded, head, end int) *loopInfo {
-	consume := map[int]int64{} // StreamLoad widths + Adv amounts per in slot
+	consume := map[int]int64{} // StreamLoad widths per in slot
 	peek := map[int]int64{}    // max Peek extent (off+width) per in slot
+	adv := map[int]int64{}     // StreamAdv amounts per in slot
 	produce := map[int]int64{} // StreamStore widths per out slot
 	for i := head; i <= end; i++ {
 		in := &dec[i]
@@ -155,7 +161,7 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 				if in.imm < 0 {
 					return nil
 				}
-				consume[int(in.stream)] += int64(in.imm) * int64(in.width)
+				adv[int(in.stream)] += int64(in.imm) * int64(in.width)
 			case isa.OpStreamEnd:
 				// Computed exactly from Head/Tail/closed state.
 			case isa.OpStreamCsrR:
@@ -173,6 +179,15 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 	for s := range peek {
 		if _, ok := consume[s]; !ok {
 			consume[s] = 0 // peek-only slot still needs an entry
+		}
+	}
+	for s, n := range adv {
+		if _, ok := consume[s]; ok {
+			consume[s] += n // later loads and peeks sit behind the Adv
+		} else {
+			// The translated Adv checks itself, like System.StreamAdv; the
+			// entry keeps the slot under runLoop's range check.
+			consume[s] = 0
 		}
 	}
 	for s, n := range consume {
@@ -204,8 +219,8 @@ type ctl uint8
 const (
 	// ctlNext: the instruction retired; continue at the returned pc.
 	ctlNext ctl = iota
-	// ctlBlockedStream / ctlBlockedOut: a load or store blocked; the core
-	// must stall (stream-wait or out-full) and retry the same pc.
+	// ctlBlockedStream / ctlBlockedOut: a load, store or Adv blocked; the
+	// core must stall (stream-wait or out-full) and retry the same pc.
 	ctlBlockedStream
 	ctlBlockedOut
 	// ctlHalted: the program halted (cleanly or by error); the closure has
@@ -213,21 +228,19 @@ const (
 	ctlHalted
 )
 
-// bodyFn is one translated loop-body instruction. It receives the virtual
-// pc (for error reporting and link/branch arithmetic) and the dispatch
-// limit (consumed only by ALU-run steps, which clamp at the quantum
-// boundary), and returns the next pc plus the exit disposition.
+// bodyFn is one translated loop-body element. It receives the virtual pc
+// (for error reporting and link/branch arithmetic) and the dispatch limit
+// (consumed only by ALU-run elements, which clamp at the quantum boundary),
+// and returns the next pc plus the exit disposition.
 type bodyFn func(c *Core, vpc int, limit sim.Time) (int, ctl)
 
 // compiledProgram is the load-time translation of one decoded program, per
-// pc: the specialized ALU closure, the pre-composed whole-run closure where
-// a straight ALU run starts, the multi-iteration kernel for pure-ALU loop
-// heads, and the threaded-code body for recognized loop heads.
+// pc: the specialized ALU closure, and the pre-composed whole-run closure
+// where a straight ALU run starts. Loop bodies and kernels live on their
+// loopInfo.
 type compiledProgram struct {
-	alu     []aluFn
-	blocks  []aluFn
-	kernels []loopKernel
-	bodies  [][]bodyFn
+	alu    []aluFn
+	blocks []aluFn
 }
 
 // compileProgram translates the decoded program. It requires the loop
@@ -236,10 +249,8 @@ func (c *Core) compileProgram() *compiledProgram {
 	dec := c.dec
 	n := len(dec)
 	cp := &compiledProgram{
-		alu:     make([]aluFn, n),
-		blocks:  make([]aluFn, n),
-		kernels: make([]loopKernel, n),
-		bodies:  make([][]bodyFn, n),
+		alu:    make([]aluFn, n),
+		blocks: make([]aluFn, n),
 	}
 	for i := range dec {
 		if dec[i].class == isa.ClassALU {
@@ -254,58 +265,20 @@ func (c *Core) compileProgram() *compiledProgram {
 			cp.blocks[i] = seqALU(cp.alu[i : i+r])
 		}
 	}
-	for h, li := range c.loops {
-		if li == nil {
+	for pc, li := range c.loops {
+		if li == nil || li.head != pc {
 			continue
 		}
-		if li.pureALU {
-			cp.kernels[h] = loopKernelOf(cp.alu[li.head:li.end])
+		li.body = make([]bodyFn, li.end-li.head+1)
+		for i := range li.body {
+			li.body[i] = c.compileBodyElem(li.head + i)
 		}
-		cp.bodies[h] = c.compileBody(li)
+		if back := &dec[li.end]; li.end > li.head && int(c.aluRun[li.head]) == li.end-li.head &&
+			back.class == isa.ClassJump && back.rd == 0 {
+			li.kernel = loopKernelOf(cp.alu[li.head:li.end])
+		}
 	}
 	return cp
-}
-
-// compileBody translates a recognized loop body to threaded code. Beyond per-instruction closures, straight-line elements are composed into
-// suffix chains: bodies[i] executes from i through the next control-flow
-// instruction in one call, so a typical iteration (ALU run, stream ops,
-// back edge) costs one driver dispatch instead of one per instruction. A
-// chain hands off to its successor only on a clean fall-through
-// (ctlNext, the statically expected next pc, and local time still within
-// the quantum), so blocking, faults, clamped ALU runs and the per-
-// instruction issue rule all behave exactly as in per-step dispatch.
-func (c *Core) compileBody(li *loopInfo) []bodyFn {
-	n := li.end - li.head + 1
-	elems := make([]bodyFn, n)
-	sizes := make([]int, n)
-	ctrl := make([]bool, n)
-	for i := li.head; i <= li.end; i++ {
-		f, size, isCtrl := c.compileBodyInst(i)
-		elems[i-li.head] = f
-		sizes[i-li.head] = size
-		ctrl[i-li.head] = isCtrl
-	}
-	chains := make([]bodyFn, n)
-	for i := n - 1; i >= 0; i-- {
-		if ctrl[i] || i+sizes[i] >= n {
-			chains[i] = elems[i]
-			continue
-		}
-		chains[i] = chainBody(elems[i], chains[i+sizes[i]], sizes[i])
-	}
-	return chains
-}
-
-// chainBody composes a straight-line element (static advance of size) with
-// the chain at its fall-through successor.
-func chainBody(f, g bodyFn, size int) bodyFn {
-	return func(c *Core, vpc int, limit sim.Time) (int, ctl) {
-		nv, s := f(c, vpc, limit)
-		if s != ctlNext || nv != vpc+size || c.at > limit {
-			return nv, s
-		}
-		return g(c, nv, limit)
-	}
 }
 
 // countInst accrues the per-instruction counters shared by every retired
@@ -354,28 +327,11 @@ func (c *Core) branchStep(vpc int, taken bool, delta int) int {
 	return nv
 }
 
-// compileBodyInst translates the instruction at pc into its loop-body
-// closure plus its chaining metadata: the static pc advance of a clean
-// fall-through (the run length for ALU runs, 1 otherwise) and whether the
-// element is control flow (branch/jump/halt — chain terminators).
-func (c *Core) compileBodyInst(pc int) (bodyFn, int, bool) {
-	in := &c.dec[pc]
-	size, ctrl := 1, false
-	switch in.class {
-	case isa.ClassBranch, isa.ClassJump, isa.ClassHalt:
-		ctrl = true
-	case isa.ClassALU:
-		if n := int(c.aluRun[pc]); n > 1 {
-			size = n
-		}
-	}
-	return c.compileBodyElem(pc), size, ctrl
-}
-
-// compileBodyElem builds the closure itself. The arms mirror Core.step
-// one-for-one for the pre-validated case; any timing or accounting drift
-// between the two is caught by the equivalence soak and the differential
-// fuzz harness.
+// compileBodyElem translates the instruction at pc into its loop-body
+// element; where a straight ALU run starts, the element runs the rest of
+// the run. The arms mirror Core.step one-for-one for the pre-validated
+// case; any timing or accounting drift between the two is caught by the
+// equivalence soak and the differential fuzz harness.
 func (c *Core) compileBodyElem(pc int) bodyFn {
 	in := &c.dec[pc]
 	switch in.class {
@@ -572,11 +528,19 @@ func (c *Core) compileBodyElem(pc int) bodyFn {
 			amount := int64(in.imm) * int64(in.width)
 			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 				t0 := c.at
-				if err := c.sys.Streams.In[slot].Adv(amount); err != nil {
-					c.pc = vpc
-					c.fail(err)
-					return vpc, ctlHalted
+				st := c.sys.Streams.In[slot]
+				// Mirrors System.StreamAdv: an Adv past the buffered bytes
+				// blocks while the stream is open and releases the final
+				// partial page once it is closed. The pre-check does not
+				// cover an Adv-only slot, so this check is the only one.
+				n := amount
+				if buf := int64(st.Buffered()); n > buf {
+					if !st.Closed() {
+						return vpc, ctlBlockedStream
+					}
+					n = buf
 				}
+				_ = st.Adv(n) // cannot fail: 0 <= n <= Buffered()
 				c.retireCycles(vpc, t0, 1)
 				c.countInst(isa.ClassStreamCtl)
 				return vpc + 1, ctlNext
@@ -853,29 +817,30 @@ type loopExit int
 
 const (
 	// loopNoProgress: no instruction ran (stream budget or instruction
-	// budget short at iteration entry); the caller must fall back to
-	// per-instruction stepping to guarantee forward progress.
+	// budget short at entry); c.pc is unchanged and the caller must fall
+	// back to runALUBlock or per-instruction stepping.
 	loopNoProgress loopExit = iota
 	// loopProgress: >= 1 instruction ran; c.pc/c.at/stats are committed.
 	loopProgress
-	// loopBlockedExit: a load/store blocked mid-iteration (c.blockKind set,
-	// c.pc at the blocked instruction), after possibly running instructions.
+	// loopBlockedExit: a load, store or Adv blocked (c.blockKind set, c.pc
+	// at the blocked instruction), after possibly running instructions.
 	loopBlockedExit
 	// loopHaltedExit: the program halted (cleanly or by error).
 	loopHaltedExit
 )
 
-// runLoop executes iterations of a recognized loop body while (a) the local
-// clock has not passed limit, (b) the instruction budget admits a full
-// iteration, and (c) BulkAvail/window-room pre-checks prove the iteration's
-// stream operations cannot block. Under (c), every StreamLoad/Peek resolves
-// at its issue time (the needed bytes were usable at iteration entry, and
-// availability is monotone), so stream ops bypass the memhier wrappers while
-// accruing the identical timing: busy one cycle plus StreamExtraCycles of
-// stream-wait (in) or out-full (out) stall. Loads and stores still go
-// through memhier.System — their timing is stateful (caches, DRAM) — and the
-// per-instruction limit check inside the body reproduces precise stepping's
-// stop-at-quantum behavior exactly.
+// runLoop executes a recognized loop body from c.pc, which may be any body
+// pc, while (a) the local clock has not passed limit, (b) the instruction
+// budget admits a full iteration, and (c) BulkAvail/window-room pre-checks
+// prove the iteration's stream loads, peeks and stores cannot block. The
+// checks run at entry and at every iteration start; a whole-iteration bound
+// also bounds any suffix, so a mid-body entry is covered. Under (c), every
+// StreamLoad/Peek resolves at its issue time (the needed bytes were usable
+// at the check, and availability is monotone), so stream ops bypass the
+// memhier wrappers while accruing the identical timing: busy one cycle plus
+// StreamExtraCycles of stream-wait (in) or out-full (out) stall. Loads,
+// stores and Adv still check for themselves, and the per-element limit
+// check reproduces precise stepping's stop-at-quantum behavior exactly.
 func (c *Core) runLoop(li *loopInfo, limit sim.Time) loopExit {
 	sys := c.sys
 	if sys.Streams == nil && (len(li.ins) > 0 || len(li.outs) > 0) {
@@ -891,42 +856,9 @@ func (c *Core) runLoop(li *loopInfo, limit sim.Time) loopExit {
 			return loopNoProgress
 		}
 	}
-	cp := c.comp
-	body := cp.bodies[li.head]
+	head, body := li.head, li.body
+	vpc := c.pc
 	progress := false
-
-	// Pure-ALU loops with a free back-edge have identical iterations: batch
-	// every full iteration that fits the quantum and instruction budget in
-	// one kernel call, then let the generic loop below run the partial tail
-	// with per-instruction limit checks. Iteration m's jal issues at
-	// c.at + n*m*period, so m full iterations fit iff n*m*period stays
-	// within the quantum.
-	if li.pureALU && c.jumpCycles == 0 {
-		period := c.cfg.Clock.Period
-		n := int64(li.end - li.head)
-		m := int64(limit-c.at) / int64(period) / n
-		if rem := (c.maxInsts - c.stats.Instructions) / (n + 1); m > rem {
-			m = rem
-		}
-		if m > 0 {
-			cp.kernels[li.head](&c.regs, m)
-			nt := sim.Time(n*m) * period
-			c.at += nt
-			c.stats.BusyTime += nt
-			c.stats.Instructions += (n + 1) * m
-			c.stats.ByClass[isa.ClassALU] += n * m
-			c.stats.ByClass[isa.ClassJump] += m
-			if c.prof != nil {
-				// m executions of the ALU body plus m zero-cycle back-edge
-				// jals (this batch only runs when jumpCycles == 0, where
-				// precise stepping records the jal as time-free too).
-				c.prof.BulkRange(li.head, li.end, m)
-				c.prof.Insts(li.end, m)
-			}
-			progress = true
-		}
-	}
-
 iterations:
 	for c.at <= limit {
 		if c.stats.Instructions+li.bodyLen > c.maxInsts {
@@ -943,15 +875,14 @@ iterations:
 				break iterations
 			}
 		}
-		vpc := li.head
+		if vpc == head && li.kernel != nil && c.jumpCycles == 0 && c.runKernel(li, limit) {
+			progress = true
+			continue
+		}
 		for {
-			if c.at > limit {
-				c.pc = vpc
-				return loopProgress
-			}
-			// nv is where execution stopped: past the chain on a clean
+			// nv is where execution stopped: past the element on a clean
 			// fall-through, at the blocked instruction on a block.
-			nv, s := body[vpc-li.head](c, vpc, limit)
+			nv, s := body[vpc-head](c, vpc, limit)
 			switch s {
 			case ctlNext:
 			case ctlBlockedStream:
@@ -967,18 +898,51 @@ iterations:
 			}
 			vpc = nv
 			progress = true
-			if vpc == li.head {
+			if vpc == head {
 				continue iterations
 			}
-			if vpc < li.head || vpc > li.end {
-				c.pc = vpc // a forward branch left the body
+			if uint(vpc-head) >= uint(len(body)) || c.at > limit {
+				c.pc = vpc // a forward branch left the body, or the quantum ended
 				return loopProgress
 			}
 		}
 	}
-	c.pc = li.head
+	c.pc = vpc
 	if progress {
 		return loopProgress
 	}
 	return loopNoProgress
+}
+
+// runKernel batches every full iteration of a pure-ALU loop (free back
+// edge, identical iterations) that fits the quantum and the instruction
+// budget into one kernel call, and reports whether any ran. Iteration m's
+// jal issues at c.at + n*m*period, so m full iterations fit iff n*m*period
+// stays within the quantum; the partial tail is left to the per-element
+// driver.
+func (c *Core) runKernel(li *loopInfo, limit sim.Time) bool {
+	period := c.cfg.Clock.Period
+	n := int64(li.end - li.head)
+	m := int64(limit-c.at) / int64(period) / n
+	if rem := (c.maxInsts - c.stats.Instructions) / (n + 1); m > rem {
+		m = rem
+	}
+	if m <= 0 {
+		return false
+	}
+	li.kernel(&c.regs, m)
+	nt := sim.Time(n*m) * period
+	c.at += nt
+	c.stats.BusyTime += nt
+	c.stats.Instructions += (n + 1) * m
+	c.stats.ByClass[isa.ClassALU] += n * m
+	c.stats.ByClass[isa.ClassJump] += m
+	if c.prof != nil {
+		// m executions of the ALU body plus m zero-cycle back-edge jals
+		// (batching only runs when jumpCycles == 0, where precise stepping
+		// records the jal as time-free too).
+		c.prof.BulkRange(li.head, li.end, m)
+		c.prof.Insts(li.end, m)
+	}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"assasin/internal/asm"
+	"assasin/internal/memhier"
 	"assasin/internal/sim"
 )
 
@@ -123,5 +124,214 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 	}
 	if ref, got := results[ExecPrecise], results[ExecCompiled]; !reflect.DeepEqual(got, ref) {
 		t.Errorf("compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", ref, got)
+	}
+}
+
+// slicedOutcome is everything observable about a run driven by runSliced,
+// including the pc at every Run-slice boundary.
+type slicedOutcome struct {
+	regs   [32]uint32
+	stats  Stats
+	at     sim.Time
+	halted bool
+	err    error
+	exits  []int
+}
+
+// streamPush delivers data to input slot 0, usable from at.
+type streamPush struct {
+	at   sim.Time
+	data []byte
+}
+
+// runSliced runs prog in mode through Run slices whose lengths cycle
+// through quanta. Each push lands (with a wake) once a slice limit reaches
+// its time, and slot 0 closes after the last one. Every engine must stop
+// at the same pcs, so the outcome includes the pc after each slice.
+func runSliced(t *testing.T, prog *asm.Program, mode ExecMode, quanta []sim.Time, pushes []streamPush) (slicedOutcome, *Core) {
+	t.Helper()
+	cfg := DefaultConfig("sliced")
+	cfg.Exec = mode
+	sys := newTestSystem()
+	c := New(cfg, sys)
+	c.LoadProgram(prog)
+	in := sys.Streams.In[0]
+	var o slicedOutcome
+	limit := sim.Time(0)
+	for k := 0; k < 100_000 && !c.Halted(); k++ {
+		limit += quanta[k%len(quanta)]
+		for len(pushes) > 0 && pushes[0].at <= limit {
+			if err := in.Push(pushes[0].data, pushes[0].at); err != nil {
+				t.Fatal(err)
+			}
+			c.Wake(pushes[0].at)
+			pushes = pushes[1:]
+		}
+		if len(pushes) == 0 && !in.Closed() {
+			in.Close()
+		}
+		c.Run(limit)
+		o.exits = append(o.exits, c.pc)
+	}
+	if !c.Halted() {
+		t.Fatalf("%v: core did not halt", mode)
+	}
+	o.regs, o.stats, o.at, o.halted, o.err = c.regs, c.stats, c.at, c.halted, c.err
+	return o, c
+}
+
+// checkSliced runs prog in both engines, requires identical outcomes, and
+// requires the compiled engine to step nothing inside a recognized loop
+// body. It returns the compiled run for further checks.
+func checkSliced(t *testing.T, prog *asm.Program, quanta []sim.Time, pushes []streamPush) (slicedOutcome, *Core) {
+	t.Helper()
+	ref, _ := runSliced(t, prog, ExecPrecise, quanta, pushes)
+	got, c := runSliced(t, prog, ExecCompiled, quanta, pushes)
+	if ref.err != nil {
+		t.Fatalf("precise: %v", ref.err)
+	}
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", ref, got)
+	}
+	outside := int64(0)
+	for _, li := range c.loops {
+		if li == nil {
+			outside++
+		}
+	}
+	if c.stepped > outside {
+		t.Errorf("compiled engine stepped %d instructions, but only %d lie outside a recognized loop body", c.stepped, outside)
+	}
+	return got, c
+}
+
+// pcQuanta are Run-slice lengths that cut a loop body at shifting offsets.
+var pcQuanta = []sim.Time{
+	1 * sim.Nanosecond, 7 * sim.Nanosecond, 1 * sim.Nanosecond,
+	11 * sim.Nanosecond, 3 * sim.Nanosecond, 1 * sim.Nanosecond,
+	13 * sim.Nanosecond, 1 * sim.Nanosecond, 5 * sim.Nanosecond,
+}
+
+// TestCompiledResumesLongBody runs a loop whose body outlasts every Run
+// slice and closes on a conditional back edge, so each slice ends inside
+// the body. The compiled engine must resume the body at every offset
+// without falling back to stepping, and stop exactly where precise does.
+func TestCompiledResumesLongBody(t *testing.T) {
+	bb := asm.New()
+	bb.Li(asm.T1, 24)
+	bb.Li(asm.S1, int32(memhier.ScratchpadBase))
+	loop := bb.Here()
+	bb.Addi(asm.A1, asm.A1, 1)
+	for r := int32(0); r < 3; r++ {
+		bb.Addi(asm.T0, asm.T0, 3)
+		bb.Xor(asm.T2, asm.T2, asm.T0)
+		bb.Mul(asm.T3, asm.T2, asm.T0)
+		bb.Sw(asm.T3, asm.S1, 4*r)
+		bb.Lw(asm.T4, asm.S1, 4*r)
+		bb.Divu(asm.T5, asm.T4, asm.T1)
+		bb.Andi(asm.T6, asm.A1, 1)
+		skip := bb.NewLabel()
+		bb.Beq(asm.T6, asm.Zero, skip)
+		bb.Add(asm.S0, asm.S0, asm.T5)
+		bb.Bind(skip)
+		bb.Slli(asm.T6, asm.T4, 1)
+		bb.Or(asm.S2, asm.S2, asm.T6)
+	}
+	bb.Bltu(asm.A1, asm.T1, loop)
+	bb.Halt()
+	got, c := checkSliced(t, bb.MustBuild(), pcQuanta, nil)
+
+	var li *loopInfo
+	for _, l := range c.loops {
+		if l != nil {
+			li = l
+			break
+		}
+	}
+	if li == nil {
+		t.Fatal("loop body not recognized")
+	}
+	seen := map[int]bool{}
+	for _, pc := range got.exits {
+		seen[pc] = true
+	}
+	for pc := li.head; pc <= li.end; pc++ {
+		if !seen[pc] {
+			t.Errorf("no Run slice ended at body pc %d (body %d..%d)", pc, li.head, li.end)
+		}
+	}
+}
+
+// recordAdvProgram reads the first word of each 16-byte record through the
+// stream view and releases the record with StreamAdv, so inside the loop
+// slot 0 is touched only by the Adv.
+func recordAdvProgram(length int32) *asm.Program {
+	view := int32(memhier.StreamInViewBase)
+	bb := asm.New()
+	bb.Li(asm.S1, view)
+	bb.Li(asm.S3, view+length)
+	loop := bb.Here()
+	bb.Lw(asm.T0, asm.S1, 0)
+	bb.Add(asm.S0, asm.S0, asm.T0)
+	bb.StreamAdv(0, 16)
+	bb.Addi(asm.S1, asm.S1, 16)
+	bb.Bltu(asm.S1, asm.S3, loop)
+	bb.Halt()
+	return bb.MustBuild()
+}
+
+// patterned returns n bytes of a fixed pattern.
+func patterned(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*13)
+	}
+	return b
+}
+
+// TestCompiledAdvOnlyShortStream is the software-paged read loop of the
+// kernels' soft lowering (view loads, a page release behind a branch) on a
+// stream shorter than one page. The release never runs, and the loop must
+// not be pre-checked as if it did.
+func TestCompiledAdvOnlyShortStream(t *testing.T) {
+	const page = 256 // newTestSystem's page size
+	view := int32(memhier.StreamInViewBase)
+	bb := asm.New()
+	bb.Li(asm.S1, view)
+	bb.Li(asm.S2, view+page)
+	bb.Li(asm.S3, view+128)
+	loop := bb.Here()
+	bb.Lw(asm.T0, asm.S1, 0)
+	bb.Add(asm.S0, asm.S0, asm.T0)
+	bb.Addi(asm.S1, asm.S1, 4)
+	skip := bb.NewLabel()
+	bb.Bltu(asm.S1, asm.S2, skip)
+	bb.StreamAdv(0, page)
+	bb.Addi(asm.S2, asm.S2, page)
+	bb.Bind(skip)
+	bb.Bltu(asm.S1, asm.S3, loop)
+	bb.Halt()
+	checkSliced(t, bb.MustBuild(), pcQuanta, []streamPush{{0, patterned(128, 1)}})
+}
+
+// TestCompiledAdvClampsAtClose releases 16 bytes per record from a closed
+// stream whose length is not a multiple of 16: the last Adv asks for more
+// than is buffered and releases the remainder, as System.StreamAdv does.
+func TestCompiledAdvClampsAtClose(t *testing.T) {
+	_, c := checkSliced(t, recordAdvProgram(100), pcQuanta, []streamPush{{0, patterned(100, 2)}})
+	if h := c.sys.Streams.In[0].Head(); h != 100 {
+		t.Errorf("Head = %d after the clamped release, want 100", h)
+	}
+}
+
+// TestCompiledAdvBlocksMidIteration delivers a record's first word before
+// the rest of it: the Adv blocks after the iteration's load has run, waits
+// for the next push, and then resumes mid-iteration.
+func TestCompiledAdvBlocksMidIteration(t *testing.T) {
+	data := patterned(132, 3)
+	pushes := []streamPush{{0, data[:68]}, {3 * sim.Microsecond, data[68:]}}
+	_, c := checkSliced(t, recordAdvProgram(132), pcQuanta, pushes)
+	if r := c.Stats().Retries; r == 0 {
+		t.Error("the Adv never blocked")
 	}
 }

@@ -144,11 +144,16 @@ type Core struct {
 
 	// Loop analysis and translation, rebuilt with the decode cache under
 	// ExecCompiled (compiled.go): aluRun[i] is the length of the straight
-	// ALU run starting at i, loops[i] non-nil marks i as the head of a
-	// recognized stream loop, and comp is the threaded-code translation.
+	// ALU run starting at i, loops[i] is the recognized stream loop whose
+	// body holds i (nil outside any), and comp is the threaded-code
+	// translation.
 	aluRun []int32
 	loops  []*loopInfo
 	comp   *compiledProgram
+	// stepped counts instructions dispatched through step (every one under
+	// ExecPrecise). It is kept out of Stats, which both engines must
+	// produce identically.
+	stepped int64
 
 	regs   [isa.NumRegs]uint32
 	pc     int
@@ -271,6 +276,11 @@ func (c *Core) Sys() *memhier.System { return c.sys }
 
 // Stats returns a copy of the execution profile.
 func (c *Core) Stats() Stats { return c.stats }
+
+// SteppedInstructions returns how many instructions went through the
+// per-instruction interpreter rather than a translated path: every one
+// under ExecPrecise, only the compiled engine's fallbacks otherwise.
+func (c *Core) SteppedInstructions() int64 { return c.stepped }
 
 // Err returns the simulation error that halted the core, if any.
 func (c *Core) Err() error { return c.err }
@@ -400,9 +410,10 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 					}
 					return c.at, sim.StateDone, 0
 				}
-				// loopNoProgress: fall through to the per-instruction path,
-				// which is guaranteed to advance, block, or halt.
-			} else if n := c.aluRun[c.pc]; n > 1 {
+				// loopNoProgress: fall through to the ALU-run and
+				// per-instruction paths, which advance, block, or halt.
+			}
+			if n := c.aluRun[c.pc]; n > 1 {
 				c.pc = c.runALUBlock(c.pc, int(n), limit)
 				c.blocked = false
 				continue
@@ -418,6 +429,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 			c.stats.Retries++
 			return c.at, sim.StateWaiting, c.wakeAt
 		}
+		c.stepped++
 		c.blocked = false
 		if c.halted {
 			if c.haltCallback != nil {

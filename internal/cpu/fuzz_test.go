@@ -224,7 +224,32 @@ func fuzzSeeds() [][]byte {
 			seedChunk(isa.OpStreamCsrR, 14, 0, 0, 1, 2),
 			seedChunk(isa.OpStreamCsrR, 15, 0, 0, 0, 2),
 		),
+		longBodySeed(),
+		// Adv-only slot on a stream shorter than one page, released 12
+		// bytes an iteration until StreamEnd: the last Adv clamps to the
+		// closed stream's remainder. Slot 0 is peeked beside it.
+		cat(
+			seedChunk(isa.OpStreamPeek, 10, 0, 0, 0, 2), // slot 0, width 4
+			seedChunk(isa.OpStreamAdv, 0, 0, 0, 3, 5),   // slot 1, 3 words
+			seedChunk(isa.OpAdd, 8, 8, 10, 0, 0),
+			seedChunk(isa.OpStreamEnd, 13, 0, 0, 0, 5),
+			seedChunk(isa.OpBeq, 0, 13, 0, 0, 0), // back to pc 0 until exhausted
+		),
 	}
+}
+
+// longBodySeed is a loop whose body (27 divisions, about 560 cycles)
+// outlasts the 500 ns harness quantum and closes on a conditional back
+// edge, so dispatch slices end at shifting body offsets.
+func longBodySeed() []byte {
+	b := seedChunk(isa.OpAddi, 31, 0, 0, 4, 0) // t6 = 4 iterations
+	b = append(b, seedChunk(isa.OpAddi, 5, 5, 0, 1, 0)...)
+	b = append(b, seedChunk(isa.OpStreamLoad, 10, 0, 0, 0, 0)...) // slot 0, width 1
+	for i := uint8(0); i < 27; i++ {
+		b = append(b, seedChunk(isa.OpDivu, 12+i%4, 10, 5, 0, 0)...)
+	}
+	b = append(b, seedChunk(isa.OpStreamStore, 0, 0, 12, 0, 5)...) // slot 1, width 4
+	return append(b, seedChunk(isa.OpBne, 0, 5, 31, 1, 0)...)      // back to pc 1
 }
 
 // TestFuzzSeedCorpus keeps the checked-in seed corpus in sync with the

@@ -28,52 +28,13 @@ type Table2Row struct {
 // the paper's claim that computational-storage functions are feasible as
 // stream computing with bounded random-access state.
 func Table2(cfg Config) ([]Table2Row, error) {
-	kb := int(cfg.KernelMB * (1 << 20) / 2)
-	mlp := kernels.MLP{}
-	train := kernels.LinearTrain{}
-	lz := kernels.LZDecompress{}
-	lzStream := lz.Compress(kernels.CompressibleData(kb, 21))
-
-	type entry struct {
-		name   string
-		state  string
-		kernel kernels.Kernel
-		inputs [][]byte
-		rec    int
-		out    firmware.OutKind
-		cores  int // 0 = cfg.Cores
-	}
-	entries := []entry{
-		{"Statistics", "accumulators (regs)", kernels.Stat{}, [][]byte{randData(kb, 41)}, 4, firmware.OutDiscard, 0},
-		{"Erasure coding (RAID6)", "GF tables (scratchpad)", kernels.RAID6{K: 4},
-			[][]byte{randData(kb/4, 42), randData(kb/4, 43), randData(kb/4, 44), randData(kb/4, 45)}, 4, firmware.OutToFlash, 0},
-		{"Cryptography (AES-128)", "round keys + T-tables", kernels.AES{}, [][]byte{randData(int(cfg.AESKB*1024), 46)}, 16, firmware.OutToFlash, 0},
-		{"Filter", "flags/preds (regs)", filterKernel(), [][]byte{lineitemTuples(kb)}, filterTupleSize, firmware.OutToHost, 0},
-		{"Select", "none", kernels.Select{TupleSize: 32, FieldOffsets: []int{0, 16}}, [][]byte{lineitemTuples(kb)}, 32, firmware.OutToHost, 0},
-		{"Parse (PSF)", "state machine (code)", kernels.PSF{NumFields: 16, Project: []int{0, 4, 10}},
-			[][]byte{psfCSV(kb, 47)}, 0, firmware.OutToHost, 1},
-		{"Deduplicate", "signature table (scratchpad)", kernels.Dedup{}, [][]byte{dedupData(kb, 48)}, 512, firmware.OutToHost, 0},
-		{"Decompress (LZ)", "history window (scratchpad)", lz, [][]byte{lzStream}, 0, firmware.OutToHost, 1},
-		{"NN inference (MLP)", "weights (scratchpad)", mlp, [][]byte{mlpRecords(mlp, kb, 49)}, mlp.RecordSize(), firmware.OutToHost, 0},
-		{"Graph (degree count)", "vertex stats (scratchpad)", kernels.Degree{}, [][]byte{edgeList(kb, 50)}, kernels.EdgeSize, firmware.OutDiscard, 0},
-		{"Replicate", "flags (regs)", kernels.Replicate{}, [][]byte{randData(kb, 51)}, 4, firmware.OutToFlash, 0},
-		{"NN training (SGD)", "weights (scratchpad)", train, [][]byte{trainRecords(train, kb, 52)}, train.RecordSize(), firmware.OutDiscard, 0},
-	}
-
-	// One job per (function, configuration); entry inputs were generated
-	// above and are shared read-only.
+	entries := table2Entries(cfg)
+	// One job per (function, configuration); entry inputs are shared
+	// read-only.
 	archs := []ssd.Arch{ssd.Baseline, ssd.AssasinSb}
 	tputs, err := runpool.Map(cfg.workers(), len(entries)*len(archs), func(j int) (float64, error) {
 		e, arch := entries[j/len(archs)], archs[j%len(archs)]
-		cores := e.cores
-		if cores == 0 {
-			cores = cfg.Cores
-		}
-		rec := e.rec
-		if rec == 0 {
-			rec = len(e.inputs[0]) // unsplittable stream: one core
-			cores = 1
-		}
+		cores, rec := e.split(cfg)
 		o := cfg.instrument(runOpts{
 			arch:       arch,
 			cores:      cores,
@@ -99,19 +60,63 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	}
 	rows := make([]Table2Row, len(entries))
 	for i, e := range entries {
-		cores := e.cores
-		if cores == 0 {
-			cores = cfg.Cores
-		}
-		if e.rec == 0 {
-			cores = 1
-		}
+		cores, _ := e.split(cfg)
 		rows[i] = Table2Row{
 			Function: e.name, StateDesc: e.state, Cores: cores,
 			Baseline: tputs[i*len(archs)], AssasinSb: tputs[i*len(archs)+1],
 		}
 	}
 	return rows, nil
+}
+
+// table2Entry is one Table II function with its generated inputs.
+type table2Entry struct {
+	name   string
+	state  string
+	kernel kernels.Kernel
+	inputs [][]byte
+	rec    int // 0 = unsplittable stream
+	out    firmware.OutKind
+	cores  int // 0 = cfg.Cores
+}
+
+// table2Entries builds every Table II function with inputs sized by cfg.
+func table2Entries(cfg Config) []table2Entry {
+	kb := int(cfg.KernelMB * (1 << 20) / 2)
+	mlp := kernels.MLP{}
+	train := kernels.LinearTrain{}
+	lz := kernels.LZDecompress{}
+	lzStream := lz.Compress(kernels.CompressibleData(kb, 21))
+	return []table2Entry{
+		{"Statistics", "accumulators (regs)", kernels.Stat{}, [][]byte{randData(kb, 41)}, 4, firmware.OutDiscard, 0},
+		{"Erasure coding (RAID6)", "GF tables (scratchpad)", kernels.RAID6{K: 4},
+			[][]byte{randData(kb/4, 42), randData(kb/4, 43), randData(kb/4, 44), randData(kb/4, 45)}, 4, firmware.OutToFlash, 0},
+		{"Cryptography (AES-128)", "round keys + T-tables", kernels.AES{}, [][]byte{randData(int(cfg.AESKB*1024), 46)}, 16, firmware.OutToFlash, 0},
+		{"Filter", "flags/preds (regs)", filterKernel(), [][]byte{lineitemTuples(kb)}, filterTupleSize, firmware.OutToHost, 0},
+		{"Select", "none", kernels.Select{TupleSize: 32, FieldOffsets: []int{0, 16}}, [][]byte{lineitemTuples(kb)}, 32, firmware.OutToHost, 0},
+		{"Parse (PSF)", "state machine (code)", kernels.PSF{NumFields: 16, Project: []int{0, 4, 10}},
+			[][]byte{psfCSV(kb, 47)}, 0, firmware.OutToHost, 1},
+		{"Deduplicate", "signature table (scratchpad)", kernels.Dedup{}, [][]byte{dedupData(kb, 48)}, 512, firmware.OutToHost, 0},
+		{"Decompress (LZ)", "history window (scratchpad)", lz, [][]byte{lzStream}, 0, firmware.OutToHost, 1},
+		{"NN inference (MLP)", "weights (scratchpad)", mlp, [][]byte{mlpRecords(mlp, kb, 49)}, mlp.RecordSize(), firmware.OutToHost, 0},
+		{"Graph (degree count)", "vertex stats (scratchpad)", kernels.Degree{}, [][]byte{edgeList(kb, 50)}, kernels.EdgeSize, firmware.OutDiscard, 0},
+		{"Replicate", "flags (regs)", kernels.Replicate{}, [][]byte{randData(kb, 51)}, 4, firmware.OutToFlash, 0},
+		{"NN training (SGD)", "weights (scratchpad)", train, [][]byte{trainRecords(train, kb, 52)}, train.RecordSize(), firmware.OutDiscard, 0},
+	}
+}
+
+// split returns the entry's core count and per-core record alignment; an
+// unsplittable stream runs whole on one core.
+func (e table2Entry) split(cfg Config) (cores, rec int) {
+	cores, rec = e.cores, e.rec
+	if cores == 0 {
+		cores = cfg.Cores
+	}
+	if rec == 0 {
+		rec = len(e.inputs[0])
+		cores = 1
+	}
+	return cores, rec
 }
 
 // FormatTable2 renders the workload study.

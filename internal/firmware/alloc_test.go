@@ -81,13 +81,28 @@ func streamRunTraced(t testing.TB, pages int) uint64 {
 	return m1.Mallocs - m0.Mallocs
 }
 
+// minAllocs returns the fewest allocations run reports over three runs of
+// the given size. The counter is process-wide, so now and then a window
+// also catches a few allocations the simulation did not make; those only
+// ever add, so the minimum is the simulation's own count. A per-page
+// allocation shows in every run and survives the minimum.
+func minAllocs(t testing.TB, run func(testing.TB, int) uint64, pages int) uint64 {
+	best := run(t, pages)
+	for i := 1; i < 3; i++ {
+		if n := run(t, pages); n < best {
+			best = n
+		}
+	}
+	return best
+}
+
 // TestReqtraceSteadyStateZeroAlloc pins the enabled-tracer cost on the same
 // pipeline: with a request record attached, pushing 8x more pages through
 // the data plane must not add per-page allocations — the record is
 // fixed-shape and the per-page accounting is plain integer accumulation.
 func TestReqtraceSteadyStateZeroAlloc(t *testing.T) {
-	small := streamRunTraced(t, 8)
-	large := streamRunTraced(t, 64)
+	small := minAllocs(t, streamRunTraced, 8)
+	large := minAllocs(t, streamRunTraced, 64)
 	if slack := uint64(8); large > small+slack {
 		t.Fatalf("per-page allocations with tracing enabled: 8 pages -> %d allocs, 64 pages -> %d allocs (want <= %d)",
 			small, large, small+slack)
@@ -102,8 +117,8 @@ func TestReqtraceSteadyStateZeroAlloc(t *testing.T) {
 // per-page allocation sneaking back into the pump/deliver/drain hot path
 // fails the test by hundreds.
 func TestDataPlaneSteadyStateZeroAlloc(t *testing.T) {
-	small := streamRun(t, 8)
-	large := streamRun(t, 64)
+	small := minAllocs(t, streamRun, 8)
+	large := minAllocs(t, streamRun, 64)
 	if slack := uint64(8); large > small+slack {
 		t.Fatalf("per-page allocations in steady state: 8 pages -> %d allocs, 64 pages -> %d allocs (want <= %d)",
 			small, large, small+slack)
