@@ -1,6 +1,6 @@
 # Convenience entry points; every target is plain go tooling underneath.
 
-.PHONY: all build test race fuzz-smoke bench bench-baseline bench-compare diff-smoke alloc-gate profile profile-smoke ci
+.PHONY: all build test race fuzz-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
 
 all: test
 
@@ -79,8 +79,3 @@ bench:
 # BENCH_<exp>.json whole-experiment artifact).
 bench-baseline:
 	scripts/bench.sh
-
-# Diff a fresh quick-scale run against the committed bench/ baselines;
-# fails on >10% wall-time regression.
-bench-compare:
-	scripts/bench-compare.sh

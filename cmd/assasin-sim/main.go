@@ -44,7 +44,7 @@ var stopProfiles = func() {}
 
 func main() {
 	var (
-		archName = flag.String("arch", "AssasinSb", "Baseline, UDP, Prefetch, AssasinSp, AssasinSb, AssasinSb$")
+		archName = flag.String("arch", "AssasinSb", ssd.ArchNames())
 		kernel   = flag.String("kernel", "stat", "stat, scan, raid4, raid6, aes, filter, select, psf, dedup, mlp, lz")
 		mb       = flag.Float64("mb", 1, "input megabytes per stream")
 		cores    = flag.Int("cores", 8, "compute engines")
@@ -84,7 +84,7 @@ func main() {
 	if *cores < 0 {
 		fail(fmt.Errorf("-cores must be >= 0, got %d", *cores))
 	}
-	arch, err := parseArch(*archName)
+	arch, err := ssd.ParseArch(*archName)
 	if err != nil {
 		fail(err)
 	}
@@ -297,17 +297,6 @@ func writeKProf(dir string, p *kprof.Profile) error {
 		return err
 	}
 	return f.Close()
-}
-
-func parseArch(name string) (ssd.Arch, error) {
-	var valid []string
-	for _, a := range ssd.AllArchs() {
-		if strings.EqualFold(a.String(), name) {
-			return a, nil
-		}
-		valid = append(valid, a.String())
-	}
-	return 0, fmt.Errorf("unknown architecture %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 func pickKernel(name string) (kernels.Kernel, int, int, firmware.OutKind, error) {

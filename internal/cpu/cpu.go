@@ -299,6 +299,9 @@ func (c *Core) OnHalt(fn func(at sim.Time)) { c.haltCallback = fn }
 // Name implements sim.Process.
 func (c *Core) Name() string { return c.cfg.Name }
 
+// Config returns the core's timing configuration.
+func (c *Core) Config() Config { return c.cfg }
+
 // Wake notifies the core that stream state changed at time t; the scheduler
 // wrapper uses wakeAt as the retry hint.
 func (c *Core) Wake(t sim.Time) {

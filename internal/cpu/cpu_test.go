@@ -16,7 +16,7 @@ func newTestSystem() *memhier.System {
 		Scratchpad: memhier.NewScratchpad(64 << 10),
 		DRAM:       dram,
 		Backing:    memhier.NewSparseMem(),
-		Streams:    memhier.NewStreamBuffer(4, 4, 256),
+		Streams:    memhier.NewStreamBuffer(4, 4, 4, 256),
 		ViewPath:   memhier.ViewScratchpad,
 		Client:     "test",
 	}

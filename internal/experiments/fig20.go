@@ -12,17 +12,10 @@ import (
 func Table4(cfg Config) string {
 	var b strings.Builder
 	b.WriteString("Table IV — configurations of in-SSD compute engines\n")
-	rows := []struct{ name, source, isa, mem string }{
-		{"Baseline", "DRAM (8GB/s)", "RV32IM", "L1D 32K/8w + L2 256K/16w"},
-		{"UDP", "DRAM (8GB/s)", "UDP lane (branch-free dispatch)", "256K scratchpad (fw copy-in)"},
-		{"Prefetch", "DRAM (8GB/s)", "RV32IM", "L1D+L2 + DCPT prefetcher"},
-		{"AssasinSp", "Flash via crossbar", "RV32IM", "64K scratchpad + ping-pong I/O scratchpads"},
-		{"AssasinSb", "Flash via crossbar", "RV32IM + stream ISA", "64K scratchpad + 64K I + 64K O streambuffer (S=8)"},
-		{"AssasinSb$", "Flash via crossbar", "RV32IM + stream ISA", "AssasinSb + 32K L1D"},
-	}
 	fmt.Fprintf(&b, "%-12s%-22s%-34s%s\n", "Config", "Data source", "ISA", "MemArch per core (32K L1I omitted)")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s%-22s%-34s%s\n", r.name, r.source, r.isa, r.mem)
+	for _, a := range ssd.AllArchs() {
+		source, isa, mem := a.Table4()
+		fmt.Fprintf(&b, "%-12s%-22s%-34s%s\n", a, source, isa, mem)
 	}
 	fmt.Fprintf(&b, "All: %d cores @1GHz, 8×1GB/s flash channels, 8GB/s LPDDR5, PCIe Gen4 x4 host\n", cfg.Cores)
 	return b.String()
@@ -82,37 +75,12 @@ type Table5Config struct {
 	Cost power.Cost
 }
 
-// Table5Costs returns per-configuration compute-complex costs (8 engines).
+// Table5Costs returns each configuration's compute-complex cost for cores
+// engines, from ssd.Arch.CoreCost.
 func Table5Costs(cores int) []Table5Config {
-	perCore := map[ssd.Arch]power.Cost{
-		ssd.Baseline: power.CoreLogic().
-			Add(power.Cache(32 << 10)). // L1I
-			Add(power.Cache(32 << 10)). // L1D
-			Add(power.Cache(256 << 10)),
-		ssd.Prefetch: power.CoreLogic().
-			Add(power.Cache(32 << 10)).
-			Add(power.Cache(32 << 10)).
-			Add(power.Cache(256 << 10)).
-			Add(power.Cost{AreaMM2: 0.004, PowerMW: 1.0}), // DCPT tables
-		ssd.UDP: power.UDPLane().
-			Add(power.SRAM(256 << 10)),
-		ssd.AssasinSp: power.CoreLogic().
-			Add(power.Cache(32 << 10)). // L1I
-			Add(power.SRAM(64 << 10)).  // state scratchpad
-			Add(power.SRAM(128 << 10)), // ping-pong I/O scratchpads
-		ssd.AssasinSb: power.CoreLogic().
-			Add(power.Cache(32 << 10)).
-			Add(power.SRAM(64 << 10)).
-			Add(power.StreamBufferCost(128 << 10)), // 64K I + 64K O
-		ssd.AssasinSbCache: power.CoreLogic().
-			Add(power.Cache(32 << 10)).
-			Add(power.SRAM(64 << 10)).
-			Add(power.StreamBufferCost(128 << 10)).
-			Add(power.Cache(32 << 10)),
-	}
 	var out []Table5Config
 	for _, a := range ssd.AllArchs() {
-		out = append(out, Table5Config{Arch: a, Cost: perCore[a].Scale(float64(cores))})
+		out = append(out, Table5Config{Arch: a, Cost: a.CoreCost().Scale(float64(cores))})
 	}
 	return out
 }

@@ -38,7 +38,7 @@ func newRig(t testing.TB) *rig {
 		Scratchpad: memhier.NewScratchpad(16 << 10),
 		DRAM:       dram,
 		Backing:    memhier.NewSparseMem(),
-		Streams:    memhier.NewStreamBuffer(2, 4, cfg.PageSize),
+		Streams:    memhier.NewStreamBuffer(2, 4, 4, cfg.PageSize),
 		ViewPath:   memhier.ViewScratchpad,
 		Client:     "core0",
 	}

@@ -36,7 +36,7 @@ func runKernel(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, 
 		Scratchpad: memhier.NewScratchpad(64 << 10),
 		DRAM:       dram,
 		Backing:    memhier.NewSparseMem(),
-		Streams:    memhier.NewStreamBuffer(slots, 8, testPageSize),
+		Streams:    memhier.NewStreamBuffer(slots, 8, 8, testPageSize),
 		ViewPath:   memhier.ViewScratchpad,
 		Client:     "test",
 	}

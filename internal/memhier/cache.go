@@ -111,6 +111,12 @@ func (c *Cache) AttachPrefetcher(p *Prefetcher) {
 // Config returns the cache geometry.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
+// Next returns the level this cache misses to.
+func (c *Cache) Next() NextLevel { return c.next }
+
+// Prefetcher returns the attached prefetcher (nil when none).
+func (c *Cache) Prefetcher() *Prefetcher { return c.prefetcher }
+
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() CacheStats { return c.stats }
 

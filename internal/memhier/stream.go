@@ -565,15 +565,16 @@ type StreamBuffer struct {
 }
 
 // NewStreamBuffer returns a stream buffer with slots input and output
-// streams, each a window of pages×pageSize bytes.
-func NewStreamBuffer(slots, pages, pageSize int) *StreamBuffer {
+// streams: input windows of inPages×pageSize bytes and output windows of
+// outPages×pageSize bytes.
+func NewStreamBuffer(slots, inPages, outPages, pageSize int) *StreamBuffer {
 	sb := &StreamBuffer{
 		In:  make([]*InStream, slots),
 		Out: make([]*OutStream, slots),
 	}
 	for i := range sb.In {
-		sb.In[i] = NewInStream(pages, pageSize)
-		sb.Out[i] = NewOutStream(pages, pageSize)
+		sb.In[i] = NewInStream(inPages, pageSize)
+		sb.Out[i] = NewOutStream(outPages, pageSize)
 	}
 	return sb
 }

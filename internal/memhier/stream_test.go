@@ -242,12 +242,15 @@ func TestOutStreamRingWrapLong(t *testing.T) {
 }
 
 func TestStreamBufferConstruction(t *testing.T) {
-	sb := NewStreamBuffer(8, 2, 16<<10) // the paper's S=8, P=2, 16 KiB pages
+	sb := NewStreamBuffer(8, 2, 4, 16<<10) // the paper's S=8, P=2, 16 KiB pages; deeper output
 	if len(sb.In) != 8 || len(sb.Out) != 8 {
 		t.Fatal("slot count wrong")
 	}
 	if sb.In[0].WindowBytes() != 32<<10 {
 		t.Fatalf("window = %d, want 32 KiB", sb.In[0].WindowBytes())
+	}
+	if sb.Out[7].WindowBytes() != 64<<10 {
+		t.Fatalf("output window = %d, want 64 KiB", sb.Out[7].WindowBytes())
 	}
 	// Total input capacity = 8 slots × 2 pages × 16 KiB = 256 KiB... the
 	// paper's 64 KiB I is reached with smaller windows; geometry is up to

@@ -12,7 +12,7 @@ func testSystem(path ViewPath, withCache bool) *System {
 		Clock:    sim.NewClock(1e9),
 		DRAM:     dram,
 		Backing:  NewSparseMem(),
-		Streams:  NewStreamBuffer(2, 2, 64),
+		Streams:  NewStreamBuffer(2, 2, 2, 64),
 		ViewPath: path,
 		Client:   "core0",
 	}

@@ -1,9 +1,10 @@
 // Package power provides the analytical silicon cost models behind the
 // paper's circuit evaluation: SRAM/cache area, power and access-time
 // estimates (standing in for Cacti + Synopsys DC on the SAED 14 nm
-// library), per-configuration component inventories (Table V), the memory-
-// structure timing study (Fig. 20), and the efficiency computation
-// (Fig. 22: speedup per unit power / area).
+// library), the component costs that each configuration's row in the ssd
+// spec table sums into its Table V inventory, the memory-structure timing
+// study (Fig. 20), and the efficiency computation (Fig. 22: speedup per
+// unit power / area).
 //
 // Absolute constants are anchored to the paper's qualitative statements —
 // "a L1 cache or similar-size SRAM [is] at the same order of magnitude with
@@ -75,6 +76,9 @@ func CoreLogic() Cost { return Cost{coreLogicAreaMM2, coreLogicPowerMW} }
 
 // UDPLane returns the UDP accelerator lane cost.
 func UDPLane() Cost { return Cost{udpLaneAreaMM2, udpLanePowerMW} }
+
+// Prefetcher returns the cost of the DCPT prefetcher's delta tables.
+func Prefetcher() Cost { return Cost{AreaMM2: 0.004, PowerMW: 1.0} }
 
 // AccessTimeNS models random-access time of an SRAM/scratchpad of the given
 // capacity and port width at 14 nm (the Fig. 20 study): wordline/bitline

@@ -8,28 +8,6 @@ import (
 	"assasin/internal/memhier"
 )
 
-// StyleFor returns the kernel lowering for an architecture: the stream ISA
-// for the stream-buffer ASSASIN variants, software-managed pointers for
-// everything else.
-func StyleFor(a Arch) kernels.Style {
-	if a.IsStream() {
-		return kernels.StyleStream
-	}
-	return kernels.StyleSoftware
-}
-
-// StateBaseFor returns where kernel function state lives: the scratchpad for
-// scratchpad architectures, SSD DRAM (accessed through the cache) for the
-// cache-hierarchy architectures.
-func StateBaseFor(a Arch) uint32 {
-	switch a {
-	case Baseline, Prefetch:
-		return memhier.DRAMBase
-	default:
-		return memhier.ScratchpadBase
-	}
-}
-
 // BuildParamsFor assembles kernel build parameters for this SSD.
 func (s *SSD) BuildParamsFor() kernels.BuildParams {
 	return kernels.BuildParams{

@@ -1,8 +1,9 @@
 // Package ssd assembles complete computational SSDs: the flash array, FTL,
 // SSD DRAM, crossbar, firmware engine, and compute engines with the
 // per-configuration memory hierarchies of Table IV (Baseline, UDP,
-// Prefetch, AssasinSp, AssasinSb, AssasinSb$), plus the channel-local
-// alternative architecture of Fig. 7 used in the skew study.
+// Prefetch, AssasinSp, AssasinSb, AssasinSb$), one row each in the spec
+// table of arch.go, plus the channel-local alternative architecture of
+// Fig. 7 used in the skew study.
 package ssd
 
 import (
@@ -10,7 +11,6 @@ import (
 	"log/slog"
 
 	"assasin/internal/asm"
-	"assasin/internal/core"
 	"assasin/internal/cpu"
 	"assasin/internal/crossbar"
 	"assasin/internal/firmware"
@@ -25,82 +25,13 @@ import (
 	"assasin/internal/telemetry/timeline"
 )
 
-// Arch identifies a Table IV configuration.
-type Arch int
-
-// Architectures.
-const (
-	// Baseline: in-order RV32IM cores with 32K L1D + 256K L2, data staged
-	// in SSD DRAM — the state-of-the-art general-purpose computational SSD.
-	Baseline Arch = iota
-	// UDP: accelerator lanes with 256K private scratchpads, branch-free
-	// dispatch, data copied from SSD DRAM into the scratchpads by firmware.
-	UDP
-	// Prefetch: Baseline plus a DCPT prefetcher at the L1.
-	Prefetch
-	// AssasinSp: ping-pong scratchpads fed from flash through the crossbar,
-	// bypassing SSD DRAM; software-managed stream pointers.
-	AssasinSp
-	// AssasinSb: stream buffers with the stream ISA extension and a 64K
-	// scratchpad for function state.
-	AssasinSb
-	// AssasinSbCache: AssasinSb plus a 32K L1D backed by DRAM for state
-	// that overflows the scratchpad.
-	AssasinSbCache
-)
-
-// String implements fmt.Stringer with the paper's configuration names.
-func (a Arch) String() string {
-	switch a {
-	case Baseline:
-		return "Baseline"
-	case UDP:
-		return "UDP"
-	case Prefetch:
-		return "Prefetch"
-	case AssasinSp:
-		return "AssasinSp"
-	case AssasinSb:
-		return "AssasinSb"
-	case AssasinSbCache:
-		return "AssasinSb$"
-	default:
-		return fmt.Sprintf("Arch(%d)", int(a))
-	}
-}
-
-// MarshalText implements encoding.TextMarshaler so Arch-keyed maps and
-// fields serialize with the paper's configuration names.
-func (a Arch) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
-
-// UnmarshalText implements encoding.TextUnmarshaler (the inverse of
-// MarshalText).
-func (a *Arch) UnmarshalText(text []byte) error {
-	s := string(text)
-	for _, c := range AllArchs() {
-		if c.String() == s {
-			*a = c
-			return nil
-		}
-	}
-	return fmt.Errorf("ssd: unknown architecture %q", s)
-}
-
-// AllArchs lists the six evaluated configurations in Table IV order.
-func AllArchs() []Arch {
-	return []Arch{Baseline, UDP, Prefetch, AssasinSp, AssasinSb, AssasinSbCache}
-}
-
-// IsStream reports whether kernels for this architecture use the stream ISA
-// extension (vs software-managed pointers over staged windows).
-func (a Arch) IsStream() bool { return a == AssasinSb || a == AssasinSbCache }
-
 // Options configures an SSD instance.
 type Options struct {
 	Arch  Arch
 	Cores int
-	// TimingAdjusted applies the Fig. 20/21 circuit results: AssasinSb
-	// cores clock 11% faster; scratchpad accesses take 2 cycles.
+	// TimingAdjusted applies the Fig. 20/21 circuit results each
+	// configuration's row records: the stream-buffer cores clock 11%
+	// faster and AssasinSp's scratchpad accesses take 2 cycles.
 	TimingAdjusted bool
 	// ChannelLocal replaces the crossbar with fixed per-channel compute
 	// (the Fig. 7 application-specific alternative).
@@ -111,13 +42,13 @@ type Options struct {
 	Flash flash.Config
 	// DRAM overrides the DRAM model (zero value = paper's 8 GB/s LPDDR5).
 	DRAM memhier.DRAMConfig
-	// StreamSlots is S, input and output stream slots per core.
+	// StreamSlots is S, input and output stream slots per core (zero: 8).
 	StreamSlots int
-	// WindowPages is P, the per-slot input window in flash pages.
-	// Zero selects the architecture default (P=2 for ASSASIN variants,
-	// a larger DRAM staging window for Baseline/Prefetch/UDP).
+	// WindowPages is P, the per-slot input window in flash pages. Zero
+	// selects the architecture's default from its Table IV row.
 	WindowPages int
-	// OutWindowPages sizes the per-slot output window.
+	// OutWindowPages sizes the per-slot output window. Zero selects the
+	// architecture's default from its Table IV row.
 	OutWindowPages int
 	// Exec is the equivalence-oracle selector for the core interpreter:
 	// the zero value cpu.ExecCompiled runs the load-time threaded-code
@@ -229,29 +160,15 @@ func New(opt Options) *SSD {
 	if opt.DRAM.BandwidthBytesPerSec == 0 {
 		opt.DRAM = memhier.DefaultDRAMConfig()
 	}
+	spec := opt.Arch.spec()
 	if opt.StreamSlots <= 0 {
-		opt.StreamSlots = 8
+		opt.StreamSlots = defaultStreamSlots
 	}
 	if opt.WindowPages <= 0 {
-		switch opt.Arch {
-		case Baseline, Prefetch, UDP:
-			// DRAM staging buffers: deep enough to decouple cores from
-			// flash latency, shallow enough that fill traffic is paced by
-			// consumption instead of racing the whole dataset into DRAM.
-			opt.WindowPages = 8
-		default:
-			// The paper's P=2 with 16 KiB flash pages gives a 32 KiB window
-			// per slot; at this model's 4 KiB pages that is 8 window pages.
-			opt.WindowPages = 8
-		}
+		opt.WindowPages = spec.windowPages
 	}
 	if opt.OutWindowPages <= 0 {
-		switch opt.Arch {
-		case Baseline, Prefetch, UDP:
-			opt.OutWindowPages = 64
-		default:
-			opt.OutWindowPages = 8
-		}
+		opt.OutWindowPages = spec.outWindowPages
 	}
 
 	s := &SSD{Opt: opt, Sched: sim.NewScheduler()}
@@ -285,97 +202,47 @@ func New(opt Options) *SSD {
 		s.Sched.OnAdvance = oa
 	}
 
-	coreClock := sim.NewClock(1e9)
-	spCycles := 1
+	clock := sim.NewClock(1e9)
+	spCycles := spec.spCycles
 	if opt.TimingAdjusted {
-		// Fig. 20: 64 KiB scratchpads need 2 cycles at 1 GHz; the
-		// streambuffer's prefetched head FIFO lets the whole AssasinSb
-		// pipeline clock 11% faster.
-		spCycles = 2
-		if opt.Arch.IsStream() {
-			coreClock = sim.Clock{Period: 890 * sim.Picosecond}
-			spCycles = 2
+		if spec.adjPeriod > 0 {
+			clock = sim.Clock{Period: spec.adjPeriod}
 		}
+		spCycles = spec.adjSpCycles
 	}
 
 	for i := 0; i < opt.Cores; i++ {
-		name := fmt.Sprintf("%s-core%d", opt.Arch, i)
-		client := fmt.Sprintf("core%d", i)
-		var sys *memhier.System
-		var eng *cpu.Core
-
-		switch opt.Arch {
-		case AssasinSp, AssasinSb, AssasinSbCache:
-			// The ASSASIN core composition (internal/core): stream windows
-			// fed through the crossbar plus a state scratchpad. Stream data
-			// hits the single-cycle head FIFO on Sb/Sb$; AssasinSp serves
-			// every stream access from its ping-pong scratchpads and is the
-			// configuration penalized by the Fig. 20 timing (2 cycles).
-			ccfg := core.Config{
-				Name:             name,
-				Clock:            coreClock,
-				StreamSlots:      opt.StreamSlots,
-				WindowPages:      opt.WindowPages,
-				PageSize:         opt.Flash.PageSize,
-				ScratchpadBytes:  64 << 10,
-				ScratchpadCycles: 1,
-				WithCache:        opt.Arch == AssasinSbCache,
-				Exec:             opt.Exec,
-			}
-			if opt.Arch == AssasinSp {
-				ccfg.ScratchpadCycles = spCycles
-			}
-			built, err := core.Build(ccfg, s.DRAM, client)
-			if err != nil {
-				panic(err) // geometry is internally consistent
-			}
-			sys, eng = built.Sys, built.CPU
-
-		default:
-			sys = &memhier.System{
-				Clock:   coreClock,
-				DRAM:    s.DRAM,
-				Backing: memhier.NewSparseMem(),
-				Streams: memhier.NewStreamBuffer(opt.StreamSlots, opt.WindowPages, opt.Flash.PageSize),
-				Client:  client,
-			}
-			switch opt.Arch {
-			case Baseline, Prefetch:
-				l2 := memhier.NewCache(memhier.CacheConfig{
-					Name: "l2", Size: 256 << 10, Ways: 16, LineSize: 64,
-					HitLatency: 10 * sim.Nanosecond,
-				}, memhier.DRAMLevel{DRAM: s.DRAM})
-				l1 := memhier.NewCache(memhier.CacheConfig{
-					Name: "l1d", Size: 32 << 10, Ways: 8, LineSize: 64,
-				}, l2)
-				if opt.Arch == Prefetch {
-					l1.AttachPrefetcher(memhier.NewPrefetcher(8))
-				}
-				sys.L1 = l1
-				sys.ViewPath = memhier.ViewCached
-			case UDP:
-				sys.Scratchpad = memhier.NewScratchpad(256 << 10)
-				// A 256 KiB scratchpad cannot be read in one 1 GHz cycle
-				// (the Fig. 20 SRAM timing model gives ~1.3 ns): UDP lanes
-				// pay 2-cycle accesses, one reason the paper finds the
-				// general-purpose AssasinSb ahead of the UDP accelerator.
-				sys.Scratchpad.AccessCycles = 2
-				sys.ViewPath = memhier.ViewScratchpad
-			}
-			ccfg := cpu.DefaultConfig(name)
-			ccfg.Clock = coreClock
-			ccfg.BranchFree = opt.Arch == UDP
-			ccfg.Exec = opt.Exec
-			eng = cpu.New(ccfg, sys)
+		sys := &memhier.System{
+			Clock:    clock,
+			DRAM:     s.DRAM,
+			Backing:  memhier.NewSparseMem(),
+			Streams:  s.newStreams(),
+			ViewPath: spec.viewPath,
+			Client:   fmt.Sprintf("core%d", i),
 		}
-
-		// Output windows may differ in depth from input windows.
-		for j := range sys.Streams.Out {
-			sys.Streams.Out[j] = memhier.NewOutStream(opt.OutWindowPages, opt.Flash.PageSize)
+		if spec.spBytes > 0 {
+			sys.Scratchpad = memhier.NewScratchpad(spec.spBytes)
+			sys.Scratchpad.AccessCycles = spCycles
 		}
+		if spec.l1d.Size > 0 {
+			var next memhier.NextLevel = memhier.DRAMLevel{DRAM: s.DRAM}
+			if spec.l2.Size > 0 {
+				next = memhier.NewCache(spec.l2, next)
+			}
+			l1 := memhier.NewCache(spec.l1d, next)
+			if spec.prefetchDegree > 0 {
+				l1.AttachPrefetcher(memhier.NewPrefetcher(spec.prefetchDegree))
+			}
+			sys.L1 = l1
+		}
+		ccfg := cpu.DefaultConfig(fmt.Sprintf("%s-core%d", opt.Arch, i))
+		ccfg.Clock = clock
+		ccfg.BranchFree = spec.branchFree
+		ccfg.Exec = opt.Exec
+		eng := cpu.New(ccfg, sys)
+
 		if opt.Telemetry != nil {
 			eng.AttachTelemetry(opt.Telemetry)
-			sys.Streams.AttachTel(s.streamTel)
 		}
 		if opt.KProf != nil {
 			eng.AttachKProf(opt.KProf)
@@ -482,15 +349,14 @@ func (s *SSD) PublishStats() {
 }
 
 // DataPath returns the firmware data path for this architecture.
-func (s *SSD) DataPath() firmware.DataPath {
-	switch s.Opt.Arch {
-	case Baseline, Prefetch:
-		return firmware.PathDRAMStage
-	case UDP:
-		return firmware.PathDRAMCopy
-	default:
-		return firmware.PathCrossbar
-	}
+func (s *SSD) DataPath() firmware.DataPath { return s.Opt.Arch.spec().path }
+
+// newStreams returns a fresh stream buffer at the configured geometry,
+// wired to the shared telemetry bundle (nil when telemetry is off).
+func (s *SSD) newStreams() *memhier.StreamBuffer {
+	sb := memhier.NewStreamBuffer(s.Opt.StreamSlots, s.Opt.WindowPages, s.Opt.OutWindowPages, s.Opt.Flash.PageSize)
+	sb.AttachTel(s.streamTel)
+	return sb
 }
 
 // InstallBytes writes data into the flash array as a fresh dataset (no
@@ -605,12 +471,7 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 		core := s.Cores[i]
 		// Fresh stream-buffer state per request (the firmware resets the
 		// core's streams along with its PC and pipeline).
-		s.Systems[i].Streams = memhier.NewStreamBuffer(s.Opt.StreamSlots, s.Opt.WindowPages, s.Opt.Flash.PageSize)
-		for j := range s.Systems[i].Streams.Out {
-			s.Systems[i].Streams.Out[j] = memhier.NewOutStream(s.Opt.OutWindowPages, s.Opt.Flash.PageSize)
-		}
-		// Fresh streams need the shared telemetry bundle re-attached.
-		s.Systems[i].Streams.AttachTel(s.streamTel)
+		s.Systems[i].Streams = s.newStreams()
 		core.LoadProgram(t.Program)
 		for r, v := range t.Regs {
 			core.SetReg(r, v)

@@ -3,10 +3,12 @@
 #   - BENCH_micro.txt: tier-2 micro benchmarks (interpreter, stream buffer,
 #     cache, DRAM paths), 5 samples each for benchstat-able comparisons.
 #   - BENCH_<exp>.json: every whole-experiment artifact at the quick scale,
-#     via assasin-bench -json (simulated results are scale-invariant ratios;
-#     wall_seconds tracks simulator performance).
-# Run from anywhere; writes relative to the repo root. Compare a working
-# tree against the committed baselines with benchstat or git diff.
+#     via assasin-bench -json. These are the results goldens that
+#     TestResultsGolden (cmd/assasin-bench) reruns and compares row for row;
+#     regenerate them only for an intended change in simulated results.
+#     wall_seconds is informational: assasin-perf (benchmark/) measures speed.
+# Run from anywhere; writes relative to the repo root. Compare micro
+# benchmarks against the committed baseline with benchstat.
 set -eu
 cd "$(dirname "$0")/.."
 mkdir -p bench
