@@ -24,12 +24,14 @@ race:
 
 # A short bounded pass over every fuzz target: the compiled-vs-precise
 # differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz
-# seeds it with kernel-shaped programs), the assembler parser and the SLO
-# duration parser. go test -fuzz takes one target per package run.
+# seeds it with kernel-shaped programs), the assembler parser, the SLO
+# duration parser and the page-granular SparseMem paths against a byte-wise
+# reference. go test -fuzz takes one target per package run.
 fuzz-smoke:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
 	go test ./internal/asm/ -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseDuration -fuzztime 5s
+	go test ./internal/memhier/ -run '^$$' -fuzz FuzzSparseMem -fuzztime 5s
 
 # Run the differential engine against the archived Stat metrics snapshots
 # and check the ranked headline.

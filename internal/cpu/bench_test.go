@@ -220,7 +220,7 @@ func BenchmarkCachedLoadPath(b *testing.B) {
 		L1:      l1,
 		DRAM:    dram,
 		Backing: memhier.NewSparseMem(),
-		Client:  "bench",
+		Client:  memhier.DRAMClient{Name: "bench"},
 	}
 	bb := asm.New()
 	bb.Lui(asm.S1, 0x80000)

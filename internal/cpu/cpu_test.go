@@ -18,7 +18,7 @@ func newTestSystem() *memhier.System {
 		Backing:    memhier.NewSparseMem(),
 		Streams:    memhier.NewStreamBuffer(4, 4, 4, 256),
 		ViewPath:   memhier.ViewScratchpad,
-		Client:     "test",
+		Client:     memhier.DRAMClient{Name: "test"},
 	}
 }
 
@@ -312,7 +312,7 @@ func TestCachedLoadStallAccounting(t *testing.T) {
 		L1:      memhier.NewCache(memhier.CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, memhier.DRAMLevel{DRAM: dram}),
 		DRAM:    dram,
 		Backing: memhier.NewSparseMem(),
-		Client:  "c",
+		Client:  memhier.DRAMClient{Name: "c"},
 	}
 	sys.Backing.Write(memhier.DRAMBase, 4, 7)
 	b := asm.New()

@@ -174,6 +174,8 @@ type Engine struct {
 	ftl   *ftl.FTL
 	dram  *memhier.DRAM
 	xbar  *crossbar.Crossbar // nil for channel-local configurations
+	// The data plane's DRAM traffic classes.
+	fill, fwCopy, result memhier.DRAMClient
 
 	// Tel, when non-nil, records data-plane counters, per-page/drain spans
 	// and task lifecycle instants. Set it before Submit.
@@ -202,7 +204,11 @@ func New(cfg Config, sched *sim.Scheduler, f *ftl.FTL, dram *memhier.DRAM, xbar 
 	if cfg.MaxSenses <= 0 {
 		cfg.MaxSenses = 24
 	}
-	return &Engine{cfg: cfg, sched: sched, ftl: f, dram: dram, xbar: xbar}
+	return &Engine{cfg: cfg, sched: sched, ftl: f, dram: dram, xbar: xbar,
+		fill:   memhier.DRAMClient{Name: "fill"},
+		fwCopy: memhier.DRAMClient{Name: "fw-copy"},
+		result: memhier.DRAMClient{Name: "result"},
+	}
 }
 
 // Err returns the first data-plane error.
@@ -681,10 +687,10 @@ func (f *feeder) deliver(txDone sim.Time, pg sensedPage) (sim.Time, error) {
 		}
 		return f.e.xbar.Transfer(txDone, f.coreID, pg.rawSize)
 	case PathDRAMStage:
-		return f.e.dram.Access(txDone, pg.rawSize, true, "fill"), nil
+		return f.e.dram.Access(txDone, pg.rawSize, true, &f.e.fill), nil
 	case PathDRAMCopy:
-		staged := f.e.dram.Access(txDone, pg.rawSize, true, "fill")
-		return f.e.dram.Access(staged, pg.rawSize, false, "fw-copy"), nil
+		staged := f.e.dram.Access(txDone, pg.rawSize, true, &f.e.fill)
+		return f.e.dram.Access(staged, pg.rawSize, false, &f.e.fwCopy), nil
 	default:
 		return 0, fmt.Errorf("firmware: unknown data path %d", f.e.cfg.Path)
 	}
@@ -747,7 +753,7 @@ func (d *drainer) pump(now sim.Time) {
 				d.lpa++
 				freedAt = busDone
 			case OutToHost:
-				freedAt = d.e.dram.Access(now, n, true, "result")
+				freedAt = d.e.dram.Access(now, n, true, &d.e.result)
 			default:
 				freedAt = now
 			}

@@ -40,7 +40,7 @@ func newRig(t testing.TB) *rig {
 		Backing:    memhier.NewSparseMem(),
 		Streams:    memhier.NewStreamBuffer(2, 4, 4, cfg.PageSize),
 		ViewPath:   memhier.ViewScratchpad,
-		Client:     "core0",
+		Client:     memhier.DRAMClient{Name: "core0"},
 	}
 	core := cpu.New(cpu.DefaultConfig("core0"), sys)
 	return &rig{sched: sim.NewScheduler(), f: f, dram: dram, core: core, sys: sys}

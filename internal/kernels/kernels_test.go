@@ -38,7 +38,7 @@ func runKernel(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, 
 		Backing:    memhier.NewSparseMem(),
 		Streams:    memhier.NewStreamBuffer(slots, 8, 8, testPageSize),
 		ViewPath:   memhier.ViewScratchpad,
-		Client:     "test",
+		Client:     memhier.DRAMClient{Name: "test"},
 	}
 	if st := k.State(); st != nil {
 		if err := sys.Scratchpad.LoadBytes(0, st); err != nil {

@@ -7,25 +7,26 @@ import (
 )
 
 // NextLevel is the memory level a cache misses to: another cache or DRAM.
+// client tags the requester's traffic down to the DRAM.
 type NextLevel interface {
 	// FetchLine reads size bytes at addr and returns the completion time.
-	FetchLine(at sim.Time, addr uint32, size int, client string) sim.Time
+	FetchLine(at sim.Time, addr uint32, size int, client *DRAMClient) sim.Time
 	// WritebackLine writes size bytes at addr. Writebacks are posted (the
 	// issuing cache does not wait), so no completion time is returned; the
 	// traffic still occupies the level.
-	WritebackLine(at sim.Time, addr uint32, size int, client string)
+	WritebackLine(at sim.Time, addr uint32, size int, client *DRAMClient)
 }
 
 // DRAMLevel adapts DRAM to the NextLevel interface.
 type DRAMLevel struct{ DRAM *DRAM }
 
 // FetchLine implements NextLevel.
-func (d DRAMLevel) FetchLine(at sim.Time, addr uint32, size int, client string) sim.Time {
+func (d DRAMLevel) FetchLine(at sim.Time, addr uint32, size int, client *DRAMClient) sim.Time {
 	return d.DRAM.Access(at, size, false, client)
 }
 
 // WritebackLine implements NextLevel.
-func (d DRAMLevel) WritebackLine(at sim.Time, addr uint32, size int, client string) {
+func (d DRAMLevel) WritebackLine(at sim.Time, addr uint32, size int, client *DRAMClient) {
 	d.DRAM.Access(at, size, true, client)
 }
 
@@ -52,37 +53,54 @@ type CacheStats struct {
 	MissServiceTime sim.Time
 }
 
-type cacheLine struct {
-	tag        uint32
-	valid      bool
-	dirty      bool
-	prefetched bool
-	readyAt    sim.Time // when an in-flight fill completes
-	lastUse    uint64
+// lineState is a line's timing and replacement state. Its tag and valid
+// bit live apart, in Cache.tags, so that a set probe touches only tags.
+type lineState struct {
+	readyAt sim.Time // when an in-flight fill completes
+	lastUse uint64
 }
+
+// Line flag bits in Cache.flags.
+const (
+	lineDirty uint8 = 1 << iota
+	linePrefetched
+)
 
 // Cache is a set-associative, write-back, write-allocate cache timing model.
 // It tracks tags only; functional data lives in the backing SparseMem or
 // stream windows.
 type Cache struct {
-	cfg      CacheConfig
-	next     NextLevel
-	sets     [][]cacheLine
+	cfg  CacheConfig
+	next NextLevel
+	// Way w of set s is line s*ways+w in tags, state and flags. tags holds
+	// the line address with bit 0 set when the line is valid (0 when it is
+	// not), so probing a set compares one word per way.
+	tags     []uint32
+	state    []lineState
+	flags    []uint8 // lineDirty | linePrefetched
+	ways     int
 	setMask  uint32
 	lineBits uint
-	useTick  uint64
-	stats    CacheStats
+	// hit is the line the last demand access touched; lookup tries it
+	// before scanning the set. Tags are unique, so a match is exact.
+	hit     int
+	useTick uint64
+	// fills counts line installs (demand misses and issued prefetches).
+	// Lines leave only when an install replaces them, so while fills is
+	// unchanged every resident line stays resident.
+	fills uint64
+	stats CacheStats
 	// prefetcher, if set, observes demand accesses and issues fills.
 	prefetcher *Prefetcher
 }
 
-// NewCache returns a cache with the given geometry, missing to next.
+// NewCache returns a cache with the given geometry, missing to next. The
+// line size must be a power of two of at least 2 bytes.
 func NewCache(cfg CacheConfig, next NextLevel) *Cache {
 	if cfg.LineSize <= 0 || cfg.Size <= 0 || cfg.Ways <= 0 {
 		panic(fmt.Sprintf("memhier: bad cache config %+v", cfg))
 	}
-	nLines := cfg.Size / cfg.LineSize
-	nSets := nLines / cfg.Ways
+	nSets := cfg.Size / cfg.LineSize / cfg.Ways
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("memhier: cache %q: set count %d not a power of two", cfg.Name, nSets))
 	}
@@ -90,15 +108,15 @@ func NewCache(cfg CacheConfig, next NextLevel) *Cache {
 	for 1<<lineBits < cfg.LineSize {
 		lineBits++
 	}
-	if 1<<lineBits != cfg.LineSize {
-		panic(fmt.Sprintf("memhier: cache %q: line size %d not a power of two", cfg.Name, cfg.LineSize))
+	if 1<<lineBits != cfg.LineSize || lineBits == 0 {
+		panic(fmt.Sprintf("memhier: cache %q: line size %d not a power of two of at least 2", cfg.Name, cfg.LineSize))
 	}
-	sets := make([][]cacheLine, nSets)
-	lines := make([]cacheLine, nLines)
-	for i := range sets {
-		sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways]
+	nLines := nSets * cfg.Ways
+	return &Cache{
+		cfg: cfg, next: next,
+		tags: make([]uint32, nLines), state: make([]lineState, nLines), flags: make([]uint8, nLines),
+		ways: cfg.Ways, setMask: uint32(nSets - 1), lineBits: lineBits,
 	}
-	return &Cache{cfg: cfg, next: next, sets: sets, setMask: uint32(nSets - 1), lineBits: lineBits}
 }
 
 // AttachPrefetcher installs a prefetcher that observes this cache's demand
@@ -122,144 +140,146 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 
 func (c *Cache) lineAddr(addr uint32) uint32 { return addr &^ uint32(c.cfg.LineSize-1) }
 
-func (c *Cache) lookup(addr uint32) (*cacheLine, []cacheLine) {
-	set := c.sets[(addr>>c.lineBits)&c.setMask]
-	tag := addr >> c.lineBits
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			return &set[i], set
-		}
-	}
-	return nil, set
+func (c *Cache) setBase(lineAddr uint32) int {
+	return int((lineAddr>>c.lineBits)&c.setMask) * c.ways
 }
 
-func (c *Cache) victim(set []cacheLine) *cacheLine {
-	v := &set[0]
-	for i := 1; i < len(set); i++ {
-		if !set[i].valid {
-			return &set[i]
-		}
-		if set[i].lastUse < v.lastUse {
-			v = &set[i]
+// lookup returns the index of lineAddr's line, or -1 when it is absent.
+func (c *Cache) lookup(lineAddr uint32) int {
+	key := lineAddr | 1
+	if c.tags[c.hit] == key {
+		return c.hit
+	}
+	base := c.setBase(lineAddr)
+	for i, t := range c.tags[base : base+c.ways] {
+		if t == key {
+			return base + i
 		}
 	}
+	return -1
+}
+
+// replace picks the way lineAddr is installed into: the first invalid way
+// after way 0, else the least recently used. It evicts the line there,
+// writing it back if dirty, and counts the install.
+func (c *Cache) replace(at sim.Time, lineAddr uint32, client *DRAMClient) int {
+	base := c.setBase(lineAddr)
+	v := base
+	for i := base + 1; i < base+c.ways; i++ {
+		if c.tags[i] == 0 {
+			v = i
+			break
+		}
+		if c.state[i].lastUse < c.state[v].lastUse {
+			v = i
+		}
+	}
+	if t := c.tags[v]; t != 0 {
+		c.stats.Evictions++
+		if c.flags[v]&lineDirty != 0 {
+			c.stats.Writebacks++
+			c.next.WritebackLine(at, t&^1, c.cfg.LineSize, client)
+		}
+	}
+	c.fills++
 	return v
+}
+
+// accessLines services a demand access of size bytes at addr on every line
+// it touches and returns the latest completion.
+func (c *Cache) accessLines(at sim.Time, addr uint32, size int, write bool, client *DRAMClient) sim.Time {
+	done := at
+	last := c.lineAddr(addr + uint32(size) - 1)
+	for la := c.lineAddr(addr); ; la += uint32(c.cfg.LineSize) {
+		done = sim.MaxT(done, c.accessLine(at, la, write, client))
+		if la == last {
+			return done
+		}
+	}
 }
 
 // Access services a demand access of size bytes at addr issued at time at by
 // client, with the program counter pc driving the prefetcher. It returns
 // the completion time. Accesses that straddle a line boundary touch both
 // lines.
-func (c *Cache) Access(at sim.Time, addr uint32, size int, write bool, pc uint32, client string) sim.Time {
-	done := at
-	first := c.lineAddr(addr)
-	last := c.lineAddr(addr + uint32(size) - 1)
-	for la := first; ; la += uint32(c.cfg.LineSize) {
-		d := c.accessLine(at, la, write, client)
-		done = sim.MaxT(done, d)
-		if la == last {
-			break
-		}
-	}
+func (c *Cache) Access(at sim.Time, addr uint32, size int, write bool, pc uint32, client *DRAMClient) sim.Time {
+	done := c.accessLines(at, addr, size, write, client)
 	if c.prefetcher != nil {
 		c.prefetcher.Observe(at, pc, addr, client)
 	}
 	return done
 }
 
-func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client string) sim.Time {
+func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRAMClient) sim.Time {
 	c.useTick++
-	line, set := c.lookup(lineAddr)
-	if line != nil {
+	if i := c.lookup(lineAddr); i >= 0 {
+		c.hit = i
 		c.stats.Hits++
+		line := &c.state[i]
 		line.lastUse = c.useTick
+		f := c.flags[i]
 		if write {
-			line.dirty = true
+			f |= lineDirty
 		}
 		done := at + c.cfg.HitLatency
 		if line.readyAt > at { // hit under an in-flight (often prefetched) fill
-			if line.prefetched {
+			if f&linePrefetched != 0 {
 				c.stats.PrefetchUseful++
 			}
 			c.stats.DelayedHitTime += line.readyAt - at
 			done = line.readyAt + c.cfg.HitLatency
-		} else if line.prefetched {
+		} else if f&linePrefetched != 0 {
 			c.stats.PrefetchUseful++
-			line.prefetched = false
+			f &^= linePrefetched
 		}
+		c.flags[i] = f
 		return done
 	}
 
 	// Miss: allocate (write-allocate for stores too).
 	c.stats.Misses++
-	v := c.victim(set)
-	if v.valid {
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-			victimAddr := v.tag << c.lineBits
-			c.next.WritebackLine(at, victimAddr, c.cfg.LineSize, client)
-		}
-	}
+	v := c.replace(at, lineAddr, client)
 	fillDone := c.next.FetchLine(at+c.cfg.HitLatency, lineAddr, c.cfg.LineSize, client)
 	c.stats.MissServiceTime += fillDone - at
-	*v = cacheLine{tag: lineAddr >> c.lineBits, valid: true, dirty: write, readyAt: fillDone, lastUse: c.useTick}
+	c.tags[v] = lineAddr | 1
+	c.state[v] = lineState{readyAt: fillDone, lastUse: c.useTick}
+	c.flags[v] = 0
+	if write {
+		c.flags[v] = lineDirty
+	}
+	c.hit = v
 	return fillDone
 }
 
 // Prefetch installs lineAddr if absent, fetching it from the next level,
 // and reports whether a fill was actually issued. The demand path is not
 // blocked; a later demand access waits only for the remaining fill time.
-func (c *Cache) Prefetch(at sim.Time, lineAddr uint32, client string) bool {
+func (c *Cache) Prefetch(at sim.Time, lineAddr uint32, client *DRAMClient) bool {
 	lineAddr = c.lineAddr(lineAddr)
-	if line, _ := c.lookup(lineAddr); line != nil {
+	if c.lookup(lineAddr) >= 0 {
 		return false // already present or in flight
 	}
 	c.useTick++
-	set := c.sets[(lineAddr>>c.lineBits)&c.setMask]
-	v := c.victim(set)
-	if v.valid {
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-			c.next.WritebackLine(at, v.tag<<c.lineBits, c.cfg.LineSize, client)
-		}
-	}
+	v := c.replace(at, lineAddr, client)
 	fillDone := c.next.FetchLine(at, lineAddr, c.cfg.LineSize, client)
 	c.stats.PrefetchIssued++
-	*v = cacheLine{tag: lineAddr >> c.lineBits, valid: true, readyAt: fillDone, lastUse: c.useTick, prefetched: true}
+	c.tags[v] = lineAddr | 1
+	c.state[v] = lineState{readyAt: fillDone, lastUse: c.useTick}
+	c.flags[v] = linePrefetched
 	return true
 }
 
 // Contains reports whether lineAddr's line is resident (for tests).
 func (c *Cache) Contains(addr uint32) bool {
-	line, _ := c.lookup(c.lineAddr(addr))
-	return line != nil
+	return c.lookup(c.lineAddr(addr)) >= 0
 }
 
 // FetchLine implements NextLevel so caches can stack (L1 misses to L2).
-func (c *Cache) FetchLine(at sim.Time, addr uint32, size int, client string) sim.Time {
-	done := at
-	first := c.lineAddr(addr)
-	last := c.lineAddr(addr + uint32(size) - 1)
-	for la := first; ; la += uint32(c.cfg.LineSize) {
-		d := c.accessLine(at, la, false, client)
-		done = sim.MaxT(done, d)
-		if la == last {
-			break
-		}
-	}
-	return done
+func (c *Cache) FetchLine(at sim.Time, addr uint32, size int, client *DRAMClient) sim.Time {
+	return c.accessLines(at, addr, size, false, client)
 }
 
 // WritebackLine implements NextLevel.
-func (c *Cache) WritebackLine(at sim.Time, addr uint32, size int, client string) {
-	first := c.lineAddr(addr)
-	last := c.lineAddr(addr + uint32(size) - 1)
-	for la := first; ; la += uint32(c.cfg.LineSize) {
-		c.accessLine(at, la, true, client)
-		if la == last {
-			break
-		}
-	}
+func (c *Cache) WritebackLine(at sim.Time, addr uint32, size int, client *DRAMClient) {
+	c.accessLines(at, addr, size, true, client)
 }

@@ -12,10 +12,11 @@ func testDRAM() *DRAM {
 
 func TestCacheHitMiss(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{dram})
 
 	// First access: compulsory miss, waits for DRAM (60ns latency + 8ns xfer).
-	done := c.Access(0, 0x8000_0000, 4, false, 100, "t")
+	done := c.Access(0, 0x8000_0000, 4, false, 100, tc)
 	if done < 60*sim.Nanosecond {
 		t.Fatalf("miss done = %v, want >= 60ns", done)
 	}
@@ -26,7 +27,7 @@ func TestCacheHitMiss(t *testing.T) {
 
 	// Same line later: hit, no extra latency (L1 HitLatency=0).
 	at := 200 * sim.Nanosecond
-	done = c.Access(at, 0x8000_0010, 4, false, 100, "t")
+	done = c.Access(at, 0x8000_0010, 4, false, 100, tc)
 	if done != at {
 		t.Fatalf("hit done = %v, want %v", done, at)
 	}
@@ -37,10 +38,11 @@ func TestCacheHitMiss(t *testing.T) {
 
 func TestCacheHitUnderFill(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{dram})
-	first := c.Access(0, 0x8000_0000, 4, false, 1, "t")
+	first := c.Access(0, 0x8000_0000, 4, false, 1, tc)
 	// Access the same line before the fill completes: must wait for it.
-	done := c.Access(first/2, 0x8000_0020, 4, false, 1, "t")
+	done := c.Access(first/2, 0x8000_0020, 4, false, 1, tc)
 	if done != first {
 		t.Fatalf("hit-under-fill done = %v, want %v", done, first)
 	}
@@ -51,14 +53,15 @@ func TestCacheHitUnderFill(t *testing.T) {
 
 func TestCacheEvictionLRU(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	// 2 ways, 2 sets of 64B lines => 256B cache.
 	c := NewCache(CacheConfig{Name: "l1", Size: 256, Ways: 2, LineSize: 64}, DRAMLevel{dram})
 	// Three lines mapping to set 0 (stride 128).
 	a, b, d := uint32(0x8000_0000), uint32(0x8000_0080), uint32(0x8000_0100)
-	c.Access(0, a, 4, false, 1, "t")
-	c.Access(0, b, 4, false, 1, "t")
-	c.Access(0, a, 4, false, 1, "t") // touch a: b becomes LRU
-	c.Access(0, d, 4, false, 1, "t") // evicts b
+	c.Access(0, a, 4, false, 1, tc)
+	c.Access(0, b, 4, false, 1, tc)
+	c.Access(0, a, 4, false, 1, tc) // touch a: b becomes LRU
+	c.Access(0, d, 4, false, 1, tc) // evicts b
 	if !c.Contains(a) || !c.Contains(d) || c.Contains(b) {
 		t.Fatalf("LRU eviction wrong: a=%v b=%v d=%v", c.Contains(a), c.Contains(b), c.Contains(d))
 	}
@@ -69,10 +72,11 @@ func TestCacheEvictionLRU(t *testing.T) {
 
 func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 128, Ways: 1, LineSize: 64}, DRAMLevel{dram})
-	c.Access(0, 0x8000_0000, 4, true, 1, "t") // dirty line in set 0
+	c.Access(0, 0x8000_0000, 4, true, 1, tc) // dirty line in set 0
 	before := dram.Client("t").WriteBytes
-	c.Access(0, 0x8000_0080, 4, false, 1, "t") // evicts dirty line
+	c.Access(0, 0x8000_0080, 4, false, 1, tc) // evicts dirty line
 	after := dram.Client("t").WriteBytes
 	if after-before != 64 {
 		t.Fatalf("writeback bytes = %d, want 64", after-before)
@@ -84,8 +88,9 @@ func TestCacheWritebackOnDirtyEviction(t *testing.T) {
 
 func TestCacheStraddlingAccess(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{dram})
-	c.Access(0, 0x8000_003e, 4, false, 1, "t") // straddles lines 0 and 1
+	c.Access(0, 0x8000_003e, 4, false, 1, tc) // straddles lines 0 and 1
 	if st := c.Stats(); st.Misses != 2 {
 		t.Fatalf("straddling access misses = %d, want 2", st.Misses)
 	}
@@ -93,19 +98,20 @@ func TestCacheStraddlingAccess(t *testing.T) {
 
 func TestCacheL2Stacking(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	l2 := NewCache(CacheConfig{Name: "l2", Size: 4096, Ways: 4, LineSize: 64, HitLatency: 10 * sim.Nanosecond}, DRAMLevel{dram})
 	l1 := NewCache(CacheConfig{Name: "l1", Size: 256, Ways: 2, LineSize: 64}, l2)
 
-	l1.Access(0, 0x8000_0000, 4, false, 1, "t") // misses both, fills both
+	l1.Access(0, 0x8000_0000, 4, false, 1, tc) // misses both, fills both
 	if l2.Stats().Misses != 1 {
 		t.Fatalf("l2 misses = %d", l2.Stats().Misses)
 	}
 	// Evict from L1 by touching conflicting lines; then re-access: should
 	// hit L2 (fast) not DRAM.
-	l1.Access(0, 0x8000_0100, 4, false, 1, "t")
-	l1.Access(0, 0x8000_0200, 4, false, 1, "t")
+	l1.Access(0, 0x8000_0100, 4, false, 1, tc)
+	l1.Access(0, 0x8000_0200, 4, false, 1, tc)
 	at := 10 * sim.Microsecond
-	done := l1.Access(at, 0x8000_0000, 4, false, 1, "t")
+	done := l1.Access(at, 0x8000_0000, 4, false, 1, tc)
 	if done != at+10*sim.Nanosecond {
 		t.Fatalf("L2 hit done = %v, want %v", done, at+10*sim.Nanosecond)
 	}
@@ -113,6 +119,7 @@ func TestCacheL2Stacking(t *testing.T) {
 
 func TestCachePrefetchHidesLatency(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 32 << 10, Ways: 8, LineSize: 64}, DRAMLevel{dram})
 	p := NewPrefetcher(4)
 	c.AttachPrefetcher(p)
@@ -123,7 +130,7 @@ func TestCachePrefetchHidesLatency(t *testing.T) {
 	at := sim.Time(0)
 	var missesLate int64
 	for i := 0; i < 256; i++ {
-		done := c.Access(at, addr, 4, false, 42, "t")
+		done := c.Access(at, addr, 4, false, 42, tc)
 		at = done + sim.Nanosecond
 		addr += 4
 		if i == 128 {
@@ -146,12 +153,13 @@ func TestCachePrefetchHidesLatency(t *testing.T) {
 
 func TestPrefetcherIgnoresIrregular(t *testing.T) {
 	dram := testDRAM()
+	tc := &DRAMClient{Name: "t"}
 	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{dram})
 	p := NewPrefetcher(4)
 	c.AttachPrefetcher(p)
 	addrs := []uint32{0x8000_0000, 0x8000_1000, 0x8000_0100, 0x8000_5000, 0x8000_0200}
 	for _, a := range addrs {
-		c.Access(0, a, 4, false, 7, "t")
+		c.Access(0, a, 4, false, 7, tc)
 	}
 	if p.Stats().Issued != 0 {
 		t.Fatalf("prefetched on irregular pattern: %d", p.Stats().Issued)
@@ -162,17 +170,22 @@ func TestPrefetcherIgnoresIrregular(t *testing.T) {
 // TableSize PCs are tracked, a new PC replaces the one inserted first, even
 // when that one was just used (FIFO, not LRU).
 func TestPrefetcherFIFOReplacement(t *testing.T) {
-	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{testDRAM()})
+	dram := testDRAM()
+	c := NewCache(CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, DRAMLevel{dram})
 	p := NewPrefetcher(1)
 	p.TableSize = 3
 	c.AttachPrefetcher(p)
 	for _, pc := range []uint32{1, 2, 3, 1, 4, 5} {
-		p.Observe(0, pc, 0x8000_0000+pc*64, "t")
+		p.Observe(0, pc, 0x8000_0000+pc*64, &DRAMClient{Name: "t"})
 	}
 	// 4 replaced 1 (inserted first, although used since); 5 replaced 2.
 	for pc, want := range map[uint32]bool{1: false, 2: false, 3: true, 4: true, 5: true} {
-		if _, got := p.slot[pc]; got != want {
+		i, got := tracked(p, pc)
+		if got != want {
 			t.Errorf("pc %d tracked = %v, want %v", pc, got, want)
+		}
+		if got && p.table[i].pc != pc {
+			t.Errorf("pc %d indexes table entry %d holding pc %d", pc, i, p.table[i].pc)
 		}
 	}
 	if len(p.table) != 3 {
@@ -180,20 +193,37 @@ func TestPrefetcherFIFOReplacement(t *testing.T) {
 	}
 }
 
+// tracked looks pc up through the prefetcher's index and returns its table
+// position.
+func tracked(p *Prefetcher, pc uint32) (int, bool) {
+	if p.index == nil {
+		return 0, false
+	}
+	s := p.index[p.probe(pc)]
+	return int(s.entry) - 1, s.entry != 0
+}
+
 func TestCacheBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for non-power-of-two sets")
-		}
-	}()
-	NewCache(CacheConfig{Name: "bad", Size: 192, Ways: 1, LineSize: 64}, DRAMLevel{testDRAM()})
+	for why, cfg := range map[string]CacheConfig{
+		"non-power-of-two sets": {Name: "bad", Size: 192, Ways: 1, LineSize: 64},
+		"1-byte lines":          {Name: "bad", Size: 64, Ways: 1, LineSize: 1},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for %s", why)
+				}
+			}()
+			NewCache(cfg, DRAMLevel{testDRAM()})
+		}()
+	}
 }
 
 func TestDRAMClientAccounting(t *testing.T) {
 	d := testDRAM()
-	d.Access(0, 4096, true, "fill")
-	d.Access(0, 64, false, "core0")
-	d.Access(0, 64, false, "core0")
+	d.Access(0, 4096, true, &DRAMClient{Name: "fill"})
+	d.Access(0, 64, false, &DRAMClient{Name: "core0"})
+	d.Access(0, 64, false, &DRAMClient{Name: "core0"})
 	if got := d.Client("fill").WriteBytes; got != 4096 {
 		t.Errorf("fill writes = %d", got)
 	}
@@ -214,15 +244,16 @@ func TestDRAMBandwidthContention(t *testing.T) {
 	// Logically concurrent transfers may overlap within the co-simulation
 	// slack window, but sustained bandwidth is enforced: 100 reads of 1 KB
 	// at 1 GB/s take at least 100 µs minus the slack allowance.
+	a := &DRAMClient{Name: "a"}
 	var last sim.Time
 	for i := 0; i < 100; i++ {
-		last = d.Access(0, 1000, false, "a")
+		last = d.Access(0, 1000, false, a)
 	}
 	if last < 97*sim.Microsecond {
 		t.Fatalf("100µs of reads completed by %v; bandwidth not enforced", last)
 	}
 	// Writes queue behind the read backlog (read priority).
-	w := d.Access(0, 1000, true, "b")
+	w := d.Access(0, 1000, true, &DRAMClient{Name: "b"})
 	if w <= last-5*sim.Microsecond {
 		t.Fatalf("write at %v jumped the read backlog ending %v", w, last)
 	}

@@ -66,15 +66,27 @@ func (d *DRAM) transferTime(size int) sim.Time {
 	return sim.Time(float64(size) / d.bw * float64(sim.Second))
 }
 
-// Access services a transfer of size bytes for the named client arriving at
-// time at and returns its completion time. Writes are posted (completion is
-// when the write buffer drains); reads queue only behind earlier reads
-// unless the total backlog exceeds the write buffer.
-func (d *DRAM) Access(at sim.Time, size int, write bool, client string) sim.Time {
-	st := d.clients[client]
+// DRAMClient names one source of DRAM traffic. Its first access binds it
+// to the name's counters, so later accesses do no name lookup; use a client
+// with one DRAM only.
+type DRAMClient struct {
+	Name  string
+	stats *DRAMClientStats
+}
+
+// Access services a transfer of size bytes for client arriving at time at
+// and returns its completion time. Writes are posted (completion is when
+// the write buffer drains); reads queue only behind earlier reads unless
+// the total backlog exceeds the write buffer.
+func (d *DRAM) Access(at sim.Time, size int, write bool, client *DRAMClient) sim.Time {
+	st := client.stats
 	if st == nil {
-		st = &DRAMClientStats{}
-		d.clients[client] = st
+		st = d.clients[client.Name]
+		if st == nil {
+			st = &DRAMClientStats{}
+			d.clients[client.Name] = st
+		}
+		client.stats = st
 	}
 	st.Accesses++
 	d.accesses++

@@ -7,7 +7,10 @@
 // kernels compute real results.
 package memhier
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 const sparsePageBits = 12 // 4 KiB functional pages
 
@@ -15,21 +18,36 @@ const sparsePageBits = 12 // 4 KiB functional pages
 // It stores data for the DRAM address space (staging buffers, kernel spill).
 // Values are little-endian. Unwritten bytes read as zero.
 type SparseMem struct {
-	pages map[uint32][]byte
+	pages map[uint32]*sparsePage
+	// lastPN and lastPage memoize the most recently used allocated page.
+	// Pages are never freed, so the memo cannot go stale.
+	lastPN   uint32
+	lastPage *sparsePage
 }
+
+type sparsePage [1 << sparsePageBits]byte
 
 // NewSparseMem returns an empty memory.
 func NewSparseMem() *SparseMem {
-	return &SparseMem{pages: make(map[uint32][]byte)}
+	return &SparseMem{pages: make(map[uint32]*sparsePage)}
 }
 
-func (m *SparseMem) page(addr uint32, create bool) []byte {
+const sparsePageMask = 1<<sparsePageBits - 1
+
+func (m *SparseMem) page(addr uint32, create bool) *sparsePage {
 	pn := addr >> sparsePageBits
+	if m.lastPage != nil && m.lastPN == pn {
+		return m.lastPage
+	}
 	p := m.pages[pn]
-	if p == nil && create {
-		p = make([]byte, 1<<sparsePageBits)
+	if p == nil {
+		if !create {
+			return nil
+		}
+		p = new(sparsePage)
 		m.pages[pn] = p
 	}
+	m.lastPN, m.lastPage = pn, p
 	return p
 }
 
@@ -39,27 +57,60 @@ func (m *SparseMem) ByteAt(addr uint32) byte {
 	if p == nil {
 		return 0
 	}
-	return p[addr&(1<<sparsePageBits-1)]
+	return p[addr&sparsePageMask]
 }
 
 // SetByte stores b at addr.
 func (m *SparseMem) SetByte(addr uint32, b byte) {
-	m.page(addr, true)[addr&(1<<sparsePageBits-1)] = b
+	m.page(addr, true)[addr&sparsePageMask] = b
 }
 
-// Read returns size (1, 2 or 4) bytes at addr, little-endian.
+// inPage reports whether size > 0 bytes at addr lie in one page.
+func inPage(addr uint32, size int) bool {
+	return size > 0 && int(addr&sparsePageMask)+size <= 1<<sparsePageBits
+}
+
+// Read returns size (1, 2 or 4) bytes at addr, little-endian. An access
+// inside one page does one page lookup; one that straddles two goes byte
+// by byte.
 func (m *SparseMem) Read(addr uint32, size int) uint32 {
 	var v uint32
+	if !inPage(addr, size) {
+		for i := 0; i < size; i++ {
+			v |= uint32(m.ByteAt(addr+uint32(i))) << (8 * i)
+		}
+		return v
+	}
+	p := m.page(addr, false)
+	if p == nil {
+		return 0
+	}
+	b := p[addr&sparsePageMask:]
+	if size == 4 {
+		return binary.LittleEndian.Uint32(b)
+	}
 	for i := 0; i < size; i++ {
-		v |= uint32(m.ByteAt(addr+uint32(i))) << (8 * i)
+		v |= uint32(b[i]) << (8 * i)
 	}
 	return v
 }
 
-// Write stores the low size bytes of v at addr, little-endian.
+// Write stores the low size bytes of v at addr, little-endian, with the
+// same page-granular path as Read.
 func (m *SparseMem) Write(addr uint32, size int, v uint32) {
+	if !inPage(addr, size) {
+		for i := 0; i < size; i++ {
+			m.SetByte(addr+uint32(i), byte(v>>(8*i)))
+		}
+		return
+	}
+	b := m.page(addr, true)[addr&sparsePageMask:]
+	if size == 4 {
+		binary.LittleEndian.PutUint32(b, v)
+		return
+	}
 	for i := 0; i < size; i++ {
-		m.SetByte(addr+uint32(i), byte(v>>(8*i)))
+		b[i] = byte(v >> (8 * i))
 	}
 }
 

@@ -81,3 +81,43 @@ func TestSparseMemRandomizedAgainstMap(t *testing.T) {
 		}
 	}
 }
+
+// FuzzSparseMem runs a sequence of Read/Write ops clustered around base
+// against a byte-wise reference. Each op is 4 bytes: bit 0 of the first
+// selects a write, bits 1-3 the size (0-7), the second is a signed offset
+// from base, the last two seed the stored value. Seeds sit at page ends so
+// that accesses straddle pages. Footprint must count exactly the pages
+// that a byte was written to.
+func FuzzSparseMem(f *testing.F) {
+	f.Add(uint32(1<<sparsePageBits-2), []byte{0x09, 0, 0x44, 0x33, 0x08, 0, 0, 0, 0x08, 1, 0, 0})
+	f.Add(uint32(0xffff_fffe), []byte{0x09, 0, 0xaa, 0xbb, 0x08, 0xff, 0, 0, 0x04, 2, 0, 0})
+	f.Add(uint32(0x8000_0ffd), []byte{0x07, 0, 1, 2, 0x05, 0xfe, 3, 4, 0x08, 0xfe, 0, 0, 0x01, 9, 0, 0})
+	f.Fuzz(func(t *testing.T, base uint32, ops []byte) {
+		m := NewSparseMem()
+		ref := make(map[uint32]byte)
+		pages := make(map[uint32]bool)
+		for ; len(ops) >= 4; ops = ops[4:] {
+			size := int(ops[0]>>1) & 7
+			addr := base + uint32(int8(ops[1]))
+			v := uint32(ops[2])<<24 | uint32(ops[3])<<8 | uint32(ops[2]^ops[3])
+			if ops[0]&1 != 0 {
+				m.Write(addr, size, v)
+				for i := 0; i < size; i++ {
+					ref[addr+uint32(i)] = byte(v >> (8 * i))
+					pages[(addr+uint32(i))>>sparsePageBits] = true
+				}
+				continue
+			}
+			var want uint32
+			for i := 0; i < size; i++ {
+				want |= uint32(ref[addr+uint32(i)]) << (8 * i)
+			}
+			if got := m.Read(addr, size); got != want {
+				t.Fatalf("Read(%#x, %d) = %#x, want %#x", addr, size, got, want)
+			}
+		}
+		if got, want := m.Footprint(), len(pages)<<sparsePageBits; got != want {
+			t.Fatalf("Footprint = %d, want %d", got, want)
+		}
+	})
+}

@@ -63,8 +63,8 @@ type System struct {
 	// accesses beyond the base cycle (0 = the single-cycle prefetched head
 	// FIFO of Section V-B).
 	StreamExtraCycles int
-	// Client tags this core's DRAM traffic.
-	Client string
+	// Client tags this core's DRAM traffic, through the caches too.
+	Client DRAMClient
 }
 
 // viewTiming applies the configuration's data-path timing to a stream-view
@@ -77,9 +77,9 @@ func (m *System) viewTiming(at, ready sim.Time, addr uint32, size int, write boo
 		}
 	case ViewCached:
 		if m.L1 != nil {
-			ready = sim.MaxT(ready, m.L1.Access(at, addr, size, write, pc, m.Client))
+			ready = sim.MaxT(ready, m.L1.Access(at, addr, size, write, pc, &m.Client))
 		} else if m.DRAM != nil {
-			ready = sim.MaxT(ready, m.DRAM.Access(at, size, write, m.Client))
+			ready = sim.MaxT(ready, m.DRAM.Access(at, size, write, &m.Client))
 		}
 	}
 	return ready
@@ -109,9 +109,9 @@ func (m *System) Load(at sim.Time, addr uint32, size int, pc uint32) (AccessResu
 		// treat everything outside the defined windows as DRAM space.
 		var done sim.Time
 		if m.L1 != nil {
-			done = m.L1.Access(at, addr, size, false, pc, m.Client)
+			done = m.L1.Access(at, addr, size, false, pc, &m.Client)
 		} else if m.DRAM != nil {
-			done = m.DRAM.Access(at, size, false, m.Client)
+			done = m.DRAM.Access(at, size, false, &m.Client)
 		} else {
 			done = at
 		}
@@ -128,9 +128,10 @@ func (m *System) Load(at sim.Time, addr uint32, size int, pc uint32) (AccessResu
 		}
 		off24 := int64((addr - StreamInViewBase) % StreamViewStride)
 		// Reconstruct the absolute stream offset from the 24-bit view
-		// offset and the window position.
+		// offset and the window position: head plus (off24-head) mod the
+		// power-of-two stride.
 		head := st.Head()
-		abs := head + ((off24-head)%StreamViewStride+StreamViewStride)%StreamViewStride
+		abs := head + (off24-head)&(StreamViewStride-1)
 		v, ready, status := st.ReadAt(at, abs, size)
 		if status == LoadEOS {
 			return AccessResult{}, fmt.Errorf("memhier: stream view load beyond stream (slot %d abs %d)", slot, abs)
@@ -161,9 +162,9 @@ func (m *System) Store(at sim.Time, addr uint32, size int, v uint32, pc uint32) 
 	case addr >= DRAMBase || addr < ScratchpadBase:
 		var done sim.Time
 		if m.L1 != nil {
-			done = m.L1.Access(at, addr, size, true, pc, m.Client)
+			done = m.L1.Access(at, addr, size, true, pc, &m.Client)
 		} else if m.DRAM != nil {
-			done = m.DRAM.Access(at, size, true, m.Client)
+			done = m.DRAM.Access(at, size, true, &m.Client)
 		} else {
 			done = at
 		}

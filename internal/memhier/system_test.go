@@ -14,7 +14,7 @@ func testSystem(path ViewPath, withCache bool) *System {
 		Backing:  NewSparseMem(),
 		Streams:  NewStreamBuffer(2, 2, 2, 64),
 		ViewPath: path,
-		Client:   "core0",
+		Client:   DRAMClient{Name: "core0"},
 	}
 	if withCache {
 		l2 := NewCache(CacheConfig{Name: "l2", Size: 4096, Ways: 4, LineSize: 64, HitLatency: 10 * sim.Nanosecond}, DRAMLevel{dram})

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 
+	"assasin/internal/memhier"
 	"assasin/internal/sim"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry/reqtrace"
@@ -100,6 +101,8 @@ type Controller struct {
 	drive *ssd.SSD
 	link  *sim.BandwidthServer
 	cfg   Config
+	// DRAM traffic of staged host reads and writes.
+	hostRead, hostWrite memhier.DRAMClient
 	// free recycles command records, so a steady stream of Submits
 	// allocates nothing per command.
 	free []*command
@@ -158,9 +161,11 @@ func New(drive *ssd.SSD, cfg Config) *Controller {
 		cfg = DefaultConfig()
 	}
 	return &Controller{
-		drive: drive,
-		link:  sim.NewBandwidthServer("pcie", cfg.LinkBandwidth, cfg.LinkLatency),
-		cfg:   cfg,
+		drive:     drive,
+		link:      sim.NewBandwidthServer("pcie", cfg.LinkBandwidth, cfg.LinkLatency),
+		cfg:       cfg,
+		hostRead:  memhier.DRAMClient{Name: "host-read"},
+		hostWrite: memhier.DRAMClient{Name: "host-write"},
 	}
 }
 
@@ -196,7 +201,7 @@ func (c *Controller) execute(slot *IOCompletion, now sim.Time) {
 				payload = append(payload, data...)
 			}
 			// Staged in DRAM, then out over the host link.
-			staged := c.drive.DRAM.Access(d, ps, true, "host-read")
+			staged := c.drive.DRAM.Access(d, ps, true, &c.hostRead)
 			out := c.link.Access(staged, ps)
 			if out > done {
 				done = out
@@ -226,7 +231,7 @@ func (c *Controller) execute(slot *IOCompletion, now sim.Time) {
 				chunk = req.Data[lo:hi]
 			}
 			in := c.link.Access(now, ps)
-			staged := c.drive.DRAM.Access(in, ps, true, "host-write")
+			staged := c.drive.DRAM.Access(in, ps, true, &c.hostWrite)
 			busDone, _, err := c.drive.FTL.Write(staged, req.LPA+p, chunk)
 			if err != nil {
 				slot.Err = err

@@ -218,7 +218,7 @@ func New(opt Options) *SSD {
 			Backing:  memhier.NewSparseMem(),
 			Streams:  s.newStreams(),
 			ViewPath: spec.viewPath,
-			Client:   fmt.Sprintf("core%d", i),
+			Client:   memhier.DRAMClient{Name: fmt.Sprintf("core%d", i)},
 		}
 		if spec.spBytes > 0 {
 			sys.Scratchpad = memhier.NewScratchpad(spec.spBytes)
