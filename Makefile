@@ -15,22 +15,26 @@ test: build
 # accidental sharing from tests), and the observability layer that serves
 # concurrent scrapers against a running simulation. The cpu and data-plane
 # equivalence soaks (internal/experiments) also run here, plus the
-# request-trace parallel-determinism check: any Precise/Compiled or
-# coalesced/per-page divergence, and any worker-count-dependent request
-# summary, is a release blocker.
+# request-trace parallel-determinism check and the observed fan-out check
+# (every experiment's runs on private sinks): any Precise/Compiled or
+# coalesced/per-page divergence, any worker-count-dependent request summary
+# or merged metrics snapshot, and any data race is a release blocker.
 race:
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism|TestObservedFanOutParallelSafe'
 
 # A short bounded pass over every fuzz target: the compiled-vs-precise
 # differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz
 # seeds it with kernel-shaped programs), the assembler parser, the SLO
-# duration parser and the page-granular SparseMem paths against a byte-wise
-# reference. go test -fuzz takes one target per package run.
+# duration and objective-spec parsers, the -load spec parser and the
+# page-granular SparseMem paths against a byte-wise reference. go test
+# -fuzz takes one target per package run.
 fuzz-smoke:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
 	go test ./internal/asm/ -run '^$$' -fuzz FuzzParse -fuzztime 5s
 	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseDuration -fuzztime 5s
+	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s
+	go test ./internal/experiments/ -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
 	go test ./internal/memhier/ -run '^$$' -fuzz FuzzSparseMem -fuzztime 5s
 
 # Run the differential engine against the archived Stat metrics snapshots
@@ -64,8 +68,7 @@ ci:
 	go build ./...
 	go test ./...
 	cd benchmark && go vet ./... && go test ./...
-	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism'
+	$(MAKE) race
 	$(MAKE) fuzz-smoke
 	scripts/alloc-gate.sh
 	scripts/serve-smoke.sh

@@ -158,8 +158,12 @@ func main() {
 	if *tracePth != "" || *metrPth != "" || *tlDir != "" {
 		tel = telemetry.NewSink()
 		tel.Log = log
+		if *tracePth == "" {
+			// Metrics-only root: every run gets a private sink merged at its
+			// boundary (see experiments.Observer).
+			tel.MaxEvents = -1
+		}
 		cfg.Telemetry = tel
-		cfg.PerRunTelemetry = *tracePth == ""
 	}
 	if *tlDir != "" {
 		if err := os.MkdirAll(*tlDir, 0o755); err != nil {
@@ -167,10 +171,7 @@ func main() {
 		}
 	}
 	if *tlDir != "" || *diffRuns {
-		cfg.Timeline = &timeline.Config{
-			IntervalPs:   int64(*tlIvalUs * 1e6),
-			TraceClasses: *tracePth != "",
-		}
+		cfg.Timeline = &timeline.Config{IntervalPs: int64(*tlIvalUs * 1e6)}
 	}
 	cfg.Requests = *requests
 	cfg.KProf = *kprofN > 0
@@ -237,7 +238,7 @@ func main() {
 			recs := pending
 			pending = nil
 			recMu.Unlock()
-			drainRecords(name, recs, coll, cfg, *requests, *jsonDir, *kprofN, *kprofDir)
+			drainRecords(name, recs, coll, *requests, *jsonDir, *kprofN, *kprofDir)
 		}
 		wall := time.Since(start).Seconds()
 		if lr, ok := rows.(*experiments.LoadResult); ok && *jsonDir != "" {
@@ -311,31 +312,12 @@ func fatal(err error) {
 // sorted by (label, cores, input bytes, duration) — a deterministic total
 // order over every experiment's fan-out — before observation, so collector
 // run ids, attribution reports, and slowest-request tables are independent
-// of parallel completion order. Per-run metrics snapshots get an empty
-// delta baseline (they already cover exactly one run); cumulative
-// shared-sink snapshots (-trace, which forces sequential runs) chain their
-// baselines in completion order before the sort, keeping deltas correct.
-func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector, cfg experiments.Config, requests int, jsonDir string, kprofN int, kprofDir string) {
-	type obsRun struct {
-		rec  *experiments.RunRecord
-		prev *telemetry.MetricsSnapshot
-	}
-	runs := make([]obsRun, len(recs))
-	var cum telemetry.MetricsSnapshot
-	for i := range recs {
-		runs[i].rec = &recs[i]
-		if recs[i].Metrics != nil {
-			if cfg.PerRunTelemetry {
-				runs[i].prev = &telemetry.MetricsSnapshot{}
-			} else {
-				p := cum
-				runs[i].prev = &p
-				cum = *recs[i].Metrics
-			}
-		}
-	}
-	sort.SliceStable(runs, func(i, j int) bool {
-		a, b := runs[i].rec, runs[j].rec
+// of parallel completion order. Each record carries its own counter-delta
+// baseline (RunRecord.Prev), so the order of observation cannot change a
+// report.
+func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector, requests int, jsonDir string, kprofN int, kprofDir string) {
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := &recs[i], &recs[j]
 		if a.Label != b.Label {
 			return a.Label < b.Label
 		}
@@ -348,23 +330,17 @@ func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector,
 		return a.Duration < b.Duration
 	})
 	var sums []*reqtrace.Summary
-	for _, r := range runs {
-		if coll != nil {
-			run := r.rec.AttributionRun()
-			if run.Metrics != nil {
-				run.Prev = r.prev
-			}
-			coll.ObserveRunProfile(run, r.rec.Timeline, r.rec.Requests, r.rec.Profile)
-		}
-		if r.rec.Requests != nil {
-			sums = append(sums, r.rec.Requests)
+	for _, r := range recs {
+		coll.ObserveRun(r.AttributionRun(), r.Timeline, r.Requests, r.Profile)
+		if r.Requests != nil {
+			sums = append(sums, r.Requests)
 		}
 	}
 	if kprofN > 0 {
 		var profs []kprof.Labeled
-		for _, r := range runs {
-			if r.rec.Profile != nil {
-				profs = append(profs, kprof.Labeled{Label: r.rec.Profile.Label, Profile: r.rec.Profile})
+		for _, r := range recs {
+			if r.Profile != nil {
+				profs = append(profs, kprof.Labeled{Label: r.Profile.Label, Profile: r.Profile})
 			}
 		}
 		if len(profs) > 0 {

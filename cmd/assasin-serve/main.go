@@ -112,25 +112,26 @@ func main() {
 		fatal(err)
 	}
 
-	// The telemetry sink is single-goroutine, so the experiment loop runs
-	// sequentially; the HTTP side only ever reads published snapshots.
+	// The root sink records trace events, so every run shares it and the
+	// experiments run sequentially (see experiments.Observer): each run's
+	// metrics snapshot, and so /metrics, is cumulative. The HTTP side only
+	// ever reads published snapshots.
 	tel := telemetry.NewSink()
 	tel.Log = log
 	cfg.Telemetry = tel
-	cfg.Workers = 1
 	cfg.Timeline = &timeline.Config{}
 	cfg.Requests = *requests
 	cfg.KProf = *kprofOn
 	coll := obs.NewCollector()
 	coll.SetBuildInfo(buildinfo.Get().PromLabels()...)
 	cfg.OnRunDone = func(rec experiments.RunRecord) {
-		coll.ObserveRunProfile(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
+		coll.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
 	}
 
 	// The load experiment streams its SLO state: every burn-evaluation
 	// boundary publishes a fresh status + live snapshot, so /slo and /live
-	// move in sim time while the run executes (Workers is 1, so drives run
-	// sequentially and publications stay ordered).
+	// move in sim time while the run executes (runs share the root sink,
+	// so drives run sequentially and publications stay ordered).
 	lc := experiments.DefaultLoad()
 	if *quick {
 		lc = experiments.QuickLoad()

@@ -25,6 +25,7 @@ import (
 
 	"assasin/internal/buildinfo"
 	"assasin/internal/cpu"
+	"assasin/internal/experiments"
 	"assasin/internal/firmware"
 	"assasin/internal/kernels"
 	"assasin/internal/obs"
@@ -106,28 +107,20 @@ func main() {
 	if *tlIvalUs <= 0 {
 		fail(fmt.Errorf("-timeline-interval-us must be > 0, got %g", *tlIvalUs))
 	}
-	var tel *telemetry.Sink
+	cfg := experiments.Config{Requests: *requests, KProf: *kprofN > 0, Log: log}
 	if *tracePth != "" || *metrPth != "" || *report || *tlPth != "" || *diffPth != "" {
-		tel = telemetry.NewSink()
-		tel.Log = log
-		tel.StartRun(fmt.Sprintf("%s/%s", *archName, *kernel))
+		cfg.Telemetry = telemetry.NewSink()
+		cfg.Telemetry.Log = log
+		if *tracePth == "" {
+			cfg.Telemetry.MaxEvents = -1 // metrics only: see experiments.Observer
+		}
 	}
-	var sampler *timeline.Sampler
 	if *tlPth != "" || *diffPth != "" {
-		sampler = timeline.New(tel, timeline.Config{
-			IntervalPs:   int64(*tlIvalUs * 1e6),
-			TraceClasses: *tracePth != "",
-		})
+		cfg.Timeline = &timeline.Config{IntervalPs: int64(*tlIvalUs * 1e6)}
 	}
-	var tracer *reqtrace.Tracer
-	if *requests > 0 {
-		tracer = reqtrace.New(tel, reqtrace.Config{TopK: *requests})
-	}
-	var kp *kprof.Profiler
-	if *kprofN > 0 {
-		kp = kprof.New()
-	}
-	s := ssd.New(ssd.Options{Arch: arch, Cores: *cores, TimingAdjusted: *adjusted, Telemetry: tel, Timeline: sampler, Requests: tracer, KProf: kp, Log: log})
+	label := fmt.Sprintf("%s/%v", k.Name(), arch)
+	run := experiments.Observe(cfg, experiments.RunRecord{Label: label, Kernel: k.Name(), Arch: arch, Cores: *cores})
+	s := ssd.New(run.Options(ssd.Options{Arch: arch, Cores: *cores, TimingAdjusted: *adjusted}))
 	size := int(*mb * (1 << 20))
 	size -= size % 64
 	var lpaLists [][]int
@@ -152,65 +145,41 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	done := run.Finish(s, res)
+	attr := done.AttributionRun()
 
 	fmt.Printf("%s / %s: %d cores, %.2f MB input\n", arch, k.Name(), *cores, float64(res.InputBytes)/(1<<20))
 	fmt.Printf("  duration    %v\n", res.Duration)
 	fmt.Printf("  throughput  %.3f GB/s\n", res.Throughput()/1e9)
-	var busy, mem, wait, outw, exec float64
-	var instr int64
+	var total, instr int64
+	for _, ps := range attr.ClassPs {
+		total += ps
+	}
 	for _, st := range res.CoreStats {
-		busy += st.BusyTime.Seconds()
-		mem += st.StallTime[cpu.StallMem].Seconds()
-		wait += st.StallTime[cpu.StallStreamWait].Seconds()
-		outw += st.StallTime[cpu.StallOutFull].Seconds()
-		exec += st.StallTime[cpu.StallExec].Seconds()
 		instr += st.Instructions
 	}
-	total := busy + mem + wait + outw + exec
 	if total > 0 {
-		fmt.Printf("  cycles: busy %.0f%%, mem %.0f%%, data-wait %.0f%%, out-full %.0f%%, exec %.0f%%\n",
-			100*busy/total, 100*mem/total, 100*wait/total, 100*outw/total, 100*exec/total)
+		// Short column names, indexed like cpu.ClassNames.
+		short := [cpu.NumClasses]string{"busy", "mem", "data-wait", "out-full", "exec"}
+		parts := make([]string, len(short))
+		for i, name := range short {
+			parts[i] = fmt.Sprintf("%s %.0f%%", name, 100*float64(attr.ClassPs[i])/float64(total))
+		}
+		fmt.Printf("  cycles: %s\n", strings.Join(parts, ", "))
 	}
 	fmt.Printf("  instructions %d (%.2f per input byte)\n", instr, float64(instr)/float64(res.InputBytes))
 	fmt.Printf("  DRAM traffic %.2f MB (util %.0f%%)\n",
 		float64(s.DRAM.TotalBytes())/(1<<20), 100*s.DRAM.Utilization(res.Duration))
 
-	if tel != nil || *report {
-		s.PublishStats()
-	}
-	label := fmt.Sprintf("%s/%v", k.Name(), arch)
-	tl := sampler.Finish(label, int64(res.Duration))
 	var rep *analyze.RunReport
 	if *report || *diffPth != "" {
-		run := analyze.Run{
-			Label:      label,
-			Kernel:     k.Name(),
-			Arch:       arch.String(),
-			Cores:      *cores,
-			DurationPs: int64(res.Duration),
-			InputBytes: res.InputBytes,
-		}
-		for _, st := range res.CoreStats {
-			run.BusyPs += int64(st.BusyTime)
-			run.CacheDRAMWaitPs += int64(st.StallTime[cpu.StallMem])
-			run.StreamRefillWaitPs += int64(st.StallTime[cpu.StallStreamWait])
-			run.OutFullWaitPs += int64(st.StallTime[cpu.StallOutFull])
-			run.ExecStallPs += int64(st.StallTime[cpu.StallExec])
-		}
-		if tel != nil {
-			snap := tel.Metrics()
-			run.Metrics = &snap
-		}
-		rep = analyze.Attribute(run)
-		analyze.AttachPhases(rep, tl)
+		rep = analyze.Attribute(attr)
+		analyze.AttachPhases(rep, done.Timeline)
 	}
 	if *report {
 		fmt.Print(analyze.FormatReport(rep))
 	}
-	var guest *kprof.Profile
-	if kp != nil {
-		guest = kp.Snapshot()
-		guest.Label = label
+	if guest := done.Profile; guest != nil {
 		fmt.Print(guest.FormatHotBlocks(*kprofN))
 		if *kprofDir != "" {
 			if err := writeKProf(*kprofDir, guest); err != nil {
@@ -219,8 +188,7 @@ func main() {
 			fmt.Printf("  profile     %s/profile.{json,folded,pb.gz}\n", *kprofDir)
 		}
 	}
-	if tracer != nil {
-		sum := tracer.Summary(label)
+	if sum := done.Requests; sum != nil {
 		if err := sum.WriteText(os.Stdout); err != nil {
 			fail(err)
 		}
@@ -238,7 +206,7 @@ func main() {
 			fmt.Printf("  requests    %s (%d traced)\n", *reqJSON, sum.Count)
 		}
 	}
-	if tel != nil {
+	if tel := cfg.Telemetry; tel != nil {
 		if *tracePth != "" {
 			if err := tel.WriteChromeTraceFile(*tracePth); err != nil {
 				fail(err)
@@ -252,10 +220,10 @@ func main() {
 			fmt.Printf("  metrics     %s\n", *metrPth)
 		}
 		if *tlPth != "" {
-			if err := tl.WriteFile(*tlPth); err != nil {
+			if err := done.Timeline.WriteFile(*tlPth); err != nil {
 				fail(err)
 			}
-			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(tl.TimesPs))
+			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(done.Timeline.TimesPs))
 		}
 	}
 	if *diffPth != "" {
@@ -263,11 +231,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cur := diff.RunData{Label: label, Report: rep, Timeline: tl, Profile: guest}
-		if tel != nil {
-			snap := tel.Metrics()
-			cur.Metrics = &snap
-		}
+		cur := diff.RunData{Label: label, Report: rep, Timeline: done.Timeline, Profile: done.Profile, Metrics: done.Metrics}
 		fmt.Print(diff.Compare(other, cur).Format())
 	}
 }

@@ -300,7 +300,7 @@ func (c *Core) streamRetire(pc int, t0 sim.Time, kind StallKind) {
 	period := c.cfg.Clock.Period
 	c.stats.BusyTime += period
 	if c.prof != nil {
-		c.prof.Record(pc, period, int(kind), extra)
+		c.prof.Record(pc, period, kind, extra)
 	}
 	c.at = t0 + extra + period
 }
@@ -585,7 +585,7 @@ func (c *Core) compileBodyElem(pc int) bodyFn {
 			c.at += period
 			c.stats.BusyTime += period
 			if c.prof != nil {
-				c.prof.Record(vpc, period, int(StallExec), 0)
+				c.prof.Record(vpc, period, StallExec, 0)
 			}
 			c.countInst(isa.ClassHalt)
 			c.pc = vpc

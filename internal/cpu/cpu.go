@@ -14,7 +14,6 @@ import (
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/kprof"
 )
 
 // Config sets a core's timing parameters.
@@ -67,23 +66,46 @@ const (
 	StallOutFull
 	// StallExec: multi-cycle execution (mul/div) and branch penalties.
 	StallExec
-	numStallKinds
+	// NumStallKinds is the number of stall kinds.
+	NumStallKinds
 )
 
-// String implements fmt.Stringer.
+// String returns the kind's class name (ClassNames[1+k]).
 func (k StallKind) String() string {
-	switch k {
-	case StallMem:
-		return "mem"
-	case StallStreamWait:
-		return "stream-wait"
-	case StallOutFull:
-		return "out-full"
-	case StallExec:
-		return "exec"
-	default:
+	if k < 0 || k >= NumStallKinds {
 		return fmt.Sprintf("stall%d", int(k))
 	}
+	return ClassNames[1+k]
+}
+
+// The Fig 5 cycle classes: every simulated core cycle is issue time or a
+// stall of one StallKind. These names are the attribution report's,
+// timeline's ("class/<name>" series), class gauges' ("class/<name>_ps") and
+// request critical paths' vocabulary.
+const (
+	// ClassCoreBusy: the core issued an instruction this cycle.
+	ClassCoreBusy = "core-busy"
+	// ClassCacheDRAMWait (StallMem): loads/stores waiting on the cache
+	// hierarchy and SSD DRAM — the paper's in-SSD memory wall.
+	ClassCacheDRAMWait = "cache-dram-wait"
+	// ClassStreamRefillWait (StallStreamWait): stream reads that outran the
+	// flash-to-buffer refill path.
+	ClassStreamRefillWait = "stream-refill-wait"
+	// ClassOutFullWait (StallOutFull): appends blocked on a full output
+	// window awaiting a firmware drain.
+	ClassOutFullWait = "out-full-wait"
+	// ClassExecStall (StallExec): multi-cycle execution and branch penalties.
+	ClassExecStall = "exec-stall"
+)
+
+// NumClasses is busy time plus one class per StallKind.
+const NumClasses = 1 + int(NumStallKinds)
+
+// ClassNames is the one stall-class table, in canonical order: busy first,
+// then StallKind k at index 1+k. Every consumer iterates it (with
+// Stats.ClassTimes) instead of naming the classes one by one.
+var ClassNames = [NumClasses]string{
+	ClassCoreBusy, ClassCacheDRAMWait, ClassStreamRefillWait, ClassOutFullWait, ClassExecStall,
 }
 
 // Stats accumulates a core's execution profile.
@@ -93,7 +115,7 @@ type Stats struct {
 	// BusyTime is issue time: one cycle per retired instruction.
 	BusyTime sim.Time
 	// StallTime is non-issue time by category.
-	StallTime [numStallKinds]sim.Time
+	StallTime [NumStallKinds]sim.Time
 	// LoadBytes / StoreBytes / StreamInBytes / StreamOutBytes count data
 	// moved by the program.
 	LoadBytes, StoreBytes, StreamInBytes, StreamOutBytes int64
@@ -105,6 +127,16 @@ type Stats struct {
 	// compare it); request tracing uses deltas to report per-request
 	// dispatch slices.
 	Dispatches int64
+}
+
+// ClassTimes returns the core's time per class in picoseconds, indexed like
+// ClassNames.
+func (s *Stats) ClassTimes() (t [NumClasses]int64) {
+	t[0] = int64(s.BusyTime)
+	for k, st := range s.StallTime {
+		t[1+k] = int64(st)
+	}
+	return t
 }
 
 // TotalTime returns busy plus all stall time.
@@ -181,8 +213,8 @@ type Core struct {
 	// prof is the per-program recording sink bound at LoadProgram. Every
 	// hook sits behind an `if c.prof != nil` guard so a detached core pays
 	// only nil-pointer branches (the zero-cost contract, like tel).
-	kprofiler *kprof.Profiler
-	prof      *kprof.CoreProfile
+	kprofiler *Profiler
+	prof      *CoreProfile
 }
 
 // New returns a core ready to Load a program.
@@ -328,9 +360,8 @@ func (c *Core) AttachTelemetry(sink *telemetry.Sink) {
 
 // AttachKProf gives the core a guest-kernel profiler (nil detaches). The
 // per-program recording sink is (re)bound at every LoadProgram, so the
-// profiler sees all requests a core serves; value-sharing of cpu.StallKind
-// and kprof's stall indices lets the hooks pass kinds through unchanged.
-func (c *Core) AttachKProf(p *kprof.Profiler) {
+// profiler sees all requests a core serves.
+func (c *Core) AttachKProf(p *Profiler) {
 	c.kprofiler = p
 	if p == nil {
 		c.prof = nil
@@ -377,7 +408,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 			if c.prof != nil {
 				// Blocked-wait: charged to the pc that will retry, with no
 				// instruction retired. All engines block at the same pc.
-				c.prof.Stall(c.pc, int(c.blockKind), c.wakeAt-c.at)
+				c.prof.Stall(c.pc, c.blockKind, c.wakeAt-c.at)
 			}
 			c.at = c.wakeAt
 		}
@@ -466,7 +497,7 @@ func (c *Core) retire(pc int, t0, done sim.Time, kind StallKind) {
 		end = done + period
 	}
 	if c.prof != nil {
-		c.prof.Record(pc, period, int(kind), stall)
+		c.prof.Record(pc, period, kind, stall)
 	}
 	c.at = end
 }
@@ -482,7 +513,7 @@ func (c *Core) retireCycles(pc int, t0 sim.Time, cycles int) {
 		c.stats.StallTime[StallExec] += stall
 	}
 	if c.prof != nil {
-		c.prof.Record(pc, period, int(StallExec), stall)
+		c.prof.Record(pc, period, StallExec, stall)
 	}
 	c.at = t0 + sim.Time(cycles)*period
 }
@@ -664,7 +695,7 @@ func (c *Core) step(in *decoded, period sim.Time) (blocked bool) {
 		c.at = t0 + period
 		c.stats.BusyTime += period
 		if c.prof != nil {
-			c.prof.Record(pc0, period, int(StallExec), 0)
+			c.prof.Record(pc0, period, StallExec, 0)
 		}
 
 	default:

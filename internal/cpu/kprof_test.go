@@ -1,31 +1,12 @@
 package cpu
 
 import (
-	"bytes"
-	"encoding/json"
+	"reflect"
 	"testing"
 
 	"assasin/internal/asm"
 	"assasin/internal/sim"
-	"assasin/internal/telemetry/kprof"
 )
-
-// TestKProfStallKindOrder pins the value identity between cpu.StallKind and
-// kprof's stall-class indices that the recording hooks rely on.
-func TestKProfStallKindOrder(t *testing.T) {
-	pairs := [][2]int{
-		{int(StallMem), kprof.StallMem},
-		{int(StallStreamWait), kprof.StallStreamWait},
-		{int(StallOutFull), kprof.StallOutFull},
-		{int(StallExec), kprof.StallExec},
-		{int(numStallKinds), kprof.NumStallKinds},
-	}
-	for _, p := range pairs {
-		if p[0] != p[1] {
-			t.Fatalf("cpu.StallKind %d != kprof index %d", p[0], p[1])
-		}
-	}
-}
 
 // TestKProfDisabledZeroAlloc proves the profiler hooks cost nothing when no
 // profiler is attached: both engines stay allocation-free per Run
@@ -48,7 +29,7 @@ func TestKProfDisabledZeroAlloc(t *testing.T) {
 		c := New(cfg, newTestSystem())
 		// Attach then detach: the detached state must be as cheap as
 		// never-attached.
-		c.AttachKProf(kprof.New())
+		c.AttachKProf(new(Profiler))
 		c.AttachKProf(nil)
 		c.LoadProgram(prog)
 		c.Run(c.LocalTime() + 10*sim.Microsecond) // warm up
@@ -64,12 +45,32 @@ func TestKProfDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
+// resolvedCounts is one program's per-pc profile with the compiled
+// engine's bulk difference array folded in, the form package kprof
+// exports.
+type resolvedCounts struct {
+	insts, busy []int64
+	stall       [NumStallKinds][]int64
+}
+
+func resolve(cp *CoreProfile) resolvedCounts {
+	r := resolvedCounts{insts: make([]int64, len(cp.Retired)), busy: make([]int64, len(cp.Retired)), stall: cp.StallPs}
+	var run int64
+	for pc := range cp.Retired {
+		run += cp.Bulk[pc]
+		r.insts[pc] = cp.Retired[pc] + run
+		r.busy[pc] = cp.BusyPs[pc] + run*int64(cp.Period)
+	}
+	return r
+}
+
 // TestKProfReconcilesAcrossModes drives the blocking stream loop of
 // TestCompiledMatchesPreciseStreamLoop with a profiler attached in every
-// mode and demands (a) byte-identical exports (JSON and pprof) across
-// Precise/Compiled, and (b) exact reconciliation of the profile's
-// totals with the core's Stats: instructions, busy time, and each stall
-// class.
+// mode and demands (a) identical resolved per-pc counters across
+// Precise/Compiled, and (b) exact reconciliation of the profile's totals
+// with the core's Stats: instructions and the time of every class.
+// TestKProfReconciliationSoak (internal/experiments) checks the exported
+// JSON and pprof bytes across modes.
 func TestKProfReconcilesAcrossModes(t *testing.T) {
 	bb := asm.New()
 	loop := bb.Here()
@@ -83,9 +84,8 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 	prog.Name = "streamsum"
 
 	type outcome struct {
-		stats Stats
-		js    []byte
-		pb    []byte
+		stats  Stats
+		counts resolvedCounts
 	}
 	results := make(map[ExecMode]outcome)
 	for _, mode := range execModes {
@@ -93,7 +93,7 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 		cfg.Exec = mode
 		sys := newTestSystem()
 		c := New(cfg, sys)
-		profiler := kprof.New()
+		profiler := new(Profiler)
 		c.AttachKProf(profiler)
 		c.LoadProgram(prog)
 		in := sys.Streams.In[0]
@@ -131,42 +131,31 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 		if c.Err() != nil {
 			t.Fatalf("%v: %v", mode, c.Err())
 		}
-		prof := profiler.Snapshot()
-		insts, busy, exec, stream, outFull, mem := prof.Totals()
+		progs := profiler.Programs()
+		if len(progs) != 1 {
+			t.Fatalf("%v: %d recorded programs, want 1", mode, len(progs))
+		}
+		counts := resolve(progs[0])
 		st := c.Stats()
+		var insts int64
+		var classes [NumClasses]int64
+		for pc := range counts.insts {
+			insts += counts.insts[pc]
+			classes[0] += counts.busy[pc]
+			for k := range counts.stall {
+				classes[1+k] += counts.stall[k][pc]
+			}
+		}
 		if insts != st.Instructions {
 			t.Errorf("%v: profile insts %d != stats %d", mode, insts, st.Instructions)
 		}
-		if busy != int64(st.BusyTime) {
-			t.Errorf("%v: profile busy %d != stats %d", mode, busy, int64(st.BusyTime))
+		if want := st.ClassTimes(); classes != want {
+			t.Errorf("%v: profile class times %v != stats %v", mode, classes, want)
 		}
-		wantStalls := [numStallKinds]int64{
-			StallMem:        mem,
-			StallStreamWait: stream,
-			StallOutFull:    outFull,
-			StallExec:       exec,
-		}
-		for k := StallKind(0); k < numStallKinds; k++ {
-			if wantStalls[k] != int64(st.StallTime[k]) {
-				t.Errorf("%v: profile stall[%v] %d != stats %d",
-					mode, k, wantStalls[k], int64(st.StallTime[k]))
-			}
-		}
-		js, err := json.Marshal(prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := prof.Pprof()
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[mode] = outcome{stats: st, js: js, pb: pb}
+		results[mode] = outcome{stats: st, counts: counts}
 	}
 	ref, got := results[ExecPrecise], results[ExecCompiled]
-	if !bytes.Equal(got.js, ref.js) {
-		t.Errorf("compiled profile JSON diverges from precise:\nprecise: %s\ncompiled: %s", ref.js, got.js)
-	}
-	if !bytes.Equal(got.pb, ref.pb) {
-		t.Errorf("compiled pprof bytes diverge from precise")
+	if !reflect.DeepEqual(got.counts, ref.counts) {
+		t.Errorf("compiled per-pc profile diverges from precise:\nprecise: %+v\ncompiled: %+v", ref.counts, got.counts)
 	}
 }

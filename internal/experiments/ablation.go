@@ -33,7 +33,7 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 	depths := []int{1, 2, 4, 8, 16}
 	return runpool.Map(cfg.workers(), len(depths), func(i int) (AblationWindowRow, error) {
 		p := depths[i]
-		r, err := runStandalone(cfg.instrument(runOpts{
+		r, err := runStandalone(cfg, runOpts{
 			arch:        ssd.AssasinSb,
 			cores:       cfg.Cores,
 			kernel:      kernels.Scan{},
@@ -41,7 +41,7 @@ func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
 			recordSize:  16,
 			outKind:     firmware.OutDiscard,
 			windowPages: p,
-		}))
+		})
 		if err != nil {
 			return AblationWindowRow{}, fmt.Errorf("window %d: %w", p, err)
 		}
@@ -77,22 +77,24 @@ func AblationDRAM(cfg Config) ([]AblationDRAMRow, error) {
 	// One job per (bandwidth, configuration).
 	tputs, err := runpool.Map(cfg.workers(), len(bws)*len(archs), func(j int) (float64, error) {
 		bw, arch := bws[j/len(archs)], archs[j%len(archs)]
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.StartRun(fmt.Sprintf("dram%.0fGBps/%v", bw/1e9, arch))
-		}
-		s := ssd.New(ssd.Options{
-			Arch:      arch,
-			Cores:     cfg.Cores,
-			DRAM:      memhier.DRAMConfig{BandwidthBytesPerSec: bw, Latency: 60 * sim.Nanosecond},
-			Telemetry: cfg.Telemetry,
-			Log:       cfg.Log,
+		k := kernels.Stat{}
+		obs := Observe(cfg, RunRecord{
+			Label:  fmt.Sprintf("dram%.0fGBps/%v", bw/1e9, arch),
+			Kernel: k.Name(),
+			Arch:   arch,
+			Cores:  cfg.Cores,
 		})
+		s := ssd.New(obs.Options(ssd.Options{
+			Arch:  arch,
+			Cores: cfg.Cores,
+			DRAM:  memhier.DRAMConfig{BandwidthBytesPerSec: bw, Latency: 60 * sim.Nanosecond},
+		}))
 		lpas, err := s.InstallBytes(data)
 		if err != nil {
 			return 0, err
 		}
 		res, err := s.RunKernel(ssd.KernelRun{
-			Kernel:     kernels.Stat{},
+			Kernel:     k,
 			Inputs:     [][]int{lpas},
 			InputBytes: []int64{int64(len(data))},
 			RecordSize: 4,
@@ -102,7 +104,7 @@ func AblationDRAM(cfg Config) ([]AblationDRAMRow, error) {
 		if err != nil {
 			return 0, fmt.Errorf("dram %g on %v: %w", bw, arch, err)
 		}
-		s.PublishStats()
+		obs.Finish(s, res)
 		return res.Throughput(), nil
 	})
 	if err != nil {
@@ -144,14 +146,13 @@ type MixedIOResult struct {
 // custom FTL, shared flash array).
 func MixedIO(cfg Config) (*MixedIOResult, error) {
 	run := func(withOffload bool) (float64, sim.Time, error) {
-		if cfg.Telemetry != nil {
-			label := "mixed-io/idle"
-			if withOffload {
-				label = "mixed-io/offload"
-			}
-			cfg.Telemetry.StartRun(label)
+		label := "mixed-io/idle"
+		if withOffload {
+			label = "mixed-io/offload"
 		}
-		s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores, Telemetry: cfg.Telemetry, Log: cfg.Log})
+		k := kernels.Scan{}
+		obs := Observe(cfg, RunRecord{Label: label, Kernel: k.Name(), Arch: ssd.AssasinSb, Cores: cfg.Cores})
+		s := ssd.New(obs.Options(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores}))
 		data := randData(int(cfg.ScanMB*(1<<20)), 33)
 		lpas, err := s.InstallBytes(data)
 		if err != nil {
@@ -165,7 +166,7 @@ func MixedIO(cfg Config) (*MixedIOResult, error) {
 		var tasks []ssd.TaskSpec
 		if withOffload {
 			tasks, err = s.BuildTasks(ssd.KernelRun{
-				Kernel:     kernels.Scan{},
+				Kernel:     k,
 				Inputs:     [][]int{lpas},
 				InputBytes: []int64{int64(len(data))},
 				RecordSize: 16,
@@ -192,7 +193,7 @@ func MixedIO(cfg Config) (*MixedIOResult, error) {
 		if res != nil {
 			tput = res.Throughput()
 		}
-		s.PublishStats()
+		obs.Finish(s, res)
 		return tput, nvme.Latencies(comps).Mean, nil
 	}
 	// Two independent drives: job 0 idle, job 1 running the offload.

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/firmware"
 	"assasin/internal/kernels"
 	"assasin/internal/ssd"
@@ -21,15 +22,14 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden attribution re
 func attributionRun(t *testing.T, arch ssd.Arch, k kernels.Kernel, recordSize int, data []byte, tel *telemetry.Sink) RunRecord {
 	t.Helper()
 	var rec RunRecord
-	_, err := runStandalone(runOpts{
+	cfg := Config{Telemetry: tel, OnRunDone: func(r RunRecord) { rec = r }}
+	_, err := runStandalone(cfg, runOpts{
 		arch:       arch,
 		cores:      2,
 		kernel:     k,
 		inputs:     [][]byte{data},
 		recordSize: recordSize,
 		outKind:    firmware.OutDiscard,
-		telemetry:  tel,
-		onRunDone:  func(r RunRecord) { rec = r },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -48,20 +48,20 @@ func TestMemoryWallAttribution(t *testing.T) {
 	data := randData(256<<10, 7)
 
 	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.Stat{}, 4, data, nil).AttributionRun())
-	if base.LargestStall != analyze.ClassCacheDRAMWait {
+	if base.LargestStall != cpu.ClassCacheDRAMWait {
 		t.Errorf("Baseline largest stall = %s, want %s\n%s",
-			base.LargestStall, analyze.ClassCacheDRAMWait, analyze.FormatReport(base))
+			base.LargestStall, cpu.ClassCacheDRAMWait, analyze.FormatReport(base))
 	}
-	if f := base.ClassFrac(analyze.ClassCacheDRAMWait); f < 0.25 {
+	if f := base.ClassFrac(cpu.ClassCacheDRAMWait); f < 0.25 {
 		t.Errorf("Baseline cache/DRAM wait fraction = %.3f, want >= 0.25", f)
 	}
 
 	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.Stat{}, 4, data, nil).AttributionRun())
-	if sb.LargestClass != analyze.ClassCoreBusy {
+	if sb.LargestClass != cpu.ClassCoreBusy {
 		t.Errorf("AssasinSb largest class = %s, want %s\n%s",
-			sb.LargestClass, analyze.ClassCoreBusy, analyze.FormatReport(sb))
+			sb.LargestClass, cpu.ClassCoreBusy, analyze.FormatReport(sb))
 	}
-	if got, want := sb.ClassFrac(analyze.ClassCacheDRAMWait), 0.01; got > want {
+	if got, want := sb.ClassFrac(cpu.ClassCacheDRAMWait), 0.01; got > want {
 		t.Errorf("AssasinSb cache/DRAM wait fraction = %.3f, want <= %.2f", got, want)
 	}
 	if sb.ThroughputBps <= base.ThroughputBps {
@@ -76,17 +76,17 @@ func TestStreamRefillNearZero(t *testing.T) {
 	data := randData(64<<10, 9)
 
 	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.AES{}, 16, data, nil).AttributionRun())
-	if f := sb.ClassFrac(analyze.ClassStreamRefillWait); f > 0.05 {
+	if f := sb.ClassFrac(cpu.ClassStreamRefillWait); f > 0.05 {
 		t.Errorf("AssasinSb stream-refill fraction = %.3f, want <= 0.05", f)
 	}
-	if sb.LargestClass != analyze.ClassCoreBusy {
-		t.Errorf("AssasinSb largest class = %s, want %s", sb.LargestClass, analyze.ClassCoreBusy)
+	if sb.LargestClass != cpu.ClassCoreBusy {
+		t.Errorf("AssasinSb largest class = %s, want %s", sb.LargestClass, cpu.ClassCoreBusy)
 	}
 
 	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.AES{}, 16, data, nil).AttributionRun())
-	if base.LargestStall != analyze.ClassCacheDRAMWait {
+	if base.LargestStall != cpu.ClassCacheDRAMWait {
 		t.Errorf("Baseline largest stall = %s, want %s\n%s",
-			base.LargestStall, analyze.ClassCacheDRAMWait, analyze.FormatReport(base))
+			base.LargestStall, cpu.ClassCacheDRAMWait, analyze.FormatReport(base))
 	}
 }
 

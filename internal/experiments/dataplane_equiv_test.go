@@ -73,7 +73,7 @@ func compareDataPlanes(e equivEntry, arch ssd.Arch, quantum sim.Time) error {
 			rec = len(e.inputs[0]) // unsplittable stream: one core
 			cores = 1
 		}
-		r, err := runStandalone(runOpts{
+		r, err := runStandalone(Config{}, runOpts{
 			arch:        arch,
 			cores:       cores,
 			kernel:      e.kernel,
@@ -114,8 +114,7 @@ func TestDataPlaneTelemetryIdentical(t *testing.T) {
 	e := equivEntries()[0] // Statistics: exercises flash, crossbar, and stream buffers
 	run := func(plane firmware.PlaneMode) *telemetry.Sink {
 		tel := telemetry.NewSink()
-		tel.StartRun("DataPlane") // same label both modes: trace bytes must match
-		_, err := runStandalone(runOpts{
+		_, err := runStandalone(Config{Telemetry: tel}, runOpts{
 			arch:       ssd.AssasinSb,
 			cores:      e.cores,
 			kernel:     e.kernel,
@@ -123,7 +122,6 @@ func TestDataPlaneTelemetryIdentical(t *testing.T) {
 			recordSize: e.rec,
 			outKind:    e.out,
 			plane:      plane,
-			telemetry:  tel,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -101,7 +101,7 @@ func compareExecModes(e equivEntry, arch ssd.Arch, quantum sim.Time) error {
 			rec = len(e.inputs[0]) // unsplittable stream: one core
 			cores = 1
 		}
-		r, err := runStandalone(runOpts{
+		r, err := runStandalone(Config{}, runOpts{
 			arch:        arch,
 			cores:       cores,
 			kernel:      e.kernel,

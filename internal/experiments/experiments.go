@@ -22,8 +22,6 @@ import (
 	"assasin/internal/sim"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/kprof"
-	"assasin/internal/telemetry/reqtrace"
 	"assasin/internal/telemetry/timeline"
 )
 
@@ -47,44 +45,30 @@ type Config struct {
 	// concurrently. 0 or 1 runs everything sequentially; results are
 	// identical either way (see internal/runpool).
 	Workers int
-	// Telemetry, when non-nil, is handed to every SSD an experiment
-	// builds. The sink is not goroutine-safe, so callers must keep
-	// Workers <= 1 when setting it — unless PerRunTelemetry is also set,
-	// which makes the metrics path parallel-safe (cmd/assasin-bench wires
-	// this; only trace capture still forces sequential runs).
+	// Telemetry, when non-nil, is the root sink every run an experiment
+	// builds reports into, through one Observer per run. A sink that
+	// records trace events (MaxEvents >= 0) is shared by the runs, which
+	// then execute sequentially whatever Workers says; a metrics-only sink
+	// (MaxEvents < 0) gets a private per-run sink absorbed at each run
+	// boundary, which is parallel-safe. See Observer.
 	Telemetry *telemetry.Sink `json:"-"`
-	// PerRunTelemetry gives every standalone run a private sink (with
-	// event recording disabled) in place of the shared Telemetry sink,
-	// absorbed into Telemetry at the run boundary via the goroutine-safe
-	// telemetry.AbsorbMetrics. Absorption is commutative — counters and
-	// histograms sum, gauges take maxima — so the merged snapshot is
-	// identical for any Workers setting or completion order. RunRecord
-	// snapshots then cover exactly one run. Trace events cannot be
-	// captured this way: -trace still needs the shared sink and
-	// sequential execution.
-	PerRunTelemetry bool `json:"-"`
 	// Timeline, when non-nil, attaches a sim-time sampler with this
-	// configuration to every standalone run; the finished per-run
-	// timeline is delivered on RunRecord.Timeline. Samplers are per-run
-	// and driven by simulated time, so timelines are byte-identical
-	// across Workers settings.
+	// configuration to every run; the finished per-run timeline is
+	// delivered on RunRecord.Timeline. Samplers are per-run and driven by
+	// simulated time, so timelines are byte-identical across Workers
+	// settings.
 	Timeline *timeline.Config `json:"-"`
-	// Requests, when > 0, attaches a per-run request tracer to every
-	// standalone run, retaining the Requests slowest requests with full
-	// critical-path detail; the finished summary is delivered on
-	// RunRecord.Requests. Tracers are per-run (the per-run-sink pattern),
-	// so summaries are byte-identical across Workers settings.
+	// Requests, when > 0, attaches a per-run request tracer to every run,
+	// retaining the Requests slowest requests with full critical-path
+	// detail; the finished summary is delivered on RunRecord.Requests.
 	Requests int
 	// KProf, when true, attaches a per-run guest-kernel profiler to every
-	// standalone run; the finished per-(kernel, basic block, pc)
-	// attribution is delivered on RunRecord.Profile. Profilers are
-	// per-run (the per-run-sink pattern), so profiles are byte-identical
-	// across Workers settings and Exec modes.
+	// run; the finished per-(kernel, basic block, pc) attribution is
+	// delivered on RunRecord.Profile.
 	KProf bool
-	// OnRunDone, when non-nil, receives a record of every completed
-	// standalone run: label, per-core cycle decomposition, and (when
-	// Telemetry is set) the post-run metrics snapshot. It is invoked on
-	// the run's simulation goroutine: with Workers > 1 (PerRunTelemetry)
+	// OnRunDone, when non-nil, receives the record of every completed run:
+	// label, per-core cycle decomposition and the artifacts above. It is
+	// invoked on the run's simulation goroutine: with Workers > 1
 	// invocations are concurrent, so handlers must be goroutine-safe.
 	OnRunDone func(RunRecord) `json:"-"`
 	// Log, when non-nil, receives run lifecycle events (start/finish at
@@ -95,9 +79,10 @@ type Config struct {
 	Load *LoadConfig `json:"-"`
 }
 
-// workers returns the effective pool width for fan-out sites.
+// workers returns the effective pool width for fan-out sites: sequential
+// when runs share a trace-recording root sink (see Observer).
 func (c Config) workers() int {
-	if c.Workers > 1 {
+	if c.Workers > 1 && !c.Telemetry.RecordsEvents() {
 		return c.Workers
 	}
 	return 1
@@ -156,37 +141,6 @@ type runOpts struct {
 	plane firmware.PlaneMode
 	// coreQuantum overrides the per-core scheduler quantum (0 = default).
 	coreQuantum sim.Time
-	// telemetry, when non-nil, instruments the run's SSD; runStandalone
-	// opens a trace run labeled "<kernel>/<arch>" and publishes the
-	// component snapshot gauges after the run.
-	telemetry *telemetry.Sink
-	// perRunTel swaps telemetry for a private per-run sink absorbed at the
-	// run boundary (see Config.PerRunTelemetry).
-	perRunTel bool
-	// timeline, when non-nil, attaches a per-run sim-time sampler.
-	timeline *timeline.Config
-	// requests, when > 0, attaches a per-run request tracer (top-K depth).
-	requests int
-	// kprof, when true, attaches a per-run guest-kernel profiler.
-	kprof bool
-	// onRunDone, when non-nil, receives the completed run's RunRecord
-	// (with a metrics snapshot when telemetry is set).
-	onRunDone func(RunRecord)
-	// log, when non-nil, receives run lifecycle events.
-	log *slog.Logger
-}
-
-// instrument copies the Config-level observability hooks into the run
-// options so every runStandalone call site stays a one-liner.
-func (c Config) instrument(o runOpts) runOpts {
-	o.telemetry = c.Telemetry
-	o.perRunTel = c.PerRunTelemetry
-	o.timeline = c.Timeline
-	o.requests = c.Requests
-	o.kprof = c.KProf
-	o.onRunDone = c.OnRunDone
-	o.log = c.Log
-	return o
 }
 
 // runResult is one run's measurements.
@@ -198,40 +152,16 @@ type runResult struct {
 // throughput returns input bytes/second.
 func (r *runResult) throughput() float64 { return r.res.Throughput() }
 
-// runStandalone builds a fresh SSD, installs the inputs, and runs the
-// kernel across the cores.
-func runStandalone(o runOpts) (*runResult, error) {
-	label := fmt.Sprintf("%s/%v", o.kernel.Name(), o.arch)
-	tel := o.telemetry
-	var root *telemetry.Sink
-	if o.perRunTel && tel != nil {
-		// Parallel-safe metrics: this run gets a private sink (no event
-		// recording) and the shared sink only sees the commutative absorb
-		// at the end, so concurrent runs never touch shared mutable state.
-		root = tel
-		tel = telemetry.NewSink()
-		tel.MaxEvents = -1
-		tel.Log = o.log
-	}
-	if tel != nil {
-		tel.StartRun(label)
-	}
-	var sampler *timeline.Sampler
-	if o.timeline != nil {
-		sampler = timeline.New(tel, *o.timeline)
-	}
-	var tracer *reqtrace.Tracer
-	if o.requests > 0 {
-		tracer = reqtrace.New(tel, reqtrace.Config{TopK: o.requests})
-	}
-	var kp *kprof.Profiler
-	if o.kprof {
-		kp = kprof.New()
-	}
-	if o.log != nil {
-		o.log.Debug("run start", "run", label, "cores", o.cores, "arch", o.arch.String())
-	}
-	s := ssd.New(ssd.Options{
+// runStandalone builds a fresh SSD observed as cfg asks, installs the
+// inputs, and runs the kernel across the cores.
+func runStandalone(cfg Config, o runOpts) (*runResult, error) {
+	obs := Observe(cfg, RunRecord{
+		Label:  fmt.Sprintf("%s/%v", o.kernel.Name(), o.arch),
+		Kernel: o.kernel.Name(),
+		Arch:   o.arch,
+		Cores:  o.cores,
+	})
+	s := ssd.New(obs.Options(ssd.Options{
 		Arch:           o.arch,
 		Cores:          o.cores,
 		TimingAdjusted: o.adjusted,
@@ -239,12 +169,7 @@ func runStandalone(o runOpts) (*runResult, error) {
 		Exec:           o.exec,
 		DataPlane:      o.plane,
 		CoreQuantum:    o.coreQuantum,
-		Telemetry:      tel,
-		Timeline:       sampler,
-		Requests:       tracer,
-		KProf:          kp,
-		Log:            o.log,
-	})
+	}))
 	var lpaLists [][]int
 	var lengths []int64
 	for _, in := range o.inputs {
@@ -267,36 +192,7 @@ func runStandalone(o runOpts) (*runResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.PublishStats()
-	if o.log != nil {
-		o.log.Info("run finished", "run", label,
-			"duration_ps", int64(res.Duration), "throughput_bps", res.Throughput())
-	}
-	if o.onRunDone != nil {
-		rec := RunRecord{
-			Label:      label,
-			Kernel:     o.kernel.Name(),
-			Arch:       o.arch,
-			Cores:      o.cores,
-			Duration:   res.Duration,
-			InputBytes: res.InputBytes,
-			CoreStats:  res.CoreStats,
-			Timeline:   sampler.Finish(label, int64(res.Duration)),
-			Requests:   tracer.Summary(label),
-		}
-		if kp != nil {
-			rec.Profile = kp.Snapshot()
-			rec.Profile.Label = label
-		}
-		if tel != nil {
-			snap := tel.Metrics()
-			rec.Metrics = &snap
-		}
-		o.onRunDone(rec)
-	}
-	if root != nil {
-		root.AbsorbMetrics(tel)
-	}
+	obs.Finish(s, res)
 	return &runResult{res: res, instance: s}, nil
 }
 

@@ -85,7 +85,7 @@ func standaloneSweep(cfg Config, adjusted bool) ([]Fig13Row, error) {
 	// One job per (kernel, configuration); each run builds its own SSD.
 	tputs, err := runpool.Map(cfg.workers(), len(specs)*len(archs), func(j int) (float64, error) {
 		spec, arch := specs[j/len(archs)], archs[j%len(archs)]
-		o := cfg.instrument(runOpts{
+		o := runOpts{
 			arch:       arch,
 			adjusted:   adjusted,
 			cores:      cfg.Cores,
@@ -94,8 +94,8 @@ func standaloneSweep(cfg Config, adjusted bool) ([]Fig13Row, error) {
 			recordSize: spec.recordSize,
 			outKind:    spec.outKind,
 			collect:    cfg.Verify && spec.outKind != firmware.OutDiscard,
-		})
-		r, err := runStandalone(o)
+		}
+		r, err := runStandalone(cfg, o)
 		if err != nil {
 			return 0, fmt.Errorf("%s on %v: %w", spec.name, arch, err)
 		}
@@ -155,7 +155,7 @@ type Fig5Result struct {
 func Fig5(cfg Config) (*Fig5Result, error) {
 	data := lineitemTuples(int(cfg.KernelMB * (1 << 20)))
 	k := filterKernel()
-	o := cfg.instrument(runOpts{
+	o := runOpts{
 		arch:       ssd.Baseline,
 		cores:      1,
 		kernel:     k,
@@ -163,8 +163,8 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 		recordSize: filterTupleSize,
 		outKind:    firmware.OutToHost,
 		collect:    cfg.Verify,
-	})
-	r, err := runStandalone(o)
+	}
+	r, err := runStandalone(cfg, o)
 	if err != nil {
 		return nil, err
 	}
@@ -175,12 +175,14 @@ func Fig5(cfg Config) (*Fig5Result, error) {
 	}
 	st := r.res.CoreStats[0]
 	total := float64(st.TotalTime())
+	ct := st.ClassTimes()
+	frac := func(k cpu.StallKind) float64 { return float64(ct[1+k]) / total }
 	return &Fig5Result{
 		Throughput:    float64(len(data)) / r.res.Duration.Seconds(),
-		BusyFrac:      float64(st.BusyTime) / total,
-		MemStallFrac:  float64(st.StallTime[cpu.StallMem]) / total,
-		WaitStallFrac: float64(st.StallTime[cpu.StallStreamWait]) / total,
-		ExecStallFrac: float64(st.StallTime[cpu.StallExec]) / total,
+		BusyFrac:      float64(ct[0]) / total,
+		MemStallFrac:  frac(cpu.StallMem),
+		WaitStallFrac: frac(cpu.StallStreamWait),
+		ExecStallFrac: frac(cpu.StallExec),
 	}, nil
 }
 

@@ -3,15 +3,12 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"log/slog"
 	"strings"
 
 	"assasin/internal/firmware"
 	"assasin/internal/host"
 	"assasin/internal/runpool"
-	"assasin/internal/sim"
 	"assasin/internal/ssd"
-	"assasin/internal/telemetry"
 	"assasin/internal/tpch"
 )
 
@@ -29,9 +26,6 @@ type psfDataset struct {
 	ds      *tpch.Dataset
 	csv     map[string][]byte
 	offsets map[string][]int64
-	// Run options threaded from Config by the experiment entry points.
-	tel *telemetry.Sink
-	log *slog.Logger
 }
 
 func newPSFDataset(sf float64) *psfDataset {
@@ -46,14 +40,14 @@ func newPSFDataset(sf float64) *psfDataset {
 }
 
 // runQueryPSF offloads one query's Parse/Select/Filter pipeline on one
-// architecture and returns the run plus the concatenated output bytes.
-func (p *psfDataset) runQueryPSF(q *tpch.QuerySpec, arch ssd.Arch, cores int, adjusted, collect bool) (*ssd.Result, []byte, error) {
+// architecture, observed as cfg asks, and returns the run plus the
+// concatenated output bytes.
+func (p *psfDataset) runQueryPSF(cfg Config, q *tpch.QuerySpec, arch ssd.Arch, cores int, adjusted, collect bool) (*ssd.Result, []byte, error) {
 	csv := p.csv[q.Table]
 	offs := p.offsets[q.Table]
-	if p.tel != nil {
-		p.tel.StartRun(fmt.Sprintf("Q%d/%v", q.ID, arch))
-	}
-	s := ssd.New(ssd.Options{Arch: arch, Cores: cores, TimingAdjusted: adjusted, Telemetry: p.tel, Log: p.log})
+	kernel := fmt.Sprintf("Q%d", q.ID)
+	obs := Observe(cfg, RunRecord{Label: kernel + "/" + arch.String(), Kernel: kernel, Arch: arch, Cores: cores})
+	s := ssd.New(obs.Options(ssd.Options{Arch: arch, Cores: cores, TimingAdjusted: adjusted}))
 	lpas, err := s.InstallBytes(csv)
 	if err != nil {
 		return nil, nil, err
@@ -89,7 +83,7 @@ func (p *psfDataset) runQueryPSF(q *tpch.QuerySpec, arch ssd.Arch, cores int, ad
 	if err != nil {
 		return nil, nil, fmt.Errorf("Q%d on %v: %w", q.ID, arch, err)
 	}
-	s.PublishStats()
+	obs.Finish(s, res)
 	var out []byte
 	if collect {
 		for _, outs := range res.Outputs {
@@ -112,7 +106,6 @@ func Fig21PSF(cfg Config) ([]Fig14Row, error) {
 
 func fig14Sweep(cfg Config, adjusted bool, archs []ssd.Arch) ([]Fig14Row, error) {
 	p := newPSFDataset(cfg.TPCHScale)
-	p.tel, p.log = cfg.Telemetry, cfg.Log
 	queries := tpch.Queries()
 	// Per-query reference outputs are computed up front (host-side, cheap)
 	// so the fan-out jobs only read them.
@@ -141,7 +134,7 @@ func fig14Sweep(cfg Config, adjusted bool, archs []ssd.Arch) ([]Fig14Row, error)
 	// One job per (query, configuration); the dataset is read-only here on.
 	tputs, err := runpool.Map(cfg.workers(), len(queries)*len(archs), func(j int) (float64, error) {
 		q, arch := queries[j/len(archs)], archs[j%len(archs)]
-		res, out, err := p.runQueryPSF(q, arch, cfg.Cores, adjusted, cfg.Verify)
+		res, out, err := p.runQueryPSF(cfg, q, arch, cfg.Cores, adjusted, cfg.Verify)
 		if err != nil {
 			return 0, err
 		}
@@ -215,7 +208,6 @@ type Fig15Row struct {
 // computational SSD, and AssasinSb — the paper's end-to-end Fig. 15.
 func Fig15(cfg Config) ([]Fig15Row, error) {
 	p := newPSFDataset(cfg.TPCHScale)
-	p.tel, p.log = cfg.Telemetry, cfg.Log
 	hm := host.New(host.DefaultConfig())
 	// The end-to-end comparison always uses the paper's full 8-engine SSDs.
 	cores := cfg.Cores
@@ -243,11 +235,11 @@ func Fig15(cfg Config) ([]Fig15Row, error) {
 		pureWork.ScanUnits += 4 * float64(len(p.offsets[q.Table])-1)
 
 		// Offloaded paths: PSF runs in-SSD; only results cross the bus.
-		resBase, _, err := p.runQueryPSF(q, ssd.Baseline, cores, true, false)
+		resBase, _, err := p.runQueryPSF(cfg, q, ssd.Baseline, cores, true, false)
 		if err != nil {
 			return Fig15Row{}, err
 		}
-		resSb, _, err := p.runQueryPSF(q, ssd.AssasinSb, cores, true, false)
+		resSb, _, err := p.runQueryPSF(cfg, q, ssd.AssasinSb, cores, true, false)
 		if err != nil {
 			return Fig15Row{}, err
 		}
@@ -280,5 +272,3 @@ func FormatFig15(rows []Fig15Row) string {
 		geoMean(basePure), geoMean(sbBase))
 	return b.String()
 }
-
-var _ = sim.Time(0)

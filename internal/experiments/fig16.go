@@ -50,7 +50,7 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 			sizeMB = min
 		}
 		data := randData(int(sizeMB*(1<<20)), 77)
-		r, err := runStandalone(cfg.instrument(runOpts{
+		r, err := runStandalone(cfg, runOpts{
 			arch:       ssd.AssasinSb,
 			cores:      cores,
 			kernel:     scan,
@@ -60,7 +60,7 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 			// The single scan stream gets the whole 64 KiB ISB (the
 			// firmware allocates slot capacity to active streams).
 			windowPages: 16,
-		}))
+		})
 		if err != nil {
 			return Fig16Point{}, fmt.Errorf("scan at %d cores: %w", cores, err)
 		}
@@ -181,21 +181,22 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 		skew := skews[i]
 		var measured float64
 		run := func(channelLocal bool) (float64, error) {
-			if cfg.Telemetry != nil {
-				mode := "xbar"
-				if channelLocal {
-					mode = "chlocal"
-				}
-				cfg.Telemetry.StartRun(fmt.Sprintf("skew%.2f/%s", skew, mode))
+			mode := "xbar"
+			if channelLocal {
+				mode = "chlocal"
 			}
-			s := ssd.New(ssd.Options{
+			obs := Observe(cfg, RunRecord{
+				Label:  fmt.Sprintf("skew%.2f/%s", skew, mode),
+				Kernel: scan.Name(),
+				Arch:   ssd.AssasinSb,
+				Cores:  cores,
+			})
+			s := ssd.New(obs.Options(ssd.Options{
 				Arch:         ssd.AssasinSb,
 				Cores:        cores,
 				ChannelLocal: channelLocal,
 				Layout:       ftl.SkewedPolicy{Skew: skew},
-				Telemetry:    cfg.Telemetry,
-				Log:          cfg.Log,
-			})
+			}))
 			lpas, err := s.InstallBytes(data)
 			if err != nil {
 				return 0, err
@@ -214,7 +215,7 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 			if err != nil {
 				return 0, err
 			}
-			s.PublishStats()
+			obs.Finish(s, res)
 			return res.Throughput(), nil
 		}
 		xbar, err := run(false)

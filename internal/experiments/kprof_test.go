@@ -55,7 +55,8 @@ func compareKProf(e equivEntry, arch ssd.Arch) error {
 			cores = 1
 		}
 		var out RunRecord
-		_, err := runStandalone(runOpts{
+		cfg := Config{KProf: true, OnRunDone: func(r RunRecord) { out = r }}
+		_, err := runStandalone(cfg, runOpts{
 			arch:       arch,
 			cores:      cores,
 			kernel:     e.kernel,
@@ -63,8 +64,6 @@ func compareKProf(e equivEntry, arch ssd.Arch) error {
 			recordSize: rec,
 			outKind:    e.out,
 			exec:       mode,
-			kprof:      true,
-			onRunDone:  func(r RunRecord) { out = r },
 		})
 		if err != nil {
 			return out, fmt.Errorf("%s on %v (%v): %w", e.name, arch, mode, err)
@@ -110,27 +109,19 @@ func compareKProf(e equivEntry, arch ssd.Arch) error {
 // checkProfileTotals demands exact agreement between the profile's summed
 // columns and the record's attribution-class times.
 func checkProfileTotals(name string, arch ssd.Arch, rec RunRecord) error {
-	insts, busy, exec, stream, outFull, mem := rec.Profile.Totals()
+	insts, classPs := rec.Profile.Totals()
 	attr := rec.AttributionRun()
 	var wantInsts int64
 	for _, st := range rec.CoreStats {
 		wantInsts += st.Instructions
 	}
-	checks := []struct {
-		what      string
-		got, want int64
-	}{
-		{"instructions", insts, wantInsts},
-		{"busy", busy, attr.BusyPs},
-		{"exec-stall", exec, attr.ExecStallPs},
-		{"stream-refill-wait", stream, attr.StreamRefillWaitPs},
-		{"out-full-wait", outFull, attr.OutFullWaitPs},
-		{"cache-dram-wait", mem, attr.CacheDRAMWaitPs},
+	if insts != wantInsts {
+		return fmt.Errorf("%s on %v: profile instructions %d != stats %d", name, arch, insts, wantInsts)
 	}
-	for _, c := range checks {
-		if c.got != c.want {
+	for i, class := range cpu.ClassNames {
+		if classPs[i] != attr.ClassPs[i] {
 			return fmt.Errorf("%s on %v: profile %s %d != attribution %d",
-				name, arch, c.what, c.got, c.want)
+				name, arch, class, classPs[i], attr.ClassPs[i])
 		}
 	}
 	return nil

@@ -163,7 +163,7 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 		case "requests":
 			lc.Requests, err = strconv.Atoi(val)
 		case "rate":
-			lc.RatePerSec, err = strconv.ParseFloat(val, 64)
+			lc.RatePerSec, err = parseFinite(val)
 		case "tenants":
 			lc.Tenants = nil
 			for _, t := range strings.Split(val, ",") {
@@ -172,21 +172,21 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 				}
 			}
 		case "read":
-			lc.ReadFraction, err = strconv.ParseFloat(val, 64)
+			lc.ReadFraction, err = parseFinite(val)
 		case "pages":
 			lc.PagesPerIO, err = strconv.Atoi(val)
 		case "keys":
 			lc.Keys, err = strconv.Atoi(val)
 		case "zipfs":
-			lc.ZipfS, err = strconv.ParseFloat(val, 64)
+			lc.ZipfS, err = parseFinite(val)
 		case "zipfv":
-			lc.ZipfV, err = strconv.ParseFloat(val, 64)
+			lc.ZipfV, err = parseFinite(val)
 		case "drives":
 			lc.Drives, err = strconv.Atoi(val)
 		case "seed":
 			lc.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "offloadmb":
-			lc.OffloadMB, err = strconv.ParseFloat(val, 64)
+			lc.OffloadMB, err = parseFinite(val)
 		case "offloadtenant":
 			lc.OffloadTenant = val
 		case "window":
@@ -201,6 +201,16 @@ func ParseLoadSpec(spec string, base LoadConfig) (LoadConfig, error) {
 		}
 	}
 	return lc, nil
+}
+
+// parseFinite parses a float and rejects NaN and infinities, which would
+// slip past withDefaults' range checks (every comparison with NaN is false).
+func parseFinite(val string) (float64, error) {
+	v, err := strconv.ParseFloat(val, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%s is not finite", val)
+	}
+	return v, err
 }
 
 // defaultLoadObjectives builds one latency SLO per tenant plus an aggregate

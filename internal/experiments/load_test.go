@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
 
 	"assasin/internal/sim"
@@ -167,6 +168,36 @@ func TestParseLoadSpec(t *testing.T) {
 	if got, err := ParseLoadSpec("", base); err != nil || got.Requests != base.Requests {
 		t.Fatalf("empty spec changed base: %+v err %v", got, err)
 	}
+	for _, bad := range []string{"zipfs=NaN", "rate=NaN", "rate=+Inf", "read=nan", "zipfv=-inf", "offloadmb=Inf"} {
+		if _, err := ParseLoadSpec(bad, base); err == nil {
+			t.Errorf("non-finite %q accepted", bad)
+		}
+	}
+}
+
+// FuzzParseLoadSpec checks the -load grammar never accepts a non-finite
+// float: NaN passes every range check in withDefaults (it once hung the
+// Zipf key generator) and an infinite rate runs as if unbounded.
+func FuzzParseLoadSpec(f *testing.F) {
+	for _, s := range []string{
+		"requests=5000; rate=3e5;tenants=a,b,c;read=0.9;window=20ms;buckets=40;seed=7",
+		"zipfs=NaN", "rate=NaN", "rate=Inf", "read=-Inf", "zipfv=1e309", "offloadmb=0x1p-2",
+		"zipfs=1.5;zipfv=2", "window=NaNs", "keys=8;pages=16", "=;;=", "",
+	} {
+		f.Add(s)
+	}
+	base := DefaultLoad()
+	f.Fuzz(func(t *testing.T, spec string) {
+		lc, err := ParseLoadSpec(spec, base)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{lc.RatePerSec, lc.ReadFraction, lc.ZipfS, lc.ZipfV, lc.OffloadMB} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("ParseLoadSpec(%q) accepted non-finite %v: %+v", spec, v, lc)
+			}
+		}
+	})
 }
 
 // TestLoadOnEvalPublishes pins the live-serving hook: burn evaluations

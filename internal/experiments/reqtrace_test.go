@@ -5,8 +5,8 @@ import (
 	"sync"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/reqtrace"
 )
 
@@ -17,7 +17,7 @@ func captureTable2Requests(t *testing.T, workers int) map[string]string {
 	t.Helper()
 	cfg := quickFor(workers)
 	cfg.Telemetry = telemetry.NewSink()
-	cfg.PerRunTelemetry = true
+	cfg.Telemetry.MaxEvents = -1 // metrics-only: private per-run sinks
 	cfg.Requests = 4
 	var mu sync.Mutex
 	sums := make(map[string]string)
@@ -97,15 +97,8 @@ func TestCriticalPathInvariant(t *testing.T) {
 		// engine, which reads the same counters from the run's CoreStats:
 		// fresh SSD, one offload, so deltas equal absolutes.
 		run := rec.AttributionRun()
-		want := map[string]int64{
-			analyze.ClassCoreBusy:         run.BusyPs,
-			analyze.ClassCacheDRAMWait:    run.CacheDRAMWaitPs,
-			analyze.ClassStreamRefillWait: run.StreamRefillWaitPs,
-			analyze.ClassOutFullWait:      run.OutFullWaitPs,
-			analyze.ClassExecStall:        run.ExecStallPs,
-		}
-		for class, w := range want {
-			if got := sum.ClassTotalsPs[class]; got != w {
+		for i, class := range cpu.ClassNames {
+			if got, w := sum.ClassTotalsPs[class], run.ClassPs[i]; got != w {
 				t.Errorf("%s: tracer %s total = %dps, attribution says %dps", rec.Label, class, got, w)
 			}
 		}

@@ -17,7 +17,7 @@ func TestCompiledSteppedShare(t *testing.T) {
 	for _, e := range table2Entries(cfg) {
 		for _, arch := range []ssd.Arch{ssd.AssasinSp, ssd.AssasinSb, ssd.AssasinSbCache} {
 			cores, rec := e.split(cfg)
-			r, err := runStandalone(runOpts{
+			r, err := runStandalone(Config{}, runOpts{
 				arch:       arch,
 				cores:      cores,
 				kernel:     e.kernel,

@@ -35,7 +35,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 	tputs, err := runpool.Map(cfg.workers(), len(entries)*len(archs), func(j int) (float64, error) {
 		e, arch := entries[j/len(archs)], archs[j%len(archs)]
 		cores, rec := e.split(cfg)
-		o := cfg.instrument(runOpts{
+		o := runOpts{
 			arch:       arch,
 			cores:      cores,
 			kernel:     e.kernel,
@@ -43,8 +43,8 @@ func Table2(cfg Config) ([]Table2Row, error) {
 			recordSize: rec,
 			outKind:    e.out,
 			collect:    cfg.Verify && e.out != firmware.OutDiscard,
-		})
-		r, err := runStandalone(o)
+		}
+		r, err := runStandalone(cfg, o)
 		if err != nil {
 			return 0, fmt.Errorf("%s on %v: %w", e.name, arch, err)
 		}

@@ -16,8 +16,8 @@ func captureTable2(t *testing.T, workers int) (string, map[string]string) {
 	t.Helper()
 	cfg := quickFor(workers)
 	root := telemetry.NewSink()
+	root.MaxEvents = -1 // metrics-only: private per-run sinks
 	cfg.Telemetry = root
-	cfg.PerRunTelemetry = true
 	cfg.Timeline = &timeline.Config{IntervalPs: 1_000_000}
 	var mu sync.Mutex
 	timelines := make(map[string]string)
@@ -68,6 +68,46 @@ func TestTimelineParallelDeterminism(t *testing.T) {
 			t.Errorf("parallel run missing timeline for %s", label)
 		} else if seq != par {
 			t.Errorf("%s: timeline JSON differs between workers=1 and workers=4", label)
+		}
+	}
+}
+
+// TestObservedFanOutParallelSafe runs the experiments that build their own
+// SSDs outside runStandalone (Fig 19's skew pairs, the DRAM ablation and
+// Fig 15's query pairs) against a metrics-only root sink, sequentially and
+// 4-way parallel. Every run goes through the one Observer, so each gets a
+// private sink absorbed at its boundary: the merged snapshots must be
+// byte-identical, and under -race no run may touch the shared root.
+func TestObservedFanOutParallelSafe(t *testing.T) {
+	capture := func(workers int) map[string]string {
+		out := make(map[string]string)
+		for _, exp := range []struct {
+			name string
+			run  func(Config) error
+		}{
+			{"fig19", func(c Config) error { _, err := Fig19(c); return err }},
+			{"ablation-dram", func(c Config) error { _, err := AblationDRAM(c); return err }},
+			{"fig15", func(c Config) error { _, err := Fig15(c); return err }},
+		} {
+			cfg := quickFor(workers)
+			cfg.Telemetry = telemetry.NewSink()
+			cfg.Telemetry.MaxEvents = -1
+			if err := exp.run(cfg); err != nil {
+				t.Fatalf("%s (workers=%d): %v", exp.name, workers, err)
+			}
+			var buf bytes.Buffer
+			if err := cfg.Telemetry.WriteMetricsJSON(&buf); err != nil {
+				t.Fatal(err)
+			}
+			out[exp.name] = buf.String()
+		}
+		return out
+	}
+	seq, par := capture(1), capture(4)
+	for name, s := range seq {
+		if par[name] != s {
+			t.Errorf("%s: merged metrics differ between workers=1 and workers=4:\n--- seq\n%s\n--- par\n%s",
+				name, s, par[name])
 		}
 	}
 }

@@ -56,42 +56,21 @@ func NewCollector() *Collector {
 
 // ObserveRun attributes one completed run and stores the report under a
 // sequential id ("run-0001", ...). When the run carries a metrics
-// snapshot, counter deltas are computed against the previously published
-// snapshot and the new snapshot becomes the latest for /metrics. Returns
-// the stored report (nil on a nil collector).
-func (c *Collector) ObserveRun(run analyze.Run) *analyze.RunReport {
-	return c.ObserveRunTimeline(run, nil)
-}
-
-// ObserveRunTimeline is ObserveRun for runs that also sampled a timeline:
-// the timeline is stored under the run's id (served at
-// /runs/{id}/timeline, compared at /runs/{id}/compare/{other}) and its
-// phase segmentation is attached to the report before publication, keeping
-// stored reports immutable.
-func (c *Collector) ObserveRunTimeline(run analyze.Run, tl *timeline.Timeline) *analyze.RunReport {
-	return c.ObserveRunData(run, tl, nil)
-}
-
-// ObserveRunData is ObserveRunTimeline for runs that also traced requests:
-// the request summary is stored under the run's id and served at
-// /runs/{id}/requests and /runs/{id}/requests/{rid}.
-func (c *Collector) ObserveRunData(run analyze.Run, tl *timeline.Timeline, reqs *reqtrace.Summary) *analyze.RunReport {
-	return c.ObserveRunProfile(run, tl, reqs, nil)
-}
-
-// ObserveRunProfile is ObserveRunData for runs that also profiled the guest
-// kernels: the kprof profile is stored under the run's id and served at
-// /runs/{id}/profile (JSON) and /runs/{id}/profile.pb.gz (pprof).
-func (c *Collector) ObserveRunProfile(run analyze.Run, tl *timeline.Timeline, reqs *reqtrace.Summary, prof *kprof.Profile) *analyze.RunReport {
+// snapshot, its counter deltas are taken against run.Prev (absolute when
+// nil) and the snapshot becomes the latest for /metrics. The run's
+// optional artifacts are stored under the same id: the timeline (served at
+// /runs/{id}/timeline, compared at /runs/{id}/compare/{other}; its phase
+// segmentation is attached to the report before publication, keeping
+// stored reports immutable), the request summary (/runs/{id}/requests and
+// /runs/{id}/requests/{rid}) and the guest profile (/runs/{id}/profile and
+// /runs/{id}/profile.pb.gz). Returns the stored report (nil on a nil
+// collector).
+func (c *Collector) ObserveRun(run analyze.Run, tl *timeline.Timeline, reqs *reqtrace.Summary, prof *kprof.Profile) *analyze.RunReport {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if run.Metrics != nil && run.Prev == nil {
-		prev := c.snap
-		run.Prev = &prev
-	}
 	rep := analyze.Attribute(run)
 	rep.ID = runID(len(c.reports) + 1)
 	analyze.AttachPhases(rep, tl)

@@ -128,7 +128,7 @@ func miniFig13(t *testing.T, c *obs.Collector) []byte {
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
 		Cores: 2, Workers: 1, Telemetry: tel,
 		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRun(rec.AttributionRun())
+			c.ObserveRun(rec.AttributionRun(), nil, nil, nil)
 		},
 	}
 	rows, err := experiments.Fig13(cfg)
@@ -251,12 +251,13 @@ func TestEndpoints(t *testing.T) {
 // paths.
 func TestRequestsEndpoints(t *testing.T) {
 	c := obs.NewCollector()
+	root := telemetry.NewSink()
+	root.MaxEvents = -1 // metrics-only: private per-run sinks
 	cfg := experiments.Config{
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
-		Cores: 2, Workers: 1, Telemetry: telemetry.NewSink(),
-		PerRunTelemetry: true, Requests: 4,
+		Cores: 2, Workers: 1, Telemetry: root, Requests: 4,
 		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRunData(rec.AttributionRun(), rec.Timeline, rec.Requests)
+			c.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, nil)
 		},
 	}
 	if _, err := experiments.Fig13(cfg); err != nil {
@@ -344,14 +345,14 @@ func TestProfileEndpoints(t *testing.T) {
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
 		Cores: 2, Workers: 1, KProf: true,
 		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRunProfile(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
+			c.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
 		},
 	}
 	if _, err := experiments.Fig13(cfg); err != nil {
 		t.Fatal(err)
 	}
 	// An un-profiled run: its id must 404 on the profile endpoints.
-	bare := c.ObserveRun(experiments.RunRecord{Label: "bare"}.AttributionRun())
+	bare := c.ObserveRun(experiments.RunRecord{Label: "bare"}.AttributionRun(), nil, nil, nil)
 	c.MarkReady()
 	srv := httptest.NewServer(obs.NewHandler(c))
 	defer srv.Close()
@@ -381,9 +382,9 @@ func TestProfileEndpoints(t *testing.T) {
 	if len(prof.Kernels) == 0 {
 		t.Fatalf("profile has no kernels: %s", body)
 	}
-	insts, busy, _, _, _, _ := prof.Totals()
-	if insts == 0 || busy == 0 {
-		t.Fatalf("profile totals empty: insts %d busy %d", insts, busy)
+	insts, classPs := prof.Totals()
+	if insts == 0 || classPs[0] == 0 {
+		t.Fatalf("profile totals empty: insts %d, class times %v", insts, classPs)
 	}
 
 	code, hdr, raw := get("/runs/run-0001/profile.pb.gz")
@@ -421,7 +422,7 @@ func TestProfileEndpoints(t *testing.T) {
 // metrics.
 func TestNilCollector(t *testing.T) {
 	var c *obs.Collector
-	if rep := c.ObserveRun(experiments.RunRecord{}.AttributionRun()); rep != nil {
+	if rep := c.ObserveRun(experiments.RunRecord{}.AttributionRun(), nil, nil, nil); rep != nil {
 		t.Fatalf("nil collector stored a report: %+v", rep)
 	}
 	c.PublishMetrics(telemetry.MetricsSnapshot{})

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/obs"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/timeline"
@@ -28,11 +29,11 @@ func syntheticTimeline(run, class string) *timeline.Timeline {
 // observe stores one synthetic run (with or without a timeline) and returns
 // its report.
 func observe(c *obs.Collector, label string, tl *timeline.Timeline) *analyze.RunReport {
-	return c.ObserveRunTimeline(analyze.Run{
+	return c.ObserveRun(analyze.Run{
 		Label: label, Kernel: "stat", Arch: "Baseline",
 		DurationPs: 100, InputBytes: 1000,
-		BusyPs: 60, CacheDRAMWaitPs: 40,
-	}, tl)
+		ClassPs: [cpu.NumClasses]int64{60, 40, 0, 0, 0},
+	}, tl, nil, nil)
 }
 
 func timelineTestServer(t *testing.T) (*obs.Collector, *httptest.Server) {
@@ -84,11 +85,11 @@ func TestTimelineEndpoint(t *testing.T) {
 func TestCompareEndpoint(t *testing.T) {
 	c, srv := timelineTestServer(t)
 	observe(c, "stat/Baseline", syntheticTimeline("stat/Baseline", "cache-dram-wait"))
-	c.ObserveRunTimeline(analyze.Run{
+	c.ObserveRun(analyze.Run{
 		Label: "stat/AssasinSb", Kernel: "stat", Arch: "AssasinSb",
 		DurationPs: 60, InputBytes: 1000,
-		BusyPs: 55, StreamRefillWaitPs: 5,
-	}, syntheticTimeline("stat/AssasinSb", "core-busy"))
+		ClassPs: [cpu.NumClasses]int64{55, 0, 5, 0, 0},
+	}, syntheticTimeline("stat/AssasinSb", "core-busy"), nil, nil)
 
 	code, body := get(t, srv.URL+"/runs/run-0001/compare/run-0002")
 	if code != http.StatusOK {

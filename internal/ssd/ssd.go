@@ -19,8 +19,6 @@ import (
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/analyze"
-	"assasin/internal/telemetry/kprof"
 	"assasin/internal/telemetry/reqtrace"
 	"assasin/internal/telemetry/timeline"
 )
@@ -96,7 +94,7 @@ type Options struct {
 	// engine recording bulk ALU dispatches as O(1) range updates. Like
 	// Telemetry, the profiler belongs to this SSD's simulation goroutine.
 	// Nil disables profiling at nil-pointer-branch cost.
-	KProf *kprof.Profiler
+	KProf *cpu.Profiler
 	// Log, when non-nil, receives offload lifecycle events: request
 	// submission and completion at Debug level. Handlers must be
 	// goroutine-safe when SSDs run concurrently.
@@ -256,31 +254,35 @@ func New(opt Options) *SSD {
 	return s
 }
 
-// classTimes sums the per-core cycle accounting into the five attribution
-// classes, in picoseconds: issue time plus the four-way stall taxonomy
-// (StallMem → cache-dram-wait, StallStreamWait → stream-refill-wait,
-// StallOutFull → out-full-wait, StallExec → exec-stall).
-func (s *SSD) classTimes() (busy, mem, refill, outFull, exec int64) {
+// classTimes sums the per-core cycle accounting per class, in picoseconds,
+// indexed like cpu.ClassNames.
+func (s *SSD) classTimes() (t [cpu.NumClasses]int64) {
 	for _, c := range s.Cores {
 		st := c.Stats()
-		busy += int64(st.BusyTime)
-		mem += int64(st.StallTime[cpu.StallMem])
-		refill += int64(st.StallTime[cpu.StallStreamWait])
-		outFull += int64(st.StallTime[cpu.StallOutFull])
-		exec += int64(st.StallTime[cpu.StallExec])
+		for i, ps := range st.ClassTimes() {
+			t[i] += ps
+		}
 	}
-	return
+	return t
 }
+
+// classSeries and classGauges are the per-class timeline series keys and
+// gauge names, indexed like cpu.ClassNames and built once so sampling and
+// publishing do not allocate them.
+var classSeries, classGauges = func() (series, gauges [cpu.NumClasses]string) {
+	for i, name := range cpu.ClassNames {
+		series[i] = timeline.ClassPrefix + name
+		gauges[i] = name + "_ps"
+	}
+	return series, gauges
+}()
 
 // classProbe feeds the timeline sampler the live cumulative class times, as
 // "class/<name>" series (the phase segmenter's input).
 func (s *SSD) classProbe(emit func(key string, cumulative int64)) {
-	busy, mem, refill, outFull, exec := s.classTimes()
-	emit(timeline.ClassPrefix+analyze.ClassCoreBusy, busy)
-	emit(timeline.ClassPrefix+analyze.ClassCacheDRAMWait, mem)
-	emit(timeline.ClassPrefix+analyze.ClassStreamRefillWait, refill)
-	emit(timeline.ClassPrefix+analyze.ClassOutFullWait, outFull)
-	emit(timeline.ClassPrefix+analyze.ClassExecStall, exec)
+	for i, ps := range s.classTimes() {
+		emit(classSeries[i], ps)
+	}
 }
 
 // PublishStats snapshots cumulative component state — per-channel flash
@@ -315,12 +317,9 @@ func (s *SSD) PublishStats() {
 	// report derives from CoreStats, published as gauges so metrics-only
 	// exports (-metrics files, BENCH envelopes) carry enough for the diff
 	// engine to rank class deltas without a report.
-	busy, mem, refill, outFull, exec := s.classTimes()
-	tel.Gauge("class", analyze.ClassCoreBusy+"_ps").Set(busy)
-	tel.Gauge("class", analyze.ClassCacheDRAMWait+"_ps").Set(mem)
-	tel.Gauge("class", analyze.ClassStreamRefillWait+"_ps").Set(refill)
-	tel.Gauge("class", analyze.ClassOutFullWait+"_ps").Set(outFull)
-	tel.Gauge("class", analyze.ClassExecStall+"_ps").Set(exec)
+	for i, ps := range s.classTimes() {
+		tel.Gauge("class", classGauges[i]).Set(ps)
+	}
 	// Unify the existing per-cache hit/miss stats into the metrics export,
 	// aggregated across cores (cached architectures only).
 	var cs memhier.CacheStats
@@ -534,13 +533,11 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 		for i := range tasks {
 			st := s.Cores[i].Stats()
 			base := baseStats[i]
-			req.SetCoreDelta(i,
-				int64(baseLocal[i]),
-				int64(st.BusyTime-base.BusyTime),
-				int64(st.StallTime[cpu.StallMem]-base.StallTime[cpu.StallMem]),
-				int64(st.StallTime[cpu.StallStreamWait]-base.StallTime[cpu.StallStreamWait]),
-				int64(st.StallTime[cpu.StallOutFull]-base.StallTime[cpu.StallOutFull]),
-				int64(st.StallTime[cpu.StallExec]-base.StallTime[cpu.StallExec]),
+			delta, from := st.ClassTimes(), base.ClassTimes()
+			for c := range delta {
+				delta[c] -= from[c]
+			}
+			req.SetCoreDelta(i, int64(baseLocal[i]), delta,
 				st.Instructions-base.Instructions,
 				st.Dispatches-base.Dispatches)
 		}

@@ -6,10 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/firmware"
 	"assasin/internal/kernels"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/timeline"
 )
 
@@ -56,9 +56,9 @@ func TestTimelineClassSeriesCoverRun(t *testing.T) {
 	for _, st := range res.CoreStats {
 		wantBusy += int64(st.BusyTime)
 	}
-	se := tl.SeriesByKey(timeline.ClassPrefix + analyze.ClassCoreBusy)
+	se := tl.SeriesByKey(timeline.ClassPrefix + cpu.ClassCoreBusy)
 	if se == nil {
-		t.Fatalf("no %s series; series: %d", timeline.ClassPrefix+analyze.ClassCoreBusy, len(tl.Series))
+		t.Fatalf("no %s series; series: %d", timeline.ClassPrefix+cpu.ClassCoreBusy, len(tl.Series))
 	}
 	var gotBusy int64
 	for _, v := range se.Values {
@@ -87,22 +87,34 @@ func TestTimelineClassGaugesPublished(t *testing.T) {
 	for _, st := range res.CoreStats {
 		wantBusy += int64(st.BusyTime)
 	}
-	g, ok := snap.Gauges["class/"+analyze.ClassCoreBusy+"_ps"]
+	g, ok := snap.Gauges["class/"+cpu.ClassCoreBusy+"_ps"]
 	if !ok || g.Value != wantBusy {
 		t.Errorf("class/core-busy_ps gauge = %+v, want %d", g, wantBusy)
 	}
-	for _, class := range analyze.Classes() {
+	for _, class := range cpu.ClassNames {
 		if _, ok := snap.Gauges["class/"+class+"_ps"]; !ok {
 			t.Errorf("class gauge %s_ps not published", class)
 		}
 	}
 }
 
-// TestTimelineTraceClassesMirrored checks that TraceClasses adds Chrome
-// "ph":"C" counter samples to the sink's event trace.
+// TestTimelineTraceClassesMirrored checks that a sampler over a sink that
+// records trace events adds Chrome "ph":"C" counter samples to it, and one
+// over a metrics-only sink adds no timeline track.
 func TestTimelineTraceClassesMirrored(t *testing.T) {
+	quiet := telemetry.NewSink()
+	quiet.MaxEvents = -1
+	runStatTimeline(t, quiet, timeline.Config{IntervalPs: 1_000_000})
+	var qbuf bytes.Buffer
+	if err := quiet.WriteChromeTrace(&qbuf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(qbuf.Bytes(), []byte(`"timeline"`)) {
+		t.Error("metrics-only sink got a timeline track")
+	}
+
 	tel := telemetry.NewSink()
-	runStatTimeline(t, tel, timeline.Config{IntervalPs: 1_000_000, TraceClasses: true})
+	runStatTimeline(t, tel, timeline.Config{IntervalPs: 1_000_000})
 
 	counters := 0
 	for _, e := range tel.Events() {
@@ -111,7 +123,7 @@ func TestTimelineTraceClassesMirrored(t *testing.T) {
 		}
 	}
 	if counters == 0 {
-		t.Error("TraceClasses produced no counter events")
+		t.Error("class lanes produced no counter events")
 	}
 	var buf bytes.Buffer
 	if err := tel.WriteChromeTrace(&buf); err != nil {

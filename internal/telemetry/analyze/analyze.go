@@ -9,8 +9,9 @@
 // Reports render two ways, both deterministic: indented JSON (served by
 // assasin-serve at /runs/<id>/report, printed by -report -json flows) and
 // an aligned text table (assasin-bench -report / assasin-sim -report).
-// The package deliberately depends only on internal/telemetry so every
-// layer — cmds, the observability server, experiments — can consume it.
+// The package depends only on internal/telemetry and the class table in
+// internal/cpu, so every layer — cmds, the observability server,
+// experiments — can consume it.
 package analyze
 
 import (
@@ -21,41 +22,10 @@ import (
 	"strconv"
 	"strings"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/timeline"
 )
-
-// Stall-attribution classes: every simulated core cycle of a run belongs
-// to exactly one. ClassCoreBusy is issue time; the others are the stall
-// taxonomy (cpu.StallKind plus the paper's naming).
-const (
-	// ClassCoreBusy: the core issued an instruction this cycle.
-	ClassCoreBusy = "core-busy"
-	// ClassCacheDRAMWait: loads/stores waiting on the cache hierarchy and
-	// SSD DRAM — the paper's in-SSD memory wall.
-	ClassCacheDRAMWait = "cache-dram-wait"
-	// ClassStreamRefillWait: stream reads that outran the flash-to-buffer
-	// refill path (ASSASIN's stream buffers exist to drive this to zero
-	// whenever flash bandwidth allows).
-	ClassStreamRefillWait = "stream-refill-wait"
-	// ClassOutFullWait: appends blocked on a full output window awaiting a
-	// firmware drain.
-	ClassOutFullWait = "out-full-wait"
-	// ClassExecStall: multi-cycle execution (mul/div) and branch penalties.
-	ClassExecStall = "exec-stall"
-)
-
-// classOrder is the canonical rendering order (and the tiebreak when two
-// classes hold equal time).
-var classOrder = []string{
-	ClassCoreBusy, ClassCacheDRAMWait, ClassStreamRefillWait, ClassOutFullWait, ClassExecStall,
-}
-
-// Classes returns the five attribution classes in canonical order (a copy;
-// consumers like the diff engine iterate it for deterministic ranking).
-func Classes() []string {
-	return append([]string(nil), classOrder...)
-}
 
 // Run is the raw material of one attribution report. Cycle accounting is
 // summed across the run's cores, in picoseconds of simulated time.
@@ -71,12 +41,9 @@ type Run struct {
 	// InputBytes is the total stream bytes delivered to cores.
 	InputBytes int64
 
-	// Per-class core time, summed over cores.
-	BusyPs             int64
-	CacheDRAMWaitPs    int64
-	StreamRefillWaitPs int64
-	OutFullWaitPs      int64
-	ExecStallPs        int64
+	// ClassPs is the core time per class, summed over cores and indexed
+	// like cpu.ClassNames.
+	ClassPs [cpu.NumClasses]int64
 
 	// Metrics, when non-nil, is the sink snapshot taken right after the
 	// run published its component stats: gauges carry this run's component
@@ -153,7 +120,8 @@ type PhaseRow struct {
 	// Frac is the phase's share of the run duration.
 	Frac float64 `json:"frac"`
 	// Classes is the per-class core time inside the phase, largest first
-	// (classOrder breaks ties), with fractions of the phase's core time.
+	// (cpu.ClassNames order breaks ties), with fractions of the phase's
+	// core time.
 	Classes []ClassShare `json:"classes,omitempty"`
 }
 
@@ -173,7 +141,7 @@ func PhasesFromTimeline(tl *timeline.Timeline, durationPs int64) []PhaseRow {
 		for _, ps := range p.ClassPs {
 			total += ps
 		}
-		for _, class := range classOrder {
+		for _, class := range cpu.ClassNames {
 			ps, ok := p.ClassPs[class]
 			if !ok {
 				continue
@@ -215,31 +183,24 @@ func Attribute(r Run) *RunReport {
 		rep.ThroughputBps = float64(r.InputBytes) / (float64(r.DurationPs) * 1e-12)
 	}
 
-	byClass := map[string]int64{
-		ClassCoreBusy:         r.BusyPs,
-		ClassCacheDRAMWait:    r.CacheDRAMWaitPs,
-		ClassStreamRefillWait: r.StreamRefillWaitPs,
-		ClassOutFullWait:      r.OutFullWaitPs,
-		ClassExecStall:        r.ExecStallPs,
-	}
 	var total int64
-	for _, ps := range byClass {
+	for _, ps := range r.ClassPs {
 		total += ps
 	}
-	for _, class := range classOrder {
-		share := ClassShare{Class: class, Ps: byClass[class]}
+	for i, class := range cpu.ClassNames {
+		share := ClassShare{Class: class, Ps: r.ClassPs[i]}
 		if total > 0 {
 			share.Frac = float64(share.Ps) / float64(total)
 		}
 		rep.Classes = append(rep.Classes, share)
 	}
-	// Largest first; classOrder position breaks ties so output is stable.
+	// Largest first; cpu.ClassNames position breaks ties so output is stable.
 	sort.SliceStable(rep.Classes, func(i, j int) bool {
 		return rep.Classes[i].Ps > rep.Classes[j].Ps
 	})
 	rep.LargestClass = rep.Classes[0].Class
 	for _, s := range rep.Classes {
-		if s.Class != ClassCoreBusy {
+		if s.Class != cpu.ClassCoreBusy {
 			rep.LargestStall = s.Class
 			break
 		}
@@ -361,16 +322,14 @@ func FormatReports(reports []*RunReport) string {
 	b.WriteString("Attribution — where did the cycles go (fractions of total core time)\n")
 	fmt.Fprintf(&b, "%-26s%10s%12s%15s%10s%7s%20s%9s\n",
 		"Run", "busy", "cache-dram", "stream-refill", "out-full", "exec", "largest-stall", "GB/s")
+	// Column widths of the class fractions, in cpu.ClassNames order.
+	widths := [cpu.NumClasses]int{9, 11, 14, 9, 6}
 	for _, r := range reports {
-		fmt.Fprintf(&b, "%-26s%9.1f%%%11.1f%%%14.1f%%%9.1f%%%6.1f%%%20s%9.2f\n",
-			r.Label,
-			100*r.ClassFrac(ClassCoreBusy),
-			100*r.ClassFrac(ClassCacheDRAMWait),
-			100*r.ClassFrac(ClassStreamRefillWait),
-			100*r.ClassFrac(ClassOutFullWait),
-			100*r.ClassFrac(ClassExecStall),
-			r.LargestStall,
-			r.ThroughputBps/1e9)
+		fmt.Fprintf(&b, "%-26s", r.Label)
+		for i, class := range cpu.ClassNames {
+			fmt.Fprintf(&b, "%*.1f%%", widths[i], 100*r.ClassFrac(class))
+		}
+		fmt.Fprintf(&b, "%20s%9.2f\n", r.LargestStall, r.ThroughputBps/1e9)
 	}
 	return b.String()
 }

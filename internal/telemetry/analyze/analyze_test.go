@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
 )
 
@@ -14,14 +15,13 @@ func memoryWallRun() Run {
 	return Run{
 		Label: "Stat/Baseline", Kernel: "Stat", Arch: "Baseline", Cores: 2,
 		DurationPs: 1_000_000, InputBytes: 4096,
-		BusyPs: 390_000, CacheDRAMWaitPs: 950_000, StreamRefillWaitPs: 80_000,
-		OutFullWaitPs: 0, ExecStallPs: 160_000,
+		ClassPs: [cpu.NumClasses]int64{390_000, 950_000, 80_000, 0, 160_000},
 	}
 }
 
 func TestAttributeClassShares(t *testing.T) {
 	rep := Attribute(memoryWallRun())
-	if rep.LargestClass != ClassCacheDRAMWait || rep.LargestStall != ClassCacheDRAMWait {
+	if rep.LargestClass != cpu.ClassCacheDRAMWait || rep.LargestStall != cpu.ClassCacheDRAMWait {
 		t.Fatalf("largest class/stall = %s/%s, want cache-dram-wait", rep.LargestClass, rep.LargestStall)
 	}
 	var total float64
@@ -40,7 +40,7 @@ func TestAttributeClassShares(t *testing.T) {
 	if rep.ThroughputBps != 4096/(1e6*1e-12) {
 		t.Fatalf("throughput = %v", rep.ThroughputBps)
 	}
-	if got := rep.ClassFrac(ClassOutFullWait); got != 0 {
+	if got := rep.ClassFrac(cpu.ClassOutFullWait); got != 0 {
 		t.Fatalf("out-full frac = %v, want 0", got)
 	}
 }
@@ -49,20 +49,20 @@ func TestAttributeBusyDominant(t *testing.T) {
 	r := Run{
 		Label: "Stat/AssasinSb", Kernel: "Stat", Arch: "AssasinSb", Cores: 2,
 		DurationPs: 1_000_000, InputBytes: 4096,
-		BusyPs: 900_000, StreamRefillWaitPs: 90_000, ExecStallPs: 10_000,
+		ClassPs: [cpu.NumClasses]int64{900_000, 0, 90_000, 0, 10_000},
 	}
 	rep := Attribute(r)
-	if rep.LargestClass != ClassCoreBusy {
+	if rep.LargestClass != cpu.ClassCoreBusy {
 		t.Fatalf("largest class = %s, want core-busy", rep.LargestClass)
 	}
-	if rep.LargestStall != ClassStreamRefillWait {
+	if rep.LargestStall != cpu.ClassStreamRefillWait {
 		t.Fatalf("largest stall = %s, want stream-refill-wait", rep.LargestStall)
 	}
 }
 
 func TestAttributeEmptyRun(t *testing.T) {
 	rep := Attribute(Run{Label: "empty"})
-	if rep.LargestClass != ClassCoreBusy { // tiebreak: canonical order
+	if rep.LargestClass != cpu.ClassCoreBusy { // tiebreak: canonical order
 		t.Fatalf("largest class of empty run = %s", rep.LargestClass)
 	}
 	for _, s := range rep.Classes {
@@ -163,7 +163,7 @@ func TestFormatAndJSONDeterministic(t *testing.T) {
 	if err := json.Unmarshal(x.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if back[0].LargestStall != ClassCacheDRAMWait {
+	if back[0].LargestStall != cpu.ClassCacheDRAMWait {
 		t.Fatalf("round-tripped report lost largest_stall")
 	}
 }

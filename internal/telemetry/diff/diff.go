@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/kprof"
@@ -143,7 +144,7 @@ func classTimes(d RunData) map[string]int64 {
 	}
 	if d.Metrics != nil {
 		out := make(map[string]int64)
-		for _, class := range analyze.Classes() {
+		for _, class := range cpu.ClassNames {
 			if g, ok := d.Metrics.Gauges["class/"+class+"_ps"]; ok {
 				out[class] = g.Value
 			}
@@ -156,7 +157,7 @@ func classTimes(d RunData) map[string]int64 {
 		// Rate series integrate exactly (decimation preserves sums), so the
 		// timeline alone reconstructs the per-class totals.
 		out := make(map[string]int64)
-		for _, class := range analyze.Classes() {
+		for _, class := range cpu.ClassNames {
 			if se := d.Timeline.SeriesByKey(timeline.ClassPrefix + class); se != nil {
 				var sum int64
 				for _, v := range se.Values {
@@ -249,7 +250,7 @@ func classDeltas(a, b map[string]int64) []ClassDelta {
 		bTotal += ps
 	}
 	var out []ClassDelta
-	for _, class := range analyze.Classes() {
+	for _, class := range cpu.ClassNames {
 		d := ClassDelta{Class: class, APs: a[class], BPs: b[class]}
 		d.DeltaPs = d.BPs - d.APs
 		if aTotal > 0 {

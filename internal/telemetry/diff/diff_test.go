@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/firmware"
 	"assasin/internal/kernels"
 	"assasin/internal/ssd"
@@ -29,29 +30,29 @@ func report(label string, classes map[string]int64) *analyze.RunReport {
 
 func TestCompareRanksClassDeltas(t *testing.T) {
 	a := diff.RunData{Report: report("a", map[string]int64{
-		analyze.ClassCoreBusy:      100,
-		analyze.ClassCacheDRAMWait: 500,
-		analyze.ClassExecStall:     50,
+		cpu.ClassCoreBusy:      100,
+		cpu.ClassCacheDRAMWait: 500,
+		cpu.ClassExecStall:     50,
 	})}
 	b := diff.RunData{Report: report("b", map[string]int64{
-		analyze.ClassCoreBusy:      90,
-		analyze.ClassCacheDRAMWait: 20,
-		analyze.ClassExecStall:     55,
+		cpu.ClassCoreBusy:      90,
+		cpu.ClassCacheDRAMWait: 20,
+		cpu.ClassExecStall:     55,
 	})}
 	rep := diff.Compare(a, b)
 
-	if rep.TopClass != analyze.ClassCacheDRAMWait {
-		t.Fatalf("TopClass = %q, want %q", rep.TopClass, analyze.ClassCacheDRAMWait)
+	if rep.TopClass != cpu.ClassCacheDRAMWait {
+		t.Fatalf("TopClass = %q, want %q", rep.TopClass, cpu.ClassCacheDRAMWait)
 	}
 	if rep.Classes[0].DeltaPs != -480 {
 		t.Errorf("top delta = %d, want -480", rep.Classes[0].DeltaPs)
 	}
-	if !strings.Contains(rep.Headline, analyze.ClassCacheDRAMWait) {
+	if !strings.Contains(rep.Headline, cpu.ClassCacheDRAMWait) {
 		t.Errorf("headline %q does not name the top class", rep.Headline)
 	}
 	// All five classes present, magnitudes non-increasing.
-	if len(rep.Classes) != len(analyze.Classes()) {
-		t.Fatalf("got %d class rows, want %d", len(rep.Classes), len(analyze.Classes()))
+	if len(rep.Classes) != len(cpu.ClassNames) {
+		t.Fatalf("got %d class rows, want %d", len(rep.Classes), len(cpu.ClassNames))
 	}
 	for i := 1; i < len(rep.Classes); i++ {
 		prev, cur := rep.Classes[i-1].DeltaPs, rep.Classes[i].DeltaPs
@@ -180,9 +181,9 @@ func runStat(t *testing.T, arch ssd.Arch) diff.RunData {
 func TestStatBaselineVsAssasinSb(t *testing.T) {
 	rep := diff.Compare(runStat(t, ssd.Baseline), runStat(t, ssd.AssasinSb))
 
-	if rep.TopClass != analyze.ClassCacheDRAMWait {
+	if rep.TopClass != cpu.ClassCacheDRAMWait {
 		t.Fatalf("top-ranked class = %q, want %q (classes: %+v)",
-			rep.TopClass, analyze.ClassCacheDRAMWait, rep.Classes)
+			rep.TopClass, cpu.ClassCacheDRAMWait, rep.Classes)
 	}
 	top := rep.Classes[0]
 	if top.DeltaPs >= 0 {
@@ -241,7 +242,7 @@ func TestLoadFileAutodetects(t *testing.T) {
 // statProfile runs Stat with a guest profiler attached and snapshots it.
 func statProfile(t *testing.T, arch ssd.Arch) *kprof.Profile {
 	t.Helper()
-	kp := kprof.New()
+	kp := new(cpu.Profiler)
 	s := ssd.New(ssd.Options{Arch: arch, Cores: 2, KProf: kp})
 	data := statWords(16<<10, 7)
 	lpas, err := s.InstallBytes(data)
@@ -258,7 +259,7 @@ func statProfile(t *testing.T, arch ssd.Arch) *kprof.Profile {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	prof := kp.Snapshot()
+	prof := kprof.Snapshot(kp)
 	prof.Label = "Stat/" + arch.String()
 	return prof
 }

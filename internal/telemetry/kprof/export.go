@@ -68,8 +68,11 @@ func (p *Profile) FormatHotBlocks(n int) string {
 		sb.WriteString("  (no samples)\n\n")
 		return sb.String()
 	}
-	_, busy, exec, stream, out, mem := p.Totals()
-	grand := busy + exec + stream + out + mem
+	_, ps := p.Totals()
+	var grand int64
+	for _, v := range ps {
+		grand += v
+	}
 	fmt.Fprintf(&sb, "  %3s %6s %9s %9s %9s %9s %9s %9s %10s  %s\n",
 		"#", "share", "total", "busy", "exec", "stream", "out-full", "mem", "insts", "kernel block")
 	for i, b := range blocks {

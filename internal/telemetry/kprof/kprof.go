@@ -7,8 +7,10 @@
 // at snapshot time) — so a compiled-mode profile reconciles exactly, byte
 // for byte after export, with a precise-mode profile of the same run.
 //
-// Per pc the profiler splits time into the issue cycle (busy) plus the
-// four stall classes of cpu.StallKind; the per-pc totals sum exactly to
+// The per-pc counters themselves live in package cpu (cpu.Profiler and
+// cpu.CoreProfile), which the cores write through; this package only reads
+// them. Per pc the profiler splits time into the issue cycle (busy) plus
+// the four stall classes of cpu.StallKind; the per-pc totals sum exactly to
 // the attribution engine's per-class core times (test-enforced in
 // internal/experiments). Snapshots group pcs into basic blocks computed
 // from the program's control flow and export three ways: pprof
@@ -19,114 +21,10 @@ package kprof
 import (
 	"sort"
 	"strings"
-	"sync"
 
-	"assasin/internal/asm"
+	"assasin/internal/cpu"
 	"assasin/internal/isa"
-	"assasin/internal/sim"
 )
-
-// Stall-class indices, value-identical to cpu.StallKind (the cpu package
-// imports kprof, so the shared ordering is pinned here and asserted by a
-// test on the cpu side).
-const (
-	StallMem = iota
-	StallStreamWait
-	StallOutFull
-	StallExec
-	NumStallKinds
-)
-
-// CoreProfile is the per-(program, clock) recording sink the cores write
-// through. All methods are O(1) with no allocation; they are called only
-// behind the cpu package's `if c.prof != nil` guards, preserving the
-// zero-cost contract when profiling is disabled.
-type CoreProfile struct {
-	prog   *asm.Program
-	period sim.Time
-	insts  []int64                // per-pc retired instructions
-	busy   []int64                // per-pc issue time, ps
-	stall  [NumStallKinds][]int64 // per-class per-pc stall time, ps
-	// bulk is a difference array over pcs: the compiled engine
-	// records a straight ALU run of n instructions at pc as bulk[pc]++ /
-	// bulk[pc+n]--, and a pure-ALU loop batch of m iterations as a single
-	// range update. The prefix sum at snapshot time yields per-pc
-	// execution counts; each counted execution is exactly one retired
-	// instruction and one issue cycle, matching precise stepping.
-	bulk []int64
-}
-
-// Record attributes one retired instruction at pc: its issue cycle (busy)
-// plus any stall of the given class.
-func (p *CoreProfile) Record(pc int, busy sim.Time, kind int, stall sim.Time) {
-	p.insts[pc]++
-	p.busy[pc] += int64(busy)
-	if stall > 0 {
-		p.stall[kind][pc] += int64(stall)
-	}
-}
-
-// Stall attributes blocked-wait time at pc without retiring an instruction
-// (the core re-dispatching after an external wake).
-func (p *CoreProfile) Stall(pc, kind int, d sim.Time) {
-	p.stall[kind][pc] += int64(d)
-}
-
-// Insts attributes n retired instructions with no cycle cost (zero-cycle
-// control flow: branch-free taken branches and free jumps).
-func (p *CoreProfile) Insts(pc int, n int64) {
-	p.insts[pc] += n
-}
-
-// BulkALU records one execution of the straight ALU run [pc, pc+n).
-func (p *CoreProfile) BulkALU(pc, n int) {
-	p.bulk[pc]++
-	p.bulk[pc+n]--
-}
-
-// BulkRange records m executions of the ALU range [head, end).
-func (p *CoreProfile) BulkRange(head, end int, m int64) {
-	p.bulk[head] += m
-	p.bulk[end] -= m
-}
-
-// Profiler collects the CoreProfiles of one run. ForProgram and Snapshot
-// are cold paths (per program load / per run) and goroutine-safe; the
-// recording methods above belong to the simulation goroutine that owns the
-// returned CoreProfile.
-type Profiler struct {
-	mu    sync.Mutex
-	cores []*CoreProfile
-}
-
-// New returns an empty profiler.
-func New() *Profiler { return &Profiler{} }
-
-// ForProgram returns the recording sink for a loaded program, creating it
-// on first sight. Cores sharing a program (the usual per-request fan-out)
-// share one sink, so per-pc totals sum over the whole run.
-func (p *Profiler) ForProgram(prog *asm.Program, period sim.Time) *CoreProfile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, cp := range p.cores {
-		if cp.prog == prog && cp.period == period {
-			return cp
-		}
-	}
-	n := len(prog.Insts)
-	cp := &CoreProfile{
-		prog:   prog,
-		period: period,
-		insts:  make([]int64, n),
-		busy:   make([]int64, n),
-		bulk:   make([]int64, n+1),
-	}
-	for k := range cp.stall {
-		cp.stall[k] = make([]int64, n)
-	}
-	p.cores = append(p.cores, cp)
-	return cp
-}
 
 // PCSample is one program counter's attribution.
 type PCSample struct {
@@ -180,67 +78,67 @@ type Profile struct {
 	Kernels  []KernelProfile `json:"kernels"`
 }
 
-// Totals sums the per-pc columns over the whole profile (the reconciliation
-// invariant checks these against the attribution engine's class times).
-func (p *Profile) Totals() (insts, busyPs, execPs, streamPs, outPs, memPs int64) {
+// classPs returns the sample's time per class, indexed like cpu.ClassNames.
+func (s PCSample) classPs() (t [cpu.NumClasses]int64) {
+	t[0] = s.BusyPs
+	t[1+cpu.StallMem] = s.MemWaitPs
+	t[1+cpu.StallStreamWait] = s.StreamWaitPs
+	t[1+cpu.StallOutFull] = s.OutFullPs
+	t[1+cpu.StallExec] = s.ExecStallPs
+	return t
+}
+
+// Totals sums the per-pc columns over the whole profile: retired
+// instructions and the time per class, indexed like cpu.ClassNames (the
+// reconciliation invariant checks these against the attribution engine's
+// class times).
+func (p *Profile) Totals() (insts int64, ps [cpu.NumClasses]int64) {
 	for _, k := range p.Kernels {
 		for _, b := range k.Blocks {
 			for _, s := range b.PCs {
 				insts += s.Insts
-				busyPs += s.BusyPs
-				execPs += s.ExecStallPs
-				streamPs += s.StreamWaitPs
-				outPs += s.OutFullPs
-				memPs += s.MemWaitPs
+				for c, v := range s.classPs() {
+					ps[c] += v
+				}
 			}
 		}
 	}
-	return
+	return insts, ps
 }
 
-// Snapshot merges the run's CoreProfiles (difference arrays resolved,
+// Snapshot merges the run's recording sinks (difference arrays resolved,
 // same-program sinks summed by kernel name) into a deterministic Profile:
 // kernels sorted by name, blocks and pcs ascending, all-zero pcs omitted.
-func (p *Profiler) Snapshot() *Profile {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+func Snapshot(p *cpu.Profiler) *Profile {
 	out := &Profile{}
 	type key struct {
 		name string
 		n    int
 	}
-	merged := make(map[key]*CoreProfile)
+	merged := make(map[key]*cpu.CoreProfile)
 	var order []key
-	for _, cp := range p.cores {
+	for _, cp := range p.Programs() {
 		if out.PeriodPs == 0 {
-			out.PeriodPs = int64(cp.period)
+			out.PeriodPs = int64(cp.Period)
 		}
-		name := cp.prog.Name
+		name := cp.Prog.Name
 		if name == "" {
 			name = "kernel"
 		}
-		k := key{name, len(cp.prog.Insts)}
+		k := key{name, len(cp.Prog.Insts)}
 		dst := merged[k]
 		if dst == nil {
-			n := len(cp.prog.Insts)
-			dst = &CoreProfile{
-				prog:  cp.prog,
-				insts: make([]int64, n),
-				busy:  make([]int64, n),
-			}
-			for s := range dst.stall {
-				dst.stall[s] = make([]int64, n)
-			}
+			dst = cpu.NewCoreProfile(cp.Prog, 0)
 			merged[k] = dst
 			order = append(order, k)
 		}
 		var run int64
-		for pc := range cp.insts {
-			run += cp.bulk[pc]
-			dst.insts[pc] += cp.insts[pc] + run
-			dst.busy[pc] += cp.busy[pc] + run*int64(cp.period)
-			for s := range cp.stall {
-				dst.stall[s][pc] += cp.stall[s][pc]
+		for pc := range cp.Retired {
+			run += cp.Bulk[pc]
+			dst.Retired[pc] += cp.Retired[pc] + run
+			dst.BusyPs[pc] += cp.BusyPs[pc] + run*int64(cp.Period)
+			for s := range cp.StallPs {
+				dst.StallPs[s][pc] += cp.StallPs[s][pc]
 			}
 		}
 	}
@@ -257,11 +155,11 @@ func (p *Profiler) Snapshot() *Profile {
 }
 
 // kernelProfile assembles one kernel's block-structured profile.
-func kernelProfile(name string, cp *CoreProfile) KernelProfile {
+func kernelProfile(name string, cp *cpu.CoreProfile) KernelProfile {
 	kp := KernelProfile{Kernel: name}
-	starts := blockStarts(cp.prog.Insts)
+	starts := blockStarts(cp.Prog.Insts)
 	for i, start := range starts {
-		end := len(cp.prog.Insts)
+		end := len(cp.Prog.Insts)
 		if i+1 < len(starts) {
 			end = starts[i+1]
 		}
@@ -269,17 +167,17 @@ func kernelProfile(name string, cp *CoreProfile) KernelProfile {
 		for pc := start; pc < end; pc++ {
 			s := PCSample{
 				PC:           pc,
-				Insts:        cp.insts[pc],
-				BusyPs:       cp.busy[pc],
-				MemWaitPs:    cp.stall[StallMem][pc],
-				StreamWaitPs: cp.stall[StallStreamWait][pc],
-				OutFullPs:    cp.stall[StallOutFull][pc],
-				ExecStallPs:  cp.stall[StallExec][pc],
+				Insts:        cp.Retired[pc],
+				BusyPs:       cp.BusyPs[pc],
+				MemWaitPs:    cp.StallPs[cpu.StallMem][pc],
+				StreamWaitPs: cp.StallPs[cpu.StallStreamWait][pc],
+				OutFullPs:    cp.StallPs[cpu.StallOutFull][pc],
+				ExecStallPs:  cp.StallPs[cpu.StallExec][pc],
 			}
 			if s.Insts == 0 && s.TotalPs() == 0 {
 				continue
 			}
-			s.Sym = strings.TrimSpace(cp.prog.Line(pc))
+			s.Sym = strings.TrimSpace(cp.Prog.Line(pc))
 			b.Insts += s.Insts
 			b.BusyPs += s.BusyPs
 			b.ExecStallPs += s.ExecStallPs

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"assasin/internal/asm"
+	"assasin/internal/cpu"
 	"assasin/internal/sim"
 )
 
@@ -28,20 +29,20 @@ func testProgram() *asm.Program {
 const period = sim.Time(1000) // 1 ns in ps
 
 // record simulates three loop iterations the way the precise engine would.
-func record(cp *CoreProfile) {
+func record(cp *cpu.CoreProfile) {
 	for it := 0; it < 3; it++ {
-		cp.Record(0, period, StallExec, 0)
-		cp.Record(1, period, StallExec, 0)
-		cp.Record(2, period, StallExec, period) // taken branch, 1 penalty cycle
+		cp.Record(0, period, cpu.StallExec, 0)
+		cp.Record(1, period, cpu.StallExec, 0)
+		cp.Record(2, period, cpu.StallExec, period) // taken branch, 1 penalty cycle
 	}
-	cp.Record(3, period, StallExec, 0) // halt
+	cp.Record(3, period, cpu.StallExec, 0) // halt
 }
 
 func TestSnapshotBlocksAndTotals(t *testing.T) {
-	p := New()
+	p := new(cpu.Profiler)
 	cp := p.ForProgram(testProgram(), period)
 	record(cp)
-	prof := p.Snapshot()
+	prof := Snapshot(p)
 	if len(prof.Kernels) != 1 || prof.Kernels[0].Kernel != "tiny" {
 		t.Fatalf("kernels: %+v", prof.Kernels)
 	}
@@ -51,12 +52,10 @@ func TestSnapshotBlocksAndTotals(t *testing.T) {
 	if len(blocks) != 2 || blocks[0].Start != 0 || blocks[0].End != 3 || blocks[1].Start != 3 {
 		t.Fatalf("blocks: %+v", blocks)
 	}
-	insts, busy, exec, stream, out, mem := prof.Totals()
-	if insts != 10 || busy != 10*int64(period) || exec != 3*int64(period) {
-		t.Errorf("totals: insts %d busy %d exec %d", insts, busy, exec)
-	}
-	if stream != 0 || out != 0 || mem != 0 {
-		t.Errorf("unexpected stall totals: %d %d %d", stream, out, mem)
+	insts, ps := prof.Totals()
+	want := [cpu.NumClasses]int64{0: 10 * int64(period), 1 + cpu.StallExec: 3 * int64(period)}
+	if insts != 10 || ps != want {
+		t.Errorf("totals: insts %d, class times %v, want 10 and %v", insts, ps, want)
 	}
 	if sym := blocks[0].PCs[2].Sym; !strings.Contains(sym, "blt") || !strings.HasPrefix(sym, "2:") {
 		t.Errorf("pc 2 sym = %q", sym)
@@ -67,18 +66,18 @@ func TestSnapshotBlocksAndTotals(t *testing.T) {
 // recording must snapshot identically to per-pc Records.
 func TestBulkMatchesPerStep(t *testing.T) {
 	prog := testProgram()
-	perStep := New()
+	perStep := new(cpu.Profiler)
 	cp := perStep.ForProgram(prog, period)
 	for it := 0; it < 5; it++ {
-		cp.Record(0, period, StallExec, 0)
-		cp.Record(1, period, StallExec, 0)
+		cp.Record(0, period, cpu.StallExec, 0)
+		cp.Record(1, period, cpu.StallExec, 0)
 	}
-	bulk := New()
+	bulk := new(cpu.Profiler)
 	cb := bulk.ForProgram(prog, period)
 	cb.BulkRange(0, 2, 3)
 	cb.BulkALU(0, 2)
 	cb.BulkALU(0, 2)
-	a, b := perStep.Snapshot(), bulk.Snapshot()
+	a, b := Snapshot(perStep), Snapshot(bulk)
 	aj, _ := a.Pprof()
 	bj, _ := b.Pprof()
 	if !bytes.Equal(aj, bj) {
@@ -87,13 +86,13 @@ func TestBulkMatchesPerStep(t *testing.T) {
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	p := New()
+	p := new(cpu.Profiler)
 	record(p.ForProgram(testProgram(), period))
-	a, err := p.Snapshot().Pprof()
+	a, err := Snapshot(p).Pprof()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Snapshot().Pprof()
+	b, err := Snapshot(p).Pprof()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,9 +102,9 @@ func TestSnapshotDeterministic(t *testing.T) {
 }
 
 func TestFoldedAndHotBlocks(t *testing.T) {
-	p := New()
+	p := new(cpu.Profiler)
 	record(p.ForProgram(testProgram(), period))
-	prof := p.Snapshot()
+	prof := Snapshot(p)
 	folded := prof.Folded()
 	if !strings.Contains(folded, "tiny;tiny: 2: blt t0, a0, -2 6000") {
 		t.Errorf("folded output:\n%s", folded)
@@ -125,9 +124,9 @@ func TestFoldedAndHotBlocks(t *testing.T) {
 
 func TestMergeLabeled(t *testing.T) {
 	mk := func(label string) Labeled {
-		p := New()
+		p := new(cpu.Profiler)
 		record(p.ForProgram(testProgram(), period))
-		s := p.Snapshot()
+		s := Snapshot(p)
 		return Labeled{Label: label, Profile: s}
 	}
 	m := MergeLabeled([]Labeled{mk("Stat/AssasinSb"), mk("Stat/Baseline")})
@@ -145,9 +144,9 @@ func TestMergeLabeled(t *testing.T) {
 // six sample types, a string table containing the kernel symbols, and one
 // two-frame sample per nonzero pc.
 func TestPprofWire(t *testing.T) {
-	p := New()
+	p := new(cpu.Profiler)
 	record(p.ForProgram(testProgram(), period))
-	raw, err := p.Snapshot().Pprof()
+	raw, err := Snapshot(p).Pprof()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,8 @@ import (
 	"compress/gzip"
 	"fmt"
 	"io"
+
+	"assasin/internal/cpu"
 )
 
 type protoBuf struct{ bytes.Buffer }
@@ -61,10 +63,10 @@ func (b *protoBuf) packedField(field int, vs []int64) {
 var sampleColumns = [...][2]string{
 	{"instructions", "count"},
 	{"busy", "picoseconds"},
-	{"exec-stall", "picoseconds"},
-	{"stream-refill-wait", "picoseconds"},
-	{"out-full-wait", "picoseconds"},
-	{"cache-dram-wait", "picoseconds"},
+	{cpu.ClassExecStall, "picoseconds"},
+	{cpu.ClassStreamRefillWait, "picoseconds"},
+	{cpu.ClassOutFullWait, "picoseconds"},
+	{cpu.ClassCacheDRAMWait, "picoseconds"},
 }
 
 // Pprof encodes the profile as gzipped profile.proto bytes. Every sample

@@ -28,12 +28,12 @@ import (
 	"io"
 	"sort"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/analyze"
 )
 
 // Critical-path segment classes beyond the five attribution classes
-// (analyze.ClassCoreBusy etc.) that cover the core-execution window.
+// (cpu.ClassNames) that cover the core-execution window.
 const (
 	// ClassQueueing covers submit → first core dispatch of the critical task.
 	ClassQueueing = "queueing"
@@ -57,16 +57,11 @@ const (
 // with no string hashing or comparison.
 type ClassID uint8
 
-// The class table. The first five are the core-execution window's
-// attribution classes, in layout order; the exported IDs are the
-// conventional-IO legs callers pass to AddPathClass.
+// The class table. IDs below execClasses are the core-execution window's
+// attribution classes, indexed like cpu.ClassNames; the exported IDs are
+// the conventional-IO legs callers pass to AddPathClass.
 const (
-	idCoreBusy ClassID = iota
-	idCacheDRAMWait
-	idStreamRefillWait
-	idOutFullWait
-	idExecStall
-	idQueueing
+	idQueueing = ClassID(execClasses) + iota
 	idDrain
 	idUnattributed
 	IDFlashWait
@@ -75,24 +70,20 @@ const (
 	numClasses
 )
 
-// classNames maps each ClassID to its segment class name.
-var classNames = [numClasses]string{
-	idCoreBusy:         analyze.ClassCoreBusy,
-	idCacheDRAMWait:    analyze.ClassCacheDRAMWait,
-	idStreamRefillWait: analyze.ClassStreamRefillWait,
-	idOutFullWait:      analyze.ClassOutFullWait,
-	idExecStall:        analyze.ClassExecStall,
-	idQueueing:         ClassQueueing,
-	idDrain:            ClassDrain,
-	idUnattributed:     ClassUnattributed,
-	IDFlashWait:        ClassFlashWait,
-	IDDRAMWait:         ClassDRAMWait,
-	IDHostLink:         ClassHostLink,
-}
+// execClasses is the number of core-execution window classes.
+const execClasses = cpu.NumClasses
 
-// execClasses is the number of core-execution window classes (idCoreBusy
-// through idExecStall).
-const execClasses = int(idExecStall) + 1
+// classNames maps each ClassID to its segment class name.
+var classNames = func() (n [numClasses]string) {
+	copy(n[:], cpu.ClassNames[:])
+	n[idQueueing] = ClassQueueing
+	n[idDrain] = ClassDrain
+	n[idUnattributed] = ClassUnattributed
+	n[IDFlashWait] = ClassFlashWait
+	n[IDDRAMWait] = ClassDRAMWait
+	n[IDHostLink] = ClassHostLink
+	return n
+}()
 
 // classOf resolves a class name to its ID; names outside the table map to
 // idUnattributed.
@@ -147,6 +138,17 @@ type TaskTrace struct {
 	BytesDrained int64 `json:"bytes_drained"`
 	DrainPs      int64 `json:"drain_ps"`
 	LastDrainPs  int64 `json:"last_drain_ps"`
+}
+
+// classPs returns the task's core-side deltas per class, indexed like
+// cpu.ClassNames.
+func (t *TaskTrace) classPs() (c [cpu.NumClasses]int64) {
+	c[0] = t.BusyPs
+	c[1+cpu.StallMem] = t.MemPs
+	c[1+cpu.StallStreamWait] = t.RefillPs
+	c[1+cpu.StallOutFull] = t.OutFullPs
+	c[1+cpu.StallExec] = t.ExecPs
+	return c
 }
 
 // finish is the task's last observed progress instant.
@@ -269,17 +271,22 @@ func (r *Request) NoteHalt(task int, at int64) {
 }
 
 // SetCoreDelta installs task's core-side accounting for the request: the
-// local-clock value at submission and the cycle/stat deltas accumulated
-// between submission and halt. Exactness invariant (pinned by test):
-// busy+mem+refill+outFull+exec == halt-start for every task, because the
-// core's local clock only advances through accounted paths.
-func (r *Request) SetCoreDelta(task int, startPs, busy, mem, refill, outFull, exec, insts, dispatches int64) {
+// local-clock value at submission and the per-class time (indexed like
+// cpu.ClassNames) and stat deltas accumulated between submission and halt.
+// Exactness invariant (pinned by test): the class times sum to halt-start
+// for every task, because the core's local clock only advances through
+// accounted paths.
+func (r *Request) SetCoreDelta(task int, startPs int64, classPs [cpu.NumClasses]int64, insts, dispatches int64) {
 	if r == nil || task >= len(r.Tasks) {
 		return
 	}
 	t := &r.Tasks[task]
 	t.StartPs = startPs
-	t.BusyPs, t.MemPs, t.RefillPs, t.OutFullPs, t.ExecPs = busy, mem, refill, outFull, exec
+	t.BusyPs = classPs[0]
+	t.MemPs = classPs[1+cpu.StallMem]
+	t.RefillPs = classPs[1+cpu.StallStreamWait]
+	t.OutFullPs = classPs[1+cpu.StallOutFull]
+	t.ExecPs = classPs[1+cpu.StallExec]
 	t.Instructions = insts
 	t.Dispatches = dispatches
 }
@@ -389,18 +396,16 @@ func (r *Request) buildCritical() {
 	// before it — scheduler admission, the dispatch-start clock jump — is
 	// queueing by definition, which keeps the decomposition exact without
 	// trusting the submission-time clock snapshot.
-	sum := ct.BusyPs + ct.MemPs + ct.RefillPs + ct.OutFullPs + ct.ExecPs
+	var window [execClasses]stage
+	var sum int64
+	for i, ps := range ct.classPs() {
+		window[i] = stage{ClassID(i), ps}
+		sum += ps
+	}
 	s2 := clamp(ct.HaltPs, submit, complete)
 	s1 := clamp(s2-sum, submit, s2)
 	if q := s1 - submit; q > 0 {
 		r.addSegment(idQueueing, q)
-	}
-	window := [execClasses]stage{
-		{idCoreBusy, ct.BusyPs},
-		{idCacheDRAMWait, ct.MemPs},
-		{idStreamRefillWait, ct.RefillPs},
-		{idOutFullWait, ct.OutFullPs},
-		{idExecStall, ct.ExecPs},
 	}
 	r.appendNormalized(window[:], s2-s1)
 	if d := complete - s2; d > 0 {
@@ -510,12 +515,9 @@ func (t *Tracer) Complete(r *Request, completePs int64) {
 		t.latencyMax = lat
 	}
 	for i := range r.Tasks {
-		tt := &r.Tasks[i]
-		t.classTotals[0] += tt.BusyPs
-		t.classTotals[1] += tt.MemPs
-		t.classTotals[2] += tt.RefillPs
-		t.classTotals[3] += tt.OutFullPs
-		t.classTotals[4] += tt.ExecPs
+		for c, ps := range r.Tasks[i].classPs() {
+			t.classTotals[c] += ps
+		}
 	}
 	t.lat.Observe(lat)
 	for i, sg := range r.Critical {

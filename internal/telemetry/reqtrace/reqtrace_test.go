@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
-	"assasin/internal/telemetry/analyze"
 )
 
 // complete runs one synthetic request through tr with the given shape and
@@ -18,7 +18,7 @@ func synthetic(tr *Tracer, submit, start, halt, complete int64, busy, refill int
 	r.AddPage(0, 4096, 10, 20, 5, start)
 	r.NoteEOS(0, halt-1)
 	r.NoteHalt(0, halt)
-	r.SetCoreDelta(0, start, busy, 0, refill, 0, 0, 100, 2)
+	r.SetCoreDelta(0, start, [cpu.NumClasses]int64{busy, 0, refill, 0, 0}, 100, 2)
 	tr.Complete(r, complete)
 	return r
 }
@@ -76,8 +76,8 @@ func TestCriticalPathClasses(t *testing.T) {
 	// Window = [halt-sum, halt] = [300, 1300]; queueing = 300-100.
 	want := []Segment{
 		{ClassQueueing, 200},
-		{analyze.ClassCoreBusy, 600},
-		{analyze.ClassStreamRefillWait, 400},
+		{cpu.ClassCoreBusy, 600},
+		{cpu.ClassStreamRefillWait, 400},
 		{ClassDrain, 200},
 	}
 	if len(r.Critical) != len(want) {
@@ -175,7 +175,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		r.TaskSetup(0, 0)
 		r.AddPage(0, 4096, 1, 2, 3, 10)
 		r.NoteHalt(0, 90)
-		r.SetCoreDelta(0, 10, 50, 10, 10, 5, 5, 10, 1)
+		r.SetCoreDelta(0, 10, [cpu.NumClasses]int64{50, 10, 10, 5, 5}, 10, 1)
 		tr.Complete(r, 100)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
@@ -183,7 +183,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		r.TaskSetup(0, 0)
 		r.AddPage(0, 4096, 1, 2, 3, 10)
 		r.NoteHalt(0, 90)
-		r.SetCoreDelta(0, 10, 50, 10, 10, 5, 5, 10, 1)
+		r.SetCoreDelta(0, 10, [cpu.NumClasses]int64{50, 10, 10, 5, 5}, 10, 1)
 		tr.Complete(r, 100)
 	})
 	if allocs != 0 {
@@ -203,7 +203,7 @@ func TestNilZeroCost(t *testing.T) {
 		r2.NoteEOS(0, 5)
 		r2.AddDrain(0, 4096, 6, 7)
 		r2.NoteHalt(0, 8)
-		r2.SetCoreDelta(0, 0, 1, 2, 3, 4, 5, 6, 7)
+		r2.SetCoreDelta(0, 0, [cpu.NumClasses]int64{1, 2, 3, 4, 5}, 6, 7)
 		r2.AddPathStage(ClassFlashWait, 9)
 		r2.AddPathClass(IDFlashWait, 9)
 		tr.Complete(r2, 10)
@@ -311,17 +311,15 @@ func TestPathStageOutsideTable(t *testing.T) {
 // TestClassTableNames pins every ClassID to its exported class name.
 func TestClassTableNames(t *testing.T) {
 	names := map[ClassID]string{
-		idCoreBusy:         analyze.ClassCoreBusy,
-		idCacheDRAMWait:    analyze.ClassCacheDRAMWait,
-		idStreamRefillWait: analyze.ClassStreamRefillWait,
-		idOutFullWait:      analyze.ClassOutFullWait,
-		idExecStall:        analyze.ClassExecStall,
-		idQueueing:         ClassQueueing,
-		idDrain:            ClassDrain,
-		idUnattributed:     ClassUnattributed,
-		IDFlashWait:        ClassFlashWait,
-		IDDRAMWait:         ClassDRAMWait,
-		IDHostLink:         ClassHostLink,
+		idQueueing:     ClassQueueing,
+		idDrain:        ClassDrain,
+		idUnattributed: ClassUnattributed,
+		IDFlashWait:    ClassFlashWait,
+		IDDRAMWait:     ClassDRAMWait,
+		IDHostLink:     ClassHostLink,
+	}
+	for i, name := range cpu.ClassNames {
+		names[ClassID(i)] = name
 	}
 	if len(names) != int(numClasses) {
 		t.Fatalf("table has %d classes, test names %d", numClasses, len(names))

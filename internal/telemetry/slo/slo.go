@@ -389,7 +389,7 @@ func ParseSpec(spec string) ([]Objective, error) {
 			tenant = ""
 		}
 		pct, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(parts[1]), "%"), 64)
-		if err != nil || pct <= 0 || pct >= 100 {
+		if err != nil || !(pct > 0 && pct < 100) { // also rejects NaN
 			return nil, fmt.Errorf("slo: entry %q needs a target percentage in (0, 100)", entry)
 		}
 		o := Objective{Tenant: tenant, Target: pct / 100}

@@ -200,6 +200,28 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec checks every accepted -slo objective is usable: a target
+// strictly inside (0, 1), a non-negative latency and a name.
+func FuzzParseSpec(f *testing.F) {
+	for _, s := range []string{
+		"gold:99.9:200us,all:99:1ms,silver:99.5", "gold:NaN", "gold:NaN%:1us", "*:99.99%",
+		"gold:Inf:1us", "gold:1e-320", "all:50:NaNs", "a:1:2:3", ",,", "",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		objs, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, o := range objs {
+			if !(o.Target > 0 && o.Target < 1) || o.LatencyPs < 0 || o.Name == "" {
+				t.Fatalf("ParseSpec(%q) accepted objective %+v", spec, o)
+			}
+		}
+	})
+}
+
 func TestParseDuration(t *testing.T) {
 	cases := map[string]int64{
 		"200us": 200 * us, "1ms": ms, "2.5ms": 2*ms + 500*us,

@@ -64,12 +64,6 @@ type Config struct {
 	// phase shorter than this many samples merges into its predecessor
 	// (default 2).
 	MinPhaseSamples int
-	// TraceClasses mirrors the class series into the sink's event trace as
-	// Chrome "ph":"C" counter samples on a "timeline" track, so Perfetto
-	// renders stall-class lanes alongside the span swim-lanes. Only class
-	// series are mirrored: full-registry mirroring would dwarf the span
-	// events the trace exists for.
-	TraceClasses bool
 }
 
 // withDefaults resolves zero fields.
@@ -128,7 +122,7 @@ type Sampler struct {
 	gauges   []gaugeHandle
 	known    int // sink registry size at last refresh
 
-	track *telemetry.Track // class counter mirror; nil unless TraceClasses
+	track *telemetry.Track // class counter mirror; nil unless the sink records events
 }
 
 type counterHandle struct {
@@ -144,7 +138,11 @@ type gaugeHandle struct {
 // New builds a sampler over sink (which may be nil: then only probe-fed
 // series are collected). Metrics already registered on the sink are primed
 // at their current values, so on a sink shared across runs the first
-// interval's counter deltas cover only this run.
+// interval's counter deltas cover only this run. When the sink records
+// trace events, the class series are mirrored into it as Chrome "ph":"C"
+// counter samples on a "timeline" track, so Perfetto renders stall-class
+// lanes alongside the span swim-lanes. Only class series are mirrored:
+// full-registry mirroring would dwarf the span events the trace exists for.
 func New(sink *telemetry.Sink, cfg Config) *Sampler {
 	s := &Sampler{
 		cfg:   cfg.withDefaults(),
@@ -154,7 +152,7 @@ func New(sink *telemetry.Sink, cfg Config) *Sampler {
 	s.ivalPs = s.cfg.IntervalPs
 	s.nextPs = s.ivalPs
 	s.refresh()
-	if s.cfg.TraceClasses && sink != nil {
+	if sink.RecordsEvents() {
 		s.track = sink.Track("timeline")
 	}
 	return s

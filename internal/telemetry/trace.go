@@ -91,6 +91,12 @@ func (s *Sink) Track(name string) *Track {
 	return t
 }
 
+// RecordsEvents reports whether the sink keeps trace events (MaxEvents is
+// not negative). Experiments share such a sink across runs, and timeline
+// samplers mirror their class lanes into it; a metrics-only sink instead
+// takes per-run private sinks absorbed at run boundaries.
+func (s *Sink) RecordsEvents() bool { return s != nil && s.MaxEvents >= 0 }
+
 func (s *Sink) record(e event) {
 	if s.MaxEvents < 0 {
 		return
