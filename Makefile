@@ -26,9 +26,10 @@ race:
 # A short bounded pass over every fuzz target: the compiled-vs-precise
 # differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz
 # seeds it with kernel-shaped programs), the assembler parser, the SLO
-# duration and objective-spec parsers, the -load spec parser and the
-# page-granular SparseMem paths against a byte-wise reference. go test
-# -fuzz takes one target per package run.
+# duration and objective-spec parsers, the -load spec parser, the
+# page-granular SparseMem paths against a byte-wise reference and the
+# differential engine's input-format detection. go test -fuzz takes one
+# target per package run.
 fuzz-smoke:
 	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
 	go test ./internal/asm/ -run '^$$' -fuzz FuzzParse -fuzztime 5s
@@ -36,6 +37,7 @@ fuzz-smoke:
 	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s
 	go test ./internal/experiments/ -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
 	go test ./internal/memhier/ -run '^$$' -fuzz FuzzSparseMem -fuzztime 5s
+	go test ./internal/telemetry/diff/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
 
 # Run the differential engine against the archived Stat metrics snapshots
 # and check the ranked headline.

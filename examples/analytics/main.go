@@ -10,6 +10,7 @@ import (
 
 	"assasin/internal/firmware"
 	"assasin/internal/host"
+	"assasin/internal/kernels"
 	"assasin/internal/sim"
 	"assasin/internal/ssd"
 	"assasin/internal/tpch"
@@ -78,7 +79,7 @@ func runPSF(q *tpch.QuerySpec, csv []byte, offs []int64, arch ssd.Arch) (sim.Tim
 			Program: prog,
 			Inputs:  []firmware.StreamSpec{spec},
 			Outputs: []firmware.OutTarget{{Kind: firmware.OutToHost}},
-			Regs:    q.PSF.Args([]int64{spec.Length}),
+			Regs:    kernels.Args([]int64{spec.Length}),
 		})
 	}
 	res, err := s.RunOffload(tasks, 0)

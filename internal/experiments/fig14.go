@@ -7,6 +7,7 @@ import (
 
 	"assasin/internal/firmware"
 	"assasin/internal/host"
+	"assasin/internal/kernels"
 	"assasin/internal/runpool"
 	"assasin/internal/ssd"
 	"assasin/internal/tpch"
@@ -76,7 +77,7 @@ func (p *psfDataset) runQueryPSF(cfg Config, q *tpch.QuerySpec, arch ssd.Arch, c
 			Program: prog,
 			Inputs:  []firmware.StreamSpec{spec},
 			Outputs: []firmware.OutTarget{{Kind: firmware.OutToHost, Collect: collect}},
-			Regs:    q.PSF.Args([]int64{spec.Length}),
+			Regs:    kernels.Args([]int64{spec.Length}),
 		})
 	}
 	res, err := s.RunOffload(tasks, 0)

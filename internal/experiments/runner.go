@@ -33,120 +33,112 @@ func (rn *Runner) fig21Rows(cfg Config) ([]Fig13Row, error) {
 	return r, err
 }
 
+func (rn *Runner) fig22Rows(cfg Config) ([]Fig22Row, error) {
+	rows, err := rn.fig21Rows(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return Fig22(SpeedupSummary(rows), cfg.Cores), nil
+}
+
+// runFunc runs one experiment and returns its structured rows (for JSON
+// output) and rendered text.
+type runFunc func(rn *Runner, cfg Config) (any, string, error)
+
+// experimentTable lists every experiment in the order `-exp all` runs
+// them; ExperimentIDs, ValidateNames and Runner.Run all read it.
+var experimentTable = []struct {
+	id  string
+	run runFunc
+}{
+	{"table2", show(plain(Table2), FormatTable2)},
+	{"table4", func(_ *Runner, cfg Config) (any, string, error) { t := Table4(cfg); return t, t, nil }},
+	{"fig5", show(plain(Fig5), FormatFig5)},
+	{"fig13", show(plain(Fig13), titled("Fig 13", FormatFig13))},
+	{"fig14", show(plain(Fig14), titled("Fig 14", FormatFig14))},
+	{"fig15", show(plain(Fig15), FormatFig15)},
+	{"fig16", show((*Runner).fig16Points, FormatFig16)},
+	{"fig17", show((*Runner).fig16Points, FormatFig17)},
+	{"fig18", show((*Runner).fig16Points, FormatFig18)},
+	{"fig19", show(plain(Fig19), FormatFig19)},
+	{"fig20", func(*Runner, Config) (any, string, error) { r := Fig20(); return r, FormatFig20(r), nil }},
+	{"fig21", show((*Runner).fig21Rows, titled("Fig 21 (timing-adjusted)", FormatFig13))},
+	{"table5", func(_ *Runner, cfg Config) (any, string, error) { t := FormatTable5(cfg.Cores); return t, t, nil }},
+	{"fig22", show((*Runner).fig22Rows, FormatFig22)},
+	{"ablation", runAblation},
+	{"load", show(plain(loadExperiment), FormatLoad)},
+}
+
+// show makes a runFunc from an experiment's producer and its formatter.
+func show[T any](produce func(*Runner, Config) (T, error), format func(T) string) runFunc {
+	return func(rn *Runner, cfg Config) (any, string, error) {
+		rows, err := produce(rn, cfg)
+		if err != nil {
+			return nil, "", err
+		}
+		return rows, format(rows), nil
+	}
+}
+
+// plain adapts an experiment that needs no Runner cache to show.
+func plain[T any](f func(Config) (T, error)) func(*Runner, Config) (T, error) {
+	return func(_ *Runner, cfg Config) (T, error) { return f(cfg) }
+}
+
+// titled binds a shared formatter's title.
+func titled[T any](title string, format func(string, T) string) func(T) string {
+	return func(rows T) string { return format(title, rows) }
+}
+
+func runAblation(_ *Runner, cfg Config) (any, string, error) {
+	wrows, err := AblationWindow(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	drows, err := AblationDRAM(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	m, err := MixedIO(cfg)
+	if err != nil {
+		return nil, "", err
+	}
+	rows := struct {
+		Window []AblationWindowRow `json:"window"`
+		DRAM   []AblationDRAMRow   `json:"dram"`
+		Mixed  *MixedIOResult      `json:"mixed_io"`
+	}{wrows, drows, m}
+	text := FormatAblationWindow(wrows) +
+		FormatAblationDRAM(drows) +
+		FormatMixedIO(m)
+	return rows, text, nil
+}
+
+func loadExperiment(cfg Config) (*LoadResult, error) {
+	lc := DefaultLoad()
+	if cfg.Load != nil {
+		lc = *cfg.Load
+	}
+	return RunLoad(cfg, lc)
+}
+
+// ExperimentIDs lists the assasin-bench experiment names in the order
+// `-exp all` runs them.
+func ExperimentIDs() []string {
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
+	}
+	return ids
+}
+
 // Run executes one experiment and returns its structured rows (for JSON
 // output) and rendered text.
 func (rn *Runner) Run(name string, cfg Config) (any, string, error) {
-	switch name {
-	case "table2":
-		rows, err := Table2(cfg)
-		if err != nil {
-			return nil, "", err
+	for _, e := range experimentTable {
+		if e.id == name {
+			return e.run(rn, cfg)
 		}
-		return rows, FormatTable2(rows), nil
-	case "ablation":
-		wrows, err := AblationWindow(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		drows, err := AblationDRAM(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		m, err := MixedIO(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		rows := struct {
-			Window []AblationWindowRow `json:"window"`
-			DRAM   []AblationDRAMRow   `json:"dram"`
-			Mixed  *MixedIOResult      `json:"mixed_io"`
-		}{wrows, drows, m}
-		text := FormatAblationWindow(wrows) +
-			FormatAblationDRAM(drows) +
-			FormatMixedIO(m)
-		return rows, text, nil
-	case "table4":
-		t := Table4(cfg)
-		return t, t, nil
-	case "fig5":
-		r, err := Fig5(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return r, FormatFig5(r), nil
-	case "fig13":
-		rows, err := Fig13(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, FormatFig13("Fig 13", rows), nil
-	case "fig14":
-		rows, err := Fig14(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, FormatFig14("Fig 14", rows), nil
-	case "fig15":
-		rows, err := Fig15(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, FormatFig15(rows), nil
-	case "fig16":
-		p, err := rn.fig16Points(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, FormatFig16(p), nil
-	case "fig17":
-		p, err := rn.fig16Points(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, FormatFig17(p), nil
-	case "fig18":
-		p, err := rn.fig16Points(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, FormatFig18(p), nil
-	case "fig19":
-		p, err := Fig19(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return p, FormatFig19(p), nil
-	case "fig20":
-		r := Fig20()
-		return r, FormatFig20(r), nil
-	case "fig21":
-		rows, err := rn.fig21Rows(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		return rows, FormatFig13("Fig 21 (timing-adjusted)", rows), nil
-	case "load":
-		lc := DefaultLoad()
-		if cfg.Load != nil {
-			lc = *cfg.Load
-		}
-		r, err := RunLoad(cfg, lc)
-		if err != nil {
-			return nil, "", err
-		}
-		return r, FormatLoad(r), nil
-	case "table5":
-		t := FormatTable5(cfg.Cores)
-		return t, t, nil
-	case "fig22":
-		rows, err := rn.fig21Rows(cfg)
-		if err != nil {
-			return nil, "", err
-		}
-		speedups := SpeedupSummary(rows)
-		r := Fig22(speedups, cfg.Cores)
-		return r, FormatFig22(r), nil
-	default:
-		return nil, "", fmt.Errorf("unknown experiment %q", name)
 	}
+	return nil, "", fmt.Errorf("unknown experiment %q", name)
 }

@@ -5,16 +5,6 @@ import (
 	"strings"
 )
 
-// ExperimentIDs lists the assasin-bench experiment names in the order
-// `-exp all` runs them.
-func ExperimentIDs() []string {
-	return []string{
-		"table2", "table4", "fig5", "fig13", "fig14", "fig15", "fig16",
-		"fig17", "fig18", "fig19", "fig20", "fig21", "table5", "fig22",
-		"ablation", "load",
-	}
-}
-
 // ValidateNames checks a list of experiment names against ExperimentIDs.
 func ValidateNames(names []string) error {
 	valid := map[string]bool{}

@@ -16,6 +16,12 @@ func TestValidateNames(t *testing.T) {
 	if !strings.Contains(err.Error(), "fig99") || !strings.Contains(err.Error(), "fig13") {
 		t.Fatalf("error should name the bad id and list valid ones: %v", err)
 	}
+	// The list is the `-exp all` order.
+	want := `unknown experiment "fig99" (valid: all, table2, table4, fig5, fig13, fig14, fig15, fig16, ` +
+		`fig17, fig18, fig19, fig20, fig21, table5, fig22, ablation, load)`
+	if err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
 }
 
 func TestValidateOverrides(t *testing.T) {

@@ -65,9 +65,6 @@ func (k AES) State() []byte {
 	return img
 }
 
-// Args implements Kernel.
-func (AES) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Register allocation:
 //
 //	S1          state base
@@ -81,49 +78,15 @@ func (k AES) Build(p BuildParams) (*asm.Program, error) {
 	b := asm.New()
 	b.Li(asm.S1, int32(p.StateBase))
 
-	soft := p.Style != StyleStream
-	var in softIn
-	var out softOut
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.A7, asm.A0)
-		out = softOut{b: b, slot: 0, ptr: asm.S0}
-		out.init()
-	}
+	io := newStreamIO(b, p, asm.A7, 1)
 
-	// loadByte emits A1 = next input byte.
-	loadByte := func(i int32) {
-		if soft {
-			b.Lbu(asm.A1, asm.S10, i)
-		} else {
-			b.StreamLoad(asm.A1, 0, 1)
-		}
-	}
-	// storeByte emits output of the low byte of reg.
-	storeByte := func(reg asm.Reg, i int32) {
-		if soft {
-			b.Sb(reg, asm.S0, i)
-		} else {
-			b.StreamStore(0, 1, reg)
-		}
-	}
 	// rkXor emits dest ^= roundKey[word].
 	rkXor := func(dest asm.Reg, word int) {
 		b.Lw(asm.T1, asm.S1, int32(aesRkOff+4*word))
 		b.Xor(dest, dest, asm.T1)
 	}
 
-	blockStart := b.Here()
-	if soft {
-		done := b.NewLabel()
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.A7, cont)
-		b.Bind(done)
-		// (done label bound just to satisfy structure; fallthrough halt)
-		b.Halt()
-		b.Bind(cont)
-	}
+	blockStart := io.top()
 
 	// Load one 16-byte block into S2-S5, big-endian packed: word w =
 	// b[4w]<<24 | b[4w+1]<<16 | b[4w+2]<<8 | b[4w+3].
@@ -131,7 +94,7 @@ func (k AES) Build(p BuildParams) (*asm.Program, error) {
 	next := []asm.Reg{asm.S6, asm.S7, asm.S8, asm.S9}
 	for w := 0; w < 4; w++ {
 		for i := 0; i < 4; i++ {
-			loadByte(int32(4*w + i))
+			io.load(asm.A1, 1, int32(4*w+i))
 			if i == 0 {
 				b.Slli(state[w], asm.A1, 24)
 			} else if i < 3 {
@@ -216,24 +179,16 @@ func (k AES) Build(p BuildParams) (*asm.Program, error) {
 			shift := int32(24 - 8*i)
 			if shift > 0 {
 				b.Srli(asm.T0, state[w], shift)
-				storeByte(asm.T0, int32(4*w+i))
+				io.store(0, 1, asm.T0, int32(4*w+i))
 			} else {
-				storeByte(state[w], int32(4*w+i))
+				io.store(0, 1, state[w], int32(4*w+i))
 			}
 		}
 	}
-	if soft {
-		in.advance(16)
-		b.Addi(asm.S0, asm.S0, 16)
-	}
+	io.consumed(16)
+	io.stored(16)
 	b.J(blockStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "aes/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "aes", p.Style)
 }
 
 // Reference implements Kernel.

@@ -68,9 +68,6 @@ func (Dedup) Outputs() int { return 1 }
 // by the kernel to 1, a standard trick).
 func (k Dedup) State() []byte { return make([]byte, 8*k.entries()) }
 
-// Args implements Kernel.
-func (Dedup) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Register allocation:
 //
 //	S1  table base   S2 hash        S3 probe slot addr
@@ -82,36 +79,19 @@ func (k Dedup) Build(p BuildParams) (*asm.Program, error) {
 		return nil, err
 	}
 	b := asm.New()
-	soft := p.Style != StyleStream
 	b.Li(asm.S1, int32(p.StateBase))
 	b.Li(asm.A2, signed32(fnvPrime))
-	var in softIn
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-	}
+	io := newStreamIO(b, p, asm.S5, 1)
 	wordsPerChunk := int32(k.chunk() / 4)
 	mask := int32(k.entries() - 1)
 
-	chunkStart := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.S5, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	chunkStart := io.top()
 	// hash = FNV offset; per word: hash = (hash ^ w) * prime.
 	b.Li(asm.S2, signed32(fnvOffset))
 	b.Li(asm.A5, wordsPerChunk)
 	hashLoop := b.Here()
-	if soft {
-		b.Lw(asm.A1, asm.S10, 0)
-		in.advance(4)
-	} else {
-		b.StreamLoad(asm.A1, 0, 4)
-	}
+	io.load(asm.A1, 4, 0)
+	io.consumed(4)
 	b.Xor(asm.S2, asm.S2, asm.A1)
 	b.Mul(asm.S2, asm.S2, asm.A2)
 	b.Addi(asm.A5, asm.A5, -1)
@@ -160,22 +140,11 @@ func (k Dedup) Build(p BuildParams) (*asm.Program, error) {
 	b.Sw(asm.S2, asm.S3, 0) // insert signature
 
 	b.Bind(emit)
-	if soft {
-		b.Sw(asm.S2, asm.S0, 0)
-		b.Sb(asm.A6, asm.S0, 4)
-		b.Addi(asm.S0, asm.S0, 5)
-	} else {
-		b.StreamStore(0, 4, asm.S2)
-		b.StreamStore(0, 1, asm.A6)
-	}
+	io.store(0, 4, asm.S2, 0)
+	io.store(0, 1, asm.A6, 4)
+	io.stored(5)
 	b.J(chunkStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "dedup/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "dedup", p.Style)
 }
 
 // hashChunk mirrors the kernel's FNV-1a-over-words signature.

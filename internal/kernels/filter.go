@@ -37,9 +37,6 @@ func (Filter) Outputs() int { return 1 }
 // State implements Kernel.
 func (Filter) State() []byte { return nil }
 
-// Args implements Kernel.
-func (Filter) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 func (k Filter) check() error {
 	if k.TupleSize <= 0 || k.TupleSize%4 != 0 {
 		return fmt.Errorf("kernels: filter tuple size %d must be a positive multiple of 4", k.TupleSize)
@@ -70,68 +67,25 @@ func (k Filter) Build(p BuildParams) (*asm.Program, error) {
 		b.Li(consts[2*i+1], int32(pr.Hi))
 	}
 
-	soft := p.Style != StyleStream
-	var in softIn
-	var out softOut
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0)
-		out = softOut{b: b, slot: 0, ptr: asm.S0}
-		out.init()
-	}
-
-	loop := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.S5, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	io := newStreamIO(b, p, asm.S5, 1)
+	loop := io.top()
 	reject := b.NewLabel()
 	// Evaluate predicates on the in-place tuple.
 	for i, pr := range k.Preds {
-		if soft {
-			b.Lw(asm.A1, asm.S10, int32(pr.Offset))
-		} else {
-			b.StreamPeek(asm.A1, 0, 4, int32(pr.Offset))
-		}
+		io.peek(asm.A1, 4, int32(pr.Offset))
 		b.Bltu(asm.A1, consts[2*i], reject)
 		b.Bltu(consts[2*i+1], asm.A1, reject)
 	}
 	// Passed: copy the tuple to the output stream.
-	for off := 0; off < k.TupleSize; off += 4 {
-		if soft {
-			b.Lw(asm.A1, asm.S10, int32(off))
-			b.Sw(asm.A1, asm.S0, int32(off))
-		} else {
-			b.StreamPeek(asm.A1, 0, 4, int32(off))
-			b.StreamStore(0, 4, asm.A1)
-		}
+	for off := int32(0); off < int32(k.TupleSize); off += 4 {
+		io.peek(asm.A1, 4, off)
+		io.store(0, 4, asm.A1, off)
 	}
-	if soft {
-		b.Addi(asm.S0, asm.S0, int32(k.TupleSize))
-	}
+	io.stored(int32(k.TupleSize))
 	b.Bind(reject)
-	if soft {
-		in.advance(int32(k.TupleSize))
-	} else {
-		b.StreamAdv(0, int32(k.TupleSize))
-	}
+	io.skip(int32(k.TupleSize))
 	b.J(loop)
-
-	if !soft {
-		// Stream lowering terminates when StreamPeek would pass the end;
-		// peeks at EOS halt the core like StreamLoad. (Nothing to emit —
-		// the halt is architectural.)
-		_ = loop
-	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "filter/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "filter", p.Style)
 }
 
 // Matches reports whether a tuple passes all predicates.
@@ -185,9 +139,6 @@ func (Select) Outputs() int { return 1 }
 // State implements Kernel.
 func (Select) State() []byte { return nil }
 
-// Args implements Kernel.
-func (Select) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 func (k Select) check() error {
 	if k.TupleSize <= 0 || k.TupleSize%4 != 0 {
 		return fmt.Errorf("kernels: select tuple size %d must be a positive multiple of 4", k.TupleSize)
@@ -209,43 +160,16 @@ func (k Select) Build(p BuildParams) (*asm.Program, error) {
 		return nil, err
 	}
 	b := asm.New()
-	soft := p.Style != StyleStream
-	var in softIn
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-	}
-	loop := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.S5, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	io := newStreamIO(b, p, asm.S5, 1)
+	loop := io.top()
 	for i, off := range k.FieldOffsets {
-		if soft {
-			b.Lw(asm.A1, asm.S10, int32(off))
-			b.Sw(asm.A1, asm.S0, int32(4*i))
-		} else {
-			b.StreamPeek(asm.A1, 0, 4, int32(off))
-			b.StreamStore(0, 4, asm.A1)
-		}
+		io.peek(asm.A1, 4, int32(off))
+		io.store(0, 4, asm.A1, int32(4*i))
 	}
-	if soft {
-		b.Addi(asm.S0, asm.S0, int32(4*len(k.FieldOffsets)))
-		in.advance(int32(k.TupleSize))
-	} else {
-		b.StreamAdv(0, int32(k.TupleSize))
-	}
+	io.stored(int32(4 * len(k.FieldOffsets)))
+	io.skip(int32(k.TupleSize))
 	b.J(loop)
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "select/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "select", p.Style)
 }
 
 // Reference implements Kernel.

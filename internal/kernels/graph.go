@@ -54,9 +54,6 @@ func (Degree) Outputs() int { return 0 }
 // in-degree table (NumVertices u32).
 func (k Degree) State() []byte { return make([]byte, 8*k.vertices()) }
 
-// Args implements Kernel.
-func (Degree) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Register allocation:
 //
 //	S1 out-degree base   S2 in-degree base   A1/A2 src/dst   T0/T1 temps
@@ -67,15 +64,9 @@ func (k Degree) Build(p BuildParams) (*asm.Program, error) {
 		return nil, err
 	}
 	b := asm.New()
-	soft := p.Style != StyleStream
 	b.Li(asm.S1, int32(p.StateBase))
 	b.Li(asm.S2, int32(p.StateBase)+4*int32(k.vertices()))
-	var in softIn
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.T4, asm.A0)
-	}
+	io := newStreamIO(b, p, asm.T4, 0)
 	bump := func(base, vreg asm.Reg) { // table[v]++
 		b.Slli(asm.T0, vreg, 2)
 		b.Add(asm.T0, asm.T0, base)
@@ -83,30 +74,15 @@ func (k Degree) Build(p BuildParams) (*asm.Program, error) {
 		b.Addi(asm.T1, asm.T1, 1)
 		b.Sw(asm.T1, asm.T0, 0)
 	}
-	loop := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.T4, cont)
-		b.Halt()
-		b.Bind(cont)
-		b.Lw(asm.A1, asm.S10, 0)
-		b.Lw(asm.A2, asm.S10, 4)
-		in.advance(EdgeSize)
-	} else {
-		b.StreamLoad(asm.A1, 0, 4)
-		b.StreamLoad(asm.A2, 0, 4)
-	}
+	loop := io.top()
+	io.load(asm.A1, 4, 0)
+	io.load(asm.A2, 4, 4)
+	io.consumed(EdgeSize)
 	bump(asm.S1, asm.A1) // out-degree[src]++
 	bump(asm.S2, asm.A2) // in-degree[dst]++
 	b.Addi(asm.S3, asm.S3, 1)
 	b.J(loop)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "degree/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "degree", p.Style)
 }
 
 // Reference implements Kernel (no output streams; tables are read from the
@@ -151,44 +127,18 @@ func (Replicate) Outputs() int { return 2 }
 // State implements Kernel.
 func (Replicate) State() []byte { return nil }
 
-// Args implements Kernel.
-func (Replicate) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel.
 func (Replicate) Build(p BuildParams) (*asm.Program, error) {
 	b := asm.New()
-	switch p.Style {
-	case StyleStream:
-		loop := b.Here()
-		b.StreamLoad(asm.A1, 0, 4)
-		b.StreamStore(0, 4, asm.A1)
-		b.StreamStore(1, 4, asm.A1)
-		b.J(loop)
-	default:
-		in := softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.T4, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-		b.Li(asm.S2, outViewBase(1))
-		loop := b.Here()
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.T4, cont)
-		b.Halt()
-		b.Bind(cont)
-		b.Lw(asm.A1, asm.S10, 0)
-		b.Sw(asm.A1, asm.S0, 0)
-		b.Sw(asm.A1, asm.S2, 0)
-		b.Addi(asm.S0, asm.S0, 4)
-		b.Addi(asm.S2, asm.S2, 4)
-		in.advance(4)
-		b.J(loop)
-	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "replicate/" + p.Style.String()
-	return prog, nil
+	io := newStreamIO(b, p, asm.T4, 2)
+	loop := io.top()
+	io.load(asm.A1, 4, 0)
+	io.store(0, 4, asm.A1, 0)
+	io.store(1, 4, asm.A1, 0)
+	io.stored(4)
+	io.consumed(4)
+	b.J(loop)
+	return assemble(b, "replicate", p.Style)
 }
 
 // Reference implements Kernel.

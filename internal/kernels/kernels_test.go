@@ -52,7 +52,7 @@ func runKernel(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, 
 	for i := range lengths {
 		lengths[i] = int64(len(inputs[i]))
 	}
-	for r, v := range k.Args(lengths) {
+	for r, v := range Args(lengths) {
 		core.SetReg(r, v)
 	}
 
@@ -165,19 +165,50 @@ func TestStatSum(t *testing.T) {
 	}
 }
 
+// TestStatStreamFewerInstructions pins the paper's Section V-B claim for
+// every kernel: the stream lowering retires strictly fewer instructions
+// than the software lowering on the same input, because stream
+// instructions eliminate the address calculations and pointer management.
+// The gap ranges from about 1% (AES and MLP, dominated by table lookups and
+// multiply-adds) to over 2x (Replicate), so only Stat's ratio is bounded.
 func TestStatStreamFewerInstructions(t *testing.T) {
-	data := randBytes(testPageSize, 3)
-	k := Stat{}
-	_, streamCore := runKernel(t, k, StyleStream, [][]byte{data})
-	_, softCore := runKernel(t, k, StyleSoftware, [][]byte{data})
-	si := streamCore.Stats().Instructions
-	wi := softCore.Stats().Instructions
-	if si >= wi {
-		t.Fatalf("stream ISA not fewer instructions: %d vs %d", si, wi)
+	mlp := MLP{In: 8, Hidden: 8}
+	train := LinearTrain{}
+	lz := LZDecompress{}
+	cases := []struct {
+		k      Kernel
+		inputs [][]byte
+	}{
+		{Scan{}, [][]byte{randBytes(testPageSize, 3)}},
+		{Stat{}, [][]byte{randBytes(testPageSize, 3)}},
+		{RAID4{K: 4}, [][]byte{randBytes(1024, 1), randBytes(1024, 2), randBytes(1024, 3), randBytes(1024, 4)}},
+		{RAID6{K: 4}, [][]byte{randBytes(1024, 1), randBytes(1024, 2), randBytes(1024, 3), randBytes(1024, 4)}},
+		{AES{}, [][]byte{randBytes(512, 4)}},
+		{Filter{TupleSize: 16, Preds: []FieldPred{{Offset: 4, Hi: 1 << 31}}}, [][]byte{randBytes(64*16, 5)}},
+		{Select{TupleSize: 16, FieldOffsets: []int{0, 8}}, [][]byte{randBytes(64*16, 6)}},
+		{PSF{NumFields: 8, Project: []int{0, 3}, Preds: []PSFPred{{Col: 3, Hi: 50000}}}, [][]byte{makeCSV(50, 8, 7)}},
+		{Dedup{ChunkSize: 64, TableEntries: 64}, [][]byte{randBytes(64*16, 8)}},
+		{lz, [][]byte{lz.Compress(CompressibleData(2000, 9))}},
+		{mlp, [][]byte{randBytes(8*mlp.RecordSize(), 10)}},
+		{train, [][]byte{trainData(train, 16, 11)}},
+		{Degree{NumVertices: 256}, [][]byte{makeEdges(200, 256, 12)}},
+		{Replicate{}, [][]byte{randBytes(1024, 13)}},
 	}
-	// The stream ISA eliminates pointer management: expect a 1.2-2x gap.
-	if ratio := float64(wi) / float64(si); ratio < 1.1 || ratio > 2.5 {
-		t.Errorf("instruction ratio %.2f unexpected", ratio)
+	for _, c := range cases {
+		_, streamCore := runKernel(t, c.k, StyleStream, c.inputs)
+		_, softCore := runKernel(t, c.k, StyleSoftware, c.inputs)
+		si := streamCore.Stats().Instructions
+		wi := softCore.Stats().Instructions
+		t.Logf("%s: software/stream instructions %d/%d = %.3f", c.k.Name(), wi, si, float64(wi)/float64(si))
+		if si >= wi {
+			t.Errorf("%s: stream ISA not fewer instructions: %d vs %d", c.k.Name(), si, wi)
+		}
+		// Stat is the pure pointer-management case: expect a 1.2-2x gap.
+		if _, ok := c.k.(Stat); ok {
+			if ratio := float64(wi) / float64(si); ratio < 1.1 || ratio > 2.5 {
+				t.Errorf("stat instruction ratio %.2f unexpected", ratio)
+			}
+		}
 	}
 }
 
@@ -355,7 +386,7 @@ func TestKernelMetadata(t *testing.T) {
 		if k.Name() == "" || k.Inputs() <= 0 {
 			t.Errorf("bad metadata for %T", k)
 		}
-		args := k.Args([]int64{100, 100, 100, 100}[:k.Inputs()])
+		args := Args([]int64{100, 100, 100, 100}[:k.Inputs()])
 		if len(args) != k.Inputs() {
 			t.Errorf("%s: args %v", k.Name(), args)
 		}

@@ -56,9 +56,6 @@ func (LZDecompress) Outputs() int { return 1 }
 // State implements Kernel: the zeroed history ring.
 func (k LZDecompress) State() []byte { return make([]byte, k.window()) }
 
-// Args implements Kernel.
-func (LZDecompress) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Register allocation:
 //
 //	S1 ring base   S2 write cursor (absolute, masked on use)
@@ -69,48 +66,27 @@ func (k LZDecompress) Build(p BuildParams) (*asm.Program, error) {
 		return nil, err
 	}
 	b := asm.New()
-	soft := p.Style != StyleStream
 	b.Li(asm.S1, int32(p.StateBase))
 	b.Li(asm.S2, 0)
 	b.Li(asm.S3, int32(k.window()-1))
-	var in softIn
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-	}
+	io := newStreamIO(b, p, asm.S5, 1)
 	// loadByte reads the next compressed byte into the given register.
 	loadByte := func(rd asm.Reg) {
-		if soft {
-			b.Lbu(rd, asm.S10, 0)
-			in.advance(1)
-		} else {
-			b.StreamLoad(rd, 0, 1)
-		}
+		io.load(rd, 1, 0)
+		io.consumed(1)
 	}
 	// emit writes the low byte of rs to the output stream AND appends it to
 	// the history ring, advancing the cursor.
 	emit := func(rs asm.Reg) {
-		if soft {
-			b.Sb(rs, asm.S0, 0)
-			b.Addi(asm.S0, asm.S0, 1)
-		} else {
-			b.StreamStore(0, 1, rs)
-		}
+		io.store(0, 1, rs, 0)
+		io.stored(1)
 		b.And(asm.T1, asm.S2, asm.S3)
 		b.Add(asm.T1, asm.T1, asm.S1)
 		b.Sb(rs, asm.T1, 0)
 		b.Addi(asm.S2, asm.S2, 1)
 	}
 
-	tokenStart := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.S5, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	tokenStart := io.top()
 	loadByte(asm.A1) // flag
 	match := b.NewLabel()
 	b.Bne(asm.A1, asm.Zero, match)
@@ -135,13 +111,7 @@ func (k LZDecompress) Build(p BuildParams) (*asm.Program, error) {
 	b.Addi(asm.A5, asm.A5, -1)
 	b.Bne(asm.A5, asm.Zero, copyLoop)
 	b.J(tokenStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "lz/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "lz", p.Style)
 }
 
 // Reference implements Kernel.

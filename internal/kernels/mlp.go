@@ -96,9 +96,6 @@ func (k MLP) State() []byte {
 
 func (k MLP) actOffset() int32 { return int32(4 * k.weightCount()) }
 
-// Args implements Kernel.
-func (MLP) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Layer 1 is computed one hidden unit at a time
 // (features via StreamPeek / pointer loads, weights via static offsets from
 // the state base); activations spill to the scratchpad; layer 2 reads them
@@ -112,43 +109,22 @@ func (k MLP) Build(p BuildParams) (*asm.Program, error) {
 	}
 	in, hidden := k.dims()
 	b := asm.New()
-	soft := p.Style != StyleStream
 	b.Li(asm.S1, int32(p.StateBase))
-	var inp softIn
-	if soft {
-		inp = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		inp.init()
-		inp.endReg(asm.S5, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-	}
-	loadFeature := func(j int) { // feature j of the current record into T0
-		if soft {
-			b.Lw(asm.T0, asm.S10, int32(4*j))
-		} else {
-			b.StreamPeek(asm.T0, 0, 4, int32(4*j))
-		}
-	}
+	io := newStreamIO(b, p, asm.S5, 1)
 	w1Off := func(h, j int) int32 { return int32(4 * (h*in + j)) }
 	b1Off := func(h int) int32 { return int32(4 * (hidden*in + h)) }
 	w2Off := func(h int) int32 { return int32(4 * (hidden*in + hidden + h)) }
 	b2Off := int32(4 * (hidden*in + hidden + hidden))
 
-	recStart := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.S5, cont)
-		b.Halt()
-		b.Bind(cont)
-	} else {
-		// StreamPeek halts at end of stream like StreamLoad; peeking the
-		// first feature doubles as the termination check.
-	}
+	// In the stream lowering, peeking the first feature doubles as the
+	// termination check.
+	recStart := io.top()
 	// Layer 1: per hidden unit h, acc = b1[h] + Σ_j x[j]*W1[h][j]; relu;
 	// spill to the activation area.
 	for h := 0; h < hidden; h++ {
 		b.Lw(asm.A1, asm.S1, b1Off(h))
 		for j := 0; j < in; j++ {
-			loadFeature(j)
+			io.peek(asm.T0, 4, int32(4*j))
 			b.Lw(asm.T1, asm.S1, w1Off(h, j))
 			b.Mul(asm.T0, asm.T0, asm.T1)
 			b.Add(asm.A1, asm.A1, asm.T0)
@@ -167,22 +143,11 @@ func (k MLP) Build(p BuildParams) (*asm.Program, error) {
 		b.Mul(asm.T0, asm.T0, asm.T1)
 		b.Add(asm.A1, asm.A1, asm.T0)
 	}
-	if soft {
-		b.Sw(asm.A1, asm.S0, 0)
-		b.Addi(asm.S0, asm.S0, 4)
-		inp.advance(int32(k.RecordSize()))
-	} else {
-		b.StreamStore(0, 4, asm.A1)
-		b.StreamAdv(0, int32(k.RecordSize()))
-	}
+	io.store(0, 4, asm.A1, 0)
+	io.stored(4)
+	io.skip(int32(k.RecordSize()))
 	b.J(recStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "mlp/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "mlp", p.Style)
 }
 
 // Infer mirrors the kernel for one record.

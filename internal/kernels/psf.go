@@ -46,9 +46,6 @@ func (PSF) Outputs() int { return 1 }
 // State implements Kernel.
 func (PSF) State() []byte { return nil }
 
-// Args implements Kernel.
-func (PSF) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 func (k PSF) check() error {
 	if k.NumFields <= 0 || k.NumFields > 32 {
 		return fmt.Errorf("kernels: psf field count %d unsupported", k.NumFields)
@@ -101,22 +98,8 @@ func (k PSF) Build(p BuildParams) (*asm.Program, error) {
 		b.Li(predBounds[2*i+1], int32(pr.Hi))
 	}
 
-	soft := p.Style != StyleStream
-	var in softIn
-	if soft {
-		in = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.T4, asm.A0)
-		b.Li(asm.S0, outViewBase(0))
-	}
-
-	lineStart := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.T4, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	io := newStreamIO(b, p, asm.T4, 1)
+	lineStart := io.top()
 	// Per-field parse loops, fully unrolled across the schema so no field
 	// counter is needed.
 	for f := 0; f < k.NumFields; f++ {
@@ -126,12 +109,8 @@ func (k PSF) Build(p BuildParams) (*asm.Program, error) {
 		}
 		b.Li(asm.A1, 0)
 		charLoop := b.Here()
-		if soft {
-			b.Lbu(asm.T0, asm.S10, 0)
-			in.advance(1)
-		} else {
-			b.StreamLoad(asm.T0, 0, 1)
-		}
+		io.load(asm.T0, 1, 0)
+		io.consumed(1)
 		fieldDone := b.NewLabel()
 		b.Beq(asm.T0, delim, fieldDone)
 		// val = val*10 + c - '0'  (shift-add multiply, as compilers emit)
@@ -155,24 +134,12 @@ func (k PSF) Build(p BuildParams) (*asm.Program, error) {
 	}
 	// Emit projected columns.
 	for i, c := range k.Project {
-		if soft {
-			b.Sw(savedFor[c], asm.S0, int32(4*i))
-		} else {
-			b.StreamStore(0, 4, savedFor[c])
-		}
+		io.store(0, 4, savedFor[c], int32(4*i))
 	}
-	if soft {
-		b.Addi(asm.S0, asm.S0, int32(4*len(k.Project)))
-	}
+	io.stored(int32(4 * len(k.Project)))
 	b.Bind(reject)
 	b.J(lineStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "psf/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "psf", p.Style)
 }
 
 // ParseRow parses one CSV row into column values (reference helper).

@@ -34,9 +34,6 @@ func (RAID4) Outputs() int { return 1 }
 // State implements Kernel.
 func (RAID4) State() []byte { return nil }
 
-// Args implements Kernel.
-func (RAID4) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel.
 func (k RAID4) Build(p BuildParams) (*asm.Program, error) {
 	n := k.width()
@@ -60,11 +57,10 @@ func (k RAID4) Build(p BuildParams) (*asm.Program, error) {
 		// Blocked software loop: a page-sized inner loop without release
 		// checks, then a per-page epilogue releasing every input window.
 		ptrs := []asm.Reg{asm.S2, asm.S3, asm.S4, asm.S5}
-		out := softOut{b: b, slot: 0, ptr: asm.S6}
 		for i := 0; i < n; i++ {
 			b.Li(ptrs[i], inViewBase(uint8(i)))
 		}
-		out.init()
+		b.Li(asm.S6, outViewBase(0))
 		// A0 = per-stream length; S8 = page size; T3 = chunk; S7 = inner end.
 		b.Li(asm.S8, int32(p.PageSize))
 		outer := b.Here()
@@ -83,11 +79,11 @@ func (k RAID4) Build(p BuildParams) (*asm.Program, error) {
 		for i := 1; i < n; i++ {
 			b.Xor(asm.A1, asm.A1, dataRegs[i])
 		}
-		b.Sw(asm.A1, out.ptr, 0)
+		b.Sw(asm.A1, asm.S6, 0)
 		for i := 0; i < n; i++ {
 			b.Addi(ptrs[i], ptrs[i], 4)
 		}
-		b.Addi(out.ptr, out.ptr, 4)
+		b.Addi(asm.S6, asm.S6, 4)
 		b.Bltu(ptrs[0], asm.S7, inner)
 		// Release a full page on every input window.
 		partial := b.NewLabel()
@@ -101,12 +97,7 @@ func (k RAID4) Build(p BuildParams) (*asm.Program, error) {
 		b.Bind(done)
 		b.Halt()
 	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "raid4/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "raid4", p.Style)
 }
 
 // Reference implements Kernel.
@@ -168,9 +159,6 @@ func (RAID6) State() []byte {
 	copy(img[raid6LogOff:], log[:])
 	return img
 }
-
-// Args implements Kernel.
-func (RAID6) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
 
 // Build implements Kernel.
 func (k RAID6) Build(p BuildParams) (*asm.Program, error) {
@@ -259,12 +247,7 @@ func (k RAID6) Build(p BuildParams) (*asm.Program, error) {
 		b.Bind(done)
 		b.Halt()
 	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "raid6/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "raid6", p.Style)
 }
 
 // Reference implements Kernel.

@@ -30,9 +30,6 @@ func (Scan) Outputs() int { return 0 }
 // State implements Kernel (stateless).
 func (Scan) State() []byte { return nil }
 
-// Args implements Kernel.
-func (Scan) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 func (k Scan) unroll() int {
 	if k.Unroll > 0 {
 		return k.Unroll
@@ -52,23 +49,17 @@ func (k Scan) Build(p BuildParams) (*asm.Program, error) {
 		}
 		b.J(loop)
 	default:
-		in := softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0) // A0 = input length
+		// Bottom-tested: the end check closes the unrolled block.
+		io := newStreamIO(b, p, asm.S5, 0)
 		loop := b.Here()
 		for i := 0; i < u; i++ {
-			b.Lbu(asm.A1, asm.S10, int32(i))
+			io.load(asm.A1, 1, int32(i))
 		}
-		in.advance(int32(u))
-		b.Bltu(asm.S10, asm.S5, loop)
+		io.consumed(int32(u))
+		b.Bltu(softInPtr, asm.S5, loop)
 		b.Halt()
 	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "scan/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "scan", p.Style)
 }
 
 // Reference implements Kernel: no outputs; verification is by byte count.
@@ -97,9 +88,6 @@ func (Stat) Outputs() int { return 0 }
 // State implements Kernel.
 func (Stat) State() []byte { return nil }
 
-// Args implements Kernel.
-func (Stat) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel.
 func (Stat) Build(p BuildParams) (*asm.Program, error) {
 	b := asm.New()
@@ -110,22 +98,16 @@ func (Stat) Build(p BuildParams) (*asm.Program, error) {
 		b.Add(asm.S0, asm.S0, asm.A1)
 		b.J(loop)
 	default:
-		in := softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		in.init()
-		in.endReg(asm.S5, asm.A0)
+		// Bottom-tested, like Scan.
+		io := newStreamIO(b, p, asm.S5, 0)
 		loop := b.Here()
-		b.Lw(asm.A1, asm.S10, 0)
+		io.load(asm.A1, 4, 0)
 		b.Add(asm.S0, asm.S0, asm.A1)
-		in.advance(4)
-		b.Bltu(asm.S10, asm.S5, loop)
+		io.consumed(4)
+		b.Bltu(softInPtr, asm.S5, loop)
 		b.Halt()
 	}
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "stat/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "stat", p.Style)
 }
 
 // Reference implements Kernel (no output streams).

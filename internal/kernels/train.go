@@ -74,9 +74,6 @@ func (k LinearTrain) State() []byte {
 	return make([]byte, 4*in)
 }
 
-// Args implements Kernel.
-func (LinearTrain) Args(inputLengths []int64) map[asm.Reg]uint32 { return defaultArgs(inputLengths) }
-
 // Build implements Kernel. Register allocation:
 //
 //	S1 weight base  S2 prediction acc  S3 record counter  A1 label/error
@@ -87,28 +84,10 @@ func (k LinearTrain) Build(p BuildParams) (*asm.Program, error) {
 	}
 	in, shift, lr := k.dims()
 	b := asm.New()
-	soft := p.Style != StyleStream
 	b.Li(asm.S1, int32(p.StateBase))
-	var inp softIn
-	if soft {
-		inp = softIn{b: b, slot: 0, ptr: asm.S10, thresh: asm.S11, pageSize: int32(p.PageSize)}
-		inp.init()
-		inp.endReg(asm.T4, asm.A0)
-	}
-	feature := func(j int) { // x[j] -> T0
-		if soft {
-			b.Lw(asm.T0, asm.S10, int32(4*j))
-		} else {
-			b.StreamPeek(asm.T0, 0, 4, int32(4*j))
-		}
-	}
-	recStart := b.Here()
-	if soft {
-		cont := b.NewLabel()
-		b.Bltu(asm.S10, asm.T4, cont)
-		b.Halt()
-		b.Bind(cont)
-	}
+	io := newStreamIO(b, p, asm.T4, 0)
+	feature := func(j int) { io.peek(asm.T0, 4, int32(4*j)) } // x[j] -> T0
+	recStart := io.top()
 	// Forward pass: S2 = Σ w[j]*x[j].
 	b.Li(asm.S2, 0)
 	for j := 0; j < in; j++ {
@@ -119,11 +98,7 @@ func (k LinearTrain) Build(p BuildParams) (*asm.Program, error) {
 	}
 	b.Srai(asm.S2, asm.S2, int32(shift))
 	// Error: A1 = y - p.
-	if soft {
-		b.Lw(asm.A1, asm.S10, int32(4*in))
-	} else {
-		b.StreamPeek(asm.A1, 0, 4, int32(4*in))
-	}
+	io.peek(asm.A1, 4, int32(4*in))
 	b.Sub(asm.A1, asm.A1, asm.S2)
 	// Backward pass: w[j] += (e*x[j]) >> lr.
 	for j := 0; j < in; j++ {
@@ -135,19 +110,9 @@ func (k LinearTrain) Build(p BuildParams) (*asm.Program, error) {
 		b.Sw(asm.T1, asm.S1, int32(4*j))
 	}
 	b.Addi(asm.S3, asm.S3, 1)
-	if soft {
-		inp.advance(int32(k.RecordSize()))
-	} else {
-		b.StreamAdv(0, int32(k.RecordSize()))
-	}
+	io.skip(int32(k.RecordSize()))
 	b.J(recStart)
-
-	prog, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	prog.Name = "train/" + p.Style.String()
-	return prog, nil
+	return assemble(b, "train", p.Style)
 }
 
 // Reference implements Kernel (no output streams; weights are checked via

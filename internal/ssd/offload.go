@@ -158,7 +158,7 @@ func (s *SSD) BuildTasks(run KernelRun) ([]TaskSpec, error) {
 			Program:   prog,
 			Inputs:    ins,
 			Outputs:   outs,
-			Regs:      k.Args(lengths),
+			Regs:      kernels.Args(lengths),
 			Scratch:   state,
 			StateBase: params.StateBase,
 		})

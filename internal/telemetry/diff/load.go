@@ -56,6 +56,11 @@ func decode(b []byte) (RunData, error) {
 		if err := json.Unmarshal(b, &reports); err != nil {
 			return RunData{}, err
 		}
+		for i, r := range reports {
+			if r == nil {
+				return RunData{}, fmt.Errorf("report array entry %d is null", i)
+			}
+		}
 		if len(reports) != 1 {
 			var labels []string
 			for _, r := range reports {
