@@ -22,7 +22,7 @@ func BenchmarkInterpreterALU(b *testing.B) {
 	bb.Halt()
 	prog := bb.MustBuild()
 	c := New(DefaultConfig("bench"), newTestSystem())
-	c.LoadProgram(prog)
+	c.LoadProgram(Translate(prog))
 	b.ResetTimer()
 	total := int64(0)
 	for total < int64(b.N) {
@@ -51,7 +51,7 @@ func BenchmarkCoreStepALU(b *testing.B) {
 			cfg.MaxInstructions = 1 << 62
 			cfg.Exec = mode
 			c := New(cfg, newTestSystem())
-			c.LoadProgram(prog)
+			c.LoadProgram(Translate(prog))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for c.Stats().Instructions < int64(b.N) {
@@ -90,7 +90,7 @@ func BenchmarkCoreALUBlock(b *testing.B) {
 			cfg.MaxInstructions = 1 << 62
 			cfg.Exec = mode
 			c := New(cfg, newTestSystem())
-			c.LoadProgram(build())
+			c.LoadProgram(Translate(build()))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for c.Stats().Instructions < int64(b.N) {
@@ -126,7 +126,7 @@ func BenchmarkCoreCompiledBlock(b *testing.B) {
 			cfg.MaxInstructions = 1 << 62
 			cfg.Exec = mode
 			c := New(cfg, newTestSystem())
-			c.LoadProgram(prog)
+			c.LoadProgram(Translate(prog))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for c.Stats().Instructions < int64(b.N) {
@@ -165,7 +165,7 @@ func BenchmarkCoreLongBody(b *testing.B) {
 			cfg.MaxInstructions = 1 << 62
 			cfg.Exec = mode
 			c := New(cfg, newTestSystem())
-			c.LoadProgram(prog)
+			c.LoadProgram(Translate(prog))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for c.Stats().Instructions < int64(b.N) {
@@ -194,7 +194,7 @@ func BenchmarkStreamLoadPath(b *testing.B) {
 			cfg.Exec = mode
 			sys := newTestSystem()
 			c := New(cfg, sys)
-			c.LoadProgram(prog)
+			c.LoadProgram(Translate(prog))
 			in := sys.Streams.In[0]
 			page := make([]byte, 1024)
 			b.SetBytes(1024)
@@ -232,7 +232,7 @@ func BenchmarkCachedLoadPath(b *testing.B) {
 	bb.Bltu(asm.T0, asm.T1, loop)
 	bb.Halt()
 	c := New(DefaultConfig("bench"), sys)
-	c.LoadProgram(bb.MustBuild())
+	c.LoadProgram(Translate(bb.MustBuild()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Run(c.LocalTime() + 10*sim.Microsecond)
@@ -241,3 +241,35 @@ func BenchmarkCachedLoadPath(b *testing.B) {
 		b.Fatal(c.Err())
 	}
 }
+
+// BenchmarkTranslate prices one Translate (decode, loop analysis and
+// threaded code) of a synthetic stream kernel of about 1,000 instructions,
+// the size of the AES program: one loop of table-lookup rounds, each a
+// stream load, scratchpad loads, ALU ops and a stream store.
+func BenchmarkTranslate(b *testing.B) {
+	bb := asm.New()
+	bb.Li(asm.S1, int32(memhier.ScratchpadBase))
+	loop := bb.Here()
+	for r := int32(0); r < 100; r++ {
+		bb.StreamLoad(asm.A0, 0, 4)
+		bb.Lw(asm.T4, asm.S1, 4*(r%64))
+		bb.Xor(asm.T2, asm.T4, asm.A0)
+		bb.Srli(asm.T3, asm.T2, 8)
+		bb.Andi(asm.T3, asm.T3, 0xff)
+		bb.Slli(asm.T3, asm.T3, 2)
+		bb.Add(asm.T3, asm.T3, asm.S1)
+		bb.Lw(asm.T5, asm.T3, 0)
+		bb.Xor(asm.S0, asm.S0, asm.T5)
+		bb.StreamStore(1, 4, asm.S0)
+	}
+	bb.J(loop)
+	prog := bb.MustBuild()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		translated = Translate(prog)
+	}
+}
+
+// translated keeps BenchmarkTranslate's result live.
+var translated *Program

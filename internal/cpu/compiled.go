@@ -1,10 +1,12 @@
 package cpu
 
-// Ahead-of-time translation: the fast interpreter strategy. At program-load
-// time the decoded instruction stream is partitioned into straight ALU runs
+// Ahead-of-time translation: the fast interpreter strategy. Translate
+// turns one assembled program into a Program, once, however many cores run
+// it: the decoded instruction stream is partitioned into straight ALU runs
 // and recognized stream-loop bodies (analyzeProgram), then translated to
 // threaded code: one specialized Go closure per instruction form with
-// registers, immediates, stream slots and cycle counts pre-resolved.
+// registers, immediates and stream slots pre-resolved. Cycle counts are read
+// from the running core, so one Program serves cores of any timing config.
 // Straight ALU runs become a single pre-composed closure executed with one
 // time/stats accumulation. A recognized loop body becomes one element per
 // pc (an ALU run is one runALUBlock element), dispatched by runLoop's flat
@@ -18,14 +20,15 @@ package cpu
 // the same local-time boundary — so the scheduler interleaving, and with it
 // every shared-resource (DRAM, flash) access order, is unchanged (enforced
 // by the equivalence soak in internal/experiments and the differential fuzz
-// harness in this package). Translation happens at load time — not lazily —
-// so a core's execution is a pure function of the loaded program and its
-// inputs, which keeps runs deterministic and resumable. See DESIGN.md,
-// "Ahead-of-time translation".
+// harness in this package). Translation happens before the program runs —
+// not lazily — and the Program is immutable, so a core's execution is a
+// pure function of the program and its inputs, which keeps runs
+// deterministic and resumable. See DESIGN.md, "Ahead-of-time translation".
 
 import (
 	"fmt"
 
+	"assasin/internal/asm"
 	"assasin/internal/isa"
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
@@ -35,7 +38,7 @@ import (
 type ExecMode int
 
 const (
-	// ExecCompiled (default) runs the load-time threaded-code translation.
+	// ExecCompiled (default) runs the Program's threaded-code translation.
 	ExecCompiled ExecMode = iota
 	// ExecPrecise interprets one instruction per step — the reference
 	// semantics, kept as the equivalence oracle the tests select.
@@ -234,51 +237,59 @@ const (
 // and returns the next pc plus the exit disposition.
 type bodyFn func(c *Core, vpc int, limit sim.Time) (int, ctl)
 
-// compiledProgram is the load-time translation of one decoded program, per
-// pc: the specialized ALU closure, and the pre-composed whole-run closure
-// where a straight ALU run starts. Loop bodies and kernels live on their
-// loopInfo.
-type compiledProgram struct {
+// Program is the translation of one assembled program, shared read-only by
+// every core that runs it: the decoded instructions, the loop analysis
+// (aluRun[i] is the length of the straight ALU run starting at i, loops[i]
+// the recognized loop whose body holds i, nil outside any), and the threaded
+// code: per pc the specialized ALU closure and, where a straight ALU run
+// starts, the pre-composed whole-run closure. Loop bodies and kernels live
+// on their loopInfo. Nothing in it depends on a core; the closures read
+// timing from the core they run on.
+type Program struct {
+	Src    *asm.Program // what was translated; kprof symbolizes against it
+	dec    []decoded
+	aluRun []int32
+	loops  []*loopInfo
 	alu    []aluFn
 	blocks []aluFn
 }
 
-// compileProgram translates the decoded program. It requires the loop
-// analysis (c.aluRun, c.loops) to be in place.
-func (c *Core) compileProgram() *compiledProgram {
-	dec := c.dec
-	n := len(dec)
-	cp := &compiledProgram{
-		alu:    make([]aluFn, n),
-		blocks: make([]aluFn, n),
+// Translate decodes, analyzes and compiles src. The result is immutable and
+// may be loaded into any number of cores, concurrently.
+func Translate(src *asm.Program) *Program {
+	n := len(src.Insts)
+	p := &Program{Src: src, dec: make([]decoded, n), alu: make([]aluFn, n), blocks: make([]aluFn, n)}
+	for i, in := range src.Insts {
+		p.dec[i] = decode(in)
 	}
-	for i := range dec {
-		if dec[i].class == isa.ClassALU {
-			cp.alu[i] = compileALU(&dec[i])
+	p.aluRun, p.loops = analyzeProgram(p.dec)
+	for i := range p.dec {
+		if p.dec[i].class == isa.ClassALU {
+			p.alu[i] = compileALU(&p.dec[i])
 		}
 	}
 	// Every pc with a straight run gets a whole-run closure: runs are
 	// suffix-closed (a branch may enter mid-run), so this covers every
 	// entry point runALUBlock can see.
 	for i := 0; i < n; i++ {
-		if r := int(c.aluRun[i]); r > 1 {
-			cp.blocks[i] = seqALU(cp.alu[i : i+r])
+		if r := int(p.aluRun[i]); r > 1 {
+			p.blocks[i] = seqALU(p.alu[i : i+r])
 		}
 	}
-	for pc, li := range c.loops {
+	for pc, li := range p.loops {
 		if li == nil || li.head != pc {
 			continue
 		}
 		li.body = make([]bodyFn, li.end-li.head+1)
 		for i := range li.body {
-			li.body[i] = c.compileBodyElem(li.head + i)
+			li.body[i] = compileBodyElem(p, li.head+i)
 		}
-		if back := &dec[li.end]; li.end > li.head && int(c.aluRun[li.head]) == li.end-li.head &&
+		if back := &p.dec[li.end]; li.end > li.head && int(p.aluRun[li.head]) == li.end-li.head &&
 			back.class == isa.ClassJump && back.rd == 0 {
-			li.kernel = loopKernelOf(cp.alu[li.head:li.end])
+			li.kernel = loopKernelOf(p.alu[li.head:li.end])
 		}
 	}
-	return cp
+	return p
 }
 
 // countInst accrues the per-instruction counters shared by every retired
@@ -332,11 +343,11 @@ func (c *Core) branchStep(vpc int, taken bool, delta int) int {
 // the run. The arms mirror Core.step one-for-one for the pre-validated
 // case; any timing or accounting drift between the two is caught by the
 // equivalence soak and the differential fuzz harness.
-func (c *Core) compileBodyElem(pc int) bodyFn {
-	in := &c.dec[pc]
+func compileBodyElem(p *Program, pc int) bodyFn {
+	in := &p.dec[pc]
 	switch in.class {
 	case isa.ClassALU:
-		if n := int(c.aluRun[pc]); n > 1 {
+		if n := int(p.aluRun[pc]); n > 1 {
 			return func(c *Core, vpc int, limit sim.Time) (int, ctl) {
 				return c.runALUBlock(vpc, n, limit), ctlNext
 			}
@@ -351,23 +362,19 @@ func (c *Core) compileBodyElem(pc int) bodyFn {
 		}
 
 	case isa.ClassMul:
-		inv := *in
-		cycles := c.cfg.MulCycles
 		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 			t0 := c.at
-			c.setReg(inv.rd, c.mul(&inv))
-			c.retireCycles(vpc, t0, cycles)
+			c.setReg(in.rd, c.mul(in))
+			c.retireCycles(vpc, t0, c.cfg.MulCycles)
 			c.countInst(isa.ClassMul)
 			return vpc + 1, ctlNext
 		}
 
 	case isa.ClassDiv:
-		inv := *in
-		cycles := c.cfg.DivCycles
 		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 			t0 := c.at
-			c.setReg(inv.rd, c.div(&inv))
-			c.retireCycles(vpc, t0, cycles)
+			c.setReg(in.rd, c.div(in))
+			c.retireCycles(vpc, t0, c.cfg.DivCycles)
 			c.countInst(isa.ClassDiv)
 			return vpc + 1, ctlNext
 		}
@@ -790,11 +797,11 @@ func (c *Core) runALUBlock(pc, n int, limit sim.Time) int {
 	if c.at+sim.Time(n-1)*period > limit {
 		n = int(int64((limit-c.at)/period)) + 1
 	}
-	cp := c.comp
-	if n == whole && cp.blocks[pc] != nil {
-		cp.blocks[pc](&c.regs)
+	p := c.prog
+	if n == whole && p.blocks[pc] != nil {
+		p.blocks[pc](&c.regs)
 	} else {
-		for _, f := range cp.alu[pc : pc+n] {
+		for _, f := range p.alu[pc : pc+n] {
 			f(&c.regs)
 		}
 	}

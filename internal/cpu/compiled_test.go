@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"assasin/internal/asm"
@@ -14,7 +15,7 @@ var execModes = []ExecMode{ExecPrecise, ExecCompiled}
 
 // TestCoreZeroAllocPerStep proves the per-step hot path allocates nothing in
 // any execution mode with telemetry disabled — the compiled engine's
-// closures are all built at load time, so steady-state dispatch must stay
+// closures are all built by Translate, so steady-state dispatch must stay
 // allocation-free like the precise interpreter.
 func TestCoreZeroAllocPerStep(t *testing.T) {
 	bb := asm.New()
@@ -31,7 +32,7 @@ func TestCoreZeroAllocPerStep(t *testing.T) {
 		cfg.MaxInstructions = 1 << 62
 		cfg.Exec = mode
 		c := New(cfg, newTestSystem())
-		c.LoadProgram(prog)
+		c.LoadProgram(Translate(prog))
 		c.Run(c.LocalTime() + 10*sim.Microsecond) // warm up
 		allocs := testing.AllocsPerRun(100, func() {
 			c.Run(c.LocalTime() + 10*sim.Microsecond)
@@ -74,7 +75,7 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 		cfg.Exec = mode
 		sys := newTestSystem()
 		c := New(cfg, sys)
-		c.LoadProgram(prog)
+		c.LoadProgram(Translate(prog))
 		in := sys.Streams.In[0]
 		out := sys.Streams.Out[1]
 		var collected []byte
@@ -148,7 +149,7 @@ type streamPush struct {
 // through quanta. Each push lands (with a wake) once a slice limit reaches
 // its time, and slot 0 closes after the last one. Every engine must stop
 // at the same pcs, so the outcome includes the pc after each slice.
-func runSliced(t *testing.T, prog *asm.Program, mode ExecMode, quanta []sim.Time, pushes []streamPush) (slicedOutcome, *Core) {
+func runSliced(t *testing.T, prog *Program, mode ExecMode, quanta []sim.Time, pushes []streamPush) (slicedOutcome, *Core) {
 	t.Helper()
 	cfg := DefaultConfig("sliced")
 	cfg.Exec = mode
@@ -180,13 +181,15 @@ func runSliced(t *testing.T, prog *asm.Program, mode ExecMode, quanta []sim.Time
 	return o, c
 }
 
-// checkSliced runs prog in both engines, requires identical outcomes, and
-// requires the compiled engine to step nothing inside a recognized loop
-// body. It returns the compiled run for further checks.
+// checkSliced translates prog once, runs it in both engines, requires
+// identical outcomes, and requires the compiled engine to step nothing
+// inside a recognized loop body. It returns the compiled run for further
+// checks.
 func checkSliced(t *testing.T, prog *asm.Program, quanta []sim.Time, pushes []streamPush) (slicedOutcome, *Core) {
 	t.Helper()
-	ref, _ := runSliced(t, prog, ExecPrecise, quanta, pushes)
-	got, c := runSliced(t, prog, ExecCompiled, quanta, pushes)
+	p := Translate(prog)
+	ref, _ := runSliced(t, p, ExecPrecise, quanta, pushes)
+	got, c := runSliced(t, p, ExecCompiled, quanta, pushes)
 	if ref.err != nil {
 		t.Fatalf("precise: %v", ref.err)
 	}
@@ -194,7 +197,7 @@ func checkSliced(t *testing.T, prog *asm.Program, quanta []sim.Time, pushes []st
 		t.Fatalf("compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", ref, got)
 	}
 	outside := int64(0)
-	for _, li := range c.loops {
+	for _, li := range p.loops {
 		if li == nil {
 			outside++
 		}
@@ -242,7 +245,7 @@ func TestCompiledResumesLongBody(t *testing.T) {
 	got, c := checkSliced(t, bb.MustBuild(), pcQuanta, nil)
 
 	var li *loopInfo
-	for _, l := range c.loops {
+	for _, l := range c.prog.loops {
 		if l != nil {
 			li = l
 			break
@@ -333,5 +336,90 @@ func TestCompiledAdvBlocksMidIteration(t *testing.T) {
 	_, c := checkSliced(t, recordAdvProgram(132), pcQuanta, pushes)
 	if r := c.Stats().Retries; r == 0 {
 		t.Error("the Adv never blocked")
+	}
+}
+
+// sharedKernel is a stream record loop holding every instruction class
+// whose timing comes from the core config: a short warm-up loop closed by a
+// conditional back edge, then per record a peek and a load, a multiply, a
+// divide, a forward branch taken on odd words, a scratchpad round trip and
+// a stream store. It halts at end of stream.
+func sharedKernel() *asm.Program {
+	bb := asm.New()
+	bb.Li(asm.S1, int32(memhier.ScratchpadBase))
+	bb.Li(asm.T1, 7)
+	warm := bb.Here()
+	bb.Addi(asm.A1, asm.A1, 1)
+	bb.Xor(asm.S2, asm.S2, asm.A1)
+	bb.Bltu(asm.A1, asm.T1, warm)
+	loop := bb.Here()
+	bb.StreamPeek(asm.A2, 0, 2, 2)
+	bb.StreamLoad(asm.A0, 0, 4)
+	bb.Mul(asm.T3, asm.A0, asm.A2)
+	bb.Divu(asm.T5, asm.T3, asm.T1)
+	bb.Andi(asm.T6, asm.A0, 1)
+	skip := bb.NewLabel()
+	bb.Beq(asm.T6, asm.Zero, skip)
+	bb.Add(asm.S0, asm.S0, asm.T5)
+	bb.Bind(skip)
+	bb.Sw(asm.T3, asm.S1, 0)
+	bb.Lw(asm.T4, asm.S1, 0)
+	bb.Xor(asm.S2, asm.S2, asm.T4)
+	bb.StreamStore(1, 4, asm.S0)
+	bb.J(loop)
+	return bb.MustBuild()
+}
+
+// TestSharedProgramConcurrent translates each program once and runs the one
+// Program at the same time, each core on its own goroutine, on compiled and
+// precise cores of four timing configs (branch penalties, BranchFree,
+// mul/div cycles, clock period). Each compiled core must match the precise
+// core of its config in Stats, registers, output bytes and local time: the
+// translation holds no per-core timing, and (under -race) no core writes to
+// it.
+func TestSharedProgramConcurrent(t *testing.T) {
+	progs := []*asm.Program{sharedKernel()}
+	for _, raw := range fuzzSeeds() {
+		progs = append(progs, genProgram(raw))
+	}
+	base := fuzzConfig(ExecPrecise)
+	free, slow, fast := base, base, base
+	free.BranchFree = true
+	slow.MulCycles, slow.DivCycles, slow.BranchTakenPenalty = 1, 35, 3
+	fast.Clock, fast.MulCycles, fast.DivCycles, fast.BranchFree = sim.Clock{Period: 890}, 5, 7, true
+	cfgs := []Config{base, free, slow, fast}
+
+	outs := make([][][2]fuzzOutcome, len(progs)) // [prog][cfg][mode]
+	var wg sync.WaitGroup
+	for i, src := range progs {
+		p := Translate(src)
+		inputs := fuzzInputs([]byte{byte(i)})
+		outs[i] = make([][2]fuzzOutcome, len(cfgs))
+		for j, cfg := range cfgs {
+			for m, mode := range execModes {
+				cfg.Exec = mode
+				wg.Add(1)
+				go func(cfg Config) {
+					defer wg.Done()
+					outs[i][j][m] = runFuzzProgram(p, cfg, inputs)
+				}(cfg)
+			}
+		}
+	}
+	wg.Wait()
+	for i, byCfg := range outs {
+		for j, o := range byCfg {
+			if ref, got := o[0], o[1]; !reflect.DeepEqual(got, ref) {
+				t.Errorf("program %d, config %d: compiled diverges from precise:\nprecise: %+v\ncompiled: %+v", i, j, ref, got)
+			}
+		}
+	}
+	// The configs must time the kernel differently, or the check is vacuous.
+	seen := map[sim.Time]bool{}
+	for _, o := range outs[0] {
+		seen[o[0].At] = true
+	}
+	if len(seen) != len(cfgs) {
+		t.Errorf("shared kernel ends at %d distinct times over %d configs", len(seen), len(cfgs))
 	}
 }

@@ -33,10 +33,10 @@ type Config struct {
 	BranchFree bool
 	// MaxInstructions aborts runaway programs (0 = default guard).
 	MaxInstructions int64
-	// Exec selects the interpreter strategy: ExecCompiled (default)
-	// translates the program to threaded code at load time, ExecPrecise
-	// forces per-instruction stepping (the equivalence oracle). Both
-	// produce byte-identical timing and results.
+	// Exec selects the interpreter strategy: ExecCompiled (default) runs
+	// the loaded Program's threaded code, ExecPrecise steps its decoded
+	// instructions one at a time (the equivalence oracle). Both produce
+	// byte-identical timing and results.
 	Exec ExecMode
 }
 
@@ -148,10 +148,10 @@ func (s *Stats) TotalTime() sim.Time {
 	return t
 }
 
-// decoded is the load-time unpacked form of one instruction. Dispatch
+// decoded is the translated, unpacked form of one instruction. Dispatch
 // metadata the interpreter would otherwise recompute on every step — the
 // timing class, load/store width and sign extension, the immediate in its
-// unsigned reinterpretation — is resolved once per program load, keeping the
+// unsigned reinterpretation — is resolved once per Translate, keeping the
 // per-instruction hot path to a class switch over flat fields.
 type decoded struct {
 	op     isa.Op
@@ -169,19 +169,9 @@ type decoded struct {
 
 // Core is one simulated compute engine.
 type Core struct {
-	cfg     Config
-	sys     *memhier.System
-	dec     []decoded
-	decFrom *asm.Program // program the decode cache was built from
-
-	// Loop analysis and translation, rebuilt with the decode cache under
-	// ExecCompiled (compiled.go): aluRun[i] is the length of the straight
-	// ALU run starting at i, loops[i] is the recognized stream loop whose
-	// body holds i (nil outside any), and comp is the threaded-code
-	// translation.
-	aluRun []int32
-	loops  []*loopInfo
-	comp   *compiledProgram
+	cfg  Config
+	sys  *memhier.System
+	prog *Program // the loaded translation, shared with other cores
 	// stepped counts instructions dispatched through step (every one under
 	// ExecPrecise). It is kept out of Stats, which both engines must
 	// produce identically.
@@ -271,24 +261,13 @@ func decode(in isa.Inst) decoded {
 	return d
 }
 
-// LoadProgram installs the kernel and resets architectural state. The local
-// clock is preserved (the firmware resets PC and pipeline between requests,
-// not time). Reloading the same program reuses the decoded form.
-func (c *Core) LoadProgram(p *asm.Program) {
-	if c.decFrom != p {
-		c.dec = make([]decoded, len(p.Insts))
-		for i, in := range p.Insts {
-			c.dec[i] = decode(in)
-		}
-		c.aluRun, c.loops, c.comp = nil, nil, nil
-		if c.cfg.Exec != ExecPrecise {
-			c.aluRun, c.loops = analyzeProgram(c.dec)
-			c.comp = c.compileProgram()
-		}
-		c.decFrom = p
-	}
+// LoadProgram installs the translated kernel and resets architectural
+// state. The local clock is preserved (the firmware resets PC and pipeline
+// between requests, not time).
+func (c *Core) LoadProgram(p *Program) {
+	c.prog = p
 	if c.kprofiler != nil {
-		c.prof = c.kprofiler.ForProgram(p, c.cfg.Clock.Period)
+		c.prof = c.kprofiler.ForProgram(p.Src, c.cfg.Clock.Period)
 	}
 	c.pc = 0
 	c.halted = false
@@ -367,8 +346,8 @@ func (c *Core) AttachKProf(p *Profiler) {
 		c.prof = nil
 		return
 	}
-	if c.decFrom != nil {
-		c.prof = p.ForProgram(c.decFrom, c.cfg.Clock.Period)
+	if c.prog != nil {
+		c.prof = p.ForProgram(c.prog.Src, c.cfg.Clock.Period)
 	}
 }
 
@@ -414,10 +393,10 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 		}
 		c.wakeAt = sim.MaxTime
 	}
-	compiled := c.comp != nil
+	p, compiled := c.prog, c.cfg.Exec != ExecPrecise
 	for c.at <= limit {
-		if c.pc < 0 || c.pc >= len(c.dec) {
-			c.fail(fmt.Errorf("cpu %s: pc %d out of program (len %d)", c.cfg.Name, c.pc, len(c.dec)))
+		if c.pc < 0 || c.pc >= len(p.dec) {
+			c.fail(fmt.Errorf("cpu %s: pc %d out of program (len %d)", c.cfg.Name, c.pc, len(p.dec)))
 			return c.at, sim.StateDone, 0
 		}
 		if c.stats.Instructions >= c.maxInsts {
@@ -425,7 +404,7 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 			return c.at, sim.StateDone, 0
 		}
 		if compiled {
-			if li := c.loops[c.pc]; li != nil {
+			if li := p.loops[c.pc]; li != nil {
 				switch c.runLoop(li, limit) {
 				case loopProgress:
 					c.blocked = false
@@ -447,13 +426,13 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 				// loopNoProgress: fall through to the ALU-run and
 				// per-instruction paths, which advance, block, or halt.
 			}
-			if n := c.aluRun[c.pc]; n > 1 {
+			if n := p.aluRun[c.pc]; n > 1 {
 				c.pc = c.runALUBlock(c.pc, int(n), limit)
 				c.blocked = false
 				continue
 			}
 		}
-		in := &c.dec[c.pc]
+		in := &p.dec[c.pc]
 		blocked := c.step(in, period)
 		if blocked {
 			if !c.blocked {

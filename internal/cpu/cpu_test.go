@@ -52,7 +52,7 @@ func TestArithmeticProgram(t *testing.T) {
 	b.Blt(asm.T0, asm.T1, loop)
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if got := c.Reg(asm.A0); got != 55 {
 		t.Fatalf("sum = %d, want 55", got)
@@ -77,7 +77,7 @@ func TestALUOperations(t *testing.T) {
 	b.Xori(asm.A7, asm.T1, 5)      // 6
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	neg := func(v int64) uint32 { return uint32(int32(v)) }
 	checks := map[asm.Reg]uint32{
@@ -106,7 +106,7 @@ func TestDivByZeroSemantics(t *testing.T) {
 	b.Rem(asm.A2, asm.T0, asm.T1)  // dividend
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if c.Reg(asm.A0) != ^uint32(0) || c.Reg(asm.A1) != ^uint32(0) || c.Reg(asm.A2) != 42 {
 		t.Fatalf("div-by-zero: %#x %#x %d", c.Reg(asm.A0), c.Reg(asm.A1), c.Reg(asm.A2))
@@ -124,7 +124,7 @@ func TestScratchpadLoadStore(t *testing.T) {
 	b.Lb(asm.A3, asm.T0, 3)  // -1
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	minus2 := int32(-2)
 	if c.Reg(asm.A0) != 0xFFFE || c.Reg(asm.A1) != uint32(minus2) ||
@@ -144,7 +144,7 @@ func TestJalJalrSubroutine(t *testing.T) {
 	b.Addi(asm.A0, asm.A0, 1)
 	b.Ret()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if got := c.Reg(asm.A0); got != 106 {
 		t.Fatalf("a0 = %d, want 106", got)
@@ -158,7 +158,7 @@ func TestX0IsHardwiredZero(t *testing.T) {
 	b.Mv(asm.A0, asm.Zero)
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if c.Reg(asm.A0) != 0 {
 		t.Fatal("x0 written")
@@ -182,7 +182,7 @@ func TestStreamCopyKernel(t *testing.T) {
 	sys.Streams.In[0].Close()
 
 	c := New(DefaultConfig("t"), sys)
-	c.LoadProgram(prog)
+	c.LoadProgram(Translate(prog))
 	runToHalt(t, c)
 
 	got := sys.Streams.Out[0].Drain(1<<20, 0)
@@ -206,7 +206,7 @@ func TestBlockedCoreWakesOnPush(t *testing.T) {
 
 	sys := newTestSystem()
 	c := New(DefaultConfig("core"), sys)
-	c.LoadProgram(prog)
+	c.LoadProgram(Translate(prog))
 
 	sched := sim.NewScheduler()
 	sched.Add(c)
@@ -251,7 +251,7 @@ func TestTimingALUOneCyclePerInstruction(t *testing.T) {
 	}
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	// 100 addi + halt = 101 cycles at 1 GHz.
 	if got := c.LocalTime(); got != 101*sim.Nanosecond {
@@ -268,7 +268,7 @@ func TestTimingBranchPenalty(t *testing.T) {
 	b.Bne(asm.T0, asm.T1, loop)
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	// li(1) + 10*(addi+bne) where 9 taken (2c) + 1 not-taken (1c) + halt
 	want := sim.Time(1+10*1+9*2+1*1+1) * sim.Nanosecond
@@ -288,13 +288,13 @@ func TestBranchFreeUDPTiming(t *testing.T) {
 		return b.MustBuild()
 	}
 	normal := New(DefaultConfig("n"), newTestSystem())
-	normal.LoadProgram(build())
+	normal.LoadProgram(Translate(build()))
 	runToHalt(t, normal)
 
 	cfg := DefaultConfig("udp")
 	cfg.BranchFree = true
 	udp := New(cfg, newTestSystem())
-	udp.LoadProgram(build())
+	udp.LoadProgram(Translate(build()))
 	runToHalt(t, udp)
 
 	if udp.LocalTime() >= normal.LocalTime() {
@@ -321,7 +321,7 @@ func TestCachedLoadStallAccounting(t *testing.T) {
 	b.Lw(asm.A0, asm.T0, 0)
 	b.Halt()
 	c := New(DefaultConfig("t"), sys)
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if c.Reg(asm.A0) != 7 {
 		t.Fatalf("loaded %d", c.Reg(asm.A0))
@@ -338,7 +338,7 @@ func TestInstructionBudgetGuard(t *testing.T) {
 	cfg := DefaultConfig("t")
 	cfg.MaxInstructions = 1000
 	c := New(cfg, newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	_, state, _ := c.Run(sim.MaxTime)
 	if state != sim.StateDone || c.Err() == nil {
 		t.Fatal("runaway program not aborted")
@@ -354,7 +354,7 @@ func TestStreamEndAndCsr(t *testing.T) {
 	sys.Streams.In[0].Push(make([]byte, 16), 0)
 	sys.Streams.In[0].Close()
 	c := New(DefaultConfig("t"), sys)
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if c.Reg(asm.A0) != 0 {
 		t.Error("EOS with buffered data")
@@ -374,7 +374,7 @@ func TestHaltOnStreamEOS(t *testing.T) {
 	sys.Streams.In[0].Push(make([]byte, 8), 0)
 	sys.Streams.In[0].Close()
 	c := New(DefaultConfig("t"), sys)
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
 	if !c.Halted() {
 		t.Fatal("not halted")
@@ -388,7 +388,7 @@ func TestOnHaltCallback(t *testing.T) {
 	b := asm.New()
 	b.Halt()
 	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(Translate(b.MustBuild()))
 	fired := sim.Time(-1)
 	c.OnHalt(func(at sim.Time) { fired = at })
 	runToHalt(t, c)

@@ -103,17 +103,22 @@ type fuzzOutcome struct {
 	Out    [4][]byte
 }
 
-// runFuzzProgram executes prog under mode on a fresh test system with a
+// fuzzConfig is the harness core config in mode. One name for every mode:
+// simulation errors embed it, and error strings are part of the compared
+// outcome.
+func fuzzConfig(mode ExecMode) Config {
+	cfg := DefaultConfig("fuzz")
+	cfg.Exec = mode
+	cfg.MaxInstructions = 150_000
+	return cfg
+}
+
+// runFuzzProgram executes prog on a fresh cfg core and test system with a
 // fixed input/drain schedule: two staggered pushes per input stream (then
 // closed), 500 ns dispatch quanta, and output windows drained at every
 // quantum boundary. The schedule is a pure function of the program and
 // inputs, so any outcome divergence between modes is an engine bug.
-func runFuzzProgram(prog *asm.Program, mode ExecMode, inData [4][]byte) fuzzOutcome {
-	// One name for every mode: simulation errors embed it, and error
-	// strings are part of the compared outcome.
-	cfg := DefaultConfig("fuzz")
-	cfg.Exec = mode
-	cfg.MaxInstructions = 150_000
+func runFuzzProgram(prog *Program, cfg Config, inData [4][]byte) fuzzOutcome {
 	sys := newTestSystem()
 	c := New(cfg, sys)
 	c.LoadProgram(prog)
@@ -287,8 +292,9 @@ func checkExecEquivalence(t *testing.T, raw []byte) {
 		t.Skip("input shorter than one instruction")
 	}
 	inputs := fuzzInputs(raw)
-	ref := runFuzzProgram(prog, ExecPrecise, inputs)
-	if got := runFuzzProgram(prog, ExecCompiled, inputs); !reflect.DeepEqual(got, ref) {
+	p := Translate(prog)
+	ref := runFuzzProgram(p, fuzzConfig(ExecPrecise), inputs)
+	if got := runFuzzProgram(p, fuzzConfig(ExecCompiled), inputs); !reflect.DeepEqual(got, ref) {
 		t.Errorf("compiled diverges from precise for program:\n%v\nprecise: %+v\ncompiled: %+v",
 			prog.Insts, ref, got)
 	}

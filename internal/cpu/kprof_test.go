@@ -31,7 +31,7 @@ func TestKProfDisabledZeroAlloc(t *testing.T) {
 		// never-attached.
 		c.AttachKProf(new(Profiler))
 		c.AttachKProf(nil)
-		c.LoadProgram(prog)
+		c.LoadProgram(Translate(prog))
 		c.Run(c.LocalTime() + 10*sim.Microsecond) // warm up
 		allocs := testing.AllocsPerRun(100, func() {
 			c.Run(c.LocalTime() + 10*sim.Microsecond)
@@ -95,7 +95,7 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 		c := New(cfg, sys)
 		profiler := new(Profiler)
 		c.AttachKProf(profiler)
-		c.LoadProgram(prog)
+		c.LoadProgram(Translate(prog))
 		in := sys.Streams.In[0]
 		out := sys.Streams.Out[1]
 		pushes := [][]byte{make([]byte, 64), make([]byte, 128), make([]byte, 52)}

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"assasin/internal/cpu"
 	"assasin/internal/sim"
 	"assasin/internal/telemetry/reqtrace"
 )
@@ -19,7 +20,7 @@ func streamRun(t testing.TB, pages int) uint64 {
 	}
 	r := newRig(t)
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	if err := e.Submit([]Task{{
 		Core:    r.core,
@@ -54,7 +55,7 @@ func streamRunTraced(t testing.TB, pages int) uint64 {
 	}
 	r := newRig(t)
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	tr := reqtrace.New(nil, reqtrace.Config{TopK: 2})
 	e.Req = tr.Begin("offload", "copy", 0)
@@ -143,7 +144,7 @@ func BenchmarkFeederPump(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := newRig(b)
 		lpas := r.install(b, data)
-		r.core.LoadProgram(copyProgram())
+		r.core.LoadProgram(cpu.Translate(copyProgram()))
 		e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 		if err := e.Submit([]Task{{
 			Core:    r.core,

@@ -101,7 +101,7 @@ func TestEngineStreamsPagesToCore(t *testing.T) {
 		data[i] = byte(i * 7)
 	}
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	runEngine(t, r, e, []Task{{
 		Core:   r.core,
@@ -125,7 +125,7 @@ func TestEngineTrimsPartialPages(t *testing.T) {
 		data[i] = byte(i)
 	}
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	// A window that starts and ends mid-page.
 	spec := StreamSpec{LPAs: lpas[0:3], Offset: 100, Length: 2000}
@@ -147,7 +147,7 @@ func TestEngineWritesResultsToFlash(t *testing.T) {
 		data[i] = byte(i * 3)
 	}
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	outStart := 100
 	runEngine(t, r, e, []Task{{
@@ -173,7 +173,7 @@ func TestEngineDRAMStagePathChargesDRAM(t *testing.T) {
 	r.sys.ViewPath = memhier.ViewScratchpad // copy program uses stream ops anyway
 	data := make([]byte, 2048)
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathDRAMStage}, r.sched, r.f, r.dram, nil)
 	runEngine(t, r, e, []Task{{
 		Core:    r.core,
@@ -189,7 +189,7 @@ func TestEngineDRAMCopyPathChargesTwice(t *testing.T) {
 	r := newRig(t)
 	data := make([]byte, 2048)
 	lpas := r.install(t, data)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathDRAMCopy}, r.sched, r.f, r.dram, nil)
 	runEngine(t, r, e, []Task{{
 		Core:    r.core,
@@ -206,7 +206,7 @@ func TestEngineDRAMCopyPathChargesTwice(t *testing.T) {
 
 func TestEngineEmptyStreamCompletes(t *testing.T) {
 	r := newRig(t)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	runEngine(t, r, e, []Task{{
 		Core:    r.core,
@@ -220,7 +220,7 @@ func TestEngineEmptyStreamCompletes(t *testing.T) {
 
 func TestEngineUnmappedLPAFails(t *testing.T) {
 	r := newRig(t)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	if err := e.Submit([]Task{{
 		Core:    r.core,
@@ -238,7 +238,7 @@ func TestEngineUnmappedLPAFails(t *testing.T) {
 
 func TestEngineTooManyStreamsRejected(t *testing.T) {
 	r := newRig(t)
-	r.core.LoadProgram(copyProgram())
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
 	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
 	var ins []StreamSpec
 	for i := 0; i < 20; i++ {

@@ -47,7 +47,7 @@ func runKernel(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, 
 	}
 
 	core := cpu.New(cpu.DefaultConfig("k"), sys)
-	core.LoadProgram(prog)
+	core.LoadProgram(cpu.Translate(prog))
 	lengths := make([]int64, k.Inputs())
 	for i := range lengths {
 		lengths[i] = int64(len(inputs[i]))

@@ -15,6 +15,7 @@
 package obs
 
 import (
+	"fmt"
 	"sync"
 
 	"assasin/internal/telemetry"
@@ -121,16 +122,9 @@ func (c *Collector) Timeline(id string) *timeline.Timeline {
 	return c.timelines[id]
 }
 
-// runID formats the sequential run id.
-func runID(n int) string {
-	const digits = "0123456789"
-	buf := []byte("run-0000")
-	for i := len(buf) - 1; n > 0 && i >= len("run-"); i-- {
-		buf[i] = digits[n%10]
-		n /= 10
-	}
-	return string(buf)
-}
+// runID formats the sequential run id: at least four digits, never
+// truncated, so ids stay unique past run 9999.
+func runID(n int) string { return fmt.Sprintf("run-%04d", n) }
 
 // PublishMetrics replaces the latest metrics snapshot. The snapshot's maps
 // must not be mutated after publishing (telemetry.Sink.Metrics builds

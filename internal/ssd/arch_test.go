@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"assasin/internal/asm"
+	"assasin/internal/cpu"
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
 )
@@ -215,7 +216,7 @@ func TestStreamCoreSumsStream(t *testing.T) {
 	b.Add(asm.S0, asm.S0, asm.A0)
 	b.J(loop)
 	c := s.Cores[0]
-	c.LoadProgram(b.MustBuild())
+	c.LoadProgram(cpu.Translate(b.MustBuild()))
 
 	in := s.Systems[0].Streams.In[0]
 	in.Push([]byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, 0)

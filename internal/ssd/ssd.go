@@ -49,8 +49,8 @@ type Options struct {
 	// architecture's default from its Table IV row.
 	OutWindowPages int
 	// Exec is the equivalence-oracle selector for the core interpreter:
-	// the zero value cpu.ExecCompiled runs the load-time threaded-code
-	// translation; cpu.ExecPrecise steps one instruction at a time, the
+	// the zero value cpu.ExecCompiled runs the shared cpu.Program's
+	// threaded code; cpu.ExecPrecise steps one instruction at a time, the
 	// reference semantics the equivalence tests compare against. Both
 	// produce byte-identical results.
 	Exec cpu.ExecMode
@@ -466,12 +466,17 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 	}()
 	var fwTasks []firmware.Task
 	var totalIn int64
+	// Each distinct program is translated once and shared by its cores.
+	progs := map[*asm.Program]*cpu.Program{}
 	for i, t := range tasks {
 		core := s.Cores[i]
 		// Fresh stream-buffer state per request (the firmware resets the
 		// core's streams along with its PC and pipeline).
 		s.Systems[i].Streams = s.newStreams()
-		core.LoadProgram(t.Program)
+		if progs[t.Program] == nil {
+			progs[t.Program] = cpu.Translate(t.Program)
+		}
+		core.LoadProgram(progs[t.Program])
 		for r, v := range t.Regs {
 			core.SetReg(r, v)
 		}
