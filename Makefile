@@ -1,6 +1,6 @@
 # Convenience entry points; every target is plain go tooling underneath.
 
-.PHONY: all build test race fuzz-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
+.PHONY: all build test race fuzz-smoke examples-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
 
 all: test
 
@@ -39,6 +39,14 @@ fuzz-smoke:
 	go test ./internal/memhier/ -run '^$$' -fuzz FuzzSparseMem -fuzztime 5s
 	go test ./internal/telemetry/diff/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
 
+# Run every example end to end. Each checks its own output and exits
+# non-zero on a mismatch; customkernel assembles its kernel from text with
+# asm.Parse.
+examples-smoke:
+	@for ex in quickstart customkernel erasurecoding analytics skew; do \
+		echo "go run ./examples/$$ex"; go run ./examples/$$ex > /dev/null || exit 1; \
+	done
+
 # Run the differential engine against the archived Stat metrics snapshots
 # and check the ranked headline.
 diff-smoke:
@@ -72,6 +80,7 @@ ci:
 	cd benchmark && go vet ./... && go test ./...
 	$(MAKE) race
 	$(MAKE) fuzz-smoke
+	$(MAKE) examples-smoke
 	scripts/alloc-gate.sh
 	scripts/serve-smoke.sh
 	scripts/diff-smoke.sh

@@ -8,19 +8,29 @@ import (
 	"assasin/internal/isa"
 )
 
-// Parse assembles textual assembly into a Program. The accepted syntax is
-// the disassembler's output plus labels and comments, so
-// Parse(Disassemble(p)) round-trips:
+// Parse assembles textual assembly into a Program. It reads the notation
+// Inst.String writes, so Parse(p.Disassemble()) reproduces p's
+// instructions. An op's operands follow its isa.Form:
 //
-//	start:                  ; labels end with ':'
-//	  li   a0, 100          ; pseudo-instructions: li, mv, nop, j, ret
-//	  lw   a1, 8(sp)
-//	  add  s0, s0, a1
-//	  bne  a0, zero, start  ; branch targets may be labels or ±offsets
-//	  streamload a2, s0q, w4  — stream slots are written s<N>q to avoid
-//	                            clashing with register names; plain s<N>
-//	                            is also accepted where a slot is expected
-//	  halt                  ; '#' and ';' start comments
+//	none          halt
+//	rrr           add  rd, rs1, rs2
+//	rri           addi rd, rs1, imm
+//	u             lui  rd, 0x12345        ; the upper 20 bits
+//	load          lw   rd, imm(rs1)       ; also jalr rd, imm(rs1)
+//	store         sw   rs2, imm(rs1)
+//	branch        bne  rs1, rs2, target   ; a target is a label or a signed
+//	jal           jal  rd, target         ; offset in instructions: +2, -3
+//	stream load   streamload  rd, s0q, w4 ; slots s<N>q or s<N>, widths w1/w2/w4
+//	stream peek   streampeek  rd, s0q, w4, off
+//	stream adv    streamadv   s0q, bytes
+//	stream store  streamstore s1q, w1, rs2
+//	stream end    streamend   rd, s0q
+//	stream csr    streamcsrr  rd, s0q, csr1 ; csr0 is Head, csr1 Tail
+//
+// Registers take ABI (a0) or numeric (x10) names; immediates are decimal
+// or 0x hex. The pseudo-ops are li rd, imm (any 32-bit value), mv rd, rs,
+// nop, j target and ret. A line may begin with labels ("loop:") and with
+// a listing's pc ("12:"), which is ignored; '#' and ';' start comments.
 func Parse(src string) (*Program, error) {
 	b := New()
 	labels := map[string]Label{}
@@ -32,64 +42,41 @@ func Parse(src string) (*Program, error) {
 		}
 		return l
 	}
-	lineNo := 0
-	var firstErr error
-	fail := func(format string, args ...any) {
-		if firstErr == nil {
-			firstErr = fmt.Errorf("asm: line %d: %s", lineNo, fmt.Sprintf(format, args...))
+	for n, line := range strings.Split(src, "\n") {
+		if err := parseLine(b, label, line); err != nil {
+			return nil, fmt.Errorf("asm: line %d: %v", n+1, err)
 		}
-	}
-
-	for _, raw := range strings.Split(src, "\n") {
-		lineNo++
-		line := raw
-		if i := strings.IndexAny(line, "#;"); i >= 0 {
-			line = line[:i]
-		}
-		line = strings.TrimSpace(line)
-		if line == "" {
-			continue
-		}
-		// Leading "NN:" from disassembler listings is ignored; trailing
-		// "name:" defines a label.
-		for {
-			i := strings.Index(line, ":")
-			if i < 0 {
-				break
-			}
-			head := strings.TrimSpace(line[:i])
-			if head == "" {
-				fail("empty label")
-				break
-			}
-			if _, err := strconv.Atoi(head); err == nil {
-				// instruction index prefix from a listing; drop it
-			} else {
-				b.Bind(label(head))
-			}
-			line = strings.TrimSpace(line[i+1:])
-		}
-		if line == "" {
-			continue
-		}
-		fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
-		if len(fields) == 0 {
-			fail("missing mnemonic")
-			return nil, firstErr
-		}
-		op := fields[0]
-		args := fields[1:]
-		if err := emitOne(b, label, op, args); err != nil {
-			fail("%v", err)
-		}
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return b.Build()
+}
+
+// parseLine binds the line's labels and emits its instruction, if any.
+func parseLine(b *Builder, label func(string) Label, line string) error {
+	if i := strings.IndexAny(line, "#;"); i >= 0 {
+		line = line[:i]
+	}
+	for {
+		head, rest, ok := strings.Cut(line, ":")
+		if !ok {
+			break
+		}
+		head = strings.TrimSpace(head)
+		if head == "" {
+			return fmt.Errorf("empty label")
+		}
+		if _, err := strconv.Atoi(head); err != nil { // not a listing's pc
+			b.Bind(label(head))
+		}
+		line = rest
+	}
+	if strings.TrimSpace(line) == "" {
+		return nil
+	}
+	fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+	if len(fields) == 0 {
+		return fmt.Errorf("missing mnemonic")
+	}
+	return emitOne(b, label, fields[0], fields[1:])
 }
 
 // regNum resolves an ABI or xN register name.
@@ -121,11 +108,20 @@ func slotNum(s string) (uint8, error) {
 }
 
 func immVal(s string) (int32, error) {
-	v, err := strconv.ParseInt(strings.TrimPrefix(s, "+"), 0, 64)
+	v, err := strconv.ParseInt(s, 0, 64)
 	if err != nil {
 		return 0, fmt.Errorf("bad immediate %q", s)
 	}
 	return int32(v), nil
+}
+
+// csrVal resolves a stream CSR selector written csr<N>.
+func csrVal(s string) (int32, error) {
+	n, err := strconv.Atoi(strings.TrimPrefix(s, "csr"))
+	if !strings.HasPrefix(s, "csr") || err != nil {
+		return 0, fmt.Errorf("bad stream csr %q", s)
+	}
+	return int32(n), nil
 }
 
 // widthVal resolves w1/w2/w4.
@@ -159,274 +155,82 @@ func memOperand(s string) (int32, Reg, error) {
 	return imm, r, err
 }
 
-func emitOne(b *Builder, label func(string) Label, op string, args []string) error {
-	need := func(n int) error {
-		if len(args) != n {
-			return fmt.Errorf("%s wants %d operands, got %d", op, n, len(args))
-		}
-		return nil
-	}
-	rrr := func(f func(rd, rs1, rs2 Reg)) error {
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		r1, e2 := regNum(args[1])
-		r2, e3 := regNum(args[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return firstOf(e1, e2, e3)
-		}
-		f(rd, r1, r2)
-		return nil
-	}
-	rri := func(f func(rd, rs1 Reg, imm int32)) error {
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		r1, e2 := regNum(args[1])
-		imm, e3 := immVal(args[2])
-		if e1 != nil || e2 != nil || e3 != nil {
-			return firstOf(e1, e2, e3)
-		}
-		f(rd, r1, imm)
-		return nil
-	}
-	load := func(f func(rd, rs1 Reg, imm int32)) error {
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		imm, r1, e2 := memOperand(args[1])
-		if e1 != nil || e2 != nil {
-			return firstOf(e1, e2)
-		}
-		f(rd, r1, imm)
-		return nil
-	}
-	branch := func(f func(rs1, rs2 Reg, l Label)) error {
-		if err := need(3); err != nil {
-			return err
-		}
-		r1, e1 := regNum(args[0])
-		r2, e2 := regNum(args[1])
-		if e1 != nil || e2 != nil {
-			return firstOf(e1, e2)
-		}
-		f(r1, r2, label(args[2]))
-		return nil
-	}
+// pseudoOps are the assembler-only mnemonics. Each fills the operands it
+// lists into its base instruction; li has none and expands through
+// Builder.Li.
+var pseudoOps = map[string]struct {
+	base isa.Inst
+	args []isa.Arg
+}{
+	"li":  {isa.Inst{}, []isa.Arg{isa.ArgRd, isa.ArgImm}},
+	"mv":  {isa.Inst{Op: isa.OpAddi}, []isa.Arg{isa.ArgRd, isa.ArgRs1}},
+	"nop": {isa.Inst{Op: isa.OpAddi}, nil},
+	"j":   {isa.Inst{Op: isa.OpJal}, []isa.Arg{isa.ArgTarget}},
+	"ret": {isa.Inst{Op: isa.OpJalr, Rs1: RA}, nil},
+}
 
-	switch op {
-	case "add":
-		return rrr(b.Add)
-	case "sub":
-		return rrr(b.Sub)
-	case "and":
-		return rrr(b.And)
-	case "or":
-		return rrr(b.Or)
-	case "xor":
-		return rrr(b.Xor)
-	case "sll":
-		return rrr(b.Sll)
-	case "srl":
-		return rrr(b.Srl)
-	case "sra":
-		return rrr(b.Sra)
-	case "slt":
-		return rrr(b.Slt)
-	case "sltu":
-		return rrr(b.Sltu)
-	case "mul":
-		return rrr(b.Mul)
-	case "mulh":
-		return rrr(b.Mulh)
-	case "mulhu":
-		return rrr(b.Mulhu)
-	case "div":
-		return rrr(b.Div)
-	case "divu":
-		return rrr(b.Divu)
-	case "rem":
-		return rrr(b.Rem)
-	case "remu":
-		return rrr(b.Remu)
-	case "addi":
-		return rri(b.Addi)
-	case "andi":
-		return rri(b.Andi)
-	case "ori":
-		return rri(b.Ori)
-	case "xori":
-		return rri(b.Xori)
-	case "slli":
-		return rri(b.Slli)
-	case "srli":
-		return rri(b.Srli)
-	case "srai":
-		return rri(b.Srai)
-	case "slti":
-		return rri(b.Slti)
-	case "sltiu":
-		return rri(b.Sltiu)
-	case "lui":
-		if err := need(2); err != nil {
-			return err
+// emitOne assembles one instruction: its operands, read in the order of
+// its form's isa.Args, fill in the instruction's fields.
+func emitOne(b *Builder, label func(string) Label, mn string, args []string) error {
+	var in isa.Inst
+	var want []isa.Arg
+	if op, ok := isa.Lookup(mn); ok {
+		in, want = isa.Inst{Op: op}, op.Form().Args()
+	} else if p, ok := pseudoOps[mn]; ok {
+		in, want = p.base, p.args
+	} else {
+		return fmt.Errorf("unknown mnemonic %q", mn)
+	}
+	if len(args) != len(want) {
+		return fmt.Errorf("%s wants %d operands, got %d", mn, len(want), len(args))
+	}
+	if in.Op.IsStream() {
+		// A stream op without a width operand has width 1, as Decode
+		// gives it.
+		in.Width = 1
+	}
+	var target *Label
+	for k, a := range want {
+		s := args[k]
+		var err error
+		switch a {
+		case isa.ArgRd:
+			in.Rd, err = regNum(s)
+		case isa.ArgRs1:
+			in.Rs1, err = regNum(s)
+		case isa.ArgRs2:
+			in.Rs2, err = regNum(s)
+		case isa.ArgImm, isa.ArgUImm, isa.ArgBytes:
+			in.Imm, err = immVal(s)
+		case isa.ArgMem:
+			in.Imm, in.Rs1, err = memOperand(s)
+		case isa.ArgTarget:
+			if strings.ContainsRune("+-0123456789", rune(s[0])) { // an offset, not a label
+				in.Imm, err = immVal(s)
+			} else {
+				l := label(s)
+				target = &l
+			}
+		case isa.ArgSlot:
+			in.Stream, err = slotNum(s)
+		case isa.ArgWidth:
+			in.Width, err = widthVal(s)
+		case isa.ArgCsr:
+			in.Imm, err = csrVal(s)
 		}
-		rd, e1 := regNum(args[0])
-		imm, e2 := immVal(args[1])
-		if e1 != nil || e2 != nil {
-			return firstOf(e1, e2)
-		}
-		b.Lui(rd, imm)
-		return nil
-	case "li":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		imm, e2 := immVal(args[1])
-		if e1 != nil || e2 != nil {
-			return firstOf(e1, e2)
-		}
-		b.Li(rd, imm)
-		return nil
-	case "mv":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		rs, e2 := regNum(args[1])
-		if e1 != nil || e2 != nil {
-			return firstOf(e1, e2)
-		}
-		b.Mv(rd, rs)
-		return nil
-	case "nop":
-		b.Nop()
-		return need(0)
-	case "lb":
-		return load(b.Lb)
-	case "lbu":
-		return load(b.Lbu)
-	case "lh":
-		return load(b.Lh)
-	case "lhu":
-		return load(b.Lhu)
-	case "lw":
-		return load(b.Lw)
-	case "sb":
-		return load(b.Sb)
-	case "sh":
-		return load(b.Sh)
-	case "sw":
-		return load(b.Sw)
-	case "beq":
-		return branch(b.Beq)
-	case "bne":
-		return branch(b.Bne)
-	case "blt":
-		return branch(b.Blt)
-	case "bge":
-		return branch(b.Bge)
-	case "bltu":
-		return branch(b.Bltu)
-	case "bgeu":
-		return branch(b.Bgeu)
-	case "j":
-		if err := need(1); err != nil {
-			return err
-		}
-		b.J(label(args[0]))
-		return nil
-	case "jal":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, err := regNum(args[0])
 		if err != nil {
 			return err
 		}
-		b.Jal(rd, label(args[1]))
-		return nil
-	case "jalr":
-		return load(b.Jalr)
-	case "ret":
-		b.Ret()
-		return need(0)
-	case "halt":
-		b.Halt()
-		return need(0)
-	case "streamload":
-		if err := need(3); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		slot, e2 := slotNum(args[1])
-		w, e3 := widthVal(args[2])
-		if err := firstOf(e1, e2, e3); err != nil {
-			return err
-		}
-		b.StreamLoad(rd, slot, w)
-		return nil
-	case "streampeek":
-		if err := need(4); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		slot, e2 := slotNum(args[1])
-		w, e3 := widthVal(args[2])
-		off, e4 := immVal(args[3])
-		if err := firstOf(e1, e2, e3, e4); err != nil {
-			return err
-		}
-		b.StreamPeek(rd, slot, w, off)
-		return nil
-	case "streamadv":
-		if err := need(2); err != nil {
-			return err
-		}
-		slot, e1 := slotNum(args[0])
-		n, e2 := immVal(args[1])
-		if err := firstOf(e1, e2); err != nil {
-			return err
-		}
-		b.StreamAdv(slot, n)
-		return nil
-	case "streamstore":
-		if err := need(3); err != nil {
-			return err
-		}
-		slot, e1 := slotNum(args[0])
-		w, e2 := widthVal(args[1])
-		rs, e3 := regNum(args[2])
-		if err := firstOf(e1, e2, e3); err != nil {
-			return err
-		}
-		b.StreamStore(slot, w, rs)
-		return nil
-	case "streamend":
-		if err := need(2); err != nil {
-			return err
-		}
-		rd, e1 := regNum(args[0])
-		slot, e2 := slotNum(args[1])
-		if err := firstOf(e1, e2); err != nil {
-			return err
-		}
-		b.StreamEnd(rd, slot)
-		return nil
-	default:
-		return fmt.Errorf("unknown mnemonic %q", op)
 	}
-}
-
-func firstOf(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
+	switch {
+	case in.Op == isa.OpInvalid: // li
+		b.Li(in.Rd, in.Imm)
+	case in.Op.Form() == isa.FormStreamAdv: // Imm holds the byte count
+		b.StreamAdv(in.Stream, in.Imm)
+	case target != nil:
+		b.emitBranchTo(in, *target)
+	default:
+		b.emit(in)
 	}
 	return nil
 }

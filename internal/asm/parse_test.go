@@ -55,6 +55,9 @@ var badSources = []string{
 	"beq a0, zero, missing", // unbound label
 	",",                     // separators only
 	"l: ,",                  // label then separators only
+	"streamcsrr a0, s0q, cs1",
+	"bne a0, zero, +x",
+	"streamadv s0q",
 }
 
 func TestParseBasicProgram(t *testing.T) {
@@ -119,7 +122,8 @@ func TestParseErrors(t *testing.T) {
 }
 
 // FuzzParse feeds arbitrary text to the assembler, which must return a
-// program or an error and never panic. Run a bounded pass with
+// program or an error and never panic, and any program it accepts must
+// round-trip through its listing. Run a bounded pass with
 // go test ./internal/asm -run '^$' -fuzz FuzzParse -fuzztime 5s
 func FuzzParse(f *testing.F) {
 	for _, src := range append([]string{basicSrc, memStreamSrc, forwardSrc, streamLoopSrc}, badSources...) {
@@ -127,63 +131,87 @@ func FuzzParse(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := Parse(src)
-		if err == nil && p == nil {
+		if err != nil {
+			return
+		}
+		if p == nil {
 			t.Fatalf("Parse(%q) returned neither a program nor an error", src)
 		}
+		checkRoundTrip(t, p)
 	})
 }
 
-// TestDisassembleParseRoundTrip: the disassembler's output re-assembles to
-// the same instruction sequence, for programs without branches (branch
-// disassembly prints numeric offsets, covered separately below).
+// checkRoundTrip fails t unless p's listing assembles to p's instructions.
+func checkRoundTrip(t *testing.T, p *Program) {
+	t.Helper()
+	text := p.Disassemble()
+	back, err := Parse(text)
+	if err != nil {
+		t.Fatalf("%v in:\n%s", err, text)
+	}
+	if len(back.Insts) != len(p.Insts) {
+		t.Fatalf("%d instructions assemble to %d in:\n%s", len(p.Insts), len(back.Insts), text)
+	}
+	for pc, in := range p.Insts {
+		if back.Insts[pc] != in {
+			t.Fatalf("pc %d: %+v assembles to %+v in:\n%s", pc, in, back.Insts[pc], text)
+		}
+	}
+}
+
+// TestDisassembleParseRoundTrip: the listing of a program with an
+// instruction of every form, branches and jumps both ways included,
+// re-assembles to the same instructions.
 func TestDisassembleParseRoundTrip(t *testing.T) {
 	b := New()
-	b.Li(A0, 12345)
+	top := b.Here()
+	done := b.NewLabel()
+	b.Li(A0, 0x12345678) // lui + addi
 	b.Add(S0, S0, A0)
 	b.Lw(A1, SP, 16)
 	b.Sw(A1, S0, -8)
 	b.Mul(T0, A1, A0)
+	b.Jalr(RA, T0, 4)
 	b.StreamLoad(A2, 3, 4)
+	b.StreamPeek(A3, 1, 2, 6)
+	b.StreamAdv(0, 4096)
+	b.StreamAdv(1, 6)
+	b.StreamAdv(2, 7)
 	b.StreamStore(1, 2, A2)
 	b.StreamEnd(T1, 3)
+	b.StreamCsrR(T2, 0, isa.CsrTail)
+	b.Bne(A0, Zero, done)
+	b.Blt(A0, A1, top)
+	b.Jal(RA, top)
+	b.J(done)
+	b.Bind(done)
 	b.Halt()
-	p1 := b.MustBuild()
+	p := b.MustBuild()
 
-	// Streams print as sN; rewrite to the parser's sNq form, since s0/s1
-	// clash with register names in text.
-	text := p1.Disassemble()
-	text = fixStreamSlots(text)
-	p2, err := Parse(text)
-	if err != nil {
-		t.Fatalf("%v in:\n%s", err, text)
+	forms := map[isa.Form]bool{}
+	for _, in := range p.Insts {
+		forms[in.Op.Form()] = true
 	}
-	if len(p1.Insts) != len(p2.Insts) {
-		t.Fatalf("lengths differ: %d vs %d", len(p1.Insts), len(p2.Insts))
-	}
-	for i := range p1.Insts {
-		if p1.Insts[i] != p2.Insts[i] {
-			t.Fatalf("inst %d: %v vs %v", i, p1.Insts[i], p2.Insts[i])
+	for _, op := range isa.Ops() {
+		if !forms[op.Form()] {
+			t.Errorf("no instruction of %s's form", op)
 		}
 	}
+	checkRoundTrip(t, p)
 }
 
-// fixStreamSlots rewrites ", s<N>," stream-slot operands of stream ops to
-// the parser's unambiguous s<N>q form.
-func fixStreamSlots(text string) string {
-	var out []string
-	for _, line := range strings.Split(text, "\n") {
-		if strings.Contains(line, "stream") {
-			line = strings.ReplaceAll(line, " s0,", " s0q,")
-			line = strings.ReplaceAll(line, " s1,", " s1q,")
-			line = strings.ReplaceAll(line, " s2,", " s2q,")
-			line = strings.ReplaceAll(line, " s3,", " s3q,")
-			if strings.HasSuffix(line, " s3") {
-				line += "q"
-			}
-		}
-		out = append(out, line)
+// TestParseTargets: a branch or jump target is a label or a signed offset
+// in instructions.
+func TestParseTargets(t *testing.T) {
+	p, err := Parse("bne a0, zero, +2\nhalt\njal ra, -2\nj 0\nbeq a0, a1, out\nout: halt")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return strings.Join(out, "\n")
+	for pc, want := range []int32{2, 0, -2, 0, 1} {
+		if p.Insts[pc].Imm != want {
+			t.Errorf("pc %d: offset %d, want %d", pc, p.Insts[pc].Imm, want)
+		}
+	}
 }
 
 func TestParsedProgramExecutes(t *testing.T) {

@@ -21,11 +21,6 @@ import (
 	"assasin/internal/telemetry/reqtrace"
 )
 
-var debugFeeder = false
-
-// DebugFeeder toggles feeder tracing (tests only).
-func DebugFeeder(on bool) { debugFeeder = on }
-
 // DataPath selects how pages travel between the flash controllers and a
 // compute engine — the architectural difference between the Table IV
 // configurations.
@@ -491,10 +486,6 @@ func (f *feeder) pump(now sim.Time) {
 	if f.closed || f.e.err != nil {
 		return
 	}
-	if debugFeeder {
-		fmt.Printf("pump t=%v next=%d sensed=%d claimed=%d buffered=%d head=%d tail=%d\n",
-			now, f.nextPage, f.sensedLen(), f.claimed, f.stream.Buffered(), f.stream.Head(), f.stream.Tail())
-	}
 	arr := f.e.ftl.Array()
 	// Phase 1: issue array senses ahead.
 	for f.nextPage < len(f.spec.LPAs) && f.sensedLen() < f.e.cfg.MaxSenses {
@@ -559,10 +550,6 @@ func (f *feeder) pump(now sim.Time) {
 				telemetry.Arg{Key: "channel", Val: int64(pg.channel)})
 			f.e.Tel.PagesFed.Inc()
 			f.e.Tel.BytesFed.Add(int64(len(pg.data)))
-		}
-		if debugFeeder {
-			fmt.Printf("FTRACE page sense=%v waitTx=%v tx=%v deliver=%v\n",
-				pg.senseDone, sim.MaxT(now, pg.senseDone), txDone, avail)
 		}
 		f.claimed += len(pg.data)
 		if f.e.cfg.Plane == PlanePerPage {

@@ -2,42 +2,34 @@ package isa
 
 import "fmt"
 
-// Binary encoding. All instructions are 32 bits, in the spirit of the
-// fixed-width "instruction format [31:0]" column of Table III:
+// Binary encoding. Every instruction is one 32-bit word, in the spirit of
+// the fixed-width "instruction format [31:0]" column of Table III. Bits
+// [6:0] hold the opcode (the Op value); the op's Form picks the layout of
+// bits [31:7]:
 //
-//	[6:0]   opcode (the Op value)
-//	[11:7]  rd
-//	[16:12] rs1
-//	[21:17] rs2
-//	[31:22] reserved for the base format
+//	form                    layout  [31:7]
+//	none                    -       zero
+//	rrr                     R       rs2[21:17] rs1[16:12] rd[11:7]
+//	rri, load (and jalr)    I       imm[31:17] rs1[16:12] rd[11:7]
+//	store, branch           S       imm[14:5]@[31:22] rs2[21:17] rs1[16:12] imm[4:0]@[11:7]
+//	u (lui), jal            U       imm[31:12] rd[11:7]
+//	the six stream forms    Z       imm[31:20] width[19:17] stream[16:13] reg[11:7]
 //
-// Immediates overlay the upper bits depending on the operation:
-//
-//	ALU-immediate / loads / stores / branches / jumps:
-//	    [31:17] (stores/branches: rs2 moves to [11:7]'s slot? no —
-//	    see below) 15-bit signed immediate for I-type,
-//	    for S/B-types the immediate is split exactly like the structural
-//	    fields allow.
-//
-// To keep the format honest but simple, the encoder uses three layouts:
-//
-//	I-layout (ALU-imm, loads, jalr):  imm[31:17] rs1[16:12] rd[11:7] op[6:0]
-//	S-layout (stores, branches):      imm[31:22] rs2[21:17] rs1[16:12] imm[11:7] op[6:0]
-//	                                  (15-bit immediate = [31:22]·32 + [11:7])
-//	U-layout (lui, jal):              imm[31:12] rd[11:7] op[6:0]
-//	R-layout (reg-reg):               rs2[21:17] rs1[16:12] rd[11:7] op[6:0]
-//	Z-layout (stream ops):            imm[31:20] width[19:17] stream[16:13]
-//	                                  rs2[12:8]? — stream ops carry one reg:
-//	                                  reg[11:7] doubles as rd or rs2.
-//
-// Immediate ranges are validated at encode time; the asm package keeps
-// kernel immediates comfortably inside them.
+// I and S immediates are 15-bit signed. The U immediate is 20 bits:
+// unsigned for lui, signed for jal. A Z word holds one register, rs2 for
+// streamstore and rd for the other stream ops, a width code (0, 1, 2 for
+// 1, 2, 4 bytes) and a 12-bit signed immediate. Encode rejects values
+// outside these ranges; the asm package keeps kernel immediates well
+// inside them.
 const (
 	iImmBits = 15 // I-layout signed immediate
 	sImmBits = 15 // S-layout signed immediate (split 10+5)
 	uImmBits = 20 // U-layout immediate
-	zImmBits = 12 // stream-op signed immediate
+	zImmBits = 12 // Z-layout signed immediate
 )
+
+// zWidths maps a Z-layout width code to bytes; codes 3-7 are unused.
+var zWidths = [8]uint8{1, 2, 4}
 
 func fits(v int32, bits int) bool {
 	min := -(int32(1) << (bits - 1))
@@ -57,34 +49,34 @@ func Encode(i Inst) (uint32, error) {
 	if i.Rd >= NumRegs || i.Rs1 >= NumRegs || i.Rs2 >= NumRegs {
 		return 0, fmt.Errorf("isa: encode %s: register out of range", i.Op)
 	}
+	badImm := func() (uint32, error) {
+		return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", i.Op, i.Imm)
+	}
 	w := uint32(i.Op) & 0x7f
-	switch i.Op {
-	case OpLui, OpJal: // U-layout
-		if i.Op == OpLui && !fitsU(i.Imm, uImmBits) || i.Op == OpJal && !fits(i.Imm, uImmBits) {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", i.Op, i.Imm)
-		}
-		w |= uint32(i.Rd) << 7
-		w |= (uint32(i.Imm) & 0xfffff) << 12
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu,
-		OpLb, OpLbu, OpLh, OpLhu, OpLw, OpJalr: // I-layout
+	imm := uint32(i.Imm)
+	rd, rs1, rs2 := uint32(i.Rd)<<7, uint32(i.Rs1)<<12, uint32(i.Rs2)<<17
+	switch f := i.Op.Form(); f {
+	case FormNone:
+	case FormRRR:
+		w |= rs2 | rs1 | rd
+	case FormRRI, FormLoad:
 		if !fits(i.Imm, iImmBits) {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", i.Op, i.Imm)
+			return badImm()
 		}
-		w |= uint32(i.Rd) << 7
-		w |= uint32(i.Rs1) << 12
-		w |= (uint32(i.Imm) & 0x7fff) << 17
-	case OpSb, OpSh, OpSw, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu: // S-layout
+		w |= (imm&0x7fff)<<17 | rs1 | rd
+	case FormStore, FormBranch:
 		if !fits(i.Imm, sImmBits) {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", i.Op, i.Imm)
+			return badImm()
 		}
-		imm := uint32(i.Imm) & 0x7fff
-		w |= (imm & 0x1f) << 7 // imm[4:0]
-		w |= uint32(i.Rs1) << 12
-		w |= uint32(i.Rs2) << 17
-		w |= (imm >> 5) << 22 // imm[14:5]
-	case OpStreamLoad, OpStreamPeek, OpStreamAdv, OpStreamStore, OpStreamEnd, OpStreamCsrR: // Z-layout
+		w |= (imm>>5&0x3ff)<<22 | rs2 | rs1 | (imm&0x1f)<<7
+	case FormU, FormJal:
+		if f == FormU && !fitsU(i.Imm, uImmBits) || f == FormJal && !fits(i.Imm, uImmBits) {
+			return badImm()
+		}
+		w |= (imm&0xfffff)<<12 | rd
+	default: // Z
 		if !fits(i.Imm, zImmBits) {
-			return 0, fmt.Errorf("isa: encode %s: immediate %d out of range", i.Op, i.Imm)
+			return badImm()
 		}
 		if i.Stream >= 16 {
 			return 0, fmt.Errorf("isa: encode %s: stream %d out of range", i.Op, i.Stream)
@@ -92,7 +84,6 @@ func Encode(i Inst) (uint32, error) {
 		var wenc uint32
 		switch i.Width {
 		case 0, 1:
-			wenc = 0
 		case 2:
 			wenc = 1
 		case 4:
@@ -101,19 +92,10 @@ func Encode(i Inst) (uint32, error) {
 			return 0, fmt.Errorf("isa: encode %s: width %d unsupported", i.Op, i.Width)
 		}
 		reg := i.Rd
-		if i.Op == OpStreamStore {
+		if f == FormStreamStore {
 			reg = i.Rs2
 		}
-		w |= uint32(reg) << 7
-		w |= uint32(i.Stream) << 13
-		w |= wenc << 17
-		w |= (uint32(i.Imm) & 0xfff) << 20
-	case OpHalt:
-		// opcode only
-	default: // R-layout
-		w |= uint32(i.Rd) << 7
-		w |= uint32(i.Rs1) << 12
-		w |= uint32(i.Rs2) << 17
+		w |= (imm&0xfff)<<20 | wenc<<17 | uint32(i.Stream)<<13 | uint32(reg)<<7
 	}
 	return w, nil
 }
@@ -130,47 +112,30 @@ func Decode(w uint32) (Inst, error) {
 		return Inst{}, fmt.Errorf("isa: decode: invalid opcode %d", w&0x7f)
 	}
 	i := Inst{Op: op}
-	switch op {
-	case OpLui:
-		i.Rd = uint8((w >> 7) & 0x1f)
-		i.Imm = int32((w >> 12) & 0xfffff)
-	case OpJal:
-		i.Rd = uint8((w >> 7) & 0x1f)
-		i.Imm = signExtend((w>>12)&0xfffff, uImmBits)
-	case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu,
-		OpLb, OpLbu, OpLh, OpLhu, OpLw, OpJalr:
-		i.Rd = uint8((w >> 7) & 0x1f)
-		i.Rs1 = uint8((w >> 12) & 0x1f)
-		i.Imm = signExtend((w>>17)&0x7fff, iImmBits)
-	case OpSb, OpSh, OpSw, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-		lo := (w >> 7) & 0x1f
-		i.Rs1 = uint8((w >> 12) & 0x1f)
-		i.Rs2 = uint8((w >> 17) & 0x1f)
-		hi := (w >> 22) & 0x3ff
-		i.Imm = signExtend(hi<<5|lo, sImmBits)
-	case OpStreamLoad, OpStreamPeek, OpStreamAdv, OpStreamStore, OpStreamEnd, OpStreamCsrR:
-		reg := uint8((w >> 7) & 0x1f)
-		if op == OpStreamStore {
-			i.Rs2 = reg
+	rd, rs1, rs2 := uint8(w>>7&0x1f), uint8(w>>12&0x1f), uint8(w>>17&0x1f)
+	switch f := op.Form(); f {
+	case FormNone:
+	case FormRRR:
+		i.Rd, i.Rs1, i.Rs2 = rd, rs1, rs2
+	case FormRRI, FormLoad:
+		i.Rd, i.Rs1 = rd, rs1
+		i.Imm = signExtend(w>>17&0x7fff, iImmBits)
+	case FormStore, FormBranch:
+		i.Rs1, i.Rs2 = rs1, rs2
+		i.Imm = signExtend((w>>22&0x3ff)<<5|w>>7&0x1f, sImmBits)
+	case FormU:
+		i.Rd, i.Imm = rd, int32(w>>12&0xfffff)
+	case FormJal:
+		i.Rd, i.Imm = rd, signExtend(w>>12&0xfffff, uImmBits)
+	default: // Z
+		if f == FormStreamStore {
+			i.Rs2 = rd
 		} else {
-			i.Rd = reg
+			i.Rd = rd
 		}
-		i.Stream = uint8((w >> 13) & 0xf)
-		switch (w >> 17) & 0x7 {
-		case 0:
-			i.Width = 1
-		case 1:
-			i.Width = 2
-		case 2:
-			i.Width = 4
-		}
-		i.Imm = signExtend((w>>20)&0xfff, zImmBits)
-	case OpHalt:
-		// nothing
-	default:
-		i.Rd = uint8((w >> 7) & 0x1f)
-		i.Rs1 = uint8((w >> 12) & 0x1f)
-		i.Rs2 = uint8((w >> 17) & 0x1f)
+		i.Stream = uint8(w >> 13 & 0xf)
+		i.Width = zWidths[w>>17&0x7]
+		i.Imm = signExtend(w>>20&0xfff, zImmBits)
 	}
 	return i, nil
 }

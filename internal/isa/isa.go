@@ -6,10 +6,15 @@
 //
 // Instructions are represented structurally (Inst) for fast interpretation,
 // with a 32-bit binary encoding (Encode/Decode) mirroring the fixed-width
-// format sketched in the paper.
+// format sketched in the paper. Each op's Form fixes both its assembly
+// notation (Inst.String, read back by asm.Parse) and its binary layout.
 package isa
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Op enumerates operations. The numeric values are part of the binary
 // encoding (the 7-bit opcode field), so new ops must be appended.
@@ -106,61 +111,126 @@ const (
 	ClassHalt
 )
 
+// Form is an operation's operand form: the assembly syntax of its operands
+// (Args), which Inst.String writes and asm.Parse reads, and the binary
+// layout Encode and Decode use (see encode.go).
+type Form uint8
+
+// Operand forms, each with the syntax of an example op.
+const (
+	FormNone        Form = iota // halt
+	FormRRR                     // add rd, rs1, rs2
+	FormRRI                     // addi rd, rs1, imm
+	FormU                       // lui rd, 0x12345
+	FormLoad                    // lw rd, imm(rs1); also jalr
+	FormStore                   // sw rs2, imm(rs1)
+	FormBranch                  // beq rs1, rs2, +3
+	FormJal                     // jal rd, -4
+	FormStreamLoad              // streamload rd, s0, w4
+	FormStreamPeek              // streampeek rd, s0, w4, 8
+	FormStreamAdv               // streamadv s0, 4096
+	FormStreamStore             // streamstore s0, w4, rs2
+	FormStreamEnd               // streamend rd, s0
+	FormStreamCsr               // streamcsrr rd, s0, csr1
+	formCount
+)
+
+// Arg is one assembly operand: the Inst fields it holds and its notation.
+type Arg uint8
+
+// Operands.
+const (
+	ArgRd     Arg = iota // register → Rd
+	ArgRs1               // register → Rs1
+	ArgRs2               // register → Rs2
+	ArgImm               // signed decimal → Imm
+	ArgUImm              // hex upper immediate → Imm
+	ArgMem               // imm(rs1) → Imm, Rs1
+	ArgTarget            // +N/-N instructions from the branch itself → Imm
+	ArgSlot              // stream slot sN → Stream
+	ArgWidth             // access width w1, w2 or w4 → Width
+	ArgBytes             // byte count → Imm×Width (the advance of streamadv)
+	ArgCsr               // stream CSR selector csrN → Imm
+)
+
+var formArgs = [formCount][]Arg{
+	FormNone:        nil,
+	FormRRR:         {ArgRd, ArgRs1, ArgRs2},
+	FormRRI:         {ArgRd, ArgRs1, ArgImm},
+	FormU:           {ArgRd, ArgUImm},
+	FormLoad:        {ArgRd, ArgMem},
+	FormStore:       {ArgRs2, ArgMem},
+	FormBranch:      {ArgRs1, ArgRs2, ArgTarget},
+	FormJal:         {ArgRd, ArgTarget},
+	FormStreamLoad:  {ArgRd, ArgSlot, ArgWidth},
+	FormStreamPeek:  {ArgRd, ArgSlot, ArgWidth, ArgImm},
+	FormStreamAdv:   {ArgSlot, ArgBytes},
+	FormStreamStore: {ArgSlot, ArgWidth, ArgRs2},
+	FormStreamEnd:   {ArgRd, ArgSlot},
+	FormStreamCsr:   {ArgRd, ArgSlot, ArgCsr},
+}
+
+// Args returns the form's operands in assembly order.
+func (f Form) Args() []Arg { return formArgs[f] }
+
+// opInfo is the one table of operations: mnemonic, timing class and
+// operand form.
 var opInfo = [opCount]struct {
 	name  string
 	class Class
+	form  Form
 }{
-	OpInvalid:     {"invalid", ClassALU},
-	OpAdd:         {"add", ClassALU},
-	OpSub:         {"sub", ClassALU},
-	OpAnd:         {"and", ClassALU},
-	OpOr:          {"or", ClassALU},
-	OpXor:         {"xor", ClassALU},
-	OpSll:         {"sll", ClassALU},
-	OpSrl:         {"srl", ClassALU},
-	OpSra:         {"sra", ClassALU},
-	OpSlt:         {"slt", ClassALU},
-	OpSltu:        {"sltu", ClassALU},
-	OpAddi:        {"addi", ClassALU},
-	OpAndi:        {"andi", ClassALU},
-	OpOri:         {"ori", ClassALU},
-	OpXori:        {"xori", ClassALU},
-	OpSlli:        {"slli", ClassALU},
-	OpSrli:        {"srli", ClassALU},
-	OpSrai:        {"srai", ClassALU},
-	OpSlti:        {"slti", ClassALU},
-	OpSltiu:       {"sltiu", ClassALU},
-	OpLui:         {"lui", ClassALU},
-	OpMul:         {"mul", ClassMul},
-	OpMulh:        {"mulh", ClassMul},
-	OpMulhu:       {"mulhu", ClassMul},
-	OpDiv:         {"div", ClassDiv},
-	OpDivu:        {"divu", ClassDiv},
-	OpRem:         {"rem", ClassDiv},
-	OpRemu:        {"remu", ClassDiv},
-	OpLb:          {"lb", ClassLoad},
-	OpLbu:         {"lbu", ClassLoad},
-	OpLh:          {"lh", ClassLoad},
-	OpLhu:         {"lhu", ClassLoad},
-	OpLw:          {"lw", ClassLoad},
-	OpSb:          {"sb", ClassStore},
-	OpSh:          {"sh", ClassStore},
-	OpSw:          {"sw", ClassStore},
-	OpBeq:         {"beq", ClassBranch},
-	OpBne:         {"bne", ClassBranch},
-	OpBlt:         {"blt", ClassBranch},
-	OpBge:         {"bge", ClassBranch},
-	OpBltu:        {"bltu", ClassBranch},
-	OpBgeu:        {"bgeu", ClassBranch},
-	OpJal:         {"jal", ClassJump},
-	OpJalr:        {"jalr", ClassJump},
-	OpStreamLoad:  {"streamload", ClassStreamLoad},
-	OpStreamPeek:  {"streampeek", ClassStreamLoad},
-	OpStreamAdv:   {"streamadv", ClassStreamCtl},
-	OpStreamStore: {"streamstore", ClassStreamStore},
-	OpStreamEnd:   {"streamend", ClassStreamCtl},
-	OpStreamCsrR:  {"streamcsrr", ClassStreamCtl},
-	OpHalt:        {"halt", ClassHalt},
+	OpInvalid:     {"invalid", ClassALU, FormNone},
+	OpAdd:         {"add", ClassALU, FormRRR},
+	OpSub:         {"sub", ClassALU, FormRRR},
+	OpAnd:         {"and", ClassALU, FormRRR},
+	OpOr:          {"or", ClassALU, FormRRR},
+	OpXor:         {"xor", ClassALU, FormRRR},
+	OpSll:         {"sll", ClassALU, FormRRR},
+	OpSrl:         {"srl", ClassALU, FormRRR},
+	OpSra:         {"sra", ClassALU, FormRRR},
+	OpSlt:         {"slt", ClassALU, FormRRR},
+	OpSltu:        {"sltu", ClassALU, FormRRR},
+	OpAddi:        {"addi", ClassALU, FormRRI},
+	OpAndi:        {"andi", ClassALU, FormRRI},
+	OpOri:         {"ori", ClassALU, FormRRI},
+	OpXori:        {"xori", ClassALU, FormRRI},
+	OpSlli:        {"slli", ClassALU, FormRRI},
+	OpSrli:        {"srli", ClassALU, FormRRI},
+	OpSrai:        {"srai", ClassALU, FormRRI},
+	OpSlti:        {"slti", ClassALU, FormRRI},
+	OpSltiu:       {"sltiu", ClassALU, FormRRI},
+	OpLui:         {"lui", ClassALU, FormU},
+	OpMul:         {"mul", ClassMul, FormRRR},
+	OpMulh:        {"mulh", ClassMul, FormRRR},
+	OpMulhu:       {"mulhu", ClassMul, FormRRR},
+	OpDiv:         {"div", ClassDiv, FormRRR},
+	OpDivu:        {"divu", ClassDiv, FormRRR},
+	OpRem:         {"rem", ClassDiv, FormRRR},
+	OpRemu:        {"remu", ClassDiv, FormRRR},
+	OpLb:          {"lb", ClassLoad, FormLoad},
+	OpLbu:         {"lbu", ClassLoad, FormLoad},
+	OpLh:          {"lh", ClassLoad, FormLoad},
+	OpLhu:         {"lhu", ClassLoad, FormLoad},
+	OpLw:          {"lw", ClassLoad, FormLoad},
+	OpSb:          {"sb", ClassStore, FormStore},
+	OpSh:          {"sh", ClassStore, FormStore},
+	OpSw:          {"sw", ClassStore, FormStore},
+	OpBeq:         {"beq", ClassBranch, FormBranch},
+	OpBne:         {"bne", ClassBranch, FormBranch},
+	OpBlt:         {"blt", ClassBranch, FormBranch},
+	OpBge:         {"bge", ClassBranch, FormBranch},
+	OpBltu:        {"bltu", ClassBranch, FormBranch},
+	OpBgeu:        {"bgeu", ClassBranch, FormBranch},
+	OpJal:         {"jal", ClassJump, FormJal},
+	OpJalr:        {"jalr", ClassJump, FormLoad},
+	OpStreamLoad:  {"streamload", ClassStreamLoad, FormStreamLoad},
+	OpStreamPeek:  {"streampeek", ClassStreamLoad, FormStreamPeek},
+	OpStreamAdv:   {"streamadv", ClassStreamCtl, FormStreamAdv},
+	OpStreamStore: {"streamstore", ClassStreamStore, FormStreamStore},
+	OpStreamEnd:   {"streamend", ClassStreamCtl, FormStreamEnd},
+	OpStreamCsrR:  {"streamcsrr", ClassStreamCtl, FormStreamCsr},
+	OpHalt:        {"halt", ClassHalt, FormNone},
 }
 
 // String returns the mnemonic.
@@ -177,6 +247,28 @@ func (o Op) Class() Class {
 		return opInfo[o].class
 	}
 	return ClassALU
+}
+
+// Form returns the operand form.
+func (o Op) Form() Form {
+	if int(o) < len(opInfo) {
+		return opInfo[o].form
+	}
+	return FormNone
+}
+
+var opByName = func() map[string]Op {
+	m := make(map[string]Op, opCount)
+	for _, o := range Ops() {
+		m[o.String()] = o
+	}
+	return m
+}()
+
+// Lookup returns the operation whose mnemonic is name.
+func Lookup(name string) (Op, bool) {
+	o, ok := opByName[name]
+	return o, ok
 }
 
 // Valid reports whether o is a defined operation.
@@ -236,45 +328,46 @@ func RegName(r uint8) string {
 	return fmt.Sprintf("x%d", r)
 }
 
-// String disassembles the instruction.
+// String disassembles the instruction: the mnemonic, then the operands
+// its form lists. asm.Parse reads the same notation back.
 func (i Inst) String() string {
-	switch i.Op.Class() {
-	case ClassALU:
-		switch i.Op {
-		case OpLui:
-			return fmt.Sprintf("%s %s, %#x", i.Op, RegName(i.Rd), uint32(i.Imm))
-		case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu:
-			return fmt.Sprintf("%s %s, %s, %d", i.Op, RegName(i.Rd), RegName(i.Rs1), i.Imm)
-		default:
-			return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
+	var sb strings.Builder
+	sb.WriteString(i.Op.String())
+	for k, a := range i.Op.Form().Args() {
+		if k == 0 {
+			sb.WriteByte(' ')
+		} else {
+			sb.WriteString(", ")
 		}
-	case ClassMul, ClassDiv:
-		return fmt.Sprintf("%s %s, %s, %s", i.Op, RegName(i.Rd), RegName(i.Rs1), RegName(i.Rs2))
-	case ClassLoad:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rd), i.Imm, RegName(i.Rs1))
-	case ClassStore:
-		return fmt.Sprintf("%s %s, %d(%s)", i.Op, RegName(i.Rs2), i.Imm, RegName(i.Rs1))
-	case ClassBranch:
-		return fmt.Sprintf("%s %s, %s, %+d", i.Op, RegName(i.Rs1), RegName(i.Rs2), i.Imm)
-	case ClassJump:
-		if i.Op == OpJal {
-			return fmt.Sprintf("jal %s, %+d", RegName(i.Rd), i.Imm)
-		}
-		return fmt.Sprintf("jalr %s, %d(%s)", RegName(i.Rd), i.Imm, RegName(i.Rs1))
-	case ClassStreamLoad:
-		return fmt.Sprintf("%s %s, s%d, w%d", i.Op, RegName(i.Rd), i.Stream, i.Width)
-	case ClassStreamStore:
-		return fmt.Sprintf("%s s%d, w%d, %s", i.Op, i.Stream, i.Width, RegName(i.Rs2))
-	case ClassStreamCtl:
-		switch i.Op {
-		case OpStreamAdv:
-			return fmt.Sprintf("%s s%d, %d", i.Op, i.Stream, i.Imm)
-		case OpStreamEnd:
-			return fmt.Sprintf("%s %s, s%d", i.Op, RegName(i.Rd), i.Stream)
-		default:
-			return fmt.Sprintf("%s %s, s%d, csr%d", i.Op, RegName(i.Rd), i.Stream, i.Imm)
-		}
-	default:
-		return i.Op.String()
+		sb.WriteString(i.arg(a))
+	}
+	return sb.String()
+}
+
+// arg renders one operand.
+func (i Inst) arg(a Arg) string {
+	switch a {
+	case ArgRd:
+		return RegName(i.Rd)
+	case ArgRs1:
+		return RegName(i.Rs1)
+	case ArgRs2:
+		return RegName(i.Rs2)
+	case ArgImm:
+		return strconv.Itoa(int(i.Imm))
+	case ArgUImm:
+		return fmt.Sprintf("%#x", uint32(i.Imm))
+	case ArgMem:
+		return fmt.Sprintf("%d(%s)", i.Imm, RegName(i.Rs1))
+	case ArgTarget:
+		return fmt.Sprintf("%+d", i.Imm)
+	case ArgSlot:
+		return fmt.Sprintf("s%d", i.Stream)
+	case ArgWidth:
+		return fmt.Sprintf("w%d", i.Width)
+	case ArgBytes:
+		return strconv.Itoa(int(i.Imm) * int(i.Width))
+	default: // ArgCsr
+		return fmt.Sprintf("csr%d", i.Imm)
 	}
 }

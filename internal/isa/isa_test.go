@@ -53,6 +53,20 @@ func TestIsStream(t *testing.T) {
 	}
 }
 
+// TestLookup: every mnemonic names its op, and nothing else is one.
+func TestLookup(t *testing.T) {
+	for _, op := range Ops() {
+		if got, ok := Lookup(op.String()); !ok || got != op {
+			t.Errorf("Lookup(%q) = %v, %v", op.String(), got, ok)
+		}
+	}
+	for _, name := range []string{"invalid", "li", "ADD", ""} {
+		if op, ok := Lookup(name); ok {
+			t.Errorf("Lookup(%q) = %v, want no op", name, op)
+		}
+	}
+}
+
 func TestRegNames(t *testing.T) {
 	if RegName(0) != "zero" || RegName(2) != "sp" || RegName(10) != "a0" {
 		t.Error("ABI register names wrong")
@@ -76,6 +90,11 @@ func TestDisassembly(t *testing.T) {
 		{Inst{Op: OpStreamLoad, Rd: 10, Stream: 2, Width: 4}, "streamload a0, s2, w4"},
 		{Inst{Op: OpStreamStore, Rs2: 10, Stream: 0, Width: 1}, "streamstore s0, w1, a0"},
 		{Inst{Op: OpStreamEnd, Rd: 7, Stream: 3}, "streamend t2, s3"},
+		{Inst{Op: OpStreamPeek, Rd: 10, Stream: 1, Width: 2, Imm: 6}, "streampeek a0, s1, w2, 6"},
+		{Inst{Op: OpStreamAdv, Stream: 0, Width: 4, Imm: 1024}, "streamadv s0, 4096"},
+		{Inst{Op: OpStreamCsrR, Rd: 10, Stream: 2, Imm: CsrTail}, "streamcsrr a0, s2, csr1"},
+		{Inst{Op: OpLui, Rd: 10, Imm: 0x12345}, "lui a0, 0x12345"},
+		{Inst{Op: OpJalr, Rd: 0, Rs1: 1}, "jalr zero, 0(ra)"},
 		{Inst{Op: OpHalt}, "halt"},
 	}
 	for _, c := range cases {
@@ -124,46 +143,33 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 // well-formed instructions.
 func TestEncodeDecodeQuick(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	reg := func() uint8 { return uint8(rng.Intn(NumRegs)) }
+	signed := func(bits int) int32 { return int32(rng.Intn(1<<bits)) - 1<<(bits-1) }
 	gen := func() Inst {
-		for {
-			op := Op(1 + rng.Intn(int(opCount)-1))
-			i := Inst{Op: op}
-			switch op {
-			case OpLui:
-				i.Rd = uint8(rng.Intn(32))
-				i.Imm = int32(rng.Intn(1 << 20))
-			case OpJal:
-				i.Rd = uint8(rng.Intn(32))
-				i.Imm = int32(rng.Intn(1<<20)) - 1<<19
-			case OpAddi, OpAndi, OpOri, OpXori, OpSlli, OpSrli, OpSrai, OpSlti, OpSltiu,
-				OpLb, OpLbu, OpLh, OpLhu, OpLw, OpJalr:
-				i.Rd = uint8(rng.Intn(32))
-				i.Rs1 = uint8(rng.Intn(32))
-				i.Imm = int32(rng.Intn(1<<15)) - 1<<14
-			case OpSb, OpSh, OpSw, OpBeq, OpBne, OpBlt, OpBge, OpBltu, OpBgeu:
-				i.Rs1 = uint8(rng.Intn(32))
-				i.Rs2 = uint8(rng.Intn(32))
-				i.Imm = int32(rng.Intn(1<<15)) - 1<<14
-			case OpStreamLoad, OpStreamPeek, OpStreamEnd, OpStreamCsrR, OpStreamAdv, OpStreamStore:
-				i.Stream = uint8(rng.Intn(16))
-				i.Width = []uint8{1, 2, 4}[rng.Intn(3)]
-				i.Imm = int32(rng.Intn(1<<12)) - 1<<11
-				if op == OpStreamStore {
-					i.Rs2 = uint8(rng.Intn(32))
-				} else {
-					i.Rd = uint8(rng.Intn(32))
-				}
-				if op == OpStreamCsrR {
-					i.Imm = int32(rng.Intn(2))
-				}
-			case OpHalt:
-			default:
-				i.Rd = uint8(rng.Intn(32))
-				i.Rs1 = uint8(rng.Intn(32))
-				i.Rs2 = uint8(rng.Intn(32))
+		i := Inst{Op: Op(1 + rng.Intn(int(opCount)-1))}
+		switch f := i.Op.Form(); f {
+		case FormNone:
+		case FormRRR:
+			i.Rd, i.Rs1, i.Rs2 = reg(), reg(), reg()
+		case FormRRI, FormLoad:
+			i.Rd, i.Rs1, i.Imm = reg(), reg(), signed(iImmBits)
+		case FormStore, FormBranch:
+			i.Rs1, i.Rs2, i.Imm = reg(), reg(), signed(sImmBits)
+		case FormU:
+			i.Rd, i.Imm = reg(), int32(rng.Intn(1<<uImmBits))
+		case FormJal:
+			i.Rd, i.Imm = reg(), signed(uImmBits)
+		default: // the stream forms
+			i.Stream = uint8(rng.Intn(16))
+			i.Width = []uint8{1, 2, 4}[rng.Intn(3)]
+			i.Imm = signed(zImmBits)
+			if f == FormStreamStore {
+				i.Rs2 = reg()
+			} else {
+				i.Rd = reg()
 			}
-			return i
 		}
+		return i
 	}
 	for n := 0; n < 2000; n++ {
 		in := gen()

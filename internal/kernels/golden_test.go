@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"assasin/internal/asm"
 	"assasin/internal/kernels"
 	"assasin/internal/memhier"
 	"assasin/internal/tpch"
@@ -63,13 +64,28 @@ func goldenVariants() []struct {
 }
 
 // programDigest hashes everything that defines a program: its name, its
-// listing, and every instruction's raw fields (the listing omits
-// StreamPeek's byte offset).
+// listing, and every instruction's raw fields. It also checks that the
+// listing assembles back to the same instructions, so profiles and
+// listings name exactly the instruction that ran.
 func programDigest(t *testing.T, k kernels.Kernel, p kernels.BuildParams) string {
 	t.Helper()
 	prog, err := k.Build(p)
 	if err != nil {
 		t.Fatalf("%s %+v: %v", k.Name(), p, err)
+	}
+	back, err := asm.Parse(prog.Disassemble())
+	switch {
+	case err != nil:
+		t.Errorf("%s %+v: listing does not assemble: %v", k.Name(), p, err)
+	case len(back.Insts) != len(prog.Insts):
+		t.Errorf("%s %+v: listing assembles to %d instructions, want %d", k.Name(), p, len(back.Insts), len(prog.Insts))
+	default:
+		for pc, in := range prog.Insts {
+			if back.Insts[pc] != in {
+				t.Errorf("%s %+v: pc %d %q assembles to %+v, want %+v", k.Name(), p, pc, in, back.Insts[pc], in)
+				break
+			}
+		}
 	}
 	h := sha256.New()
 	fmt.Fprintf(h, "%s\n%s", prog.Name, prog.Disassemble())

@@ -36,23 +36,24 @@ type Collector struct {
 	ready     bool
 	snap      telemetry.MetricsSnapshot
 	reports   []*analyze.RunReport
-	byID      map[string]*analyze.RunReport
-	timelines map[string]*timeline.Timeline
-	requests  map[string]*reqtrace.Summary
-	profiles  map[string]*kprof.Profile
+	runs      map[string]storedRun
 	buildInfo []promLabel
 	sloStatus *slo.Status
 	liveSnap  *window.Snapshot
 }
 
+// storedRun is everything stored under one run id; the optional artifacts
+// are nil when the run did not record them.
+type storedRun struct {
+	report   *analyze.RunReport
+	timeline *timeline.Timeline
+	requests *reqtrace.Summary
+	profile  *kprof.Profile
+}
+
 // NewCollector returns an empty enabled collector.
 func NewCollector() *Collector {
-	return &Collector{
-		byID:      make(map[string]*analyze.RunReport),
-		timelines: make(map[string]*timeline.Timeline),
-		requests:  make(map[string]*reqtrace.Summary),
-		profiles:  make(map[string]*kprof.Profile),
-	}
+	return &Collector{runs: make(map[string]storedRun)}
 }
 
 // ObserveRun attributes one completed run and stores the report under a
@@ -76,16 +77,7 @@ func (c *Collector) ObserveRun(run analyze.Run, tl *timeline.Timeline, reqs *req
 	rep.ID = runID(len(c.reports) + 1)
 	analyze.AttachPhases(rep, tl)
 	c.reports = append(c.reports, rep)
-	c.byID[rep.ID] = rep
-	if tl != nil {
-		c.timelines[rep.ID] = tl
-	}
-	if reqs != nil {
-		c.requests[rep.ID] = reqs
-	}
-	if prof != nil {
-		c.profiles[rep.ID] = prof
-	}
+	c.runs[rep.ID] = storedRun{report: rep, timeline: tl, requests: reqs, profile: prof}
 	if run.Metrics != nil {
 		c.snap = *run.Metrics
 	}
@@ -99,7 +91,7 @@ func (c *Collector) Requests(id string) *reqtrace.Summary {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.requests[id]
+	return c.runs[id].requests
 }
 
 // Profile returns the guest-kernel profile stored under a run id, or nil.
@@ -109,7 +101,7 @@ func (c *Collector) Profile(id string) *kprof.Profile {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.profiles[id]
+	return c.runs[id].profile
 }
 
 // Timeline returns the timeline stored under a run id, or nil.
@@ -119,7 +111,7 @@ func (c *Collector) Timeline(id string) *timeline.Timeline {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.timelines[id]
+	return c.runs[id].timeline
 }
 
 // runID formats the sequential run id: at least four digits, never
@@ -216,7 +208,7 @@ func (c *Collector) Report(id string) *analyze.RunReport {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.byID[id]
+	return c.runs[id].report
 }
 
 // RunsCompleted returns how many runs have been observed.
