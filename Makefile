@@ -1,6 +1,6 @@
 # Convenience entry points; every target is plain go tooling underneath.
 
-.PHONY: all build test race fuzz-smoke examples-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
+.PHONY: all build test race race-names fuzz-smoke examples-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
 
 all: test
 
@@ -13,15 +13,31 @@ test: build
 # The data-race gate for the packages the interpreters touch, the
 # telemetry sink (documented single-threaded; the race gate catches
 # accidental sharing from tests), and the observability layer that serves
-# concurrent scrapers against a running simulation. The cpu and data-plane
-# equivalence soaks (internal/experiments) also run here, plus the
+# concurrent scrapers against a running simulation. The oracle soaks
+# (internal/experiments: compiled vs precise, coalesced vs per-page, kprof,
+# over every workload row and architecture) also run here, plus the
 # request-trace parallel-determinism check and the observed fan-out check
 # (every experiment's runs on private sinks): any Precise/Compiled or
 # coalesced/per-page divergence, any worker-count-dependent request summary
 # or merged metrics snapshot, and any data race is a release blocker.
-race:
+RACE_TESTS = TestExecCompiledMatchesPrecise TestExecEquivalenceWithCoreQuantum \
+	TestDataPlaneCoalescedMatchesPerPage TestDataPlaneEquivalenceWithCoreQuantum \
+	TestDataPlaneTelemetryIdentical TestKProfReconciliationSoak \
+	TestRequestsParallelDeterminism TestLoadParallelDeterminism TestObservedFanOutParallelSafe
+empty :=
+space := $(empty) $(empty)
+
+race: race-names
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
-	go test -race ./internal/experiments/ -run 'TestExecCompiledMatchesPrecise|TestExecEquivalenceWithCoreQuantum|TestDataPlane|TestRequestsParallelDeterminism|TestLoadParallelDeterminism|TestObservedFanOutParallelSafe'
+	go test -race ./internal/experiments/ -run '^($(subst $(space),|,$(strip $(RACE_TESTS))))$$'
+
+# Fails when a RACE_TESTS name matches no test in internal/experiments, so
+# a renamed test cannot drop out of the race gate unnoticed.
+race-names:
+	@listed=$$(go test -list . ./internal/experiments/) || exit 1; \
+	for t in $(RACE_TESTS); do \
+		echo "$$listed" | grep -qx "$$t" || { echo "make race: no test named $$t in internal/experiments"; exit 1; }; \
+	done
 
 # A short bounded pass over every fuzz target: the compiled-vs-precise
 # differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,8 +25,6 @@ import (
 	"assasin/internal/buildinfo"
 	"assasin/internal/cpu"
 	"assasin/internal/experiments"
-	"assasin/internal/firmware"
-	"assasin/internal/kernels"
 	"assasin/internal/obs"
 	"assasin/internal/profiling"
 	"assasin/internal/ssd"
@@ -46,7 +43,7 @@ var stopProfiles = func() {}
 func main() {
 	var (
 		archName = flag.String("arch", "AssasinSb", ssd.ArchNames())
-		kernel   = flag.String("kernel", "stat", "stat, scan, raid4, raid6, aes, filter, select, psf, dedup, mlp, lz")
+		kernel   = flag.String("kernel", "stat", "workload: "+strings.Join(experiments.WorkloadNames(), ", "))
 		mb       = flag.Float64("mb", 1, "input megabytes per stream")
 		cores    = flag.Int("cores", 8, "compute engines")
 		adjusted = flag.Bool("adjusted", false, "apply Fig 20 timing adjustments")
@@ -89,10 +86,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	k, rec, nIn, out, err := pickKernel(*kernel)
-	if err != nil {
-		fail(err)
-	}
 	stop, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fail(err)
@@ -118,37 +111,15 @@ func main() {
 	if *tlPth != "" || *diffPth != "" {
 		cfg.Timeline = &timeline.Config{IntervalPs: int64(*tlIvalUs * 1e6)}
 	}
-	label := fmt.Sprintf("%s/%v", k.Name(), arch)
-	run := experiments.Observe(cfg, experiments.RunRecord{Label: label, Kernel: k.Name(), Arch: arch, Cores: *cores})
-	s := ssd.New(run.Options(ssd.Options{Arch: arch, Cores: *cores, TimingAdjusted: *adjusted}))
 	size := int(*mb * (1 << 20))
-	size -= size % 64
-	var lpaLists [][]int
-	var lengths []int64
-	for i := 0; i < nIn; i++ {
-		data := makeInput(*kernel, size, *seed+int64(i))
-		lpas, err := s.InstallBytes(data)
-		if err != nil {
-			fail(err)
-		}
-		lpaLists = append(lpaLists, lpas)
-		lengths = append(lengths, int64(len(data)))
-	}
-	res, err := s.RunKernel(ssd.KernelRun{
-		Kernel:     k,
-		Inputs:     lpaLists,
-		InputBytes: lengths,
-		RecordSize: rec,
-		Cores:      *cores,
-		OutKind:    out,
-	})
+	done, err := experiments.RunWorkload(cfg, strings.ToLower(*kernel), arch, *adjusted, *cores, size-size%64, *seed)
 	if err != nil {
 		fail(err)
 	}
-	done := run.Finish(s, res)
-	attr := done.AttributionRun()
+	res, rec := done.Result, done.Record
+	attr := rec.AttributionRun()
 
-	fmt.Printf("%s / %s: %d cores, %.2f MB input\n", arch, k.Name(), *cores, float64(res.InputBytes)/(1<<20))
+	fmt.Printf("%s / %s: %d cores, %.2f MB input\n", arch, rec.Kernel, rec.Cores, float64(res.InputBytes)/(1<<20))
 	fmt.Printf("  duration    %v\n", res.Duration)
 	fmt.Printf("  throughput  %.3f GB/s\n", res.Throughput()/1e9)
 	var total, instr int64
@@ -169,17 +140,17 @@ func main() {
 	}
 	fmt.Printf("  instructions %d (%.2f per input byte)\n", instr, float64(instr)/float64(res.InputBytes))
 	fmt.Printf("  DRAM traffic %.2f MB (util %.0f%%)\n",
-		float64(s.DRAM.TotalBytes())/(1<<20), 100*s.DRAM.Utilization(res.Duration))
+		float64(done.SSD.DRAM.TotalBytes())/(1<<20), 100*done.SSD.DRAM.Utilization(res.Duration))
 
 	var rep *analyze.RunReport
 	if *report || *diffPth != "" {
 		rep = analyze.Attribute(attr)
-		analyze.AttachPhases(rep, done.Timeline)
+		analyze.AttachPhases(rep, rec.Timeline)
 	}
 	if *report {
 		fmt.Print(analyze.FormatReport(rep))
 	}
-	if guest := done.Profile; guest != nil {
+	if guest := rec.Profile; guest != nil {
 		fmt.Print(guest.FormatHotBlocks(*kprofN))
 		if *kprofDir != "" {
 			if err := writeKProf(*kprofDir, guest); err != nil {
@@ -188,7 +159,7 @@ func main() {
 			fmt.Printf("  profile     %s/profile.{json,folded,pb.gz}\n", *kprofDir)
 		}
 	}
-	if sum := done.Requests; sum != nil {
+	if sum := rec.Requests; sum != nil {
 		if err := sum.WriteText(os.Stdout); err != nil {
 			fail(err)
 		}
@@ -220,10 +191,10 @@ func main() {
 			fmt.Printf("  metrics     %s\n", *metrPth)
 		}
 		if *tlPth != "" {
-			if err := done.Timeline.WriteFile(*tlPth); err != nil {
+			if err := rec.Timeline.WriteFile(*tlPth); err != nil {
 				fail(err)
 			}
-			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(done.Timeline.TimesPs))
+			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(rec.Timeline.TimesPs))
 		}
 	}
 	if *diffPth != "" {
@@ -231,7 +202,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cur := diff.RunData{Label: label, Report: rep, Timeline: done.Timeline, Profile: done.Profile, Metrics: done.Metrics}
+		cur := diff.RunData{Label: rec.Label, Report: rep, Timeline: rec.Timeline, Profile: rec.Profile, Metrics: rec.Metrics}
 		fmt.Print(diff.Compare(other, cur).Format())
 	}
 }
@@ -261,102 +232,6 @@ func writeKProf(dir string, p *kprof.Profile) error {
 		return err
 	}
 	return f.Close()
-}
-
-func pickKernel(name string) (kernels.Kernel, int, int, firmware.OutKind, error) {
-	switch strings.ToLower(name) {
-	case "stat":
-		return kernels.Stat{}, 4, 1, firmware.OutDiscard, nil
-	case "scan":
-		return kernels.Scan{}, 16, 1, firmware.OutDiscard, nil
-	case "raid4":
-		return kernels.RAID4{K: 4}, 4, 4, firmware.OutToFlash, nil
-	case "raid6":
-		return kernels.RAID6{K: 4}, 4, 4, firmware.OutToFlash, nil
-	case "aes":
-		return kernels.AES{}, 16, 1, firmware.OutToFlash, nil
-	case "filter":
-		return kernels.Filter{
-			TupleSize: 32,
-			Preds: []kernels.FieldPred{
-				{Offset: 16, Lo: 19940101, Hi: 19941231},
-				{Offset: 0, Lo: 0, Hi: 23},
-			},
-		}, 32, 1, firmware.OutToHost, nil
-	case "select":
-		return kernels.Select{TupleSize: 32, FieldOffsets: []int{0, 4, 16}}, 32, 1, firmware.OutToHost, nil
-	case "psf":
-		return kernels.PSF{
-			NumFields: 16,
-			Project:   []int{4, 5, 6, 10},
-			Preds:     []kernels.PSFPred{{Col: 10, Lo: 19940101, Hi: 19941231}},
-		}, 1, 1, firmware.OutToHost, nil
-	case "dedup":
-		return kernels.Dedup{}, 512, 1, firmware.OutToHost, nil
-	case "mlp":
-		k := kernels.MLP{}
-		return k, k.RecordSize(), 1, firmware.OutToHost, nil
-	case "lz":
-		return kernels.LZDecompress{}, 1 << 30, 1, firmware.OutToHost, nil
-	default:
-		return nil, 0, 0, 0, fmt.Errorf("unknown kernel %q", name)
-	}
-}
-
-// makeInput builds kernel-appropriate data: CSV rows for psf, binary tuples
-// with plausible fields for filter/select, random bytes otherwise.
-func makeInput(kernel string, size int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	switch strings.ToLower(kernel) {
-	case "psf":
-		var b strings.Builder
-		for b.Len() < size {
-			for f := 0; f < 16; f++ {
-				if f > 0 {
-					b.WriteByte('|')
-				}
-				if f == 10 {
-					fmt.Fprintf(&b, "%d", 19920101+rng.Intn(70000))
-				} else {
-					fmt.Fprintf(&b, "%d", rng.Intn(100000))
-				}
-			}
-			b.WriteByte('\n')
-		}
-		return []byte(b.String())
-	case "filter", "select":
-		data := make([]byte, size-size%32)
-		for i := 0; i+32 <= len(data); i += 32 {
-			put32 := func(off int, v uint32) {
-				data[i+off] = byte(v)
-				data[i+off+1] = byte(v >> 8)
-				data[i+off+2] = byte(v >> 16)
-				data[i+off+3] = byte(v >> 24)
-			}
-			put32(0, uint32(1+rng.Intn(50)))
-			put32(4, uint32(90000+rng.Intn(100000)))
-			put32(8, uint32(rng.Intn(11)*100))
-			put32(12, uint32(rng.Intn(9)*100))
-			put32(16, uint32(19920101+rng.Intn(70000)))
-		}
-		return data
-	case "lz":
-		return kernels.LZDecompress{}.Compress(kernels.CompressibleData(size, seed))
-	case "dedup":
-		chunk := make([]byte, 512)
-		out := make([]byte, 0, size)
-		for len(out)+512 <= size {
-			if rng.Intn(3) > 0 {
-				rng.Read(chunk)
-			}
-			out = append(out, chunk...)
-		}
-		return out
-	default:
-		data := make([]byte, size)
-		rng.Read(data)
-		return data
-	}
 }
 
 func fail(err error) {

@@ -6,7 +6,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+
+	"assasin/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden stdout under testdata/")
@@ -16,10 +20,7 @@ var update = flag.Bool("update", false, "rewrite the golden stdout under testdat
 // blocks and the slowest-request table. The simulation is deterministic, so
 // any byte that moves is a behavior change.
 func TestCLIGoldenStdout(t *testing.T) {
-	bin := filepath.Join(t.TempDir(), "assasin-sim")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildSim(t)
 	var stdout, stderr bytes.Buffer
 	cmd := exec.Command(bin, "-arch", "AssasinSb", "-kernel", "stat", "-mb", "0.25",
 		"-report", "-requests", "4", "-kprof", "5")
@@ -40,4 +41,37 @@ func TestCLIGoldenStdout(t *testing.T) {
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("stdout deviates from %s; run with -update if the change is intentional\n--- got\n%s", golden, stdout.String())
 	}
+}
+
+// TestCLIWorkloads checks -kernel against the workload table: the help text
+// lists exactly the table's rows, every row runs at a tiny input and exits
+// 0, and an unknown name exits non-zero.
+func TestCLIWorkloads(t *testing.T) {
+	bin := buildSim(t)
+	help, _ := exec.Command(bin, "-h").CombinedOutput()
+	_, usage, _ := strings.Cut(string(help), "-kernel string\n")
+	usage, _, _ = strings.Cut(usage, "\n")
+	_, list, _ := strings.Cut(usage, "workload: ")
+	list, _, _ = strings.Cut(list, " (default")
+	if got := strings.Split(list, ", "); !reflect.DeepEqual(got, experiments.WorkloadNames()) {
+		t.Errorf("-kernel help lists %q, want %q", got, experiments.WorkloadNames())
+	}
+	for _, name := range experiments.WorkloadNames() {
+		if out, err := exec.Command(bin, "-kernel", name, "-mb", "0.01").CombinedOutput(); err != nil {
+			t.Errorf("-kernel %s: %v\n%s", name, err, out)
+		}
+	}
+	if out, err := exec.Command(bin, "-kernel", "nosuch").CombinedOutput(); err == nil {
+		t.Errorf("-kernel nosuch exited 0:\n%s", out)
+	}
+}
+
+// buildSim builds the command into a temporary directory.
+func buildSim(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "assasin-sim")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
 }

@@ -29,19 +29,14 @@ type AblationWindowRow struct {
 // pages the returns vanish — the capacity argument behind the paper's
 // small stream buffers.
 func AblationWindow(cfg Config) ([]AblationWindowRow, error) {
-	data := randData(int(cfg.ScanMB*(1<<20)), 31)
+	w := mustWorkload("scan")
+	in := w.inputs(int(cfg.ScanMB*(1<<20)), 31)
 	depths := []int{1, 2, 4, 8, 16}
 	return runpool.Map(cfg.workers(), len(depths), func(i int) (AblationWindowRow, error) {
 		p := depths[i]
-		r, err := runStandalone(cfg, runOpts{
-			arch:        ssd.AssasinSb,
-			cores:       cfg.Cores,
-			kernel:      kernels.Scan{},
-			inputs:      [][]byte{data},
-			recordSize:  16,
-			outKind:     firmware.OutDiscard,
-			windowPages: p,
-		})
+		o := w.opts(ssd.AssasinSb, cfg.Cores, in)
+		o.windowPages = p
+		r, err := runStandalone(cfg, o)
 		if err != nil {
 			return AblationWindowRow{}, fmt.Errorf("window %d: %w", p, err)
 		}

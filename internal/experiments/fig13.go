@@ -5,54 +5,20 @@ import (
 	"strings"
 
 	"assasin/internal/cpu"
-	"assasin/internal/firmware"
-	"assasin/internal/kernels"
-	"assasin/internal/runpool"
-	"assasin/internal/sim"
 	"assasin/internal/ssd"
 )
 
-// standaloneKernels returns the Fig. 13 workloads in the paper's order of
-// increasing compute intensity, with their run parameters.
-func standaloneKernels(cfg Config) []runSpec {
-	kb := int(cfg.KernelMB * (1 << 20))
-	aes := int(cfg.AESKB * 1024)
-	return []runSpec{
-		{
-			name: "Stat", kernel: kernels.Stat{}, recordSize: 4,
-			inputs: 1, bytesPer: kb, outKind: firmware.OutDiscard,
-		},
-		{
-			name: "RAID4", kernel: kernels.RAID4{K: 4}, recordSize: 4,
-			inputs: 4, bytesPer: kb / 4, outKind: firmware.OutToFlash,
-		},
-		{
-			name: "RAID6", kernel: kernels.RAID6{K: 4}, recordSize: 4,
-			inputs: 4, bytesPer: kb / 8, outKind: firmware.OutToFlash,
-		},
-		{
-			name: "AES", kernel: kernels.AES{}, recordSize: 16,
-			inputs: 1, bytesPer: aes, outKind: firmware.OutToFlash,
-		},
-	}
-}
-
-// runSpec describes one standalone workload.
-type runSpec struct {
-	name       string
-	kernel     kernels.Kernel
-	recordSize int
-	inputs     int
-	bytesPer   int
-	outKind    firmware.OutKind
-}
-
-func (s runSpec) buildInputs() [][]byte {
-	var ins [][]byte
-	for i := 0; i < s.inputs; i++ {
-		ins = append(ins, randData(s.bytesPer, int64(1000+i)))
-	}
-	return ins
+// fig13Workloads are the Fig. 13 workloads in the paper's order of
+// increasing compute intensity: each one's figure label and row, and the
+// share of KernelMB its streams divide (RAID6 gets half).
+var fig13Workloads = []struct {
+	label, name string
+	div         int
+}{
+	{"Stat", "stat", 1},
+	{"RAID4", "raid4", 1},
+	{"RAID6", "raid6", 2},
+	{"AES", "aes", 1},
 }
 
 // Fig13Row is one kernel's throughput across the Table IV configurations.
@@ -74,44 +40,26 @@ func Fig21(cfg Config) ([]Fig13Row, error) {
 }
 
 func standaloneSweep(cfg Config, adjusted bool) ([]Fig13Row, error) {
-	specs := standaloneKernels(cfg)
 	archs := ssd.AllArchs()
-	// Inputs are built once per kernel and shared read-only by every
-	// configuration's run.
-	inputs := make([][][]byte, len(specs))
-	for i, spec := range specs {
-		inputs[i] = spec.buildInputs()
+	// One job per (kernel, configuration); each run builds its own SSD and
+	// a kernel's inputs are shared read-only by every configuration's run.
+	var jobs []runOpts
+	for _, f := range fig13Workloads {
+		w := mustWorkload(f.name)
+		in := w.inputs(cfg.streamBytes(w, int(cfg.KernelMB*(1<<20))/f.div), 1000)
+		for _, a := range archs {
+			o := w.opts(a, cfg.Cores, in)
+			o.adjusted = adjusted
+			jobs = append(jobs, o)
+		}
 	}
-	// One job per (kernel, configuration); each run builds its own SSD.
-	tputs, err := runpool.Map(cfg.workers(), len(specs)*len(archs), func(j int) (float64, error) {
-		spec, arch := specs[j/len(archs)], archs[j%len(archs)]
-		o := runOpts{
-			arch:       arch,
-			adjusted:   adjusted,
-			cores:      cfg.Cores,
-			kernel:     spec.kernel,
-			inputs:     inputs[j/len(archs)],
-			recordSize: spec.recordSize,
-			outKind:    spec.outKind,
-			collect:    cfg.Verify && spec.outKind != firmware.OutDiscard,
-		}
-		r, err := runStandalone(cfg, o)
-		if err != nil {
-			return 0, fmt.Errorf("%s on %v: %w", spec.name, arch, err)
-		}
-		if cfg.Verify {
-			if err := verifyOutputs(o, r); err != nil {
-				return 0, err
-			}
-		}
-		return r.throughput(), nil
-	})
+	tputs, err := throughputs(cfg, jobs)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Fig13Row, len(specs))
-	for i, spec := range specs {
-		rows[i] = Fig13Row{Kernel: spec.name, Throughput: map[ssd.Arch]float64{}}
+	rows := make([]Fig13Row, len(fig13Workloads))
+	for i, f := range fig13Workloads {
+		rows[i] = Fig13Row{Kernel: f.label, Throughput: map[ssd.Arch]float64{}}
 		for a, arch := range archs {
 			rows[i].Throughput[arch] = tputs[i*len(archs)+a]
 		}
@@ -153,32 +101,18 @@ type Fig5Result struct {
 // Baseline compute engine, with its cycle decomposition showing the memory
 // wall (the paper reports 0.63 GB/s with memory stalls dominating).
 func Fig5(cfg Config) (*Fig5Result, error) {
-	data := lineitemTuples(int(cfg.KernelMB * (1 << 20)))
-	k := filterKernel()
-	o := runOpts{
-		arch:       ssd.Baseline,
-		cores:      1,
-		kernel:     k,
-		inputs:     [][]byte{data},
-		recordSize: filterTupleSize,
-		outKind:    firmware.OutToHost,
-		collect:    cfg.Verify,
-	}
-	r, err := runStandalone(cfg, o)
+	w := mustWorkload("filter")
+	o := w.opts(ssd.Baseline, 1, w.inputs(int(cfg.KernelMB*(1<<20)), w.seed))
+	r, err := runChecked(cfg, o)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Verify {
-		if err := verifyOutputs(o, r); err != nil {
-			return nil, err
-		}
-	}
-	st := r.res.CoreStats[0]
+	st := r.Result.CoreStats[0]
 	total := float64(st.TotalTime())
 	ct := st.ClassTimes()
 	frac := func(k cpu.StallKind) float64 { return float64(ct[1+k]) / total }
 	return &Fig5Result{
-		Throughput:    float64(len(data)) / r.res.Duration.Seconds(),
+		Throughput:    float64(len(o.inputs[0])) / r.Result.Duration.Seconds(),
 		BusyFrac:      float64(ct[0]) / total,
 		MemStallFrac:  frac(cpu.StallMem),
 		WaitStallFrac: frac(cpu.StallStreamWait),
@@ -197,61 +131,6 @@ func FormatFig5(r *Fig5Result) string {
 `, gbps(r.Throughput), 100*r.BusyFrac, 100*r.MemStallFrac, 100*r.WaitStallFrac, 100*r.ExecStallFrac)
 }
 
-// filterTupleSize is the binary lineitem tuple size of the motivating
-// example (quantity, price, discount, tax, shipdate + padding).
-const filterTupleSize = 32
-
-// filterKernel is the Q6-like predicate of the motivating example.
-func filterKernel() kernels.Filter {
-	return kernels.Filter{
-		TupleSize: filterTupleSize,
-		Preds: []kernels.FieldPred{
-			{Offset: 16, Lo: 19940101, Hi: 19941231}, // shipdate window
-			{Offset: 0, Lo: 0, Hi: 23},               // quantity < 24
-		},
-	}
-}
-
-// lineitemTuples serializes a binary lineitem-like array: 32-byte tuples
-// with quantity@0, price@4, discount@8, tax@12, shipdate@16.
-func lineitemTuples(totalBytes int) []byte {
-	n := totalBytes / filterTupleSize
-	data := make([]byte, n*filterTupleSize)
-	rng := newSplitMix(42)
-	for i := 0; i < n; i++ {
-		base := i * filterTupleSize
-		putU32(data[base+0:], uint32(1+rng.next()%50))
-		putU32(data[base+4:], uint32(90000+rng.next()%100000))
-		putU32(data[base+8:], uint32(rng.next()%11)*100)
-		putU32(data[base+12:], uint32(rng.next()%9)*100)
-		y := 1992 + rng.next()%7
-		m := 1 + rng.next()%12
-		d := 1 + rng.next()%28
-		putU32(data[base+16:], uint32(y*10000+m*100+d))
-		putU32(data[base+20:], uint32(i))
-	}
-	return data
-}
-
-type splitMix struct{ s uint64 }
-
-func newSplitMix(seed uint64) *splitMix { return &splitMix{s: seed} }
-
-func (r *splitMix) next() int {
-	r.s += 0x9E3779B97F4A7C15
-	z := r.s
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int((z ^ (z >> 31)) & 0x7FFFFFFF)
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
 // SpeedupSummary condenses a sweep into per-arch geomean speedup over
 // Baseline — the input to the Fig. 22 efficiency computation.
 func SpeedupSummary(rows []Fig13Row) map[ssd.Arch]float64 {
@@ -268,5 +147,3 @@ func SpeedupSummary(rows []Fig13Row) map[ssd.Arch]float64 {
 	}
 	return out
 }
-
-var _ = sim.Time(0)

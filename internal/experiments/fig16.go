@@ -38,7 +38,7 @@ func scanCoreRate(unroll int) float64 {
 // 1..16 sweep): linear compute scaling until the 8 GB/s flash array bound,
 // with high core utilization and balanced channels (Figs. 16-18).
 func Fig16(cfg Config) ([]Fig16Point, error) {
-	scan := kernels.Scan{}
+	w := mustWorkload("scan")
 	coreCounts := []int{1, 2, 4, 8, 12, 16}
 	// One job per core count; each builds its own input and SSD.
 	return runpool.Map(cfg.workers(), len(coreCounts), func(i int) (Fig16Point, error) {
@@ -49,18 +49,11 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 		if min := float64(cores); sizeMB < min {
 			sizeMB = min
 		}
-		data := randData(int(sizeMB*(1<<20)), 77)
-		r, err := runStandalone(cfg, runOpts{
-			arch:       ssd.AssasinSb,
-			cores:      cores,
-			kernel:     scan,
-			inputs:     [][]byte{data},
-			recordSize: 16,
-			outKind:    firmware.OutDiscard,
-			// The single scan stream gets the whole 64 KiB ISB (the
-			// firmware allocates slot capacity to active streams).
-			windowPages: 16,
-		})
+		o := w.opts(ssd.AssasinSb, cores, w.inputs(int(sizeMB*(1<<20)), 77))
+		// The single scan stream gets the whole 64 KiB ISB (the firmware
+		// allocates slot capacity to active streams).
+		o.windowPages = 16
+		r, err := runStandalone(cfg, o)
 		if err != nil {
 			return Fig16Point{}, fmt.Errorf("scan at %d cores: %w", cores, err)
 		}
@@ -69,11 +62,8 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 		// Ideal per-core rate: nominal compute rate bounded by the fair
 		// flash share (the paper's "derived by considering nominal
 		// bandwidth relationships between cores and channels").
-		flashBW := r.instance.Array.TotalBandwidth()
-		ideal := scanCoreRate(scan.Unroll)
-		if ideal == 0 {
-			ideal = scanCoreRate(16)
-		}
+		flashBW := r.SSD.Array.TotalBandwidth()
+		ideal := scanCoreRate(16) // the scan row's default unroll
 		fair := flashBW / float64(cores)
 		if fair < ideal {
 			ideal = fair
@@ -81,17 +71,17 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 		// Exclude the initial fill latency (sense + first transfers) from
 		// the utilization window: the paper measures steady-state scans.
 		startup := 30 * sim.Microsecond
-		steady := r.res.Duration - startup
+		steady := r.Result.Duration - startup
 		if steady <= 0 {
-			steady = r.res.Duration
+			steady = r.Result.Duration
 		}
-		util := float64(len(data)) / steady.Seconds() / float64(cores) / ideal
+		util := float64(len(o.inputs[0])) / steady.Seconds() / float64(cores) / ideal
 
 		p := Fig16Point{Cores: cores, Throughput: tput, Utilization: util}
-		for c := 0; c < r.instance.Opt.Flash.Channels; c++ {
-			bytesC := r.instance.Array.ChannelBytes(c)
+		for c := 0; c < r.SSD.Opt.Flash.Channels; c++ {
+			bytesC := r.SSD.Array.ChannelBytes(c)
 			p.ChannelBytes = append(p.ChannelBytes, bytesC)
-			p.ChannelThroughput = append(p.ChannelThroughput, float64(bytesC)/r.res.Duration.Seconds())
+			p.ChannelThroughput = append(p.ChannelThroughput, float64(bytesC)/r.Result.Duration.Seconds())
 		}
 		return p, nil
 	})

@@ -7,33 +7,27 @@ import (
 )
 
 // TestCompiledSteppedShare bounds how much of the compiled engine's work
-// falls back to the per-instruction interpreter: across every Table II
-// kernel on the stream architectures at quick scale, under 2% of retired
-// instructions may go through Core.step. What remains is code outside any
-// recognized loop (LZ and PSF).
+// falls back to the per-instruction interpreter: across every workload row
+// at Table II's quick-scale input on the stream architectures, under 2% of
+// retired instructions may go through Core.step. What remains is code
+// outside any recognized loop (LZ and PSF).
 func TestCompiledSteppedShare(t *testing.T) {
 	cfg := Quick()
 	var stepped, insts int64
-	for _, e := range table2Entries(cfg) {
+	for i := range workloads {
+		w := &workloads[i]
+		in := w.inputs(cfg.streamBytes(w, int(cfg.KernelMB*(1<<20)/2)), w.seed)
 		for _, arch := range []ssd.Arch{ssd.AssasinSp, ssd.AssasinSb, ssd.AssasinSbCache} {
-			cores, rec := e.split(cfg)
-			r, err := runStandalone(Config{}, runOpts{
-				arch:       arch,
-				cores:      cores,
-				kernel:     e.kernel,
-				inputs:     e.inputs,
-				recordSize: rec,
-				outKind:    e.out,
-			})
+			r, err := runStandalone(Config{}, w.opts(arch, cfg.Cores, in))
 			if err != nil {
-				t.Fatalf("%s on %v: %v", e.name, arch, err)
+				t.Fatalf("%s on %v: %v", w.kernel.Name(), arch, err)
 			}
 			var s, n int64
-			for _, c := range r.instance.Cores {
+			for _, c := range r.SSD.Cores {
 				s += c.SteppedInstructions()
 				n += c.Stats().Instructions
 			}
-			t.Logf("%-28s %-15v stepped %9d of %10d", e.name, arch, s, n)
+			t.Logf("%-14s %-15v stepped %9d of %10d", w.kernel.Name(), arch, s, n)
 			stepped += s
 			insts += n
 		}

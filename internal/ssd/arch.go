@@ -36,8 +36,7 @@ const (
 	AssasinSbCache
 )
 
-// defaultStreamSlots is S, the input and output stream slots per core when
-// Options.StreamSlots is unset.
+// defaultStreamSlots is S, the input and output stream slots per core.
 const defaultStreamSlots = 8
 
 // archSpec is one Table IV configuration: everything that differs between
@@ -71,8 +70,9 @@ type archSpec struct {
 	// spCycles under Options.TimingAdjusted, the Fig 20 circuit results.
 	adjPeriod   sim.Time
 	adjSpCycles int
-	// windowPages and outWindowPages are the default per-slot input and
-	// output window depths, in flash pages.
+	// windowPages is the per-slot input window depth unless
+	// Options.WindowPages overrides it; outWindowPages is the per-slot
+	// output window depth. Both are in flash pages.
 	windowPages, outWindowPages int
 	// source, isa and mem are the Table IV columns. mem is a template:
 	// {l1d}, {l1d.ways}, {l2}, {l2.ways}, {sp}, {io/2} and {slots} are

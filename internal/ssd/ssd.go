@@ -40,14 +40,9 @@ type Options struct {
 	Flash flash.Config
 	// DRAM overrides the DRAM model (zero value = paper's 8 GB/s LPDDR5).
 	DRAM memhier.DRAMConfig
-	// StreamSlots is S, input and output stream slots per core (zero: 8).
-	StreamSlots int
 	// WindowPages is P, the per-slot input window in flash pages. Zero
 	// selects the architecture's default from its Table IV row.
 	WindowPages int
-	// OutWindowPages sizes the per-slot output window. Zero selects the
-	// architecture's default from its Table IV row.
-	OutWindowPages int
 	// Exec is the equivalence-oracle selector for the core interpreter:
 	// the zero value cpu.ExecCompiled runs the shared cpu.Program's
 	// threaded code; cpu.ExecPrecise steps one instruction at a time, the
@@ -159,14 +154,8 @@ func New(opt Options) *SSD {
 		opt.DRAM = memhier.DefaultDRAMConfig()
 	}
 	spec := opt.Arch.spec()
-	if opt.StreamSlots <= 0 {
-		opt.StreamSlots = defaultStreamSlots
-	}
 	if opt.WindowPages <= 0 {
 		opt.WindowPages = spec.windowPages
-	}
-	if opt.OutWindowPages <= 0 {
-		opt.OutWindowPages = spec.outWindowPages
 	}
 
 	s := &SSD{Opt: opt, Sched: sim.NewScheduler()}
@@ -353,7 +342,7 @@ func (s *SSD) DataPath() firmware.DataPath { return s.Opt.Arch.spec().path }
 // newStreams returns a fresh stream buffer at the configured geometry,
 // wired to the shared telemetry bundle (nil when telemetry is off).
 func (s *SSD) newStreams() *memhier.StreamBuffer {
-	sb := memhier.NewStreamBuffer(s.Opt.StreamSlots, s.Opt.WindowPages, s.Opt.OutWindowPages, s.Opt.Flash.PageSize)
+	sb := memhier.NewStreamBuffer(defaultStreamSlots, s.Opt.WindowPages, s.Opt.Arch.spec().outWindowPages, s.Opt.Flash.PageSize)
 	sb.AttachTel(s.streamTel)
 	return sb
 }
