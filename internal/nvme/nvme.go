@@ -283,11 +283,13 @@ func (c *Controller) RunMixed(tasks []ssd.TaskSpec, reqs []IORequest, deadline s
 		c.drive.SetRequestLabel(OpSComp.String())
 		res, err = c.drive.RunOffload(tasks, deadline)
 	} else {
-		// Pure I/O: drive the event queue directly.
+		// Pure I/O: drive the event queue directly, leaving its clock at
+		// the last completion so later commands on this drive are not
+		// dragged to the deadline.
 		if deadline <= 0 {
 			deadline = 100 * sim.Second
 		}
-		c.drive.Sched.Events.RunUntil(deadline)
+		c.drive.Sched.Events.FlushUntil(deadline)
 	}
 	if err != nil {
 		return nil, nil, err

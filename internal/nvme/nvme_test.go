@@ -193,3 +193,23 @@ func TestOpcodeStrings(t *testing.T) {
 		t.Fatal("opcode names")
 	}
 }
+
+// TestRunMixedPureIOKeepsEventClock: a pure-I/O RunMixed must not drag the
+// drive's event clock to its deadline, or a later command on the same drive
+// would snap its submission to that deadline and report the gap as latency.
+func TestRunMixedPureIOKeepsEventClock(t *testing.T) {
+	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
+	lpas, _ := installData(t, s, 2*s.Opt.Flash.PageSize, 5)
+	c := New(s, DefaultConfig())
+	if _, _, err := c.RunMixed(nil, []IORequest{{Op: OpRead, LPA: lpas[0], Pages: 1}}, sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	submit := 100 * sim.Microsecond
+	_, comps, err := c.RunMixed(nil, []IORequest{{Op: OpRead, LPA: lpas[1], Pages: 1, SubmitAt: submit}}, 2*sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := comps[0]; got.Latency > sim.Millisecond || got.Done-got.Latency != submit {
+		t.Fatalf("second read done %v latency %v, want a read submitted at %v taking tens of µs", got.Done, got.Latency, submit)
+	}
+}
