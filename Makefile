@@ -14,14 +14,14 @@ test: build
 # telemetry sink (documented single-threaded; the race gate catches
 # accidental sharing from tests), and the observability layer that serves
 # concurrent scrapers against a running simulation. The oracle soaks
-# (internal/experiments: compiled vs precise, coalesced vs per-page, kprof,
-# over every workload row and architecture) also run here, plus the
-# request-trace parallel-determinism check and the observed fan-out check
-# (every experiment's runs on private sinks): any Precise/Compiled or
+# (internal/experiments: compiled vs precise and coalesced vs per-page over
+# every workload row and architecture, kprof reconciliation, and per-page vs
+# coalesced telemetry on one workload) also run here, plus the request-trace
+# parallel-determinism check and the observed fan-out check (every
+# experiment's runs on private sinks): any Precise/Compiled or
 # coalesced/per-page divergence, any worker-count-dependent request summary
 # or merged metrics snapshot, and any data race is a release blocker.
-RACE_TESTS = TestExecCompiledMatchesPrecise TestExecEquivalenceWithCoreQuantum \
-	TestDataPlaneCoalescedMatchesPerPage TestDataPlaneEquivalenceWithCoreQuantum \
+RACE_TESTS = TestExecCompiledMatchesPrecise TestDataPlaneCoalescedMatchesPerPage \
 	TestDataPlaneTelemetryIdentical TestKProfReconciliationSoak \
 	TestRequestsParallelDeterminism TestLoadParallelDeterminism TestObservedFanOutParallelSafe
 empty :=

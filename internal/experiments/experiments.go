@@ -132,8 +132,6 @@ type runOpts struct {
 	// and demand identical results.
 	exec  cpu.ExecMode
 	plane firmware.PlaneMode
-	// coreQuantum overrides the per-core scheduler quantum (0 = default).
-	coreQuantum sim.Time
 }
 
 // runStandalone builds a fresh SSD observed as cfg asks, installs the
@@ -152,7 +150,6 @@ func runStandalone(cfg Config, o runOpts) (*StandaloneRun, error) {
 		WindowPages:    o.windowPages,
 		Exec:           o.exec,
 		DataPlane:      o.plane,
-		CoreQuantum:    o.coreQuantum,
 	}))
 	var lpaLists [][]int
 	var lengths []int64

@@ -10,7 +10,6 @@ import (
 	"assasin/internal/cpu"
 	"assasin/internal/firmware"
 	"assasin/internal/runpool"
-	"assasin/internal/sim"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry"
 )
@@ -49,19 +48,6 @@ func soakJobs() []soakJob {
 	return jobs
 }
 
-// quantumJobs is the soak's Statistics and Filter rows on Baseline and
-// AssasinSb, the jobs re-run at a coarser core quantum.
-func quantumJobs() []soakJob {
-	var jobs []soakJob
-	for _, j := range soakJobs() {
-		name := j.w.kernel.Name()
-		if (name == "stat" || name == "filter") && (j.arch == ssd.Baseline || j.arch == ssd.AssasinSb) {
-			jobs = append(jobs, j)
-		}
-	}
-	return jobs
-}
-
 // soak runs check on every job, in parallel.
 func soak(t *testing.T, jobs []soakJob, check func(soakJob) error) {
 	t.Helper()
@@ -73,20 +59,18 @@ func soak(t *testing.T, jobs []soakJob, check func(soakJob) error) {
 	}
 }
 
-// soakMode selects a soak run's engine, data plane, core quantum (0 =
-// default) and guest profiler.
+// soakMode selects a soak run's engine, data plane and guest profiler.
 type soakMode struct {
-	exec    cpu.ExecMode
-	plane   firmware.PlaneMode
-	quantum sim.Time
-	kprof   bool
+	exec  cpu.ExecMode
+	plane firmware.PlaneMode
+	kprof bool
 }
 
 // run executes the job once in mode m, collecting every output.
 func (j soakJob) run(cfg Config, m soakMode) (*StandaloneRun, error) {
 	o := j.w.opts(j.arch, 2, j.in)
 	o.collect = o.outKind != firmware.OutDiscard
-	o.exec, o.plane, o.coreQuantum = m.exec, m.plane, m.quantum
+	o.exec, o.plane = m.exec, m.plane
 	cfg.KProf = m.kprof
 	r, err := runStandalone(cfg, o)
 	if err != nil {
@@ -95,14 +79,14 @@ func (j soakJob) run(cfg Config, m soakMode) (*StandaloneRun, error) {
 	return r, nil
 }
 
-// compareResults runs j under the oracle mode and under the default (at
-// the oracle's quantum) and demands byte-identical ssd.Results.
+// compareResults runs j under the oracle mode and under the default and
+// demands byte-identical ssd.Results.
 func compareResults(j soakJob, oracle soakMode) error {
 	want, err := j.run(Config{}, oracle)
 	if err != nil {
 		return err
 	}
-	got, err := j.run(Config{}, soakMode{quantum: oracle.quantum})
+	got, err := j.run(Config{}, soakMode{})
 	if err != nil {
 		return err
 	}
@@ -119,30 +103,12 @@ func TestExecCompiledMatchesPrecise(t *testing.T) {
 	soak(t, soakJobs(), func(j soakJob) error { return compareResults(j, soakMode{exec: cpu.ExecPrecise}) })
 }
 
-// TestExecEquivalenceWithCoreQuantum repeats the check for a run quantum
-// above the scheduler default: per-process quanta coarsen the interleaving
-// identically in both modes, so results must still match exactly.
-func TestExecEquivalenceWithCoreQuantum(t *testing.T) {
-	soak(t, quantumJobs(), func(j soakJob) error {
-		return compareResults(j, soakMode{exec: cpu.ExecPrecise, quantum: 4 * sim.Microsecond})
-	})
-}
-
 // TestDataPlaneCoalescedMatchesPerPage catches drift in the coalescing
 // conditions (train inlining past a contention boundary, a suppressed pump
 // that was not provably dead, a clock not advanced through AdvanceTo) as a
 // Duration or CoreStats mismatch.
 func TestDataPlaneCoalescedMatchesPerPage(t *testing.T) {
 	soak(t, soakJobs(), func(j soakJob) error { return compareResults(j, soakMode{plane: firmware.PlanePerPage}) })
-}
-
-// TestDataPlaneEquivalenceWithCoreQuantum: coarser core interleaving
-// shifts which deliveries land inside a single dispatch round, so the
-// train's Horizon guard gets exercised at different boundaries.
-func TestDataPlaneEquivalenceWithCoreQuantum(t *testing.T) {
-	soak(t, quantumJobs(), func(j soakJob) error {
-		return compareResults(j, soakMode{plane: firmware.PlanePerPage, quantum: 4 * sim.Microsecond})
-	})
 }
 
 // TestKProfReconciliationSoak is the guest-profiler exactness pin: the
@@ -208,7 +174,12 @@ func checkProfileTotals(rec RunRecord) error {
 // so this pins the emission order and the sim-time stamps, not just the
 // aggregate result.
 func TestDataPlaneTelemetryIdentical(t *testing.T) {
-	j := quantumJobs()[1] // Statistics on AssasinSb: flash, crossbar and stream buffers
+	var j soakJob // Statistics on AssasinSb: flash, crossbar and stream buffers
+	for _, c := range soakJobs() {
+		if c.w.kernel.Name() == "stat" && c.arch == ssd.AssasinSb {
+			j = c
+		}
+	}
 	run := func(plane firmware.PlaneMode) *telemetry.Sink {
 		tel := telemetry.NewSink()
 		if _, err := j.run(Config{Telemetry: tel}, soakMode{plane: plane}); err != nil {

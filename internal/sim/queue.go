@@ -1,59 +1,19 @@
 package sim
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
-// Event is a callback scheduled at a point in simulated time.
-//
-// Event objects are pooled by their queue: the handle returned by Schedule is
-// valid only until the event fires or is cancelled, after which the queue may
-// recycle the object for a later Schedule. Hold the handle to Cancel a
-// pending event; drop it once the event has been dispatched.
-type Event struct {
-	At Time
-	Fn func(now Time)
-
-	seq   int64 // tie-breaker: FIFO among simultaneous events
-	index int   // heap index; -2-lanePos when in the now-lane; -1 when not queued
+// event is a callback scheduled at a point in simulated time. Events are
+// held by value, so scheduling allocates nothing once the queue's backing
+// arrays have grown to the working set.
+type event struct {
+	at  Time
+	seq int64 // tie-breaker: FIFO among simultaneous events
+	fn  func(now Time)
 }
 
-// laneIndex encodes an absolute position in EventQueue.lane into Event.index
-// so a handle can be validated in O(1) without colliding with heap indices.
-func laneIndex(pos int) int { return -2 - pos }
-
-// lanePos inverts laneIndex; valid only when index <= -2.
-func lanePos(index int) int { return -2 - index }
-
-// eventHeap implements container/heap ordered by (At, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// before reports whether e dispatches ahead of o: (at, seq) order.
+func (e *event) before(o *event) bool {
+	return e.at < o.at || (e.at == o.at && e.seq < o.seq)
 }
 
 // EventQueue is a time-ordered queue of events with FIFO tie-breaking. The
@@ -62,30 +22,23 @@ func (h *eventHeap) Pop() any {
 // Internally it is two-level: events scheduled at the current time — the
 // dominant pattern in the firmware page pipeline, where every pump/deliver
 // hop schedules its successor "now" — go to an O(1) FIFO lane, while future
-// events go to the binary heap. The two are merged at the head by (At, seq),
+// events go to a binary heap. The two are merged at the head by (at, seq),
 // so dispatch order is exactly what a single heap would produce.
 type EventQueue struct {
-	heap eventHeap
+	heap []event // future events, a binary min-heap in (at, seq) order
 	now  Time
 	seq  int64
 	// lane holds events scheduled at (or clamped to) the current time, in
-	// (At, seq) order. laneHead indexes the next live entry; popped and
-	// cancelled slots before it are nil. The lane invariant — every lane
+	// (at, seq) order from laneHead on. The lane invariant — every lane
 	// entry sorts at-or-before every heap entry that was pending when it was
-	// appended — holds because Schedule clamps At to >= now and the heap
-	// never contains an event with At < now.
-	lane     []*Event
+	// appended — holds because Schedule clamps at to >= now and the heap
+	// never contains an event with at < now.
+	lane     []event
 	laneHead int
-	// horizon, when nonzero, is the deadline of the RunUntil/FlushUntil loop
+	// horizon, when nonzero, is the deadline of the FlushUntil/RunUntil loop
 	// currently dispatching; Horizon() exposes it so bulk callbacks (the
 	// firmware delivery train) can tell how far this dispatch round extends.
 	horizon Time
-	// free recycles dispatched/cancelled Event objects so the steady-state
-	// schedule→dispatch cycle of the firmware page pipeline allocates
-	// nothing. Cancelled lane entries are recycled only when their slot is
-	// popped, never at Cancel time, so a pending pop can never observe a
-	// reused payload.
-	free []*Event
 }
 
 // Now returns the time of the most recently dispatched event.
@@ -114,7 +67,7 @@ func (q *EventQueue) AdvanceTo(t Time) {
 // ReserveSeq claims and returns the next FIFO tie-break sequence number
 // without scheduling anything. Pair with ScheduleSeq: a caller that batches
 // several logical events into one can reserve each one's sequence number at
-// the point the per-event code would have scheduled it, keeping the (At, seq)
+// the point the per-event code would have scheduled it, keeping the (at, seq)
 // sort key — and therefore global dispatch order — identical.
 func (q *EventQueue) ReserveSeq() int64 {
 	q.seq++
@@ -124,125 +77,87 @@ func (q *EventQueue) ReserveSeq() int64 {
 // Schedule queues fn to run at time at. Scheduling in the past (before the
 // last dispatched event) snaps to the current time rather than violating
 // causality; callers that care should not do it.
-func (q *EventQueue) Schedule(at Time, fn func(now Time)) *Event {
+func (q *EventQueue) Schedule(at Time, fn func(now Time)) {
 	q.seq++
-	return q.insert(at, q.seq, fn)
+	q.ScheduleSeq(at, q.seq, fn)
 }
 
 // ScheduleSeq queues fn at time at with a previously reserved sequence
 // number. The reservation fixes the event's FIFO rank among simultaneous
 // events at the moment ReserveSeq was called, regardless of how many events
 // were scheduled since.
-func (q *EventQueue) ScheduleSeq(at Time, seq int64, fn func(now Time)) *Event {
-	return q.insert(at, seq, fn)
-}
-
-func (q *EventQueue) insert(at Time, seq int64, fn func(now Time)) *Event {
-	if at < q.now {
-		at = q.now
-	}
-	var e *Event
-	if n := len(q.free); n > 0 {
-		e = q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		e.At, e.Fn, e.seq = at, fn, seq
-	} else {
-		if cap(q.heap) == 0 {
-			// First use: pre-size the heap so the early fill of the page
-			// pipeline does not grow it step by step.
-			q.heap = make(eventHeap, 0, 64)
-		}
-		e = &Event{At: at, Fn: fn, seq: seq}
-	}
-	if at == q.now {
+func (q *EventQueue) ScheduleSeq(at Time, seq int64, fn func(now Time)) {
+	e := event{at: MaxT(at, q.now), seq: seq, fn: fn}
+	if e.at == q.now {
 		q.lanePush(e)
 	} else {
-		heap.Push(&q.heap, e)
+		q.heapPush(e)
 	}
-	return e
 }
 
-// lanePush appends e to the now-lane, inserting in (At, seq) order. The
+// lanePush appends e to the now-lane, inserting in (at, seq) order. The
 // common case — a fresh sequence number, larger than every pending one — is
 // a plain append; only ScheduleSeq with an older reservation walks backwards.
-func (q *EventQueue) lanePush(e *Event) {
-	pos := len(q.lane)
+func (q *EventQueue) lanePush(e event) {
 	q.lane = append(q.lane, e)
-	for pos > q.laneHead {
-		prev := q.lane[pos-1]
-		if prev.At < e.At || (prev.At == e.At && prev.seq < e.seq) {
+	i := len(q.lane) - 1
+	for ; i > q.laneHead && e.before(&q.lane[i-1]); i-- {
+		q.lane[i] = q.lane[i-1]
+	}
+	q.lane[i] = e
+}
+
+// heapPush sifts e up from the bottom of the heap.
+func (q *EventQueue) heapPush(e event) {
+	q.heap = append(q.heap, e)
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&h[p]) {
 			break
 		}
-		q.lane[pos] = prev
-		prev.index = laneIndex(pos)
-		pos--
+		h[i] = h[p]
+		i = p
 	}
-	q.lane[pos] = e
-	e.index = laneIndex(pos)
+	h[i] = e
 }
 
-// laneSkipCancelled pops cancelled tombstones off the lane head, recycling
-// them now that nothing can dereference their slot, and resets the lane
-// backing once drained so it never grows without bound.
-func (q *EventQueue) laneSkipCancelled() {
-	for q.laneHead < len(q.lane) {
-		e := q.lane[q.laneHead]
-		if e.Fn != nil {
-			return
+// heapPop removes and returns the heap's least event, sifting the last one
+// down from the root into the hole.
+func (q *EventQueue) heapPop() event {
+	h := q.heap
+	top, n := h[0], len(h)-1
+	last := h[n]
+	h[n] = event{} // drop the closure reference
+	h = h[:n]
+	q.heap = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		q.lane[q.laneHead] = nil
-		q.laneHead++
-		e.index = -1
-		q.free = append(q.free, e)
-	}
-	q.lane = q.lane[:0]
-	q.laneHead = 0
-}
-
-// recycle returns a no-longer-queued event to the pool, dropping its closure
-// reference.
-func (q *EventQueue) recycle(e *Event) {
-	e.Fn = nil
-	e.index = -1
-	q.free = append(q.free, e)
-}
-
-// ScheduleAfter queues fn to run delta after the current time.
-func (q *EventQueue) ScheduleAfter(delta Time, fn func(now Time)) *Event {
-	return q.Schedule(q.now+delta, fn)
-}
-
-// Cancel removes a queued event. Cancelling an already-fired or
-// already-cancelled event is a no-op (but see Event: a stale handle may by
-// then refer to a recycled object, so cancel only handles you know are still
-// pending). Heap events are unlinked immediately; lane events are
-// tombstoned in place and recycled when their slot is popped, so a
-// same-instant pop that already resolved the slot cannot fire a recycled
-// payload.
-func (q *EventQueue) Cancel(e *Event) {
-	if e == nil {
-		return
-	}
-	if e.index <= -2 {
-		pos := lanePos(e.index)
-		if pos < q.laneHead || pos >= len(q.lane) || q.lane[pos] != e {
-			return
+		if c+1 < n && h[c+1].before(&h[c]) {
+			c++
 		}
-		e.Fn = nil // tombstone; laneSkipCancelled/Step recycle it at pop time
-		return
+		if !h[c].before(&last) {
+			break
+		}
+		h[i] = h[c]
+		i = c
 	}
-	if e.index < 0 || e.index >= len(q.heap) || q.heap[e.index] != e {
-		return
-	}
-	heap.Remove(&q.heap, e.index)
-	q.recycle(e)
+	h[i] = last
+	return top
 }
 
-// Empty reports whether no events remain.
-func (q *EventQueue) Empty() bool {
-	q.laneSkipCancelled()
-	return q.laneHead >= len(q.lane) && len(q.heap) == 0
+// laneFirst reports whether the lane holds the next event to dispatch: it
+// is non-empty and its head sorts before the heap's top.
+func (q *EventQueue) laneFirst() bool {
+	return q.laneHead < len(q.lane) && (len(q.heap) == 0 || q.lane[q.laneHead].before(&q.heap[0]))
 }
 
 // PeekTime returns the time of the next event, or MaxTime if none.
@@ -251,81 +166,50 @@ func (q *EventQueue) PeekTime() Time {
 	return t
 }
 
-// PeekNext returns the (At, seq) sort key of the next event to dispatch, or
+// PeekNext returns the (at, seq) sort key of the next event to dispatch, or
 // (MaxTime, MaxInt64) if none. Bulk callbacks compare their pending work
 // against it to decide whether anything else must run first.
 func (q *EventQueue) PeekNext() (Time, int64) {
-	q.laneSkipCancelled()
-	le := q.laneHead < len(q.lane)
-	he := len(q.heap) > 0
 	switch {
-	case !le && !he:
-		return MaxTime, math.MaxInt64
-	case le && !he:
-		e := q.lane[q.laneHead]
-		return e.At, e.seq
-	case he && !le:
-		return q.heap[0].At, q.heap[0].seq
+	case q.laneFirst():
+		return q.lane[q.laneHead].at, q.lane[q.laneHead].seq
+	case len(q.heap) > 0:
+		return q.heap[0].at, q.heap[0].seq
 	}
-	l, h := q.lane[q.laneHead], q.heap[0]
-	if l.At < h.At || (l.At == h.At && l.seq < h.seq) {
-		return l.At, l.seq
-	}
-	return h.At, h.seq
+	return MaxTime, math.MaxInt64
 }
 
 // Step dispatches the next event. It reports false when the queue is empty.
 func (q *EventQueue) Step() bool {
-	q.laneSkipCancelled()
-	var e *Event
-	le := q.laneHead < len(q.lane)
-	he := len(q.heap) > 0
+	var e event
 	switch {
-	case !le && !he:
-		return false
-	case le && (!he || func() bool {
-		l, h := q.lane[q.laneHead], q.heap[0]
-		return l.At < h.At || (l.At == h.At && l.seq < h.seq)
-	}()):
+	case q.laneFirst():
 		e = q.lane[q.laneHead]
-		q.lane[q.laneHead] = nil
+		q.lane[q.laneHead] = event{}
 		q.laneHead++
-		if q.laneHead >= len(q.lane) {
-			q.lane = q.lane[:0]
-			q.laneHead = 0
+		if q.laneHead == len(q.lane) {
+			q.lane, q.laneHead = q.lane[:0], 0
 		}
+	case len(q.heap) > 0:
+		e = q.heapPop()
 	default:
-		e = heap.Pop(&q.heap).(*Event)
+		return false
 	}
-	q.now = e.At
-	fn, at := e.Fn, e.At
-	// Recycle before dispatch: the callback may Schedule, and should be able
-	// to reuse this object immediately.
-	q.recycle(e)
-	fn(at)
+	q.now = e.at
+	e.fn(e.at)
 	return true
 }
 
-// RunUntil dispatches events with At <= deadline and advances Now to
+// RunUntil dispatches events with at <= deadline and advances Now to
 // deadline (or to the last event time if that is later than the deadline
 // due to an exactly-at-deadline event). It returns the number of events run.
 func (q *EventQueue) RunUntil(deadline Time) int {
-	prev := q.horizon
-	q.horizon = deadline
-	n := 0
-	// PeekTime returns MaxTime for an empty queue, so when deadline is
-	// MaxTime the Step return is what terminates the loop.
-	for q.PeekTime() <= deadline && q.Step() {
-		n++
-	}
-	q.horizon = prev
-	if q.now < deadline {
-		q.now = deadline
-	}
+	n := q.FlushUntil(deadline)
+	q.AdvanceTo(deadline)
 	return n
 }
 
-// FlushUntil dispatches events with At <= deadline like RunUntil, but never
+// FlushUntil dispatches events with at <= deadline like RunUntil, but never
 // advances Now past the last dispatched event — callers that may keep
 // using the queue afterwards (e.g. between back-to-back requests) must not
 // have the clock dragged to an arbitrary deadline.
@@ -333,6 +217,8 @@ func (q *EventQueue) FlushUntil(deadline Time) int {
 	prev := q.horizon
 	q.horizon = deadline
 	n := 0
+	// PeekTime returns MaxTime for an empty queue, so when deadline is
+	// MaxTime the Step return is what terminates the loop.
 	for q.PeekTime() <= deadline && q.Step() {
 		n++
 	}

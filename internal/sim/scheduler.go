@@ -59,7 +59,6 @@ type procEntry struct {
 	p       Process
 	local   Time
 	readyAt Time
-	quantum Time // per-process run quantum; 0 = scheduler default
 	done    bool
 	track   *telemetry.Track // per-process dispatch lane; lazily created
 }
@@ -113,9 +112,8 @@ type Scheduler struct {
 	// here; the disabled path is a single nil check.
 	OnAdvance func(nowPs int64)
 
-	procs  []*procEntry
-	index  map[Process]*procEntry
-	quanta map[Process]Time // per-process quanta, also for not-yet-added procs
+	procs []*procEntry
+	index map[Process]*procEntry
 
 	// wakeGen increments whenever a Wake improves some process's readiness;
 	// Run's all-blocked fast-forward batches event dispatch until it changes
@@ -137,29 +135,9 @@ func (s *Scheduler) Add(p Process) {
 		e.readyAt = e.local
 		return
 	}
-	e := &procEntry{p: p, quantum: s.quanta[p]}
+	e := &procEntry{p: p}
 	s.procs = append(s.procs, e)
 	s.index[p] = e
-}
-
-// SetQuantum gives process p a private run quantum in place of the
-// scheduler-wide Quantum (0 restores the default). A larger quantum lets a
-// core that just received a large stream window burn through it in fewer
-// scheduler round-trips; it is only safe to raise for processes whose
-// shared-resource access order is insensitive to coarser interleaving (e.g.
-// stream-ISA cores that never touch the shared DRAM). The setting survives
-// re-Adds of the same process across offload requests.
-func (s *Scheduler) SetQuantum(p Process, q Time) {
-	if q < 0 {
-		q = 0
-	}
-	if s.quanta == nil {
-		s.quanta = make(map[Process]Time)
-	}
-	s.quanta[p] = q
-	if e, ok := s.index[p]; ok {
-		e.quantum = q
-	}
 }
 
 // Wake makes a waiting process runnable no later than t. Waking an unknown
@@ -267,11 +245,7 @@ func (s *Scheduler) Run(deadline Time) (Time, error) {
 		if s.OnAdvance != nil {
 			s.OnAdvance(int64(next.local))
 		}
-		q := next.quantum
-		if q <= 0 {
-			q = s.Quantum
-		}
-		limit := MinT(next.local+q, deadline)
+		limit := MinT(next.local+s.Quantum, deadline)
 		start := next.local
 		local, state, wake := next.p.Run(limit)
 		if local < next.local {

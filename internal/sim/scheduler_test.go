@@ -188,7 +188,7 @@ func TestSchedulerNowAcrossProcesses(t *testing.T) {
 }
 
 // limitProc records the limit passed to each Run call, advancing by step
-// until done — the observable effect of per-process quanta.
+// until done.
 type limitProc struct {
 	name   string
 	step   Time
@@ -211,62 +211,28 @@ func (p *limitProc) Run(limit Time) (Time, RunState, Time) {
 	return p.local, StateReady, 0
 }
 
-func TestSchedulerPerProcessQuantum(t *testing.T) {
+// TestSchedulerReAddResumesLocalTime: re-adding a finished process (a
+// second offload on the same core) resumes it from its prior local time.
+func TestSchedulerReAddResumesLocalTime(t *testing.T) {
 	s := NewScheduler()
-	s.Quantum = 10
-	wide := &limitProc{name: "wide", step: 1, n: 100}
-	dflt := &limitProc{name: "dflt", step: 1, n: 100}
-	s.Add(wide)
-	s.Add(dflt)
-	s.SetQuantum(wide, 50)
-	if _, err := s.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	// wide gets 50-unit slices (2 full runs + a spill); dflt 10-unit slices.
-	if len(wide.limits) >= len(dflt.limits) {
-		t.Fatalf("wide ran %d times, dflt %d times; larger quantum should need fewer runs",
-			len(wide.limits), len(dflt.limits))
-	}
-	if got := wide.limits[0]; got != 50 {
-		t.Errorf("wide first limit = %v, want 50", got)
-	}
-	if got := dflt.limits[0]; got != 10 {
-		t.Errorf("dflt first limit = %v, want 10", got)
-	}
-}
-
-func TestSchedulerQuantumSurvivesReAdd(t *testing.T) {
-	s := NewScheduler()
-	s.Quantum = 10
-	p := &limitProc{name: "p", step: 1, n: 5}
-	s.SetQuantum(p, 25) // set before the process was ever added
+	p := &limitProc{name: "p", step: Nanosecond, n: 5}
 	s.Add(p)
 	if _, err := s.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.limits[0]; got != 25 {
-		t.Fatalf("first limit = %v, want 25", got)
+	if got := p.limits[0]; got != s.Quantum {
+		t.Fatalf("first limit = %v, want the quantum %v", got, s.Quantum)
 	}
-	// Re-Add (a second offload on the same core process): the entry resumes
-	// from its prior local time (5) and keeps the private quantum.
 	p.n = 5
 	p.limits = nil
 	s.Add(p)
 	if _, err := s.Run(MaxTime); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.limits[0]; got != 5+25 {
-		t.Fatalf("limit after re-Add = %v, want 30 (local 5 + quantum 25)", got)
+	if got, want := p.limits[0], 5*Nanosecond+s.Quantum; got != want {
+		t.Fatalf("limit after re-Add = %v, want %v (local 5ns + quantum)", got, want)
 	}
-	// Negative restores the scheduler default (local is now 10).
-	s.SetQuantum(p, -1)
-	p.n = 5
-	p.limits = nil
-	s.Add(p)
-	if _, err := s.Run(MaxTime); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.limits[0]; got != 10+10 {
-		t.Fatalf("limit after reset = %v, want 20 (local 10 + default quantum 10)", got)
+	if s.Now() != 10*Nanosecond {
+		t.Fatalf("Now = %v after two runs of five 1ns steps, want 10ns", s.Now())
 	}
 }

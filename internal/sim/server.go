@@ -34,9 +34,6 @@ func NewBandwidthServer(name string, bytesPerSecond float64, latency Time) *Band
 // Name returns the label given at construction.
 func (s *BandwidthServer) Name() string { return s.name }
 
-// Bandwidth returns the configured bandwidth in bytes per second.
-func (s *BandwidthServer) Bandwidth() float64 { return s.bytesPerSecond }
-
 // TransferTime returns how long size bytes occupy the server.
 func (s *BandwidthServer) TransferTime(size int) Time {
 	if size <= 0 || s.bytesPerSecond <= 0 {
@@ -79,12 +76,4 @@ func (s *BandwidthServer) Utilization(now Time) float64 {
 		u = 1
 	}
 	return u
-}
-
-// Reset clears occupancy and statistics.
-func (s *BandwidthServer) Reset() {
-	s.nextFree = 0
-	s.busy = 0
-	s.bytes = 0
-	s.accesses = 0
 }

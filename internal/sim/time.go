@@ -85,13 +85,5 @@ func NewClock(hz float64) Clock {
 // Cycles converts a cycle count to a duration in this clock domain.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.Period }
 
-// CyclesAt returns how many full cycles of this clock fit in d.
-func (c Clock) CyclesAt(d Time) int64 {
-	if c.Period <= 0 {
-		return 0
-	}
-	return int64(d / c.Period)
-}
-
 // Hz returns the clock frequency in Hertz.
 func (c Clock) Hz() float64 { return float64(Second) / float64(c.Period) }

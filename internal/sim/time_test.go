@@ -80,9 +80,6 @@ func TestClock(t *testing.T) {
 	if c.Cycles(5) != 5*Nanosecond {
 		t.Errorf("Cycles(5) = %v", c.Cycles(5))
 	}
-	if c.CyclesAt(10*Nanosecond) != 10 {
-		t.Errorf("CyclesAt = %d", c.CyclesAt(10*Nanosecond))
-	}
 	if hz := c.Hz(); hz < 0.99e9 || hz > 1.01e9 {
 		t.Errorf("Hz = %g", hz)
 	}

@@ -56,12 +56,6 @@ type Options struct {
 	// oracle the data-plane tests compare against. Both produce
 	// byte-identical results, timing, and telemetry.
 	DataPlane firmware.PlaneMode
-	// CoreQuantum, when > 0, gives compute cores a private scheduler run
-	// quantum in place of the global default (1 µs). Larger quanta reduce
-	// scheduler round-trips per stream window at the cost of coarser
-	// event interleaving; results stay deterministic and are identical
-	// across Exec modes for any fixed value.
-	CoreQuantum sim.Time
 	// Telemetry, when non-nil, enables instrumentation across every
 	// component (scheduler, cores, stream buffers, crossbar, flash, FTL,
 	// firmware): counters/gauges/histograms plus the sim-clock event trace.
@@ -233,9 +227,6 @@ func New(opt Options) *SSD {
 		}
 		if opt.KProf != nil {
 			eng.AttachKProf(opt.KProf)
-		}
-		if opt.CoreQuantum > 0 {
-			s.Sched.SetQuantum(eng, opt.CoreQuantum)
 		}
 		s.Cores = append(s.Cores, eng)
 		s.Systems = append(s.Systems, sys)
