@@ -14,15 +14,13 @@ test: build
 # telemetry sink (documented single-threaded; the race gate catches
 # accidental sharing from tests), and the observability layer that serves
 # concurrent scrapers against a running simulation. The oracle soaks
-# (internal/experiments: compiled vs precise and coalesced vs per-page over
-# every workload row and architecture, kprof reconciliation, and per-page vs
-# coalesced telemetry on one workload) also run here, plus the request-trace
-# parallel-determinism check and the observed fan-out check (every
-# experiment's runs on private sinks): any Precise/Compiled or
-# coalesced/per-page divergence, any worker-count-dependent request summary
-# or merged metrics snapshot, and any data race is a release blocker.
-RACE_TESTS = TestExecCompiledMatchesPrecise TestDataPlaneCoalescedMatchesPerPage \
-	TestDataPlaneTelemetryIdentical TestKProfReconciliationSoak \
+# (internal/experiments: compiled vs precise over every workload row and
+# architecture, and kprof reconciliation) also run here, plus the
+# request-trace parallel-determinism check and the observed fan-out check
+# (every experiment's runs on private sinks): any Precise/Compiled
+# divergence, any worker-count-dependent request summary or merged metrics
+# snapshot, and any data race is a release blocker.
+RACE_TESTS = TestExecCompiledMatchesPrecise TestKProfReconciliationSoak \
 	TestRequestsParallelDeterminism TestLoadParallelDeterminism TestObservedFanOutParallelSafe
 empty :=
 space := $(empty) $(empty)
@@ -34,26 +32,33 @@ race: race-names
 # Fails when a RACE_TESTS name matches no test in internal/experiments, so
 # a renamed test cannot drop out of the race gate unnoticed.
 race-names:
-	@listed=$$(go test -list . ./internal/experiments/) || exit 1; \
-	for t in $(RACE_TESTS); do \
-		echo "$$listed" | grep -qx "$$t" || { echo "make race: no test named $$t in internal/experiments"; exit 1; }; \
-	done
+	@scripts/require-tests.sh ./internal/experiments/ $(RACE_TESTS)
 
-# A short bounded pass over every fuzz target: the compiled-vs-precise
-# differential fuzzer (its checked-in corpus under internal/cpu/testdata/fuzz
-# seeds it with kernel-shaped programs), the assembler parser, the SLO
-# duration and objective-spec parsers, the -load spec parser, the
-# page-granular SparseMem paths against a byte-wise reference and the
-# differential engine's input-format detection. go test -fuzz takes one
-# target per package run.
+# A short bounded pass over every fuzz target, one package:target:time
+# entry each: the compiled-vs-precise differential fuzzer (its checked-in
+# corpus under internal/cpu/testdata/fuzz seeds it with kernel-shaped
+# programs), the assembler parser, the SLO duration and objective-spec
+# parsers, the -load spec parser, the page-granular SparseMem paths against
+# a byte-wise reference, the differential engine's input-format detection
+# and the obs HTTP routes. go test -fuzz takes one target per package run,
+# and a target name that matches nothing fails the run.
+FUZZ_TARGETS = \
+	./internal/cpu/:FuzzExecEquivalence:10s \
+	./internal/asm/:FuzzParse:5s \
+	./internal/telemetry/slo/:FuzzParseDuration:5s \
+	./internal/telemetry/slo/:FuzzParseSpec:5s \
+	./internal/experiments/:FuzzParseLoadSpec:5s \
+	./internal/memhier/:FuzzSparseMem:5s \
+	./internal/telemetry/diff/:FuzzDecode:5s \
+	./internal/obs/:FuzzRoutes:5s
+
 fuzz-smoke:
-	go test ./internal/cpu/ -run '^$$' -fuzz FuzzExecEquivalence -fuzztime 10s
-	go test ./internal/asm/ -run '^$$' -fuzz FuzzParse -fuzztime 5s
-	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseDuration -fuzztime 5s
-	go test ./internal/telemetry/slo/ -run '^$$' -fuzz FuzzParseSpec -fuzztime 5s
-	go test ./internal/experiments/ -run '^$$' -fuzz FuzzParseLoadSpec -fuzztime 5s
-	go test ./internal/memhier/ -run '^$$' -fuzz FuzzSparseMem -fuzztime 5s
-	go test ./internal/telemetry/diff/ -run '^$$' -fuzz FuzzDecode -fuzztime 5s
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; rest=$${t#*:}; name=$${rest%%:*}; dur=$${rest#*:}; \
+		scripts/require-tests.sh $$pkg $$name || exit 1; \
+		echo "go test $$pkg -run '^$$' -fuzz '^$$name\$$' -fuzztime $$dur"; \
+		go test $$pkg -run '^$$' -fuzz "^$$name\$$" -fuzztime $$dur || exit 1; \
+	done
 
 # Run every example end to end. Each checks its own output and exits
 # non-zero on a mismatch; customkernel assembles its kernel from text with

@@ -126,12 +126,10 @@ type runOpts struct {
 	// windowPages overrides the per-slot input window depth (0 = arch
 	// default). Single-stream workloads may use the whole ISB capacity.
 	windowPages int
-	// exec and plane select the interpreter and the firmware delivery
-	// event structure. Only the equivalence soaks set them, to run each
-	// oracle (cpu.ExecPrecise, firmware.PlanePerPage) against the default
-	// and demand identical results.
-	exec  cpu.ExecMode
-	plane firmware.PlaneMode
+	// exec selects the interpreter. Only the equivalence soaks set it, to
+	// run the oracle (cpu.ExecPrecise) against the default and demand
+	// identical results.
+	exec cpu.ExecMode
 }
 
 // runStandalone builds a fresh SSD observed as cfg asks, installs the
@@ -149,7 +147,6 @@ func runStandalone(cfg Config, o runOpts) (*StandaloneRun, error) {
 		TimingAdjusted: o.adjusted,
 		WindowPages:    o.windowPages,
 		Exec:           o.exec,
-		DataPlane:      o.plane,
 	}))
 	var lpaLists [][]int
 	var lengths []int64

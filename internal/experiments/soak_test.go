@@ -11,7 +11,6 @@ import (
 	"assasin/internal/firmware"
 	"assasin/internal/runpool"
 	"assasin/internal/ssd"
-	"assasin/internal/telemetry"
 )
 
 // The oracle soaks: every fast path keeps one oracle, and these run each
@@ -21,8 +20,6 @@ import (
 //   - cpu.ExecPrecise steps one instruction at a time; the compiled engine
 //     must match it byte for byte (duration, stall decomposition, collected
 //     outputs, final registers).
-//   - firmware.PlanePerPage gives every page delivery its own event; the
-//     coalesced delivery train must match it the same way.
 //   - a kprof profile must sum exactly to the attribution classes, and the
 //     compiled engine's profile must equal the precise engine's.
 
@@ -59,10 +56,9 @@ func soak(t *testing.T, jobs []soakJob, check func(soakJob) error) {
 	}
 }
 
-// soakMode selects a soak run's engine, data plane and guest profiler.
+// soakMode selects a soak run's engine and guest profiler.
 type soakMode struct {
 	exec  cpu.ExecMode
-	plane firmware.PlaneMode
 	kprof bool
 }
 
@@ -70,7 +66,7 @@ type soakMode struct {
 func (j soakJob) run(cfg Config, m soakMode) (*StandaloneRun, error) {
 	o := j.w.opts(j.arch, 2, j.in)
 	o.collect = o.outKind != firmware.OutDiscard
-	o.exec, o.plane = m.exec, m.plane
+	o.exec = m.exec
 	cfg.KProf = m.kprof
 	r, err := runStandalone(cfg, o)
 	if err != nil {
@@ -101,14 +97,6 @@ func compareResults(j soakJob, oracle soakMode) error {
 // in the threaded-code translation as a Duration or CoreStats mismatch.
 func TestExecCompiledMatchesPrecise(t *testing.T) {
 	soak(t, soakJobs(), func(j soakJob) error { return compareResults(j, soakMode{exec: cpu.ExecPrecise}) })
-}
-
-// TestDataPlaneCoalescedMatchesPerPage catches drift in the coalescing
-// conditions (train inlining past a contention boundary, a suppressed pump
-// that was not provably dead, a clock not advanced through AdvanceTo) as a
-// Duration or CoreStats mismatch.
-func TestDataPlaneCoalescedMatchesPerPage(t *testing.T) {
-	soak(t, soakJobs(), func(j soakJob) error { return compareResults(j, soakMode{plane: firmware.PlanePerPage}) })
 }
 
 // TestKProfReconciliationSoak is the guest-profiler exactness pin: the
@@ -165,57 +153,4 @@ func checkProfileTotals(rec RunRecord) error {
 		}
 	}
 	return nil
-}
-
-// TestDataPlaneTelemetryIdentical runs one instrumented workload under both
-// plane modes and demands byte-identical telemetry: the same trace events in
-// the same order with the same payloads, and identical metrics JSON. The
-// coalesced train replays per-page telemetry from inside the bulk callback,
-// so this pins the emission order and the sim-time stamps, not just the
-// aggregate result.
-func TestDataPlaneTelemetryIdentical(t *testing.T) {
-	var j soakJob // Statistics on AssasinSb: flash, crossbar and stream buffers
-	for _, c := range soakJobs() {
-		if c.w.kernel.Name() == "stat" && c.arch == ssd.AssasinSb {
-			j = c
-		}
-	}
-	run := func(plane firmware.PlaneMode) *telemetry.Sink {
-		tel := telemetry.NewSink()
-		if _, err := j.run(Config{Telemetry: tel}, soakMode{plane: plane}); err != nil {
-			t.Fatal(err)
-		}
-		return tel
-	}
-	per := run(firmware.PlanePerPage)
-	coa := run(firmware.PlaneCoalesced)
-
-	pe, ce := per.Events(), coa.Events()
-	if len(pe) != len(ce) {
-		t.Fatalf("event count diverges: per-page %d, coalesced %d", len(pe), len(ce))
-	}
-	for i := range pe {
-		pj, err := json.Marshal(pe[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cj, err := json.Marshal(ce[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pj, cj) {
-			t.Fatalf("event %d diverges:\nper-page:  %s\ncoalesced: %s", i, pj, cj)
-		}
-	}
-
-	var pm, cm bytes.Buffer
-	if err := per.WriteMetricsJSON(&pm); err != nil {
-		t.Fatal(err)
-	}
-	if err := coa.WriteMetricsJSON(&cm); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pm.Bytes(), cm.Bytes()) {
-		t.Fatalf("metrics JSON diverges between plane modes")
-	}
 }

@@ -86,49 +86,14 @@ type Task struct {
 	Outputs []OutTarget
 }
 
-// PlaneMode selects how the firmware turns transferred pages into stream
-// pushes: one queue event per page (the reference structure), or a
-// coalesced delivery train that absorbs consecutive unconstrained
-// deliveries into a single dispatch. Both produce byte-identical timing,
-// results, and telemetry — the per-page mode exists as the equivalence
-// oracle for the coalesced default.
-type PlaneMode int
-
-// Data-plane modes. The zero value is the coalesced fast path so that
-// default-constructed options get the production configuration, mirroring
-// cpu.ExecCompiled.
-const (
-	// PlaneCoalesced batches consecutive page deliveries of one feeder
-	// into a single event dispatch whenever nothing else in the event
-	// queue would have fired between them (see feeder.train).
-	PlaneCoalesced PlaneMode = iota
-	// PlanePerPage schedules one delivery event per page, exactly the
-	// structure the per-page reference implementation used; the
-	// equivalence tests select it as the oracle for PlaneCoalesced.
-	PlanePerPage
-)
-
-// String implements fmt.Stringer.
-func (m PlaneMode) String() string {
-	switch m {
-	case PlaneCoalesced:
-		return "coalesced"
-	case PlanePerPage:
-		return "perpage"
-	default:
-		return fmt.Sprintf("PlaneMode(%d)", int(m))
-	}
-}
-
 // Config sets the engine's data-path behaviour.
 type Config struct {
 	PageSize int
 	Path     DataPath
-	// MaxSenses bounds outstanding array reads per stream feeder.
-	MaxSenses int
-	// Plane selects the delivery event structure (default PlaneCoalesced).
-	Plane PlaneMode
 }
+
+// maxSenses bounds outstanding array reads per stream feeder.
+const maxSenses = 24
 
 // Tel is the firmware telemetry bundle: data-plane volume counters, task
 // lifecycle instants on the "fw" track, and per-feeder/drainer page and
@@ -196,9 +161,6 @@ type Engine struct {
 
 // New returns an engine bound to the SSD's shared components.
 func New(cfg Config, sched *sim.Scheduler, f *ftl.FTL, dram *memhier.DRAM, xbar *crossbar.Crossbar) *Engine {
-	if cfg.MaxSenses <= 0 {
-		cfg.MaxSenses = 24
-	}
 	return &Engine{cfg: cfg, sched: sched, ftl: f, dram: dram, xbar: xbar,
 		fill:   memhier.DRAMClient{Name: "fill"},
 		fwCopy: memhier.DRAMClient{Name: "fw-copy"},
@@ -262,7 +224,6 @@ func (e *Engine) Submit(tasks []Task) error {
 				fd.pump(now)
 			}
 			fd.deliverFn = fd.deliverNext
-			fd.trainFn = fd.train
 			e.feeders = append(e.feeders, fd)
 			e.liveFeeders++
 			stream := fd.stream
@@ -375,15 +336,10 @@ type sensedPage struct {
 }
 
 // delivery is a transferred page waiting for its availability instant, when
-// it is pushed into the input stream. In per-page mode each delivery has its
-// own queue event; in coalesced mode the feeder keeps one armed "train"
-// event carrying the whole FIFO, with every entry retaining the (avail, seq)
-// sort key the per-page event would have had.
+// its own queue event pushes it into the input stream.
 type delivery struct {
-	data  []byte
-	avail sim.Time
-	seq   int64 // reserved event-queue rank (coalesced mode)
-	last  bool
+	data []byte
+	last bool
 }
 
 // feeder streams one StreamSpec into one input stream buffer. Its sensed
@@ -405,14 +361,12 @@ type feeder struct {
 	pendHead   int
 	claimed    int
 	pumping    bool
-	armed      bool // coalesced: a train event is queued
 	closed     bool
 	lastAvail  sim.Time         // enforces in-order delivery across channels
 	track      *telemetry.Track // per-feeder page spans; nil when disabled
 
 	pumpFn    func(now sim.Time) // clears pumping, runs pump
-	deliverFn func(now sim.Time) // per-page: deliver the pending head
-	trainFn   func(now sim.Time) // coalesced: run the delivery train
+	deliverFn func(now sim.Time) // delivers the pending head
 }
 
 func (f *feeder) sensedLen() int { return len(f.sensed) - f.sensedHead }
@@ -427,8 +381,6 @@ func (f *feeder) sensedPop() sensedPage {
 	}
 	return pg
 }
-
-func (f *feeder) pendingLen() int { return len(f.pending) - f.pendHead }
 
 func (f *feeder) pendingPop() delivery {
 	d := f.pending[f.pendHead]
@@ -488,7 +440,7 @@ func (f *feeder) pump(now sim.Time) {
 	}
 	arr := f.e.ftl.Array()
 	// Phase 1: issue array senses ahead.
-	for f.nextPage < len(f.spec.LPAs) && f.sensedLen() < f.e.cfg.MaxSenses {
+	for f.nextPage < len(f.spec.LPAs) && f.sensedLen() < maxSenses {
 		lpa := f.spec.LPAs[f.nextPage]
 		ppa, ok := f.e.ftl.Lookup(lpa)
 		if !ok {
@@ -515,7 +467,6 @@ func (f *feeder) pump(now sim.Time) {
 	for f.sensedLen() > 0 {
 		pg := f.sensed[f.sensedHead]
 		if !f.stream.CanPush(f.claimed + len(pg.data)) {
-			f.armTrain()
 			return // wait for OnFree
 		}
 		f.sensedPop()
@@ -531,15 +482,13 @@ func (f *feeder) pump(now sim.Time) {
 			return
 		}
 		// Pages from lightly loaded channels must not overtake earlier
-		// pages of the same stream: delivery is in stream order.
+		// pages of the same stream: delivery is in stream order, which is
+		// what lets deliverNext take the pending head.
 		avail = sim.MaxT(avail, f.lastAvail)
 		f.lastAvail = avail
 		if req := f.e.Req; req != nil {
 			// Per-page causal components: array sense, channel-bus transfer,
 			// and delivery (crossbar grant / DRAM stage plus in-order gating).
-			// Coalesced trains reuse these accumulators — attribution happens
-			// here at transfer time, so a train delivering N pages in one
-			// dispatch attributes all N in bulk with no extra work.
 			req.AddPage(f.task, int64(len(pg.data)),
 				int64(pg.senseDone-pg.senseStart), int64(txDone-start),
 				int64(avail-txDone), int64(avail))
@@ -552,18 +501,9 @@ func (f *feeder) pump(now sim.Time) {
 			f.e.Tel.BytesFed.Add(int64(len(pg.data)))
 		}
 		f.claimed += len(pg.data)
-		if f.e.cfg.Plane == PlanePerPage {
-			f.pending = append(f.pending, delivery{data: pg.data, avail: avail, last: pg.last})
-			f.e.sched.Events.Schedule(avail, f.deliverFn)
-		} else {
-			// Reserve the event-queue rank the per-page schedule would
-			// have claimed here, so the train's deliveries keep the exact
-			// global (At, seq) dispatch order.
-			seq := f.e.sched.Events.ReserveSeq()
-			f.pending = append(f.pending, delivery{data: pg.data, avail: avail, seq: seq, last: pg.last})
-		}
+		f.pending = append(f.pending, delivery{data: pg.data, last: pg.last})
+		f.e.sched.Events.Schedule(avail, f.deliverFn)
 	}
-	f.armTrain()
 	// Degenerate empty stream: close immediately.
 	if len(f.spec.LPAs) == 0 && !f.closed {
 		f.stream.Close()
@@ -578,66 +518,13 @@ func (f *feeder) pump(now sim.Time) {
 	}
 }
 
-// armTrain makes sure a coalesced-mode train event is queued at the pending
-// head's reserved (avail, seq) slot. No-op in per-page mode or when the
-// train is already armed or there is nothing pending.
-func (f *feeder) armTrain() {
-	if f.e.cfg.Plane == PlanePerPage || f.armed || f.pendingLen() == 0 {
-		return
-	}
-	d := f.pending[f.pendHead]
-	f.armed = true
-	f.e.sched.Events.ScheduleSeq(d.avail, d.seq, f.trainFn)
-}
-
-// train is the coalesced delivery loop: it fires as the pending head's own
-// event (same time, same FIFO rank as the per-page event would have had) and
-// then keeps delivering subsequent pending pages inline as long as each one
-// is exactly what the event queue would dispatch next — no other event
-// sorts before it and it lies within the current dispatch horizon. At the
-// first contention boundary (an interleaved pump or another feeder's event,
-// or an availability past the horizon) it re-arms at the blocked page's
-// reserved slot and yields.
-func (f *feeder) train(now sim.Time) {
-	f.armed = false
-	if f.e.err != nil {
-		return
-	}
-	q := &f.e.sched.Events
-	first := true
-	for f.pendingLen() > 0 {
-		d := f.pending[f.pendHead]
-		if !first {
-			nt, ns := q.PeekNext()
-			if d.avail > q.Horizon() || nt < d.avail || (nt == d.avail && ns < d.seq) {
-				f.armed = true
-				q.ScheduleSeq(d.avail, d.seq, f.trainFn)
-				return
-			}
-			// This delivery is the queue's next dispatch: absorb it here,
-			// advancing the clock exactly as its own event would have.
-			q.AdvanceTo(d.avail)
-			now = d.avail
-		}
-		first = false
-		f.pendingPop()
-		f.doDeliver(now, d)
-		if f.e.err != nil || f.closed {
-			return
-		}
-	}
-}
-
-// deliverNext is the per-page delivery event body: pages deliver strictly
-// in FIFO order (availability is monotone and ties break by schedule
-// order), so the fired event always corresponds to the pending head.
+// deliverNext is the delivery event body: it pushes the pending head into
+// the stream at its availability instant and handles end-of-stream. Pages
+// deliver strictly in FIFO order (pump clamps availability to be monotone
+// and ties break by schedule order), so the fired event always corresponds
+// to the pending head.
 func (f *feeder) deliverNext(at sim.Time) {
-	f.doDeliver(at, f.pendingPop())
-}
-
-// doDeliver pushes one transferred page into the stream at its availability
-// instant and handles end-of-stream.
-func (f *feeder) doDeliver(at sim.Time, d delivery) {
+	d := f.pendingPop()
 	f.claimed -= len(d.data)
 	if len(d.data) > 0 {
 		if err := f.stream.Push(d.data, at); err != nil {

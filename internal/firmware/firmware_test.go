@@ -10,6 +10,7 @@ import (
 	"assasin/internal/ftl"
 	"assasin/internal/memhier"
 	"assasin/internal/sim"
+	"assasin/internal/telemetry"
 )
 
 // rig bundles a minimal SSD data plane for firmware tests: 2-channel flash,
@@ -115,6 +116,95 @@ func TestEngineStreamsPagesToCore(t *testing.T) {
 	}
 	if e.CompletionTime() <= 0 {
 		t.Fatal("no completion time")
+	}
+}
+
+// TestEngineDeliversInStreamOrderPastBusyChannel stripes a stream over both
+// channels while channel 0's bus is kept busy, so pages on the idle channel
+// finish their transfers before the earlier pages of the same stream. Pages
+// must still push in stream order, each at its own delivery instant, and
+// those instants must not decrease: a page from the idle channel waits for
+// its predecessor. deliverNext relies on this, because it delivers the
+// pending head whenever any delivery event fires.
+func TestEngineDeliversInStreamOrderPastBusyChannel(t *testing.T) {
+	r := newRig(t)
+	data := make([]byte, 8*1024)
+	for i := range data {
+		data[i] = byte(i * 13)
+	}
+	lpas := r.install(t, data)
+	arr := r.f.Array()
+	busyUntil := sim.Time(0)
+	for i := 0; i < 200; i++ {
+		done, err := arr.Transfer(0, 0, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		busyUntil = done
+	}
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
+	e := New(Config{PageSize: 1024, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
+	sink := telemetry.NewSink()
+	e.Tel = NewTel(sink)
+	if err := e.Submit([]Task{{
+		Core:    r.core,
+		Inputs:  []StreamSpec{{LPAs: lpas, Length: int64(len(data))}},
+		Outputs: []OutTarget{{Kind: OutToHost, Collect: true}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	var pushes []sim.Time
+	in := r.sys.Streams.In[0]
+	onPush := in.OnPush
+	in.OnPush = func(at sim.Time) {
+		pushes = append(pushes, at)
+		onPush(at)
+	}
+	r.sched.Add(r.core)
+	if _, err := r.sched.Run(10 * sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Done() {
+		t.Fatal("engine incomplete")
+	}
+	if got := e.Collected(0, 0); !bytes.Equal(got, data) {
+		t.Fatal("pages arrived out of stream order")
+	}
+
+	// The feeder's page spans, emitted in stream order, end at each page's
+	// delivery instant.
+	var avail []sim.Time
+	var channel []int64
+	for _, ev := range sink.Events() {
+		if ev.Track == "fw/core0/in0" && ev.Name == "page" {
+			avail = append(avail, sim.Time(ev.TsPs+ev.DurPs))
+			channel = append(channel, ev.Args["channel"])
+		}
+	}
+	if len(avail) != len(lpas) || len(pushes) != len(lpas) {
+		t.Fatalf("%d page spans and %d pushes for %d pages", len(avail), len(pushes), len(lpas))
+	}
+	waited := false
+	for i := range avail {
+		if pushes[i] != avail[i] {
+			t.Fatalf("page %d pushed at %v, delivered at %v", i, pushes[i], avail[i])
+		}
+		if i == 0 {
+			continue
+		}
+		if avail[i] < avail[i-1] {
+			t.Fatalf("page %d (channel %d) delivered at %v, before page %d at %v",
+				i, channel[i], avail[i], i-1, avail[i-1])
+		}
+		if channel[i] == 1 && channel[i-1] == 0 && avail[i] == avail[i-1] && avail[i] > busyUntil {
+			waited = true
+		}
+	}
+	if !waited {
+		t.Fatal("no idle-channel page waited for its busy-channel predecessor; the test does not exercise ordering")
 	}
 }
 

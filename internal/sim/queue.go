@@ -1,7 +1,5 @@
 package sim
 
-import "math"
-
 // event is a callback scheduled at a point in simulated time. Events are
 // held by value, so scheduling allocates nothing once the queue's backing
 // arrays have grown to the working set.
@@ -20,91 +18,37 @@ func (e *event) before(o *event) bool {
 // zero value is ready to use.
 //
 // Internally it is two-level: events scheduled at the current time — the
-// dominant pattern in the firmware page pipeline, where every pump/deliver
-// hop schedules its successor "now" — go to an O(1) FIFO lane, while future
+// dominant pattern in the firmware page pipeline, where every pump hop
+// schedules its successor "now" — go to an O(1) FIFO lane, while future
 // events go to a binary heap. The two are merged at the head by (at, seq),
 // so dispatch order is exactly what a single heap would produce.
 type EventQueue struct {
 	heap []event // future events, a binary min-heap in (at, seq) order
 	now  Time
 	seq  int64
-	// lane holds events scheduled at (or clamped to) the current time, in
-	// (at, seq) order from laneHead on. The lane invariant — every lane
-	// entry sorts at-or-before every heap entry that was pending when it was
-	// appended — holds because Schedule clamps at to >= now and the heap
-	// never contains an event with at < now.
+	// lane holds events scheduled at (or clamped to) the current time from
+	// laneHead on. Each entry is appended at Now with a fresh sequence
+	// number, and Now only moves forward, so the lane is in (at, seq) order
+	// by construction. A heap entry can still tie with it at Now and carry
+	// an older seq, which is why the head merge compares the two.
 	lane     []event
 	laneHead int
-	// horizon, when nonzero, is the deadline of the FlushUntil/RunUntil loop
-	// currently dispatching; Horizon() exposes it so bulk callbacks (the
-	// firmware delivery train) can tell how far this dispatch round extends.
-	horizon Time
 }
 
 // Now returns the time of the most recently dispatched event.
 func (q *EventQueue) Now() Time { return q.now }
-
-// Horizon returns the furthest time the current dispatch round is committed
-// to reach: the active RunUntil/FlushUntil deadline, or Now for a bare Step.
-// Events at times <= Horizon() are guaranteed to fire within this round.
-func (q *EventQueue) Horizon() Time {
-	if q.horizon > q.now {
-		return q.horizon
-	}
-	return q.now
-}
-
-// AdvanceTo moves the clock forward to t without dispatching anything. Bulk
-// callbacks that absorb what would have been several later events (the
-// firmware delivery train) use it so code running under them observes the
-// same Now as the per-event world. Moving backwards is a no-op.
-func (q *EventQueue) AdvanceTo(t Time) {
-	if t > q.now {
-		q.now = t
-	}
-}
-
-// ReserveSeq claims and returns the next FIFO tie-break sequence number
-// without scheduling anything. Pair with ScheduleSeq: a caller that batches
-// several logical events into one can reserve each one's sequence number at
-// the point the per-event code would have scheduled it, keeping the (at, seq)
-// sort key — and therefore global dispatch order — identical.
-func (q *EventQueue) ReserveSeq() int64 {
-	q.seq++
-	return q.seq
-}
 
 // Schedule queues fn to run at time at. Scheduling in the past (before the
 // last dispatched event) snaps to the current time rather than violating
 // causality; callers that care should not do it.
 func (q *EventQueue) Schedule(at Time, fn func(now Time)) {
 	q.seq++
-	q.ScheduleSeq(at, q.seq, fn)
-}
-
-// ScheduleSeq queues fn at time at with a previously reserved sequence
-// number. The reservation fixes the event's FIFO rank among simultaneous
-// events at the moment ReserveSeq was called, regardless of how many events
-// were scheduled since.
-func (q *EventQueue) ScheduleSeq(at Time, seq int64, fn func(now Time)) {
-	e := event{at: MaxT(at, q.now), seq: seq, fn: fn}
+	e := event{at: MaxT(at, q.now), seq: q.seq, fn: fn}
 	if e.at == q.now {
-		q.lanePush(e)
+		q.lane = append(q.lane, e)
 	} else {
 		q.heapPush(e)
 	}
-}
-
-// lanePush appends e to the now-lane, inserting in (at, seq) order. The
-// common case — a fresh sequence number, larger than every pending one — is
-// a plain append; only ScheduleSeq with an older reservation walks backwards.
-func (q *EventQueue) lanePush(e event) {
-	q.lane = append(q.lane, e)
-	i := len(q.lane) - 1
-	for ; i > q.laneHead && e.before(&q.lane[i-1]); i-- {
-		q.lane[i] = q.lane[i-1]
-	}
-	q.lane[i] = e
 }
 
 // heapPush sifts e up from the bottom of the heap.
@@ -162,21 +106,13 @@ func (q *EventQueue) laneFirst() bool {
 
 // PeekTime returns the time of the next event, or MaxTime if none.
 func (q *EventQueue) PeekTime() Time {
-	t, _ := q.PeekNext()
-	return t
-}
-
-// PeekNext returns the (at, seq) sort key of the next event to dispatch, or
-// (MaxTime, MaxInt64) if none. Bulk callbacks compare their pending work
-// against it to decide whether anything else must run first.
-func (q *EventQueue) PeekNext() (Time, int64) {
 	switch {
 	case q.laneFirst():
-		return q.lane[q.laneHead].at, q.lane[q.laneHead].seq
+		return q.lane[q.laneHead].at
 	case len(q.heap) > 0:
-		return q.heap[0].at, q.heap[0].seq
+		return q.heap[0].at
 	}
-	return MaxTime, math.MaxInt64
+	return MaxTime
 }
 
 // Step dispatches the next event. It reports false when the queue is empty.
@@ -205,7 +141,7 @@ func (q *EventQueue) Step() bool {
 // due to an exactly-at-deadline event). It returns the number of events run.
 func (q *EventQueue) RunUntil(deadline Time) int {
 	n := q.FlushUntil(deadline)
-	q.AdvanceTo(deadline)
+	q.now = MaxT(q.now, deadline)
 	return n
 }
 
@@ -214,15 +150,12 @@ func (q *EventQueue) RunUntil(deadline Time) int {
 // using the queue afterwards (e.g. between back-to-back requests) must not
 // have the clock dragged to an arbitrary deadline.
 func (q *EventQueue) FlushUntil(deadline Time) int {
-	prev := q.horizon
-	q.horizon = deadline
 	n := 0
 	// PeekTime returns MaxTime for an empty queue, so when deadline is
 	// MaxTime the Step return is what terminates the loop.
 	for q.PeekTime() <= deadline && q.Step() {
 		n++
 	}
-	q.horizon = prev
 	return n
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -54,41 +53,6 @@ func TestEventQueueTwoLevelMerge(t *testing.T) {
 	}
 }
 
-// TestEventQueueReservedSeq checks that ScheduleSeq restores the FIFO rank
-// claimed at ReserveSeq time, even for insertions after later-seq peers.
-func TestEventQueueReservedSeq(t *testing.T) {
-	var q EventQueue
-	var got []int
-	s1 := q.ReserveSeq()
-	q.Schedule(0, func(Time) { got = append(got, 2) })
-	q.ScheduleSeq(0, s1, func(Time) { got = append(got, 1) })
-	s2 := q.ReserveSeq()
-	q.Schedule(5, func(Time) { got = append(got, 4) })
-	q.ScheduleSeq(5, s2, func(Time) { got = append(got, 3) })
-	q.Drain(0)
-	if len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 4 {
-		t.Fatalf("reserved-seq order = %v, want [1 2 3 4]", got)
-	}
-}
-
-func TestEventQueueHorizon(t *testing.T) {
-	var q EventQueue
-	var inRun, inFlush, inStep Time
-	q.Schedule(10, func(Time) { inRun = q.Horizon() })
-	q.RunUntil(100)
-	q.Schedule(200, func(Time) { inFlush = q.Horizon() })
-	q.FlushUntil(300)
-	q.Schedule(400, func(Time) { inStep = q.Horizon() })
-	q.Step()
-	if inRun != 100 || inFlush != 300 || inStep != 400 {
-		t.Fatalf("Horizon inside RunUntil/FlushUntil/Step = %v/%v/%v, want 100/300/400",
-			inRun, inFlush, inStep)
-	}
-	if q.Horizon() != q.Now() {
-		t.Fatalf("idle Horizon = %v, want Now (%v)", q.Horizon(), q.Now())
-	}
-}
-
 func TestEventQueueRunUntil(t *testing.T) {
 	var q EventQueue
 	var got []Time
@@ -134,8 +98,7 @@ func TestEventQueueScheduleDuringDispatch(t *testing.T) {
 
 // TestEventQueueRandomizedOrdering drives the queue with a seeded mix of
 // every operation the simulator uses — Schedule at now, in the future and in
-// the past; ReserveSeq with a later ScheduleSeq of the older seq into the
-// lane or the heap; callbacks that schedule at their own instant; Step,
+// the past; callbacks that schedule at their own instant or later; Step,
 // RunUntil and FlushUntil — against a reference model: a plain slice of
 // pending (at, seq) keys from which the smallest always fires next.
 func TestEventQueueRandomizedOrdering(t *testing.T) {
@@ -147,51 +110,18 @@ func TestEventQueueRandomizedOrdering(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var (
-			q        EventQueue
-			pending  []key   // the model: events scheduled and not yet fired
-			reserved []int64 // sequence numbers reserved and not yet scheduled
-			seq      int64   // the model's copy of the queue's seq counter
-			now      Time    // the model's clock
-			ids      int
-			fired    int
+			q       EventQueue
+			pending []key // the model: events scheduled and not yet fired
+			seq     int64 // the model's copy of the queue's seq counter
+			now     Time  // the model's clock
+			fired   int
 		)
 		var fire func(id int) func(Time)
-		add := func(at Time, s int64, withSeq bool) {
-			k := key{at: MaxT(at, now), seq: s, id: ids}
-			ids++
-			pending = append(pending, k)
-			if withSeq {
-				q.ScheduleSeq(at, s, fire(k.id))
-			} else {
-				q.Schedule(at, fire(k.id))
-			}
-		}
 		schedule := func(at Time) {
 			seq++
-			add(at, seq, false)
-		}
-		reserve := func() {
-			seq++
-			if s := q.ReserveSeq(); s != seq {
-				t.Fatalf("seed %d: ReserveSeq = %d, model %d", seed, s, seq)
-			}
-			reserved = append(reserved, seq)
-		}
-		// scheduleReserved schedules a random outstanding reservation, older
-		// than every seq handed out since, at now (the lane) or later (the
-		// heap).
-		scheduleReserved := func() {
-			if len(reserved) == 0 {
-				return
-			}
-			i := rng.Intn(len(reserved))
-			s := reserved[i]
-			reserved = append(reserved[:i], reserved[i+1:]...)
-			at := now
-			if rng.Intn(2) == 0 {
-				at += Time(rng.Intn(20) + 1)
-			}
-			add(at, s, true)
+			k := key{at: MaxT(at, now), seq: seq, id: int(seq)}
+			pending = append(pending, k)
+			q.Schedule(at, fire(k.id))
 		}
 		fire = func(id int) func(Time) {
 			return func(at Time) {
@@ -208,24 +138,20 @@ func TestEventQueueRandomizedOrdering(t *testing.T) {
 				pending = append(pending[:min], pending[min+1:]...)
 				now = at
 				fired++
-				if ids > 3000 {
+				if seq > 3000 {
 					return
 				}
-				switch rng.Intn(6) {
+				switch rng.Intn(5) {
 				case 0, 1:
 					schedule(at)
 				case 2:
 					schedule(at + Time(rng.Intn(20)+1))
-				case 3:
-					reserve()
-				case 4:
-					scheduleReserved()
 				}
 			}
 		}
 		for op := 0; op < 1500; op++ {
 			before := fired
-			switch rng.Intn(9) {
+			switch rng.Intn(7) {
 			case 0:
 				schedule(now)
 			case 1, 2:
@@ -233,21 +159,17 @@ func TestEventQueueRandomizedOrdering(t *testing.T) {
 			case 3:
 				schedule(now - Time(rng.Intn(5))) // snaps to now
 			case 4:
-				reserve()
-			case 5:
-				scheduleReserved()
-			case 6:
 				empty := len(pending) == 0
 				if q.Step() == empty {
 					t.Fatalf("seed %d: Step = %v with %d pending", seed, !empty, len(pending))
 				}
-			case 7:
+			case 5:
 				deadline := now + Time(rng.Intn(40))
 				if n := q.RunUntil(deadline); n != fired-before {
 					t.Fatalf("seed %d: RunUntil ran %d events, model saw %d", seed, n, fired-before)
 				}
 				now = MaxT(now, deadline)
-			case 8:
+			case 6:
 				deadline := now + Time(rng.Intn(40))
 				if n := q.FlushUntil(deadline); n != fired-before {
 					t.Fatalf("seed %d: FlushUntil ran %d events, model saw %d", seed, n, fired-before)
@@ -256,18 +178,13 @@ func TestEventQueueRandomizedOrdering(t *testing.T) {
 			if q.Now() != now {
 				t.Fatalf("seed %d op %d: Now = %v, model %v", seed, op, q.Now(), now)
 			}
-			wantAt, wantSeq := MaxTime, int64(math.MaxInt64)
+			want := MaxTime
 			for _, k := range pending {
-				if k.at < wantAt || (k.at == wantAt && k.seq < wantSeq) {
-					wantAt, wantSeq = k.at, k.seq
-				}
+				want = MinT(want, k.at)
 			}
-			if at, s := q.PeekNext(); at != wantAt || s != wantSeq {
-				t.Fatalf("seed %d op %d: PeekNext = (%v, %d), model (%v, %d)", seed, op, at, s, wantAt, wantSeq)
+			if at := q.PeekTime(); at != want {
+				t.Fatalf("seed %d op %d: PeekTime = %v, model %v", seed, op, at, want)
 			}
-		}
-		for len(reserved) > 0 {
-			scheduleReserved()
 		}
 		q.Drain(0)
 		if len(pending) != 0 {

@@ -49,13 +49,6 @@ type Options struct {
 	// reference semantics the equivalence tests compare against. Both
 	// produce byte-identical results.
 	Exec cpu.ExecMode
-	// DataPlane is the equivalence-oracle selector for the firmware
-	// delivery event structure: the zero value firmware.PlaneCoalesced
-	// batches consecutive unconstrained page deliveries into single event
-	// dispatches; firmware.PlanePerPage keeps one event per page, the
-	// oracle the data-plane tests compare against. Both produce
-	// byte-identical results, timing, and telemetry.
-	DataPlane firmware.PlaneMode
 	// Telemetry, when non-nil, enables instrumentation across every
 	// component (scheduler, cores, stream buffers, crossbar, flash, FTL,
 	// firmware): counters/gauges/histograms plus the sim-clock event trace.
@@ -419,7 +412,6 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 	engine := firmware.New(firmware.Config{
 		PageSize: s.Opt.Flash.PageSize,
 		Path:     s.DataPath(),
-		Plane:    s.Opt.DataPlane,
 	}, s.Sched, s.FTL, s.DRAM, s.Xbar)
 	engine.Tel = firmware.NewTel(s.Opt.Telemetry)
 

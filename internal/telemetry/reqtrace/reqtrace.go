@@ -12,9 +12,9 @@
 // instances — every method is a nil-receiver no-op, so call sites in the
 // data plane compile to a branch on a nil pointer. Records are fixed-shape
 // and pooled: task slots and segment slices are reused across requests, and
-// the per-page accounting is plain integer accumulation (coalesced delivery
-// trains attribute whole trains through the same adds), so steady-state
-// tracing allocates nothing per page.
+// the per-page accounting is plain integer accumulation, one AddPage per
+// page the firmware transfers, so steady-state tracing allocates nothing
+// per page.
 //
 // Like package telemetry, a Tracer belongs to one simulation goroutine.
 // Parallel fan-outs give every run a private tracer (the per-run-sink
@@ -124,7 +124,7 @@ type TaskTrace struct {
 	Instructions int64 `json:"instructions"`
 	Dispatches   int64 `json:"dispatches"`
 
-	// Feeder-side accumulators (per page, attributed in bulk by trains).
+	// Feeder-side accumulators, one AddPage per page.
 	PagesFed     int64 `json:"pages_fed"`
 	BytesFed     int64 `json:"bytes_fed"`
 	SensePs      int64 `json:"sense_ps"`
@@ -220,7 +220,7 @@ func (r *Request) TaskSetup(task, coreID int) {
 	r.Tasks[task].CoreID = coreID
 }
 
-// AddPage accounts one delivered page (or one train member) on task's
+// AddPage accounts one delivered page on task's
 // feeder side: the sense, bus-transfer, and delivery (crossbar grant / DRAM
 // stage) wait components plus the availability instant.
 func (r *Request) AddPage(task int, bytes, sensePs, transferPs, deliverPs, availPs int64) {

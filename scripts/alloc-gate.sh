@@ -2,20 +2,50 @@
 # Alloc-regression gate for the simulator's hot paths: the event queue and
 # the crossbar arbitration benchmarks must report exactly 0 allocs/op, and
 # the firmware steady-state guard tests (which pin the whole
-# feeder -> crossbar -> stream-buffer page path, both with request tracing
-# disabled and with a live request record attached) must pass. Any per-event
-# or per-page allocation that sneaks back in fails CI here with a benchmark
-# name attached. The guest-profiler guard rides along: with no kprof
-# profiler attached, both exec engines must stay allocation-free per
-# Run slice (the disabled half of the kprof zero-cost contract).
+# feeder -> crossbar -> stream-buffer page path, one delivery event per
+# page, both with request tracing disabled and with a live request record
+# attached) must pass. Any per-event or per-page allocation that sneaks back
+# in fails CI here with a benchmark name attached. The guest-profiler guard
+# rides along: with no kprof profiler attached, both exec engines must stay
+# allocation-free per Run slice (the disabled half of the kprof zero-cost
+# contract).
+#
+# Every test and benchmark is named exactly, and scripts/require-tests.sh
+# fails the gate when a name matches nothing in its package.
 set -eu
 cd "$(dirname "$0")/.."
 
 OUT="$(mktemp)"
-trap 'rm -f "$OUT"' EXIT
+RUN="$(mktemp)"
+trap 'rm -f "$OUT" "$RUN"' EXIT
 
-go test ./internal/sim/ -run '^$' -bench 'BenchmarkEventQueue' -benchmem -benchtime 10000x | tee "$OUT"
-go test ./internal/crossbar/ -run '^$' -bench 'BenchmarkCrossbarArbitration' -benchmem -benchtime 10000x | tee -a "$OUT"
+# anchored NAME...: a -run/-bench pattern matching exactly the names.
+anchored() {
+	echo "^($(echo "$@" | tr ' ' '|'))\$"
+}
+
+# bench PKG NAME...: run the named benchmarks, collecting their lines.
+bench() {
+	pkg=$1
+	shift
+	scripts/require-tests.sh "$pkg" "$@"
+	go test "$pkg" -run '^$' -bench "$(anchored "$@")" -benchmem -benchtime 10000x >"$RUN" || {
+		cat "$RUN"
+		exit 1
+	}
+	tee -a "$OUT" <"$RUN"
+}
+
+# run PKG NAME...: run the named tests.
+run() {
+	pkg=$1
+	shift
+	scripts/require-tests.sh "$pkg" "$@"
+	go test "$pkg" -run "$(anchored "$@")" -count 1
+}
+
+bench ./internal/sim/ BenchmarkEventQueue BenchmarkEventQueueMixed
+bench ./internal/crossbar/ BenchmarkCrossbarArbitration
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
 if [ -n "$bad" ]; then
@@ -24,21 +54,21 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-go test ./internal/firmware/ -run 'TestDataPlaneSteadyStateZeroAlloc|TestReqtraceSteadyStateZeroAlloc' -count 1
-go test ./internal/telemetry/reqtrace/ -run 'TestSteadyStateZeroAlloc|TestNilZeroCost' -count 1
-go test ./internal/cpu/ -run 'TestKProfDisabledZeroAlloc' -count 1
+run ./internal/firmware/ TestDataPlaneSteadyStateZeroAlloc TestReqtraceSteadyStateZeroAlloc
+run ./internal/telemetry/reqtrace/ TestSteadyStateZeroAlloc TestNilZeroCost
+run ./internal/cpu/ TestKProfDisabledZeroAlloc
 # The streaming-SLO half of the zero-cost contract: window ticks and
 # rotations allocate nothing in steady state, nil windows are free, and the
 # engine's per-request observation path is allocation-free.
-go test ./internal/telemetry/window/ -run 'TestWindowTickZeroAlloc|TestNilWindowsZeroCost' -count 1
-go test ./internal/telemetry/slo/ -run 'TestObserveRequestZeroAlloc' -count 1
+run ./internal/telemetry/window/ TestWindowTickZeroAlloc TestNilWindowsZeroCost
+run ./internal/telemetry/slo/ TestObserveRequestZeroAlloc
 # The conventional-command serving path: a pooled command record carries one
 # traced read through nvme, reqtrace, telemetry and the slo engine without
 # allocating.
-go test ./internal/nvme/ -run 'TestSubmitSteadyStateZeroAlloc' -count 1
+run ./internal/nvme/ TestSubmitSteadyStateZeroAlloc
 # Set-up cost: one 16 KiB offload per architecture stays within its byte
 # budget, so stream windows, scratchpads and FTL maps stay sized to the
 # pages an offload touches.
-go test ./internal/ssd/ -run 'TestOffloadAllocBudget' -count 1
+run ./internal/ssd/ TestOffloadAllocBudget
 
 echo "alloc-gate: hot paths are allocation-free"
