@@ -140,10 +140,11 @@ func main() {
 		fatal(fmt.Errorf("-timeline-interval-us must be > 0, got %g", *tlIvalUs))
 	}
 
-	// Metrics, timelines, request traces, and attribution reports are all
-	// parallel-safe (per-run sinks and tracers, with run records re-ordered
-	// deterministically at experiment boundaries), so only trace capture —
-	// which needs the shared single-goroutine sink — still forces sequential
+	// Every run observes privately and the root absorbs it (see
+	// experiments.Observer); run records are re-ordered deterministically at
+	// experiment boundaries. So metrics, timelines, request traces and
+	// attribution reports are parallel-safe, and only trace capture, whose
+	// events the root appends in the order runs finish, forces sequential
 	// simulation.
 	var forcedBy []string
 	if *tracePth != "" {
@@ -159,8 +160,7 @@ func main() {
 		tel = telemetry.NewSink()
 		tel.Log = log
 		if *tracePth == "" {
-			// Metrics-only root: every run gets a private sink merged at its
-			// boundary (see experiments.Observer).
+			// Metrics-only root: the runs' private sinks record no events.
 			tel.MaxEvents = -1
 		}
 		cfg.Telemetry = tel
@@ -207,13 +207,8 @@ func main() {
 		}
 	}
 
-	names := strings.Split(*exp, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	if *exp == "all" {
-		names = experiments.ExperimentIDs()
-	} else if err := experiments.ValidateNames(names); err != nil {
+	names, err := experiments.ParseNames(*exp)
+	if err != nil {
 		fatal(err)
 	}
 	if *jsonDir != "" {
@@ -312,9 +307,8 @@ func fatal(err error) {
 // sorted by (label, cores, input bytes, duration) — a deterministic total
 // order over every experiment's fan-out — before observation, so collector
 // run ids, attribution reports, and slowest-request tables are independent
-// of parallel completion order. Each record carries its own counter-delta
-// baseline (RunRecord.Prev), so the order of observation cannot change a
-// report.
+// of parallel completion order. Each record's metrics come from the run's
+// private sink, so the order of observation cannot change a report.
 func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector, requests int, jsonDir string, kprofN int, kprofDir string) {
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := &recs[i], &recs[j]

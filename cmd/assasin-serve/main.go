@@ -102,21 +102,18 @@ func main() {
 	}
 	cfg.Log = log
 
-	names := strings.Split(*exp, ",")
-	for i := range names {
-		names[i] = strings.TrimSpace(names[i])
-	}
-	if *exp == "all" {
-		names = experiments.ExperimentIDs()
-	} else if err := experiments.ValidateNames(names); err != nil {
+	names, err := experiments.ParseNames(*exp)
+	if err != nil {
 		fatal(err)
 	}
 
-	// The root sink records trace events, so every run shares it and the
-	// experiments run sequentially (see experiments.Observer): each run's
-	// metrics snapshot, and so /metrics, is cumulative. The HTTP side only
-	// ever reads published snapshots.
+	// The root sink is metrics-only. Each run observes privately and the
+	// root absorbs it before OnRunDone (see experiments.Observer), which
+	// stores the run under /runs and publishes the root's snapshot, so
+	// /metrics covers every run so far. The HTTP side only ever reads
+	// published snapshots.
 	tel := telemetry.NewSink()
+	tel.MaxEvents = -1
 	tel.Log = log
 	cfg.Telemetry = tel
 	cfg.Timeline = &timeline.Config{}
@@ -126,12 +123,14 @@ func main() {
 	coll.SetBuildInfo(buildinfo.Get().PromLabels()...)
 	cfg.OnRunDone = func(rec experiments.RunRecord) {
 		coll.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
+		coll.PublishMetrics(tel.Metrics())
 	}
 
 	// The load experiment streams its SLO state: every burn-evaluation
 	// boundary publishes a fresh status + live snapshot, so /slo and /live
-	// move in sim time while the run executes (runs share the root sink,
-	// so drives run sequentially and publications stay ordered).
+	// move in sim time while the run executes (cfg.Workers stays at its
+	// sequential default, so drives run one at a time and publications stay
+	// ordered).
 	lc := experiments.DefaultLoad()
 	if *quick {
 		lc = experiments.QuickLoad()
@@ -194,7 +193,6 @@ func main() {
 				coll.PublishLive(lr.Drives[0].Live)
 			}
 			fmt.Print(text)
-			coll.PublishMetrics(tel.Metrics())
 			log.Info("experiment complete", "exp", name,
 				"wall_seconds", time.Since(start).Seconds(), "runs", coll.RunsCompleted())
 		}

@@ -300,20 +300,15 @@ func (c *Core) countInst(cl isa.Class) {
 }
 
 // streamRetire advances time for the pre-validated stream access at pc
-// without re-crossing the memhier.System wrappers: busy one cycle, plus
-// StreamExtraCycles charged to kind.
-func (c *Core) streamRetire(pc int, t0 sim.Time, kind StallKind) {
-	var extra sim.Time
-	if c.sys.StreamExtraCycles > 0 {
-		extra = c.sys.Clock.Cycles(int64(c.sys.StreamExtraCycles))
-		c.stats.StallTime[kind] += extra
-	}
+// without re-crossing the memhier.System wrappers: the prefetched head FIFO
+// serves it in one busy cycle, with no stall.
+func (c *Core) streamRetire(pc int, t0 sim.Time) {
 	period := c.cfg.Clock.Period
 	c.stats.BusyTime += period
 	if c.prof != nil {
-		c.prof.Record(pc, period, kind, extra)
+		c.prof.Record(pc, period, 0, 0)
 	}
-	c.at = t0 + extra + period
+	c.at = t0 + period
 }
 
 // branchStep commits a resolved branch: pc arithmetic, taken/not-taken
@@ -499,7 +494,7 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 				v := c.sys.Streams.In[slot].LoadDirect(width)
 				c.setReg(rd, v)
 				c.stats.StreamInBytes += w64
-				c.streamRetire(vpc, t0, StallStreamWait)
+				c.streamRetire(vpc, t0)
 				c.countInst(isa.ClassStreamLoad)
 				return vpc + 1, ctlNext
 			}
@@ -509,7 +504,7 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 			t0 := c.at
 			v := c.sys.Streams.In[slot].PeekDirect(off, width)
 			c.setReg(rd, v)
-			c.streamRetire(vpc, t0, StallStreamWait)
+			c.streamRetire(vpc, t0)
 			c.countInst(isa.ClassStreamLoad)
 			return vpc + 1, ctlNext
 		}
@@ -523,7 +518,7 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 			t0 := c.at
 			c.sys.Streams.Out[slot].Append(c.regs[rs2], width)
 			c.stats.StreamOutBytes += w64
-			c.streamRetire(vpc, t0, StallOutFull)
+			c.streamRetire(vpc, t0)
 			c.countInst(isa.ClassStreamStore)
 			return vpc + 1, ctlNext
 		}
@@ -844,8 +839,7 @@ const (
 // also bounds any suffix, so a mid-body entry is covered. Under (c), every
 // StreamLoad/Peek resolves at its issue time (the needed bytes were usable
 // at the check, and availability is monotone), so stream ops bypass the
-// memhier wrappers while accruing the identical timing: busy one cycle plus
-// StreamExtraCycles of stream-wait (in) or out-full (out) stall. Loads,
+// memhier wrappers while accruing the identical timing: busy one cycle. Loads,
 // stores and Adv still check for themselves, and the per-element limit
 // check reproduces precise stepping's stop-at-quantum behavior exactly.
 func (c *Core) runLoop(li *loopInfo, limit sim.Time) loopExit {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"assasin/internal/cpu"
@@ -90,31 +91,71 @@ func TestStreamRefillNearZero(t *testing.T) {
 	}
 }
 
-// TestGoldenAttributionReport pins the full attribution JSON for the Stat
-// memory-wall pair, telemetry attached (so component utilization and
-// counter deltas are covered too). The simulation is deterministic, so the
-// report is byte-stable; regenerate with
-// go test ./internal/experiments -run GoldenAttribution -update
-// after an intentional timing or instrumentation change.
-func TestGoldenAttributionReport(t *testing.T) {
+// statPairReports runs Stat on Baseline and then on AssasinSb under the
+// root sink tel and returns the runs' records and their sorted attribution
+// JSON.
+func statPairReports(t *testing.T, tel *telemetry.Sink) ([]RunRecord, []byte) {
+	t.Helper()
 	data := randData(256<<10, 7)
-	tel := telemetry.NewSink()
-
+	var recs []RunRecord
 	var reports []*analyze.RunReport
-	var prev *telemetry.MetricsSnapshot
 	for _, arch := range []ssd.Arch{ssd.Baseline, ssd.AssasinSb} {
 		rec := attributionRun(t, arch, kernels.Stat{}, 4, data, tel)
-		run := rec.AttributionRun()
-		run.Prev = prev
-		reports = append(reports, analyze.Attribute(run))
-		prev = rec.Metrics
+		recs = append(recs, rec)
+		reports = append(reports, analyze.Attribute(rec.AttributionRun()))
 	}
 	analyze.SortReports(reports)
-
 	var buf bytes.Buffer
 	if err := analyze.WriteJSON(&buf, reports); err != nil {
 		t.Fatal(err)
 	}
+	return recs, buf.Bytes()
+}
+
+// TestRunMetricsIndependentOfRoot checks that a run's metrics cover that
+// run alone whatever the root sink records: the Stat pair observed under a
+// trace-recording root and under a metrics-only root yields identical
+// per-run snapshots and identical attribution JSON, so the second run's
+// histograms hold its own samples and not the first run's too.
+func TestRunMetricsIndependentOfRoot(t *testing.T) {
+	traced := telemetry.NewSink()
+	metricsOnly := telemetry.NewSink()
+	metricsOnly.MaxEvents = -1
+	trRecs, trJSON := statPairReports(t, traced)
+	moRecs, moJSON := statPairReports(t, metricsOnly)
+	if traced.EventCount() == 0 {
+		t.Fatal("trace-recording root absorbed no events")
+	}
+	for i := range trRecs {
+		a, b := trRecs[i].Metrics, moRecs[i].Metrics
+		if a == nil || b == nil {
+			t.Fatalf("%s: missing metrics snapshot", trRecs[i].Label)
+		}
+		// The event tallies describe the sinks, not the run's metrics.
+		ca, cb := *a, *b
+		ca.TraceEvents, cb.TraceEvents = 0, 0
+		if !reflect.DeepEqual(ca, cb) {
+			t.Errorf("%s: run metrics differ between a trace-recording and a metrics-only root", trRecs[i].Label)
+		}
+	}
+	sb := moRecs[1].Metrics.Histograms["sched/quantum_used_ps"]
+	if got := trRecs[1].Metrics.Histograms["sched/quantum_used_ps"].Count; got != sb.Count || got == 0 {
+		t.Errorf("AssasinSb sched/quantum_used_ps count = %d under a trace root, %d under a metrics-only root", got, sb.Count)
+	}
+	if !bytes.Equal(trJSON, moJSON) {
+		t.Errorf("attribution JSON differs between a trace-recording and a metrics-only root:\n--- traced\n%s\n--- metrics-only\n%s", trJSON, moJSON)
+	}
+}
+
+// TestGoldenAttributionReport pins the full attribution JSON for the Stat
+// memory-wall pair, telemetry attached (so component utilization, counters
+// and histograms are covered too). The simulation is deterministic, so the
+// report is byte-stable; regenerate with
+// go test ./internal/experiments -run GoldenAttribution -update
+// after an intentional timing or instrumentation change.
+func TestGoldenAttributionReport(t *testing.T) {
+	_, got := statPairReports(t, telemetry.NewSink())
+	buf := bytes.NewBuffer(got)
 	golden := filepath.Join("testdata", "golden_attribution.json")
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -46,12 +46,12 @@ type Config struct {
 	// concurrently. 0 or 1 runs everything sequentially; results are
 	// identical either way (see internal/runpool).
 	Workers int
-	// Telemetry, when non-nil, is the root sink every run an experiment
-	// builds reports into, through one Observer per run. A sink that
-	// records trace events (MaxEvents >= 0) is shared by the runs, which
-	// then execute sequentially whatever Workers says; a metrics-only sink
-	// (MaxEvents < 0) gets a private per-run sink absorbed at each run
-	// boundary, which is parallel-safe. See Observer.
+	// Telemetry, when non-nil, is the root sink that absorbs every run an
+	// experiment builds. Each run observes privately, through one Observer,
+	// and the root absorbs its sink when the run finishes. The private sink
+	// records trace events only when the root does (MaxEvents >= 0), and
+	// then runs execute sequentially whatever Workers says, because the
+	// root appends events in the order runs finish. See Observer.
 	Telemetry *telemetry.Sink `json:"-"`
 	// Timeline, when non-nil, attaches a sim-time sampler with this
 	// configuration to every run; the finished per-run timeline is
@@ -81,7 +81,7 @@ type Config struct {
 }
 
 // workers returns the effective pool width for fan-out sites: sequential
-// when runs share a trace-recording root sink (see Observer).
+// when the root sink records trace events (see Observer).
 func (c Config) workers() int {
 	if c.Workers > 1 && !c.Telemetry.RecordsEvents() {
 		return c.Workers

@@ -274,13 +274,20 @@ type tenantAcc struct {
 
 // RunLoad drives the open-loop workload over lc.Drives independent drives
 // (fanned out over cfg.Workers) and returns the merged result. Every drive
-// owns a private sink, tracer, PRNG, and SLO engine, so the result is
-// byte-identical for any Workers setting.
+// is one observed run ("load/drive<i>") with its own sink, tracer, PRNG and
+// SLO engine, so the result is byte-identical for any Workers setting.
 func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 	lc = lc.withDefaults()
 	objectives := lc.Objectives
 	if objectives == nil {
 		objectives = defaultLoadObjectives(lc.Tenants)
+	}
+	// The SLO engine feeds on each drive's request tracer and reads its
+	// req/latency_ps histogram, so every drive is observed with both.
+	cfg.Requests = max(cfg.Requests, 8)
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = telemetry.NewSink()
+		cfg.Telemetry.MaxEvents = -1
 	}
 	type driveOut struct {
 		drive   LoadDrive
@@ -291,18 +298,10 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		if err != nil {
 			return driveOut{}, err
 		}
-		tel := telemetry.NewSink()
-		tel.MaxEvents = -1
-		tel.StartRun(fmt.Sprintf("load/drive%d", di))
-		tracer := reqtrace.New(tel, reqtrace.Config{TopK: 8})
-		s := ssd.New(ssd.Options{
-			Arch:      ssd.AssasinSb,
-			Cores:     cfg.Cores,
-			Telemetry: tel,
-			Requests:  tracer,
-			OnAdvance: eng.Tick,
-			Log:       cfg.Log,
-		})
+		obs := Observe(cfg, RunRecord{Label: fmt.Sprintf("load/drive%d", di), Kernel: "load", Arch: ssd.AssasinSb, Cores: cfg.Cores})
+		opt := obs.Options(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores, OnAdvance: eng.Tick})
+		s := ssd.New(opt)
+		tel, tracer := opt.Telemetry, opt.Requests
 
 		// Per-tenant live metrics share the engine's window domain so /live
 		// serves them alongside the objective series.
@@ -406,6 +405,7 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 
 		// Optional concurrent offload: RunOffload drives the shared event
 		// queue, so arrivals interleave with the scan exactly as in MixedIO.
+		var inputBytes int64
 		if lc.OffloadMB > 0 {
 			data := randData(int(lc.OffloadMB*(1<<20)), lc.Seed+int64(di)*7919+2)
 			lpas, err := s.InstallBytes(data)
@@ -425,9 +425,11 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 			}
 			s.SetRequestLabel(nvme.OpSComp.String())
 			s.SetRequestTenant(lc.OffloadTenant)
-			if _, err := s.RunOffload(tasks, 0); err != nil {
+			res, err := s.RunOffload(tasks, 0)
+			if err != nil {
 				return driveOut{}, err
 			}
+			inputBytes = res.InputBytes
 		}
 		// Drain the arrivals beyond the offload's end (or the whole run when
 		// there is no offload).
@@ -475,6 +477,12 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 			}
 			out.tenants = append(out.tenants, row)
 		}
+		// The drive's record spans arrival to its last completion.
+		res := &ssd.Result{Duration: maxDone, InputBytes: inputBytes}
+		for _, c := range s.Cores {
+			res.CoreStats = append(res.CoreStats, c.Stats())
+		}
+		obs.Finish(s, res)
 		return out, nil
 	})
 	if err != nil {

@@ -25,12 +25,9 @@ type RunRecord struct {
 	Duration   sim.Time
 	InputBytes int64
 	CoreStats  []cpu.Stats
-	// Metrics is the post-run telemetry snapshot, nil when the run was not
-	// instrumented. On a private per-run sink it covers exactly this run;
-	// on a shared sink (one that records trace events) it is cumulative
-	// across the fan-out so far, and Prev holds the snapshot from before
-	// the run, the baseline of its counter deltas.
-	Metrics, Prev *telemetry.MetricsSnapshot
+	// Metrics is the post-run snapshot of the run's private sink, nil when
+	// the run was not instrumented. It covers exactly this run.
+	Metrics *telemetry.MetricsSnapshot
 	// Timeline is the run's sampled timeline, nil unless Config.Timeline
 	// was set.
 	Timeline *timeline.Timeline
@@ -53,7 +50,6 @@ func (r RunRecord) AttributionRun() analyze.Run {
 		DurationPs: int64(r.Duration),
 		InputBytes: r.InputBytes,
 		Metrics:    r.Metrics,
-		Prev:       r.Prev,
 	}
 	for _, st := range r.CoreStats {
 		for i, ps := range st.ClassTimes() {
@@ -67,16 +63,16 @@ func (r RunRecord) AttributionRun() analyze.Run {
 // (and assasin-sim's single run) is observed through it. Observe opens the
 // run's observers from a Config — metrics sink, timeline sampler, request
 // tracer, guest profiler — Options fills them into ssd.Options, and Finish
-// completes the RunRecord, hands it to Config.OnRunDone and absorbs the
-// run's metrics into the root sink.
+// completes the RunRecord, absorbs the run's sink into the root sink and
+// hands the record to Config.OnRunDone.
 //
-// One rule decides how runs meet the root sink Config.Telemetry: when it
-// records trace events, every run shares it (the trace needs one event
-// buffer, so Config.workers forces sequential fan-outs) and timeline
-// samplers mirror their class lanes into it. Otherwise every run gets a
-// private metrics-only sink, absorbed into the root at Finish. Absorption
-// is commutative — counters and histograms sum, gauges take maxima — so the
-// merged snapshot is identical for any Workers setting or completion order.
+// One rule decides how runs meet the root sink Config.Telemetry: each run
+// observes privately, and the root absorbs. The private sink records trace
+// events only if the root does, and the root appends them in the order the
+// runs finish, so Config.workers runs a trace-recording root's fan-outs
+// sequentially. Metric absorption is commutative — counters and histograms
+// sum, gauges take maxima — so the merged snapshot is identical for any
+// Workers setting or completion order.
 type Observer struct {
 	cfg     Config
 	rec     RunRecord
@@ -90,13 +86,9 @@ type Observer struct {
 // (Label, Kernel, Arch, Cores); Finish fills in the rest.
 func Observe(cfg Config, rec RunRecord) *Observer {
 	o := &Observer{cfg: cfg, rec: rec}
-	if root := cfg.Telemetry; root.RecordsEvents() {
-		o.tel = root
-		prev := root.Metrics()
-		o.rec.Prev = &prev
-	} else if root != nil {
+	if root := cfg.Telemetry; root != nil {
 		o.tel = telemetry.NewSink()
-		o.tel.MaxEvents = -1
+		o.tel.MaxEvents = root.MaxEvents
 		o.tel.Log = cfg.Log
 	}
 	o.tel.StartRun(rec.Label)
@@ -126,9 +118,9 @@ func (o *Observer) Options(opt ssd.Options) ssd.Options {
 }
 
 // Finish publishes s's component stats, completes the record from res (nil
-// when the run offloaded nothing), delivers it to Config.OnRunDone and
-// absorbs a private sink into the root. It is called on the run's
-// simulation goroutine.
+// when the run offloaded nothing), absorbs the run's sink into the root and
+// then delivers the record to Config.OnRunDone, so a handler that reads the
+// root sees this run in it. It is called on the run's simulation goroutine.
 func (o *Observer) Finish(s *ssd.SSD, res *ssd.Result) RunRecord {
 	s.PublishStats()
 	rec := o.rec
@@ -149,12 +141,10 @@ func (o *Observer) Finish(s *ssd.SSD, res *ssd.Result) RunRecord {
 	if o.tel != nil {
 		snap := o.tel.Metrics()
 		rec.Metrics = &snap
+		o.cfg.Telemetry.Absorb(o.tel)
 	}
 	if o.cfg.OnRunDone != nil {
 		o.cfg.OnRunDone(rec)
-	}
-	if o.tel != o.cfg.Telemetry {
-		o.cfg.Telemetry.AbsorbMetrics(o.tel)
 	}
 	return rec
 }

@@ -46,7 +46,7 @@ func (rn *Runner) fig22Rows(cfg Config) ([]Fig22Row, error) {
 type runFunc func(rn *Runner, cfg Config) (any, string, error)
 
 // experimentTable lists every experiment in the order `-exp all` runs
-// them; ExperimentIDs, ValidateNames and Runner.Run all read it.
+// them; ExperimentIDs, ParseNames and Runner.Run all read it.
 var experimentTable = []struct {
 	id  string
 	run runFunc

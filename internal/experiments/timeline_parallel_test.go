@@ -73,12 +73,16 @@ func TestTimelineParallelDeterminism(t *testing.T) {
 }
 
 // TestObservedFanOutParallelSafe runs the experiments that build their own
-// SSDs outside runStandalone (Fig 19's skew pairs, the DRAM ablation and
-// Fig 15's query pairs) against a metrics-only root sink, sequentially and
-// 4-way parallel. Every run goes through the one Observer, so each gets a
-// private sink absorbed at its boundary: the merged snapshots must be
-// byte-identical, and under -race no run may touch the shared root.
+// SSDs outside runStandalone (Fig 19's skew pairs, the DRAM ablation,
+// Fig 15's query pairs and the load drives) against a metrics-only root
+// sink, sequentially and 4-way parallel. Every run goes through the one
+// Observer, so each gets a private sink absorbed at its boundary: the
+// merged snapshots must be byte-identical, and under -race no run may touch
+// the shared root except through Absorb and Metrics.
 func TestObservedFanOutParallelSafe(t *testing.T) {
+	lc := QuickLoad()
+	lc.Drives = 3
+	lc.Requests = 300
 	capture := func(workers int) map[string]string {
 		out := make(map[string]string)
 		for _, exp := range []struct {
@@ -88,10 +92,15 @@ func TestObservedFanOutParallelSafe(t *testing.T) {
 			{"fig19", func(c Config) error { _, err := Fig19(c); return err }},
 			{"ablation-dram", func(c Config) error { _, err := AblationDRAM(c); return err }},
 			{"fig15", func(c Config) error { _, err := Fig15(c); return err }},
+			{"load", func(c Config) error { _, err := RunLoad(c, lc); return err }},
 		} {
 			cfg := quickFor(workers)
-			cfg.Telemetry = telemetry.NewSink()
-			cfg.Telemetry.MaxEvents = -1
+			root := telemetry.NewSink()
+			root.MaxEvents = -1
+			cfg.Telemetry = root
+			// Reading the root from OnRunDone, as assasin-serve does, must
+			// not race with other runs being absorbed.
+			cfg.OnRunDone = func(RunRecord) { root.Metrics() }
 			if err := exp.run(cfg); err != nil {
 				t.Fatalf("%s (workers=%d): %v", exp.name, workers, err)
 			}
@@ -100,6 +109,13 @@ func TestObservedFanOutParallelSafe(t *testing.T) {
 				t.Fatal(err)
 			}
 			out[exp.name] = buf.String()
+			if exp.name == "load" {
+				// Every drive's requests, plus its one offload, reach the root.
+				want := int64(lc.Drives * (lc.Requests + 1))
+				if got := cfg.Telemetry.Metrics().Histograms["req/latency_ps"].Count; got != want {
+					t.Errorf("load (workers=%d): root req/latency_ps holds %d samples, want %d", workers, got, want)
+				}
+			}
 		}
 		return out
 	}

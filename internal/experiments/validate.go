@@ -5,19 +5,27 @@ import (
 	"strings"
 )
 
-// ValidateNames checks a list of experiment names against ExperimentIDs.
-func ValidateNames(names []string) error {
+// ParseNames parses an -exp flag: comma-separated experiment names, each
+// trimmed, or "all" for every experiment in ExperimentIDs order. An empty
+// or unknown name is an error.
+func ParseNames(spec string) ([]string, error) {
+	ids := ExperimentIDs()
+	if strings.TrimSpace(spec) == "all" {
+		return ids, nil
+	}
 	valid := map[string]bool{}
-	for _, id := range ExperimentIDs() {
+	for _, id := range ids {
 		valid[id] = true
 	}
-	for _, n := range names {
-		if !valid[n] {
-			return fmt.Errorf("unknown experiment %q (valid: all, %s)",
-				n, strings.Join(ExperimentIDs(), ", "))
+	names := strings.Split(spec, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+		if !valid[names[i]] {
+			return nil, fmt.Errorf("unknown experiment %q (valid: all, %s)",
+				names[i], strings.Join(ids, ", "))
 		}
 	}
-	return nil
+	return names, nil
 }
 
 // ValidateOverrides rejects nonsensical CLI overrides before any

@@ -1,22 +1,32 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func TestValidateNames(t *testing.T) {
-	if err := ValidateNames(ExperimentIDs()); err != nil {
-		t.Fatalf("all known ids rejected: %v", err)
+func TestParseNames(t *testing.T) {
+	for _, spec := range []string{"all", " all "} {
+		got, err := ParseNames(spec)
+		if err != nil || !reflect.DeepEqual(got, ExperimentIDs()) {
+			t.Fatalf("ParseNames(%q) = %v, %v; want every id in order", spec, got, err)
+		}
 	}
-	err := ValidateNames([]string{"fig13", "fig99"})
+	got, err := ParseNames(" fig13,table2 , load")
+	if want := []string{"fig13", "table2", "load"}; err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("ParseNames = %v, %v; want %v", got, err, want)
+	}
+	for _, spec := range []string{"", " ", "fig13,", "fig13,,fig5", "fig13,all"} {
+		if got, err := ParseNames(spec); err == nil {
+			t.Errorf("ParseNames(%q) = %v, want an error for the blank or misplaced name", spec, got)
+		}
+	}
+	_, err = ParseNames("fig13,fig99")
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	if !strings.Contains(err.Error(), "fig99") || !strings.Contains(err.Error(), "fig13") {
-		t.Fatalf("error should name the bad id and list valid ones: %v", err)
-	}
-	// The list is the `-exp all` order.
+	// The error names the bad id and lists the valid ones in `-exp all` order.
 	want := `unknown experiment "fig99" (valid: all, table2, table4, fig5, fig13, fig14, fig15, fig16, ` +
 		`fig17, fig18, fig19, fig20, fig21, table5, fig22, ablation, load)`
 	if err.Error() != want {

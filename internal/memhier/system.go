@@ -59,10 +59,6 @@ type System struct {
 	Backing    *SparseMem  // functional data for the DRAM space
 	Streams    *StreamBuffer
 	ViewPath   ViewPath
-	// StreamExtraCycles is the added pipeline cost of ISA stream-buffer
-	// accesses beyond the base cycle (0 = the single-cycle prefetched head
-	// FIFO of Section V-B).
-	StreamExtraCycles int
 	// Client tags this core's DRAM traffic, through the caches too.
 	Client DRAMClient
 }
@@ -208,9 +204,6 @@ func (m *System) StreamLoad(at sim.Time, slot, width int) (AccessResult, error) 
 		return AccessResult{}, err
 	}
 	v, ready, status := st.Load(at, width)
-	if status == LoadOK && m.StreamExtraCycles > 0 {
-		ready = sim.MaxT(ready, at+m.Clock.Cycles(int64(m.StreamExtraCycles)))
-	}
 	return AccessResult{Value: v, Done: ready, Status: status}, nil
 }
 
@@ -221,9 +214,6 @@ func (m *System) StreamPeek(at sim.Time, slot, width int, off int64) (AccessResu
 		return AccessResult{}, err
 	}
 	v, ready, status := st.Peek(at, off, width)
-	if status == LoadOK && m.StreamExtraCycles > 0 {
-		ready = sim.MaxT(ready, at+m.Clock.Cycles(int64(m.StreamExtraCycles)))
-	}
 	return AccessResult{Value: v, Done: ready, Status: status}, nil
 }
 
@@ -257,11 +247,7 @@ func (m *System) StreamStore(at sim.Time, slot, width int, v uint32) (AccessResu
 	if !st.Append(v, width) {
 		return AccessResult{Status: LoadBlocked, Done: at}, nil
 	}
-	done := at
-	if m.StreamExtraCycles > 0 {
-		done = at + m.Clock.Cycles(int64(m.StreamExtraCycles))
-	}
-	return AccessResult{Done: done}, nil
+	return AccessResult{Done: at}, nil
 }
 
 // StreamEnd implements the StreamEnd instruction: 1 when slot is exhausted.

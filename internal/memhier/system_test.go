@@ -228,16 +228,6 @@ func TestSystemStreamOps(t *testing.T) {
 	}
 }
 
-func TestSystemStreamExtraCycles(t *testing.T) {
-	sys := testSystem(ViewScratchpad, false)
-	sys.StreamExtraCycles = 1
-	sys.Streams.In[0].Push(make([]byte, 8), 0)
-	r, _ := sys.StreamLoad(0, 0, 4)
-	if r.Done != sim.Nanosecond {
-		t.Fatalf("extra cycle not applied: %v", r.Done)
-	}
-}
-
 func TestSystemStreamStore(t *testing.T) {
 	sys := testSystem(ViewScratchpad, false)
 	r, err := sys.StreamStore(0, 1, 2, 0xbeef)

@@ -57,9 +57,9 @@ func NewCollector() *Collector {
 }
 
 // ObserveRun attributes one completed run and stores the report under a
-// sequential id ("run-0001", ...). When the run carries a metrics
-// snapshot, its counter deltas are taken against run.Prev (absolute when
-// nil) and the snapshot becomes the latest for /metrics. The run's
+// sequential id ("run-0001", ...). The run's metrics snapshot covers that
+// run alone and feeds only its report: /metrics serves the root sink's
+// snapshot, which the run's owner publishes with PublishMetrics. The run's
 // optional artifacts are stored under the same id: the timeline (served at
 // /runs/{id}/timeline, compared at /runs/{id}/compare/{other}; its phase
 // segmentation is attached to the report before publication, keeping
@@ -78,9 +78,6 @@ func (c *Collector) ObserveRun(run analyze.Run, tl *timeline.Timeline, reqs *req
 	analyze.AttachPhases(rep, tl)
 	c.reports = append(c.reports, rep)
 	c.runs[rep.ID] = storedRun{report: rep, timeline: tl, requests: reqs, profile: prof}
-	if run.Metrics != nil {
-		c.snap = *run.Metrics
-	}
 	return rep
 }
 

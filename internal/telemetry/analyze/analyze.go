@@ -45,15 +45,11 @@ type Run struct {
 	// like cpu.ClassNames.
 	ClassPs [cpu.NumClasses]int64
 
-	// Metrics, when non-nil, is the sink snapshot taken right after the
-	// run published its component stats: gauges carry this run's component
-	// busy time (each run uses a fresh SSD, so publish overwrites are
-	// per-run values), histograms carry cumulative distributions.
+	// Metrics, when non-nil, is the snapshot of the run's own sink taken
+	// right after the run published its component stats: gauges carry this
+	// run's component busy time, counters and histograms its counts and
+	// distributions.
 	Metrics *telemetry.MetricsSnapshot
-	// Prev, when non-nil, is the snapshot from before the run started;
-	// counter deltas against it isolate this run's counts on a sink shared
-	// across a fan-out.
-	Prev *telemetry.MetricsSnapshot
 }
 
 // ClassShare is one class's slice of a run's total core time.
@@ -102,10 +98,10 @@ type RunReport struct {
 	// Components lists shared-resource busy fractions (flash channels,
 	// crossbar ports) when the run carried a metrics snapshot.
 	Components []ComponentUtil `json:"components,omitempty"`
-	// Counters holds this run's counter deltas when snapshots were taken.
+	// Counters holds this run's counters when a snapshot was taken.
 	Counters map[string]int64 `json:"counters,omitempty"`
-	// Histograms holds percentile summaries of every registered histogram
-	// (cumulative over the sink's lifetime, exact for single-run sinks).
+	// Histograms holds percentile summaries of every histogram the run
+	// registered.
 	Histograms []HistQuantiles `json:"histograms,omitempty"`
 	// Phases is the dominant-class segmentation of the run, present when a
 	// timeline was sampled (see AttachPhases).
@@ -208,7 +204,7 @@ func Attribute(r Run) *RunReport {
 
 	if r.Metrics != nil {
 		rep.Components = componentUtilization(*r.Metrics, r.DurationPs)
-		rep.Counters = counterDeltas(*r.Metrics, r.Prev)
+		rep.Counters = r.Metrics.Counters
 		rep.Histograms = histQuantiles(*r.Metrics)
 	}
 	return rep
@@ -245,22 +241,6 @@ func componentUtilization(snap telemetry.MetricsSnapshot, durationPs int64) []Co
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Component < out[j].Component })
-	return out
-}
-
-// counterDeltas subtracts prev's counters from cur's, isolating one run's
-// counts on a shared sink. A nil prev returns cur's counters as-is.
-func counterDeltas(cur telemetry.MetricsSnapshot, prev *telemetry.MetricsSnapshot) map[string]int64 {
-	if len(cur.Counters) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(cur.Counters))
-	for key, v := range cur.Counters {
-		if prev != nil {
-			v -= prev.Counters[key]
-		}
-		out[key] = v
-	}
 	return out
 }
 

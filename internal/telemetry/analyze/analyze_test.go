@@ -84,11 +84,9 @@ func TestComponentUtilizationAndDeltas(t *testing.T) {
 	sink.Counter("stream", "refill_stalls").Add(30)
 	sink.Histogram("sched", "quantum_used_ps").Observe(1000)
 	cur := sink.Metrics()
-	prev := telemetry.MetricsSnapshot{Counters: map[string]int64{"stream/refill_stalls": 10}}
 
 	r := memoryWallRun()
 	r.Metrics = &cur
-	r.Prev = &prev
 	rep := Attribute(r)
 
 	byName := map[string]ComponentUtil{}
@@ -108,8 +106,8 @@ func TestComponentUtilizationAndDeltas(t *testing.T) {
 	if _, ok := byName["flash/ch0_bytes"]; ok {
 		t.Fatalf("bytes gauge leaked into component utilization")
 	}
-	if got := rep.Counters["stream/refill_stalls"]; got != 20 {
-		t.Fatalf("counter delta = %d, want 20", got)
+	if got := rep.Counters["stream/refill_stalls"]; got != 30 {
+		t.Fatalf("counter = %d, want 30", got)
 	}
 	if len(rep.Histograms) != 1 || rep.Histograms[0].Metric != "sched/quantum_used_ps" {
 		t.Fatalf("histograms = %+v", rep.Histograms)

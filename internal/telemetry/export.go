@@ -170,12 +170,15 @@ type MetricsSnapshot struct {
 }
 
 // Metrics snapshots every registered metric. Returns an empty snapshot for
-// a nil sink.
+// a nil sink. It may run concurrently with Absorb, so a root's snapshot can
+// be published while other runs are still being absorbed.
 func (s *Sink) Metrics() MetricsSnapshot {
 	var m MetricsSnapshot
 	if s == nil {
 		return m
 	}
+	s.absorbMu.Lock()
+	defer s.absorbMu.Unlock()
 	if len(s.counters) > 0 {
 		m.Counters = make(map[string]int64, len(s.counters))
 		for k, c := range s.counters {

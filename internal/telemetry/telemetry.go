@@ -17,10 +17,10 @@
 // simulator package — including sim itself — can depend on it.
 //
 // A Sink is not goroutine-safe: it belongs to one simulation goroutine.
-// Parallel fan-outs give every run a private sink and merge the results at
-// the run boundary with AbsorbMetrics (the only goroutine-safe method);
-// only trace capture, which needs one shared event buffer, still requires
-// sequential simulation.
+// Every run observes into a private sink, and a root sink absorbs it at the
+// run boundary with Absorb (goroutine-safe, as is Metrics). Metrics merge
+// in any order; trace events append in absorption order, so trace capture
+// still runs its runs one at a time.
 package telemetry
 
 import (
@@ -315,7 +315,7 @@ type Sink struct {
 	MaxEvents int
 	dropped   int64
 
-	// absorbMu serializes AbsorbMetrics calls from concurrent run
+	// absorbMu serializes Absorb and Metrics calls from concurrent run
 	// goroutines; every other method remains single-goroutine.
 	absorbMu sync.Mutex
 
@@ -433,16 +433,19 @@ func (s *Sink) Registered() []MetricInfo {
 	return out
 }
 
-// AbsorbMetrics merges child's metrics into s: counters and histograms sum,
-// gauges take the maximum of value and max. Every merge operation is
-// commutative, so absorbing a set of per-run sinks yields the same result
-// in any completion order — the property that makes parallel fan-outs
-// deterministic. Trace events are not merged (per-run sinks disable them).
+// Absorb merges a finished run's child sink into s. Counters and
+// histograms sum and gauges take the maximum of value and max: every metric
+// merge is commutative, so absorbing a set of per-run sinks yields the same
+// metrics in any completion order — the property that makes parallel
+// fan-outs deterministic. The child's trace runs and events are appended
+// after s's own, its pids renumbered to follow s's runs; events past
+// s.MaxEvents are dropped and counted, and the child's own drops add to
+// s's. A root that records no events keeps none.
 //
-// This is the Sink's only goroutine-safe method, and only with respect to
-// other AbsorbMetrics calls: while runs are being absorbed concurrently the
-// parent sink must not be used in any other way.
-func (s *Sink) AbsorbMetrics(child *Sink) {
+// Absorb and Metrics are the Sink's only goroutine-safe methods, and only
+// with respect to each other: while runs are being absorbed concurrently
+// the parent sink must not be used in any other way.
+func (s *Sink) Absorb(child *Sink) {
 	if s == nil || child == nil || s == child {
 		return
 	}
@@ -467,4 +470,15 @@ func (s *Sink) AbsorbMetrics(child *Sink) {
 	for key, h := range child.hists {
 		s.Histogram(key.component, key.name).Absorb(h)
 	}
+	off := len(s.runs)
+	for _, r := range child.runs {
+		run := *r
+		run.pid += off
+		s.runs = append(s.runs, &run)
+	}
+	for _, e := range child.events {
+		e.pid += off
+		s.record(e)
+	}
+	s.dropped += child.dropped
 }

@@ -229,3 +229,77 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 		t.Fatalf("flat key missing: %s", x.String())
 	}
 }
+
+// TestAbsorbMatchesOneSink checks that absorbing per-run child sinks
+// builds the trace and metrics one sink would have recorded had every run
+// started on it in turn: pids follow the root's runs, the root's event cap
+// holds across absorptions, and the children's own drops add up.
+func TestAbsorbMatchesOneSink(t *testing.T) {
+	const maxEvents = 5
+	record := func(s *Sink, run string, events int) {
+		s.StartRun(run)
+		tr := s.Track("core0")
+		for i := 0; i < events; i++ {
+			tr.Span("exec", int64(i)*10, int64(i)*10+5, Arg{Key: "i", Val: int64(i)})
+		}
+		s.Track("fw").FlowStart("req", 1, 7)
+		s.Counter("sched", "dispatches").Add(int64(events))
+		s.Histogram("sched", "quantum_used_ps").Observe(int64(events))
+	}
+	runs := []struct {
+		label  string
+		events int
+	}{{"a", 2}, {"b", 4}, {"c", 9}}
+
+	one := NewSink()
+	one.MaxEvents = maxEvents
+	root := NewSink()
+	root.MaxEvents = maxEvents
+	for _, r := range runs {
+		record(one, r.label, r.events)
+		child := NewSink()
+		child.MaxEvents = root.MaxEvents
+		record(child, r.label, r.events)
+		root.Absorb(child)
+	}
+
+	var want, got bytes.Buffer
+	if err := one.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := root.WriteChromeTrace(&got); err != nil {
+		t.Fatal(err)
+	}
+	if want.String() != got.String() {
+		t.Errorf("absorbed trace differs from one sink's:\n--- one\n%s\n--- absorbed\n%s", want.String(), got.String())
+	}
+	if one.Dropped() != root.Dropped() || root.Dropped() != 13 {
+		t.Errorf("dropped: one sink %d, absorbed %d, want 13", one.Dropped(), root.Dropped())
+	}
+	wm, gm := one.Metrics(), root.Metrics()
+	if !equalJSON(t, wm, gm) {
+		t.Errorf("absorbed metrics differ from one sink's: %+v vs %+v", gm, wm)
+	}
+
+	// A metrics-only root keeps no events from a child that recorded some.
+	bare := NewSink()
+	bare.MaxEvents = -1
+	bare.Absorb(root)
+	if bare.EventCount() != 0 || bare.Metrics().Counters["sched/dispatches"] != 15 {
+		t.Errorf("metrics-only root: %d events, dispatches %d", bare.EventCount(), bare.Metrics().Counters["sched/dispatches"])
+	}
+}
+
+// equalJSON compares two values by their JSON encoding.
+func equalJSON(t *testing.T, a, b any) bool {
+	t.Helper()
+	ja, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bytes.Equal(ja, jb)
+}

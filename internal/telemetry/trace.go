@@ -92,9 +92,10 @@ func (s *Sink) Track(name string) *Track {
 }
 
 // RecordsEvents reports whether the sink keeps trace events (MaxEvents is
-// not negative). Experiments share such a sink across runs, and timeline
-// samplers mirror their class lanes into it; a metrics-only sink instead
-// takes per-run private sinks absorbed at run boundaries.
+// not negative). Timeline samplers mirror their class lanes into such a
+// sink. Each run observes into a private sink that records events only if
+// its root does, and the root absorbs it at the run boundary; a root that
+// records events therefore has its runs simulated one at a time.
 func (s *Sink) RecordsEvents() bool { return s != nil && s.MaxEvents >= 0 }
 
 func (s *Sink) record(e event) {

@@ -4,7 +4,8 @@
 # endpoints while the experiments run, and check that a known counter is
 # exposed in Prometheus text format. A second pass sustains open-loop load
 # with a deliberately tight SLO and asserts /slo + /live serve, the
-# fast-burn alert fires, and SIGTERM drains to a clean exit 0.
+# fast-burn alert fires, the load drives appear under /runs and in
+# /metrics, and SIGTERM drains to a clean exit 0.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -98,6 +99,10 @@ probe /live '"rates"'
 probe /live '"hists"'
 probe /metrics '^assasin_slo_bad_total{objective="all-p99.9",tenant=""} [1-9]'
 probe /metrics '^assasin_slo_alert_firing{objective="all-p99.9",rule="fast-burn",severity="page"} 1$'
+# Each load drive is a run of its own: its request summary is served under
+# /runs, and the root sink it was absorbed into feeds /metrics.
+probe /runs/run-0001/requests '"critical_totals_ps"'
+probe /metrics '^assasin_req_latency_ps_count [1-9]'
 
 kill -TERM "$pid"
 if wait "$pid"; then
