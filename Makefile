@@ -73,8 +73,9 @@ examples-smoke:
 diff-smoke:
 	scripts/diff-smoke.sh
 
-# Zero-alloc regression gate: the event-queue and crossbar hot paths must
-# report 0 allocs/op and the firmware steady-state guard must pass.
+# Zero-alloc regression gate: the event-queue, crossbar and compiled-core
+# loop-driver hot paths must report 0 allocs/op and the firmware
+# steady-state guard must pass.
 alloc-gate:
 	scripts/alloc-gate.sh
 

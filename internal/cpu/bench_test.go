@@ -103,11 +103,10 @@ func BenchmarkCoreALUBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreCompiledBlock exercises the flat loop-body driver on a
-// recognized loop that is NOT pure-ALU (its back edge is a conditional
-// branch), so every iteration dispatches its elements — one ALU-run element
-// and the branch — rather than the closed-form batch kernel: the cost
-// profile of real stream-kernel bodies with data-dependent control flow.
+// BenchmarkCoreCompiledBlock exercises the flat loop-body driver, which
+// runs every recognized loop: each iteration dispatches one ALU-run element
+// and the conditional back-edge branch — the cost profile of real
+// stream-kernel bodies with data-dependent control flow.
 func BenchmarkCoreCompiledBlock(b *testing.B) {
 	bb := asm.New()
 	bb.Li(asm.T1, 1<<30)
@@ -179,8 +178,8 @@ func BenchmarkCoreLongBody(b *testing.B) {
 }
 
 // BenchmarkStreamLoadPath measures the stream-ISA fast path end to end in
-// each execution mode (the bulk-ingest analog of memhier's
-// BenchmarkStreamBulkCopy, with the core in the loop).
+// each execution mode: firmware-style page pushes feeding a core that
+// consumes them one StreamLoad at a time.
 func BenchmarkStreamLoadPath(b *testing.B) {
 	bb := asm.New()
 	loop := bb.Here()

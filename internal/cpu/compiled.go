@@ -11,8 +11,7 @@ package cpu
 // time/stats accumulation. A recognized loop body becomes one element per
 // pc (an ALU run is one runALUBlock element), dispatched by runLoop's flat
 // driver; every body pc maps to its loop, so an iteration cut short by the
-// quantum or a blocked access resumes where it stopped. Pure-ALU bodies
-// also get a closed-form kernel that runs many iterations in one call.
+// quantum or a blocked access resumes where it stopped.
 //
 // Timing is byte-identical to ExecPrecise: every translated path reproduces
 // exactly the c.at advance, Stats deltas, and blocking/halting behavior of
@@ -74,9 +73,6 @@ type loopInfo struct {
 	// body[i] is the translated element at pc head+i; every body pc is an
 	// entry point.
 	body []bodyFn
-	// kernel, set when the body is one straight ALU run closed by an
-	// unconditional x0-linked jal, runs m identical iterations in one call.
-	kernel loopKernel
 }
 
 // analyzeProgram builds the loop analysis the translation consumes for a
@@ -212,10 +208,6 @@ type regs = [isa.NumRegs]uint32
 // bulk by the caller (runALUBlock, runLoop).
 type aluFn func(r *regs)
 
-// loopKernel executes m identical iterations of a pure-ALU loop body — the
-// closed-form replacement for re-dispatching the body per iteration.
-type loopKernel func(r *regs, m int64)
-
 // ctl reports how a translated loop-body step left the core.
 type ctl uint8
 
@@ -242,8 +234,8 @@ type bodyFn func(c *Core, vpc int, limit sim.Time) (int, ctl)
 // (aluRun[i] is the length of the straight ALU run starting at i, loops[i]
 // the recognized loop whose body holds i, nil outside any), and the threaded
 // code: per pc the specialized ALU closure and, where a straight ALU run
-// starts, the pre-composed whole-run closure. Loop bodies and kernels live
-// on their loopInfo. Nothing in it depends on a core; the closures read
+// starts, the pre-composed whole-run closure. Loop bodies live on their
+// loopInfo. Nothing in it depends on a core; the closures read
 // timing from the core they run on.
 type Program struct {
 	Src    *asm.Program // what was translated; kprof symbolizes against it
@@ -284,10 +276,6 @@ func Translate(src *asm.Program) *Program {
 		for i := range li.body {
 			li.body[i] = compileBodyElem(p, li.head+i)
 		}
-		if back := &p.dec[li.end]; li.end > li.head && int(p.aluRun[li.head]) == li.end-li.head &&
-			back.class == isa.ClassJump && back.rd == 0 {
-			li.kernel = loopKernelOf(p.alu[li.head:li.end])
-		}
 	}
 	return p
 }
@@ -327,7 +315,7 @@ func (c *Core) branchStep(vpc int, taken bool, delta int) int {
 	if cycles > 0 {
 		c.retireCycles(vpc, t0, cycles)
 	} else if c.prof != nil {
-		c.prof.Insts(vpc, 1)
+		c.prof.Insts(vpc)
 	}
 	c.countInst(isa.ClassBranch)
 	return nv
@@ -466,7 +454,7 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 				if c.jumpCycles > 0 {
 					c.retireCycles(vpc, c.at, c.jumpCycles)
 				} else if c.prof != nil {
-					c.prof.Insts(vpc, 1)
+					c.prof.Insts(vpc)
 				}
 				c.countInst(isa.ClassJump)
 				return vpc + delta, ctlNext
@@ -477,7 +465,7 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 			if c.jumpCycles > 0 {
 				c.retireCycles(vpc, c.at, c.jumpCycles)
 			} else if c.prof != nil {
-				c.prof.Insts(vpc, 1)
+				c.prof.Insts(vpc)
 			}
 			c.countInst(isa.ClassJump)
 			return vpc + delta, ctlNext
@@ -722,57 +710,6 @@ func seqALU(fns []aluFn) aluFn {
 	}
 }
 
-// loopKernelOf builds the closed-form multi-iteration kernel for a pure-ALU
-// loop body: the iteration loop lives inside the closure, so executing m
-// iterations costs one indirect call per body instruction and nothing else.
-func loopKernelOf(fns []aluFn) loopKernel {
-	switch len(fns) {
-	case 0:
-		return func(*regs, int64) {}
-	case 1:
-		f0 := fns[0]
-		return func(r *regs, m int64) {
-			for ; m > 0; m-- {
-				f0(r)
-			}
-		}
-	case 2:
-		f0, f1 := fns[0], fns[1]
-		return func(r *regs, m int64) {
-			for ; m > 0; m-- {
-				f0(r)
-				f1(r)
-			}
-		}
-	case 3:
-		f0, f1, f2 := fns[0], fns[1], fns[2]
-		return func(r *regs, m int64) {
-			for ; m > 0; m-- {
-				f0(r)
-				f1(r)
-				f2(r)
-			}
-		}
-	case 4:
-		f0, f1, f2, f3 := fns[0], fns[1], fns[2], fns[3]
-		return func(r *regs, m int64) {
-			for ; m > 0; m-- {
-				f0(r)
-				f1(r)
-				f2(r)
-				f3(r)
-			}
-		}
-	default:
-		body := seqALU(fns)
-		return func(r *regs, m int64) {
-			for ; m > 0; m-- {
-				body(r)
-			}
-		}
-	}
-}
-
 // runALUBlock executes up to n consecutive ALU instructions starting at pc
 // as one step: register updates in sequence, then a single c.at advance and
 // one BusyTime/Instructions accumulation. The executed count is clamped so
@@ -876,10 +813,6 @@ iterations:
 				break iterations
 			}
 		}
-		if vpc == head && li.kernel != nil && c.jumpCycles == 0 && c.runKernel(li, limit) {
-			progress = true
-			continue
-		}
 		for {
 			// nv is where execution stopped: past the element on a clean
 			// fall-through, at the blocked instruction on a block.
@@ -913,37 +846,4 @@ iterations:
 		return loopProgress
 	}
 	return loopNoProgress
-}
-
-// runKernel batches every full iteration of a pure-ALU loop (free back
-// edge, identical iterations) that fits the quantum and the instruction
-// budget into one kernel call, and reports whether any ran. Iteration m's
-// jal issues at c.at + n*m*period, so m full iterations fit iff n*m*period
-// stays within the quantum; the partial tail is left to the per-element
-// driver.
-func (c *Core) runKernel(li *loopInfo, limit sim.Time) bool {
-	period := c.cfg.Clock.Period
-	n := int64(li.end - li.head)
-	m := int64(limit-c.at) / int64(period) / n
-	if rem := (c.maxInsts - c.stats.Instructions) / (n + 1); m > rem {
-		m = rem
-	}
-	if m <= 0 {
-		return false
-	}
-	li.kernel(&c.regs, m)
-	nt := sim.Time(n*m) * period
-	c.at += nt
-	c.stats.BusyTime += nt
-	c.stats.Instructions += (n + 1) * m
-	c.stats.ByClass[isa.ClassALU] += n * m
-	c.stats.ByClass[isa.ClassJump] += m
-	if c.prof != nil {
-		// m executions of the ALU body plus m zero-cycle back-edge jals
-		// (batching only runs when jumpCycles == 0, where precise stepping
-		// records the jal as time-free too).
-		c.prof.BulkRange(li.head, li.end, m)
-		c.prof.Insts(li.end, m)
-	}
-	return true
 }

@@ -577,7 +577,7 @@ func (c *Core) step(in *decoded, period sim.Time) (blocked bool) {
 			c.retireCycles(pc0, t0, cycles)
 		} else if c.prof != nil {
 			// Zero-cycle taken branch (BranchFree): retired, no time.
-			c.prof.Insts(pc0, 1)
+			c.prof.Insts(pc0)
 		}
 
 	case isa.ClassJump:
@@ -591,7 +591,7 @@ func (c *Core) step(in *decoded, period sim.Time) (blocked bool) {
 		if c.jumpCycles > 0 {
 			c.retireCycles(pc0, t0, c.jumpCycles)
 		} else if c.prof != nil {
-			c.prof.Insts(pc0, 1)
+			c.prof.Insts(pc0)
 		}
 
 	case isa.ClassStreamLoad:

@@ -21,8 +21,7 @@ type CoreProfile struct {
 	StallPs [NumStallKinds][]int64 // per-kind per-pc stall time
 	// Bulk is a difference array over pcs: the compiled engine records a
 	// straight ALU run of n instructions at pc as Bulk[pc]++ /
-	// Bulk[pc+n]--, and a pure-ALU loop batch of m iterations as a single
-	// range update. Its prefix sum yields per-pc execution counts; each
+	// Bulk[pc+n]--. Its prefix sum yields per-pc execution counts; each
 	// counted execution is exactly one retired instruction and one issue
 	// cycle, matching precise stepping.
 	Bulk []int64
@@ -60,22 +59,16 @@ func (p *CoreProfile) Stall(pc int, kind StallKind, d sim.Time) {
 	p.StallPs[kind][pc] += int64(d)
 }
 
-// Insts attributes n retired instructions with no cycle cost (zero-cycle
+// Insts attributes one retired instruction with no cycle cost (zero-cycle
 // control flow: branch-free taken branches and free jumps).
-func (p *CoreProfile) Insts(pc int, n int64) {
-	p.Retired[pc] += n
+func (p *CoreProfile) Insts(pc int) {
+	p.Retired[pc]++
 }
 
 // BulkALU records one execution of the straight ALU run [pc, pc+n).
 func (p *CoreProfile) BulkALU(pc, n int) {
 	p.Bulk[pc]++
 	p.Bulk[pc+n]--
-}
-
-// BulkRange records m executions of the ALU range [head, end).
-func (p *CoreProfile) BulkRange(head, end int, m int64) {
-	p.Bulk[head] += m
-	p.Bulk[end] -= m
 }
 
 // Profiler collects the CoreProfiles of one run. ForProgram and Programs

@@ -282,9 +282,8 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 	if objectives == nil {
 		objectives = defaultLoadObjectives(lc.Tenants)
 	}
-	// The SLO engine feeds on each drive's request tracer and reads its
-	// req/latency_ps histogram, so every drive is observed with both.
-	cfg.Requests = max(cfg.Requests, 8)
+	// The SLO engine reads each drive's req/latency_ps histogram, so every
+	// drive is observed into a sink.
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewSink()
 		cfg.Telemetry.MaxEvents = -1
@@ -300,6 +299,11 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		}
 		obs := Observe(cfg, RunRecord{Label: fmt.Sprintf("load/drive%d", di), Kernel: "load", Arch: ssd.AssasinSb, Cores: cfg.Cores})
 		opt := obs.Options(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores, OnAdvance: eng.Tick})
+		if opt.Requests == nil {
+			// The SLO engine feeds on a tracer even when the record keeps no
+			// requests (Config.Requests == 0).
+			opt.Requests = reqtrace.New(opt.Telemetry, reqtrace.Config{})
+		}
 		s := ssd.New(opt)
 		tel, tracer := opt.Telemetry, opt.Requests
 
@@ -405,7 +409,6 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 
 		// Optional concurrent offload: RunOffload drives the shared event
 		// queue, so arrivals interleave with the scan exactly as in MixedIO.
-		var inputBytes int64
 		if lc.OffloadMB > 0 {
 			data := randData(int(lc.OffloadMB*(1<<20)), lc.Seed+int64(di)*7919+2)
 			lpas, err := s.InstallBytes(data)
@@ -425,11 +428,9 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 			}
 			s.SetRequestLabel(nvme.OpSComp.String())
 			s.SetRequestTenant(lc.OffloadTenant)
-			res, err := s.RunOffload(tasks, 0)
-			if err != nil {
+			if _, err := s.RunOffload(tasks, 0); err != nil {
 				return driveOut{}, err
 			}
-			inputBytes = res.InputBytes
 		}
 		// Drain the arrivals beyond the offload's end (or the whole run when
 		// there is no offload).
@@ -477,8 +478,10 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 			}
 			out.tenants = append(out.tenants, row)
 		}
-		// The drive's record spans arrival to its last completion.
-		res := &ssd.Result{Duration: maxDone, InputBytes: inputBytes}
+		// The drive's record spans arrival to its last completion. Its work
+		// is NVMe commands, which the tenant table reports, so it carries
+		// no input bytes and its report shows no byte throughput.
+		res := &ssd.Result{Duration: maxDone}
 		for _, c := range s.Cores {
 			res.CoreStats = append(res.CoreStats, c.Stats())
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"assasin/internal/sim"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/slo"
 	"assasin/internal/telemetry/window"
 )
@@ -227,6 +228,50 @@ func TestLoadOnEvalPublishes(t *testing.T) {
 	for i := 1; i < len(boundaries); i++ {
 		if boundaries[i] <= boundaries[i-1] {
 			t.Fatalf("boundaries not increasing: %v", boundaries)
+		}
+	}
+}
+
+// TestLoadDriveRecords pins what each load drive's RunRecord carries:
+// -requests K keeps at most K requests (K = 0 keeps none, though the SLO
+// engine is still fed by a tracer), and the record holds no input bytes,
+// so its attribution report shows no byte throughput.
+func TestLoadDriveRecords(t *testing.T) {
+	for _, k := range []int{0, 2} {
+		cfg := Quick()
+		cfg.Cores = 4
+		cfg.Workers = 1
+		cfg.Requests = k
+		var recs []RunRecord
+		cfg.OnRunDone = func(r RunRecord) { recs = append(recs, r) }
+		lc := QuickLoad()
+		lc.Drives = 2
+		lc.Requests = 300
+		r, err := RunLoad(cfg, lc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != lc.Drives {
+			t.Fatalf("K=%d: %d drive records, want %d", k, len(recs), lc.Drives)
+		}
+		for i, rec := range recs {
+			switch {
+			case k == 0 && rec.Requests != nil:
+				t.Errorf("K=0: %s keeps a request summary", rec.Label)
+			case k > 0 && rec.Requests == nil:
+				t.Errorf("K=%d: %s keeps no request summary", k, rec.Label)
+			case k > 0 && (len(rec.Requests.Slowest) == 0 || len(rec.Requests.Slowest) > k):
+				t.Errorf("K=%d: %s keeps %d requests, want 1 to %d", k, rec.Label, len(rec.Requests.Slowest), k)
+			}
+			if d := r.Drives[i]; d.TracerCount < int64(lc.Requests) {
+				t.Errorf("K=%d: drive %d traced %d of %d requests", k, i, d.TracerCount, lc.Requests)
+			}
+			if rec.InputBytes != 0 {
+				t.Errorf("%s carries %d input bytes, want 0", rec.Label, rec.InputBytes)
+			}
+			if rep := analyze.Attribute(rec.AttributionRun()); rep.ThroughputBps != 0 {
+				t.Errorf("%s report throughput = %v, want 0", rec.Label, rep.ThroughputBps)
+			}
 		}
 	}
 }

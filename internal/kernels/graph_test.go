@@ -24,7 +24,7 @@ func TestDegreeTables(t *testing.T) {
 	edges := makeEdges(2000, 256, 1)
 	wantOut, wantIn, wantCount := k.RefTables(edges)
 	for _, style := range []Style{StyleStream, StyleSoftware} {
-		_, core := runKernel(t, k, style, [][]byte{edges})
+		_, core := runStandalone(t, k, style, [][]byte{edges})
 		if got := core.Reg(asm.S3); got != wantCount {
 			t.Fatalf("%v: edge count %d, want %d", style, got, wantCount)
 		}
@@ -70,7 +70,7 @@ func TestReplicateFanout(t *testing.T) {
 	k := Replicate{}
 	checkAgainstReference(t, k, [][]byte{data})
 	// Both outputs equal the input.
-	outs, _ := runKernel(t, k, StyleStream, [][]byte{data})
+	outs, _ := runStandalone(t, k, StyleStream, [][]byte{data})
 	if !bytes.Equal(outs[0], data) || !bytes.Equal(outs[1], data) {
 		t.Fatal("replica diverges from primary")
 	}

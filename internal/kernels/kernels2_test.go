@@ -88,7 +88,7 @@ func TestMLPCustomWeights(t *testing.T) {
 	}
 	var rec [4]byte
 	binary.LittleEndian.PutUint32(rec[:], 4)
-	outs, _ := runKernel(t, k, StyleStream, [][]byte{rec[:]})
+	outs, _ := runStandalone(t, k, StyleStream, [][]byte{rec[:]})
 	if got := binary.LittleEndian.Uint32(outs[0]); got != 32 {
 		t.Fatalf("kernel = %d, want 32", got)
 	}
@@ -119,7 +119,7 @@ func TestLZRoundTrip(t *testing.T) {
 	}
 	// Simulated kernel agrees, in both lowerings.
 	for _, style := range []Style{StyleStream, StyleSoftware} {
-		outs, _ := runKernel(t, k, style, [][]byte{compressed})
+		outs, _ := runStandalone(t, k, style, [][]byte{compressed})
 		if !bytes.Equal(outs[0], original) {
 			t.Fatalf("lz/%v output mismatch (%d vs %d bytes)", style, len(outs[0]), len(original))
 		}
@@ -151,7 +151,7 @@ func TestLZOverlappingMatch(t *testing.T) {
 	if !bytes.Equal(ref[0], want) {
 		t.Fatalf("overlap copy = %q", ref[0])
 	}
-	outs, _ := runKernel(t, k, StyleStream, [][]byte{stream})
+	outs, _ := runStandalone(t, k, StyleStream, [][]byte{stream})
 	if !bytes.Equal(outs[0], want) {
 		t.Fatalf("kernel overlap copy = %q", outs[0])
 	}

@@ -15,10 +15,10 @@ import (
 
 const testPageSize = 4096
 
-// runKernel executes a kernel standalone: inputs are fully buffered in the
+// runStandalone executes a kernel standalone: inputs are fully buffered in the
 // stream windows (no flash timing), outputs are drained as the core fills
 // them. Both lowerings share this harness.
-func runKernel(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, *cpu.Core) {
+func runStandalone(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]byte, *cpu.Core) {
 	t.Helper()
 	p := BuildParams{Style: style, PageSize: testPageSize, StateBase: memhier.ScratchpadBase}
 	prog, err := k.Build(p)
@@ -121,7 +121,7 @@ func checkAgainstReference(t *testing.T, k Kernel, inputs [][]byte) {
 		t.Fatal(err)
 	}
 	for _, style := range []Style{StyleStream, StyleSoftware} {
-		outs, _ := runKernel(t, k, style, inputs)
+		outs, _ := runStandalone(t, k, style, inputs)
 		for o := range ref {
 			if !bytes.Equal(outs[o], ref[o]) {
 				t.Errorf("%s/%v output %d mismatch: got %d bytes, want %d",
@@ -142,12 +142,12 @@ func TestScanConsumesEverything(t *testing.T) {
 	data := randBytes(3*testPageSize+160, 1)
 	k := Scan{}
 	// Stream lowering counts consumed stream bytes.
-	_, core := runKernel(t, k, StyleStream, [][]byte{data})
+	_, core := runStandalone(t, k, StyleStream, [][]byte{data})
 	if got := core.Stats().StreamInBytes; got != int64(len(data)) {
 		t.Errorf("scan/stream consumed %d bytes, want %d", got, len(data))
 	}
 	// Software lowering walks the pointer to exactly the end.
-	_, core = runKernel(t, k, StyleSoftware, [][]byte{data})
+	_, core = runStandalone(t, k, StyleSoftware, [][]byte{data})
 	end := uint32(memhier.StreamInViewBase) + uint32(len(data))
 	if got := core.Reg(asm.S10); got != end {
 		t.Errorf("scan/software final ptr %#x, want %#x", got, end)
@@ -158,7 +158,7 @@ func TestStatSum(t *testing.T) {
 	data := randBytes(2*testPageSize+512, 2)
 	k := Stat{}
 	for _, style := range []Style{StyleStream, StyleSoftware} {
-		_, core := runKernel(t, k, style, [][]byte{data})
+		_, core := runStandalone(t, k, style, [][]byte{data})
 		if got, want := core.Reg(asm.S0), k.RefSum(data); got != want {
 			t.Errorf("stat/%v sum %#x, want %#x", style, got, want)
 		}
@@ -195,8 +195,8 @@ func TestStatStreamFewerInstructions(t *testing.T) {
 		{Replicate{}, [][]byte{randBytes(1024, 13)}},
 	}
 	for _, c := range cases {
-		_, streamCore := runKernel(t, c.k, StyleStream, c.inputs)
-		_, softCore := runKernel(t, c.k, StyleSoftware, c.inputs)
+		_, streamCore := runStandalone(t, c.k, StyleStream, c.inputs)
+		_, softCore := runStandalone(t, c.k, StyleSoftware, c.inputs)
 		si := streamCore.Stats().Instructions
 		wi := softCore.Stats().Instructions
 		t.Logf("%s: software/stream instructions %d/%d = %.3f", c.k.Name(), wi, si, float64(wi)/float64(si))
@@ -241,7 +241,7 @@ func TestRAID6RecoversFromTableState(t *testing.T) {
 	}
 	k := RAID6{K: 4}
 	ref, _ := k.Reference(inputs)
-	outs, _ := runKernel(t, k, StyleStream, inputs)
+	outs, _ := runStandalone(t, k, StyleStream, inputs)
 	if !bytes.Equal(outs[1], ref[1]) {
 		t.Fatal("Q parity wrong on tiny input")
 	}
@@ -259,7 +259,7 @@ func TestAESKnownVector(t *testing.T) {
 	key := []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}
 	pt := []byte{0x00, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff}
 	k := AES{Key: key}
-	outs, _ := runKernel(t, k, StyleStream, [][]byte{pt})
+	outs, _ := runStandalone(t, k, StyleStream, [][]byte{pt})
 	want := []byte{0x69, 0xc4, 0xe0, 0xd8, 0x6a, 0x7b, 0x04, 0x30, 0xd8, 0xcd, 0xb7, 0x80, 0x70, 0xb4, 0xc5, 0x5a}
 	if !bytes.Equal(outs[0], want) {
 		t.Fatalf("AES kernel = %x, want %x", outs[0], want)
@@ -294,7 +294,7 @@ func TestFilterAllPassAllReject(t *testing.T) {
 	checkAgainstReference(t, pass, [][]byte{data})
 
 	reject := Filter{TupleSize: ts, Preds: []FieldPred{{Offset: 0, Lo: 1, Hi: 0}}}
-	outs, _ := runKernel(t, reject, StyleStream, [][]byte{data})
+	outs, _ := runStandalone(t, reject, StyleStream, [][]byte{data})
 	if len(outs[0]) != 0 {
 		t.Fatal("all-reject emitted data")
 	}

@@ -33,7 +33,7 @@ func TestTrainWeightsMatchReference(t *testing.T) {
 	data := trainData(k, 300, 1)
 	wantW, wantN := k.TrainRef(data)
 	for _, style := range []Style{StyleStream, StyleSoftware} {
-		_, core := runKernel(t, k, style, [][]byte{data})
+		_, core := runStandalone(t, k, style, [][]byte{data})
 		if got := core.Reg(asm.S3); got != wantN {
 			t.Fatalf("%v: records %d, want %d", style, got, wantN)
 		}

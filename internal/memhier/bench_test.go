@@ -98,40 +98,6 @@ func BenchmarkStreamLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamBulkCopy measures the page-granular bulk stream paths the
-// compiled interpreter and firmware ride: Push into an InStream, CopyOut of the
-// delivered window, and BulkAppend+Drain through an OutStream.
-func BenchmarkStreamBulkCopy(b *testing.B) {
-	const page = 4096
-	in := NewInStream(8, page)
-	out := NewOutStream(8, page)
-	data := make([]byte, page)
-	for i := range data {
-		data[i] = byte(i)
-	}
-	dst := make([]byte, page)
-	b.SetBytes(page)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := in.Push(data, 0); err != nil {
-			b.Fatal(err)
-		}
-		if n := in.CopyOut(dst, in.Head()); n != page {
-			b.Fatalf("CopyOut = %d", n)
-		}
-		if err := in.Adv(page); err != nil {
-			b.Fatal(err)
-		}
-		if !out.BulkAppend(dst) {
-			b.Fatal("BulkAppend refused")
-		}
-		if got := out.Drain(page, 0); len(got) != page {
-			b.Fatalf("Drain = %d", len(got))
-		}
-	}
-}
-
 func BenchmarkDRAMAccess(b *testing.B) {
 	d := NewDRAM(DefaultDRAMConfig())
 	cl := &DRAMClient{Name: "b"}

@@ -259,27 +259,6 @@ func (s *InStream) BulkAvail(at sim.Time) int64 {
 	return end - s.consumed
 }
 
-// CopyOut copies up to len(dst) delivered bytes starting at absolute stream
-// offset off into dst without consuming them, returning the count copied.
-// It is the bulk (memcpy) counterpart of per-word Peek for firmware-side and
-// test consumers; availability times are the caller's concern.
-func (s *InStream) CopyOut(dst []byte, off int64) int {
-	if off < s.consumed {
-		off = s.consumed
-	}
-	n := int(s.delivered - off)
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if n <= 0 {
-		return 0
-	}
-	pos := s.pos(off)
-	c := copy(dst[:n], s.ring[pos:])
-	copy(dst[c:n], s.ring)
-	return n
-}
-
 // LoadDirect consumes width bytes at Head and returns the little-endian
 // value, bypassing the availability scan. The caller (the compiled
 // loop path in internal/cpu) must have already established via BulkAvail
@@ -475,33 +454,6 @@ func (s *OutStream) Append(v uint32, width int) bool {
 		s.OnData()
 	}
 	return true
-}
-
-// BulkAppend appends a byte slice with at most two copies (ring wrap),
-// replacing the per-byte modulo walk for page-sized producers.
-func (s *OutStream) BulkAppend(data []byte) bool {
-	if !s.CanAppend(len(data)) {
-		if s.Tel != nil {
-			s.Tel.OutFullStalls.Inc()
-		}
-		return false
-	}
-	if end := s.appended + int64(len(data)); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
-		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
-	}
-	pos := s.pos(s.appended)
-	n := copy(s.ring[pos:], data)
-	copy(s.ring, data[n:])
-	s.appended += int64(len(data))
-	if s.OnData != nil {
-		s.OnData()
-	}
-	return true
-}
-
-// AppendBytes appends a byte slice (used by non-ISA producers in tests).
-func (s *OutStream) AppendBytes(data []byte) bool {
-	return s.BulkAppend(data)
 }
 
 // peekInto copies n buffered bytes from the Head into the shared scratch

@@ -181,75 +181,12 @@ func TestInStreamLoadDirectMatchesLoad(t *testing.T) {
 	}
 }
 
-// TestInStreamCopyOut exercises the bulk read: offsets below Head clamp,
-// reads cap at Tail, and wrapped windows reassemble correctly.
-func TestInStreamCopyOut(t *testing.T) {
-	s := NewInStream(2, 8) // 16-byte window
-	data := []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
-	s.Push(data[:8], 0)
-	if err := s.Adv(6); err != nil { // free space, Head=6
-		t.Fatal(err)
-	}
-	s.Push(data[8:], 0) // delivered=12, wraps at 16... not yet
-	dst := make([]byte, 16)
-	if n := s.CopyOut(dst, 6); n != 6 || !bytes.Equal(dst[:n], data[6:12]) {
-		t.Fatalf("CopyOut from Head = %d %v", n, dst[:n])
-	}
-	// Offset below Head clamps to Head.
-	if n := s.CopyOut(dst, 0); n != 6 || !bytes.Equal(dst[:n], data[6:12]) {
-		t.Fatalf("CopyOut below Head = %d %v", n, dst[:n])
-	}
-	// Force a ring wrap: consume to 12, push 8 more (12..20 wraps at 16).
-	if err := s.Adv(6); err != nil {
-		t.Fatal(err)
-	}
-	more := []byte{20, 21, 22, 23, 24, 25, 26, 27}
-	s.Push(more, 0)
-	if n := s.CopyOut(dst, 12); n != 8 || !bytes.Equal(dst[:n], more) {
-		t.Fatalf("CopyOut across wrap = %d %v", n, dst[:n])
-	}
-	// Short destination reads a prefix.
-	short := make([]byte, 3)
-	if n := s.CopyOut(short, 12); n != 3 || !bytes.Equal(short, more[:3]) {
-		t.Fatalf("short CopyOut = %d %v", n, short)
-	}
-}
-
-// TestOutStreamBulkAppend checks the bulk producer path against per-word
-// Append: wrap handling, capacity refusal, and OnData notification.
-func TestOutStreamBulkAppend(t *testing.T) {
-	s := NewOutStream(2, 8) // 16-byte window
-	datas := 0
-	s.OnData = func() { datas++ }
-	if !s.BulkAppend([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
-		t.Fatal("BulkAppend within capacity refused")
-	}
-	if s.BulkAppend(make([]byte, 7)) {
-		t.Fatal("BulkAppend beyond capacity accepted")
-	}
-	if datas != 1 {
-		t.Fatalf("OnData fired %d times, want 1", datas)
-	}
-	got := s.Drain(10, 0)
-	if !bytes.Equal(got, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}) {
-		t.Fatalf("drained %v", got)
-	}
-	// Next append wraps (appended=10, window 16).
-	wrap := []byte{20, 21, 22, 23, 24, 25, 26, 27}
-	if !s.BulkAppend(wrap) {
-		t.Fatal("wrapping BulkAppend refused")
-	}
-	if got := s.Drain(8, 0); !bytes.Equal(got, wrap) {
-		t.Fatalf("wrapped drain = %v", got)
-	}
-}
-
 // TestOutStreamScratchReuse pins the PeekBytes/Drain aliasing contract: the
 // two calls share one scratch buffer (no per-call allocation), so a second
 // call invalidates the first call's slice.
 func TestOutStreamScratchReuse(t *testing.T) {
 	s := NewOutStream(2, 8)
-	s.AppendBytes([]byte{1, 2, 3, 4})
+	appendBytes(s, []byte{1, 2, 3, 4})
 	p1 := s.PeekBytes(4)
 	if !bytes.Equal(p1, []byte{1, 2, 3, 4}) {
 		t.Fatalf("PeekBytes = %v", p1)
@@ -258,7 +195,7 @@ func TestOutStreamScratchReuse(t *testing.T) {
 	if &p1[0] != &d1[0] {
 		t.Fatal("PeekBytes and Drain returned distinct buffers; scratch not reused")
 	}
-	s.AppendBytes([]byte{9, 8, 7, 6})
+	appendBytes(s, []byte{9, 8, 7, 6})
 	_ = s.Drain(4, 0)
 	if !bytes.Equal(p1, []byte{9, 8, 7, 6}) {
 		t.Fatalf("earlier slice not overwritten by later Drain: %v", p1)
@@ -267,10 +204,10 @@ func TestOutStreamScratchReuse(t *testing.T) {
 	// Steady page-size traffic must not allocate after the first call.
 	s2 := NewOutStream(2, 8)
 	page := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	s2.AppendBytes(page)
+	appendBytes(s2, page)
 	s2.Drain(8, 0)
 	allocs := testing.AllocsPerRun(100, func() {
-		s2.AppendBytes(page)
+		appendBytes(s2, page)
 		s2.PeekBytes(8)
 		s2.Drain(8, 0)
 	})

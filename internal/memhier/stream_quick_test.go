@@ -18,7 +18,7 @@ func modelGeometry(rng *rand.Rand) (pages, pageSize int) {
 }
 
 // TestInStreamModelBased drives an InStream with random interleavings of
-// Push / Load / Peek / Adv / ReadAt / CopyOut against a simple FIFO model and
+// Push / Load / Peek / Adv / ReadAt against a simple FIFO model and
 // against a twin whose ring is allocated at full capacity up front, and
 // checks every observable agrees: the growing ring must behave exactly like
 // a full-capacity one.
@@ -124,14 +124,13 @@ func TestInStreamModelBased(t *testing.T) {
 				if byte(v) != model[off] {
 					t.Fatal("ReadAt value wrong")
 				}
-			case 5: // bulk copy of everything buffered
-				got := make([]byte, delivered-consumed)
-				want := make([]byte, len(got))
-				if n, fn := s.CopyOut(got, consumed), full.CopyOut(want, consumed); n != len(got) || fn != n {
-					t.Fatalf("CopyOut copied %d (full ring %d), want %d", n, fn, len(got))
-				}
-				if !bytes.Equal(got, want) || !bytes.Equal(got, model[consumed:delivered]) {
-					t.Fatal("CopyOut bytes wrong")
+			case 5: // read back everything buffered, across any ring wrap
+				for off := consumed; off < delivered; off++ {
+					v, _, st := s.ReadAt(0, off, 1)
+					fv, _, _ := full.ReadAt(0, off, 1)
+					if st != LoadOK || v != fv || byte(v) != model[off] {
+						t.Fatalf("ReadAt(%d) = %#x, %v; full ring %#x, model %#x", off, v, st, fv, model[off])
+					}
 				}
 			}
 			if s.Head() != consumed || s.Tail() != delivered {
@@ -147,7 +146,7 @@ func TestInStreamModelBased(t *testing.T) {
 	}
 }
 
-// TestOutStreamModelBased checks Append/BulkAppend/Drain against a byte
+// TestOutStreamModelBased checks Append/Drain against a byte
 // queue and against a twin whose ring is allocated at full capacity.
 func TestOutStreamModelBased(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
@@ -187,8 +186,8 @@ func TestOutStreamModelBased(t *testing.T) {
 					tmp[i] = produced + byte(i)
 				}
 				ok := s.CanAppend(len(tmp))
-				if got, fgot := s.BulkAppend(tmp), full.BulkAppend(tmp); got != ok || fgot != ok {
-					t.Fatalf("BulkAppend = %v (full ring %v), want %v", got, fgot, ok)
+				if got, fgot := appendBytes(s, tmp), appendBytes(full, tmp); got != ok || fgot != ok {
+					t.Fatalf("appendBytes = %v (full ring %v), want %v", got, fgot, ok)
 				}
 				if ok {
 					produced += byte(len(tmp))

@@ -180,12 +180,24 @@ func TestInStreamCallbacks(t *testing.T) {
 	}
 }
 
+// appendBytes appends data one byte at a time through Append, all or
+// nothing: the producer side of tests that hand the stream raw bytes.
+func appendBytes(s *OutStream, data []byte) bool {
+	if !s.CanAppend(len(data)) {
+		return false
+	}
+	for _, b := range data {
+		s.Append(uint32(b), 1)
+	}
+	return true
+}
+
 func TestOutStreamAppendDrain(t *testing.T) {
 	s := NewOutStream(2, 8) // 16 bytes
 	if !s.Append(0x04030201, 4) {
 		t.Fatal("append failed")
 	}
-	if !s.AppendBytes([]byte{9, 9}) {
+	if !appendBytes(s, []byte{9, 9}) {
 		t.Fatal("append bytes failed")
 	}
 	if s.Buffered() != 6 {

@@ -74,9 +74,9 @@ func TestBulkMatchesPerStep(t *testing.T) {
 	}
 	bulk := new(cpu.Profiler)
 	cb := bulk.ForProgram(prog, period)
-	cb.BulkRange(0, 2, 3)
-	cb.BulkALU(0, 2)
-	cb.BulkALU(0, 2)
+	for it := 0; it < 5; it++ {
+		cb.BulkALU(0, 2)
+	}
 	a, b := Snapshot(perStep), Snapshot(bulk)
 	aj, _ := a.Pprof()
 	bj, _ := b.Pprof()

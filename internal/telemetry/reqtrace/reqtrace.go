@@ -85,17 +85,6 @@ var classNames = func() (n [numClasses]string) {
 	return n
 }()
 
-// classOf resolves a class name to its ID; names outside the table map to
-// idUnattributed.
-func classOf(name string) ClassID {
-	for i, n := range classNames {
-		if n == name {
-			return ClassID(i)
-		}
-	}
-	return idUnattributed
-}
-
 // Segment is one critical-path link. Segments are an exact decomposition of
 // the request latency — their durations sum to complete-submit — laid out
 // in lifecycle order (queueing, execution-window classes, drain); the
@@ -291,21 +280,11 @@ func (r *Request) SetCoreDelta(task int, startPs int64, classPs [cpu.NumClasses]
 	t.Dispatches = dispatches
 }
 
-// AddPathStage appends one pre-classified chain stage (conventional IO:
+// AddPathClass appends one pre-classified chain stage (conventional IO:
 // flash/DRAM/host-link legs of the command's slowest page). Stages are
-// normalized against the submit→complete span at completion. class must be
-// one of the table's class names; any other name is recorded as
-// ClassUnattributed, so the path still sums exactly to the latency. Hot
-// paths use AddPathClass, which skips the name lookup.
-func (r *Request) AddPathStage(class string, durPs int64) {
-	if r == nil {
-		return
-	}
-	r.AddPathClass(classOf(class), durPs)
-}
-
-// AddPathClass is AddPathStage by ClassID. An ID outside the table is
-// recorded as ClassUnattributed.
+// normalized against the submit→complete span at completion. An ID outside
+// the table is recorded as ClassUnattributed, so the path still sums
+// exactly to the latency.
 func (r *Request) AddPathClass(id ClassID, durPs int64) {
 	if r == nil {
 		return

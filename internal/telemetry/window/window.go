@@ -1,8 +1,8 @@
 // Package window provides sim-clock sliding-window aggregation: each
 // metric keeps a ring of time buckets (configurable window span and bucket
 // count, e.g. a 1 s window split into 20 buckets of 50 ms simulated time)
-// over which it reports rolling counter rates, gauge last-values, and
-// rolling latency distributions whose percentiles come from the same
+// over which it reports rolling counter rates and rolling latency
+// distributions whose percentiles come from the same
 // bucket-interpolating telemetry.Histogram code the cumulative metrics use.
 //
 // Rotation is lazy and driven entirely by the simulated timestamps passed
@@ -11,7 +11,7 @@
 // count. Advance is sim.Scheduler.OnAdvance-compatible: the steady-state
 // fast path is a single comparison against the next bucket boundary.
 //
-// Zero-cost contract: the nil *Windows and nil *Rate/*Gauge/*Hist are valid
+// Zero-cost contract: the nil *Windows and nil *Rate/*Hist are valid
 // disabled instances (every method is a nil-receiver no-op), and enabled
 // steady-state operation — Advance ticks, Rate.Add, Hist.Observe — never
 // allocates after construction (the alloc-gate pins this).
@@ -69,10 +69,9 @@ type Windows struct {
 	firstPs int64 // start of the first observed bucket
 	nextPs  int64 // next rotation boundary (the Advance fast-path guard)
 
-	names  map[string]bool
-	rates  []*Rate
-	gauges []*Gauge
-	hists  []*Hist
+	names map[string]bool
+	rates []*Rate
+	hists []*Hist
 
 	// OnRotate, when non-nil, is called once per crossed bucket boundary
 	// (at most Buckets per Advance — older boundaries have left the
@@ -178,18 +177,6 @@ func (w *Windows) Rate(name string) *Rate {
 	return r
 }
 
-// Gauge registers a last-value metric under name. Returns nil on a nil
-// domain.
-func (w *Windows) Gauge(name string) *Gauge {
-	if w == nil {
-		return nil
-	}
-	w.register(name)
-	g := &Gauge{w: w, name: name}
-	w.gauges = append(w.gauges, g)
-	return g
-}
-
 // Hist registers a windowed histogram under name. Returns nil on a nil
 // domain.
 func (w *Windows) Hist(name string) *Hist {
@@ -248,25 +235,6 @@ func (r *Rate) WindowCount() int64 {
 	return sum
 }
 
-// Last sums the events in the trailing spanPs of the window (rounded up to
-// whole buckets, clamped to the window). Burn-rate rules read their long
-// and short windows through it.
-func (r *Rate) Last(spanPs int64) int64 {
-	if r == nil {
-		return 0
-	}
-	w := r.w
-	k := w.spanBuckets(spanPs)
-	var sum int64
-	for e := w.epoch - int64(k) + 1; e <= w.epoch; e++ {
-		if e < 0 {
-			continue
-		}
-		sum += r.slots[int(e%int64(w.n))]
-	}
-	return sum
-}
-
 // LastClosed sums the events in the trailing spanPs of *closed* buckets —
 // excluding the current, still-filling bucket. Boundary evaluations (burn
 // rates) use it so a freshly opened empty bucket never dilutes the short
@@ -297,33 +265,6 @@ func (r *Rate) Total() int64 {
 		return 0
 	}
 	return r.total
-}
-
-// Gauge is a last-value metric on the window clock. Nil-safe.
-type Gauge struct {
-	w    *Windows
-	name string
-	v    int64
-	set  bool
-}
-
-// Set records v as the current value at nowPs (which also advances the
-// domain's rotation clock).
-func (g *Gauge) Set(nowPs, v int64) {
-	if g == nil {
-		return
-	}
-	g.w.Advance(nowPs)
-	g.v = v
-	g.set = true
-}
-
-// Value returns the last set value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Hist is a windowed histogram: one telemetry.Histogram per ring bucket
@@ -392,12 +333,6 @@ type RateSnapshot struct {
 	Total       int64   `json:"total"`
 }
 
-// GaugeSnapshot is one Gauge in a Snapshot.
-type GaugeSnapshot struct {
-	Name  string `json:"name"`
-	Value int64  `json:"value"`
-}
-
 // HistSnapshot is one Hist in a Snapshot: rolling window percentiles plus
 // the cumulative view for reconciliation.
 type HistSnapshot struct {
@@ -414,12 +349,11 @@ type HistSnapshot struct {
 // Snapshot is an immutable, JSON-serializable view of a Windows domain at
 // one instant, suitable for publication to concurrent readers (/live).
 type Snapshot struct {
-	NowPs    int64           `json:"now_ps"`
-	WindowPs int64           `json:"window_ps"`
-	BucketPs int64           `json:"bucket_ps"`
-	Rates    []RateSnapshot  `json:"rates,omitempty"`
-	Gauges   []GaugeSnapshot `json:"gauges,omitempty"`
-	Hists    []HistSnapshot  `json:"hists,omitempty"`
+	NowPs    int64          `json:"now_ps"`
+	WindowPs int64          `json:"window_ps"`
+	BucketPs int64          `json:"bucket_ps"`
+	Rates    []RateSnapshot `json:"rates,omitempty"`
+	Hists    []HistSnapshot `json:"hists,omitempty"`
 }
 
 // Snapshot advances to nowPs and captures every registered metric, sorted
@@ -446,9 +380,6 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 			Total:       r.total,
 		})
 	}
-	for _, g := range w.gauges {
-		snap.Gauges = append(snap.Gauges, GaugeSnapshot{Name: g.name, Value: g.v})
-	}
 	for _, h := range w.hists {
 		win := h.Window()
 		snap.Hists = append(snap.Hists, HistSnapshot{
@@ -463,7 +394,6 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 		})
 	}
 	sort.Slice(snap.Rates, func(i, j int) bool { return snap.Rates[i].Name < snap.Rates[j].Name })
-	sort.Slice(snap.Gauges, func(i, j int) bool { return snap.Gauges[i].Name < snap.Gauges[j].Name })
 	sort.Slice(snap.Hists, func(i, j int) bool { return snap.Hists[i].Name < snap.Hists[j].Name })
 	return snap
 }

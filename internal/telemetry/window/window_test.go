@@ -39,17 +39,18 @@ func TestRateLastSpans(t *testing.T) {
 	for i := int64(0); i < 10; i++ {
 		r.Add(i*ms, i+1) // bucket i holds i+1 events
 	}
-	// Trailing 3 ms = buckets 7, 8, 9 -> 8+9+10.
-	if got := r.Last(3 * ms); got != 27 {
-		t.Fatalf("Last(3ms) = %d, want 27", got)
+	// The current bucket is 9, still filling. Trailing 3 ms of closed
+	// buckets = buckets 6, 7, 8 -> 7+8+9.
+	if got := r.LastClosed(3 * ms); got != 24 {
+		t.Fatalf("LastClosed(3ms) = %d, want 24", got)
 	}
-	// Sub-bucket spans round up to one bucket.
-	if got := r.Last(1); got != 10 {
-		t.Fatalf("Last(1ps) = %d, want 10 (current bucket)", got)
+	// Sub-bucket spans round up to one bucket: the last closed one.
+	if got := r.LastClosed(1); got != 9 {
+		t.Fatalf("LastClosed(1ps) = %d, want 9 (bucket 8)", got)
 	}
-	// Oversized spans clamp to the window.
-	if got := r.Last(100 * ms); got != r.WindowCount() {
-		t.Fatalf("Last(100ms) = %d, want %d", got, r.WindowCount())
+	// Oversized spans clamp to the closed part of the window.
+	if got, want := r.LastClosed(100*ms), r.WindowCount()-10; got != want {
+		t.Fatalf("LastClosed(100ms) = %d, want %d", got, want)
 	}
 }
 
@@ -110,16 +111,6 @@ func TestOnRotateBoundaries(t *testing.T) {
 	}
 }
 
-func TestGaugeLastValue(t *testing.T) {
-	w := New(Config{WindowPs: 10 * ms, Buckets: 10})
-	g := w.Gauge("depth")
-	g.Set(ms, 7)
-	g.Set(2*ms, 3)
-	if got := g.Value(); got != 3 {
-		t.Fatalf("gauge value = %d, want 3", got)
-	}
-}
-
 func TestSnapshotDeterministicAndSorted(t *testing.T) {
 	build := func() *Snapshot {
 		w := New(Config{WindowPs: 10 * ms, Buckets: 10})
@@ -151,21 +142,18 @@ func TestSnapshotDeterministicAndSorted(t *testing.T) {
 func TestNilWindowsZeroCost(t *testing.T) {
 	var w *Windows
 	r := w.Rate("x")
-	g := w.Gauge("y")
 	h := w.Hist("z")
-	if r != nil || g != nil || h != nil {
+	if r != nil || h != nil {
 		t.Fatal("nil domain must return nil metrics")
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		w.Advance(123)
 		r.Add(123, 1)
 		r.Inc(456)
-		g.Set(123, 9)
 		h.Observe(123, 55)
 		_ = r.WindowCount()
-		_ = r.Last(10)
+		_ = r.LastClosed(10)
 		_ = r.Total()
-		_ = g.Value()
 		_ = h.Window()
 		_ = h.Cumulative()
 		_ = w.Snapshot(123)
@@ -183,7 +171,7 @@ func TestWindowTickZeroAlloc(t *testing.T) {
 	r := w.Rate("req")
 	h := w.Hist("lat")
 	w.OnRotate = func(int64) {
-		_ = r.Last(2 * ms) // a burn-rate-style read at every rotation
+		_ = r.LastClosed(2 * ms) // a burn-rate read at every rotation
 	}
 	now := int64(0)
 	allocs := testing.AllocsPerRun(1000, func() {

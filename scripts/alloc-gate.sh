@@ -1,6 +1,7 @@
 #!/bin/sh
-# Alloc-regression gate for the simulator's hot paths: the event queue and
-# the crossbar arbitration benchmarks must report exactly 0 allocs/op, and
+# Alloc-regression gate for the simulator's hot paths: the event queue, the
+# crossbar arbitration and the compiled core's loop-driver benchmarks must
+# report exactly 0 allocs/op, and
 # the firmware steady-state guard tests (which pin the whole
 # feeder -> crossbar -> stream-buffer page path, one delivery event per
 # page, both with request tracing disabled and with a live request record
@@ -46,6 +47,10 @@ run() {
 
 bench ./internal/sim/ BenchmarkEventQueue BenchmarkEventQueueMixed
 bench ./internal/crossbar/ BenchmarkCrossbarArbitration
+# The compiled engine's flat loop driver runs every recognized loop: an
+# ALU-run element with a branch back edge, a long mixed body resumed across
+# quanta, and a stream-load loop fed by page pushes.
+bench ./internal/cpu/ BenchmarkCoreCompiledBlock BenchmarkCoreLongBody BenchmarkStreamLoadPath
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
 if [ -n "$bad" ]; then
