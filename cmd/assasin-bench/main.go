@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -136,8 +137,8 @@ func main() {
 	}
 	cfg.Load = &lc
 
-	if *tlIvalUs <= 0 {
-		fatal(fmt.Errorf("-timeline-interval-us must be > 0, got %g", *tlIvalUs))
+	if ps := *tlIvalUs * 1e6; !(ps >= 1 && ps < math.MaxInt64) {
+		fatal(fmt.Errorf("-timeline-interval-us must be finite and at least 1 ps (1e-06), got %g", *tlIvalUs))
 	}
 
 	// Every run observes privately and the root absorbs it (see
@@ -188,11 +189,11 @@ func main() {
 	// boundaries in a deterministic order, so -report, -diff, and -requests
 	// output is byte-identical for any -parallel setting (see drainRecords).
 	var recMu sync.Mutex
-	var pending []experiments.RunRecord
+	var pending []analyze.Run
 	collectRecs := coll != nil || *requests > 0 || *kprofN > 0
 	var curExp string
 	if collectRecs || *tlDir != "" {
-		cfg.OnRunDone = func(rec experiments.RunRecord) {
+		cfg.OnRunDone = func(rec analyze.Run) {
 			if collectRecs {
 				recMu.Lock()
 				pending = append(pending, rec)
@@ -309,7 +310,7 @@ func fatal(err error) {
 // run ids, attribution reports, and slowest-request tables are independent
 // of parallel completion order. Each record's metrics come from the run's
 // private sink, so the order of observation cannot change a report.
-func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector, requests int, jsonDir string, kprofN int, kprofDir string) {
+func drainRecords(exp string, recs []analyze.Run, coll *obs.Collector, requests int, jsonDir string, kprofN int, kprofDir string) {
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := &recs[i], &recs[j]
 		if a.Label != b.Label {
@@ -321,11 +322,11 @@ func drainRecords(exp string, recs []experiments.RunRecord, coll *obs.Collector,
 		if a.InputBytes != b.InputBytes {
 			return a.InputBytes < b.InputBytes
 		}
-		return a.Duration < b.Duration
+		return a.DurationPs < b.DurationPs
 	})
 	var sums []*reqtrace.Summary
 	for _, r := range recs {
-		coll.ObserveRun(r.AttributionRun(), r.Timeline, r.Requests, r.Profile)
+		coll.ObserveRun(r)
 		if r.Requests != nil {
 			sums = append(sums, r.Requests)
 		}
@@ -431,7 +432,8 @@ func printArchDiffs(coll *obs.Collector) {
 			continue
 		}
 		side := func(rep *analyze.RunReport) diff.RunData {
-			return diff.RunData{Label: rep.Label, Report: rep, Timeline: coll.Timeline(rep.ID), Profile: coll.Profile(rep.ID)}
+			run := coll.Run(rep.ID)
+			return diff.RunData{Label: rep.Label, Report: rep, Timeline: run.Timeline, Profile: run.Profile}
 		}
 		fmt.Print(diff.Compare(side(a), side(b)).Format())
 		fmt.Println()

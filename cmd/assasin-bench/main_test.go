@@ -178,3 +178,27 @@ func TestCLIReportFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestCLIRejectsBadNumbers checks that numeric input the experiments cannot
+// use exits non-zero with an error message instead of a panic or a silent
+// fallback.
+func TestCLIRejectsBadNumbers(t *testing.T) {
+	bin := buildBench(t)
+	for _, args := range [][]string{
+		{"-exp", "fig13", "-quick", "-mb", "1e300"},
+		{"-exp", "fig13", "-quick", "-mb", "NaN"},
+		{"-exp", "table2", "-quick", "-diff", "-timeline-interval-us", "NaN"},
+	} {
+		cmd := exec.Command(bin, args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Errorf("%v: exit %v, want a non-zero exit\n%s", args, err, stdout.String())
+			continue
+		}
+		if msg := stderr.String(); !strings.HasPrefix(msg, "assasin-bench: ") || strings.Contains(msg, "panic:") {
+			t.Errorf("%v: stderr %q, want one assasin-bench error and no panic", args, msg)
+		}
+	}
+}

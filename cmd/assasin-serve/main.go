@@ -47,6 +47,7 @@ import (
 	"assasin/internal/experiments"
 	"assasin/internal/obs"
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/slo"
 	"assasin/internal/telemetry/timeline"
 	"assasin/internal/telemetry/window"
@@ -81,6 +82,9 @@ func main() {
 		fatal(err)
 	}
 
+	if err := experiments.ValidateOverrides(*cores, 1, *sf, *mb); err != nil {
+		fatal(err)
+	}
 	cfg := experiments.Default()
 	if *quick {
 		cfg = experiments.Quick()
@@ -96,9 +100,6 @@ func main() {
 	}
 	if *mb > 0 {
 		cfg.KernelMB = *mb
-	}
-	if err := experiments.ValidateOverrides(cfg.Cores, 1, cfg.TPCHScale, cfg.KernelMB); err != nil {
-		fatal(err)
 	}
 	cfg.Log = log
 
@@ -121,8 +122,8 @@ func main() {
 	cfg.KProf = *kprofOn
 	coll := obs.NewCollector()
 	coll.SetBuildInfo(buildinfo.Get().PromLabels()...)
-	cfg.OnRunDone = func(rec experiments.RunRecord) {
-		coll.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
+	cfg.OnRunDone = func(run analyze.Run) {
+		coll.ObserveRun(run)
 		coll.PublishMetrics(tel.Metrics())
 	}
 

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,11 +77,16 @@ func main() {
 		*kprofN = 10
 	}
 
-	if *mb < 0 {
-		fail(fmt.Errorf("-mb must be >= 0, got %g", *mb))
+	if err := experiments.ValidateOverrides(*cores, 0, 0, *mb); err != nil {
+		fail(err)
 	}
-	if *cores < 0 {
-		fail(fmt.Errorf("-cores must be >= 0, got %d", *cores))
+	size := int(*mb * (1 << 20))
+	size -= size % 64
+	if size == 0 {
+		fail(fmt.Errorf("-mb %g rounds to 0 bytes (inputs are whole 64-byte records)", *mb))
+	}
+	if ps := *tlIvalUs * 1e6; !(ps >= 1 && ps < math.MaxInt64) {
+		fail(fmt.Errorf("-timeline-interval-us must be finite and at least 1 ps (1e-06), got %g", *tlIvalUs))
 	}
 	arch, err := ssd.ParseArch(*archName)
 	if err != nil {
@@ -97,9 +103,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *tlIvalUs <= 0 {
-		fail(fmt.Errorf("-timeline-interval-us must be > 0, got %g", *tlIvalUs))
-	}
 	cfg := experiments.Config{Requests: *requests, KProf: *kprofN > 0, Log: log}
 	if *tracePth != "" || *metrPth != "" || *report || *tlPth != "" || *diffPth != "" {
 		cfg.Telemetry = telemetry.NewSink()
@@ -111,19 +114,17 @@ func main() {
 	if *tlPth != "" || *diffPth != "" {
 		cfg.Timeline = &timeline.Config{IntervalPs: int64(*tlIvalUs * 1e6)}
 	}
-	size := int(*mb * (1 << 20))
-	done, err := experiments.RunWorkload(cfg, strings.ToLower(*kernel), arch, *adjusted, *cores, size-size%64, *seed)
+	done, err := experiments.RunWorkload(cfg, strings.ToLower(*kernel), arch, *adjusted, *cores, size, *seed)
 	if err != nil {
 		fail(err)
 	}
-	res, rec := done.Result, done.Record
-	attr := rec.AttributionRun()
+	res, run := done.Result, &done.Run
 
-	fmt.Printf("%s / %s: %d cores, %.2f MB input\n", arch, rec.Kernel, rec.Cores, float64(res.InputBytes)/(1<<20))
+	fmt.Printf("%s / %s: %d cores, %.2f MB input\n", arch, run.Kernel, run.Cores, float64(res.InputBytes)/(1<<20))
 	fmt.Printf("  duration    %v\n", res.Duration)
 	fmt.Printf("  throughput  %.3f GB/s\n", res.Throughput()/1e9)
 	var total, instr int64
-	for _, ps := range attr.ClassPs {
+	for _, ps := range run.ClassPs {
 		total += ps
 	}
 	for _, st := range res.CoreStats {
@@ -134,7 +135,7 @@ func main() {
 		short := [cpu.NumClasses]string{"busy", "mem", "data-wait", "out-full", "exec"}
 		parts := make([]string, len(short))
 		for i, name := range short {
-			parts[i] = fmt.Sprintf("%s %.0f%%", name, 100*float64(attr.ClassPs[i])/float64(total))
+			parts[i] = fmt.Sprintf("%s %.0f%%", name, 100*float64(run.ClassPs[i])/float64(total))
 		}
 		fmt.Printf("  cycles: %s\n", strings.Join(parts, ", "))
 	}
@@ -144,13 +145,12 @@ func main() {
 
 	var rep *analyze.RunReport
 	if *report || *diffPth != "" {
-		rep = analyze.Attribute(attr)
-		analyze.AttachPhases(rep, rec.Timeline)
+		rep = analyze.Attribute(*run)
 	}
 	if *report {
 		fmt.Print(analyze.FormatReport(rep))
 	}
-	if guest := rec.Profile; guest != nil {
+	if guest := run.Profile; guest != nil {
 		fmt.Print(guest.FormatHotBlocks(*kprofN))
 		if *kprofDir != "" {
 			if err := writeKProf(*kprofDir, guest); err != nil {
@@ -159,7 +159,7 @@ func main() {
 			fmt.Printf("  profile     %s/profile.{json,folded,pb.gz}\n", *kprofDir)
 		}
 	}
-	if sum := rec.Requests; sum != nil {
+	if sum := run.Requests; sum != nil {
 		if err := sum.WriteText(os.Stdout); err != nil {
 			fail(err)
 		}
@@ -191,10 +191,10 @@ func main() {
 			fmt.Printf("  metrics     %s\n", *metrPth)
 		}
 		if *tlPth != "" {
-			if err := rec.Timeline.WriteFile(*tlPth); err != nil {
+			if err := run.Timeline.WriteFile(*tlPth); err != nil {
 				fail(err)
 			}
-			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(rec.Timeline.TimesPs))
+			fmt.Printf("  timeline    %s (%d samples)\n", *tlPth, len(run.Timeline.TimesPs))
 		}
 	}
 	if *diffPth != "" {
@@ -202,7 +202,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cur := diff.RunData{Label: rec.Label, Report: rep, Timeline: rec.Timeline, Profile: rec.Profile, Metrics: rec.Metrics}
+		cur := diff.RunData{Label: run.Label, Report: rep, Timeline: run.Timeline, Profile: run.Profile, Metrics: run.Metrics}
 		fmt.Print(diff.Compare(other, cur).Format())
 	}
 }

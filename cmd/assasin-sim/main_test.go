@@ -66,6 +66,51 @@ func TestCLIWorkloads(t *testing.T) {
 	}
 }
 
+// TestCLICoresDefault checks that the header describes the SSD the run
+// used: -cores 0 runs on ssd.New's default of eight engines.
+func TestCLICoresDefault(t *testing.T) {
+	bin := buildSim(t)
+	out, err := exec.Command(bin, "-kernel", "stat", "-mb", "0.05", "-cores", "0").CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v\n%s", err, out)
+	}
+	header, _, _ := strings.Cut(string(out), "\n")
+	if !strings.Contains(header, ": 8 cores,") {
+		t.Errorf("-cores 0 header = %q, want 8 cores", header)
+	}
+}
+
+// TestCLIRejectsBadNumbers checks that numeric input the run cannot use
+// exits non-zero with an error message instead of a panic or a NaN report.
+func TestCLIRejectsBadNumbers(t *testing.T) {
+	bin := buildSim(t)
+	for _, args := range [][]string{
+		{"-mb", "NaN"},
+		{"-mb", "1e300"},
+		{"-mb", "0"},
+		{"-mb", "0.00005"}, // 52 bytes: under one 64-byte record
+		{"-timeline-interval-us", "NaN"},
+	} {
+		checkRejected(t, exec.Command(bin, args...), "assasin-sim: ")
+	}
+}
+
+// checkRejected runs cmd and demands a non-zero exit with an error line on
+// stderr that starts with prefix, and no panic.
+func checkRejected(t *testing.T, cmd *exec.Cmd, prefix string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if _, ok := err.(*exec.ExitError); !ok {
+		t.Errorf("%v: exit %v, want a non-zero exit\n%s", cmd.Args[1:], err, stdout.String())
+		return
+	}
+	if msg := stderr.String(); !strings.HasPrefix(msg, prefix) || strings.Contains(msg, "panic:") {
+		t.Errorf("%v: stderr %q, want one %q error and no panic", cmd.Args[1:], msg, prefix)
+	}
+}
+
 // buildSim builds the command into a temporary directory.
 func buildSim(t *testing.T) string {
 	t.Helper()

@@ -73,12 +73,7 @@ func AblationDRAM(cfg Config) ([]AblationDRAMRow, error) {
 	tputs, err := runpool.Map(cfg.workers(), len(bws)*len(archs), func(j int) (float64, error) {
 		bw, arch := bws[j/len(archs)], archs[j%len(archs)]
 		k := kernels.Stat{}
-		obs := Observe(cfg, RunRecord{
-			Label:  fmt.Sprintf("dram%.0fGBps/%v", bw/1e9, arch),
-			Kernel: k.Name(),
-			Arch:   arch,
-			Cores:  cfg.Cores,
-		})
+		obs := Observe(cfg, fmt.Sprintf("dram%.0fGBps/%v", bw/1e9, arch), k.Name())
 		s := ssd.New(obs.Options(ssd.Options{
 			Arch:  arch,
 			Cores: cfg.Cores,
@@ -146,7 +141,7 @@ func MixedIO(cfg Config) (*MixedIOResult, error) {
 			label = "mixed-io/offload"
 		}
 		k := kernels.Scan{}
-		obs := Observe(cfg, RunRecord{Label: label, Kernel: k.Name(), Arch: ssd.AssasinSb, Cores: cfg.Cores})
+		obs := Observe(cfg, label, k.Name())
 		s := ssd.New(obs.Options(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores}))
 		data := randData(int(cfg.ScanMB*(1<<20)), 33)
 		lpas, err := s.InstallBytes(data)

@@ -20,10 +20,10 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden attribution re
 
 // attributionRun executes one Table II workload with OnRunDone wired and
 // returns the captured record.
-func attributionRun(t *testing.T, arch ssd.Arch, k kernels.Kernel, recordSize int, data []byte, tel *telemetry.Sink) RunRecord {
+func attributionRun(t *testing.T, arch ssd.Arch, k kernels.Kernel, recordSize int, data []byte, tel *telemetry.Sink) analyze.Run {
 	t.Helper()
-	var rec RunRecord
-	cfg := Config{Telemetry: tel, OnRunDone: func(r RunRecord) { rec = r }}
+	var rec analyze.Run
+	cfg := Config{Telemetry: tel, OnRunDone: func(r analyze.Run) { rec = r }}
 	_, err := runStandalone(cfg, runOpts{
 		arch:       arch,
 		cores:      2,
@@ -48,7 +48,7 @@ func attributionRun(t *testing.T, arch ssd.Arch, k kernels.Kernel, recordSize in
 func TestMemoryWallAttribution(t *testing.T) {
 	data := randData(256<<10, 7)
 
-	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.Stat{}, 4, data, nil).AttributionRun())
+	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.Stat{}, 4, data, nil))
 	if base.LargestStall != cpu.ClassCacheDRAMWait {
 		t.Errorf("Baseline largest stall = %s, want %s\n%s",
 			base.LargestStall, cpu.ClassCacheDRAMWait, analyze.FormatReport(base))
@@ -57,7 +57,7 @@ func TestMemoryWallAttribution(t *testing.T) {
 		t.Errorf("Baseline cache/DRAM wait fraction = %.3f, want >= 0.25", f)
 	}
 
-	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.Stat{}, 4, data, nil).AttributionRun())
+	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.Stat{}, 4, data, nil))
 	if sb.LargestClass != cpu.ClassCoreBusy {
 		t.Errorf("AssasinSb largest class = %s, want %s\n%s",
 			sb.LargestClass, cpu.ClassCoreBusy, analyze.FormatReport(sb))
@@ -76,7 +76,7 @@ func TestMemoryWallAttribution(t *testing.T) {
 func TestStreamRefillNearZero(t *testing.T) {
 	data := randData(64<<10, 9)
 
-	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.AES{}, 16, data, nil).AttributionRun())
+	sb := analyze.Attribute(attributionRun(t, ssd.AssasinSb, kernels.AES{}, 16, data, nil))
 	if f := sb.ClassFrac(cpu.ClassStreamRefillWait); f > 0.05 {
 		t.Errorf("AssasinSb stream-refill fraction = %.3f, want <= 0.05", f)
 	}
@@ -84,7 +84,7 @@ func TestStreamRefillNearZero(t *testing.T) {
 		t.Errorf("AssasinSb largest class = %s, want %s", sb.LargestClass, cpu.ClassCoreBusy)
 	}
 
-	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.AES{}, 16, data, nil).AttributionRun())
+	base := analyze.Attribute(attributionRun(t, ssd.Baseline, kernels.AES{}, 16, data, nil))
 	if base.LargestStall != cpu.ClassCacheDRAMWait {
 		t.Errorf("Baseline largest stall = %s, want %s\n%s",
 			base.LargestStall, cpu.ClassCacheDRAMWait, analyze.FormatReport(base))
@@ -94,15 +94,15 @@ func TestStreamRefillNearZero(t *testing.T) {
 // statPairReports runs Stat on Baseline and then on AssasinSb under the
 // root sink tel and returns the runs' records and their sorted attribution
 // JSON.
-func statPairReports(t *testing.T, tel *telemetry.Sink) ([]RunRecord, []byte) {
+func statPairReports(t *testing.T, tel *telemetry.Sink) ([]analyze.Run, []byte) {
 	t.Helper()
 	data := randData(256<<10, 7)
-	var recs []RunRecord
+	var recs []analyze.Run
 	var reports []*analyze.RunReport
 	for _, arch := range []ssd.Arch{ssd.Baseline, ssd.AssasinSb} {
 		rec := attributionRun(t, arch, kernels.Stat{}, 4, data, tel)
 		recs = append(recs, rec)
-		reports = append(reports, analyze.Attribute(rec.AttributionRun()))
+		reports = append(reports, analyze.Attribute(rec))
 	}
 	analyze.SortReports(reports)
 	var buf bytes.Buffer
@@ -172,5 +172,25 @@ func TestGoldenAttributionReport(t *testing.T) {
 	if !bytes.Equal(buf.Bytes(), want) {
 		t.Errorf("attribution report deviates from %s (%d vs %d bytes); run with -update if the change is intentional",
 			golden, buf.Len(), len(want))
+	}
+}
+
+// TestRunRecordsItsSSD checks that a run's record describes the SSD the run
+// used, not the caller's request: -cores 0 selects ssd.New's default of
+// eight engines, and the record must say eight.
+func TestRunRecordsItsSSD(t *testing.T) {
+	var delivered analyze.Run
+	cfg := Config{OnRunDone: func(r analyze.Run) { delivered = r }}
+	done, err := RunWorkload(cfg, "stat", ssd.AssasinSb, false, 0, 16<<10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(done.SSD.Cores); n != 8 {
+		t.Fatalf("cores 0 built %d engines, want ssd.New's default of 8", n)
+	}
+	for _, run := range []analyze.Run{done.Run, delivered} {
+		if run.Cores != 8 || run.Arch != "AssasinSb" {
+			t.Errorf("%s: record says %d cores on %q, want 8 on AssasinSb", run.Label, run.Cores, run.Arch)
+		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"assasin/internal/sim"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/timeline"
 )
 
@@ -55,23 +56,24 @@ type Config struct {
 	Telemetry *telemetry.Sink `json:"-"`
 	// Timeline, when non-nil, attaches a sim-time sampler with this
 	// configuration to every run; the finished per-run timeline is
-	// delivered on RunRecord.Timeline. Samplers are per-run and driven by
+	// delivered on the run's analyze.Run.Timeline. Samplers are per-run and driven by
 	// simulated time, so timelines are byte-identical across Workers
 	// settings.
 	Timeline *timeline.Config `json:"-"`
 	// Requests, when > 0, attaches a per-run request tracer to every run,
 	// retaining the Requests slowest requests with full critical-path
-	// detail; the finished summary is delivered on RunRecord.Requests.
+	// detail; the finished summary is delivered on analyze.Run.Requests.
 	Requests int
 	// KProf, when true, attaches a per-run guest-kernel profiler to every
 	// run; the finished per-(kernel, basic block, pc) attribution is
-	// delivered on RunRecord.Profile.
+	// delivered on analyze.Run.Profile.
 	KProf bool
 	// OnRunDone, when non-nil, receives the record of every completed run:
-	// label, per-core cycle decomposition and the artifacts above. It is
+	// label, the SSD's architecture and engine count, the class times
+	// summed over its cores and the artifacts above. It is
 	// invoked on the run's simulation goroutine: with Workers > 1
 	// invocations are concurrent, so handlers must be goroutine-safe.
-	OnRunDone func(RunRecord) `json:"-"`
+	OnRunDone func(analyze.Run) `json:"-"`
 	// Log, when non-nil, receives run lifecycle events (start/finish at
 	// Debug/Info). Handlers must be goroutine-safe when Workers > 1.
 	Log *slog.Logger `json:"-"`
@@ -135,12 +137,7 @@ type runOpts struct {
 // runStandalone builds a fresh SSD observed as cfg asks, installs the
 // inputs, and runs the kernel across the cores.
 func runStandalone(cfg Config, o runOpts) (*StandaloneRun, error) {
-	obs := Observe(cfg, RunRecord{
-		Label:  fmt.Sprintf("%s/%v", o.kernel.Name(), o.arch),
-		Kernel: o.kernel.Name(),
-		Arch:   o.arch,
-		Cores:  o.cores,
-	})
+	obs := Observe(cfg, fmt.Sprintf("%s/%v", o.kernel.Name(), o.arch), o.kernel.Name())
 	s := ssd.New(obs.Options(ssd.Options{
 		Arch:           o.arch,
 		Cores:          o.cores,
@@ -170,7 +167,7 @@ func runStandalone(cfg Config, o runOpts) (*StandaloneRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &StandaloneRun{Result: res, SSD: s, Record: obs.Finish(s, res)}, nil
+	return &StandaloneRun{Result: res, SSD: s, Run: obs.Finish(s, res)}, nil
 }
 
 // runChecked runs o and, when cfg.Verify is set, collects its outputs and

@@ -47,7 +47,7 @@ func (p *psfDataset) runQueryPSF(cfg Config, q *tpch.QuerySpec, arch ssd.Arch, c
 	csv := p.csv[q.Table]
 	offs := p.offsets[q.Table]
 	kernel := fmt.Sprintf("Q%d", q.ID)
-	obs := Observe(cfg, RunRecord{Label: kernel + "/" + arch.String(), Kernel: kernel, Arch: arch, Cores: cores})
+	obs := Observe(cfg, kernel+"/"+arch.String(), kernel)
 	s := ssd.New(obs.Options(ssd.Options{Arch: arch, Cores: cores, TimingAdjusted: adjusted}))
 	lpas, err := s.InstallBytes(csv)
 	if err != nil {
@@ -97,15 +97,7 @@ func (p *psfDataset) runQueryPSF(cfg Config, q *tpch.QuerySpec, arch ssd.Arch, c
 // Fig14 measures the offloaded PSF database pipeline per TPC-H query across
 // all configurations (the per-query bars of the paper's Fig. 14).
 func Fig14(cfg Config) ([]Fig14Row, error) {
-	return fig14Sweep(cfg, false, ssd.AllArchs())
-}
-
-// Fig21PSF is the timing-adjusted PSF sweep feeding Fig. 21's TPC-H bar.
-func Fig21PSF(cfg Config) ([]Fig14Row, error) {
-	return fig14Sweep(cfg, true, ssd.AllArchs())
-}
-
-func fig14Sweep(cfg Config, adjusted bool, archs []ssd.Arch) ([]Fig14Row, error) {
+	archs := ssd.AllArchs()
 	p := newPSFDataset(cfg.TPCHScale)
 	queries := tpch.Queries()
 	// Per-query reference outputs are computed up front (host-side, cheap)
@@ -135,7 +127,7 @@ func fig14Sweep(cfg Config, adjusted bool, archs []ssd.Arch) ([]Fig14Row, error)
 	// One job per (query, configuration); the dataset is read-only here on.
 	tputs, err := runpool.Map(cfg.workers(), len(queries)*len(archs), func(j int) (float64, error) {
 		q, arch := queries[j/len(archs)], archs[j%len(archs)]
-		res, out, err := p.runQueryPSF(cfg, q, arch, cfg.Cores, adjusted, cfg.Verify)
+		res, out, err := p.runQueryPSF(cfg, q, arch, cfg.Cores, false, cfg.Verify)
 		if err != nil {
 			return 0, err
 		}

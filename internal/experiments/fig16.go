@@ -175,12 +175,7 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 			if channelLocal {
 				mode = "chlocal"
 			}
-			obs := Observe(cfg, RunRecord{
-				Label:  fmt.Sprintf("skew%.2f/%s", skew, mode),
-				Kernel: scan.Name(),
-				Arch:   ssd.AssasinSb,
-				Cores:  cores,
-			})
+			obs := Observe(cfg, fmt.Sprintf("skew%.2f/%s", skew, mode), scan.Name())
 			s := ssd.New(obs.Options(ssd.Options{
 				Arch:         ssd.AssasinSb,
 				Cores:        cores,

@@ -297,7 +297,7 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		if err != nil {
 			return driveOut{}, err
 		}
-		obs := Observe(cfg, RunRecord{Label: fmt.Sprintf("load/drive%d", di), Kernel: "load", Arch: ssd.AssasinSb, Cores: cfg.Cores})
+		obs := Observe(cfg, fmt.Sprintf("load/drive%d", di), "load")
 		opt := obs.Options(ssd.Options{Arch: ssd.AssasinSb, Cores: cfg.Cores, OnAdvance: eng.Tick})
 		if opt.Requests == nil {
 			// The SLO engine feeds on a tracer even when the record keeps no

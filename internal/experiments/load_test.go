@@ -232,7 +232,7 @@ func TestLoadOnEvalPublishes(t *testing.T) {
 	}
 }
 
-// TestLoadDriveRecords pins what each load drive's RunRecord carries:
+// TestLoadDriveRecords pins what each load drive's record carries:
 // -requests K keeps at most K requests (K = 0 keeps none, though the SLO
 // engine is still fed by a tracer), and the record holds no input bytes,
 // so its attribution report shows no byte throughput.
@@ -242,8 +242,8 @@ func TestLoadDriveRecords(t *testing.T) {
 		cfg.Cores = 4
 		cfg.Workers = 1
 		cfg.Requests = k
-		var recs []RunRecord
-		cfg.OnRunDone = func(r RunRecord) { recs = append(recs, r) }
+		var recs []analyze.Run
+		cfg.OnRunDone = func(r analyze.Run) { recs = append(recs, r) }
 		lc := QuickLoad()
 		lc.Drives = 2
 		lc.Requests = 300
@@ -269,7 +269,7 @@ func TestLoadDriveRecords(t *testing.T) {
 			if rec.InputBytes != 0 {
 				t.Errorf("%s carries %d input bytes, want 0", rec.Label, rec.InputBytes)
 			}
-			if rep := analyze.Attribute(rec.AttributionRun()); rep.ThroughputBps != 0 {
+			if rep := analyze.Attribute(rec); rep.ThroughputBps != 0 {
 				t.Errorf("%s report throughput = %v, want 0", rec.Label, rep.ThroughputBps)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 
 	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/reqtrace"
 )
 
@@ -21,7 +22,7 @@ func captureTable2Requests(t *testing.T, workers int) map[string]string {
 	cfg.Requests = 4
 	var mu sync.Mutex
 	sums := make(map[string]string)
-	cfg.OnRunDone = func(rec RunRecord) {
+	cfg.OnRunDone = func(rec analyze.Run) {
 		if rec.Requests == nil {
 			t.Errorf("%s: no request summary on record", rec.Label)
 			return
@@ -69,7 +70,7 @@ func TestCriticalPathInvariant(t *testing.T) {
 	cfg := quickFor(1)
 	cfg.Requests = 4
 	checked := 0
-	cfg.OnRunDone = func(rec RunRecord) {
+	cfg.OnRunDone = func(rec analyze.Run) {
 		sum := rec.Requests
 		if sum == nil || sum.Count == 0 || len(sum.Slowest) == 0 {
 			t.Errorf("%s: no traced requests", rec.Label)
@@ -96,9 +97,8 @@ func TestCriticalPathInvariant(t *testing.T) {
 		// The tracer's per-task stat deltas must agree with the attribution
 		// engine, which reads the same counters from the run's CoreStats:
 		// fresh SSD, one offload, so deltas equal absolutes.
-		run := rec.AttributionRun()
 		for i, class := range cpu.ClassNames {
-			if got, w := sum.ClassTotalsPs[class], run.ClassPs[i]; got != w {
+			if got, w := sum.ClassTotalsPs[class], rec.ClassPs[i]; got != w {
 				t.Errorf("%s: tracer %s total = %dps, attribution says %dps", rec.Label, class, got, w)
 			}
 		}

@@ -113,13 +113,13 @@ func TestKProfReconciliationSoak(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if err := checkProfileTotals(r.Record); err != nil {
+			if err := checkProfileTotals(r); err != nil {
 				return fmt.Errorf("%s on %v (%v): %w", j.w.kernel.Name(), j.arch, mode, err)
 			}
-			if exports[i][0], err = json.Marshal(r.Record.Profile); err != nil {
+			if exports[i][0], err = json.Marshal(r.Run.Profile); err != nil {
 				return err
 			}
-			if exports[i][1], err = r.Record.Profile.Pprof(); err != nil {
+			if exports[i][1], err = r.Run.Profile.Pprof(); err != nil {
 				return err
 			}
 		}
@@ -133,15 +133,15 @@ func TestKProfReconciliationSoak(t *testing.T) {
 }
 
 // checkProfileTotals demands exact agreement between the profile's summed
-// columns and the record's attribution-class times.
-func checkProfileTotals(rec RunRecord) error {
-	if rec.Profile == nil {
+// columns and the run's instruction count and attribution-class times.
+func checkProfileTotals(r *StandaloneRun) error {
+	attr := &r.Run
+	if attr.Profile == nil {
 		return fmt.Errorf("no profile delivered")
 	}
-	insts, classPs := rec.Profile.Totals()
-	attr := rec.AttributionRun()
+	insts, classPs := attr.Profile.Totals()
 	var wantInsts int64
-	for _, st := range rec.CoreStats {
+	for _, st := range r.Result.CoreStats {
 		wantInsts += st.Instructions
 	}
 	if insts != wantInsts {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/timeline"
 )
 
@@ -21,7 +22,7 @@ func captureTable2(t *testing.T, workers int) (string, map[string]string) {
 	cfg.Timeline = &timeline.Config{IntervalPs: 1_000_000}
 	var mu sync.Mutex
 	timelines := make(map[string]string)
-	cfg.OnRunDone = func(rec RunRecord) {
+	cfg.OnRunDone = func(rec analyze.Run) {
 		if rec.Timeline == nil {
 			t.Errorf("%s: no timeline on record", rec.Label)
 			return
@@ -100,7 +101,7 @@ func TestObservedFanOutParallelSafe(t *testing.T) {
 			cfg.Telemetry = root
 			// Reading the root from OnRunDone, as assasin-serve does, must
 			// not race with other runs being absorbed.
-			cfg.OnRunDone = func(RunRecord) { root.Metrics() }
+			cfg.OnRunDone = func(analyze.Run) { root.Metrics() }
 			if err := exp.run(cfg); err != nil {
 				t.Fatalf("%s (workers=%d): %v", exp.name, workers, err)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -29,8 +30,10 @@ func ParseNames(spec string) ([]string, error) {
 }
 
 // ValidateOverrides rejects nonsensical CLI overrides before any
-// simulation starts. Zero means "no override" for every parameter, so only
-// negatives are errors.
+// simulation starts. Zero means "no override" for every parameter, so
+// negatives are errors, and so are sizes that are not finite or whose byte
+// count overflows an int (-sf counts 1 GiB per unit of scale factor, the
+// size of the TPC-H dataset at SF 1).
 func ValidateOverrides(cores, parallel int, sf, mb float64) error {
 	if cores < 0 {
 		return fmt.Errorf("-cores must be >= 0, got %d", cores)
@@ -38,11 +41,22 @@ func ValidateOverrides(cores, parallel int, sf, mb float64) error {
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", parallel)
 	}
-	if sf < 0 {
-		return fmt.Errorf("-sf must be >= 0, got %g", sf)
+	if err := checkSize("-sf", sf, 1<<30); err != nil {
+		return err
 	}
-	if mb < 0 {
-		return fmt.Errorf("-mb must be >= 0, got %g", mb)
+	return checkSize("-mb", mb, 1<<20)
+}
+
+// checkSize rejects a size of v units of unit bytes that is negative, not
+// finite, or too large for an int byte count.
+func checkSize(flag string, v, unit float64) error {
+	switch {
+	case math.IsNaN(v) || math.IsInf(v, 0):
+		return fmt.Errorf("%s must be a finite number, got %g", flag, v)
+	case v < 0:
+		return fmt.Errorf("%s must be >= 0, got %g", flag, v)
+	case v*unit >= math.MaxInt:
+		return fmt.Errorf("%s %g is too large: its byte count overflows an int", flag, v)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -41,6 +42,9 @@ func TestValidateOverrides(t *testing.T) {
 	if err := ValidateOverrides(8, 4, 0.01, 2); err != nil {
 		t.Fatalf("valid overrides rejected: %v", err)
 	}
+	if err := ValidateOverrides(0, 0, 1000, 1<<20); err != nil {
+		t.Fatalf("large but representable sizes rejected: %v", err)
+	}
 	cases := []struct {
 		cores, parallel int
 		sf, mb          float64
@@ -50,6 +54,14 @@ func TestValidateOverrides(t *testing.T) {
 		{parallel: -2, want: "-parallel"},
 		{sf: -0.5, want: "-sf"},
 		{mb: -1, want: "-mb"},
+		{mb: math.NaN(), want: "-mb"},
+		{mb: math.Inf(1), want: "-mb"},
+		{mb: math.Inf(-1), want: "-mb"},
+		{mb: 1e300, want: "-mb"},
+		{mb: math.MaxInt / (1 << 20) * 2, want: "-mb"},
+		{sf: math.NaN(), want: "-sf"},
+		{sf: math.Inf(1), want: "-sf"},
+		{sf: 1e300, want: "-sf"},
 	}
 	for _, c := range cases {
 		err := ValidateOverrides(c.cores, c.parallel, c.sf, c.mb)

@@ -9,6 +9,7 @@ import (
 	"assasin/internal/firmware"
 	"assasin/internal/kernels"
 	"assasin/internal/ssd"
+	"assasin/internal/telemetry/analyze"
 )
 
 // workload is one standalone kernel run recipe: the kernel, how its input
@@ -122,11 +123,11 @@ func (c Config) streamBytes(w *workload, total int) int {
 }
 
 // StandaloneRun is one finished standalone offload: the simulator's result,
-// the SSD it ran on and the run's observed record.
+// the SSD it ran on and the run's record.
 type StandaloneRun struct {
 	Result *ssd.Result
 	SSD    *ssd.SSD
-	Record RunRecord
+	Run    analyze.Run
 }
 
 // throughput returns input bytes/second.

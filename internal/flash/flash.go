@@ -84,8 +84,6 @@ type chip struct {
 	// Array — or streaming a dataset over a few blocks of a few chips —
 	// touches no per-page state outside those blocks.
 	blocks []*blockStore
-	reads  int64
-	writes int64
 }
 
 // block reads a block's store through the lazy array (nil = untouched).
@@ -264,7 +262,6 @@ func (a *Array) Sense(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	start := sim.MaxT(at, ch.nextFree)
 	senseDone := start + a.cfg.ReadLatency
 	ch.nextFree = senseDone
-	ch.reads++
 	if a.Tel != nil {
 		a.Tel.Senses.Inc()
 	}
@@ -331,7 +328,6 @@ func (a *Array) Write(at sim.Time, p PPA, data []byte) (busDone, progDone sim.Ti
 	start := sim.MaxT(busDone, ch.nextFree)
 	progDone = start + a.cfg.ProgramLatency
 	ch.nextFree = progDone
-	ch.writes++
 	if a.Tel != nil {
 		a.Tel.Programs.Inc()
 		a.Tel.TransferBytes.Add(int64(a.cfg.PageSize))
@@ -396,18 +392,6 @@ func (a *Array) InstallPage(p PPA, data []byte) error {
 	return nil
 }
 
-// PeekPage returns the stored contents without timing (for verification).
-func (a *Array) PeekPage(p PPA) ([]byte, error) {
-	if err := a.validate(p); err != nil {
-		return nil, err
-	}
-	bs := a.chipAt(p).block(p.Block)
-	if bs == nil {
-		return nil, nil
-	}
-	return bs.data[p.Page], nil
-}
-
 // IsErased reports whether the page is in the erased state.
 func (a *Array) IsErased(p PPA) bool {
 	if a.validate(p) != nil {
@@ -430,10 +414,3 @@ func (a *Array) ChannelBytes(channel int) int64 { return a.channels[channel].Byt
 
 // ChannelBusy returns one channel bus's total occupied time.
 func (a *Array) ChannelBusy(channel int) sim.Time { return a.channels[channel].BusyTime() }
-
-// ChannelNextFree returns when the channel bus frees up (for admission
-// control in the firmware's read scheduler).
-func (a *Array) ChannelNextFree(channel int) sim.Time { return a.channels[channel].NextFree() }
-
-// ChipReads returns a chip's page read count.
-func (a *Array) ChipReads(channel, chipIdx int) int64 { return a.chips[channel][chipIdx].reads }

@@ -25,8 +25,6 @@ type Scratchpad struct {
 	// AccessCycles is the pipeline cost of one access; the core model
 	// charges (AccessCycles-1) stall cycles beyond the base cycle.
 	AccessCycles int
-
-	reads, writes int64
 }
 
 // NewScratchpad returns a scratchpad of size bytes with single-cycle access.
@@ -36,12 +34,6 @@ func NewScratchpad(size int) *Scratchpad {
 
 // Size returns the capacity in bytes.
 func (s *Scratchpad) Size() int { return s.size }
-
-// Reads returns the read access count.
-func (s *Scratchpad) Reads() int64 { return s.reads }
-
-// Writes returns the write access count.
-func (s *Scratchpad) Writes() int64 { return s.writes }
 
 func (s *Scratchpad) check(off uint32, size int) error {
 	if int(off)+size > s.size {
@@ -65,7 +57,6 @@ func (s *Scratchpad) Read(off uint32, size int) (uint32, error) {
 	if err := s.check(off, size); err != nil {
 		return 0, err
 	}
-	s.reads++
 	var v uint32
 	for i := 0; i < size; i++ {
 		if j := int(off) + i; j < len(s.data) {
@@ -80,7 +71,6 @@ func (s *Scratchpad) Write(off uint32, size int, v uint32) error {
 	if err := s.check(off, size); err != nil {
 		return err
 	}
-	s.writes++
 	s.grow(int(off) + size)
 	for i := 0; i < size; i++ {
 		s.data[off+uint32(i)] = byte(v >> (8 * i))

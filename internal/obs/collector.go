@@ -20,54 +20,42 @@ import (
 
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
-	"assasin/internal/telemetry/kprof"
-	"assasin/internal/telemetry/reqtrace"
 	"assasin/internal/telemetry/slo"
-	"assasin/internal/telemetry/timeline"
 	"assasin/internal/telemetry/window"
 )
 
-// Collector accumulates completed-run reports and the latest metrics
-// snapshot. All methods are goroutine-safe, and a nil *Collector is a
-// valid disabled collector: every method is a cheap no-op, so call sites
+// Collector accumulates completed runs, their reports and the latest
+// metrics snapshot. All methods are goroutine-safe, and a nil *Collector is
+// a valid disabled collector: every method is a cheap no-op, so call sites
 // can wire it unconditionally.
 type Collector struct {
 	mu        sync.Mutex
 	ready     bool
 	snap      telemetry.MetricsSnapshot
 	reports   []*analyze.RunReport
-	runs      map[string]storedRun
+	runs      []*analyze.Run // runs[i] is the run reports[i] attributes
+	ids       map[string]int // run id -> index into reports and runs
 	buildInfo []promLabel
 	sloStatus *slo.Status
 	liveSnap  *window.Snapshot
 }
 
-// storedRun is everything stored under one run id; the optional artifacts
-// are nil when the run did not record them.
-type storedRun struct {
-	report   *analyze.RunReport
-	timeline *timeline.Timeline
-	requests *reqtrace.Summary
-	profile  *kprof.Profile
-}
-
 // NewCollector returns an empty enabled collector.
 func NewCollector() *Collector {
-	return &Collector{runs: make(map[string]storedRun)}
+	return &Collector{ids: make(map[string]int)}
 }
 
-// ObserveRun attributes one completed run and stores the report under a
-// sequential id ("run-0001", ...). The run's metrics snapshot covers that
-// run alone and feeds only its report: /metrics serves the root sink's
-// snapshot, which the run's owner publishes with PublishMetrics. The run's
-// optional artifacts are stored under the same id: the timeline (served at
-// /runs/{id}/timeline, compared at /runs/{id}/compare/{other}; its phase
-// segmentation is attached to the report before publication, keeping
-// stored reports immutable), the request summary (/runs/{id}/requests and
-// /runs/{id}/requests/{rid}) and the guest profile (/runs/{id}/profile and
-// /runs/{id}/profile.pb.gz). Returns the stored report (nil on a nil
+// ObserveRun attributes one completed run and stores the run and its
+// report under a sequential id ("run-0001", ...). The run's metrics
+// snapshot covers that run alone and feeds only its report: /metrics serves
+// the root sink's snapshot, which the run's owner publishes with
+// PublishMetrics. The run's optional artifacts are served from the stored
+// run: the timeline (/runs/{id}/timeline, compared at
+// /runs/{id}/compare/{other}), the request summary (/runs/{id}/requests
+// and /runs/{id}/requests/{rid}) and the guest profile (/runs/{id}/profile
+// and /runs/{id}/profile.pb.gz). Returns the stored report (nil on a nil
 // collector).
-func (c *Collector) ObserveRun(run analyze.Run, tl *timeline.Timeline, reqs *reqtrace.Summary, prof *kprof.Profile) *analyze.RunReport {
+func (c *Collector) ObserveRun(run analyze.Run) *analyze.RunReport {
 	if c == nil {
 		return nil
 	}
@@ -75,40 +63,24 @@ func (c *Collector) ObserveRun(run analyze.Run, tl *timeline.Timeline, reqs *req
 	defer c.mu.Unlock()
 	rep := analyze.Attribute(run)
 	rep.ID = runID(len(c.reports) + 1)
-	analyze.AttachPhases(rep, tl)
+	c.ids[rep.ID] = len(c.reports)
 	c.reports = append(c.reports, rep)
-	c.runs[rep.ID] = storedRun{report: rep, timeline: tl, requests: reqs, profile: prof}
+	c.runs = append(c.runs, &run)
 	return rep
 }
 
-// Requests returns the request-trace summary stored under a run id, or nil.
-func (c *Collector) Requests(id string) *reqtrace.Summary {
+// Run returns the run stored under id, or nil. The run is immutable once
+// stored.
+func (c *Collector) Run(id string) *analyze.Run {
 	if c == nil {
 		return nil
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.runs[id].requests
-}
-
-// Profile returns the guest-kernel profile stored under a run id, or nil.
-func (c *Collector) Profile(id string) *kprof.Profile {
-	if c == nil {
-		return nil
+	if i, ok := c.ids[id]; ok {
+		return c.runs[i]
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[id].profile
-}
-
-// Timeline returns the timeline stored under a run id, or nil.
-func (c *Collector) Timeline(id string) *timeline.Timeline {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.runs[id].timeline
+	return nil
 }
 
 // runID formats the sequential run id: at least four digits, never
@@ -205,7 +177,10 @@ func (c *Collector) Report(id string) *analyze.RunReport {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.runs[id].report
+	if i, ok := c.ids[id]; ok {
+		return c.reports[i]
+	}
+	return nil
 }
 
 // RunsCompleted returns how many runs have been observed.

@@ -26,12 +26,12 @@ func FuzzRoutes(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	rec := run.Record
+	rec := run.Run
 	if rec.Timeline == nil || rec.Requests == nil || len(rec.Requests.Slowest) == 0 || rec.Profile == nil {
 		f.Fatal("recorded run lacks a timeline, a retained request or a profile")
 	}
 	c := obs.NewCollector()
-	id := c.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile).ID
+	id := c.ObserveRun(rec).ID
 	c.MarkReady()
 	h := obs.NewHandler(c)
 

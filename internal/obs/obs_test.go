@@ -21,6 +21,7 @@ import (
 	"assasin/internal/obs"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/kprof"
 )
 
@@ -127,9 +128,7 @@ func miniFig13(t *testing.T, c *obs.Collector) []byte {
 	cfg := experiments.Config{
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
 		Cores: 2, Workers: 1, Telemetry: tel,
-		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRun(rec.AttributionRun(), nil, nil, nil)
-		},
+		OnRunDone: func(rec analyze.Run) { c.ObserveRun(rec) },
 	}
 	rows, err := experiments.Fig13(cfg)
 	if err != nil {
@@ -256,9 +255,7 @@ func TestRequestsEndpoints(t *testing.T) {
 	cfg := experiments.Config{
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
 		Cores: 2, Workers: 1, Telemetry: root, Requests: 4,
-		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, nil)
-		},
+		OnRunDone: func(rec analyze.Run) { c.ObserveRun(rec) },
 	}
 	if _, err := experiments.Fig13(cfg); err != nil {
 		t.Fatal(err)
@@ -344,15 +341,13 @@ func TestProfileEndpoints(t *testing.T) {
 	cfg := experiments.Config{
 		KernelMB: 0.125, AESKB: 16, ScanMB: 1, TPCHScale: 0.001,
 		Cores: 2, Workers: 1, KProf: true,
-		OnRunDone: func(rec experiments.RunRecord) {
-			c.ObserveRun(rec.AttributionRun(), rec.Timeline, rec.Requests, rec.Profile)
-		},
+		OnRunDone: func(rec analyze.Run) { c.ObserveRun(rec) },
 	}
 	if _, err := experiments.Fig13(cfg); err != nil {
 		t.Fatal(err)
 	}
 	// An un-profiled run: its id must 404 on the profile endpoints.
-	bare := c.ObserveRun(experiments.RunRecord{Label: "bare"}.AttributionRun(), nil, nil, nil)
+	bare := c.ObserveRun(analyze.Run{Label: "bare"})
 	c.MarkReady()
 	srv := httptest.NewServer(obs.NewHandler(c))
 	defer srv.Close()
@@ -422,12 +417,12 @@ func TestProfileEndpoints(t *testing.T) {
 // metrics.
 func TestNilCollector(t *testing.T) {
 	var c *obs.Collector
-	if rep := c.ObserveRun(experiments.RunRecord{}.AttributionRun(), nil, nil, nil); rep != nil {
+	if rep := c.ObserveRun(analyze.Run{}); rep != nil {
 		t.Fatalf("nil collector stored a report: %+v", rep)
 	}
 	c.PublishMetrics(telemetry.MetricsSnapshot{})
 	c.MarkReady()
-	if c.Ready() || c.RunsCompleted() != 0 || c.Reports() != nil || c.Report("run-0001") != nil {
+	if c.Ready() || c.RunsCompleted() != 0 || c.Reports() != nil || c.Report("run-0001") != nil || c.Run("run-0001") != nil {
 		t.Fatal("nil collector is not inert")
 	}
 	var buf bytes.Buffer

@@ -94,24 +94,24 @@ func NewHandler(c *Collector) http.Handler {
 		writeJSON(w, rep)
 	})
 	mux.HandleFunc("GET /runs/{id}/timeline", func(w http.ResponseWriter, r *http.Request) {
-		tl := c.Timeline(r.PathValue("id"))
-		if tl == nil {
+		run := c.Run(r.PathValue("id"))
+		if run == nil || run.Timeline == nil {
 			http.Error(w, "unknown run or no timeline", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, tl)
+		writeJSON(w, run.Timeline)
 	})
 	mux.HandleFunc("GET /runs/{id}/requests", func(w http.ResponseWriter, r *http.Request) {
-		sum := c.Requests(r.PathValue("id"))
-		if sum == nil {
+		run := c.Run(r.PathValue("id"))
+		if run == nil || run.Requests == nil {
 			http.Error(w, "unknown run or no request trace", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, sum)
+		writeJSON(w, run.Requests)
 	})
 	mux.HandleFunc("GET /runs/{id}/requests/{rid}", func(w http.ResponseWriter, r *http.Request) {
-		sum := c.Requests(r.PathValue("id"))
-		if sum == nil {
+		run := c.Run(r.PathValue("id"))
+		if run == nil || run.Requests == nil {
 			http.Error(w, "unknown run or no request trace", http.StatusNotFound)
 			return
 		}
@@ -120,7 +120,7 @@ func NewHandler(c *Collector) http.Handler {
 			http.Error(w, "bad request id", http.StatusBadRequest)
 			return
 		}
-		req := sum.Find(rid)
+		req := run.Requests.Find(rid)
 		if req == nil {
 			http.Error(w, "request not retained (only the K slowest are kept)", http.StatusNotFound)
 			return
@@ -128,32 +128,32 @@ func NewHandler(c *Collector) http.Handler {
 		writeJSON(w, req)
 	})
 	mux.HandleFunc("GET /runs/{id}/profile", func(w http.ResponseWriter, r *http.Request) {
-		prof := c.Profile(r.PathValue("id"))
-		if prof == nil {
+		run := c.Run(r.PathValue("id"))
+		if run == nil || run.Profile == nil {
 			http.Error(w, "unknown run or no profile", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, prof)
+		writeJSON(w, run.Profile)
 	})
 	mux.HandleFunc("GET /runs/{id}/profile.pb.gz", func(w http.ResponseWriter, r *http.Request) {
-		prof := c.Profile(r.PathValue("id"))
-		if prof == nil {
+		run := c.Run(r.PathValue("id"))
+		if run == nil || run.Profile == nil {
 			http.Error(w, "unknown run or no profile", http.StatusNotFound)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		prof.WritePprof(w)
+		run.Profile.WritePprof(w)
 	})
 	mux.HandleFunc("GET /runs/{id}/compare/{other}", func(w http.ResponseWriter, r *http.Request) {
 		a, b := r.PathValue("id"), r.PathValue("other")
-		repA, repB := c.Report(a), c.Report(b)
-		if repA == nil || repB == nil {
+		runA, runB := c.Run(a), c.Run(b)
+		if runA == nil || runB == nil {
 			http.Error(w, "unknown run", http.StatusNotFound)
 			return
 		}
 		writeJSON(w, diff.Compare(
-			diff.RunData{Label: repA.Label, Report: repA, Timeline: c.Timeline(a), Profile: c.Profile(a)},
-			diff.RunData{Label: repB.Label, Report: repB, Timeline: c.Timeline(b), Profile: c.Profile(b)},
+			diff.RunData{Label: runA.Label, Report: c.Report(a), Timeline: runA.Timeline, Profile: runA.Profile},
+			diff.RunData{Label: runB.Label, Report: c.Report(b), Timeline: runB.Timeline, Profile: runB.Profile},
 		))
 	})
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {

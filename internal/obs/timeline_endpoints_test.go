@@ -32,8 +32,9 @@ func observe(c *obs.Collector, label string, tl *timeline.Timeline) *analyze.Run
 	return c.ObserveRun(analyze.Run{
 		Label: label, Kernel: "stat", Arch: "Baseline",
 		DurationPs: 100, InputBytes: 1000,
-		ClassPs: [cpu.NumClasses]int64{60, 40, 0, 0, 0},
-	}, tl, nil, nil)
+		ClassPs:  [cpu.NumClasses]int64{60, 40, 0, 0, 0},
+		Timeline: tl,
+	})
 }
 
 func timelineTestServer(t *testing.T) (*obs.Collector, *httptest.Server) {
@@ -88,8 +89,9 @@ func TestCompareEndpoint(t *testing.T) {
 	c.ObserveRun(analyze.Run{
 		Label: "stat/AssasinSb", Kernel: "stat", Arch: "AssasinSb",
 		DurationPs: 60, InputBytes: 1000,
-		ClassPs: [cpu.NumClasses]int64{55, 0, 5, 0, 0},
-	}, syntheticTimeline("stat/AssasinSb", "core-busy"), nil, nil)
+		ClassPs:  [cpu.NumClasses]int64{55, 0, 5, 0, 0},
+		Timeline: syntheticTimeline("stat/AssasinSb", "core-busy"),
+	})
 
 	code, body := get(t, srv.URL+"/runs/run-0001/compare/run-0002")
 	if code != http.StatusOK {

@@ -9,9 +9,12 @@
 // Reports render two ways, both deterministic: indented JSON (served by
 // assasin-serve at /runs/<id>/report, printed by -report -json flows) and
 // an aligned text table (assasin-bench -report / assasin-sim -report).
-// The package depends only on internal/telemetry and the class table in
-// internal/cpu, so every layer — cmds, the observability server,
-// experiments — can consume it.
+// A Run is also the one record of a finished run that every consumer
+// shares: experiments deliver it, the observability server stores it, and
+// the commands render and compare it. The package depends only on
+// internal/telemetry, its timeline, reqtrace and kprof artifacts, and the
+// class table in internal/cpu, so every layer — cmds, the observability
+// server, experiments — can consume it.
 package analyze
 
 import (
@@ -24,15 +27,19 @@ import (
 
 	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
+	"assasin/internal/telemetry/kprof"
+	"assasin/internal/telemetry/reqtrace"
 	"assasin/internal/telemetry/timeline"
 )
 
-// Run is the raw material of one attribution report. Cycle accounting is
-// summed across the run's cores, in picoseconds of simulated time.
+// Run is the record of one finished run and the raw material of its
+// attribution report. Cycle accounting is summed across the run's cores,
+// in picoseconds of simulated time.
 type Run struct {
 	// Label identifies the run (e.g. "Stat/AssasinSb").
 	Label string
-	// Kernel and Arch split the label for grouping and sorting.
+	// Kernel and Arch split the label for grouping and sorting; Arch and
+	// Cores describe the SSD the run used.
 	Kernel string
 	Arch   string
 	Cores  int
@@ -50,6 +57,16 @@ type Run struct {
 	// run's component busy time, counters and histograms its counts and
 	// distributions.
 	Metrics *telemetry.MetricsSnapshot
+	// Timeline is the run's sampled timeline, nil unless the run was
+	// sampled; Attribute segments it into the report's phases.
+	Timeline *timeline.Timeline
+	// Requests is the run's request-trace summary (per-request critical
+	// paths, top-K slowest), nil unless requests were traced.
+	Requests *reqtrace.Summary
+	// Profile is the run's guest-kernel profile (per-pc cycle/stall
+	// attribution), nil unless guests were profiled. Its per-class totals
+	// sum exactly to ClassPs.
+	Profile *kprof.Profile
 }
 
 // ClassShare is one class's slice of a run's total core time.
@@ -104,7 +121,7 @@ type RunReport struct {
 	// registered.
 	Histograms []HistQuantiles `json:"histograms,omitempty"`
 	// Phases is the dominant-class segmentation of the run, present when a
-	// timeline was sampled (see AttachPhases).
+	// timeline was sampled.
 	Phases []PhaseRow `json:"phases,omitempty"`
 }
 
@@ -121,9 +138,9 @@ type PhaseRow struct {
 	Classes []ClassShare `json:"classes,omitempty"`
 }
 
-// PhasesFromTimeline converts a sampled timeline's segmentation into report
+// phasesFromTimeline converts a sampled timeline's segmentation into report
 // rows. durationPs scales the per-phase Frac (0 disables it).
-func PhasesFromTimeline(tl *timeline.Timeline, durationPs int64) []PhaseRow {
+func phasesFromTimeline(tl *timeline.Timeline, durationPs int64) []PhaseRow {
 	if tl == nil {
 		return nil
 	}
@@ -154,15 +171,6 @@ func PhasesFromTimeline(tl *timeline.Timeline, durationPs int64) []PhaseRow {
 		rows = append(rows, row)
 	}
 	return rows
-}
-
-// AttachPhases adds the timeline's phase segmentation to an existing
-// report. Safe no-op when either side is nil.
-func AttachPhases(rep *RunReport, tl *timeline.Timeline) {
-	if rep == nil || tl == nil {
-		return
-	}
-	rep.Phases = PhasesFromTimeline(tl, rep.DurationPs)
 }
 
 // Attribute computes the report for one run.
@@ -207,6 +215,7 @@ func Attribute(r Run) *RunReport {
 		rep.Counters = r.Metrics.Counters
 		rep.Histograms = histQuantiles(*r.Metrics)
 	}
+	rep.Phases = phasesFromTimeline(r.Timeline, r.DurationPs)
 	return rep
 }
 
@@ -271,16 +280,6 @@ func SortReports(reports []*RunReport) {
 		}
 		return a.Label < b.Label
 	})
-}
-
-// classPs returns the class's recorded time in the report.
-func (r *RunReport) classPs(class string) int64 {
-	for _, s := range r.Classes {
-		if s.Class == class {
-			return s.Ps
-		}
-	}
-	return 0
 }
 
 // ClassFrac returns the class's fraction of the run's total core time.

@@ -11,8 +11,8 @@ package timeline
 //     output drains) extend the current phase; a leading all-zero stretch
 //     becomes an "idle" phase.
 //  3. Contiguous samples with the same dominant class form a phase.
-//  4. Smoothing: a phase shorter than Config.MinPhaseSamples merges into
-//     its predecessor (the first phase instead merges into its successor),
+//  4. Smoothing: a phase shorter than minPhaseSamples merges into its
+//     predecessor (the first phase instead merges into its successor),
 //     so one-sample flickers at phase boundaries don't fragment the
 //     segmentation. The survivor keeps its class; the absorbed samples'
 //     class times are added to its totals.
@@ -35,8 +35,11 @@ type Phase struct {
 // DurationPs returns the phase's sim-time length.
 func (p Phase) DurationPs() int64 { return p.EndPs - p.StartPs }
 
+// minPhaseSamples is the smoothing floor of rule 4.
+const minPhaseSamples = 2
+
 // segmentPhases implements the rules above over a frozen timeline.
-func segmentPhases(tl *Timeline, minSamples int) []Phase {
+func segmentPhases(tl *Timeline) []Phase {
 	var classes []Series
 	for _, se := range tl.Series {
 		if len(se.Key) > len(ClassPrefix) && se.Key[:len(ClassPrefix)] == ClassPrefix {
@@ -100,7 +103,7 @@ func segmentPhases(tl *Timeline, minSamples int) []Phase {
 	for len(phases) > 1 {
 		merged := false
 		for i := range phases {
-			if phases[i].Samples >= minSamples {
+			if phases[i].Samples >= minPhaseSamples {
 				continue
 			}
 			dst := i - 1

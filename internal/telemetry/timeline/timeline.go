@@ -39,9 +39,13 @@ import (
 // 1 GB/s channel).
 const DefaultIntervalPs = 10_000_000
 
-// DefaultCapacity bounds each series to 2048 samples before decimation; a
-// full timeline of 60 series then holds well under 2 MB.
-const DefaultCapacity = 2048
+// capacity bounds the number of retained samples. When a sample would
+// exceed it, every series is decimated 2×: adjacent sample pairs merge —
+// rate series sum (preserving integrals), value series keep the later
+// sample — and the effective interval doubles, so memory stays bounded for
+// arbitrarily long runs. A full timeline of 60 series then holds well
+// under 2 MB.
+const capacity = 2048
 
 // ClassPrefix marks the series the phase segmenter consumes. The SSD layer
 // registers one cumulative probe per stall class under "class/<name>".
@@ -53,33 +57,12 @@ type Config struct {
 	// (default DefaultIntervalPs). Decimation doubles the effective
 	// interval; the base interval is preserved in the output for reference.
 	IntervalPs int64
-	// Capacity bounds the number of retained samples (default
-	// DefaultCapacity, minimum 8, rounded up to even). When a sample would
-	// exceed it, every series is decimated 2×: adjacent sample pairs merge
-	// — rate series sum (preserving integrals), value series keep the later
-	// sample — and the effective interval doubles, so memory stays bounded
-	// for arbitrarily long runs.
-	Capacity int
-	// MinPhaseSamples is the phase segmenter's smoothing floor: a candidate
-	// phase shorter than this many samples merges into its predecessor
-	// (default 2).
-	MinPhaseSamples int
 }
 
 // withDefaults resolves zero fields.
 func (c Config) withDefaults() Config {
 	if c.IntervalPs <= 0 {
 		c.IntervalPs = DefaultIntervalPs
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = DefaultCapacity
-	}
-	if c.Capacity < 8 {
-		c.Capacity = 8
-	}
-	c.Capacity += c.Capacity % 2 // decimation pairs samples
-	if c.MinPhaseSamples <= 0 {
-		c.MinPhaseSamples = 2
 	}
 	return c
 }
@@ -215,7 +198,7 @@ func (s *Sampler) refresh() {
 
 // addSeries registers a new column, zero-backfilled to the current length.
 func (s *Sampler) addSeries(key string, rate bool) *series {
-	capHint := s.cfg.Capacity
+	capHint := capacity
 	if len(s.times) > capHint {
 		capHint = len(s.times)
 	}
@@ -270,7 +253,7 @@ func (s *Sampler) sampleAt(ts int64) {
 			}
 		}
 	}
-	if n >= s.cfg.Capacity {
+	if n >= capacity {
 		s.decimate()
 	}
 }
@@ -359,7 +342,7 @@ func (s *Sampler) Finish(run string, endPs int64) *Timeline {
 		})
 	}
 	sort.Slice(tl.Series, func(i, j int) bool { return tl.Series[i].Key < tl.Series[j].Key })
-	tl.Phases = segmentPhases(tl, s.cfg.MinPhaseSamples)
+	tl.Phases = segmentPhases(tl)
 	return tl
 }
 

@@ -87,21 +87,22 @@ func TestLateRegisteredMetricIsBackfilled(t *testing.T) {
 func TestDecimationPreservesRateIntegrals(t *testing.T) {
 	sink := telemetry.NewSink()
 	c := sink.Counter("fw", "bytes")
-	s := New(sink, Config{IntervalPs: 10, Capacity: 8})
+	s := New(sink, Config{IntervalPs: 10})
 
+	const ticks = 5000 // past capacity, so the series decimate twice
 	var total int64
-	for i := 1; i <= 40; i++ {
+	for i := 1; i <= ticks; i++ {
 		c.Add(int64(i))
 		total += int64(i)
 		s.Tick(int64(10 * i))
 	}
-	tl := s.Finish("run", 400)
+	tl := s.Finish("run", 10*ticks)
 
 	if tl.Decimations == 0 || tl.IntervalPs <= tl.BaseIntervalPs {
 		t.Fatalf("expected decimation: %d decims, interval %d (base %d)",
 			tl.Decimations, tl.IntervalPs, tl.BaseIntervalPs)
 	}
-	if len(tl.TimesPs) > 8 {
+	if len(tl.TimesPs) > capacity {
 		t.Errorf("capacity exceeded: %d samples", len(tl.TimesPs))
 	}
 	var sum int64
@@ -111,8 +112,8 @@ func TestDecimationPreservesRateIntegrals(t *testing.T) {
 	if sum != total {
 		t.Errorf("rate integral = %d, want %d (decimation must preserve sums)", sum, total)
 	}
-	if last := tl.TimesPs[len(tl.TimesPs)-1]; last != 400 {
-		t.Errorf("last timestamp = %d, want 400", last)
+	if last := tl.TimesPs[len(tl.TimesPs)-1]; last != 10*ticks {
+		t.Errorf("last timestamp = %d, want %d", last, 10*ticks)
 	}
 }
 
@@ -162,7 +163,7 @@ func TestPhaseSegmentation(t *testing.T) {
 }
 
 func TestPhaseSmoothingMergesFlickers(t *testing.T) {
-	s := New(nil, Config{IntervalPs: 10, MinPhaseSamples: 2})
+	s := New(nil, Config{IntervalPs: 10})
 	tick := 0
 	// One-sample class/b flicker inside a class/a run merges away.
 	s.AddProbe(classProbe(map[string][]int64{
@@ -209,18 +210,19 @@ func TestTimelineJSONIsDeterministic(t *testing.T) {
 		sink := telemetry.NewSink()
 		c := sink.Counter("fw", "pages")
 		g := sink.Gauge("isb", "occ")
-		s := New(sink, Config{IntervalPs: 10, Capacity: 8})
+		s := New(sink, Config{IntervalPs: 10})
 		tick := 0
 		s.AddProbe(classProbe(map[string][]int64{
 			"class/x": {3, 6, 9, 12, 15, 18, 21, 24, 27, 30},
 		}, &tick))
-		for i := 1; i <= 10; i++ {
+		const ticks = 2100 // past capacity, so the series decimate
+		for i := 1; i <= ticks; i++ {
 			tick = i - 1
 			c.Add(int64(i))
 			g.Set(int64(i % 3))
 			s.Tick(int64(10 * i))
 		}
-		return s.Finish("run", 100)
+		return s.Finish("run", 10*ticks)
 	}
 	var a, b bytes.Buffer
 	if err := build().WriteJSON(&a); err != nil {

@@ -54,6 +54,11 @@ probe /metrics '^assasin_serve_ready 1$'
 probe /runs/run-0001/timeline '"times_ps"'
 probe /runs/run-0001/requests '"critical_totals_ps"'
 probe /runs/run-0001/profile '"kernels"'
+# The compare route rebuilds both sides from the stored runs: the phase and
+# guest-block sections appear only when it finds both runs' timelines and
+# guest profiles.
+probe /runs/run-0001/compare/run-0002 '"phases"'
+probe /runs/run-0001/compare/run-0002 '"blocks"'
 
 # Negative paths: unknown runs 404, wrong methods 405.
 expect_code() {
