@@ -431,11 +431,7 @@ func printArchDiffs(coll *obs.Collector) {
 		if a == nil || b == nil {
 			continue
 		}
-		side := func(rep *analyze.RunReport) diff.RunData {
-			run := coll.Run(rep.ID)
-			return diff.RunData{Label: rep.Label, Report: rep, Timeline: run.Timeline, Profile: run.Profile}
-		}
-		fmt.Print(diff.Compare(side(a), side(b)).Format())
+		fmt.Print(diff.Compare(*coll.Run(a.ID), *coll.Run(b.ID)).Format())
 		fmt.Println()
 		printed++
 	}

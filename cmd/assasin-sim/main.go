@@ -143,12 +143,8 @@ func main() {
 	fmt.Printf("  DRAM traffic %.2f MB (util %.0f%%)\n",
 		float64(done.SSD.DRAM.TotalBytes())/(1<<20), 100*done.SSD.DRAM.Utilization(res.Duration))
 
-	var rep *analyze.RunReport
-	if *report || *diffPth != "" {
-		rep = analyze.Attribute(*run)
-	}
 	if *report {
-		fmt.Print(analyze.FormatReport(rep))
+		fmt.Print(analyze.FormatReport(analyze.Attribute(*run)))
 	}
 	if guest := run.Profile; guest != nil {
 		fmt.Print(guest.FormatHotBlocks(*kprofN))
@@ -202,8 +198,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cur := diff.RunData{Label: run.Label, Report: rep, Timeline: run.Timeline, Profile: run.Profile, Metrics: run.Metrics}
-		fmt.Print(diff.Compare(other, cur).Format())
+		fmt.Print(diff.Compare(other, *run).Format())
 	}
 }
 

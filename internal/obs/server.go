@@ -145,16 +145,12 @@ func NewHandler(c *Collector) http.Handler {
 		run.Profile.WritePprof(w)
 	})
 	mux.HandleFunc("GET /runs/{id}/compare/{other}", func(w http.ResponseWriter, r *http.Request) {
-		a, b := r.PathValue("id"), r.PathValue("other")
-		runA, runB := c.Run(a), c.Run(b)
-		if runA == nil || runB == nil {
+		a, b := c.Run(r.PathValue("id")), c.Run(r.PathValue("other"))
+		if a == nil || b == nil {
 			http.Error(w, "unknown run", http.StatusNotFound)
 			return
 		}
-		writeJSON(w, diff.Compare(
-			diff.RunData{Label: runA.Label, Report: c.Report(a), Timeline: runA.Timeline, Profile: runA.Profile},
-			diff.RunData{Label: runB.Label, Report: c.Report(b), Timeline: runB.Timeline, Profile: runB.Profile},
-		))
+		writeJSON(w, diff.Compare(*a, *b))
 	})
 	mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "assasin-serve endpoints:\n"+

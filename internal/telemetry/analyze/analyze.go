@@ -10,8 +10,9 @@
 // assasin-serve at /runs/<id>/report, printed by -report -json flows) and
 // an aligned text table (assasin-bench -report / assasin-sim -report).
 // A Run is also the one record of a finished run that every consumer
-// shares: experiments deliver it, the observability server stores it, and
-// the commands render and compare it. The package depends only on
+// shares: experiments deliver it, the observability server stores it, the
+// commands render it, and the diff engine compares two of them (its
+// LoadFile reads one back from any JSON file the commands write). The package depends only on
 // internal/telemetry, its timeline, reqtrace and kprof artifacts, and the
 // class table in internal/cpu, so every layer — cmds, the observability
 // server, experiments — can consume it.
@@ -173,6 +174,15 @@ func phasesFromTimeline(tl *timeline.Timeline, durationPs int64) []PhaseRow {
 	return rows
 }
 
+// ThroughputBps is the run's input bytes per simulated second, 0 for a run
+// of no duration.
+func (r Run) ThroughputBps() float64 {
+	if r.DurationPs <= 0 {
+		return 0
+	}
+	return float64(r.InputBytes) / (float64(r.DurationPs) * 1e-12)
+}
+
 // Attribute computes the report for one run.
 func Attribute(r Run) *RunReport {
 	rep := &RunReport{
@@ -182,9 +192,8 @@ func Attribute(r Run) *RunReport {
 		Cores:      r.Cores,
 		DurationPs: r.DurationPs,
 		InputBytes: r.InputBytes,
-	}
-	if r.DurationPs > 0 {
-		rep.ThroughputBps = float64(r.InputBytes) / (float64(r.DurationPs) * 1e-12)
+
+		ThroughputBps: r.ThroughputBps(),
 	}
 
 	var total int64

@@ -1,7 +1,9 @@
-// Package diff is the run-vs-run differential engine: it aligns two runs'
-// attribution reports, metrics snapshots and timelines (any subset) and
-// emits ranked "what changed" tables — per-class core-time deltas, per-
-// counter deltas, and per-phase comparisons. Comparing Baseline against
+// Package diff is the run-vs-run differential engine: it compares two
+// analyze.Run records — whatever each carries of class times, counters,
+// timeline and guest profile — and emits ranked "what changed" tables:
+// per-class core-time deltas, per-counter deltas, per-phase comparisons
+// and per-block guest time. LoadFile reads a run back from any JSON file
+// the commands write. Comparing Baseline against
 // AssasinSb on the same workload quantifies the paper's memory-wall
 // narrative: the top-ranked delta is the cache/DRAM-wait collapse that the
 // stream buffers buy.
@@ -24,22 +26,6 @@ import (
 	"assasin/internal/telemetry/kprof"
 	"assasin/internal/telemetry/timeline"
 )
-
-// RunData is one side of a comparison. Any field may be nil; the engine
-// uses whatever is present — class times come from Report when available,
-// falling back to the "class/<name>_ps" gauges of Metrics (published by
-// ssd.PublishStats); counters come from Report deltas or raw Metrics;
-// phases need Timeline.
-type RunData struct {
-	Label    string
-	Report   *analyze.RunReport
-	Metrics  *telemetry.MetricsSnapshot
-	Timeline *timeline.Timeline
-	// Profile is the guest kernel profile (kprof); when either side has
-	// one, the report gains per-basic-block time deltas — the class story
-	// retold at pc granularity.
-	Profile *kprof.Profile
-}
 
 // ClassDelta is one stall class's change in summed core time.
 type ClassDelta struct {
@@ -132,73 +118,25 @@ const MaxCounters = 20
 // MaxBlocks bounds the ranked guest-block table.
 const MaxBlocks = 12
 
-// classTimes extracts per-class core time for one side, preferring the
-// report's exact accounting over the published gauges.
-func classTimes(d RunData) map[string]int64 {
-	if d.Report != nil && len(d.Report.Classes) > 0 {
-		out := make(map[string]int64, len(d.Report.Classes))
-		for _, s := range d.Report.Classes {
-			out[s.Class] = s.Ps
-		}
-		return out
+// Compare builds the differential report A → B. Each side is read whole:
+// class rows from ClassPs, counters from Metrics, duration and throughput
+// from DurationPs and InputBytes, phases from Timeline (both sides) and
+// guest blocks from Profile (either side). An empty label reads "A" or "B".
+func Compare(a, b analyze.Run) *Report {
+	rep := &Report{
+		A: a.Label, B: b.Label,
+		ADurationPs: a.DurationPs, BDurationPs: b.DurationPs,
+		AThroughputBps: a.ThroughputBps(), BThroughputBps: b.ThroughputBps(),
 	}
-	if d.Metrics != nil {
-		out := make(map[string]int64)
-		for _, class := range cpu.ClassNames {
-			if g, ok := d.Metrics.Gauges["class/"+class+"_ps"]; ok {
-				out[class] = g.Value
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
+	if rep.A == "" {
+		rep.A = "A"
 	}
-	if d.Timeline != nil {
-		// Rate series integrate exactly (decimation preserves sums), so the
-		// timeline alone reconstructs the per-class totals.
-		out := make(map[string]int64)
-		for _, class := range cpu.ClassNames {
-			if se := d.Timeline.SeriesByKey(timeline.ClassPrefix + class); se != nil {
-				var sum int64
-				for _, v := range se.Values {
-					sum += v
-				}
-				out[class] = sum
-			}
-		}
-		if len(out) > 0 {
-			return out
-		}
-	}
-	return nil
-}
-
-// counters extracts one side's counter map: report deltas when present
-// (isolated to the run), else the raw snapshot.
-func counters(d RunData) map[string]int64 {
-	if d.Report != nil && len(d.Report.Counters) > 0 {
-		return d.Report.Counters
-	}
-	if d.Metrics != nil {
-		return d.Metrics.Counters
-	}
-	return nil
-}
-
-// Compare builds the differential report A → B.
-func Compare(a, b RunData) *Report {
-	rep := &Report{A: sideLabel(a, "A"), B: sideLabel(b, "B")}
-	if a.Report != nil {
-		rep.ADurationPs = a.Report.DurationPs
-		rep.AThroughputBps = a.Report.ThroughputBps
-	}
-	if b.Report != nil {
-		rep.BDurationPs = b.Report.DurationPs
-		rep.BThroughputBps = b.Report.ThroughputBps
+	if rep.B == "" {
+		rep.B = "B"
 	}
 
-	rep.Classes = classDeltas(classTimes(a), classTimes(b))
-	rep.Counters = counterDeltas(counters(a), counters(b))
+	rep.Classes = classDeltas(a.ClassPs, b.ClassPs)
+	rep.Counters = counterDeltas(a.Metrics, b.Metrics)
 	if a.Timeline != nil && b.Timeline != nil {
 		rep.Phases = comparePhases(a.Timeline, b.Timeline)
 	}
@@ -222,36 +160,20 @@ func Compare(a, b RunData) *Report {
 	return rep
 }
 
-// sideLabel resolves a display label for one side.
-func sideLabel(d RunData, fallback string) string {
-	switch {
-	case d.Label != "":
-		return d.Label
-	case d.Report != nil && d.Report.Label != "":
-		return d.Report.Label
-	case d.Timeline != nil && d.Timeline.Run != "":
-		return d.Timeline.Run
-	default:
-		return fallback
-	}
-}
-
 // classDeltas ranks the five classes by |delta|, canonical order breaking
-// ties. Returns nil when neither side had class data.
-func classDeltas(a, b map[string]int64) []ClassDelta {
-	if a == nil && b == nil {
+// ties. Returns nil when neither side had core time.
+func classDeltas(a, b [cpu.NumClasses]int64) []ClassDelta {
+	var aTotal, bTotal int64
+	for i := range a {
+		aTotal += a[i]
+		bTotal += b[i]
+	}
+	if aTotal == 0 && bTotal == 0 {
 		return nil
 	}
-	var aTotal, bTotal int64
-	for _, ps := range a {
-		aTotal += ps
-	}
-	for _, ps := range b {
-		bTotal += ps
-	}
 	var out []ClassDelta
-	for _, class := range cpu.ClassNames {
-		d := ClassDelta{Class: class, APs: a[class], BPs: b[class]}
+	for i, class := range cpu.ClassNames {
+		d := ClassDelta{Class: class, APs: a[i], BPs: b[i]}
 		d.DeltaPs = d.BPs - d.APs
 		if aTotal > 0 {
 			d.AFrac = float64(d.APs) / float64(aTotal)
@@ -268,9 +190,14 @@ func classDeltas(a, b map[string]int64) []ClassDelta {
 // counterDeltas ranks changed counters; the score weights absolute movement
 // by log-relative change so both "huge but proportional" and "small but
 // ratio-shattering" changes surface, deterministically tie-broken by key.
-func counterDeltas(a, b map[string]int64) []CounterDelta {
-	if a == nil && b == nil {
-		return nil
+// A side without a snapshot has no counters.
+func counterDeltas(as, bs *telemetry.MetricsSnapshot) []CounterDelta {
+	var a, b map[string]int64
+	if as != nil {
+		a = as.Counters
+	}
+	if bs != nil {
+		b = bs.Counters
 	}
 	keys := make(map[string]bool, len(a)+len(b))
 	for k := range a {

@@ -10,35 +10,33 @@ import (
 	"testing"
 
 	"assasin/internal/cpu"
-	"assasin/internal/firmware"
-	"assasin/internal/kernels"
 	"assasin/internal/ssd"
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/diff"
-	"assasin/internal/telemetry/kprof"
 	"assasin/internal/telemetry/timeline"
 )
 
-func report(label string, classes map[string]int64) *analyze.RunReport {
-	rep := &analyze.RunReport{Label: label}
-	for class, ps := range classes {
-		rep.Classes = append(rep.Classes, analyze.ClassShare{Class: class, Ps: ps})
+// classRun is a run carrying only class times, given by class name.
+func classRun(label string, classes map[string]int64) analyze.Run {
+	run := analyze.Run{Label: label}
+	for i, class := range cpu.ClassNames {
+		run.ClassPs[i] = classes[class]
 	}
-	return rep
+	return run
 }
 
 func TestCompareRanksClassDeltas(t *testing.T) {
-	a := diff.RunData{Report: report("a", map[string]int64{
+	a := classRun("a", map[string]int64{
 		cpu.ClassCoreBusy:      100,
 		cpu.ClassCacheDRAMWait: 500,
 		cpu.ClassExecStall:     50,
-	})}
-	b := diff.RunData{Report: report("b", map[string]int64{
+	})
+	b := classRun("b", map[string]int64{
 		cpu.ClassCoreBusy:      90,
 		cpu.ClassCacheDRAMWait: 20,
 		cpu.ClassExecStall:     55,
-	})}
+	})
 	rep := diff.Compare(a, b)
 
 	if rep.TopClass != cpu.ClassCacheDRAMWait {
@@ -70,10 +68,10 @@ func abs(v int64) int64 {
 }
 
 func TestCompareCounterRanking(t *testing.T) {
-	a := diff.RunData{Metrics: &telemetry.MetricsSnapshot{Counters: map[string]int64{
+	a := analyze.Run{Metrics: &telemetry.MetricsSnapshot{Counters: map[string]int64{
 		"fw/pages": 1000, "xbar/bytes": 0, "dram/reads": 500, "same/count": 7,
 	}}}
-	b := diff.RunData{Metrics: &telemetry.MetricsSnapshot{Counters: map[string]int64{
+	b := analyze.Run{Metrics: &telemetry.MetricsSnapshot{Counters: map[string]int64{
 		"fw/pages": 1010, "xbar/bytes": 800, "dram/reads": 0, "same/count": 7,
 	}}}
 	rep := diff.Compare(a, b)
@@ -111,8 +109,8 @@ func buildTimeline(run, class string, perSample int64) *timeline.Timeline {
 }
 
 func TestComparePhases(t *testing.T) {
-	a := diff.RunData{Timeline: buildTimeline("a", "cache-dram-wait", 8)}
-	b := diff.RunData{Timeline: buildTimeline("b", "core-busy", 8)}
+	a := analyze.Run{Timeline: buildTimeline("a", "cache-dram-wait", 8)}
+	b := analyze.Run{Timeline: buildTimeline("b", "core-busy", 8)}
 	rep := diff.Compare(a, b)
 
 	if rep.Phases == nil {
@@ -141,45 +139,11 @@ func statWords(n int, seed uint32) []byte {
 	return b
 }
 
-// runStat runs the tiny Stat workload on arch with full instrumentation and
-// returns one comparison side.
-func runStat(t *testing.T, arch ssd.Arch) diff.RunData {
-	t.Helper()
-	tel := telemetry.NewSink()
-	tel.MaxEvents = -1
-	sampler := timeline.New(tel, timeline.Config{IntervalPs: 1_000_000})
-	s := ssd.New(ssd.Options{Arch: arch, Cores: 2, Telemetry: tel, Timeline: sampler})
-	data := statWords(16<<10, 7)
-	lpas, err := s.InstallBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.RunKernel(ssd.KernelRun{
-		Kernel:     kernels.Stat{},
-		Inputs:     [][]int{lpas},
-		InputBytes: []int64{int64(len(data))},
-		RecordSize: 4,
-		Cores:      2,
-		OutKind:    firmware.OutDiscard,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.PublishStats()
-	label := "Stat/" + arch.String()
-	snap := tel.Metrics()
-	return diff.RunData{
-		Label:    label,
-		Metrics:  &snap,
-		Timeline: sampler.Finish(label, int64(res.Duration)),
-	}
-}
-
 // TestStatBaselineVsAssasinSb pins the paper's memory-wall narrative: on
 // the Stat workload, the top-ranked delta between Baseline and AssasinSb is
 // the collapse of cache/DRAM wait — the stream buffers eliminate it.
 func TestStatBaselineVsAssasinSb(t *testing.T) {
-	rep := diff.Compare(runStat(t, ssd.Baseline), runStat(t, ssd.AssasinSb))
+	rep := diff.Compare(statRun(t, ssd.Baseline), statRun(t, ssd.AssasinSb))
 
 	if rep.TopClass != cpu.ClassCacheDRAMWait {
 		t.Fatalf("top-ranked class = %q, want %q (classes: %+v)",
@@ -202,7 +166,7 @@ func TestStatBaselineVsAssasinSb(t *testing.T) {
 
 func TestLoadFileAutodetects(t *testing.T) {
 	dir := t.TempDir()
-	side := runStat(t, ssd.Baseline)
+	side := statRun(t, ssd.Baseline)
 
 	metrics := filepath.Join(dir, "metrics.json")
 	if err := side.Timeline.WriteFile(filepath.Join(dir, "tl.json")); err != nil {
@@ -239,41 +203,16 @@ func TestLoadFileAutodetects(t *testing.T) {
 	}
 }
 
-// statProfile runs Stat with a guest profiler attached and snapshots it.
-func statProfile(t *testing.T, arch ssd.Arch) *kprof.Profile {
-	t.Helper()
-	kp := new(cpu.Profiler)
-	s := ssd.New(ssd.Options{Arch: arch, Cores: 2, KProf: kp})
-	data := statWords(16<<10, 7)
-	lpas, err := s.InstallBytes(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunKernel(ssd.KernelRun{
-		Kernel:     kernels.Stat{},
-		Inputs:     [][]int{lpas},
-		InputBytes: []int64{int64(len(data))},
-		RecordSize: 4,
-		Cores:      2,
-		OutKind:    firmware.OutDiscard,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	prof := kprof.Snapshot(kp)
-	prof.Label = "Stat/" + arch.String()
-	return prof
-}
-
 // TestCompareGuestBlocks pins the pc-granularity retelling of the class
 // story: comparing profiled Baseline and AssasinSb Stat runs must yield a
 // ranked per-block table, and a profile JSON written to disk must load back
 // as a comparison side.
 func TestCompareGuestBlocks(t *testing.T) {
-	a := statProfile(t, ssd.Baseline)
-	b := statProfile(t, ssd.AssasinSb)
+	a := statRun(t, ssd.Baseline).Profile
+	b := statRun(t, ssd.AssasinSb).Profile
 	rep := diff.Compare(
-		diff.RunData{Label: a.Label, Profile: a},
-		diff.RunData{Label: b.Label, Profile: b},
+		analyze.Run{Label: a.Label, Profile: a},
+		analyze.Run{Label: b.Label, Profile: b},
 	)
 	if len(rep.Blocks) == 0 {
 		t.Fatal("profiled sides produced no block deltas")
@@ -314,7 +253,7 @@ func TestCompareGuestBlocks(t *testing.T) {
 
 func TestCompareDeterministicJSON(t *testing.T) {
 	build := func() []byte {
-		rep := diff.Compare(runStat(t, ssd.Baseline), runStat(t, ssd.AssasinSb))
+		rep := diff.Compare(statRun(t, ssd.Baseline), statRun(t, ssd.AssasinSb))
 		var buf bytes.Buffer
 		if err := rep.WriteJSON(&buf); err != nil {
 			t.Fatal(err)

@@ -4,7 +4,7 @@ import "testing"
 
 // FuzzDecode checks the format detection behind LoadFile on arbitrary
 // bytes: it must never panic, every accepted input must fill exactly one
-// of the four payloads, and comparing an accepted side with itself must
+// of the three payloads (a report fills Metrics with its counters), and comparing an accepted side with itself must
 // render without panicking.
 func FuzzDecode(f *testing.F) {
 	accepted := []string{
@@ -29,7 +29,7 @@ func FuzzDecode(f *testing.F) {
 			return
 		}
 		filled := 0
-		for _, set := range []bool{d.Metrics != nil, d.Timeline != nil, d.Report != nil, d.Profile != nil} {
+		for _, set := range []bool{d.Metrics != nil, d.Timeline != nil, d.Profile != nil} {
 			if set {
 				filled++
 			}

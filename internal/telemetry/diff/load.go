@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 
+	"assasin/internal/cpu"
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/kprof"
@@ -14,32 +15,35 @@ import (
 )
 
 // LoadFile reads one comparison side from a JSON file, auto-detecting the
-// format by its top-level keys:
+// format by its top-level keys. Each shape fills the Run fields it carries:
 //
 //   - a flat metrics snapshot (assasin-sim/-bench -metrics): "counters" /
-//     "gauges" / "histograms"
-//   - a timeline (-timeline): "times_ps"
-//   - a BENCH_<exp>.json envelope (-json): "experiment" — uses the
-//     embedded "telemetry" snapshot, which must be present
+//     "gauges" / "histograms" — Metrics, and ClassPs from the
+//     "class/<name>_ps" gauges
+//   - a timeline (-timeline): "times_ps" — Timeline, and ClassPs from the
+//     integrals of its class series
+//   - a BENCH_<exp>.json envelope (-json): "experiment" — like a metrics
+//     snapshot, from the embedded "telemetry", which must be present
 //   - a single attribution report, or a BENCH_report.json array holding
-//     exactly one: "classes" + "label"
+//     exactly one: "classes" + "label" — label, kernel, arch, cores,
+//     duration, input bytes, ClassPs by class name, and Metrics.Counters
 //   - a guest kernel profile (-kprof-dir profile.json or the serve
-//     /runs/{id}/profile payload): "kernels" — compares per-block times
+//     /runs/{id}/profile payload): "kernels" — Profile
 //
 // The label defaults to the file's base name when the payload carries none.
-func LoadFile(path string) (RunData, error) {
+func LoadFile(path string) (analyze.Run, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return RunData{}, err
+		return analyze.Run{}, err
 	}
-	d, err := decode(b)
+	run, err := decode(b)
 	if err != nil {
-		return RunData{}, fmt.Errorf("%s: %w", path, err)
+		return analyze.Run{}, fmt.Errorf("%s: %w", path, err)
 	}
-	if d.Label == "" {
-		d.Label = strings.TrimSuffix(filepath.Base(path), ".json")
+	if run.Label == "" {
+		run.Label = strings.TrimSuffix(filepath.Base(path), ".json")
 	}
-	return d, nil
+	return run, nil
 }
 
 // benchEnvelope mirrors the keys cmd/assasin-bench writes that the diff
@@ -49,16 +53,16 @@ type benchEnvelope struct {
 	Telemetry  *telemetry.MetricsSnapshot `json:"telemetry"`
 }
 
-func decode(b []byte) (RunData, error) {
+func decode(b []byte) (analyze.Run, error) {
 	trimmed := strings.TrimSpace(string(b))
 	if strings.HasPrefix(trimmed, "[") {
 		var reports []*analyze.RunReport
 		if err := json.Unmarshal(b, &reports); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
 		for i, r := range reports {
 			if r == nil {
-				return RunData{}, fmt.Errorf("report array entry %d is null", i)
+				return analyze.Run{}, fmt.Errorf("report array entry %d is null", i)
 			}
 		}
 		if len(reports) != 1 {
@@ -66,51 +70,89 @@ func decode(b []byte) (RunData, error) {
 			for _, r := range reports {
 				labels = append(labels, r.Label)
 			}
-			return RunData{}, fmt.Errorf("report array holds %d runs (%s); pass a single-run file",
+			return analyze.Run{}, fmt.Errorf("report array holds %d runs (%s); pass a single-run file",
 				len(reports), strings.Join(labels, ", "))
 		}
-		return RunData{Label: reports[0].Label, Report: reports[0]}, nil
+		return reportRun(reports[0]), nil
 	}
 
 	var probe map[string]json.RawMessage
 	if err := json.Unmarshal(b, &probe); err != nil {
-		return RunData{}, err
+		return analyze.Run{}, err
 	}
 	switch {
 	case probe["experiment"] != nil:
 		var env benchEnvelope
 		if err := json.Unmarshal(b, &env); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
 		if env.Telemetry == nil {
-			return RunData{}, fmt.Errorf("BENCH envelope %q has no telemetry snapshot; re-run assasin-bench with -metrics or -timeline", env.Experiment)
+			return analyze.Run{}, fmt.Errorf("BENCH envelope %q has no telemetry snapshot; re-run assasin-bench with -metrics or -timeline", env.Experiment)
 		}
-		return RunData{Label: env.Experiment, Metrics: env.Telemetry}, nil
+		return metricsRun(env.Experiment, env.Telemetry), nil
 	case probe["times_ps"] != nil:
 		var tl timeline.Timeline
 		if err := json.Unmarshal(b, &tl); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
-		return RunData{Label: tl.Run, Timeline: &tl}, nil
+		run := analyze.Run{Label: tl.Run, Timeline: &tl}
+		// Rate series integrate exactly (decimation preserves sums), so the
+		// timeline alone reconstructs the per-class totals.
+		for i, class := range cpu.ClassNames {
+			if se := tl.SeriesByKey(timeline.ClassPrefix + class); se != nil {
+				for _, v := range se.Values {
+					run.ClassPs[i] += v
+				}
+			}
+		}
+		return run, nil
 	case probe["kernels"] != nil:
 		var prof kprof.Profile
 		if err := json.Unmarshal(b, &prof); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
-		return RunData{Label: prof.Label, Profile: &prof}, nil
+		return analyze.Run{Label: prof.Label, Profile: &prof}, nil
 	case probe["classes"] != nil && probe["label"] != nil:
 		var rep analyze.RunReport
 		if err := json.Unmarshal(b, &rep); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
-		return RunData{Label: rep.Label, Report: &rep}, nil
+		return reportRun(&rep), nil
 	case probe["counters"] != nil || probe["gauges"] != nil || probe["histograms"] != nil:
 		var snap telemetry.MetricsSnapshot
 		if err := json.Unmarshal(b, &snap); err != nil {
-			return RunData{}, err
+			return analyze.Run{}, err
 		}
-		return RunData{Metrics: &snap}, nil
+		return metricsRun("", &snap), nil
 	default:
-		return RunData{}, fmt.Errorf("unrecognized JSON shape (expected a metrics snapshot, timeline, BENCH envelope, attribution report, or kernel profile)")
+		return analyze.Run{}, fmt.Errorf("unrecognized JSON shape (expected a metrics snapshot, timeline, BENCH envelope, attribution report, or kernel profile)")
 	}
+}
+
+// reportRun reads a run back from its attribution report. Classes the
+// engine does not know are dropped.
+func reportRun(rep *analyze.RunReport) analyze.Run {
+	run := analyze.Run{
+		Label: rep.Label, Kernel: rep.Kernel, Arch: rep.Arch, Cores: rep.Cores,
+		DurationPs: rep.DurationPs, InputBytes: rep.InputBytes,
+		Metrics: &telemetry.MetricsSnapshot{Counters: rep.Counters},
+	}
+	for _, s := range rep.Classes {
+		for i, class := range cpu.ClassNames {
+			if s.Class == class {
+				run.ClassPs[i] = s.Ps
+			}
+		}
+	}
+	return run
+}
+
+// metricsRun reads a run from a metrics snapshot: its class times are the
+// "class/<name>_ps" gauges ssd.PublishStats sets.
+func metricsRun(label string, snap *telemetry.MetricsSnapshot) analyze.Run {
+	run := analyze.Run{Label: label, Metrics: snap}
+	for i, class := range cpu.ClassNames {
+		run.ClassPs[i] = snap.Gauges["class/"+class+"_ps"].Value
+	}
+	return run
 }

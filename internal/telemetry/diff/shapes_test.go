@@ -65,12 +65,6 @@ func statRun(t *testing.T, arch ssd.Arch) analyze.Run {
 	return run
 }
 
-// inProcess is the comparison side the commands build from a finished run.
-func inProcess(run analyze.Run) diff.RunData {
-	return diff.RunData{Label: run.Label, Report: analyze.Attribute(run), Metrics: run.Metrics,
-		Timeline: run.Timeline, Profile: run.Profile}
-}
-
 // shapes are the file shapes assasin-diff reads.
 var shapes = []string{"metrics", "timeline", "report", "profile", "envelope"}
 
@@ -129,7 +123,7 @@ func checkGolden(t *testing.T, name string, rep *diff.Report) {
 // snapshot, timeline, single-run report, guest profile and BENCH envelope.
 func TestCompareGoldenShapes(t *testing.T) {
 	a, b := statRun(t, ssd.Baseline), statRun(t, ssd.AssasinSb)
-	checkGolden(t, "compare_inprocess", diff.Compare(inProcess(a), inProcess(b)))
+	checkGolden(t, "compare_inprocess", diff.Compare(a, b))
 
 	dir := t.TempDir()
 	writeShapes(t, dir, a)
