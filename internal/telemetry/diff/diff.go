@@ -199,15 +199,8 @@ func counterDeltas(as, bs *telemetry.MetricsSnapshot) []CounterDelta {
 	if bs != nil {
 		b = bs.Counters
 	}
-	keys := make(map[string]bool, len(a)+len(b))
-	for k := range a {
-		keys[k] = true
-	}
-	for k := range b {
-		keys[k] = true
-	}
 	var out []CounterDelta
-	for k := range keys {
+	for k := range union(a, b) {
 		d := CounterDelta{Key: k, A: a[k], B: b[k]}
 		d.Delta = d.B - d.A
 		if d.Delta == 0 {
@@ -257,15 +250,8 @@ func blockStats(p *kprof.Profile) map[string]BlockDelta {
 // executed) compare against zero.
 func blockDeltas(a, b *kprof.Profile) []BlockDelta {
 	as, bs := blockStats(a), blockStats(b)
-	keys := make(map[string]bool, len(as)+len(bs))
-	for k := range as {
-		keys[k] = true
-	}
-	for k := range bs {
-		keys[k] = true
-	}
 	var out []BlockDelta
-	for k := range keys {
+	for k := range union(as, bs) {
 		d := BlockDelta{Key: k, APs: as[k].APs, BPs: bs[k].APs, AInsts: as[k].AInsts, BInsts: bs[k].AInsts}
 		d.DeltaPs = d.BPs - d.APs
 		out = append(out, d)
@@ -298,14 +284,7 @@ func comparePhases(a, b *timeline.Timeline) *PhaseComparison {
 		return out
 	}
 	ad, bd := durByClass(pc.A), durByClass(pc.B)
-	keys := make(map[string]bool, len(ad)+len(bd))
-	for k := range ad {
-		keys[k] = true
-	}
-	for k := range bd {
-		keys[k] = true
-	}
-	for k := range keys {
+	for k := range union(ad, bd) {
 		d := ClassDelta{Class: k, APs: ad[k], BPs: bd[k]}
 		d.DeltaPs = d.BPs - d.APs
 		pc.ClassDurations = append(pc.ClassDurations, d)
@@ -401,6 +380,18 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// union returns the keys of a and b.
+func union[V any](a, b map[string]V) map[string]bool {
+	keys := make(map[string]bool, len(a)+len(b))
+	for k := range a {
+		keys[k] = true
+	}
+	for k := range b {
+		keys[k] = true
+	}
+	return keys
 }
 
 func abs64(v int64) int64 {

@@ -60,18 +60,8 @@ func decode(b []byte) (analyze.Run, error) {
 		if err := json.Unmarshal(b, &reports); err != nil {
 			return analyze.Run{}, err
 		}
-		for i, r := range reports {
-			if r == nil {
-				return analyze.Run{}, fmt.Errorf("report array entry %d is null", i)
-			}
-		}
-		if len(reports) != 1 {
-			var labels []string
-			for _, r := range reports {
-				labels = append(labels, r.Label)
-			}
-			return analyze.Run{}, fmt.Errorf("report array holds %d runs (%s); pass a single-run file",
-				len(reports), strings.Join(labels, ", "))
+		if len(reports) != 1 || reports[0] == nil {
+			return analyze.Run{}, fmt.Errorf("report array holds %d entries, want one non-null run; pass a single-run file", len(reports))
 		}
 		return reportRun(reports[0]), nil
 	}
