@@ -156,8 +156,10 @@ func main() {
 		cfg.Workers = workers
 	}
 
+	// -report and -diff read each run's counters and component gauges from
+	// its private sink, which only a root sink opens.
 	var tel *telemetry.Sink
-	if *tracePth != "" || *metrPth != "" || *tlDir != "" {
+	if *tracePth != "" || *metrPth != "" || *tlDir != "" || *report || *diffRuns {
 		tel = telemetry.NewSink()
 		tel.Log = log
 		if *tracePth == "" {
@@ -442,7 +444,8 @@ func printArchDiffs(coll *obs.Collector) {
 
 // benchEnvelope is the schema of a BENCH_<exp>.json file. Telemetry holds
 // the sink's cumulative metrics snapshot taken after this experiment
-// completed; it is present only when -trace/-metrics is enabled.
+// completed; it is present only when -trace, -metrics, -timeline, -report
+// or -diff opens the sink.
 type benchEnvelope struct {
 	Experiment  string                     `json:"experiment"`
 	Config      experiments.Config         `json:"config"`

@@ -121,6 +121,25 @@ func TestCLITimelineAndDiff(t *testing.T) {
 	}
 }
 
+// TestCLIDiffCounters checks that -diff alone ranks each pair's counters:
+// the runs' private sinks, which hold them, open without -metrics.
+func TestCLIDiffCounters(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run skipped in -short")
+	}
+	bin := buildBench(t)
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-exp", "fig13", "-quick", "-diff")
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if out := stdout.String(); !strings.Contains(out, "counters (top") {
+		t.Errorf("-diff output has no counter table:\n%s", out)
+	}
+}
+
 // TestCLIJSONLeavesBaselines checks that -json writes only into its own
 // directory: run from a tree holding a committed bench/BENCH_<exp>.json
 // baseline, a -json run elsewhere leaves that file byte-identical, so a
