@@ -205,6 +205,7 @@ func TestCLIRejectsBadNumbers(t *testing.T) {
 	bin := buildBench(t)
 	for _, args := range [][]string{
 		{"-exp", "fig13", "-quick", "-mb", "1e300"},
+		{"-exp", "fig13", "-quick", "-mb", "1e12"},
 		{"-exp", "fig13", "-quick", "-mb", "NaN"},
 		{"-exp", "table2", "-quick", "-diff", "-timeline-interval-us", "NaN"},
 	} {

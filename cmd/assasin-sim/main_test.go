@@ -87,6 +87,8 @@ func TestCLIRejectsBadNumbers(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mb", "NaN"},
 		{"-mb", "1e300"},
+		{"-mb", "1e12"},                     // past the flash array
+		{"-kernel", "raid6", "-mb", "7168"}, // four streams of the whole array
 		{"-mb", "0"},
 		{"-mb", "0.00005"}, // 52 bytes: under one 64-byte record
 		{"-timeline-interval-us", "NaN"},

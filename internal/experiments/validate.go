@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"strings"
+
+	"assasin/internal/ssd"
 )
 
 // ParseNames parses an -exp flag: comma-separated experiment names, each
@@ -29,11 +31,19 @@ func ParseNames(spec string) ([]string, error) {
 	return names, nil
 }
 
+// flashUserBytes is the user capacity of the default flash array: the 7/8
+// of its pages the FTL exposes (ftl.UserPages), 7 GiB.
+var flashUserBytes = func() float64 {
+	c := ssd.DefaultFlashConfig()
+	pages := c.Channels * c.ChipsPerChannel * c.BlocksPerChip * c.PagesPerBlock * 7 / 8
+	return float64(pages) * float64(c.PageSize)
+}()
+
 // ValidateOverrides rejects nonsensical CLI overrides before any
 // simulation starts. Zero means "no override" for every parameter, so
 // negatives are errors, and so are sizes that are not finite or whose byte
-// count overflows an int (-sf counts 1 GiB per unit of scale factor, the
-// size of the TPC-H dataset at SF 1).
+// count exceeds the default flash array's user capacity (-sf counts 1 GiB
+// per unit of scale factor, the size of the TPC-H dataset at SF 1).
 func ValidateOverrides(cores, parallel int, sf, mb float64) error {
 	if cores < 0 {
 		return fmt.Errorf("-cores must be >= 0, got %d", cores)
@@ -48,15 +58,16 @@ func ValidateOverrides(cores, parallel int, sf, mb float64) error {
 }
 
 // checkSize rejects a size of v units of unit bytes that is negative, not
-// finite, or too large for an int byte count.
+// finite, or larger than the flash array holds.
 func checkSize(flag string, v, unit float64) error {
 	switch {
 	case math.IsNaN(v) || math.IsInf(v, 0):
 		return fmt.Errorf("%s must be a finite number, got %g", flag, v)
 	case v < 0:
 		return fmt.Errorf("%s must be >= 0, got %g", flag, v)
-	case v*unit >= math.MaxInt:
-		return fmt.Errorf("%s %g is too large: its byte count overflows an int", flag, v)
+	case v*unit > flashUserBytes:
+		return fmt.Errorf("%s %g is too large: %.0f bytes exceed the flash array's user capacity of %.0f bytes",
+			flag, v, v*unit, flashUserBytes)
 	}
 	return nil
 }

@@ -42,8 +42,8 @@ func TestValidateOverrides(t *testing.T) {
 	if err := ValidateOverrides(8, 4, 0.01, 2); err != nil {
 		t.Fatalf("valid overrides rejected: %v", err)
 	}
-	if err := ValidateOverrides(0, 0, 1000, 1<<20); err != nil {
-		t.Fatalf("large but representable sizes rejected: %v", err)
+	if err := ValidateOverrides(0, 0, 7, 7<<10); err != nil {
+		t.Fatalf("sizes at the flash array's user capacity rejected: %v", err)
 	}
 	cases := []struct {
 		cores, parallel int
@@ -59,6 +59,9 @@ func TestValidateOverrides(t *testing.T) {
 		{mb: math.Inf(-1), want: "-mb"},
 		{mb: 1e300, want: "-mb"},
 		{mb: math.MaxInt / (1 << 20) * 2, want: "-mb"},
+		{mb: 1e12, want: "-mb"},
+		{mb: 7<<10 + 1.0/(1<<20), want: "-mb"}, // one byte over the capacity
+		{sf: 7 + 1.0/(1<<30), want: "-sf"},
 		{sf: math.NaN(), want: "-sf"},
 		{sf: math.Inf(1), want: "-sf"},
 		{sf: 1e300, want: "-sf"},

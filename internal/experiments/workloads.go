@@ -135,11 +135,15 @@ func (r *StandaloneRun) throughput() float64 { return r.Result.Throughput() }
 
 // RunWorkload runs the workload named name (see WorkloadNames) once on a
 // fresh SSD observed as cfg asks, with bytes per input stream and stream i
-// seeded seed+i.
+// seeded seed+i. Inputs the flash array cannot hold are an error.
 func RunWorkload(cfg Config, name string, arch ssd.Arch, adjusted bool, cores, bytes int, seed int64) (*StandaloneRun, error) {
 	w, err := findWorkload(name)
 	if err != nil {
 		return nil, err
+	}
+	if total := float64(bytes) * float64(w.kernel.Inputs()); total > flashUserBytes {
+		return nil, fmt.Errorf("%s reads %d streams of %d bytes: %.0f bytes exceed the flash array's user capacity of %.0f bytes",
+			name, w.kernel.Inputs(), bytes, total, flashUserBytes)
 	}
 	o := w.opts(arch, cores, w.inputs(bytes, seed))
 	o.adjusted = adjusted
