@@ -47,7 +47,7 @@ func run(data []byte, skew float64, channelLocal bool) float64 {
 		Kernel:            kernels.Scan{Unroll: 2}, // ~2 cycles/byte: compute-limited per core
 		Inputs:            [][]int{lpas},
 		InputBytes:        []int64{int64(len(data))},
-		RecordSize:        s.Opt.Flash.PageSize,
+		RecordSize:        s.Flash.PageSize,
 		OutKind:           firmware.OutDiscard,
 		ChannelLocalSplit: channelLocal,
 	})

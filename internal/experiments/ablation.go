@@ -148,7 +148,7 @@ func MixedIO(cfg Config) (*MixedIOResult, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		ioData := randData(64*s.Opt.Flash.PageSize, 34)
+		ioData := randData(64*s.Flash.PageSize, 34)
 		ioLpas, err := s.InstallBytes(ioData)
 		if err != nil {
 			return 0, 0, err

@@ -78,7 +78,7 @@ func Fig16(cfg Config) ([]Fig16Point, error) {
 		util := float64(len(o.inputs[0])) / steady.Seconds() / float64(cores) / ideal
 
 		p := Fig16Point{Cores: cores, Throughput: tput, Utilization: util}
-		for c := 0; c < r.SSD.Opt.Flash.Channels; c++ {
+		for c := 0; c < r.SSD.Flash.Channels; c++ {
 			bytesC := r.SSD.Array.ChannelBytes(c)
 			p.ChannelBytes = append(p.ChannelBytes, bytesC)
 			p.ChannelThroughput = append(p.ChannelThroughput, float64(bytesC)/r.Result.Duration.Seconds())
@@ -187,7 +187,7 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 				return 0, err
 			}
 			measured = s.FTL.Skew(lpas)
-			ps := s.Opt.Flash.PageSize
+			ps := s.Flash.PageSize
 			res, err := s.RunKernel(ssd.KernelRun{
 				Kernel:            scan,
 				Inputs:            [][]int{lpas},

@@ -344,7 +344,7 @@ func RunLoad(cfg Config, lc LoadConfig) (*LoadResult, error) {
 		}
 
 		// Key space: an installed region the Zipf keys index into.
-		ps := s.Opt.Flash.PageSize
+		ps := s.Flash.PageSize
 		keyData := randData(lc.Keys*ps, lc.Seed+int64(di)*7919)
 		keyLPAs, err := s.InstallBytes(keyData)
 		if err != nil {

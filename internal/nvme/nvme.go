@@ -175,7 +175,7 @@ func New(drive *ssd.SSD, cfg Config) *Controller {
 // Abort).
 func (c *Controller) execute(slot *IOCompletion, now sim.Time) {
 	req := &slot.Req
-	ps := c.drive.Opt.Flash.PageSize
+	ps := c.drive.Flash.PageSize
 	tracer := c.drive.Opt.Requests
 	// RequestIDs are assigned at submission; the event fires exactly
 	// at SubmitAt, and event order is deterministic, so IDs are too.

@@ -25,7 +25,7 @@ func installData(t *testing.T, s *ssd.SSD, n int, seed byte) ([]int, []byte) {
 
 func TestPureReads(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
-	lpas, data := installData(t, s, 4*s.Opt.Flash.PageSize, 3)
+	lpas, data := installData(t, s, 4*s.Flash.PageSize, 3)
 	c := New(s, DefaultConfig())
 	reqs := []IORequest{
 		{Op: OpRead, LPA: lpas[0], Pages: 2, SubmitAt: 0},
@@ -35,7 +35,7 @@ func TestPureReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := s.Opt.Flash.PageSize
+	ps := s.Flash.PageSize
 	if !bytes.Equal(comps[0].Data, data[:2*ps]) {
 		t.Fatal("read 0 data wrong")
 	}
@@ -56,7 +56,7 @@ func TestPureReads(t *testing.T) {
 func TestWriteReadRoundTrip(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
 	c := New(s, DefaultConfig())
-	ps := s.Opt.Flash.PageSize
+	ps := s.Flash.PageSize
 	payload := make([]byte, 2*ps)
 	for i := range payload {
 		payload[i] = byte(i * 13)
@@ -82,7 +82,7 @@ func TestMixedOffloadAndIO(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 4})
 	lpas, data := installData(t, s, 512<<10, 7)
 	// Reserve separate pages for concurrent host reads.
-	rdLpas, rdData := installData(t, s, 4*s.Opt.Flash.PageSize, 11)
+	rdLpas, rdData := installData(t, s, 4*s.Flash.PageSize, 11)
 
 	tasks, err := s.BuildTasks(ssd.KernelRun{
 		Kernel:     kernels.Stat{},
@@ -115,7 +115,7 @@ func TestMixedOffloadAndIO(t *testing.T) {
 		}
 	}
 	// The reads returned correct data with sane latencies.
-	ps := s.Opt.Flash.PageSize
+	ps := s.Flash.PageSize
 	for i, cm := range comps {
 		want := rdData[(i%4)*ps : (i%4+1)*ps]
 		if !bytes.Equal(cm.Data, want) {
@@ -133,7 +133,7 @@ func TestReadLatencyUnderOffloadGrows(t *testing.T) {
 	readLat := func(withOffload bool) sim.Time {
 		s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 8})
 		lpas, data := installData(t, s, 1<<20, 5)
-		rdLpas, _ := installData(t, s, 8*s.Opt.Flash.PageSize, 9)
+		rdLpas, _ := installData(t, s, 8*s.Flash.PageSize, 9)
 		var tasks []ssd.TaskSpec
 		if withOffload {
 			var err error
@@ -199,7 +199,7 @@ func TestOpcodeStrings(t *testing.T) {
 // would snap its submission to that deadline and report the gap as latency.
 func TestRunMixedPureIOKeepsEventClock(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
-	lpas, _ := installData(t, s, 2*s.Opt.Flash.PageSize, 5)
+	lpas, _ := installData(t, s, 2*s.Flash.PageSize, 5)
 	c := New(s, DefaultConfig())
 	if _, _, err := c.RunMixed(nil, []IORequest{{Op: OpRead, LPA: lpas[0], Pages: 1}}, sim.Second); err != nil {
 		t.Fatal(err)

@@ -31,7 +31,7 @@ func TestSubmitSteadyStateZeroAlloc(t *testing.T) {
 		eng.ObserveRequest(r.SubmitPs+r.LatencyPs, r.Tenant, r.Kind, r.LatencyPs, false)
 	}
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2, Telemetry: sink, Requests: tracer, OnAdvance: eng.Tick})
-	lpas, _ := installData(t, s, 4*s.Opt.Flash.PageSize, 3)
+	lpas, _ := installData(t, s, 4*s.Flash.PageSize, 3)
 	c := New(s, DefaultConfig())
 
 	var completed int
@@ -75,7 +75,7 @@ func TestCommandRecordReuse(t *testing.T) {
 	tracer.OnComplete = func(r *reqtrace.Request) { tenants = append(tenants, r.Tenant) }
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2, Requests: tracer})
 	c := New(s, DefaultConfig())
-	ps := s.Opt.Flash.PageSize
+	ps := s.Flash.PageSize
 	lpa := s.ReserveLPAs(1)
 	payload := bytes.Repeat([]byte{0x5a}, ps)
 
@@ -115,7 +115,7 @@ func TestCommandRecordReuse(t *testing.T) {
 // command that spawned it, and completions arrive in submission order.
 func TestResubmitFromOnDone(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
-	lpas, _ := installData(t, s, 4*s.Opt.Flash.PageSize, 5)
+	lpas, _ := installData(t, s, 4*s.Flash.PageSize, 5)
 	c := New(s, DefaultConfig())
 	const chain = 6
 	var order []int
@@ -154,8 +154,8 @@ func TestResubmitFromOnDone(t *testing.T) {
 func TestRunMixedMatchesSubmit(t *testing.T) {
 	run := func(mixed bool) []IOCompletion {
 		s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
-		lpas, _ := installData(t, s, 4*s.Opt.Flash.PageSize, 9)
-		ps := s.Opt.Flash.PageSize
+		lpas, _ := installData(t, s, 4*s.Flash.PageSize, 9)
+		ps := s.Flash.PageSize
 		wr := s.ReserveLPAs(2)
 		reqs := []IORequest{
 			{Op: OpRead, LPA: lpas[0], Pages: 2, SubmitAt: 0, Tenant: "gold"},

@@ -20,7 +20,7 @@ func TestIORequestTracing(t *testing.T) {
 	tracer := reqtrace.New(nil, reqtrace.Config{TopK: 64})
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2, Requests: tracer})
 	lpas, data := installData(t, s, 256<<10, 7)
-	rdLpas, _ := installData(t, s, 2*s.Opt.Flash.PageSize, 11)
+	rdLpas, _ := installData(t, s, 2*s.Flash.PageSize, 11)
 	wrStart := s.ReserveLPAs(1)
 
 	tasks, err := s.BuildTasks(ssd.KernelRun{
@@ -34,7 +34,7 @@ func TestIORequestTracing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, s.Opt.Flash.PageSize)
+	payload := make([]byte, s.Flash.PageSize)
 	reqs := []IORequest{
 		{Op: OpRead, LPA: rdLpas[0], Pages: 2, SubmitAt: 0},
 		{Op: OpWrite, LPA: wrStart, Pages: 1, SubmitAt: 5 * sim.Microsecond, Data: payload},
@@ -97,7 +97,7 @@ func c2(s *ssd.SSD) *Controller { return New(s, DefaultConfig()) }
 // TestIOTracingDisabled checks the nil-tracer path still services IO.
 func TestIOTracingDisabled(t *testing.T) {
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
-	lpas, _ := installData(t, s, 2*s.Opt.Flash.PageSize, 3)
+	lpas, _ := installData(t, s, 2*s.Flash.PageSize, 3)
 	_, comps, err := c2(s).RunMixed(nil, []IORequest{{Op: OpRead, LPA: lpas[0], Pages: 1}}, sim.Second)
 	if err != nil || len(comps) != 1 || comps[0].Latency <= 0 {
 		t.Fatalf("untraced IO broken: %v %+v", err, comps)
@@ -113,7 +113,7 @@ func TestCriticalTotalsPinned(t *testing.T) {
 	tracer := reqtrace.New(sink, reqtrace.Config{TopK: 4})
 	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 4, Telemetry: sink, Requests: tracer})
 	lpas, data := installData(t, s, 256<<10, 7)
-	rdLpas, _ := installData(t, s, 8*s.Opt.Flash.PageSize, 11)
+	rdLpas, _ := installData(t, s, 8*s.Flash.PageSize, 11)
 	wr := s.ReserveLPAs(4)
 	tasks, err := s.BuildTasks(ssd.KernelRun{
 		Kernel: kernels.Stat{}, Inputs: [][]int{lpas}, InputBytes: []int64{int64(len(data))},
@@ -122,7 +122,7 @@ func TestCriticalTotalsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, s.Opt.Flash.PageSize)
+	payload := make([]byte, s.Flash.PageSize)
 	var reqs []IORequest
 	for i := 0; i < 24; i++ {
 		at := sim.Time(i) * 7 * sim.Microsecond

@@ -97,7 +97,7 @@ func TestArchSpecConformance(t *testing.T) {
 				if len(sys.Streams.In) != defaultStreamSlots || len(sys.Streams.Out) != defaultStreamSlots {
 					t.Errorf("stream slots = %d in, %d out, want %d", len(sys.Streams.In), len(sys.Streams.Out), defaultStreamSlots)
 				}
-				ps := s.Opt.Flash.PageSize
+				ps := s.Flash.PageSize
 				if got := sys.Streams.In[0].WindowBytes(); got != sp.windowPages*ps {
 					t.Errorf("input window = %d bytes, want %d", got, sp.windowPages*ps)
 				}

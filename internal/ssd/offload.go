@@ -12,7 +12,7 @@ import (
 func (s *SSD) BuildParamsFor() kernels.BuildParams {
 	return kernels.BuildParams{
 		Style:     StyleFor(s.Opt.Arch),
-		PageSize:  s.Opt.Flash.PageSize,
+		PageSize:  s.Flash.PageSize,
 		StateBase: StateBaseFor(s.Opt.Arch),
 	}
 }
@@ -58,7 +58,7 @@ func PartitionBytes(total int64, n int, recordSize int) []ByteRange {
 // SpecForRange builds the StreamSpec delivering dataset bytes [r.Start,
 // r.End) given the dataset's backing pages.
 func (s *SSD) SpecForRange(lpas []int, r ByteRange) firmware.StreamSpec {
-	ps := int64(s.Opt.Flash.PageSize)
+	ps := int64(s.Flash.PageSize)
 	first := r.Start / ps
 	last := (r.End + ps - 1) / ps
 	if last > int64(len(lpas)) {
@@ -149,7 +149,7 @@ func (s *SSD) BuildTasks(run KernelRun) ([]TaskSpec, error) {
 		for o := 0; o < k.Outputs(); o++ {
 			t := firmware.OutTarget{Kind: run.OutKind, Collect: run.Collect}
 			if run.OutKind == firmware.OutToFlash {
-				pages := int(maxLen/int64(s.Opt.Flash.PageSize)) + 8
+				pages := int(maxLen/int64(s.Flash.PageSize)) + 8
 				t.StartLPA = s.ReserveLPAs(pages)
 			}
 			outs = append(outs, t)
@@ -173,11 +173,11 @@ func (s *SSD) channelLocalParts(run KernelRun, cores int) ([][]firmware.StreamSp
 	if len(run.Inputs) != 1 {
 		return nil, fmt.Errorf("ssd: channel-local split supports single-input kernels")
 	}
-	ps := int64(s.Opt.Flash.PageSize)
+	ps := int64(s.Flash.PageSize)
 	if int64(run.RecordSize) != ps {
 		return nil, fmt.Errorf("ssd: channel-local split needs page-sized records")
 	}
-	channels := s.Opt.Flash.Channels
+	channels := s.Flash.Channels
 	if cores < channels {
 		return nil, fmt.Errorf("ssd: channel-local split needs a core per channel (%d < %d)", cores, channels)
 	}

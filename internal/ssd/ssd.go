@@ -23,7 +23,9 @@ import (
 	"assasin/internal/telemetry/timeline"
 )
 
-// Options configures an SSD instance.
+// Options configures an SSD instance. The flash geometry is not an option:
+// every SSD builds the evaluation array, DefaultFlashConfig, and records it
+// in SSD.Flash.
 type Options struct {
 	Arch  Arch
 	Cores int
@@ -36,8 +38,6 @@ type Options struct {
 	ChannelLocal bool
 	// Layout is the FTL placement policy (nil = striped).
 	Layout ftl.Policy
-	// Flash overrides the flash geometry (zero value = DefaultFlashConfig).
-	Flash flash.Config
 	// DRAM overrides the DRAM model (zero value = paper's 8 GB/s LPDDR5).
 	DRAM memhier.DRAMConfig
 	// WindowPages is P, the per-slot input window in flash pages. Zero
@@ -106,7 +106,9 @@ func DefaultFlashConfig() flash.Config {
 
 // SSD is one assembled computational SSD.
 type SSD struct {
-	Opt     Options
+	Opt Options
+	// Flash is the array's geometry, DefaultFlashConfig.
+	Flash   flash.Config
 	Sched   *sim.Scheduler
 	DRAM    *memhier.DRAM
 	Array   *flash.Array
@@ -134,9 +136,6 @@ func New(opt Options) *SSD {
 	if opt.Cores <= 0 {
 		opt.Cores = 8
 	}
-	if opt.Flash.Channels == 0 {
-		opt.Flash = DefaultFlashConfig()
-	}
 	if opt.DRAM.BandwidthBytesPerSec == 0 {
 		opt.DRAM = memhier.DefaultDRAMConfig()
 	}
@@ -145,9 +144,9 @@ func New(opt Options) *SSD {
 		opt.WindowPages = spec.windowPages
 	}
 
-	s := &SSD{Opt: opt, Sched: sim.NewScheduler()}
+	s := &SSD{Opt: opt, Flash: DefaultFlashConfig(), Sched: sim.NewScheduler()}
 	s.DRAM = memhier.NewDRAM(opt.DRAM)
-	s.Array = flash.New(opt.Flash)
+	s.Array = flash.New(s.Flash)
 	s.FTL = ftl.New(s.Array, opt.Layout)
 	if !opt.ChannelLocal {
 		s.Xbar = crossbar.New(crossbar.DefaultConfig(opt.Cores))
@@ -270,7 +269,7 @@ func (s *SSD) PublishStats() {
 	if tel == nil {
 		return
 	}
-	for c := 0; c < s.Opt.Flash.Channels; c++ {
+	for c := 0; c < s.Flash.Channels; c++ {
 		tel.Gauge("flash", fmt.Sprintf("ch%d_busy_ps", c)).Set(int64(s.Array.ChannelBusy(c)))
 		tel.Gauge("flash", fmt.Sprintf("ch%d_bytes", c)).Set(s.Array.ChannelBytes(c))
 	}
@@ -326,7 +325,7 @@ func (s *SSD) DataPath() firmware.DataPath { return s.Opt.Arch.spec().path }
 // newStreams returns a fresh stream buffer at the configured geometry,
 // wired to the shared telemetry bundle (nil when telemetry is off).
 func (s *SSD) newStreams() *memhier.StreamBuffer {
-	sb := memhier.NewStreamBuffer(defaultStreamSlots, s.Opt.WindowPages, s.Opt.Arch.spec().outWindowPages, s.Opt.Flash.PageSize)
+	sb := memhier.NewStreamBuffer(defaultStreamSlots, s.Opt.WindowPages, s.Opt.Arch.spec().outWindowPages, s.Flash.PageSize)
 	sb.AttachTel(s.streamTel)
 	return sb
 }
@@ -334,7 +333,7 @@ func (s *SSD) newStreams() *memhier.StreamBuffer {
 // InstallBytes writes data into the flash array as a fresh dataset (no
 // simulated time) and returns the logical pages backing it.
 func (s *SSD) InstallBytes(data []byte) ([]int, error) {
-	ps := s.Opt.Flash.PageSize
+	ps := s.Flash.PageSize
 	var lpas []int
 	for off := 0; off < len(data); off += ps {
 		end := off + ps
@@ -410,7 +409,7 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 	}
 
 	engine := firmware.New(firmware.Config{
-		PageSize: s.Opt.Flash.PageSize,
+		PageSize: s.Flash.PageSize,
 		Path:     s.DataPath(),
 	}, s.Sched, s.FTL, s.DRAM, s.Xbar)
 	engine.Tel = firmware.NewTel(s.Opt.Telemetry)

@@ -288,7 +288,7 @@ func TestPartitionBytes(t *testing.T) {
 
 func TestSpecForRange(t *testing.T) {
 	s := New(Options{Arch: AssasinSb, Cores: 1})
-	ps := int64(s.Opt.Flash.PageSize)
+	ps := int64(s.Flash.PageSize)
 	lpas := make([]int, 10)
 	for i := range lpas {
 		lpas[i] = i
