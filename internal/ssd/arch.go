@@ -46,12 +46,11 @@ const defaultStreamSlots = 8
 type archSpec struct {
 	// name is the paper's configuration name.
 	name string
-	// path is how the firmware moves flash pages to the cores.
+	// path is how the firmware moves flash pages to the cores; it decides
+	// how software-style kernels see stream pages (viewPath).
 	path firmware.DataPath
-	// style is the kernel lowering; stateBase is where kernels place their
-	// function state (the scratchpad, or SSD DRAM behind the caches).
-	style     kernels.Style
-	stateBase uint32
+	// style is the kernel lowering.
+	style kernels.Style
 	// branchFree selects UDP's multiway dispatch, which pays no taken-branch
 	// penalty. Table V charges such a core as a UDP lane.
 	branchFree bool
@@ -62,10 +61,9 @@ type archSpec struct {
 	// (0: none).
 	prefetchDegree int
 	// spBytes sizes the function-state scratchpad (0: none), accessed in
-	// spCycles core cycles.
+	// spCycles core cycles. Kernels keep their function state in it when
+	// there is one (stateBase).
 	spBytes, spCycles int
-	// viewPath is how stream pages appear to software-style kernels.
-	viewPath memhier.ViewPath
 	// adjPeriod and adjSpCycles replace the 1 GHz clock (when nonzero) and
 	// spCycles under Options.TimingAdjusted, the Fig 20 circuit results.
 	adjPeriod   sim.Time
@@ -90,12 +88,10 @@ type archSpec struct {
 // archSpecs is the configuration table, indexed by Arch in Table IV order.
 var archSpecs = [...]archSpec{
 	Baseline: {
-		name: "Baseline", path: firmware.PathDRAMStage,
-		style: kernels.StyleSoftware, stateBase: memhier.DRAMBase,
+		name: "Baseline", path: firmware.PathDRAMStage, style: kernels.StyleSoftware,
 		l1d: memhier.CacheConfig{Name: "l1d", Size: 32 << 10, Ways: 8, LineSize: 64},
 		l2: memhier.CacheConfig{Name: "l2", Size: 256 << 10, Ways: 16, LineSize: 64,
 			HitLatency: 10 * sim.Nanosecond},
-		viewPath: memhier.ViewCached,
 		// DRAM staging buffers: deep enough to decouple cores from flash
 		// latency, shallow enough that fill traffic is paced by consumption
 		// instead of racing the whole dataset into DRAM.
@@ -104,37 +100,31 @@ var archSpecs = [...]archSpec{
 		l1iBytes: 32 << 10,
 	},
 	UDP: {
-		name: "UDP", path: firmware.PathDRAMCopy,
-		style: kernels.StyleSoftware, stateBase: memhier.ScratchpadBase,
+		name: "UDP", path: firmware.PathDRAMCopy, style: kernels.StyleSoftware,
 		branchFree: true,
 		// A 256 KiB scratchpad cannot be read in one 1 GHz cycle (the Fig 20
 		// SRAM timing model gives ~1.3 ns): UDP lanes pay 2-cycle accesses,
 		// one reason the paper finds the general-purpose AssasinSb ahead of
 		// the UDP accelerator.
 		spBytes: 256 << 10, spCycles: 2, adjSpCycles: 2,
-		viewPath:    memhier.ViewScratchpad,
 		windowPages: 8, outWindowPages: 64,
 		source: "DRAM (8GB/s)", isa: "UDP lane (branch-free dispatch)", mem: "{sp} scratchpad (fw copy-in)",
 	},
 	Prefetch: {
-		name: "Prefetch", path: firmware.PathDRAMStage,
-		style: kernels.StyleSoftware, stateBase: memhier.DRAMBase,
+		name: "Prefetch", path: firmware.PathDRAMStage, style: kernels.StyleSoftware,
 		l1d: memhier.CacheConfig{Name: "l1d", Size: 32 << 10, Ways: 8, LineSize: 64},
 		l2: memhier.CacheConfig{Name: "l2", Size: 256 << 10, Ways: 16, LineSize: 64,
 			HitLatency: 10 * sim.Nanosecond},
 		prefetchDegree: 8,
-		viewPath:       memhier.ViewCached,
 		windowPages:    8, outWindowPages: 64,
 		source: "DRAM (8GB/s)", isa: "RV32IM", mem: "L1D+L2 + DCPT prefetcher",
 		l1iBytes: 32 << 10,
 	},
 	AssasinSp: {
-		name: "AssasinSp", path: firmware.PathCrossbar,
-		style: kernels.StyleSoftware, stateBase: memhier.ScratchpadBase,
+		name: "AssasinSp", path: firmware.PathCrossbar, style: kernels.StyleSoftware,
 		// Every stream access is served from the ping-pong scratchpads, so
 		// this is the configuration the Fig 20 timing penalizes (2 cycles).
 		spBytes: 64 << 10, spCycles: 1, adjSpCycles: 2,
-		viewPath: memhier.ViewScratchpad,
 		// The paper's P=2 with 16 KiB flash pages gives a 32 KiB window per
 		// slot; at this model's 4 KiB pages that is 8 window pages.
 		windowPages: 8, outWindowPages: 8,
@@ -142,10 +132,8 @@ var archSpecs = [...]archSpec{
 		l1iBytes: 32 << 10, ioBufBytes: 128 << 10,
 	},
 	AssasinSb: {
-		name: "AssasinSb", path: firmware.PathCrossbar,
-		style: kernels.StyleStream, stateBase: memhier.ScratchpadBase,
+		name: "AssasinSb", path: firmware.PathCrossbar, style: kernels.StyleStream,
 		spBytes: 64 << 10, spCycles: 1, adjSpCycles: 1,
-		viewPath: memhier.ViewScratchpad,
 		// The streambuffer's prefetched head FIFO moves the critical path
 		// to instruction fetch: the whole pipeline clocks 11% faster.
 		adjPeriod:   890 * sim.Picosecond,
@@ -155,16 +143,33 @@ var archSpecs = [...]archSpec{
 		l1iBytes: 32 << 10, ioBufBytes: 128 << 10,
 	},
 	AssasinSbCache: {
-		name: "AssasinSb$", path: firmware.PathCrossbar,
-		style: kernels.StyleStream, stateBase: memhier.ScratchpadBase,
+		name: "AssasinSb$", path: firmware.PathCrossbar, style: kernels.StyleStream,
 		l1d:     memhier.CacheConfig{Name: "l1d", Size: 32 << 10, Ways: 8, LineSize: 64},
 		spBytes: 64 << 10, spCycles: 1, adjSpCycles: 1,
-		viewPath:    memhier.ViewScratchpad,
 		adjPeriod:   890 * sim.Picosecond,
 		windowPages: 8, outWindowPages: 8,
 		source: "Flash via crossbar", isa: "RV32IM + stream ISA", mem: "AssasinSb + {l1d} L1D",
 		l1iBytes: 32 << 10, ioBufBytes: 128 << 10,
 	},
+}
+
+// stateBase is where kernels place their function state: the scratchpad
+// when the row has one, else SSD DRAM behind the caches.
+func (sp *archSpec) stateBase() uint32 {
+	if sp.spBytes > 0 {
+		return memhier.ScratchpadBase
+	}
+	return memhier.DRAMBase
+}
+
+// viewPath is how stream pages appear to software-style kernels: through
+// the caches when the firmware stages pages in SSD DRAM, else in the
+// scratchpad the firmware or crossbar fills.
+func (sp *archSpec) viewPath() memhier.ViewPath {
+	if sp.path == firmware.PathDRAMStage {
+		return memhier.ViewCached
+	}
+	return memhier.ViewScratchpad
 }
 
 // spec returns the configuration's row. Arch values outside the table are
@@ -237,7 +242,7 @@ func StyleFor(a Arch) kernels.Style { return a.spec().style }
 // StateBaseFor returns where kernel function state lives: the scratchpad for
 // scratchpad architectures, SSD DRAM (accessed through the cache) for the
 // cache-hierarchy architectures.
-func StateBaseFor(a Arch) uint32 { return a.spec().stateBase }
+func StateBaseFor(a Arch) uint32 { return a.spec().stateBase() }
 
 // Table4 returns the configuration's Table IV columns: data source, ISA and
 // per-core memory architecture. The sizes in the memory column are the ones

@@ -91,8 +91,8 @@ func TestArchSpecConformance(t *testing.T) {
 				}
 
 				checkCaches(t, sys.L1, sp)
-				if sys.ViewPath != sp.viewPath {
-					t.Errorf("ViewPath = %v, want %v", sys.ViewPath, sp.viewPath)
+				if sys.ViewPath != sp.viewPath() {
+					t.Errorf("ViewPath = %v, want %v", sys.ViewPath, sp.viewPath())
 				}
 				if len(sys.Streams.In) != defaultStreamSlots || len(sys.Streams.Out) != defaultStreamSlots {
 					t.Errorf("stream slots = %d in, %d out, want %d", len(sys.Streams.In), len(sys.Streams.Out), defaultStreamSlots)
@@ -112,8 +112,8 @@ func TestArchSpecConformance(t *testing.T) {
 				if bp.Style != sp.style || StyleFor(a) != sp.style {
 					t.Errorf("Style = %v, want %v", bp.Style, sp.style)
 				}
-				if bp.StateBase != sp.stateBase || StateBaseFor(a) != sp.stateBase {
-					t.Errorf("StateBase = %#x, want %#x", bp.StateBase, sp.stateBase)
+				if bp.StateBase != sp.stateBase() || StateBaseFor(a) != sp.stateBase() {
+					t.Errorf("StateBase = %#x, want %#x", bp.StateBase, sp.stateBase())
 				}
 			})
 		}

@@ -190,7 +190,7 @@ func New(opt Options) *SSD {
 			DRAM:     s.DRAM,
 			Backing:  memhier.NewSparseMem(),
 			Streams:  s.newStreams(),
-			ViewPath: spec.viewPath,
+			ViewPath: spec.viewPath(),
 			Client:   memhier.DRAMClient{Name: fmt.Sprintf("core%d", i)},
 		}
 		if spec.spBytes > 0 {

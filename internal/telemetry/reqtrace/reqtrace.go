@@ -29,6 +29,7 @@ import (
 	"sort"
 
 	"assasin/internal/cpu"
+	"assasin/internal/sim"
 	"assasin/internal/telemetry"
 )
 
@@ -612,22 +613,6 @@ func (s *Summary) Find(id uint64) *Request {
 	return nil
 }
 
-// fmtPs renders picoseconds human-readably (simulated time).
-func fmtPs(ps int64) string {
-	switch {
-	case ps >= 1_000_000_000_000:
-		return fmt.Sprintf("%.3fs", float64(ps)/1e12)
-	case ps >= 1_000_000_000:
-		return fmt.Sprintf("%.3fms", float64(ps)/1e9)
-	case ps >= 1_000_000:
-		return fmt.Sprintf("%.3fus", float64(ps)/1e6)
-	case ps >= 1_000:
-		return fmt.Sprintf("%.3fns", float64(ps)/1e3)
-	default:
-		return fmt.Sprintf("%dps", ps)
-	}
-}
-
 // criticalString renders a request's critical path as "class dur · ...".
 func (r *Request) criticalString() string {
 	out := ""
@@ -635,7 +620,7 @@ func (r *Request) criticalString() string {
 		if i > 0 {
 			out += " · "
 		}
-		out += sg.Class + " " + fmtPs(sg.DurPs)
+		out += sg.Class + " " + sim.Time(sg.DurPs).String()
 	}
 	return out
 }
@@ -654,7 +639,7 @@ func (s *Summary) WriteText(w io.Writer) error {
 		mean = s.LatencySumPs / s.Count
 	}
 	if _, err := fmt.Fprintf(w, "%s: %d completed, mean %s, max %s\n",
-		head, s.Count, fmtPs(mean), fmtPs(s.LatencyMaxPs)); err != nil {
+		head, s.Count, sim.Time(mean), sim.Time(s.LatencyMaxPs)); err != nil {
 		return err
 	}
 	if len(s.CriticalTotalsPs) > 0 {
@@ -682,7 +667,7 @@ func (s *Summary) WriteText(w io.Writer) error {
 	for i := range s.Slowest {
 		r := &s.Slowest[i]
 		if _, err := fmt.Fprintf(w, "  #%-3d %-8s %10s  %s\n",
-			r.ID, r.Kind, fmtPs(r.LatencyPs), r.criticalString()); err != nil {
+			r.ID, r.Kind, sim.Time(r.LatencyPs), r.criticalString()); err != nil {
 			return err
 		}
 	}
