@@ -69,7 +69,8 @@ examples-smoke:
 	done
 
 # Run the differential engine against the archived Stat metrics snapshots
-# and check the ranked headline.
+# and check the ranked headline, then against fresh Baseline and AssasinSb
+# timelines (same headline) and guest profiles (a hot-block table).
 diff-smoke:
 	scripts/diff-smoke.sh
 

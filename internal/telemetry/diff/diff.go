@@ -3,10 +3,9 @@
 // timeline and guest profile — and emits ranked "what changed" tables:
 // per-class core-time deltas, per-counter deltas, per-phase comparisons
 // and per-block guest time. LoadFile reads a run back from any JSON file
-// the commands write. Comparing Baseline against
-// AssasinSb on the same workload quantifies the paper's memory-wall
-// narrative: the top-ranked delta is the cache/DRAM-wait collapse that the
-// stream buffers buy.
+// the commands write. Comparing Baseline against AssasinSb on the same
+// workload quantifies the paper's memory-wall narrative: the top-ranked
+// delta is the cache/DRAM-wait collapse that the stream buffers buy.
 //
 // Everything is deterministic: rankings sort by magnitude with key-order
 // tiebreaks, so identical inputs render byte-identical output.
