@@ -22,7 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -30,115 +30,54 @@ import (
 	"sync"
 	"time"
 
-	"assasin/internal/buildinfo"
 	"assasin/internal/experiments"
 	"assasin/internal/obs"
-	"assasin/internal/profiling"
 	"assasin/internal/runpool"
 	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/diff"
 	"assasin/internal/telemetry/kprof"
 	"assasin/internal/telemetry/reqtrace"
-	"assasin/internal/telemetry/slo"
-	"assasin/internal/telemetry/timeline"
 )
 
-// stopProfiles finalizes -cpuprofile/-memprofile output; every exit path
-// must call it because os.Exit skips defers.
-var stopProfiles = func() {}
-
 func main() {
-	var (
-		exp      = flag.String("exp", "all", "comma-separated experiments: all, "+strings.Join(experiments.ExperimentIDs(), ", "))
-		quick    = flag.Bool("quick", false, "use the small test-scale configuration")
-		verify   = flag.Bool("verify", false, "cross-check offload outputs against reference implementations")
-		cores    = flag.Int("cores", 0, "override compute engine count")
-		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
-		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
-		parallel = flag.Int("parallel", runpool.DefaultWorkers(), "max concurrent simulation runs (1 = sequential; results are identical)")
-		jsonDir  = flag.String("json", "", "directory to write BENCH_<exp>.json result files into")
-		tracePth = flag.String("trace", "", "write a Chrome trace_event JSON file (open in Perfetto; forces -parallel 1)")
-		metrPth  = flag.String("metrics", "", "write a flat telemetry metrics JSON file (parallel-safe: per-run sinks merged at run boundaries)")
-		tlDir    = flag.String("timeline", "", "directory to write per-run TIMELINE_<exp>_<run>.json sampled timelines into")
-		tlIvalUs = flag.Float64("timeline-interval-us", 10, "timeline sampling interval in simulated microseconds")
-		diffRuns = flag.Bool("diff", false, "print per-kernel Baseline-vs-AssasinSb differential reports")
-		report   = flag.Bool("report", false, "print a per-run bottleneck-attribution report (parallel-safe)")
-		requests = flag.Int("requests", 0, "trace per-request critical paths and print the K slowest requests per run (0 = off; parallel-safe)")
-		kprofN   = flag.Int("kprof", 0, "profile guest kernels and print the N hottest basic blocks per experiment (0 = off; parallel-safe)")
-		kprofDir = flag.String("kprof-dir", "", "directory to write PROFILE_<exp>.json/.pb.gz merged guest profiles into (implies -kprof 10 when unset)")
-		loadSpec = flag.String("load", "", "open-loop load overrides for the load experiment, semicolon-separated key=value (requests, rate, tenants, read, pages, keys, zipfs, zipfv, drives, seed, offloadmb, offloadtenant, window, buckets)")
-		sloSpec  = flag.String("slo", "", "SLO objectives as tenant:target[:latency], comma-separated (e.g. 'gold:99.9:400us,all:99:1ms'); empty uses per-tenant defaults")
-		logLevel = flag.String("log-level", "warn", "log verbosity: debug, info, warn, error")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProf  = flag.String("memprofile", "", "write an allocs heap profile to this file on exit")
-		version  = flag.Bool("version", false, "print version and build information, then exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *version {
-		fmt.Println(buildinfo.Get().Line("assasin-bench"))
-		return
+// run is the command: it parses args, runs the experiments and returns the
+// exit status, 2 for an error and 1 for a failed experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("assasin-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opts := experiments.NewFlags()
+	opts.Register(fs)
+	opts.RegisterScale(fs)
+	opts.RegisterObserve(fs)
+	fs.IntVar(&opts.Workers, "parallel", runpool.DefaultWorkers(), "max concurrent simulation runs (1 = sequential; results are identical)")
+	jsonDir := fs.String("json", "", "directory to write BENCH_<exp>.json result files into")
+	tlDir := fs.String("timeline", "", "directory to write per-run TIMELINE_<exp>_<run>.json sampled timelines into")
+	fs.BoolVar(&opts.Diff, "diff", false, "print per-kernel Baseline-vs-AssasinSb differential reports")
+	if status, done := opts.Parse(fs, args, stdout); done {
+		return status
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "assasin-bench: %v\n", err)
+		return 2
 	}
 
-	if err := experiments.ValidateOverrides(*cores, *parallel, *sf, *mb); err != nil {
-		fatal(err)
-	}
-	if *kprofDir != "" && *kprofN <= 0 {
-		*kprofN = 10
-	}
-	stop, err := profiling.Start(*cpuProf, *memProf)
+	opts.Timeline = *tlDir != ""
+	cfg, names, stop, err := opts.Setup(stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	stopProfiles = stop
 	defer stop()
-
-	log, err := obs.NewLogger(os.Stderr, *logLevel)
-	if err != nil {
-		fatal(err)
-	}
-	runpool.SetLogger(log)
-
-	cfg := experiments.Default()
-	if *quick {
-		cfg = experiments.Quick()
-	}
-	if *verify {
-		cfg.Verify = true
-	}
-	if *cores > 0 {
-		cfg.Cores = *cores
-	}
-	if *sf > 0 {
-		cfg.TPCHScale = *sf
-	}
-	if *mb > 0 {
-		cfg.KernelMB = *mb
-	}
-	cfg.Workers = *parallel
-	cfg.Log = log
-
-	lc := experiments.DefaultLoad()
-	if *quick {
-		lc = experiments.QuickLoad()
-	}
-	if *loadSpec != "" {
-		if lc, err = experiments.ParseLoadSpec(*loadSpec, lc); err != nil {
-			fatal(err)
+	runpool.SetLogger(cfg.Log)
+	for _, dir := range []string{*tlDir, *jsonDir} {
+		if dir != "" {
+			if err := os.MkdirAll(dir, 0o755); err != nil {
+				return fail(err)
+			}
 		}
-	}
-	if *sloSpec != "" {
-		objs, err := slo.ParseSpec(*sloSpec)
-		if err != nil {
-			fatal(err)
-		}
-		lc.Objectives = objs
-	}
-	cfg.Load = &lc
-
-	if ps := *tlIvalUs * 1e6; !(ps >= 1 && ps < math.MaxInt64) {
-		fatal(fmt.Errorf("-timeline-interval-us must be finite and at least 1 ps (1e-06), got %g", *tlIvalUs))
 	}
 
 	// Every run observes privately and the root absorbs it (see
@@ -148,43 +87,16 @@ func main() {
 	// events the root appends in the order runs finish, forces sequential
 	// simulation.
 	var forcedBy []string
-	if *tracePth != "" {
+	if opts.Trace != "" {
 		forcedBy = append(forcedBy, "-trace")
 	}
 	if workers, warning := runpool.SequentialOverride(cfg.Workers, forcedBy...); warning != "" {
-		fmt.Fprintln(os.Stderr, "assasin-bench: "+warning)
+		fmt.Fprintln(stderr, "assasin-bench: "+warning)
 		cfg.Workers = workers
 	}
 
-	// -report and -diff read each run's counters and component gauges from
-	// its private sink, which only a root sink opens.
-	var tel *telemetry.Sink
-	if *tracePth != "" || *metrPth != "" || *tlDir != "" || *report || *diffRuns {
-		tel = telemetry.NewSink()
-		tel.Log = log
-		if *tracePth == "" {
-			// Metrics-only root: the runs' private sinks record no events.
-			tel.MaxEvents = -1
-		}
-		cfg.Telemetry = tel
-	}
-	if *tlDir != "" {
-		if err := os.MkdirAll(*tlDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
-	if *tlDir != "" || *diffRuns {
-		cfg.Timeline = &timeline.Config{IntervalPs: int64(*tlIvalUs * 1e6)}
-	}
-	cfg.Requests = *requests
-	cfg.KProf = *kprofN > 0
-	if *kprofDir != "" {
-		if err := os.MkdirAll(*kprofDir, 0o755); err != nil {
-			fatal(err)
-		}
-	}
 	var coll *obs.Collector
-	if *report || *diffRuns {
+	if opts.Report || opts.Diff {
 		coll = obs.NewCollector()
 	}
 	// Run records are buffered under a mutex and drained at experiment
@@ -192,7 +104,7 @@ func main() {
 	// output is byte-identical for any -parallel setting (see drainRecords).
 	var recMu sync.Mutex
 	var pending []analyze.Run
-	collectRecs := coll != nil || *requests > 0 || *kprofN > 0
+	collectRecs := coll != nil || opts.Requests > 0 || opts.KProf > 0
 	var curExp string
 	if collectRecs || *tlDir != "" {
 		cfg.OnRunDone = func(rec analyze.Run) {
@@ -204,19 +116,9 @@ func main() {
 			if *tlDir != "" && rec.Timeline != nil {
 				name := "TIMELINE_" + curExp + "_" + strings.ReplaceAll(rec.Label, "/", "_") + ".json"
 				if err := rec.Timeline.WriteFile(filepath.Join(*tlDir, name)); err != nil {
-					fmt.Fprintf(os.Stderr, "assasin-bench: %s: %v\n", name, err)
+					fmt.Fprintf(stderr, "assasin-bench: %s: %v\n", name, err)
 				}
 			}
-		}
-	}
-
-	names, err := experiments.ParseNames(*exp)
-	if err != nil {
-		fatal(err)
-	}
-	if *jsonDir != "" {
-		if err := os.MkdirAll(*jsonDir, 0o755); err != nil {
-			fatal(err)
 		}
 	}
 
@@ -226,84 +128,67 @@ func main() {
 		start := time.Now()
 		rows, text, err := runner.Run(name, cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "assasin-bench: %s: %v\n", name, err)
-			stopProfiles()
-			os.Exit(1)
+			fmt.Fprintf(stderr, "assasin-bench: %s: %v\n", name, err)
+			return 1
 		}
-		fmt.Print(text)
+		fmt.Fprint(stdout, text)
 		if collectRecs {
 			recMu.Lock()
 			recs := pending
 			pending = nil
 			recMu.Unlock()
-			drainRecords(name, recs, coll, *requests, *jsonDir, *kprofN, *kprofDir)
+			if err := drainRecords(stdout, name, recs, coll, opts, *jsonDir); err != nil {
+				return fail(err)
+			}
 		}
 		wall := time.Since(start).Seconds()
 		if lr, ok := rows.(*experiments.LoadResult); ok && *jsonDir != "" {
 			if err := writeSLOArtifact(*jsonDir, name, lr); err != nil {
-				fmt.Fprintf(os.Stderr, "assasin-bench: %s: %v\n", name, err)
-				stopProfiles()
-				os.Exit(1)
+				fmt.Fprintf(stderr, "assasin-bench: %s: %v\n", name, err)
+				return 1
 			}
-			fmt.Printf("[slo: %s, %d drives]\n", filepath.Join(*jsonDir, "SLO_"+name+".json"), len(lr.Drives))
+			fmt.Fprintf(stdout, "[slo: %s, %d drives]\n", filepath.Join(*jsonDir, "SLO_"+name+".json"), len(lr.Drives))
 		}
 		if *jsonDir != "" {
 			var snap *telemetry.MetricsSnapshot
-			if tel != nil {
-				s := tel.Metrics()
+			if cfg.Telemetry != nil {
+				s := cfg.Telemetry.Metrics()
 				snap = &s
 			}
 			if err := writeJSON(*jsonDir, name, cfg, rows, wall, snap); err != nil {
-				fmt.Fprintf(os.Stderr, "assasin-bench: %s: %v\n", name, err)
-				stopProfiles()
-				os.Exit(1)
+				fmt.Fprintf(stderr, "assasin-bench: %s: %v\n", name, err)
+				return 1
 			}
 		}
-		fmt.Printf("[%s completed in %.1fs]\n\n", name, wall)
+		fmt.Fprintf(stdout, "[%s completed in %.1fs]\n\n", name, wall)
 	}
 
-	if coll != nil && *report {
+	if opts.Report {
 		reports := coll.Reports()
 		analyze.SortReports(reports)
-		fmt.Print(analyze.FormatReports(reports))
+		fmt.Fprint(stdout, analyze.FormatReports(reports))
 		if *jsonDir != "" {
-			f, err := os.Create(filepath.Join(*jsonDir, "BENCH_report.json"))
-			if err != nil {
-				fatal(err)
+			path := filepath.Join(*jsonDir, "BENCH_report.json")
+			if err := writeFile(path, func(w io.Writer) error { return analyze.WriteJSON(w, reports) }); err != nil {
+				return fail(err)
 			}
-			if err := analyze.WriteJSON(f, reports); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("[attribution: %s, %d runs]\n", filepath.Join(*jsonDir, "BENCH_report.json"), len(reports))
+			fmt.Fprintf(stdout, "[attribution: %s, %d runs]\n", path, len(reports))
 		}
 	}
-	if *diffRuns {
-		printArchDiffs(coll)
+	if opts.Diff {
+		printArchDiffs(stdout, coll)
 	}
 
-	if tel != nil {
-		if *tracePth != "" {
-			if err := tel.WriteChromeTraceFile(*tracePth); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("[trace: %s, %d events]\n", *tracePth, tel.EventCount())
-		}
-		if *metrPth != "" {
-			if err := tel.WriteMetricsFile(*metrPth); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("[metrics: %s]\n", *metrPth)
-		}
+	if err := opts.WriteArtifacts(cfg.Telemetry, nil, ""); err != nil {
+		return fail(err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "assasin-bench: %v\n", err)
-	stopProfiles()
-	os.Exit(2)
+	if opts.Trace != "" {
+		fmt.Fprintf(stdout, "[trace: %s, %d events]\n", opts.Trace, cfg.Telemetry.EventCount())
+	}
+	if opts.Metrics != "" {
+		fmt.Fprintf(stdout, "[metrics: %s]\n", opts.Metrics)
+	}
+	return 0
 }
 
 // drainRecords processes one experiment's buffered run records. Records are
@@ -312,7 +197,7 @@ func fatal(err error) {
 // run ids, attribution reports, and slowest-request tables are independent
 // of parallel completion order. Each record's metrics come from the run's
 // private sink, so the order of observation cannot change a report.
-func drainRecords(exp string, recs []analyze.Run, coll *obs.Collector, requests int, jsonDir string, kprofN int, kprofDir string) {
+func drainRecords(w io.Writer, exp string, recs []analyze.Run, coll *obs.Collector, opts *experiments.Flags, jsonDir string) error {
 	sort.SliceStable(recs, func(i, j int) bool {
 		a, b := &recs[i], &recs[j]
 		if a.Label != b.Label {
@@ -327,53 +212,54 @@ func drainRecords(exp string, recs []analyze.Run, coll *obs.Collector, requests 
 		return a.DurationPs < b.DurationPs
 	})
 	var sums []*reqtrace.Summary
+	var profs []kprof.Labeled
 	for _, r := range recs {
 		coll.ObserveRun(r)
 		if r.Requests != nil {
 			sums = append(sums, r.Requests)
 		}
-	}
-	if kprofN > 0 {
-		var profs []kprof.Labeled
-		for _, r := range recs {
-			if r.Profile != nil {
-				profs = append(profs, kprof.Labeled{Label: r.Profile.Label, Profile: r.Profile})
-			}
-		}
-		if len(profs) > 0 {
-			merged := kprof.MergeLabeled(profs)
-			merged.Label = exp
-			fmt.Print(merged.FormatHotBlocks(kprofN))
-			if kprofDir != "" {
-				if err := writeMergedProfile(kprofDir, exp, merged); err != nil {
-					fatal(err)
-				}
-				fmt.Printf("[profile: %s/PROFILE_%s.{json,pb.gz}, %d runs]\n", kprofDir, exp, len(profs))
-			}
+		if r.Profile != nil {
+			profs = append(profs, kprof.Labeled{Label: r.Profile.Label, Profile: r.Profile})
 		}
 	}
-	if requests <= 0 || len(sums) == 0 {
-		return
+	if len(profs) > 0 {
+		merged := kprof.MergeLabeled(profs)
+		merged.Label = exp
+		fmt.Fprint(w, merged.FormatHotBlocks(opts.KProf))
+		if err := opts.WriteArtifacts(nil, merged, "PROFILE_"+exp); err != nil {
+			return err
+		}
+		if opts.KProfDir != "" {
+			fmt.Fprintf(w, "[profile: %s/PROFILE_%s.{json,pb.gz}, %d runs]\n", opts.KProfDir, exp, len(profs))
+		}
 	}
 	for _, sum := range sums {
-		if err := sum.WriteText(os.Stdout); err != nil {
-			fatal(err)
+		if err := sum.WriteText(w); err != nil {
+			return err
 		}
 	}
-	if jsonDir != "" {
-		path := filepath.Join(jsonDir, "REQUESTS_"+exp+".json")
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		if err := reqtrace.WriteSummariesJSON(f, sums); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("[requests: %s, %d runs]\n", path, len(sums))
+	if jsonDir == "" || len(sums) == 0 {
+		return nil
 	}
+	path := filepath.Join(jsonDir, "REQUESTS_"+exp+".json")
+	if err := writeFile(path, func(f io.Writer) error { return reqtrace.WriteSummariesJSON(f, sums) }); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "[requests: %s, %d runs]\n", path, len(sums))
+	return nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeSLOArtifact writes a load experiment's full SLO result — per-drive
@@ -387,30 +273,9 @@ func writeSLOArtifact(dir, exp string, lr *experiments.LoadResult) error {
 	return os.WriteFile(filepath.Join(dir, "SLO_"+exp+".json"), append(b, '\n'), 0o644)
 }
 
-// writeMergedProfile writes an experiment's merged guest profile as JSON
-// (diffable with assasin-diff) and gzipped pprof profile.proto.
-func writeMergedProfile(dir, exp string, p *kprof.Profile) error {
-	js, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "PROFILE_"+exp+".json"), append(js, '\n'), 0o644); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, "PROFILE_"+exp+".pb.gz"))
-	if err != nil {
-		return err
-	}
-	if err := p.WritePprof(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // printArchDiffs emits one differential report per kernel that ran on both
 // the Baseline and AssasinSb architectures, in sorted kernel order.
-func printArchDiffs(coll *obs.Collector) {
+func printArchDiffs(w io.Writer, coll *obs.Collector) {
 	reports := coll.Reports()
 	analyze.SortReports(reports)
 	byKernel := make(map[string]map[string]*analyze.RunReport)
@@ -433,12 +298,11 @@ func printArchDiffs(coll *obs.Collector) {
 		if a == nil || b == nil {
 			continue
 		}
-		fmt.Print(diff.Compare(*coll.Run(a.ID), *coll.Run(b.ID)).Format())
-		fmt.Println()
+		fmt.Fprintln(w, diff.Compare(*coll.Run(a.ID), *coll.Run(b.ID)).Format())
 		printed++
 	}
 	if printed == 0 {
-		fmt.Println("[diff: no kernel ran on both Baseline and AssasinSb]")
+		fmt.Fprintln(w, "[diff: no kernel ran on both Baseline and AssasinSb]")
 	}
 }
 

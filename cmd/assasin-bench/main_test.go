@@ -9,7 +9,15 @@ import (
 	"testing"
 )
 
-// buildBench compiles the command once per test binary.
+// runBench runs the command in process and returns its exit status,
+// stdout and stderr.
+func runBench(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// buildBench compiles the command, for the one test that runs the binary.
 func buildBench(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "assasin-bench")
@@ -25,17 +33,11 @@ func buildBench(t *testing.T) string {
 // the -parallel value it overrides. table5 is a static artifact, so the run
 // is instant.
 func TestCLISequentialOverrideWarning(t *testing.T) {
-	bin := buildBench(t)
 	trace := filepath.Join(t.TempDir(), "t.json")
-
-	var stderr bytes.Buffer
-	cmd := exec.Command(bin, "-exp", "table5", "-quick", "-parallel", "4", "-trace", trace)
-	cmd.Stdout = new(bytes.Buffer)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, _, warn := runBench("-exp", "table5", "-quick", "-parallel", "4", "-trace", trace)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, warn)
 	}
-	warn := stderr.String()
 	for _, want := range []string{"-trace", "-parallel 4", "-parallel 1"} {
 		if !strings.Contains(warn, want) {
 			t.Errorf("stderr warning %q does not mention %q", warn, want)
@@ -46,15 +48,12 @@ func TestCLISequentialOverrideWarning(t *testing.T) {
 	}
 
 	// No telemetry flags, explicit -parallel: no warning.
-	stderr.Reset()
-	cmd = exec.Command(bin, "-exp", "table5", "-quick", "-parallel", "4")
-	cmd.Stdout = new(bytes.Buffer)
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, _, stderr := runBench("-exp", "table5", "-quick", "-parallel", "4")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	if s := stderr.String(); strings.Contains(s, "forces sequential") {
-		t.Errorf("unexpected warning without telemetry flags: %q", s)
+	if strings.Contains(stderr, "forces sequential") {
+		t.Errorf("unexpected warning without telemetry flags: %q", stderr)
 	}
 }
 
@@ -64,18 +63,13 @@ func TestCLIMetricsIsParallelSafe(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short")
 	}
-	bin := buildBench(t)
 	metrics := filepath.Join(t.TempDir(), "m.json")
-
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-exp", "fig5", "-quick", "-mb", "0.125", "-parallel", "4", "-metrics", metrics)
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, _, stderr := runBench("-exp", "fig5", "-quick", "-mb", "0.125", "-parallel", "4", "-metrics", metrics)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	if s := stderr.String(); strings.Contains(s, "forces sequential") {
-		t.Errorf("-metrics should not force sequential anymore: %q", s)
+	if strings.Contains(stderr, "forces sequential") {
+		t.Errorf("-metrics should not force sequential anymore: %q", stderr)
 	}
 	if _, err := os.Stat(metrics); err != nil {
 		t.Errorf("metrics file not written: %v", err)
@@ -88,19 +82,14 @@ func TestCLITimelineAndDiff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short")
 	}
-	bin := buildBench(t)
 	dir := t.TempDir()
-
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-exp", "table2", "-quick", "-mb", "0.125", "-parallel", "4",
+	code, out, stderr := runBench("-exp", "table2", "-quick", "-mb", "0.125", "-parallel", "4",
 		"-timeline", dir, "-diff")
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	if s := stderr.String(); strings.Contains(s, "forces sequential") {
-		t.Errorf("-timeline/-diff should not force sequential: %q", s)
+	if strings.Contains(stderr, "forces sequential") {
+		t.Errorf("-timeline/-diff should not force sequential: %q", stderr)
 	}
 	matches, err := filepath.Glob(filepath.Join(dir, "TIMELINE_table2_*.json"))
 	if err != nil || len(matches) == 0 {
@@ -113,7 +102,6 @@ func TestCLITimelineAndDiff(t *testing.T) {
 	if !strings.Contains(string(b), `"times_ps"`) {
 		t.Errorf("%s is not a timeline:\n%s", matches[0], b)
 	}
-	out := stdout.String()
 	for _, want := range []string{"Differential —", "what changed:", "core time by class"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-diff output missing %q", want)
@@ -127,15 +115,11 @@ func TestCLIDiffCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short")
 	}
-	bin := buildBench(t)
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-exp", "fig13", "-quick", "-diff")
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, out, stderr := runBench("-exp", "fig13", "-quick", "-diff")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	if out := stdout.String(); !strings.Contains(out, "counters (top") {
+	if !strings.Contains(out, "counters (top") {
 		t.Errorf("-diff output has no counter table:\n%s", out)
 	}
 }
@@ -143,7 +127,8 @@ func TestCLIDiffCounters(t *testing.T) {
 // TestCLIJSONLeavesBaselines checks that -json writes only into its own
 // directory: run from a tree holding a committed bench/BENCH_<exp>.json
 // baseline, a -json run elsewhere leaves that file byte-identical, so a
-// compare script reads a baseline it did not just write.
+// compare script reads a baseline it did not just write. It is the one test
+// that runs the built binary, so main's exit path stays covered.
 func TestCLIJSONLeavesBaselines(t *testing.T) {
 	bin := buildBench(t)
 	work := t.TempDir()
@@ -182,15 +167,10 @@ func TestCLIReportFlag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short")
 	}
-	bin := buildBench(t)
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, "-exp", "fig5", "-quick", "-mb", "0.125", "-report")
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, out, stderr := runBench("-exp", "fig5", "-quick", "-mb", "0.125", "-report")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	out := stdout.String()
 	for _, want := range []string{"largest-stall", "cache-dram", "filter/Baseline"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("-report output missing %q:\n%s", want, out)
@@ -198,26 +178,24 @@ func TestCLIReportFlag(t *testing.T) {
 	}
 }
 
-// TestCLIRejectsBadNumbers checks that numeric input the experiments cannot
-// use exits non-zero with an error message instead of a panic or a silent
-// fallback.
+// TestCLIRejectsBadNumbers checks that input the experiments cannot use
+// exits 2 with an error message instead of a panic or a silent fallback.
 func TestCLIRejectsBadNumbers(t *testing.T) {
-	bin := buildBench(t)
 	for _, args := range [][]string{
 		{"-exp", "fig13", "-quick", "-mb", "1e300"},
 		{"-exp", "fig13", "-quick", "-mb", "1e12"},
 		{"-exp", "fig13", "-quick", "-mb", "NaN"},
 		{"-exp", "table2", "-quick", "-diff", "-timeline-interval-us", "NaN"},
+		{"-exp", "table5", "-quick", "-requests", "-3"},
+		{"-exp", "table5", "-quick", "-kprof", "-1"},
+		{"-exp", "table5", "-quick", "-log-level", "loud"},
 	} {
-		cmd := exec.Command(bin, args...)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &stdout, &stderr
-		err := cmd.Run()
-		if _, ok := err.(*exec.ExitError); !ok {
-			t.Errorf("%v: exit %v, want a non-zero exit\n%s", args, err, stdout.String())
+		code, stdout, msg := runBench(args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2\n%s", args, code, stdout)
 			continue
 		}
-		if msg := stderr.String(); !strings.HasPrefix(msg, "assasin-bench: ") || strings.Contains(msg, "panic:") {
+		if !strings.HasPrefix(msg, "assasin-bench: ") || strings.Contains(msg, "panic:") {
 			t.Errorf("%v: stderr %q, want one assasin-bench error and no panic", args, msg)
 		}
 	}

@@ -35,90 +35,59 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"assasin/internal/buildinfo"
 	"assasin/internal/experiments"
 	"assasin/internal/obs"
-	"assasin/internal/telemetry"
 	"assasin/internal/telemetry/analyze"
 	"assasin/internal/telemetry/slo"
-	"assasin/internal/telemetry/timeline"
 	"assasin/internal/telemetry/window"
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", "127.0.0.1:0", "listen address (port 0 lets the OS choose)")
-		exp      = flag.String("exp", "all", "comma-separated experiments: all, "+strings.Join(experiments.ExperimentIDs(), ", "))
-		quick    = flag.Bool("quick", false, "use the small test-scale configuration")
-		verify   = flag.Bool("verify", false, "cross-check offload outputs against reference implementations")
-		cores    = flag.Int("cores", 0, "override compute engine count")
-		sf       = flag.Float64("sf", 0, "override TPC-H scale factor")
-		mb       = flag.Float64("mb", 0, "override standalone kernel input MB")
-		once     = flag.Bool("once", false, "exit once the experiments finish instead of serving until interrupted")
-		requests = flag.Int("requests", 8, "retain the K slowest requests per run for /runs/{id}/requests (0 = off)")
-		kprofOn  = flag.Bool("kprof", true, "profile guest kernels per run for /runs/{id}/profile and /runs/{id}/profile.pb.gz")
-		loadSpec = flag.String("load", "", "open-loop load overrides, semicolon-separated key=value (requests, rate, tenants, read, pages, keys, zipfs, zipfv, drives, seed, offloadmb, offloadtenant, window, buckets)")
-		sloSpec  = flag.String("slo", "", "SLO objectives as tenant:target[:latency], comma-separated (e.g. 'gold:99.9:400us,all:99:1ms'); empty uses per-tenant defaults")
-		logLevel = flag.String("log-level", "info", "log verbosity: debug, info, warn, error")
-		version  = flag.Bool("version", false, "print version and build information, then exit")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *version {
-		fmt.Println(buildinfo.Get().Line("assasin-serve"))
-		return
+// run is the command: it parses args, serves the experiments and returns
+// the exit status, 2 for an error and 1 for a failed experiment.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("assasin-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	opts := experiments.NewFlags()
+	opts.Requests = 8
+	opts.LogLevel = "info"
+	opts.Register(fs)
+	opts.RegisterScale(fs)
+	addr := fs.String("addr", "127.0.0.1:0", "listen address (port 0 lets the OS choose)")
+	once := fs.Bool("once", false, "exit once the experiments finish instead of serving until interrupted")
+	kprofOn := fs.Bool("kprof", true, "profile guest kernels per run for /runs/{id}/profile and /runs/{id}/profile.pb.gz")
+	if status, done := opts.Parse(fs, args, stdout); done {
+		return status
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "assasin-serve: %v\n", err)
+		return 2
 	}
 
-	log, err := obs.NewLogger(os.Stderr, *logLevel)
+	// The root sink is metrics-only (a timeline opens it). Each run
+	// observes privately and the root absorbs it before OnRunDone (see
+	// experiments.Observer), which stores the run under /runs and publishes
+	// the root's snapshot, so /metrics covers every run so far. The HTTP
+	// side only ever reads published snapshots.
+	opts.Timeline = true
+	cfg, names, stop, err := opts.Setup(stderr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-
-	if err := experiments.ValidateOverrides(*cores, 1, *sf, *mb); err != nil {
-		fatal(err)
-	}
-	cfg := experiments.Default()
-	if *quick {
-		cfg = experiments.Quick()
-	}
-	if *verify {
-		cfg.Verify = true
-	}
-	if *cores > 0 {
-		cfg.Cores = *cores
-	}
-	if *sf > 0 {
-		cfg.TPCHScale = *sf
-	}
-	if *mb > 0 {
-		cfg.KernelMB = *mb
-	}
-	cfg.Log = log
-
-	names, err := experiments.ParseNames(*exp)
-	if err != nil {
-		fatal(err)
-	}
-
-	// The root sink is metrics-only. Each run observes privately and the
-	// root absorbs it before OnRunDone (see experiments.Observer), which
-	// stores the run under /runs and publishes the root's snapshot, so
-	// /metrics covers every run so far. The HTTP side only ever reads
-	// published snapshots.
-	tel := telemetry.NewSink()
-	tel.MaxEvents = -1
-	tel.Log = log
-	cfg.Telemetry = tel
-	cfg.Timeline = &timeline.Config{}
-	cfg.Requests = *requests
+	defer stop()
+	log, tel := cfg.Log, cfg.Telemetry
 	cfg.KProf = *kprofOn
 	coll := obs.NewCollector()
 	coll.SetBuildInfo(buildinfo.Get().PromLabels()...)
@@ -132,48 +101,32 @@ func main() {
 	// move in sim time while the run executes (cfg.Workers stays at its
 	// sequential default, so drives run one at a time and publications stay
 	// ordered).
-	lc := experiments.DefaultLoad()
-	if *quick {
-		lc = experiments.QuickLoad()
-	}
-	if *loadSpec != "" {
-		if lc, err = experiments.ParseLoadSpec(*loadSpec, lc); err != nil {
-			fatal(err)
-		}
-	}
-	if *sloSpec != "" {
-		objs, err := slo.ParseSpec(*sloSpec)
-		if err != nil {
-			fatal(err)
-		}
-		lc.Objectives = objs
-	}
-	lc.OnEval = func(drive int, st *slo.Status, live *window.Snapshot) {
+	cfg.Load.OnEval = func(drive int, st *slo.Status, live *window.Snapshot) {
 		coll.PublishSLO(st)
 		coll.PublishLive(live)
 	}
-	cfg.Load = &lc
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("assasin-serve: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "assasin-serve: listening on http://%s\n", ln.Addr())
 	srv := &http.Server{Handler: obs.NewHandler(coll)}
+	serveErr := make(chan error, 1)
 	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			fatal(err)
+		if err := srv.Serve(ln); err != http.ErrServerClosed {
+			serveErr <- err
 		}
 	}()
 	coll.MarkReady()
 
-	stop := make(chan struct{})
+	stopExp := make(chan struct{})
 	runErr := make(chan error, 1)
 	go func() {
 		var runner experiments.Runner
 		for _, name := range names {
 			select {
-			case <-stop:
+			case <-stopExp:
 				log.Info("drain: stopping before next experiment", "next", name)
 				runErr <- nil
 				return
@@ -193,7 +146,7 @@ func main() {
 				coll.PublishSLO(lr.Drives[0].Status)
 				coll.PublishLive(lr.Drives[0].Live)
 			}
-			fmt.Print(text)
+			fmt.Fprint(stdout, text)
 			log.Info("experiment complete", "exp", name,
 				"wall_seconds", time.Since(start).Seconds(), "runs", coll.RunsCompleted())
 		}
@@ -202,27 +155,38 @@ func main() {
 
 	// Graceful shutdown: the first signal stops new work and drains the
 	// experiment in flight (its final snapshots publish as usual); a second
-	// signal aborts without waiting.
+	// signal aborts without waiting. A server that stops serving ends the
+	// command at once.
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	var failed bool
 	select {
+	case err := <-serveErr:
+		return fail(err)
 	case err := <-runErr:
 		failed = err != nil
 		if !*once {
-			s := <-sig
-			log.Info("signal received; shutting down", "signal", s.String())
+			select {
+			case err := <-serveErr:
+				return fail(err)
+			case s := <-sig:
+				log.Info("signal received; shutting down", "signal", s.String())
+			}
 		}
 	case s := <-sig:
 		log.Info("signal received; draining current experiment", "signal", s.String())
-		close(stop)
+		close(stopExp)
 		go func() {
 			<-sig
 			log.Error("second signal; aborting")
 			os.Exit(1)
 		}()
-		if err := <-runErr; err != nil {
-			failed = true
+		select {
+		case err := <-serveErr:
+			return fail(err)
+		case err := <-runErr:
+			failed = err != nil
 		}
 	}
 
@@ -232,11 +196,7 @@ func main() {
 		log.Warn("server shutdown", "err", err)
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "assasin-serve: %v\n", err)
-	os.Exit(2)
+	return 0
 }

@@ -18,7 +18,8 @@ var update = flag.Bool("update", false, "rewrite the golden stdout under testdat
 // TestCLIGoldenStdout pins the command's whole stdout for one observed run:
 // the throughput and cycle lines, the attribution report, the guest hot
 // blocks and the slowest-request table. The simulation is deterministic, so
-// any byte that moves is a behavior change.
+// any byte that moves is a behavior change. It is the one test that runs
+// the built binary, so main's exit path stays covered.
 func TestCLIGoldenStdout(t *testing.T) {
 	bin := buildSim(t)
 	var stdout, stderr bytes.Buffer
@@ -47,9 +48,8 @@ func TestCLIGoldenStdout(t *testing.T) {
 // lists exactly the table's rows, every row runs at a tiny input and exits
 // 0, and an unknown name exits non-zero.
 func TestCLIWorkloads(t *testing.T) {
-	bin := buildSim(t)
-	help, _ := exec.Command(bin, "-h").CombinedOutput()
-	_, usage, _ := strings.Cut(string(help), "-kernel string\n")
+	_, _, help := runSim("-h")
+	_, usage, _ := strings.Cut(help, "-kernel string\n")
 	usage, _, _ = strings.Cut(usage, "\n")
 	_, list, _ := strings.Cut(usage, "workload: ")
 	list, _, _ = strings.Cut(list, " (default")
@@ -57,33 +57,31 @@ func TestCLIWorkloads(t *testing.T) {
 		t.Errorf("-kernel help lists %q, want %q", got, experiments.WorkloadNames())
 	}
 	for _, name := range experiments.WorkloadNames() {
-		if out, err := exec.Command(bin, "-kernel", name, "-mb", "0.01").CombinedOutput(); err != nil {
-			t.Errorf("-kernel %s: %v\n%s", name, err, out)
+		if code, _, stderr := runSim("-kernel", name, "-mb", "0.01"); code != 0 {
+			t.Errorf("-kernel %s: exit %d\n%s", name, code, stderr)
 		}
 	}
-	if out, err := exec.Command(bin, "-kernel", "nosuch").CombinedOutput(); err == nil {
-		t.Errorf("-kernel nosuch exited 0:\n%s", out)
+	if code, stdout, _ := runSim("-kernel", "nosuch"); code == 0 {
+		t.Errorf("-kernel nosuch exited 0:\n%s", stdout)
 	}
 }
 
 // TestCLICoresDefault checks that the header describes the SSD the run
 // used: -cores 0 runs on ssd.New's default of eight engines.
 func TestCLICoresDefault(t *testing.T) {
-	bin := buildSim(t)
-	out, err := exec.Command(bin, "-kernel", "stat", "-mb", "0.05", "-cores", "0").CombinedOutput()
-	if err != nil {
-		t.Fatalf("%v\n%s", err, out)
+	code, out, stderr := runSim("-kernel", "stat", "-mb", "0.05", "-cores", "0")
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	header, _, _ := strings.Cut(string(out), "\n")
+	header, _, _ := strings.Cut(out, "\n")
 	if !strings.Contains(header, ": 8 cores,") {
 		t.Errorf("-cores 0 header = %q, want 8 cores", header)
 	}
 }
 
-// TestCLIRejectsBadNumbers checks that numeric input the run cannot use
-// exits non-zero with an error message instead of a panic or a NaN report.
+// TestCLIRejectsBadNumbers checks that input the run cannot use exits 2
+// with an error message instead of a panic or a NaN report.
 func TestCLIRejectsBadNumbers(t *testing.T) {
-	bin := buildSim(t)
 	for _, args := range [][]string{
 		{"-mb", "NaN"},
 		{"-mb", "1e300"},
@@ -92,28 +90,31 @@ func TestCLIRejectsBadNumbers(t *testing.T) {
 		{"-mb", "0"},
 		{"-mb", "0.00005"}, // 52 bytes: under one 64-byte record
 		{"-timeline-interval-us", "NaN"},
+		{"-mb", "0.01", "-requests", "-3"},
+		{"-mb", "0.01", "-kprof", "-1"},
+		{"-mb", "0.01", "-log-level", "loud"},
 	} {
-		checkRejected(t, exec.Command(bin, args...), "assasin-sim: ")
+		code, stdout, msg := runSim(args...)
+		if code != 2 {
+			t.Errorf("%v: exit %d, want 2\n%s", args, code, stdout)
+			continue
+		}
+		if !strings.HasPrefix(msg, "assasin-sim: ") || strings.Contains(msg, "panic:") {
+			t.Errorf("%v: stderr %q, want one assasin-sim error and no panic", args, msg)
+		}
 	}
 }
 
-// checkRejected runs cmd and demands a non-zero exit with an error line on
-// stderr that starts with prefix, and no panic.
-func checkRejected(t *testing.T, cmd *exec.Cmd, prefix string) {
-	t.Helper()
+// runSim runs the command in process and returns its exit status, stdout
+// and stderr.
+func runSim(args ...string) (int, string, string) {
 	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
-	if _, ok := err.(*exec.ExitError); !ok {
-		t.Errorf("%v: exit %v, want a non-zero exit\n%s", cmd.Args[1:], err, stdout.String())
-		return
-	}
-	if msg := stderr.String(); !strings.HasPrefix(msg, prefix) || strings.Contains(msg, "panic:") {
-		t.Errorf("%v: stderr %q, want one %q error and no panic", cmd.Args[1:], msg, prefix)
-	}
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
 }
 
-// buildSim builds the command into a temporary directory.
+// buildSim builds the command into a temporary directory, for the one
+// test that runs the binary.
 func buildSim(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "assasin-sim")

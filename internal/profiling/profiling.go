@@ -1,8 +1,8 @@
-// Package profiling backs the -cpuprofile/-memprofile flags of the
-// commands. It exists so both binaries share the exit-path discipline:
-// the commands terminate through os.Exit (which skips defers), so every
-// exit site must call the returned stop function explicitly before
-// exiting for the profiles to be complete and parseable.
+// Package profiling backs the -cpuprofile and -memprofile flags of
+// assasin-bench and assasin-sim. experiments.Flags.Setup starts it, and
+// the command defers the stop function it returns: each command's main is
+// os.Exit(run(...)), so every return from run, error or not, completes the
+// profiles before the process exits.
 package profiling
 
 import (
@@ -15,8 +15,7 @@ import (
 // Start begins CPU profiling when cpuPath is non-empty and returns a stop
 // function that finalizes the CPU profile and, when memPath is non-empty,
 // writes an allocs heap profile (after a GC, so live-heap numbers are
-// accurate). The stop function is idempotent: commands call it both from
-// their normal return path and from error exits.
+// accurate).
 func Start(cpuPath, memPath string) (func(), error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -30,12 +29,7 @@ func Start(cpuPath, memPath string) (func(), error) {
 		}
 		cpuFile = f
 	}
-	stopped := false
 	return func() {
-		if stopped {
-			return
-		}
-		stopped = true
 		if cpuFile != nil {
 			pprof.StopCPUProfile()
 			cpuFile.Close()

@@ -330,7 +330,7 @@ func FormatReport(r *RunReport) string {
 		r.Label, r.Cores, float64(r.DurationPs)/1e9, r.ThroughputBps/1e9)
 	fmt.Fprintf(&b, "  %-20s%12s%9s\n", "class", "time", "frac")
 	for _, s := range r.Classes {
-		fmt.Fprintf(&b, "  %-20s%12s%8.1f%%\n", s.Class, fmtPs(s.Ps), 100*s.Frac)
+		fmt.Fprintf(&b, "  %-20s%12s%8.1f%%\n", s.Class, FormatPs(s.Ps), 100*s.Frac)
 	}
 	fmt.Fprintf(&b, "  largest class: %s; largest stall: %s\n", r.LargestClass, r.LargestStall)
 	if len(r.Components) > 0 {
@@ -344,7 +344,7 @@ func FormatReport(r *RunReport) string {
 		fmt.Fprintf(&b, "    %-20s%14s%14s%8s\n", "class", "start", "end", "share")
 		for _, p := range r.Phases {
 			fmt.Fprintf(&b, "    %-20s%14s%14s%7.1f%%\n",
-				p.Class, fmtPs(p.StartPs), fmtPs(p.EndPs), 100*p.Frac)
+				p.Class, FormatPs(p.StartPs), FormatPs(p.EndPs), 100*p.Frac)
 		}
 	}
 	if len(r.Histograms) > 0 {
@@ -358,12 +358,14 @@ func FormatReport(r *RunReport) string {
 	return b.String()
 }
 
-// fmtPs renders picoseconds with a readable unit.
-func fmtPs(ps int64) string {
+// FormatPs renders picoseconds with a readable unit (ms, µs or ps),
+// choosing the unit by magnitude so a negative delta reads like a positive
+// one.
+func FormatPs(ps int64) string {
 	switch {
-	case ps >= 1e9:
+	case ps >= 1e9 || ps <= -1e9:
 		return fmt.Sprintf("%.3f ms", float64(ps)/1e9)
-	case ps >= 1e6:
+	case ps >= 1e6 || ps <= -1e6:
 		return fmt.Sprintf("%.3f µs", float64(ps)/1e6)
 	default:
 		return fmt.Sprintf("%d ps", ps)

@@ -148,7 +148,7 @@ func Compare(a, b analyze.Run) *Report {
 		top := rep.Classes[0]
 		rep.TopClass = top.Class
 		rep.Headline = fmt.Sprintf("%s: %s -> %s (%s of core time %.1f%% -> %.1f%%)",
-			top.Class, fmtPs(top.APs), fmtPs(top.BPs), signedPs(top.DeltaPs),
+			top.Class, analyze.FormatPs(top.APs), analyze.FormatPs(top.BPs), signedPs(top.DeltaPs),
 			100*top.AFrac, 100*top.BFrac)
 	case len(rep.Counters) > 0:
 		top := rep.Counters[0]
@@ -323,7 +323,7 @@ func (r *Report) Format() string {
 	fmt.Fprintf(&b, "Differential — %s vs %s\n", r.A, r.B)
 	if r.ADurationPs > 0 || r.BDurationPs > 0 {
 		fmt.Fprintf(&b, "  duration    %s -> %s (%s)\n",
-			fmtPs(r.ADurationPs), fmtPs(r.BDurationPs), ratioStr(float64(r.BDurationPs), float64(r.ADurationPs)))
+			analyze.FormatPs(r.ADurationPs), analyze.FormatPs(r.BDurationPs), ratioStr(float64(r.BDurationPs), float64(r.ADurationPs)))
 	}
 	if r.AThroughputBps > 0 || r.BThroughputBps > 0 {
 		fmt.Fprintf(&b, "  throughput  %.2f GB/s -> %.2f GB/s (%s)\n",
@@ -335,7 +335,7 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "    %-20s%14s%14s%14s%10s%10s\n", "class", "a", "b", "delta", "a-frac", "b-frac")
 		for _, d := range r.Classes {
 			fmt.Fprintf(&b, "    %-20s%14s%14s%14s%9.1f%%%9.1f%%\n",
-				d.Class, fmtPs(d.APs), fmtPs(d.BPs), signedPs(d.DeltaPs), 100*d.AFrac, 100*d.BFrac)
+				d.Class, analyze.FormatPs(d.APs), analyze.FormatPs(d.BPs), signedPs(d.DeltaPs), 100*d.AFrac, 100*d.BFrac)
 		}
 	}
 	if len(r.Counters) > 0 {
@@ -350,7 +350,7 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "    %-36s%14s%14s%14s%12s%12s\n", "block", "a", "b", "delta", "a-insts", "b-insts")
 		for _, d := range r.Blocks {
 			fmt.Fprintf(&b, "    %-36s%14s%14s%14s%12d%12d\n",
-				d.Key, fmtPs(d.APs), fmtPs(d.BPs), signedPs(d.DeltaPs), d.AInsts, d.BInsts)
+				d.Key, analyze.FormatPs(d.APs), analyze.FormatPs(d.BPs), signedPs(d.DeltaPs), d.AInsts, d.BInsts)
 		}
 	}
 	if r.Phases != nil {
@@ -358,7 +358,7 @@ func (r *Report) Format() string {
 		writePhases := func(side string, ps []PhaseSummary) {
 			for _, p := range ps {
 				fmt.Fprintf(&b, "    %s  %-20s%14s ->%13s%8.1f%%\n",
-					side, p.Class, fmtPs(p.StartPs), fmtPs(p.EndPs), 100*p.Frac)
+					side, p.Class, analyze.FormatPs(p.StartPs), analyze.FormatPs(p.EndPs), 100*p.Frac)
 			}
 		}
 		writePhases("a", r.Phases.A)
@@ -367,7 +367,7 @@ func (r *Report) Format() string {
 			fmt.Fprintf(&b, "  phase time by dominant class (ranked by |delta|):\n")
 			for _, d := range r.Phases.ClassDurations {
 				fmt.Fprintf(&b, "    %-20s%14s%14s%14s\n",
-					d.Class, fmtPs(d.APs), fmtPs(d.BPs), signedPs(d.DeltaPs))
+					d.Class, analyze.FormatPs(d.APs), analyze.FormatPs(d.BPs), signedPs(d.DeltaPs))
 			}
 		}
 	}
@@ -400,24 +400,12 @@ func abs64(v int64) int64 {
 	return v
 }
 
-// fmtPs renders picoseconds with a readable unit.
-func fmtPs(ps int64) string {
-	switch {
-	case ps >= 1e9 || ps <= -1e9:
-		return fmt.Sprintf("%.3f ms", float64(ps)/1e9)
-	case ps >= 1e6 || ps <= -1e6:
-		return fmt.Sprintf("%.3f µs", float64(ps)/1e6)
-	default:
-		return fmt.Sprintf("%d ps", ps)
-	}
-}
-
-// signedPs is fmtPs with an explicit sign.
+// signedPs is analyze.FormatPs with an explicit sign.
 func signedPs(ps int64) string {
 	if ps > 0 {
-		return "+" + fmtPs(ps)
+		return "+" + analyze.FormatPs(ps)
 	}
-	return fmtPs(ps)
+	return analyze.FormatPs(ps)
 }
 
 // ratioStr renders b/a as a multiplier.
