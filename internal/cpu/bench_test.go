@@ -209,6 +209,54 @@ func BenchmarkStreamLoadPath(b *testing.B) {
 	}
 }
 
+// BenchmarkScratchpadLoadPath measures the compiled engine's scratchpad
+// loads and stores in each execution mode on table lookups in the style of
+// AES T-tables: every iteration indexes four 1 KiB word tables by the bytes
+// of a running state, folds the words in, and stores the state to an
+// accumulator word.
+func BenchmarkScratchpadLoadPath(b *testing.B) {
+	bb := asm.New()
+	bb.Li(asm.S1, int32(memhier.ScratchpadBase))
+	loop := bb.Here()
+	for k := int32(0); k < 4; k++ {
+		bb.Srli(asm.T3, asm.T2, 8*k)
+		bb.Andi(asm.T3, asm.T3, 0xff)
+		bb.Slli(asm.T3, asm.T3, 2)
+		bb.Add(asm.T3, asm.T3, asm.S1)
+		bb.Lw(asm.T4, asm.T3, 1024*k)
+		bb.Xor(asm.T2, asm.T2, asm.T4)
+	}
+	bb.Addi(asm.T2, asm.T2, 1)
+	bb.Sw(asm.T2, asm.S1, 4096)
+	bb.J(loop)
+	prog := bb.MustBuild()
+	tables := make([]byte, 4096)
+	for i := range tables {
+		tables[i] = byte(i*151 + 7)
+	}
+	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := DefaultConfig("bench")
+			cfg.MaxInstructions = 1 << 62
+			cfg.Exec = mode
+			sys := newTestSystem()
+			if err := sys.Scratchpad.LoadBytes(0, tables); err != nil {
+				b.Fatal(err)
+			}
+			c := New(cfg, sys)
+			c.LoadProgram(Translate(prog))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for c.Stats().Instructions < int64(b.N) {
+				c.Run(c.LocalTime() + 100*sim.Microsecond)
+			}
+			if c.Err() != nil {
+				b.Fatal(c.Err())
+			}
+		})
+	}
+}
+
 // BenchmarkCachedLoadPath measures the cache-hierarchy load path.
 func BenchmarkCachedLoadPath(b *testing.B) {
 	dram := memhier.NewDRAM(memhier.DefaultDRAMConfig())

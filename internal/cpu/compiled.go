@@ -127,8 +127,9 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 		in := &dec[i]
 		switch in.class {
 		case isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassLoad, isa.ClassStore, isa.ClassHalt:
-			// Always translatable: loads/stores go through the same
-			// memhier.System calls as precise stepping.
+			// Always translatable: loads/stores read scratchpad words in
+			// place with System.Load's timing and send every other access
+			// through the same memhier.System calls as precise stepping.
 		case isa.ClassBranch:
 			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
 				return nil // inner backward branch: let the outer loop win
@@ -370,22 +371,31 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 			t0 := c.at
 			addr := c.regs[rs1] + uimm
-			r, err := c.sys.Load(t0, addr, size, uint32(vpc))
-			if err != nil {
-				c.pc = vpc
-				c.fail(err)
-				return vpc, ctlHalted
+			// A word inside the scratchpad's written prefix is read in
+			// place, with the timing System.Load gives it; every other
+			// access takes System.Load, the one oracle path.
+			v, ok := c.sys.Scratchpad.Word(addr-memhier.ScratchpadBase, size)
+			done, kind := t0, StallMem
+			if ok {
+				done += c.sys.Scratchpad.ExtraLatency(c.sys.Clock)
+			} else {
+				r, err := c.sys.Load(t0, addr, size, uint32(vpc))
+				if err != nil {
+					c.pc = vpc
+					c.fail(err)
+					return vpc, ctlHalted
+				}
+				if r.Status == memhier.LoadBlocked {
+					return vpc, ctlBlockedStream
+				}
+				v, done, kind = r.Value, r.Done, c.loadStallKind(addr)
 			}
-			if r.Status == memhier.LoadBlocked {
-				return vpc, ctlBlockedStream
-			}
-			v := r.Value
 			if signed {
 				v = signExtendVal(v, size)
 			}
 			c.setReg(rd, v)
 			c.stats.LoadBytes += int64(size)
-			c.retire(vpc, t0, r.Done, c.loadStallKind(addr))
+			c.retire(vpc, t0, done, kind)
 			c.countInst(isa.ClassLoad)
 			return vpc + 1, ctlNext
 		}
@@ -397,17 +407,25 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 			t0 := c.at
 			addr := c.regs[rs1] + uimm
-			r, err := c.sys.Store(t0, addr, size, c.regs[rs2], uint32(vpc))
-			if err != nil {
-				c.pc = vpc
-				c.fail(err)
-				return vpc, ctlHalted
-			}
-			if r.Status == memhier.LoadBlocked {
-				return vpc, ctlBlockedOut
+			// The store twin of the load element's scratchpad path: a
+			// store that would grow the written prefix takes System.Store.
+			done := t0
+			if c.sys.Scratchpad.SetWord(addr-memhier.ScratchpadBase, size, c.regs[rs2]) {
+				done += c.sys.Scratchpad.ExtraLatency(c.sys.Clock)
+			} else {
+				r, err := c.sys.Store(t0, addr, size, c.regs[rs2], uint32(vpc))
+				if err != nil {
+					c.pc = vpc
+					c.fail(err)
+					return vpc, ctlHalted
+				}
+				if r.Status == memhier.LoadBlocked {
+					return vpc, ctlBlockedOut
+				}
+				done = r.Done
 			}
 			c.stats.StoreBytes += int64(size)
-			c.retire(vpc, t0, r.Done, StallMem)
+			c.retire(vpc, t0, done, StallMem)
 			c.countInst(isa.ClassStore)
 			return vpc + 1, ctlNext
 		}

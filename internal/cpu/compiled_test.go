@@ -401,7 +401,7 @@ func TestSharedProgramConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(cfg Config) {
 					defer wg.Done()
-					outs[i][j][m] = runFuzzProgram(p, cfg, inputs)
+					outs[i][j][m] = runFuzzProgram(p, cfg, inputs, fuzzSchedule{spCycles: 1})
 				}(cfg)
 			}
 		}

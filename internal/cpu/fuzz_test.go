@@ -10,6 +10,7 @@ package cpu
 // blocking at every body position, error paths.
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -101,6 +102,9 @@ type fuzzOutcome struct {
 	Err    string
 	Stats  Stats
 	Out    [4][]byte
+	// Scratch digests the scratchpad contents, where the engines' stores
+	// land without passing a later load.
+	Scratch [sha256.Size]byte
 }
 
 // fuzzConfig is the harness core config in mode. One name for every mode:
@@ -113,30 +117,75 @@ func fuzzConfig(mode ExecMode) Config {
 	return cfg
 }
 
+// fuzzPagesPerQuantum is how many pages the paged schedule pushes into each
+// input stream at a quantum boundary.
+const fuzzPagesPerQuantum = 16
+
+// fuzzSchedule is the harness's input schedule and scratchpad timing for
+// one corpus entry.
+type fuzzSchedule struct {
+	// page is the size of each input push; 0 pushes each input in two
+	// halves before the run.
+	page int
+	// spCycles is the scratchpad's AccessCycles.
+	spCycles int
+}
+
+// scheduleFor returns raw's schedule: the two-push one with a single-cycle
+// scratchpad, unless raw ends in a partial instruction chunk (which
+// genProgram ignores). Its last byte then picks pages of 1 to 3 bytes, fed
+// fuzzPagesPerQuantum per stream at every quantum boundary so that pushes,
+// consumption and the availability list's compaction interleave as they do
+// under the firmware, and a scratchpad of 1 or 2 access cycles.
+func scheduleFor(raw []byte) fuzzSchedule {
+	if len(raw)%6 == 0 {
+		return fuzzSchedule{spCycles: 1}
+	}
+	b := int(raw[len(raw)-1])
+	return fuzzSchedule{page: 1 + b%3, spCycles: 1 + b/3%2}
+}
+
 // runFuzzProgram executes prog on a fresh cfg core and test system with a
-// fixed input/drain schedule: two staggered pushes per input stream (then
-// closed), 500 ns dispatch quanta, and output windows drained at every
-// quantum boundary. The schedule is a pure function of the program and
-// inputs, so any outcome divergence between modes is an engine bug.
-func runFuzzProgram(prog *Program, cfg Config, inData [4][]byte) fuzzOutcome {
+// fixed input/drain schedule: the input pushes sched selects (each stream
+// closed after its last page, and a push wakes a blocked core at the
+// page's availability time, as the firmware's does), 500 ns dispatch
+// quanta, and output windows drained at every quantum boundary. The
+// schedule is a pure function of the program and inputs, so any outcome
+// divergence between modes is an engine bug.
+func runFuzzProgram(prog *Program, cfg Config, inData [4][]byte, sched fuzzSchedule) fuzzOutcome {
 	sys := newTestSystem()
 	c := New(cfg, sys)
 	c.LoadProgram(prog)
-	for s, d := range inData {
-		half := len(d) / 2
+	sys.Scratchpad.AccessCycles = sched.spCycles
+	for _, in := range sys.Streams.In {
+		in.OnPush = c.Wake
+	}
+	const quantum = 500 * sim.Nanosecond
+	var sent [4]int
+	push := func(s, end int, at sim.Time) {
 		in := sys.Streams.In[s]
-		if err := in.Push(append([]byte(nil), d[:half]...), 0); err != nil {
+		if err := in.Push(append([]byte(nil), inData[s][sent[s]:end]...), at); err != nil {
 			panic(err)
 		}
-		if err := in.Push(append([]byte(nil), d[half:]...), 2*sim.Microsecond); err != nil {
-			panic(err)
+		if sent[s] = end; end == len(inData[s]) {
+			in.Close()
 		}
-		in.Close()
+	}
+	page := sched.page
+	if page == 0 {
+		for s, d := range inData {
+			push(s, len(d)/2, 0)
+			push(s, len(d), 2*sim.Microsecond)
+		}
 	}
 	var out fuzzOutcome
-	const quantum = 500 * sim.Nanosecond
 	for k := 1; k <= 400; k++ {
 		limit := sim.Time(k) * quantum
+		for s, d := range inData {
+			for j := 1; page > 0 && j <= fuzzPagesPerQuantum && sent[s] < len(d); j++ {
+				push(s, min(sent[s]+page, len(d)), limit-quantum+sim.Time(j)*quantum/fuzzPagesPerQuantum)
+			}
+		}
 		_, state, _ := c.Run(limit)
 		for s := range sys.Streams.Out {
 			st := sys.Streams.Out[s]
@@ -157,6 +206,11 @@ func runFuzzProgram(prog *Program, cfg Config, inData [4][]byte) fuzzOutcome {
 		out.Err = c.err.Error()
 	}
 	out.Stats = c.stats
+	mem, err := sys.Scratchpad.Bytes(0, sys.Scratchpad.Size())
+	if err != nil {
+		panic(err)
+	}
+	out.Scratch = sha256.Sum256(mem)
 	return out
 }
 
@@ -189,13 +243,6 @@ func seedChunk(op isa.Op, rd, rs1, rs2, immb, wsel uint8) []byte {
 // kernels (stream loops, branch-heavy bodies, mul/div chains, error paths)
 // so fuzzing starts from the structures the engines optimize.
 func fuzzSeeds() [][]byte {
-	cat := func(chunks ...[]byte) []byte {
-		var b []byte
-		for _, c := range chunks {
-			b = append(b, c...)
-		}
-		return b
-	}
 	return [][]byte{
 		// Stream-sum loop: load s0, accumulate, store to out slot 1, jal back.
 		cat(
@@ -221,7 +268,8 @@ func fuzzSeeds() [][]byte {
 			seedChunk(isa.OpStreamEnd, 13, 0, 0, 0, 2),
 			seedChunk(isa.OpBeq, 0, 13, 0, 0, 0), // loop while not exhausted
 		),
-		// Scratchpad load/store round trip plus CSR reads.
+		// Load/store round trip plus CSR reads. The address, 48, lies below
+		// ScratchpadBase, so both access DRAM.
 		cat(
 			seedChunk(isa.OpAddi, 6, 0, 0, 16, 0),
 			seedChunk(isa.OpSw, 0, 6, 6, 8, 0),
@@ -240,7 +288,88 @@ func fuzzSeeds() [][]byte {
 			seedChunk(isa.OpStreamEnd, 13, 0, 0, 0, 5),
 			seedChunk(isa.OpBeq, 0, 13, 0, 0, 0), // back to pc 0 until exhausted
 		),
+		// One store pc and one load pc, each visiting five targets. Stores:
+		// the scratchpad prefix, DRAM, past the prefix (which grows it),
+		// an output stream view, and the grown prefix. Loads: DRAM, the
+		// prefix, an input stream view, past the prefix (reads zero), and
+		// past the scratchpad's 64 KiB (an error that ends the run).
+		regionSeed(
+			[][]byte{seedChunk(isa.OpSw, 0, 18, 11, 0, 0), seedChunk(isa.OpLw, 10, 5, 0, 0, 0)},
+			[5][]byte{addrDRAM(5, 64), addrSP(6, 0), addrView(7, 1, 30), addrSPPow(8, 15), addrSPPow(9, 16)},
+			[5][]byte{addrSP(18, 0), addrDRAM(19, 100), addrSPPow(20, 11), addrView(21, 3, 29), addrCopy(22, 20)},
+			3, // scheduleFor: 1-byte pages, 2-cycle scratchpad
+		),
+		// The same with halfword loads and byte stores, which straddle the
+		// prefix's end; the store pc's fifth target, an input stream view,
+		// is the error.
+		regionSeed(
+			[][]byte{seedChunk(isa.OpLhu, 10, 5, 0, 0, 0), seedChunk(isa.OpSb, 0, 18, 11, 0, 0)},
+			[5][]byte{addrSP(5, 2), addrSP(6, 3), addrDRAM(7, 66), cat(addrView(8, 1, 30), seedChunk(isa.OpAddi, 8, 8, 0, 1, 0)), addrSPPow(9, 15)},
+			[5][]byte{addrSP(18, 1), addrSPPow(19, 13), addrCopy(20, 19), addrDRAM(21, 70), addrView(22, 1, 30)},
+			4, // scheduleFor: 2-byte pages, 2-cycle scratchpad
+		),
+		// Stream-sum loop over 1-byte pages pushed while it runs: the
+		// trailing byte selects the paged schedule, and the availability
+		// list is compacted under BulkAvail's resume index.
+		cat(
+			seedChunk(isa.OpStreamLoad, 10, 0, 0, 0, 0), // slot 0, width 1
+			seedChunk(isa.OpAdd, 8, 8, 10, 0, 0),
+			seedChunk(isa.OpStreamStore, 0, 0, 8, 0, 5), // slot 1, width 4
+			seedChunk(isa.OpJal, 0, 0, 0, 0, 0),         // back to pc 0
+			[]byte{0},                                   // scheduleFor: 1-byte pages
+		),
 	}
+}
+
+// cat concatenates seed chunks.
+func cat(chunks ...[]byte) []byte {
+	var b []byte
+	for _, c := range chunks {
+		b = append(b, c...)
+	}
+	return b
+}
+
+// Address builders for regionSeed: each sets register rd to one target,
+// with x1 holding ScratchpadBase.
+func addrSP(rd, off uint8) []byte { return seedChunk(isa.OpAddi, rd, 1, 0, off, 0) } // x1 + off
+func addrSPPow(rd, k uint8) []byte { // x1 + 1<<k
+	return cat(seedChunk(isa.OpAddi, rd, 0, 0, 1, 0), seedChunk(isa.OpSlli, rd, rd, 0, k, 0), seedChunk(isa.OpAdd, rd, rd, 1, 0, 0))
+}
+func addrDRAM(rd, a uint8) []byte { return seedChunk(isa.OpAddi, rd, 0, 0, a, 0) } // below ScratchpadBase
+func addrView(rd, m, k uint8) []byte { // m<<k: 1<<30 input view, 3<<29 output view
+	return cat(seedChunk(isa.OpAddi, rd, 0, 0, m, 0), seedChunk(isa.OpSlli, rd, rd, 0, k, 0))
+}
+func addrCopy(rd, rs uint8) []byte { return seedChunk(isa.OpAdd, rd, rs, 0, 0, 0) }
+
+// regionSeed builds a loop whose memory ops take their bases from two
+// register banks, x5-x9 (bankA) and x18-x22 (bankB), each rotated one
+// place an iteration through x30, so one load pc and one store pc meet a
+// different address region every iteration. The setup sets x1 to
+// ScratchpadBase and stores it there, which opens a 4-byte written prefix,
+// then fills both banks; the body sums the loaded x10 into x11. The
+// trailing sched byte selects the schedule (see scheduleFor).
+func regionSeed(ops [][]byte, bankA, bankB [5][]byte, sched byte) []byte {
+	b := cat(
+		seedChunk(isa.OpAddi, 1, 0, 0, 1, 0),
+		seedChunk(isa.OpSlli, 1, 1, 0, 28, 0),
+		seedChunk(isa.OpSw, 0, 1, 1, 0, 0),
+	)
+	for _, t := range append(bankA[:], bankB[:]...) {
+		b = append(b, t...)
+	}
+	head := uint8(len(b) / 6)
+	b = append(b, cat(ops...)...)
+	b = append(b, seedChunk(isa.OpAdd, 11, 11, 10, 0, 0)...)
+	for _, r0 := range []uint8{5, 18} {
+		b = append(b, seedChunk(isa.OpAdd, 30, r0, 0, 0, 0)...)
+		for r := r0; r < r0+4; r++ {
+			b = append(b, seedChunk(isa.OpAdd, r, r+1, 0, 0, 0)...)
+		}
+		b = append(b, seedChunk(isa.OpAdd, r0+4, 30, 0, 0, 0)...)
+	}
+	b = append(b, seedChunk(isa.OpJal, 0, 0, 0, head, 0)...) // back to head
+	return append(b, sched)
 }
 
 // longBodySeed is a loop whose body (27 divisions, about 560 cycles)
@@ -293,8 +422,9 @@ func checkExecEquivalence(t *testing.T, raw []byte) {
 	}
 	inputs := fuzzInputs(raw)
 	p := Translate(prog)
-	ref := runFuzzProgram(p, fuzzConfig(ExecPrecise), inputs)
-	if got := runFuzzProgram(p, fuzzConfig(ExecCompiled), inputs); !reflect.DeepEqual(got, ref) {
+	sched := scheduleFor(raw)
+	ref := runFuzzProgram(p, fuzzConfig(ExecPrecise), inputs, sched)
+	if got := runFuzzProgram(p, fuzzConfig(ExecCompiled), inputs, sched); !reflect.DeepEqual(got, ref) {
 		t.Errorf("compiled diverges from precise for program:\n%v\nprecise: %+v\ncompiled: %+v",
 			prog.Insts, ref, got)
 	}

@@ -1,6 +1,7 @@
 package memhier
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -52,11 +53,71 @@ func (s *Scratchpad) grow(end int) {
 	s.data = data
 }
 
+// Word returns the size (1, 2 or 4) bytes at offset off, little-endian,
+// read in place. ok is false, and nothing is read, unless every byte lies
+// inside the written prefix: one unsigned compare guards the access, so an
+// offset past the prefix or the capacity, and a nil scratchpad, all fall
+// through to the caller's general path. The compiled core engine reads
+// scratchpad words here directly; System.Load reaches it through Read.
+// Scratchpads are far smaller than the 768 MiB window System maps them at,
+// so an address inside the prefix is always a scratchpad address.
+func (s *Scratchpad) Word(off uint32, size int) (v uint32, ok bool) {
+	b, ok := s.word(off, size)
+	if !ok {
+		return 0, false
+	}
+	switch size {
+	case 4:
+		return binary.LittleEndian.Uint32(b), true
+	case 2:
+		return uint32(binary.LittleEndian.Uint16(b)), true
+	}
+	for i, x := range b {
+		v |= uint32(x) << (8 * i)
+	}
+	return v, true
+}
+
+// SetWord stores the low size bytes of v at offset off in place, under the
+// same guard as Word: it reports false, and writes nothing, unless every
+// byte lies inside the written prefix. Write grows the prefix first.
+func (s *Scratchpad) SetWord(off uint32, size int, v uint32) bool {
+	b, ok := s.word(off, size)
+	if !ok {
+		return false
+	}
+	switch size {
+	case 4:
+		binary.LittleEndian.PutUint32(b, v)
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+	default:
+		for i := range b {
+			b[i] = byte(v >> (8 * i))
+		}
+	}
+	return true
+}
+
+// word returns the written-prefix bytes [off, off+size), or false when any
+// of them lies past the prefix.
+func (s *Scratchpad) word(off uint32, size int) ([]byte, bool) {
+	if s == nil || uint64(off)+uint64(size) > uint64(len(s.data)) {
+		return nil, false
+	}
+	return s.data[off : int(off)+size], true
+}
+
 // Read returns size (1, 2 or 4) bytes at offset off, little-endian.
 func (s *Scratchpad) Read(off uint32, size int) (uint32, error) {
 	if err := s.check(off, size); err != nil {
 		return 0, err
 	}
+	if v, ok := s.Word(off, size); ok {
+		return v, nil
+	}
+	// The access straddles or lies past the written prefix, whose bytes
+	// read as zero.
 	var v uint32
 	for i := 0; i < size; i++ {
 		if j := int(off) + i; j < len(s.data) {
@@ -72,9 +133,7 @@ func (s *Scratchpad) Write(off uint32, size int, v uint32) error {
 		return err
 	}
 	s.grow(int(off) + size)
-	for i := 0; i < size; i++ {
-		s.data[off+uint32(i)] = byte(v >> (8 * i))
-	}
+	s.SetWord(off, size, v)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package memhier
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -139,5 +140,93 @@ func TestScratchpadBoundsAtCapacity(t *testing.T) {
 	}
 	if len(s.data) != 4 {
 		t.Fatalf("rejected accesses grew the prefix to %d bytes", len(s.data))
+	}
+}
+
+// TestScratchpadWordAccess pins the in-place word path that Read, Write and
+// the compiled core's loads and stores share. For sizes 1, 2 and 4, Read
+// matches a byte-wise reference at offsets inside, straddling and past the
+// written prefix and at the capacity; Word answers only inside the prefix;
+// Write round-trips through Read; and the out-of-range error text is
+// unchanged.
+func TestScratchpadWordAccess(t *testing.T) {
+	const size = 1024
+	s := NewScratchpad(size)
+	ref := make([]byte, size)
+	for i := range 100 {
+		ref[i] = byte(i*37 + 11)
+	}
+	if err := s.LoadBytes(0, ref[:100]); err != nil {
+		t.Fatal(err)
+	}
+	prefix := len(s.data) // 128: [0,100) written, [100,128) zero-filled
+	refRead := func(off uint32, n int) uint32 {
+		var v uint32
+		for i := range n {
+			v |= uint32(ref[int(off)+i]) << (8 * i)
+		}
+		return v
+	}
+	rangeErr := func(off uint32, n int) string {
+		return fmt.Sprintf("memhier: scratchpad access [%d,%d) out of range (size %d)", off, int(off)+n, size)
+	}
+	offsets := []uint32{0, 1, 50, 99, 124, 125, 126, 127, 128, 129, 700, size - 4, size - 2, size - 1, size, size + 3}
+	for _, n := range []int{1, 2, 4} {
+		for _, off := range offsets {
+			v, err := s.Read(off, n)
+			w, ok := s.Word(off, n)
+			if int(off)+n > size {
+				if err == nil || err.Error() != rangeErr(off, n) {
+					t.Fatalf("Read(%d, %d) error = %v, want %q", off, n, err, rangeErr(off, n))
+				}
+				if ok {
+					t.Fatalf("Word(%d, %d) answered past the capacity", off, n)
+				}
+				continue
+			}
+			if err != nil || v != refRead(off, n) {
+				t.Fatalf("Read(%d, %d) = %#x, %v; want %#x", off, n, v, err, refRead(off, n))
+			}
+			if inside := int(off)+n <= prefix; ok != inside || (ok && w != v) {
+				t.Fatalf("Word(%d, %d) = %#x, %v; want %#x, %v", off, n, w, ok, v, inside)
+			}
+		}
+	}
+	if len(s.data) != prefix {
+		t.Fatalf("reads grew the prefix to %d bytes", len(s.data))
+	}
+
+	// Write then Read, inside the prefix, straddling it and past it; SetWord
+	// writes nothing outside the prefix.
+	for i, off := range []uint32{3, 127, 200, 130, 600, size - 4} {
+		n := []int{1, 2, 4}[i%3]
+		v := uint32(0xa1b2c3d4) ^ uint32(i)<<8
+		end := int(off) + n
+		if grows := end > len(s.data); s.SetWord(off, n, v) == grows {
+			t.Fatalf("SetWord(%d, %d) with a %d-byte prefix: ok = %v", off, n, len(s.data), !grows)
+		}
+		if err := s.Write(off, n, v); err != nil {
+			t.Fatal(err)
+		}
+		for j := range n {
+			ref[int(off)+j] = byte(v >> (8 * j))
+		}
+		if got, err := s.Read(off, n); err != nil || got != refRead(off, n) {
+			t.Fatalf("Read(%d, %d) after Write = %#x, %v; want %#x", off, n, got, err, refRead(off, n))
+		}
+		if got, _ := s.Bytes(0, size); !bytes.Equal(got, ref) {
+			t.Fatalf("Write(%d, %d) disturbed other bytes", off, n)
+		}
+	}
+	if err := s.Write(size-1, 2, 0); err == nil || err.Error() != rangeErr(size-1, 2) {
+		t.Fatalf("Write past the capacity: error = %v, want %q", err, rangeErr(size-1, 2))
+	}
+
+	var none *Scratchpad
+	if _, ok := none.Word(0, 4); ok {
+		t.Fatal("Word on a nil scratchpad answered")
+	}
+	if none.SetWord(0, 4, 1) {
+		t.Fatal("SetWord on a nil scratchpad answered")
 	}
 }

@@ -81,6 +81,10 @@ type InStream struct {
 	avail     []availSeg
 	availHead int
 	lastAvail sim.Time
+	// scan resumes BulkAvail's walk: every segment in [availHead, scan) was
+	// usable at scanAt. trimAvail's compaction shifts it with the segments.
+	scan   int
+	scanAt sim.Time
 
 	// OnFree, if set, is called when window space is released (the
 	// firmware uses it to schedule more flash reads).
@@ -243,20 +247,23 @@ func (s *InStream) gather(off int64, width int) uint32 {
 // BulkAvail returns how many buffered bytes past Head are usable at time at:
 // the window the compiled interpreter may consume without ever stalling on an
 // in-flight page. Availability segments are per-page (not per-byte), and
-// their At times are monotone, so one forward walk from the trim point
-// suffices.
+// their At times are monotone, so the usable segments are a prefix of the
+// live ones. The walk resumes where the last call stopped: the core's clock
+// only moves forward, so each segment is passed once, and a call at an
+// earlier time restarts from the trim point.
 func (s *InStream) BulkAvail(at sim.Time) int64 {
-	end := s.consumed
-	for i := s.availHead; i < len(s.avail); i++ {
-		if s.avail[i].At > at {
-			break
-		}
-		end = s.avail[i].End
+	i := max(s.scan, s.availHead)
+	if at < s.scanAt {
+		i = s.availHead
 	}
-	if end > s.delivered {
-		end = s.delivered
+	for i < len(s.avail) && s.avail[i].At <= at {
+		i++
 	}
-	return end - s.consumed
+	s.scan, s.scanAt = i, at
+	if i == s.availHead {
+		return 0
+	}
+	return s.avail[i-1].End - s.consumed
 }
 
 // LoadDirect consumes width bytes at Head and returns the little-endian
@@ -289,6 +296,7 @@ func (s *InStream) trimAvail() {
 		// (copy moves left), so steady-state consumption allocates nothing.
 		n := copy(s.avail, s.avail[s.availHead:])
 		s.avail = s.avail[:n]
+		s.scan = max(s.scan-s.availHead, 0)
 		s.availHead = 0
 	}
 }

@@ -17,14 +17,35 @@ func modelGeometry(rng *rand.Rand) (pages, pageSize int) {
 	return []int{2, 3, 4, 5, 9, 12, 16, 70}[rng.Intn(8)], 8 << rng.Intn(3)
 }
 
+// refBulkAvail is BulkAvail without its resume index: a walk over every
+// live availability segment from the trim point.
+func refBulkAvail(s *InStream, at sim.Time) int64 {
+	end := s.consumed
+	for _, seg := range s.avail[s.availHead:] {
+		if seg.At > at {
+			break
+		}
+		end = seg.End
+	}
+	return end - s.consumed
+}
+
 // TestInStreamModelBased drives an InStream with random interleavings of
 // Push / Load / Peek / Adv / ReadAt against a simple FIFO model and
 // against a twin whose ring is allocated at full capacity up front, and
 // checks every observable agrees: the growing ring must behave exactly like
-// a full-capacity one.
+// a full-capacity one. After every step BulkAvail must equal the walk from
+// the trim point, at a query clock that mostly moves forward, as a core's
+// does, and now and then steps back; some trials compact the availability
+// list under the resume index.
 func TestInStreamModelBased(t *testing.T) {
+	compactions := 0
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
+		// A separate source for the query clock keeps the op sequences of
+		// rng unchanged.
+		clock := rand.New(rand.NewSource(int64(500 + trial)))
+		var at sim.Time
 		pages, pageSize := modelGeometry(rng)
 		s := NewInStream(pages, pageSize)
 		full := NewInStream(pages, pageSize)
@@ -37,6 +58,7 @@ func TestInStreamModelBased(t *testing.T) {
 		grown := 0
 
 		for step := 0; step < 600; step++ {
+			head0, scan0 := s.availHead, s.scan
 			switch rng.Intn(6) {
 			case 0: // push a chunk of up to two pages
 				n := 1 + rng.Intn(2*pageSize)
@@ -136,6 +158,19 @@ func TestInStreamModelBased(t *testing.T) {
 			if s.Head() != consumed || s.Tail() != delivered {
 				t.Fatalf("pointer drift: got (%d,%d) want (%d,%d)", s.Head(), s.Tail(), consumed, delivered)
 			}
+			// Pushes become usable at their step number; the clock trails
+			// them by up to 16 steps, and one step in eight jumps back.
+			if clock.Intn(8) == 0 {
+				at = max(sim.Time(step-clock.Intn(64)), 0)
+			} else {
+				at = max(at, sim.Time(step-clock.Intn(16)))
+			}
+			if got, want := s.BulkAvail(at), refBulkAvail(s, at); got != want {
+				t.Fatalf("trial %d step %d: BulkAvail(%d) = %d, walk from the trim point %d", trial, step, at, got, want)
+			}
+			if s.availHead < head0 && scan0 > head0 {
+				compactions++ // compacted with the resume index past the trim point
+			}
 			if len(s.ring) > s.capBytes {
 				t.Fatalf("ring grew to %d past capacity %d", len(s.ring), s.capBytes)
 			}
@@ -143,6 +178,9 @@ func TestInStreamModelBased(t *testing.T) {
 		if pages > 8 && grown < 2 {
 			t.Fatalf("trial %d: %d-page window grew %d times, want at least two growth steps", trial, pages, grown)
 		}
+	}
+	if compactions == 0 {
+		t.Fatal("no trial compacted the availability list under a live resume index")
 	}
 }
 
