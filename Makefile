@@ -1,6 +1,6 @@
 # Convenience entry points; every target is plain go tooling underneath.
 
-.PHONY: all build test race race-names fuzz-smoke examples-smoke bench bench-baseline diff-smoke alloc-gate profile profile-smoke ci
+.PHONY: all build test race race-names fuzz-smoke examples-smoke bench bench-baseline alloc-gate profile ci
 
 all: test
 
@@ -68,12 +68,6 @@ examples-smoke:
 		echo "go run ./examples/$$ex"; go run ./examples/$$ex > /dev/null || exit 1; \
 	done
 
-# Run the differential engine against the archived Stat metrics snapshots
-# and check the ranked headline, then against fresh Baseline and AssasinSb
-# timelines (same headline) and guest profiles (a hot-block table).
-diff-smoke:
-	scripts/diff-smoke.sh
-
 # Zero-alloc regression gate: the event-queue, crossbar and compiled-core
 # loop-driver hot paths must report 0 allocs/op and the firmware
 # steady-state guard must pass.
@@ -86,13 +80,12 @@ alloc-gate:
 profile:
 	scripts/profile.sh
 
-# Guest-profiler smoke: a tiny -kprof run whose pprof export must parse
-# with the real `go tool pprof` and symbolize to guest kernel pcs.
-profile-smoke:
-	scripts/profile-smoke.sh
-
 # The full continuous-integration gate (mirrored by the GitHub workflow).
 # It opens with the gofmt check: any file gofmt would rewrite fails it.
+# The commands are tested end to end by go test ./... itself: the live
+# server's endpoints and drain (cmd/assasin-serve), the differential
+# engine on archived and fresh runs (cmd/assasin-diff, cmd/assasin-sim)
+# and the guest pprof export read back by `go tool pprof` (cmd/assasin-sim).
 # benchmark/ is a Go module of its own, so the root ./... skips its
 # golden-digest, ledger and compare tests; they run from inside it.
 ci:
@@ -105,9 +98,6 @@ ci:
 	$(MAKE) fuzz-smoke
 	$(MAKE) examples-smoke
 	scripts/alloc-gate.sh
-	scripts/serve-smoke.sh
-	scripts/diff-smoke.sh
-	scripts/profile-smoke.sh
 
 # Quick micro-benchmark pass (3 samples; use bench-baseline for the
 # committed 5-sample baselines).

@@ -19,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"assasin/internal/buildinfo"
@@ -26,41 +27,53 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit the differential report as JSON instead of text")
-	version := flag.Bool("version", false, "print version and build information, then exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: assasin-diff [-json] <a.json> <b.json>\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command: it parses args, compares the two files and returns
+// the exit status, 2 for a usage error and 1 for a file it cannot load.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("assasin-diff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit the differential report as JSON instead of text")
+	version := fs.Bool("version", false, "print version and build information, then exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: assasin-diff [-json] <a.json> <b.json>\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *version {
-		fmt.Println(buildinfo.Get().Line("assasin-diff"))
-		return
+		fmt.Fprintln(stdout, buildinfo.Get().Line("assasin-diff"))
+		return 0
 	}
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "assasin-diff: %v\n", err)
+		return 1
 	}
 
-	a, err := diff.LoadFile(flag.Arg(0))
+	a, err := diff.LoadFile(fs.Arg(0))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
-	b, err := diff.LoadFile(flag.Arg(1))
+	b, err := diff.LoadFile(fs.Arg(1))
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rep := diff.Compare(a, b)
 	if *jsonOut {
-		if err := rep.WriteJSON(os.Stdout); err != nil {
-			fatal(err)
+		if err := rep.WriteJSON(stdout); err != nil {
+			return fail(err)
 		}
-		return
+		return 0
 	}
-	fmt.Print(rep.Format())
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "assasin-diff: %v\n", err)
-	os.Exit(1)
+	fmt.Fprint(stdout, rep.Format())
+	return 0
 }

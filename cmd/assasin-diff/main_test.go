@@ -12,14 +12,24 @@ import (
 	"assasin/internal/telemetry"
 )
 
-func buildDiff(t *testing.T) string {
+// runDiff runs the command in process and returns its exit status, stdout
+// and stderr.
+func runDiff(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
+}
+
+// topClass decodes the -json report's pinned top class.
+func topClass(t *testing.T, out string) string {
 	t.Helper()
-	bin := filepath.Join(t.TempDir(), "assasin-diff")
-	cmd := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	var rep struct {
+		TopClass string `json:"top_class"`
 	}
-	return bin
+	if err := json.Unmarshal([]byte(out), &rep); err != nil {
+		t.Fatalf("-json output is not JSON: %v\n%s", err, out)
+	}
+	return rep.TopClass
 }
 
 // writeSnapshot serializes a metrics snapshot the way -metrics does.
@@ -35,7 +45,6 @@ func writeSnapshot(t *testing.T, path string, snap telemetry.MetricsSnapshot) {
 }
 
 func TestCLIDiff(t *testing.T) {
-	bin := buildDiff(t)
 	dir := t.TempDir()
 	a, b := filepath.Join(dir, "baseline.json"), filepath.Join(dir, "assasin-sb.json")
 	writeSnapshot(t, a, telemetry.MetricsSnapshot{
@@ -53,14 +62,10 @@ func TestCLIDiff(t *testing.T) {
 		},
 	})
 
-	var stdout, stderr bytes.Buffer
-	cmd := exec.Command(bin, a, b)
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, out, stderr := runDiff(a, b)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
 	}
-	out := stdout.String()
 	for _, want := range []string{"Differential — baseline vs assasin-sb", "cache-dram-wait", "dram/reads"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -68,45 +73,76 @@ func TestCLIDiff(t *testing.T) {
 	}
 
 	// -json emits the machine-readable report with the pinned top class.
-	stdout.Reset()
-	cmd = exec.Command(bin, "-json", a, b)
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
+	code, out, stderr = runDiff("-json", a, b)
+	if code != 0 {
+		t.Fatalf("-json: exit %d\n%s", code, stderr)
 	}
-	var rep struct {
-		TopClass string `json:"top_class"`
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
-		t.Fatalf("-json output is not JSON: %v", err)
-	}
-	if rep.TopClass != "cache-dram-wait" {
-		t.Errorf("top_class = %q, want cache-dram-wait", rep.TopClass)
+	if got := topClass(t, out); got != "cache-dram-wait" {
+		t.Errorf("top_class = %q, want cache-dram-wait", got)
 	}
 }
 
-func TestCLIDiffErrors(t *testing.T) {
-	bin := buildDiff(t)
+// TestCLIDiffArchivedStat compares the committed Stat metrics snapshots of
+// Baseline and AssasinSb: the headline must be the cache/DRAM-wait
+// collapse the stream buffers buy, the paper's memory wall recovered from
+// the files alone.
+func TestCLIDiffArchivedStat(t *testing.T) {
+	a := filepath.Join("..", "..", "bench", "METRICS_stat_baseline.json")
+	b := filepath.Join("..", "..", "bench", "METRICS_stat_assasinsb.json")
+	code, out, stderr := runDiff(a, b)
+	if code != 0 {
+		t.Fatalf("exit %d\n%s", code, stderr)
+	}
+	if !strings.HasPrefix(out, "Differential — ") {
+		t.Errorf("no Differential header:\n%s", out)
+	}
+	if !strings.Contains(out, "what changed: cache-dram-wait") {
+		t.Errorf("headline is not the cache-dram-wait collapse:\n%s", out)
+	}
+	code, out, stderr = runDiff("-json", a, b)
+	if code != 0 {
+		t.Fatalf("-json: exit %d\n%s", code, stderr)
+	}
+	if got := topClass(t, out); got != "cache-dram-wait" {
+		t.Errorf("top_class = %q, want cache-dram-wait", got)
+	}
+}
 
-	// Wrong arity: usage error, exit 2.
-	cmd := exec.Command(bin, "only-one.json")
-	cmd.Stdout = new(bytes.Buffer)
-	cmd.Stderr = new(bytes.Buffer)
-	if err, ok := cmd.Run().(*exec.ExitError); !ok || err.ExitCode() != 2 {
-		t.Errorf("one arg: got %v, want exit 2", err)
+// TestCLIDiffErrors checks the exit statuses: 0 for -h and -version, 2 for
+// a usage error and 1 for a file that cannot be loaded. The last row also
+// runs the built binary, so main's exit path stays covered.
+func TestCLIDiffErrors(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "missing.json")
+	for _, row := range []struct {
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{[]string{"-h"}, 0, "", "usage: assasin-diff"},
+		{[]string{"-version"}, 0, "assasin-diff", ""},
+		{[]string{"only-one.json"}, 2, "", "usage: assasin-diff"},
+		{[]string{"-bogus", "a.json", "b.json"}, 2, "", "flag provided but not defined: -bogus"},
+		{[]string{missing, missing}, 1, "", missing},
+	} {
+		code, stdout, stderr := runDiff(row.args...)
+		if code != row.code || !strings.Contains(stdout, row.stdout) || !strings.Contains(stderr, row.stderr) {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit %d, stdout with %q, stderr with %q",
+				row.args, code, stdout, stderr, row.code, row.stdout, row.stderr)
+		}
 	}
 
-	// Unreadable file: exit 1 with the path in the message.
-	missing := filepath.Join(t.TempDir(), "missing.json")
+	bin := filepath.Join(t.TempDir(), "assasin-diff")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
 	var stderr bytes.Buffer
-	cmd = exec.Command(bin, missing, missing)
-	cmd.Stdout = new(bytes.Buffer)
+	cmd := exec.Command(bin, missing, missing)
 	cmd.Stderr = &stderr
 	if err, ok := cmd.Run().(*exec.ExitError); !ok || err.ExitCode() != 1 {
-		t.Errorf("missing file: got %v, want exit 1", err)
+		t.Errorf("binary, missing file: got %v, want exit 1", err)
 	}
 	if !strings.Contains(stderr.String(), "missing.json") {
-		t.Errorf("error does not name the file: %q", stderr.String())
+		t.Errorf("binary error does not name the file: %q", stderr.String())
 	}
 }

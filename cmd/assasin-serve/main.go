@@ -28,7 +28,8 @@
 //
 // On SIGINT/SIGTERM the server drains: no new experiment starts, the one
 // in flight finishes and publishes its final snapshots, then the process
-// exits 0. A second signal aborts immediately.
+// exits 0. A second signal aborts immediately with the signal's default
+// (non-zero) status.
 package main
 
 import (
@@ -51,13 +52,22 @@ import (
 	"assasin/internal/telemetry/window"
 )
 
+// main cancels run's context on the first SIGINT or SIGTERM and then
+// restores the signals' default action, so a second one aborts at once.
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-ctx.Done()
+		stop()
+	}()
+	os.Exit(run(ctx, os.Args[1:], os.Stdout, os.Stderr))
 }
 
 // run is the command: it parses args, serves the experiments and returns
-// the exit status, 2 for an error and 1 for a failed experiment.
-func run(args []string, stdout, stderr io.Writer) int {
+// the exit status, 2 for an error and 1 for a failed experiment. Cancelling
+// ctx shuts it down: no new experiment starts, the one in flight drains and
+// publishes its final snapshots, and run returns.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("assasin-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	opts := experiments.NewFlags()
@@ -120,17 +130,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}()
 	coll.MarkReady()
 
-	stopExp := make(chan struct{})
 	runErr := make(chan error, 1)
 	go func() {
 		var runner experiments.Runner
 		for _, name := range names {
-			select {
-			case <-stopExp:
+			if ctx.Err() != nil {
 				log.Info("drain: stopping before next experiment", "next", name)
 				runErr <- nil
 				return
-			default:
 			}
 			log.Info("experiment start", "exp", name)
 			start := time.Now()
@@ -153,13 +160,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runErr <- nil
 	}()
 
-	// Graceful shutdown: the first signal stops new work and drains the
-	// experiment in flight (its final snapshots publish as usual); a second
-	// signal aborts without waiting. A server that stops serving ends the
-	// command at once.
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
+	// Graceful shutdown: cancellation stops new work and drains the
+	// experiment in flight (its final snapshots publish as usual). A server
+	// that stops serving ends the command at once.
 	var failed bool
 	select {
 	case err := <-serveErr:
@@ -170,18 +173,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			select {
 			case err := <-serveErr:
 				return fail(err)
-			case s := <-sig:
-				log.Info("signal received; shutting down", "signal", s.String())
+			case <-ctx.Done():
+				log.Info("shutdown requested; shutting down")
 			}
 		}
-	case s := <-sig:
-		log.Info("signal received; draining current experiment", "signal", s.String())
-		close(stopExp)
-		go func() {
-			<-sig
-			log.Error("second signal; aborting")
-			os.Exit(1)
-		}()
+	case <-ctx.Done():
+		log.Info("shutdown requested; draining current experiment")
 		select {
 		case err := <-serveErr:
 			return fail(err)
@@ -190,9 +187,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	shutdown, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
+	if err := srv.Shutdown(shutdown); err != nil {
 		log.Warn("server shutdown", "err", err)
 	}
 	if failed {

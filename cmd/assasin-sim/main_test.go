@@ -7,10 +7,12 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
 	"assasin/internal/experiments"
+	"assasin/internal/telemetry/diff"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden stdout under testdata/")
@@ -41,6 +43,68 @@ func TestCLIGoldenStdout(t *testing.T) {
 	}
 	if !bytes.Equal(stdout.Bytes(), want) {
 		t.Errorf("stdout deviates from %s; run with -update if the change is intentional\n--- got\n%s", golden, stdout.String())
+	}
+}
+
+// TestCLITimelineAndProfileDiff runs Stat on Baseline and on AssasinSb
+// with -timeline and -kprof-dir, and checks what the two runs' files say:
+// the timelines diff to the cache/DRAM-wait collapse with a phase table,
+// the guest profiles diff to a per-block table, each run prints its hot
+// blocks and exports a folded and a pprof profile, and the real `go tool
+// pprof` reads that export with a symbolized guest pc as its top frame.
+func TestCLITimelineAndProfileDiff(t *testing.T) {
+	dir := t.TempDir()
+	for _, arch := range []string{"Baseline", "AssasinSb"} {
+		code, out, stderr := runSim("-arch", arch, "-kernel", "stat", "-mb", "0.25",
+			"-timeline", filepath.Join(dir, arch+".timeline.json"), "-kprof-dir", filepath.Join(dir, arch))
+		if code != 0 {
+			t.Fatalf("%s: exit %d\n%s", arch, code, stderr)
+		}
+		if !strings.Contains(out, "\nGUEST HOT BLOCKS") {
+			t.Errorf("%s: no GUEST HOT BLOCKS table:\n%s", arch, out)
+		}
+		for _, f := range []string{"profile.json", "profile.folded", "profile.pb.gz"} {
+			if st, err := os.Stat(filepath.Join(dir, arch, f)); err != nil || st.Size() == 0 {
+				t.Errorf("%s: %s missing or empty: %v", arch, f, err)
+			}
+		}
+		folded, _ := os.ReadFile(filepath.Join(dir, arch, "profile.folded"))
+		if !regexp.MustCompile(`(?m)^stat;stat: `).Match(folded) {
+			t.Errorf("%s: folded profile has no stat frames:\n%s", arch, folded)
+		}
+	}
+
+	compare := func(pathA, pathB string) *diff.Report {
+		t.Helper()
+		a, err := diff.LoadFile(pathA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := diff.LoadFile(pathB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return diff.Compare(a, b)
+	}
+	timelines := compare(filepath.Join(dir, "Baseline.timeline.json"), filepath.Join(dir, "AssasinSb.timeline.json"))
+	if timelines.TopClass != "cache-dram-wait" || timelines.Phases == nil {
+		t.Errorf("timeline diff: top class %q, phase table %v; want cache-dram-wait with a phase table\n%s",
+			timelines.TopClass, timelines.Phases != nil, timelines.Format())
+	}
+	profiles := compare(filepath.Join(dir, "Baseline", "profile.json"), filepath.Join(dir, "AssasinSb", "profile.json"))
+	if out := profiles.Format(); !strings.Contains(out, "guest hot blocks") {
+		t.Errorf("profile diff has no guest hot blocks table:\n%s", out)
+	}
+
+	top, err := exec.Command("go", "tool", "pprof", "-top", filepath.Join(dir, "AssasinSb", "profile.pb.gz")).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof: %v\n%s", err, top)
+	}
+	_, rows, _ := strings.Cut(string(top), "flat%")
+	_, rows, _ = strings.Cut(rows, "\n")
+	first, _, _ := strings.Cut(rows, "\n")
+	if !regexp.MustCompile(` stat: [0-9]+: \S`).MatchString(first) {
+		t.Errorf("pprof top frame %q is not a symbolized guest pc:\n%s", first, top)
 	}
 }
 

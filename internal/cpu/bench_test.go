@@ -141,7 +141,9 @@ func BenchmarkCoreCompiledBlock(b *testing.B) {
 // BenchmarkCoreLongBody runs a loop whose body (about 1,200 instructions
 // of scratchpad loads, multiplies and ALU ops, like the MLP kernel's) takes
 // longer than the 1 us Run slice and closes on a conditional back edge, so
-// nearly every slice ends, and the next resumes, mid-body.
+// nearly every slice ends, and the next resumes, mid-body. The 256 bytes
+// of "weights" the loads read are preloaded, as MLP's are, so the loads
+// take the in-prefix scratchpad path.
 func BenchmarkCoreLongBody(b *testing.B) {
 	bb := asm.New()
 	bb.Li(asm.T1, 1<<30)
@@ -158,12 +160,20 @@ func BenchmarkCoreLongBody(b *testing.B) {
 	bb.Bltu(asm.A1, asm.T1, loop)
 	bb.Halt()
 	prog := bb.MustBuild()
+	weights := make([]byte, 256)
+	for i := range weights {
+		weights[i] = byte(i*37 + 11)
+	}
 	for _, mode := range []ExecMode{ExecCompiled, ExecPrecise} {
 		b.Run(mode.String(), func(b *testing.B) {
 			cfg := DefaultConfig("bench")
 			cfg.MaxInstructions = 1 << 62
 			cfg.Exec = mode
-			c := New(cfg, newTestSystem())
+			sys := newTestSystem()
+			if err := sys.Scratchpad.LoadBytes(0, weights); err != nil {
+				b.Fatal(err)
+			}
+			c := New(cfg, sys)
 			c.LoadProgram(Translate(prog))
 			b.ReportAllocs()
 			b.ResetTimer()

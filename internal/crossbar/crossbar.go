@@ -113,8 +113,3 @@ func (x *Crossbar) PortBytes(port int) int64 { return x.ports[port].Bytes() }
 
 // PortBusy returns one port's cumulative busy time.
 func (x *Crossbar) PortBusy(port int) sim.Time { return x.ports[port].BusyTime() }
-
-// PortUtilization returns one port's busy fraction over [0, now].
-func (x *Crossbar) PortUtilization(port int, now sim.Time) float64 {
-	return x.ports[port].Utilization(now)
-}

@@ -60,7 +60,7 @@ func TestInvalidPort(t *testing.T) {
 func TestUtilizationAccounting(t *testing.T) {
 	x := New(Config{Ports: 1, PortBandwidth: 1e9, Latency: 0})
 	x.Transfer(0, 0, 1000) // 1 µs of occupancy
-	u := x.PortUtilization(0, 10*sim.Microsecond)
+	u := x.ports[0].Utilization(10 * sim.Microsecond)
 	if u < 0.09 || u > 0.11 {
 		t.Fatalf("utilization = %.3f, want ~0.1", u)
 	}

@@ -289,12 +289,6 @@ func (e *Engine) Submit(tasks []Task) error {
 	return nil
 }
 
-// LiveCounts reports outstanding work (cores, feeders, drainers) for
-// diagnostics.
-func (e *Engine) LiveCounts() (cores, feeders, drains int) {
-	return e.liveCores, e.liveFeeders, e.liveDrains
-}
-
 // Done reports whether all cores halted, inputs were fully delivered, and
 // outputs fully drained.
 func (e *Engine) Done() bool {

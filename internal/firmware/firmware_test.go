@@ -90,8 +90,7 @@ func runEngine(t *testing.T, r *rig, e *Engine, tasks []Task) {
 		t.Fatal(err)
 	}
 	if !e.Done() {
-		c, f, d := e.LiveCounts()
-		t.Fatalf("engine incomplete: cores=%d feeders=%d drains=%d", c, f, d)
+		t.Fatalf("engine incomplete: cores=%d feeders=%d drains=%d", e.liveCores, e.liveFeeders, e.liveDrains)
 	}
 }
 

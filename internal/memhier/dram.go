@@ -138,9 +138,6 @@ func (d *DRAM) Utilization(now sim.Time) float64 {
 	return u
 }
 
-// Bandwidth returns the configured bandwidth in bytes/second.
-func (d *DRAM) Bandwidth() float64 { return d.bw }
-
 // Client returns a copy of the named client's stats.
 func (d *DRAM) Client(name string) DRAMClientStats {
 	if st := d.clients[name]; st != nil {

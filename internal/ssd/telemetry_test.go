@@ -60,7 +60,7 @@ func TestTelemetryCountersNonzero(t *testing.T) {
 		{"fw", "tasks_submitted"},
 		{"fw", "tasks_completed"},
 	} {
-		if v := tel.CounterValue(c[0], c[1]); v <= 0 {
+		if v := tel.Metrics().Counters[c[0]+"/"+c[1]]; v <= 0 {
 			t.Errorf("counter %s/%s = %d, want > 0", c[0], c[1], v)
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 )
 
 // Exporters. Two formats:
@@ -208,28 +207,6 @@ func (s *Sink) Metrics() MetricsSnapshot {
 	m.TraceEvents = len(s.events)
 	m.TraceDropped = s.dropped
 	return m
-}
-
-// CounterValue returns the value of the counter registered under
-// (component, name), or 0 if absent. Read-only: does not register.
-func (s *Sink) CounterValue(component, name string) int64 {
-	if s == nil {
-		return 0
-	}
-	return s.counters[metricKey{component, name}].Value()
-}
-
-// MetricNames returns every registered "component/name" key, sorted.
-func (s *Sink) MetricNames() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, 0, len(s.kinds))
-	for k := range s.kinds {
-		out = append(out, k.component+"/"+k.name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // WriteMetricsJSON writes the metrics snapshot as indented JSON

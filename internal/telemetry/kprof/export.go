@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"assasin/internal/sim"
 )
 
 // Folded renders the profile as collapsed flamegraph stacks
@@ -81,8 +83,8 @@ func (p *Profile) FormatHotBlocks(n int) string {
 			share = 100 * float64(b.TotalPs()) / float64(grand)
 		}
 		fmt.Fprintf(&sb, "  %3d %5.1f%% %9s %9s %9s %9s %9s %9s %10d  %s [%d,%d)\n",
-			i+1, share, fmtPs(b.TotalPs()), fmtPs(b.BusyPs), fmtPs(b.ExecStallPs),
-			fmtPs(b.StreamWaitPs), fmtPs(b.OutFullPs), fmtPs(b.MemWaitPs),
+			i+1, share, sim.Time(b.TotalPs()), sim.Time(b.BusyPs), sim.Time(b.ExecStallPs),
+			sim.Time(b.StreamWaitPs), sim.Time(b.OutFullPs), sim.Time(b.MemWaitPs),
 			b.Insts, b.Kernel, b.Start, b.End)
 		if hot := b.hottest(); hot != nil {
 			fmt.Fprintf(&sb, "      hot pc %s\n", hot.Sym)
@@ -101,31 +103,4 @@ func (b BlockProfile) hottest() *PCSample {
 		}
 	}
 	return best
-}
-
-// fmtPs renders picoseconds with an adaptive unit, mirroring the diff
-// package's scale.
-func fmtPs(ps int64) string {
-	v, neg := ps, false
-	if v < 0 {
-		v, neg = -v, true
-	}
-	f := float64(v)
-	var s string
-	switch {
-	case v >= 1e12:
-		s = fmt.Sprintf("%.3gs", f/1e12)
-	case v >= 1e9:
-		s = fmt.Sprintf("%.3gms", f/1e9)
-	case v >= 1e6:
-		s = fmt.Sprintf("%.3gus", f/1e6)
-	case v >= 1e3:
-		s = fmt.Sprintf("%.3gns", f/1e3)
-	default:
-		s = fmt.Sprintf("%dps", v)
-	}
-	if neg {
-		return "-" + s
-	}
-	return s
 }

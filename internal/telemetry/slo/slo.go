@@ -116,7 +116,6 @@ type objState struct {
 type Engine struct {
 	win    *window.Windows
 	states []*objState
-	evals  int64
 
 	// OnEval, when non-nil, is called on the simulation goroutine after
 	// each bucket-boundary evaluation with the boundary's simulated time —
@@ -238,18 +237,9 @@ func (e *Engine) evaluate(boundaryPs int64) {
 			}
 		}
 	}
-	e.evals++
 	if e.OnEval != nil {
 		e.OnEval(boundaryPs)
 	}
-}
-
-// Evaluations returns how many bucket-boundary evaluations have run.
-func (e *Engine) Evaluations() int64 {
-	if e == nil {
-		return 0
-	}
-	return e.evals
 }
 
 // Windows exposes the engine's window domain (for /live snapshots of the

@@ -143,7 +143,6 @@ func TestObserveRequestZeroAlloc(t *testing.T) {
 		nilE.Tick(1)
 		nilE.ObserveRequest(1, "t", "c", 1, false)
 		_ = nilE.Status(1)
-		_ = nilE.Evaluations()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil engine allocates %v allocs/op, want 0", allocs)
@@ -158,9 +157,6 @@ func TestOnEvalPublicationHook(t *testing.T) {
 	e.Tick(3 * ms)
 	if len(boundaries) != 3 || boundaries[2] != 3*ms {
 		t.Fatalf("OnEval boundaries = %v, want [1ms 2ms 3ms]", boundaries)
-	}
-	if e.Evaluations() != 3 {
-		t.Fatalf("evaluations = %d, want 3", e.Evaluations())
 	}
 }
 
