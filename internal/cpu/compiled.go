@@ -25,8 +25,6 @@ package cpu
 // deterministic and resumable. See DESIGN.md, "Ahead-of-time translation".
 
 import (
-	"fmt"
-
 	"assasin/internal/asm"
 	"assasin/internal/isa"
 	"assasin/internal/memhier"
@@ -60,11 +58,10 @@ type streamNeed struct {
 }
 
 // loopInfo describes a recognized loop: a backward branch/jal at end
-// targeting head, whose body consists only of operations the translated
-// body can run without leaving the core (ALU/mul/div, loads/stores, stream
-// ops with compile-time extents, forward branches, halt). ins/outs give the
-// per-iteration worst-case stream consumption/production used to pre-check
-// that a whole iteration — or any suffix of one — cannot block.
+// targeting head, whose body holds no other backward control flow and only
+// stream ops with compile-time extents. ins/outs give the per-iteration
+// worst-case stream consumption/production used to pre-check that a whole
+// iteration — or any suffix of one — cannot block.
 type loopInfo struct {
 	head, end int
 	bodyLen   int64 // instruction-budget bound per iteration
@@ -115,9 +112,11 @@ func analyzeProgram(dec []decoded) ([]int32, []*loopInfo) {
 }
 
 // buildLoop validates the body [head, end] and computes its per-slot stream
-// needs; it returns nil when any instruction is outside the translatable
-// subset. It is the one gate on what a loop body may hold: compileBodyElem
-// translates exactly the classes it accepts.
+// needs. It is the gate the pre-check's soundness rests on: it returns nil
+// for a body whose control flow could re-enter it other than at head (jalr,
+// an inner backward branch) or whose stream extents are not known at
+// translation time (a negative peek offset or Adv). Every other instruction
+// is admitted, whether compileBodyElem specializes it or runs step.
 func buildLoop(dec []decoded, head, end int) *loopInfo {
 	consume := map[int]int64{} // StreamLoad widths per in slot
 	peek := map[int]int64{}    // max Peek extent (off+width) per in slot
@@ -126,10 +125,6 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 	for i := head; i <= end; i++ {
 		in := &dec[i]
 		switch in.class {
-		case isa.ClassALU, isa.ClassMul, isa.ClassDiv, isa.ClassLoad, isa.ClassStore, isa.ClassHalt:
-			// Always translatable: loads/stores read scratchpad words in
-			// place with System.Load's timing and send every other access
-			// through the same memhier.System calls as precise stepping.
 		case isa.ClassBranch:
 			if !(in.imm > 0 || (i == end && i+int(in.imm) == head)) {
 				return nil // inner backward branch: let the outer loop win
@@ -156,23 +151,12 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 		case isa.ClassStreamStore:
 			produce[int(in.stream)] += int64(in.width)
 		case isa.ClassStreamCtl:
-			switch in.op {
-			case isa.OpStreamAdv:
+			if in.op == isa.OpStreamAdv {
 				if in.imm < 0 {
 					return nil
 				}
 				adv[int(in.stream)] += int64(in.imm) * int64(in.width)
-			case isa.OpStreamEnd:
-				// Computed exactly from Head/Tail/closed state.
-			case isa.OpStreamCsrR:
-				if in.imm != 0 && in.imm != 1 {
-					return nil
-				}
-			default:
-				return nil
 			}
-		default:
-			return nil
 		}
 	}
 	li := &loopInfo{head: head, end: end, bodyLen: int64(end - head + 1)}
@@ -185,8 +169,8 @@ func buildLoop(dec []decoded, head, end int) *loopInfo {
 		if _, ok := consume[s]; ok {
 			consume[s] += n // later loads and peeks sit behind the Adv
 		} else {
-			// The translated Adv checks itself, like System.StreamAdv; the
-			// entry keeps the slot under runLoop's range check.
+			// The translated Adv checks itself, under InStream.Adv's rule;
+			// the entry keeps the slot under runLoop's range check.
 			consume[s] = 0
 		}
 	}
@@ -215,11 +199,10 @@ type ctl uint8
 const (
 	// ctlNext: the instruction retired; continue at the returned pc.
 	ctlNext ctl = iota
-	// ctlBlockedStream / ctlBlockedOut: a load, store or Adv blocked; the
-	// core must stall (stream-wait or out-full) and retry the same pc.
-	ctlBlockedStream
-	ctlBlockedOut
-	// ctlHalted: the program halted (cleanly or by error); the closure has
+	// ctlBlocked: a load, store or Adv blocked; the element has set
+	// c.blockKind, and the core must stall and retry the same pc.
+	ctlBlocked
+	// ctlHalted: the program halted (cleanly or by error); the element has
 	// already committed c.pc and the halt state.
 	ctlHalted
 )
@@ -324,9 +307,13 @@ func (c *Core) branchStep(vpc int, taken bool, delta int) int {
 
 // compileBodyElem translates the instruction at pc into its loop-body
 // element; where a straight ALU run starts, the element runs the rest of
-// the run. The arms mirror Core.step one-for-one for the pre-validated
-// case; any timing or accounting drift between the two is caught by the
-// equivalence soak and the differential fuzz harness.
+// the run. Only the per-iteration hot paths have elements of their own (ALU
+// runs, mul, the six branch compares, jal, scratchpad-direct loads and
+// stores, and the stream loads, stores and Adv the pre-check covers); each
+// reproduces step's effect for the pre-validated case, and any drift
+// between the two is caught by the equivalence soak and the differential
+// fuzz harness. Everything else — div/rem, StreamEnd, StreamCsrR, halt —
+// runs step itself.
 func compileBodyElem(p *Program, pc int) bodyFn {
 	in := &p.dec[pc]
 	switch in.class {
@@ -354,15 +341,6 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 			return vpc + 1, ctlNext
 		}
 
-	case isa.ClassDiv:
-		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-			t0 := c.at
-			c.setReg(in.rd, c.div(in))
-			c.retireCycles(vpc, t0, c.cfg.DivCycles)
-			c.countInst(isa.ClassDiv)
-			return vpc + 1, ctlNext
-		}
-
 	case isa.ClassLoad:
 		rd, rs1 := in.rd, in.rs1
 		uimm := in.uimm
@@ -386,7 +364,8 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 					return vpc, ctlHalted
 				}
 				if r.Status == memhier.LoadBlocked {
-					return vpc, ctlBlockedStream
+					c.blockKind = StallStreamWait
+					return vpc, ctlBlocked
 				}
 				v, done, kind = r.Value, r.Done, c.loadStallKind(addr)
 			}
@@ -420,7 +399,8 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 					return vpc, ctlHalted
 				}
 				if r.Status == memhier.LoadBlocked {
-					return vpc, ctlBlockedOut
+					c.blockKind = StallOutFull
+					return vpc, ctlBlocked
 				}
 				done = r.Done
 			}
@@ -457,10 +437,6 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 		case isa.OpBgeu:
 			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
 				return c.branchStep(vpc, c.regs[rs1] >= c.regs[rs2], delta), ctlNext
-			}
-		default: // mirror Core.branch: unknown branch ops fall through
-			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-				return c.branchStep(vpc, false, delta), ctlNext
 			}
 		}
 
@@ -530,79 +506,41 @@ func compileBodyElem(p *Program, pc int) bodyFn {
 		}
 
 	case isa.ClassStreamCtl:
-		slot := int(in.stream)
-		switch in.op {
-		case isa.OpStreamAdv:
-			amount := int64(in.imm) * int64(in.width)
-			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-				t0 := c.at
-				st := c.sys.Streams.In[slot]
-				// Mirrors System.StreamAdv: an Adv past the buffered bytes
-				// blocks while the stream is open and releases the final
-				// partial page once it is closed. The pre-check does not
-				// cover an Adv-only slot, so this check is the only one.
-				n := amount
-				if buf := int64(st.Buffered()); n > buf {
-					if !st.Closed() {
-						return vpc, ctlBlockedStream
-					}
-					n = buf
-				}
-				_ = st.Adv(n) // cannot fail: 0 <= n <= Buffered()
-				c.retireCycles(vpc, t0, 1)
-				c.countInst(isa.ClassStreamCtl)
-				return vpc + 1, ctlNext
-			}
-		case isa.OpStreamEnd:
-			rd := in.rd
-			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-				t0 := c.at
-				var v uint32
-				if c.sys.Streams.In[slot].Exhausted() {
-					v = 1
-				}
-				c.setReg(rd, v)
-				c.retireCycles(vpc, t0, 1)
-				c.countInst(isa.ClassStreamCtl)
-				return vpc + 1, ctlNext
-			}
-		default: // OpStreamCsrR, imm in {0,1} (validated by buildLoop)
-			rd := in.rd
-			if in.imm == 0 {
-				return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-					t0 := c.at
-					c.setReg(rd, uint32(c.sys.Streams.In[slot].Head()))
-					c.retireCycles(vpc, t0, 1)
-					c.countInst(isa.ClassStreamCtl)
-					return vpc + 1, ctlNext
-				}
-			}
-			return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-				t0 := c.at
-				c.setReg(rd, uint32(c.sys.Streams.In[slot].Tail()))
-				c.retireCycles(vpc, t0, 1)
-				c.countInst(isa.ClassStreamCtl)
-				return vpc + 1, ctlNext
-			}
+		if in.op != isa.OpStreamAdv {
+			break
 		}
-
-	case isa.ClassHalt:
+		slot := int(in.stream)
+		amount := int64(in.imm) * int64(in.width)
 		return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
-			period := c.cfg.Clock.Period
-			c.halted = true
-			c.at += period
-			c.stats.BusyTime += period
-			if c.prof != nil {
-				c.prof.Record(vpc, period, StallExec, 0)
+			// The pre-check does not cover an Adv-only slot, so the rule's
+			// own block is the only check; amount >= 0 (buildLoop), so Adv
+			// cannot fail.
+			if blocked, _ := c.sys.Streams.In[slot].Adv(amount); blocked {
+				c.blockKind = StallStreamWait
+				return vpc, ctlBlocked
 			}
-			c.countInst(isa.ClassHalt)
-			c.pc = vpc
-			return vpc, ctlHalted
+			c.retireCycles(vpc, c.at, 1)
+			c.countInst(isa.ClassStreamCtl)
+			return vpc + 1, ctlNext
 		}
 	}
-	// Invariant: buildLoop admits only the classes handled above, so an
-	// untranslatable instruction here means the two have drifted apart.
-	panic(fmt.Sprintf("cpu: loop body at pc %d holds %v (class %d), which buildLoop must reject", pc, in.op, in.class))
+	return stepElem(in)
+}
+
+// stepElem is the body element of an instruction with no code of its own:
+// it runs the oracle's step at vpc, which sets c.blockKind on a block as
+// every element must.
+func stepElem(in *decoded) bodyFn {
+	return func(c *Core, vpc int, _ sim.Time) (int, ctl) {
+		c.pc = vpc
+		if c.step(in, c.cfg.Clock.Period) {
+			return vpc, ctlBlocked
+		}
+		if c.halted {
+			return vpc, ctlHalted
+		}
+		return c.pc, ctlNext
+	}
 }
 
 // compileALU specializes one ALU instruction to a register-file effect. The
@@ -837,15 +775,10 @@ iterations:
 			nv, s := body[vpc-head](c, vpc, limit)
 			switch s {
 			case ctlNext:
-			case ctlBlockedStream:
-				c.blockKind = StallStreamWait
+			case ctlBlocked:
 				c.pc = nv
 				return loopBlockedExit
-			case ctlBlockedOut:
-				c.blockKind = StallOutFull
-				c.pc = nv
-				return loopBlockedExit
-			default: // ctlHalted: pc and halt state set by the closure
+			default: // ctlHalted: pc and halt state set by the element
 				return loopHaltedExit
 			}
 			vpc = nv

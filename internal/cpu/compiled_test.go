@@ -139,6 +139,38 @@ type slicedOutcome struct {
 	exits  []int
 }
 
+// TestMissingStreamSlotInLoop runs recognized loops whose StreamEnd or
+// StreamCsrR names a slot the system lacks (the assembler accepts s0-s15):
+// both engines must halt with the precise engine's error.
+func TestMissingStreamSlotInLoop(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{"loop: streamload a1, s0q, w4\nstreamend t0, s9\nstreamstore s0q, w4, a1\nj loop",
+			"memhier: no input stream slot 9"},
+		{"loop: streamload a1, s0q, w4\nstreamcsrr t0, s12, csr1\nstreamstore s0q, w4, a1\nj loop",
+			"memhier: no input stream slot 12"},
+	} {
+		prog, err := asm.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := Translate(prog)
+		if p.loops[0] == nil {
+			t.Fatalf("%q: loop not recognized", tc.src)
+		}
+		for _, mode := range execModes {
+			cfg := DefaultConfig("slot")
+			cfg.Exec = mode
+			sys := newTestSystem()
+			sys.Streams.In[0].Push(make([]byte, 16), 0)
+			c := New(cfg, sys)
+			c.LoadProgram(p)
+			if _, state, _ := c.Run(sim.MaxTime); state != sim.StateDone || c.Err() == nil || c.Err().Error() != tc.want {
+				t.Errorf("%v on %q: state %v, err %v; want %q", mode, tc.src, state, c.Err(), tc.want)
+			}
+		}
+	}
+}
+
 // streamPush delivers data to input slot 0, usable from at.
 type streamPush struct {
 	at   sim.Time

@@ -351,21 +351,28 @@ func (c *Core) AttachKProf(p *Profiler) {
 	}
 }
 
-// Run implements sim.Process; the telemetry wrapper around the interpreter
-// proper (run) compiles to a nil-pointer branch when disabled.
+// Run implements sim.Process. It is the core's one exit: when the program
+// halts in this slice (cleanly or by error), Run fires the OnHalt callback
+// once, before the telemetry wrapper around the interpreter proper (run)
+// emits its span; with no track attached the wrapper is a nil-pointer branch.
 func (c *Core) Run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
-	if c.tel == nil {
-		return c.run(limit)
+	if c.halted {
+		return c.at, sim.StateDone, 0
 	}
 	start := c.at
 	startInsts := c.stats.Instructions
-	haltedBefore := c.halted
 	local, state, wake := c.run(limit)
+	if state == sim.StateDone && c.haltCallback != nil {
+		c.haltCallback(local)
+	}
+	if c.tel == nil {
+		return local, state, wake
+	}
 	if local > start {
 		c.tel.Span("exec", int64(start), int64(local),
 			telemetry.Arg{Key: "insts", Val: c.stats.Instructions - startInsts})
 	}
-	if state == sim.StateDone && !haltedBefore {
+	if state == sim.StateDone {
 		c.tel.Instant("halt", int64(local))
 	}
 	return local, state, wake
@@ -374,9 +381,6 @@ func (c *Core) Run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 // run interprets instructions until the local clock passes limit, the core
 // blocks, or the program halts.
 func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
-	if c.halted {
-		return c.at, sim.StateDone, 0
-	}
 	c.stats.Dispatches++
 	period := c.cfg.Clock.Period
 	if c.blocked && c.wakeAt != sim.MaxTime {
@@ -410,17 +414,9 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 					c.blocked = false
 					continue
 				case loopBlockedExit:
-					if !c.blocked {
-						c.blocked = true
-						c.wakeAt = sim.MaxTime
-					}
-					c.stats.Retries++
-					return c.at, sim.StateWaiting, c.wakeAt
+					return c.block()
 				case loopHaltedExit:
 					c.blocked = false
-					if c.haltCallback != nil {
-						c.haltCallback(c.at)
-					}
 					return c.at, sim.StateDone, 0
 				}
 				// loopNoProgress: fall through to the ALU-run and
@@ -432,35 +428,33 @@ func (c *Core) run(limit sim.Time) (sim.Time, sim.RunState, sim.Time) {
 				continue
 			}
 		}
-		in := &p.dec[c.pc]
-		blocked := c.step(in, period)
-		if blocked {
-			if !c.blocked {
-				c.blocked = true
-				c.wakeAt = sim.MaxTime
-			}
-			c.stats.Retries++
-			return c.at, sim.StateWaiting, c.wakeAt
+		if c.step(&p.dec[c.pc], period) {
+			return c.block()
 		}
 		c.stepped++
 		c.blocked = false
 		if c.halted {
-			if c.haltCallback != nil {
-				c.haltCallback(c.at)
-			}
 			return c.at, sim.StateDone, 0
 		}
 	}
 	return c.at, sim.StateReady, 0
 }
 
-// fail halts the core with an error.
+// block ends a slice on an access that cannot complete yet: the core waits
+// for a wake and retries the instruction at c.pc.
+func (c *Core) block() (sim.Time, sim.RunState, sim.Time) {
+	if !c.blocked {
+		c.blocked = true
+		c.wakeAt = sim.MaxTime
+	}
+	c.stats.Retries++
+	return c.at, sim.StateWaiting, c.wakeAt
+}
+
+// fail halts the core with an error; Run reports the halt.
 func (c *Core) fail(err error) {
 	c.err = err
 	c.halted = true
-	if c.haltCallback != nil {
-		c.haltCallback(c.at)
-	}
 }
 
 // retire advances time for the instruction at pc that issued at t0 and

@@ -384,15 +384,47 @@ func TestHaltOnStreamEOS(t *testing.T) {
 	}
 }
 
+// TestOnHaltCallback requires each engine to fire OnHalt exactly once per
+// halt, at the local time the halting Run returns: on a clean halt, at end
+// of stream, and on a fault inside and outside a recognized loop (a word
+// load from ScratchpadBase on a system with no scratchpad).
 func TestOnHaltCallback(t *testing.T) {
-	b := asm.New()
-	b.Halt()
-	c := New(DefaultConfig("t"), newTestSystem())
-	c.LoadProgram(Translate(b.MustBuild()))
-	fired := sim.Time(-1)
-	c.OnHalt(func(at sim.Time) { fired = at })
-	runToHalt(t, c)
-	if fired < 0 {
-		t.Fatal("OnHalt not fired")
+	for _, tc := range []struct {
+		name, src string
+		fault     bool
+	}{
+		{"halt", "addi a0, a0, 1\nhalt", false},
+		{"eos", "loop: streamload a1, s0q, w4\nj loop", false},
+		{"fault-in-loop", "li s1, 0x10000000\nloop: lw a0, 0(s1)\naddi a1, a1, 1\nj loop", true},
+		{"fault", "li s1, 0x10000000\nlw a0, 0(s1)\nhalt", true},
+	} {
+		prog, err := asm.Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p := Translate(prog)
+		for _, mode := range execModes {
+			cfg := DefaultConfig("t")
+			cfg.Exec = mode
+			sys := newTestSystem()
+			sys.Scratchpad = nil
+			sys.Streams.In[0].Push(make([]byte, 8), 0)
+			sys.Streams.In[0].Close()
+			c := New(cfg, sys)
+			c.LoadProgram(p)
+			var fired []sim.Time
+			c.OnHalt(func(at sim.Time) { fired = append(fired, at) })
+			var local sim.Time
+			for i := 0; i < 100 && !c.Halted(); i++ {
+				local, _, _ = c.Run(sim.MaxTime)
+			}
+			c.Run(sim.MaxTime) // a halted core stays quiet
+			if !c.Halted() || (c.Err() != nil) != tc.fault {
+				t.Fatalf("%s/%v: halted=%v err=%v", tc.name, mode, c.Halted(), c.Err())
+			}
+			if len(fired) != 1 || fired[0] != local {
+				t.Errorf("%s/%v: OnHalt fired at %v, want once at %v", tc.name, mode, fired, local)
+			}
+		}
 	}
 }

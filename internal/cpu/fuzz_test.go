@@ -36,8 +36,9 @@ var fuzzWidths = [3]uint8{1, 2, 4}
 //
 //	b0 op selector · b1 rd · b2 rs1 · b3 rs2 · b4 immediate · b5 width/slot
 //
-// Register fields are reduced mod 32, stream slots mod 4 (the test system's
-// slot count), widths to {1,2,4}, and branch/jal targets are clamped into
+// Register fields are reduced mod 32, stream slots mod 5 (one past the test
+// system's 4 slots, so both engines' missing-slot errors are compared),
+// widths to {1,2,4}, and branch/jal targets are clamped into
 // the program so control flow stays in-bounds; a Halt is appended so every
 // path can terminate. Returns nil when raw holds less than one instruction.
 func genProgram(raw []byte) *asm.Program {
@@ -59,7 +60,7 @@ func genProgram(raw []byte) *asm.Program {
 			Rd:     b[1] % 32,
 			Rs1:    b[2] % 32,
 			Rs2:    b[3] % 32,
-			Stream: (b[5] / 3) % 4,
+			Stream: (b[5] / 3) % 5,
 			Width:  fuzzWidths[b[5]%3],
 		}
 		switch op.Class() {
@@ -317,6 +318,21 @@ func fuzzSeeds() [][]byte {
 			seedChunk(isa.OpStreamStore, 0, 0, 8, 0, 5), // slot 1, width 4
 			seedChunk(isa.OpJal, 0, 0, 0, 0, 0),         // back to pc 0
 			[]byte{0},                                   // scheduleFor: 1-byte pages
+		),
+		// Stream loops whose StreamEnd, then StreamCsrR, names slot 4,
+		// which the test system lacks: both engines must halt with the
+		// precise engine's error.
+		cat(
+			seedChunk(isa.OpStreamLoad, 10, 0, 0, 0, 2), // slot 0, width 4
+			seedChunk(isa.OpStreamEnd, 13, 0, 0, 0, 12), // slot 4
+			seedChunk(isa.OpStreamStore, 0, 0, 10, 0, 5),
+			seedChunk(isa.OpJal, 0, 0, 0, 0, 0), // back to pc 0
+		),
+		cat(
+			seedChunk(isa.OpStreamLoad, 10, 0, 0, 0, 2),
+			seedChunk(isa.OpStreamCsrR, 14, 0, 0, 1, 12), // slot 4, Tail
+			seedChunk(isa.OpStreamStore, 0, 0, 10, 0, 5),
+			seedChunk(isa.OpJal, 0, 0, 0, 0, 0),
 		),
 	}
 }

@@ -340,18 +340,26 @@ func (s *InStream) Peek(at sim.Time, off int64, width int) (uint32, sim.Time, Lo
 	return s.gather(s.consumed+off, width), ready, LoadOK
 }
 
-// Adv advances Head by n bytes, releasing window space. Advancing past Tail
-// is an error.
-func (s *InStream) Adv(n int64) error {
-	if n < 0 || n > int64(s.Buffered()) {
-		return fmt.Errorf("memhier: stream Adv(%d) beyond %d buffered bytes", n, s.Buffered())
+// Adv is the StreamAdvance rule: it advances Head by n bytes, releasing
+// window space. An Adv past the buffered bytes blocks, leaving Head where it
+// is, while the stream is open; once it is closed, it releases only the
+// buffered remainder (the final partial page). A negative n is an error.
+func (s *InStream) Adv(n int64) (blocked bool, err error) {
+	if n < 0 {
+		return false, fmt.Errorf("memhier: stream Adv(%d) of a negative byte count", n)
+	}
+	if buf := int64(s.Buffered()); n > buf {
+		if !s.closed {
+			return true, nil
+		}
+		n = buf
 	}
 	s.consumed += n
 	s.trimAvail()
 	if s.OnFree != nil && n > 0 {
 		s.OnFree()
 	}
-	return nil
+	return false, nil
 }
 
 // ReadAt reads width bytes at the absolute stream offset off without moving

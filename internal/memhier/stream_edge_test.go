@@ -33,27 +33,35 @@ func TestInStreamPeekPastDelivered(t *testing.T) {
 	}
 }
 
-// TestInStreamAdvBeyondBuffered pins that Adv past Tail fails without moving
-// Head or corrupting later accesses.
+// TestInStreamAdvBeyondBuffered pins the StreamAdvance rule: past Tail, Adv
+// blocks on an open stream and a negative Adv fails, both without moving
+// Head; once the stream is closed, Adv releases only the buffered rest.
 func TestInStreamAdvBeyondBuffered(t *testing.T) {
 	s := NewInStream(2, 16)
 	if err := s.Push([]byte{1, 2, 3, 4}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Adv(5); err == nil {
-		t.Fatal("Adv(5) with 4 buffered bytes succeeded")
+	if blocked, err := s.Adv(5); !blocked || err != nil {
+		t.Fatalf("Adv(5) with 4 buffered bytes = %v, %v; want blocked", blocked, err)
 	}
-	if err := s.Adv(-1); err == nil {
+	if _, err := s.Adv(-1); err == nil {
 		t.Fatal("Adv(-1) succeeded")
 	}
 	if s.Head() != 0 {
-		t.Fatalf("failed Adv moved Head to %d", s.Head())
+		t.Fatalf("refused Adv moved Head to %d", s.Head())
 	}
-	if err := s.Adv(4); err != nil {
-		t.Fatal(err)
+	if blocked, err := s.Adv(4); blocked || err != nil {
+		t.Fatalf("Adv(4) = %v, %v", blocked, err)
 	}
 	if s.Head() != 4 || s.Buffered() != 0 {
 		t.Fatalf("head=%d buffered=%d after full Adv", s.Head(), s.Buffered())
+	}
+	if err := s.Push([]byte{5, 6, 7}, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if blocked, err := s.Adv(16); blocked || err != nil || s.Head() != 7 || !s.Exhausted() {
+		t.Fatalf("Adv(16) on closed stream = %v, %v (head %d); want the 3-byte rest released", blocked, err, s.Head())
 	}
 }
 
@@ -125,7 +133,7 @@ func TestInStreamBulkAvail(t *testing.T) {
 			t.Fatalf("BulkAvail(%v) = %d, want %d", c.at, got, c.want)
 		}
 	}
-	if err := s.Adv(10); err != nil {
+	if _, err := s.Adv(10); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.BulkAvail(1000); got != 10 {

@@ -127,10 +127,10 @@ func TestInStreamModelBased(t *testing.T) {
 					continue
 				}
 				n := int64(1 + rng.Intn(int(delivered-consumed)))
-				if err := s.Adv(n); err != nil {
+				if _, err := s.Adv(n); err != nil {
 					t.Fatal(err)
 				}
-				if err := full.Adv(n); err != nil {
+				if _, err := full.Adv(n); err != nil {
 					t.Fatal(err)
 				}
 				consumed += n

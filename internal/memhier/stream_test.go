@@ -117,15 +117,15 @@ func TestInStreamPeekAdv(t *testing.T) {
 	if s.Head() != 0 {
 		t.Fatal("peek moved head")
 	}
-	if err := s.Adv(4); err != nil {
+	if _, err := s.Adv(4); err != nil {
 		t.Fatal(err)
 	}
 	v, _, _ = s.Load(0, 1)
 	if v != 5 {
 		t.Fatalf("after adv, load = %d, want 5", v)
 	}
-	if err := s.Adv(100); err == nil {
-		t.Fatal("Adv beyond tail allowed")
+	if blocked, err := s.Adv(100); !blocked || err != nil || s.Head() != 5 {
+		t.Fatalf("Adv beyond tail = %v, %v (head %d); want blocked at head 5", blocked, err, s.Head())
 	}
 }
 

@@ -218,22 +218,18 @@ func (m *System) StreamPeek(at sim.Time, slot, width int, off int64) (AccessResu
 }
 
 // StreamAdv implements the StreamAdvance instruction: it releases n bytes of
-// input window space. Advancing beyond delivered data blocks.
+// input window space under InStream.Adv's rule.
 func (m *System) StreamAdv(at sim.Time, slot int, n int64) (AccessResult, error) {
 	st, err := m.inStream(slot)
 	if err != nil {
 		return AccessResult{}, err
 	}
-	if n > int64(st.Buffered()) {
-		if st.Closed() {
-			// Releasing the final partial page at end of stream.
-			n = int64(st.Buffered())
-		} else {
-			return AccessResult{Status: LoadBlocked, Done: at}, nil
-		}
-	}
-	if err := st.Adv(n); err != nil {
+	blocked, err := st.Adv(n)
+	if err != nil {
 		return AccessResult{}, err
+	}
+	if blocked {
+		return AccessResult{Status: LoadBlocked, Done: at}, nil
 	}
 	return AccessResult{Done: at}, nil
 }

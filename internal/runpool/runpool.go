@@ -5,8 +5,9 @@
 // nothing mutable with its siblings. The pool exploits that: jobs are indexed,
 // results land in index order, and a pool of one worker degenerates to exactly
 // the sequential loop, so parallel output is byte-identical to sequential
-// output as long as each job derives its randomness from its own index (see
-// Seed) rather than from shared RNG state.
+// output as long as each job seeds any randomness from the base seed and its
+// own index rather than drawing from shared RNG state, whose consumption
+// order would depend on scheduling.
 //
 // What is safe to fan out through this package is a whole simulation run (an
 // ssd.SSD with its scheduler, flash array, DRAM and cores). What is not safe
@@ -129,15 +130,4 @@ func SequentialOverride(requested int, forcedBy ...string) (workers int, warning
 	}
 	return 1, fmt.Sprintf("%s forces sequential simulation: overriding -parallel %d to -parallel 1",
 		strings.Join(forcedBy, ", "), requested)
-}
-
-// Seed derives a per-run RNG seed from a base seed and a job index
-// (splitmix64 of the pair). Jobs that need randomness must seed from their
-// own index this way — never from a shared rand source, whose consumption
-// order would depend on scheduling.
-func Seed(base, i int64) int64 {
-	z := uint64(base)*0x9E3779B97F4A7C15 + uint64(i) + 0x9E3779B97F4A7C15
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return int64(z ^ (z >> 31))
 }

@@ -96,23 +96,6 @@ func TestRunZeroJobs(t *testing.T) {
 	}
 }
 
-func TestSeedDeterministicAndSpread(t *testing.T) {
-	seen := map[int64]bool{}
-	for i := int64(0); i < 1000; i++ {
-		s := Seed(42, i)
-		if s != Seed(42, i) {
-			t.Fatal("Seed not deterministic")
-		}
-		if seen[s] {
-			t.Fatalf("seed collision at index %d", i)
-		}
-		seen[s] = true
-	}
-	if Seed(1, 0) == Seed(2, 0) {
-		t.Error("base seed ignored")
-	}
-}
-
 // TestPoolSoak is the -race soak of the harness: many short jobs hammering
 // the claim cursor and the shared result slice from every worker.
 func TestPoolSoak(t *testing.T) {
@@ -123,13 +106,13 @@ func TestPoolSoak(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		n := 500
 		out, err := Map(workers, n, func(i int) (int64, error) {
-			return Seed(int64(round), int64(i)) & 0xffff, nil
+			return int64(round)<<32 | int64(i), nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range out {
-			if want := Seed(int64(round), int64(i)) & 0xffff; v != want {
+			if want := int64(round)<<32 | int64(i); v != want {
 				t.Fatalf("round %d index %d: %d != %d", round, i, v, want)
 			}
 		}
