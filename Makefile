@@ -68,7 +68,7 @@ examples-smoke:
 		echo "go run ./examples/$$ex"; go run ./examples/$$ex > /dev/null || exit 1; \
 	done
 
-# Zero-alloc regression gate: the event-queue, crossbar and compiled-core
+# Zero-alloc regression gate: the event-queue, crossbar, cache-hierarchy and compiled-core
 # loop-driver hot paths must report 0 allocs/op and the firmware
 # steady-state guard must pass.
 alloc-gate:

@@ -79,16 +79,17 @@ type blockStore struct {
 
 type chip struct {
 	nextFree sim.Time
-	// blocks[block] is nil until that block is first programmed or erased:
-	// a nil entry reads as "everything erased, counts zero", so building an
-	// Array — or streaming a dataset over a few blocks of a few chips —
-	// touches no per-page state outside those blocks.
+	// blocks[block] is nil until that block is first programmed or erased,
+	// and the table reaches only as far as the highest such block: a nil
+	// or missing entry reads as "everything erased, counts zero", so
+	// building an Array — or streaming a dataset over a few blocks of a
+	// few chips — touches no per-page state outside those blocks.
 	blocks []*blockStore
 }
 
-// block reads a block's store through the lazy array (nil = untouched).
+// block reads a block's store through the lazy table (nil = untouched).
 func (ch *chip) block(b int) *blockStore {
-	if ch.blocks == nil {
+	if b >= len(ch.blocks) {
 		return nil
 	}
 	return ch.blocks[b]
@@ -148,8 +149,8 @@ type Array struct {
 	// be mutated by callers (see Sense).
 	erased []byte
 	// arena backs stored page copies (Write/InstallPage) in pointer-free
-	// chunks so the GC never scans per-page allocations. Chunks grow
-	// geometrically so small datasets never pay for a large chunk's zeroing.
+	// chunks so the GC never scans per-page allocations. Chunks double from
+	// one page up to 128, so a dataset of n pages zeroes fewer than 2n.
 	arena      []byte
 	arenaOff   int
 	arenaPages int
@@ -190,12 +191,7 @@ func (a *Array) erasedPage() []byte {
 func (a *Array) allocPage() []byte {
 	ps := a.cfg.PageSize
 	if a.arenaOff+ps > len(a.arena) {
-		switch {
-		case a.arenaPages == 0:
-			a.arenaPages = 8
-		case a.arenaPages < 128:
-			a.arenaPages *= 2
-		}
+		a.arenaPages = min(max(2*a.arenaPages, 1), 128)
 		a.arena = make([]byte, ps*a.arenaPages)
 		a.arenaOff = 0
 	}
@@ -204,11 +200,11 @@ func (a *Array) allocPage() []byte {
 	return p
 }
 
-// materialize allocates one block's page arrays on first mutation and
-// returns its store.
+// materialize allocates one block's page arrays on first mutation, growing
+// the chip's block table to reach it, and returns its store.
 func (a *Array) materialize(ch *chip, block int) *blockStore {
-	if ch.blocks == nil {
-		ch.blocks = make([]*blockStore, a.cfg.BlocksPerChip)
+	if block >= len(ch.blocks) {
+		ch.blocks = append(ch.blocks, make([]*blockStore, block+1-len(ch.blocks))...)
 	}
 	bs := ch.blocks[block]
 	if bs == nil {
@@ -390,14 +386,6 @@ func (a *Array) InstallPage(p PPA, data []byte) error {
 	bs.states[p.Page] = pageWritten
 	bs.nextPage = p.Page + 1
 	return nil
-}
-
-// IsErased reports whether the page is in the erased state.
-func (a *Array) IsErased(p PPA) bool {
-	if a.validate(p) != nil {
-		return false
-	}
-	return a.chipAt(p).state(p.Block, p.Page) == pageErased
 }
 
 // EraseCount returns how many times a block has been erased.

@@ -77,8 +77,13 @@ func TestEraseResetsBlock(t *testing.T) {
 	if _, err := a.Erase(0, 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !a.IsErased(p) {
-		t.Fatal("page not erased")
+	// The page reads back as the erased all-0xFF image.
+	data, _, err := a.Sense(0, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, bytes.Repeat([]byte{0xFF}, a.Config().PageSize)) {
+		t.Fatalf("erased page reads %x..., want all 0xFF", data[:4])
 	}
 	if a.EraseCount(0, 0, 0) != 1 {
 		t.Fatal("erase count wrong")
@@ -86,6 +91,32 @@ func TestEraseResetsBlock(t *testing.T) {
 	// Programmable again from page 0.
 	if _, _, err := a.Write(0, p, []byte{9}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBlockTableGrowsWithWrites pins the lazy block table: it reaches the
+// highest block touched, blocks past it read as erased and never erased,
+// and a lower block can still be programmed.
+func TestBlockTableGrowsWithWrites(t *testing.T) {
+	a := New(smallConfig())
+	if _, _, err := a.Write(0, PPA{Block: 2}, []byte{7}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(a.chips[0][0].blocks); n != 3 {
+		t.Fatalf("block table has %d entries after a write to block 2, want 3", n)
+	}
+	data, _, err := a.Sense(0, PPA{Block: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[0] != 0xFF || a.EraseCount(0, 0, 3) != 0 {
+		t.Fatalf("untouched block 3 reads %#x with %d erases, want 0xff and 0", data[0], a.EraseCount(0, 0, 3))
+	}
+	if _, _, err := a.Write(0, PPA{Block: 0}, []byte{9}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Erase(0, 0, 0, 3); err != nil || a.EraseCount(0, 0, 3) != 1 {
+		t.Fatalf("erase of block 3: err %v, count %d", err, a.EraseCount(0, 0, 3))
 	}
 }
 

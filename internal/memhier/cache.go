@@ -60,11 +60,26 @@ type lineState struct {
 	lastUse uint64
 }
 
-// Line flag bits in Cache.flags.
+// Line flag bits in lineChunk.flags.
 const (
 	lineDirty uint8 = 1 << iota
 	linePrefetched
 )
+
+// chunkBits sets how many consecutive lines share one lineChunk.
+const (
+	chunkBits = 6
+	chunkMask = 1<<chunkBits - 1
+)
+
+// lineChunk is the state and flags of 1<<chunkBits consecutive lines. A
+// cache builds a chunk on the first install into a set it covers, so an
+// offload that touches a few sets of a large cache zeroes only their
+// chunks. A chunk's lines read as never used until installed.
+type lineChunk struct {
+	state [1 << chunkBits]lineState
+	flags [1 << chunkBits]uint8 // lineDirty | linePrefetched
+}
 
 // Cache is a set-associative, write-back, write-allocate cache timing model.
 // It tracks tags only; functional data lives in the backing SparseMem or
@@ -72,12 +87,14 @@ const (
 type Cache struct {
 	cfg  CacheConfig
 	next NextLevel
-	// Way w of set s is line s*ways+w in tags, state and flags. tags holds
-	// the line address with bit 0 set when the line is valid (0 when it is
-	// not), so probing a set compares one word per way.
+	// Way w of set s is line s*ways+w. tags holds the line address with
+	// bit 0 set when the line is valid (0 when it is not), so probing a set
+	// compares one word per way. Line i's state and flags are entry
+	// i&chunkMask of chunks[i>>chunkBits], which is nil until replace
+	// first installs into a set that chunk covers; a valid line's chunk
+	// always exists.
 	tags     []uint32
-	state    []lineState
-	flags    []uint8 // lineDirty | linePrefetched
+	chunks   []*lineChunk
 	ways     int
 	setMask  uint32
 	lineBits uint
@@ -114,7 +131,7 @@ func NewCache(cfg CacheConfig, next NextLevel) *Cache {
 	nLines := nSets * cfg.Ways
 	return &Cache{
 		cfg: cfg, next: next,
-		tags: make([]uint32, nLines), state: make([]lineState, nLines), flags: make([]uint8, nLines),
+		tags: make([]uint32, nLines), chunks: make([]*lineChunk, (nLines+chunkMask)>>chunkBits),
 		ways: cfg.Ways, setMask: uint32(nSets - 1), lineBits: lineBits,
 	}
 }
@@ -159,29 +176,66 @@ func (c *Cache) lookup(lineAddr uint32) int {
 	return -1
 }
 
-// replace picks the way lineAddr is installed into: the first invalid way
-// after way 0, else the least recently used. It evicts the line there,
-// writing it back if dirty, and counts the install.
+// line returns line i's state and flags. Its chunk must exist: replace
+// builds it before the first install into any set it covers.
+func (c *Cache) line(i int) (*lineState, *uint8) {
+	m := c.chunks[i>>chunkBits]
+	return &m.state[i&chunkMask], &m.flags[i&chunkMask]
+}
+
+// replace picks the way lineAddr is installed into and evicts the line
+// there, writing it back if dirty. An install into an invalid way builds
+// the chunks of the set's lines that do not exist yet. It counts the
+// install.
 func (c *Cache) replace(at sim.Time, lineAddr uint32, client *DRAMClient) int {
 	base := c.setBase(lineAddr)
-	v := base
-	for i := base + 1; i < base+c.ways; i++ {
-		if c.tags[i] == 0 {
-			v = i
-			break
+	v := c.victim(base)
+	if t := c.tags[v]; t == 0 {
+		for k := base >> chunkBits; k<<chunkBits < base+c.ways; k++ {
+			if c.chunks[k] == nil {
+				c.chunks[k] = new(lineChunk)
+			}
 		}
-		if c.state[i].lastUse < c.state[v].lastUse {
-			v = i
-		}
-	}
-	if t := c.tags[v]; t != 0 {
+	} else {
 		c.stats.Evictions++
-		if c.flags[v]&lineDirty != 0 {
+		if _, f := c.line(v); *f&lineDirty != 0 {
 			c.stats.Writebacks++
 			c.next.WritebackLine(at, t&^1, c.cfg.LineSize, client)
 		}
 	}
 	c.fills++
+	return v
+}
+
+// victim returns the way of the set at base to install into: the first
+// invalid way after way 0, else the least recently used, the lowest way
+// on a tie. It looks up each chunk the set covers once.
+func (c *Cache) victim(base int) int {
+	if c.ways == 1 {
+		return base
+	}
+	m := c.chunks[base>>chunkBits]
+	if m == nil {
+		return base + 1 // nothing was ever installed in the set
+	}
+	v, lru := base, m.state[base&chunkMask].lastUse
+	for i, end := base+1, base+c.ways; i < end; {
+		if m = c.chunks[i>>chunkBits]; m == nil {
+			return i // the set's chunks are built together, so line i is invalid
+		}
+		j := i & chunkMask
+		st := m.state[j:min(j+end-i, len(m.state))]
+		tags := c.tags[i : i+len(st)]
+		for w := range st {
+			if tags[w] == 0 {
+				return i + w
+			}
+			if u := st[w].lastUse; u < lru {
+				v, lru = i+w, u
+			}
+		}
+		i += len(st)
+	}
 	return v
 }
 
@@ -215,9 +269,9 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRA
 	if i := c.lookup(lineAddr); i >= 0 {
 		c.hit = i
 		c.stats.Hits++
-		line := &c.state[i]
+		line, flags := c.line(i)
 		line.lastUse = c.useTick
-		f := c.flags[i]
+		f := *flags
 		if write {
 			f |= lineDirty
 		}
@@ -232,7 +286,7 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRA
 			c.stats.PrefetchUseful++
 			f &^= linePrefetched
 		}
-		c.flags[i] = f
+		*flags = f
 		return done
 	}
 
@@ -242,10 +296,11 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRA
 	fillDone := c.next.FetchLine(at+c.cfg.HitLatency, lineAddr, c.cfg.LineSize, client)
 	c.stats.MissServiceTime += fillDone - at
 	c.tags[v] = lineAddr | 1
-	c.state[v] = lineState{readyAt: fillDone, lastUse: c.useTick}
-	c.flags[v] = 0
+	line, flags := c.line(v)
+	*line = lineState{readyAt: fillDone, lastUse: c.useTick}
+	*flags = 0
 	if write {
-		c.flags[v] = lineDirty
+		*flags = lineDirty
 	}
 	c.hit = v
 	return fillDone
@@ -264,14 +319,10 @@ func (c *Cache) Prefetch(at sim.Time, lineAddr uint32, client *DRAMClient) bool 
 	fillDone := c.next.FetchLine(at, lineAddr, c.cfg.LineSize, client)
 	c.stats.PrefetchIssued++
 	c.tags[v] = lineAddr | 1
-	c.state[v] = lineState{readyAt: fillDone, lastUse: c.useTick}
-	c.flags[v] = linePrefetched
+	line, flags := c.line(v)
+	*line = lineState{readyAt: fillDone, lastUse: c.useTick}
+	*flags = linePrefetched
 	return true
-}
-
-// Contains reports whether lineAddr's line is resident (for tests).
-func (c *Cache) Contains(addr uint32) bool {
-	return c.lookup(c.lineAddr(addr)) >= 0
 }
 
 // FetchLine implements NextLevel so caches can stack (L1 misses to L2).

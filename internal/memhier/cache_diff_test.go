@@ -94,6 +94,15 @@ func TestCacheMatchesOracle(t *testing.T) {
 			l1:     CacheConfig{Name: "l1", Size: 256, Ways: 2, LineSize: 64},
 			l2:     CacheConfig{Name: "l2", Size: 1024, Ways: 4, LineSize: 64, HitLatency: 10 * sim.Nanosecond},
 			degree: 8, tableSize: 64}, 4},
+		// 12 ways over 64-line chunks: sets straddle chunk boundaries.
+		{"twelve-way-straddling-chunks", hierConfig{
+			l1:     CacheConfig{Name: "l1", Size: 16 * 12 * 64, Ways: 12, LineSize: 64},
+			l2:     tableIVL2,
+			degree: 4, tableSize: 64}, 8},
+		// One fully associative set spanning two chunks.
+		{"fully-associative-two-chunks", hierConfig{
+			l1:     CacheConfig{Name: "l1", Size: 128 * 64, Ways: 128, LineSize: 64},
+			degree: 8, tableSize: 64}, 6},
 		// More pcs than table entries: entries churn as AES's rounds do.
 		{"pc-churn", hierConfig{l1: CacheConfig{Name: "l1", Size: 1024, Ways: 2, LineSize: 64}, degree: 2, tableSize: 4}, 16},
 		{"table-size-one", hierConfig{l1: CacheConfig{Name: "l1", Size: 2048, Ways: 4, LineSize: 32}, degree: 3, tableSize: 1}, 3},
@@ -129,10 +138,10 @@ func checkAgainstOracle(t *testing.T, hc hierConfig, seq []access) {
 	}
 	for _, a := range seq {
 		for _, addr := range []uint32{a.addr, a.addr + uint32(a.size) - 1} {
-			if got.l1.Contains(addr) != want.l1.Contains(addr) {
+			if got.l1.contains(addr) != want.l1.contains(addr) {
 				t.Fatalf("L1 residency of %#x differs from the oracle", addr)
 			}
-			if got.l2 != nil && got.l2.Contains(addr) != want.l2.Contains(addr) {
+			if got.l2 != nil && got.l2.contains(addr) != want.l2.contains(addr) {
 				t.Fatalf("L2 residency of %#x differs from the oracle", addr)
 			}
 		}

@@ -1,13 +1,54 @@
 package memhier
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"assasin/internal/sim"
 )
 
 func testDRAM() *DRAM {
 	return NewDRAM(DRAMConfig{BandwidthBytesPerSec: 8e9, Latency: 60 * sim.Nanosecond})
+}
+
+// contains reports whether addr's line is resident.
+func (c *Cache) contains(addr uint32) bool {
+	return c.lookup(c.lineAddr(addr)) >= 0
+}
+
+// TestCacheSetUpAllocation pins the lazy line state: building the Table IV
+// L2 allocates the cache, its flat tag array and the chunk table, not a
+// line's state or flags, and a hit on a resident line allocates nothing.
+func TestCacheSetUpAllocation(t *testing.T) {
+	const runs = 50
+	lines := tableIVL2.Size / tableIVL2.LineSize
+	want := uint64(unsafe.Sizeof(Cache{})) + uint64(lines)*4 + uint64(lines>>chunkBits)*8
+	var m0, m1 runtime.MemStats
+	caches := make([]*Cache, runs)
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for i := range caches {
+		caches[i] = NewCache(tableIVL2, nil)
+	}
+	runtime.ReadMemStats(&m1)
+	// The slack covers size-class rounding and is smaller than one chunk.
+	if got := (m1.TotalAlloc - m0.TotalAlloc) / runs; got > want+want/16 {
+		t.Errorf("NewCache(%s) allocated %d bytes, want at most %d: the tag array, the chunk table and the cache", tableIVL2.Name, got, want)
+	}
+
+	c := NewCache(tableIVL2, DRAMLevel{testDRAM()})
+	cl := &DRAMClient{Name: "t"}
+	c.Access(0, DRAMBase, 4, false, 1, cl)
+	c.Access(0, DRAMBase+1<<20, 4, true, 1, cl)
+	var at sim.Time
+	if n := testing.AllocsPerRun(100, func() {
+		at += sim.Microsecond
+		c.Access(at, DRAMBase, 4, false, 1, cl)
+		c.Access(at, DRAMBase+1<<20, 4, true, 1, cl)
+	}); n != 0 {
+		t.Errorf("a hit on a resident line allocates %.1f times", n)
+	}
 }
 
 func TestCacheHitMiss(t *testing.T) {
@@ -62,8 +103,8 @@ func TestCacheEvictionLRU(t *testing.T) {
 	c.Access(0, b, 4, false, 1, tc)
 	c.Access(0, a, 4, false, 1, tc) // touch a: b becomes LRU
 	c.Access(0, d, 4, false, 1, tc) // evicts b
-	if !c.Contains(a) || !c.Contains(d) || c.Contains(b) {
-		t.Fatalf("LRU eviction wrong: a=%v b=%v d=%v", c.Contains(a), c.Contains(b), c.Contains(d))
+	if !c.contains(a) || !c.contains(d) || c.contains(b) {
+		t.Fatalf("LRU eviction wrong: a=%v b=%v d=%v", c.contains(a), c.contains(b), c.contains(d))
 	}
 	if st := c.Stats(); st.Evictions != 1 {
 		t.Fatalf("evictions = %d", st.Evictions)

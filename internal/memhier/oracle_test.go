@@ -147,7 +147,7 @@ func (c *refCache) Prefetch(at sim.Time, lineAddr uint32, client *DRAMClient) bo
 	return true
 }
 
-func (c *refCache) Contains(addr uint32) bool {
+func (c *refCache) contains(addr uint32) bool {
 	line, _ := c.lookup(c.lineAddr(addr))
 	return line != nil
 }
@@ -240,7 +240,7 @@ type hierarchy struct {
 	dram   *DRAM
 	client *DRAMClient
 	l1, l2 interface {
-		Contains(addr uint32) bool
+		contains(addr uint32) bool
 	}
 	access func(at sim.Time, addr uint32, size int, write bool, pc uint32) sim.Time
 	stats  func() (l1, l2 CacheStats, pf PrefetchStats)

@@ -119,6 +119,7 @@ type SSD struct {
 
 	nextDataLPA int
 	streamTel   *memhier.StreamTel // shared stream-buffer bundle; nil when disabled
+	streamsUsed bool               // an offload has been set up on the cores' stream buffers
 	reqLabel    string             // label for the next traced offload request
 	reqTenant   string             // tenant for the next traced offload request
 }
@@ -442,8 +443,11 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 	for i, t := range tasks {
 		core := s.Cores[i]
 		// Fresh stream-buffer state per request (the firmware resets the
-		// core's streams along with its PC and pipeline).
-		s.Systems[i].Streams = s.newStreams()
+		// core's streams along with its PC and pipeline). The first
+		// request runs on the buffers New built.
+		if s.streamsUsed {
+			s.Systems[i].Streams = s.newStreams()
+		}
 		if progs[t.Program] == nil {
 			progs[t.Program] = cpu.Translate(t.Program)
 		}
@@ -474,6 +478,7 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 		})
 		s.Sched.Add(core)
 	}
+	s.streamsUsed = true
 	if err := engine.Submit(fwTasks); err != nil {
 		return nil, err
 	}

@@ -329,8 +329,17 @@ func TestSequentialOffloads(t *testing.T) {
 		}
 		return res
 	}
+	// One stream buffer per request: the first runs on the buffer New
+	// built, the second on a fresh one.
+	built := s.Systems[0].Streams
 	resA := runFor(lpasA, len(dataA))
+	if s.Systems[0].Streams != built {
+		t.Fatal("the first request rebuilt the stream buffer New built")
+	}
 	resB := runFor(lpasB, len(dataB))
+	if s.Systems[0].Streams == built {
+		t.Fatal("the second request ran on the first request's stream buffer")
+	}
 	for i, r := range PartitionBytes(int64(len(dataA)), 2, 4) {
 		if got, want := resA.FinalRegs[i][8], (kernels.Stat{}).RefSum(dataA[r.Start:r.End]); got != want {
 			t.Fatalf("request A core %d sum wrong", i)

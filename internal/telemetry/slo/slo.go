@@ -379,10 +379,13 @@ func ParseSpec(spec string) ([]Objective, error) {
 			tenant = ""
 		}
 		pct, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(parts[1]), "%"), 64)
-		if err != nil || !(pct > 0 && pct < 100) { // also rejects NaN
+		// The check is on the fraction: it also rejects NaN, and a
+		// subnormal percentage whose fraction underflows to 0.
+		target := pct / 100
+		if err != nil || !(target > 0 && target < 1) {
 			return nil, fmt.Errorf("slo: entry %q needs a target percentage in (0, 100)", entry)
 		}
-		o := Objective{Tenant: tenant, Target: pct / 100}
+		o := Objective{Tenant: tenant, Target: target}
 		if len(parts) == 3 {
 			lat, err := ParseDuration(strings.TrimSpace(parts[2]))
 			if err != nil {

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Alloc-regression gate for the simulator's hot paths: the event queue, the
-# crossbar arbitration and the compiled core's loop-driver and scratchpad
-# benchmarks must report exactly 0 allocs/op, and
+# crossbar arbitration, the cache hierarchy and the compiled core's
+# loop-driver, scratchpad and cached-load benchmarks must report exactly 0
+# allocs/op, and
 # the firmware steady-state guard tests (which pin the whole
 # feeder -> crossbar -> stream-buffer page path, one delivery event per
 # page, both with request tracing disabled and with a live request record
@@ -49,9 +50,14 @@ bench ./internal/sim/ BenchmarkEventQueue BenchmarkEventQueueMixed
 bench ./internal/crossbar/ BenchmarkCrossbarArbitration
 # The compiled engine's flat loop driver runs every recognized loop: an
 # ALU-run element with a branch back edge, a long mixed body resumed across
-# quanta, a stream-load loop fed by page pushes, and table lookups through
-# the scratchpad's in-place load and store path.
-bench ./internal/cpu/ BenchmarkCoreCompiledBlock BenchmarkCoreLongBody BenchmarkStreamLoadPath BenchmarkScratchpadLoadPath
+# quanta, a stream-load loop fed by page pushes, table lookups through
+# the scratchpad's in-place load and store path, and a load walk through the
+# Table IV L1D and L2.
+bench ./internal/cpu/ BenchmarkCoreCompiledBlock BenchmarkCoreLongBody BenchmarkStreamLoadPath BenchmarkScratchpadLoadPath BenchmarkCachedLoadPath
+# The cache's hit path and the Prefetch configuration's demand path. Line
+# state is built in chunks on the first install into a set; those few
+# builds amortize to 0 allocs/op, and any per-access allocation fails here.
+bench ./internal/memhier/ BenchmarkCacheHit BenchmarkCachePrefetchStream
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
 if [ -n "$bad" ]; then
