@@ -19,20 +19,25 @@ test: build
 # request-trace parallel-determinism check and the observed fan-out check
 # (every experiment's runs on private sinks): any Precise/Compiled
 # divergence, any worker-count-dependent request summary or merged metrics
-# snapshot, and any data race is a release blocker.
+# snapshot, and any data race is a release blocker. SSD_RACE_TESTS runs
+# one memoized kernel program, translation and state image on fresh SSDs
+# from several goroutines at once.
 RACE_TESTS = TestExecCompiledMatchesPrecise TestKProfReconciliationSoak \
 	TestRequestsParallelDeterminism TestLoadParallelDeterminism TestObservedFanOutParallelSafe
+SSD_RACE_TESTS = TestSharedProgramParallel
 empty :=
 space := $(empty) $(empty)
 
 race: race-names
 	go test -race ./internal/cpu/... ./internal/memhier/... ./internal/sim/... ./internal/telemetry/... ./internal/obs/... ./internal/runpool/...
 	go test -race ./internal/experiments/ -run '^($(subst $(space),|,$(strip $(RACE_TESTS))))$$'
+	go test -race ./internal/ssd/ -run '^($(subst $(space),|,$(strip $(SSD_RACE_TESTS))))$$'
 
-# Fails when a RACE_TESTS name matches no test in internal/experiments, so
-# a renamed test cannot drop out of the race gate unnoticed.
+# Fails when a RACE_TESTS or SSD_RACE_TESTS name matches no test in its
+# package, so a renamed test cannot drop out of the race gate unnoticed.
 race-names:
 	@scripts/require-tests.sh ./internal/experiments/ $(RACE_TESTS)
+	@scripts/require-tests.sh ./internal/ssd/ $(SSD_RACE_TESTS)
 
 # A short bounded pass over every fuzz target, one package:target:time
 # entry each: the compiled-vs-precise differential fuzzer (its checked-in

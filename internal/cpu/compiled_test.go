@@ -102,7 +102,7 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 			}
 		}
 		in.Close()
-		for !c.Halted() {
+		for !c.halted {
 			local, state, _ := c.Run(now + sim.Microsecond)
 			now = local
 			if b := out.Buffered(); b > 0 {
@@ -119,7 +119,7 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 			regs:   c.regs,
 			stats:  c.Stats(),
 			at:     c.LocalTime(),
-			halted: c.Halted(),
+			halted: c.halted,
 			out:    collected,
 		}
 	}
@@ -191,7 +191,7 @@ func runSliced(t *testing.T, prog *Program, mode ExecMode, quanta []sim.Time, pu
 	in := sys.Streams.In[0]
 	var o slicedOutcome
 	limit := sim.Time(0)
-	for k := 0; k < 100_000 && !c.Halted(); k++ {
+	for k := 0; k < 100_000 && !c.halted; k++ {
 		limit += quanta[k%len(quanta)]
 		for len(pushes) > 0 && pushes[0].at <= limit {
 			if err := in.Push(pushes[0].data, pushes[0].at); err != nil {
@@ -200,13 +200,13 @@ func runSliced(t *testing.T, prog *Program, mode ExecMode, quanta []sim.Time, pu
 			c.Wake(pushes[0].at)
 			pushes = pushes[1:]
 		}
-		if len(pushes) == 0 && !in.Closed() {
+		if len(pushes) == 0 {
 			in.Close()
 		}
 		c.Run(limit)
 		o.exits = append(o.exits, c.pc)
 	}
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatalf("%v: core did not halt", mode)
 	}
 	o.regs, o.stats, o.at, o.halted, o.err = c.regs, c.stats, c.at, c.halted, c.err

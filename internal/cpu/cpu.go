@@ -296,10 +296,6 @@ func (c *Core) SteppedInstructions() int64 { return c.stepped }
 // Err returns the simulation error that halted the core, if any.
 func (c *Core) Err() error { return c.err }
 
-// Halted reports whether the program has finished (halt, end-of-stream
-// reset, or error).
-func (c *Core) Halted() bool { return c.halted }
-
 // LocalTime returns the core's local clock.
 func (c *Core) LocalTime() sim.Time { return c.at }
 

@@ -376,7 +376,7 @@ func TestHaltOnStreamEOS(t *testing.T) {
 	c := New(DefaultConfig("t"), sys)
 	c.LoadProgram(Translate(b.MustBuild()))
 	runToHalt(t, c)
-	if !c.Halted() {
+	if !c.halted {
 		t.Fatal("not halted")
 	}
 	if c.Reg(asm.S0) != 2 {
@@ -415,12 +415,12 @@ func TestOnHaltCallback(t *testing.T) {
 			var fired []sim.Time
 			c.OnHalt(func(at sim.Time) { fired = append(fired, at) })
 			var local sim.Time
-			for i := 0; i < 100 && !c.Halted(); i++ {
+			for i := 0; i < 100 && !c.halted; i++ {
 				local, _, _ = c.Run(sim.MaxTime)
 			}
 			c.Run(sim.MaxTime) // a halted core stays quiet
-			if !c.Halted() || (c.Err() != nil) != tc.fault {
-				t.Fatalf("%s/%v: halted=%v err=%v", tc.name, mode, c.Halted(), c.Err())
+			if !c.halted || (c.Err() != nil) != tc.fault {
+				t.Fatalf("%s/%v: halted=%v err=%v", tc.name, mode, c.halted, c.Err())
 			}
 			if len(fired) != 1 || fired[0] != local {
 				t.Errorf("%s/%v: OnHalt fired at %v, want once at %v", tc.name, mode, fired, local)

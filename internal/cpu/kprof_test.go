@@ -118,7 +118,7 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 			}
 		}
 		in.Close()
-		for !c.Halted() {
+		for !c.halted {
 			local, state, _ := c.Run(now + sim.Microsecond)
 			now = local
 			if b := out.Buffered(); b > 0 {

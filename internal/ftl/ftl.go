@@ -137,14 +137,6 @@ type Stats struct {
 	GCInvocations int64
 }
 
-// WriteAmplification returns (host+gc)/host writes.
-func (s Stats) WriteAmplification() float64 {
-	if s.HostWrites == 0 {
-		return 1
-	}
-	return float64(s.HostWrites+s.GCWrites) / float64(s.HostWrites)
-}
-
 // New returns an FTL over arr with the given placement policy. The maps
 // hold 32-bit page indexes, so it panics on an array of 2^31 pages or more.
 func New(arr *flash.Array, policy Policy) *FTL {

@@ -145,7 +145,7 @@ func TestGarbageCollectionReclaims(t *testing.T) {
 	if st.GCInvocations == 0 || st.Erases == 0 {
 		t.Fatalf("GC never ran: %+v", st)
 	}
-	if wa := st.WriteAmplification(); wa < 1 || wa > 3 {
+	if wa := float64(st.HostWrites+st.GCWrites) / float64(st.HostWrites); wa < 1 || wa > 3 {
 		t.Fatalf("write amplification %g out of sane range", wa)
 	}
 	// Data integrity after heavy GC.

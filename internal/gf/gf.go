@@ -58,24 +58,6 @@ func Mul(a, b byte) byte {
 	return expTable[int(logTable[a])+int(logTable[b])]
 }
 
-// Div returns a / b. Division by zero panics, as in integer division.
-func Div(a, b byte) byte {
-	if b == 0 {
-		panic("gf: division by zero")
-	}
-	if a == 0 {
-		return 0
-	}
-	d := int(logTable[a]) - int(logTable[b])
-	if d < 0 {
-		d += 255
-	}
-	return expTable[d]
-}
-
-// Inv returns the multiplicative inverse of a. Inv(0) panics.
-func Inv(a byte) byte { return Div(1, a) }
-
 // Exp returns Generator^n.
 func Exp(n int) byte {
 	n %= 255

@@ -60,7 +60,9 @@ func runStandalone(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]by
 	// the core run between steps. This exercises windowed operation without
 	// the flash model.
 	fed := make([]int, k.Inputs())
+	closed := make([]bool, k.Inputs())
 	outs := make([][]byte, k.Outputs())
+	halted := false
 	for iter := 0; iter < 1_000_000; iter++ {
 		progress := false
 		for i := 0; i < k.Inputs(); i++ {
@@ -73,8 +75,9 @@ func runStandalone(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]by
 				fed[i] += n
 				progress = true
 			}
-			if fed[i] == len(inputs[i]) && !in.Closed() {
+			if fed[i] == len(inputs[i]) && !closed[i] {
 				in.Close()
+				closed[i] = true
 				progress = true
 			}
 		}
@@ -86,6 +89,7 @@ func runStandalone(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]by
 		}
 		_, state, _ := core.Run(sim.MaxTime)
 		if state == sim.StateDone {
+			halted = true
 			break
 		}
 		if state == sim.StateWaiting && !progress {
@@ -93,7 +97,7 @@ func runStandalone(t *testing.T, k Kernel, style Style, inputs [][]byte) ([][]by
 			continue
 		}
 	}
-	if !core.Halted() {
+	if !halted {
 		t.Fatalf("%s/%v did not halt", k.Name(), style)
 	}
 	if err := core.Err(); err != nil {

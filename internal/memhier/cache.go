@@ -66,16 +66,18 @@ const (
 	linePrefetched
 )
 
-// chunkBits sets how many consecutive lines share one lineChunk.
+// chunkBits sets how many lines share one lineChunk.
 const (
 	chunkBits = 6
 	chunkMask = 1<<chunkBits - 1
 )
 
-// lineChunk is the state and flags of 1<<chunkBits consecutive lines. A
-// cache builds a chunk on the first install into a set it covers, so an
-// offload that touches a few sets of a large cache zeroes only their
-// chunks. A chunk's lines read as never used until installed.
+// lineChunk is the state and flags of 1<<chunkBits lines: one way of
+// 1<<chunkBits consecutive sets (or, in a cache of fewer sets, several
+// whole ways). A cache builds a chunk on the first install into a line it
+// covers. The victim rule fills way 1 of every set before way 2, so a
+// sequential walk builds one chunk per 1<<chunkBits sets, and an offload
+// that touches a few sets of a large cache zeroes only their chunks.
 type lineChunk struct {
 	state [1 << chunkBits]lineState
 	flags [1 << chunkBits]uint8 // lineDirty | linePrefetched
@@ -87,19 +89,21 @@ type lineChunk struct {
 type Cache struct {
 	cfg  CacheConfig
 	next NextLevel
-	// Way w of set s is line s*ways+w. tags holds the line address with
+	// Way w of set s has tag s*ways+w: tags holds the line address with
 	// bit 0 set when the line is valid (0 when it is not), so probing a set
-	// compares one word per way. Line i's state and flags are entry
-	// i&chunkMask of chunks[i>>chunkBits], which is nil until replace
-	// first installs into a set that chunk covers; a valid line's chunk
-	// always exists.
+	// compares one word per way. Its state index is w*sets+s, way-major:
+	// the state and flags are entry si&chunkMask of chunks[si>>chunkBits],
+	// which is nil until replace first installs into a line that chunk
+	// covers; a valid line's chunk always exists.
 	tags     []uint32
 	chunks   []*lineChunk
 	ways     int
-	setMask  uint32
+	setMask  int
 	lineBits uint
-	// hit is the line the last demand access touched; lookup tries it
-	// before scanning the set. Tags are unique, so a match is exact.
+	// hitTag and hit are the tag and state indices of the line the last
+	// demand access touched; lookup tries it before scanning the set. Tags
+	// are unique, so a match is exact.
+	hitTag  int
 	hit     int
 	useTick uint64
 	// fills counts line installs (demand misses and issued prefetches).
@@ -132,7 +136,7 @@ func NewCache(cfg CacheConfig, next NextLevel) *Cache {
 	return &Cache{
 		cfg: cfg, next: next,
 		tags: make([]uint32, nLines), chunks: make([]*lineChunk, (nLines+chunkMask)>>chunkBits),
-		ways: cfg.Ways, setMask: uint32(nSets - 1), lineBits: lineBits,
+		ways: cfg.Ways, setMask: nSets - 1, lineBits: lineBits,
 	}
 }
 
@@ -157,84 +161,75 @@ func (c *Cache) Stats() CacheStats { return c.stats }
 
 func (c *Cache) lineAddr(addr uint32) uint32 { return addr &^ uint32(c.cfg.LineSize-1) }
 
-func (c *Cache) setBase(lineAddr uint32) int {
-	return int((lineAddr>>c.lineBits)&c.setMask) * c.ways
+func (c *Cache) set(lineAddr uint32) int {
+	return int(lineAddr>>c.lineBits) & c.setMask
 }
 
-// lookup returns the index of lineAddr's line, or -1 when it is absent.
-func (c *Cache) lookup(lineAddr uint32) int {
+// lookup returns the tag and state indices of lineAddr's line, or -1 and
+// -1 when it is absent.
+func (c *Cache) lookup(lineAddr uint32) (tag, si int) {
 	key := lineAddr | 1
-	if c.tags[c.hit] == key {
-		return c.hit
+	if c.tags[c.hitTag] == key {
+		return c.hitTag, c.hit
 	}
-	base := c.setBase(lineAddr)
-	for i, t := range c.tags[base : base+c.ways] {
+	set := c.set(lineAddr)
+	base := set * c.ways
+	for w, t := range c.tags[base : base+c.ways] {
 		if t == key {
-			return base + i
+			return base + w, w*(c.setMask+1) + set
 		}
 	}
-	return -1
+	return -1, -1
 }
 
-// line returns line i's state and flags. Its chunk must exist: replace
-// builds it before the first install into any set it covers.
-func (c *Cache) line(i int) (*lineState, *uint8) {
-	m := c.chunks[i>>chunkBits]
-	return &m.state[i&chunkMask], &m.flags[i&chunkMask]
+// line returns the state and flags at state index si. Its chunk must
+// exist: replace builds it before the first install into a line it covers.
+func (c *Cache) line(si int) (*lineState, *uint8) {
+	m := c.chunks[si>>chunkBits]
+	return &m.state[si&chunkMask], &m.flags[si&chunkMask]
 }
 
-// replace picks the way lineAddr is installed into and evicts the line
-// there, writing it back if dirty. An install into an invalid way builds
-// the chunks of the set's lines that do not exist yet. It counts the
-// install.
-func (c *Cache) replace(at sim.Time, lineAddr uint32, client *DRAMClient) int {
-	base := c.setBase(lineAddr)
-	v := c.victim(base)
-	if t := c.tags[v]; t == 0 {
-		for k := base >> chunkBits; k<<chunkBits < base+c.ways; k++ {
-			if c.chunks[k] == nil {
-				c.chunks[k] = new(lineChunk)
-			}
+// replace picks the line lineAddr is installed into, returning its tag and
+// state indices, and evicts the line there, writing it back if dirty. An
+// install into an invalid line builds its chunk if it does not exist yet.
+// It counts the install.
+func (c *Cache) replace(at sim.Time, lineAddr uint32, client *DRAMClient) (tag, si int) {
+	set := c.set(lineAddr)
+	w := c.victim(set)
+	tag, si = set*c.ways+w, w*(c.setMask+1)+set
+	if t := c.tags[tag]; t == 0 {
+		if c.chunks[si>>chunkBits] == nil {
+			c.chunks[si>>chunkBits] = new(lineChunk)
 		}
 	} else {
 		c.stats.Evictions++
-		if _, f := c.line(v); *f&lineDirty != 0 {
+		if _, f := c.line(si); *f&lineDirty != 0 {
 			c.stats.Writebacks++
 			c.next.WritebackLine(at, t&^1, c.cfg.LineSize, client)
 		}
 	}
 	c.fills++
-	return v
+	return tag, si
 }
 
-// victim returns the way of the set at base to install into: the first
-// invalid way after way 0, else the least recently used, the lowest way
-// on a tie. It looks up each chunk the set covers once.
-func (c *Cache) victim(base int) int {
-	if c.ways == 1 {
-		return base
+// victim returns the way of set to install into: the first invalid way
+// after way 0, else the least recently used, the lowest way on a tie. It
+// reads the state of valid lines only, whose chunks exist; an invalid way 0
+// reads as never used.
+func (c *Cache) victim(set int) int {
+	tags := c.tags[set*c.ways : (set+1)*c.ways]
+	chunks, sets := c.chunks, c.setMask+1
+	v, lru := 0, uint64(0)
+	if tags[0] != 0 {
+		lru = chunks[set>>chunkBits].state[set&chunkMask].lastUse
 	}
-	m := c.chunks[base>>chunkBits]
-	if m == nil {
-		return base + 1 // nothing was ever installed in the set
-	}
-	v, lru := base, m.state[base&chunkMask].lastUse
-	for i, end := base+1, base+c.ways; i < end; {
-		if m = c.chunks[i>>chunkBits]; m == nil {
-			return i // the set's chunks are built together, so line i is invalid
+	for w, si := 1, set+sets; w < len(tags); w, si = w+1, si+sets {
+		if tags[w] == 0 {
+			return w
 		}
-		j := i & chunkMask
-		st := m.state[j:min(j+end-i, len(m.state))]
-		tags := c.tags[i : i+len(st)]
-		for w := range st {
-			if tags[w] == 0 {
-				return i + w
-			}
-			if u := st[w].lastUse; u < lru {
-				v, lru = i+w, u
-			}
+		if u := chunks[si>>chunkBits].state[si&chunkMask].lastUse; u < lru {
+			v, lru = w, u
 		}
-		i += len(st)
 	}
 	return v
 }
@@ -266,10 +261,10 @@ func (c *Cache) Access(at sim.Time, addr uint32, size int, write bool, pc uint32
 
 func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRAMClient) sim.Time {
 	c.useTick++
-	if i := c.lookup(lineAddr); i >= 0 {
-		c.hit = i
+	if tag, si := c.lookup(lineAddr); tag >= 0 {
+		c.hitTag, c.hit = tag, si
 		c.stats.Hits++
-		line, flags := c.line(i)
+		line, flags := c.line(si)
 		line.lastUse = c.useTick
 		f := *flags
 		if write {
@@ -292,17 +287,17 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRA
 
 	// Miss: allocate (write-allocate for stores too).
 	c.stats.Misses++
-	v := c.replace(at, lineAddr, client)
+	tag, si := c.replace(at, lineAddr, client)
 	fillDone := c.next.FetchLine(at+c.cfg.HitLatency, lineAddr, c.cfg.LineSize, client)
 	c.stats.MissServiceTime += fillDone - at
-	c.tags[v] = lineAddr | 1
-	line, flags := c.line(v)
+	c.tags[tag] = lineAddr | 1
+	line, flags := c.line(si)
 	*line = lineState{readyAt: fillDone, lastUse: c.useTick}
 	*flags = 0
 	if write {
 		*flags = lineDirty
 	}
-	c.hit = v
+	c.hitTag, c.hit = tag, si
 	return fillDone
 }
 
@@ -311,15 +306,15 @@ func (c *Cache) accessLine(at sim.Time, lineAddr uint32, write bool, client *DRA
 // blocked; a later demand access waits only for the remaining fill time.
 func (c *Cache) Prefetch(at sim.Time, lineAddr uint32, client *DRAMClient) bool {
 	lineAddr = c.lineAddr(lineAddr)
-	if c.lookup(lineAddr) >= 0 {
+	if tag, _ := c.lookup(lineAddr); tag >= 0 {
 		return false // already present or in flight
 	}
 	c.useTick++
-	v := c.replace(at, lineAddr, client)
+	tag, si := c.replace(at, lineAddr, client)
 	fillDone := c.next.FetchLine(at, lineAddr, c.cfg.LineSize, client)
 	c.stats.PrefetchIssued++
-	c.tags[v] = lineAddr | 1
-	line, flags := c.line(v)
+	c.tags[tag] = lineAddr | 1
+	line, flags := c.line(si)
 	*line = lineState{readyAt: fillDone, lastUse: c.useTick}
 	*flags = linePrefetched
 	return true

@@ -1,8 +1,6 @@
 package memhier
 
 import (
-	"sort"
-
 	"assasin/internal/sim"
 )
 
@@ -144,14 +142,4 @@ func (d *DRAM) Client(name string) DRAMClientStats {
 		return *st
 	}
 	return DRAMClientStats{}
-}
-
-// Clients returns the client names with recorded traffic, sorted.
-func (d *DRAM) Clients() []string {
-	names := make([]string, 0, len(d.clients))
-	for n := range d.clients {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -17,9 +17,10 @@ import (
 // be read in a single 1 GHz cycle; the timing-adjusted configurations raise
 // AccessCycles to 2. Both are expressed here.
 //
-// data holds only the written prefix (rounded up to a power of two, capped
-// at size): most kernels touch a few KiB of a 64 or 256 KiB scratchpad, and
-// bytes past the prefix read as zero.
+// data holds only the written prefix: exactly the state image LoadBytes
+// preloads into an empty scratchpad, and otherwise rounded up to a power of
+// two, capped at size. Most kernels touch a few KiB of a 64 or 256 KiB
+// scratchpad, and bytes past the prefix read as zero.
 type Scratchpad struct {
 	data []byte
 	size int
@@ -139,9 +140,14 @@ func (s *Scratchpad) Write(off uint32, size int, v uint32) error {
 
 // LoadBytes copies data into the scratchpad at off (used by the firmware to
 // preload function state before a kernel starts; not charged to the kernel).
+// A load into an empty scratchpad sizes the written prefix to end exactly at
+// the image, which no kernel stores past.
 func (s *Scratchpad) LoadBytes(off uint32, data []byte) error {
 	if err := s.check(off, len(data)); err != nil {
 		return err
+	}
+	if len(s.data) == 0 {
+		s.data = make([]byte, int(off)+len(data))
 	}
 	s.grow(int(off) + len(data))
 	copy(s.data[off:], data)

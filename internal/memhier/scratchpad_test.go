@@ -41,6 +41,42 @@ func TestScratchpadUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
+// TestScratchpadLoadSizesPrefix pins the prefix rule for function state: a
+// load into an empty scratchpad backs exactly the image (AES's 16,896-byte
+// tables and key schedule, not 32 KiB), stores inside it do not grow it, and
+// growth past it rounds up to a power of two and keeps the image.
+func TestScratchpadLoadSizesPrefix(t *testing.T) {
+	const image = 16896
+	s := NewScratchpad(64 << 10)
+	data := make([]byte, image)
+	rand.New(rand.NewSource(3)).Read(data)
+	if err := s.LoadBytes(0, data); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.data) != image || cap(s.data) != image {
+		t.Fatalf("a %d-byte image into an empty scratchpad is backed by %d bytes (cap %d)", image, len(s.data), cap(s.data))
+	}
+	if err := s.Write(image-4, 4, 0xdeadbeef); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadBytes(0, data[:image/2]); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.data) != image {
+		t.Fatalf("stores and loads inside the image grew the prefix to %d bytes", len(s.data))
+	}
+	if err := s.Write(image, 1, 0x5a); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.data) != 32<<10 {
+		t.Fatalf("a store past the image grew the prefix to %d bytes, want %d", len(s.data), 32<<10)
+	}
+	want := append(append(data[:image-4:image-4], 0xef, 0xbe, 0xad, 0xde), 0x5a)
+	if got, _ := s.Bytes(0, image+1); !bytes.Equal(got, want) {
+		t.Fatal("growth past the image lost its bytes")
+	}
+}
+
 // TestScratchpadMatchesFlatModel drives random Write/LoadBytes/Read/Bytes
 // traffic against a flat, fully allocated byte array: the prefix-sized
 // backing must be indistinguishable from it.
@@ -49,6 +85,7 @@ func TestScratchpadMatchesFlatModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := NewScratchpad(size)
 	flat := make([]byte, size)
+	image := -1 // the exact prefix of a load into the empty scratchpad
 	for step := 0; step < 2000; step++ {
 		// Offsets concentrate low, as kernel state does, with a tail
 		// reaching the top of the scratchpad.
@@ -70,6 +107,9 @@ func TestScratchpadMatchesFlatModel(t *testing.T) {
 			n := min(rng.Intn(64), size-off)
 			data := make([]byte, n)
 			rng.Read(data)
+			if len(s.data) == 0 {
+				image = off + n
+			}
 			if err := s.LoadBytes(uint32(off), data); err != nil {
 				t.Fatal(err)
 			}
@@ -97,8 +137,8 @@ func TestScratchpadMatchesFlatModel(t *testing.T) {
 				t.Fatalf("step %d: Bytes(%d,%d) differs from the flat model", step, off, n)
 			}
 		}
-		if n := len(s.data); n > size || (n != size && n&(n-1) != 0) {
-			t.Fatalf("backing of %d bytes is neither a power of two nor the capacity", n)
+		if n := len(s.data); n > size || (n != size && n != image && n&(n-1) != 0) {
+			t.Fatalf("backing of %d bytes is neither a power of two, the first image nor the capacity", n)
 		}
 	}
 	if len(s.data) != size {

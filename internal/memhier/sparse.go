@@ -114,24 +114,12 @@ func (m *SparseMem) Write(addr uint32, size int, v uint32) {
 	}
 }
 
-// ReadRange copies length bytes starting at addr into a new slice.
-func (m *SparseMem) ReadRange(addr uint32, length int) []byte {
-	out := make([]byte, length)
-	for i := range out {
-		out[i] = m.ByteAt(addr + uint32(i))
-	}
-	return out
-}
-
 // WriteRange copies data into memory starting at addr.
 func (m *SparseMem) WriteRange(addr uint32, data []byte) {
 	for i, b := range data {
 		m.SetByte(addr+uint32(i), b)
 	}
 }
-
-// Footprint returns the number of bytes of allocated backing pages.
-func (m *SparseMem) Footprint() int { return len(m.pages) << sparsePageBits }
 
 // String summarizes the memory for diagnostics.
 func (m *SparseMem) String() string {

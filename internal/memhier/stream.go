@@ -157,9 +157,6 @@ func (s *InStream) Buffered() int { return int(s.delivered - s.consumed) }
 // CanPush reports whether another n bytes fit in the window.
 func (s *InStream) CanPush(n int) bool { return s.Buffered()+n <= s.capBytes }
 
-// Closed reports whether the producer has signalled end of stream.
-func (s *InStream) Closed() bool { return s.closed }
-
 // Exhausted reports end-of-stream: closed and fully consumed.
 func (s *InStream) Exhausted() bool { return s.closed && s.Buffered() == 0 }
 

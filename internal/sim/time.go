@@ -84,6 +84,3 @@ func NewClock(hz float64) Clock {
 
 // Cycles converts a cycle count to a duration in this clock domain.
 func (c Clock) Cycles(n int64) Time { return Time(n) * c.Period }
-
-// Hz returns the clock frequency in Hertz.
-func (c Clock) Hz() float64 { return float64(Second) / float64(c.Period) }

@@ -93,7 +93,10 @@ type KernelRun struct {
 	ChannelLocalSplit bool
 }
 
-// BuildTasks constructs per-core TaskSpecs for a kernel run.
+// BuildTasks constructs per-core TaskSpecs for a kernel run. The tasks'
+// Program and Scratch come from the process-wide program memo and are
+// shared with every other SSD that runs the same kernel value with the same
+// BuildParams: callers must not modify them.
 func (s *SSD) BuildTasks(run KernelRun) ([]TaskSpec, error) {
 	k := run.Kernel
 	if len(run.Inputs) != k.Inputs() {
@@ -104,14 +107,10 @@ func (s *SSD) BuildTasks(run KernelRun) ([]TaskSpec, error) {
 		cores = len(s.Cores)
 	}
 	params := s.BuildParamsFor()
-	prog, err := k.Build(params)
+	prog, state, err := programs.build(k, params)
 	if err != nil {
 		return nil, err
 	}
-	// Name the shared program so statistics and kprof symbolization can
-	// label samples with the kernel.
-	prog.Name = k.Name()
-	state := k.State()
 
 	// Partition dataset 0 and apply the same record split to all inputs
 	// (multi-input kernels have equal-length streams).

@@ -438,7 +438,8 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 	}()
 	var fwTasks []firmware.Task
 	var totalIn int64
-	// Each distinct program is translated once and shared by its cores.
+	// Each distinct program is translated once and shared by its cores;
+	// the memo's programs, once per process.
 	progs := map[*asm.Program]*cpu.Program{}
 	for i, t := range tasks {
 		core := s.Cores[i]
@@ -449,7 +450,7 @@ func (s *SSD) RunOffload(tasks []TaskSpec, deadline sim.Time) (*Result, error) {
 			s.Systems[i].Streams = s.newStreams()
 		}
 		if progs[t.Program] == nil {
-			progs[t.Program] = cpu.Translate(t.Program)
+			progs[t.Program] = programs.translation(t.Program)
 		}
 		core.LoadProgram(progs[t.Program])
 		for r, v := range t.Regs {

@@ -154,19 +154,19 @@ func TestHistogramResetAndAbsorb(t *testing.T) {
 	if merged.Count() != 20 || merged.Sum() != a.Sum()+b.Sum() {
 		t.Fatalf("merged count/sum = %d/%d, want 20/%d", merged.Count(), merged.Sum(), a.Sum()+b.Sum())
 	}
-	if merged.MinValue() != 1000 || merged.MaxValue() != 3000 {
-		t.Fatalf("merged min/max = %d/%d, want 1000/3000", merged.MinValue(), merged.MaxValue())
+	if merged.min != 1000 || merged.MaxValue() != 3000 {
+		t.Fatalf("merged min/max = %d/%d, want 1000/3000", merged.min, merged.MaxValue())
 	}
 	if merged.Percentile(0) != 1000 || merged.Percentile(1) != 3000 {
 		t.Fatalf("merged P0/P100 = %v/%v, want 1000/3000", merged.Percentile(0), merged.Percentile(1))
 	}
 	// Absorbing an empty histogram must not disturb min.
 	merged.Absorb(&Histogram{})
-	if merged.MinValue() != 1000 {
-		t.Fatalf("min after empty absorb = %d, want 1000", merged.MinValue())
+	if merged.min != 1000 {
+		t.Fatalf("min after empty absorb = %d, want 1000", merged.min)
 	}
 	a.Reset()
-	if a.Count() != 0 || a.Sum() != 0 || a.MinValue() != 0 || a.MaxValue() != 0 || a.Percentile(0.5) != 0 {
+	if a.Count() != 0 || a.Sum() != 0 || a.min != 0 || a.MaxValue() != 0 || a.Percentile(0.5) != 0 {
 		t.Fatalf("reset histogram not empty: %+v", a)
 	}
 	if got := len(a.Buckets()); got != 0 {

@@ -256,14 +256,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum
 }
 
-// MinValue returns the smallest observation (0 when empty).
-func (h *Histogram) MinValue() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.min
-}
-
 // MaxValue returns the largest observation.
 func (h *Histogram) MaxValue() int64 {
 	if h == nil {

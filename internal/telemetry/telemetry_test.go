@@ -71,7 +71,7 @@ func TestNilSinkNoOp(t *testing.T) {
 	}
 	tr.Span("s", 0, 10)
 	tr.Instant("i", 5)
-	if s.EventCount() != 0 || s.Dropped() != 0 || s.Events() != nil {
+	if s.EventCount() != 0 || s.Metrics().TraceDropped != 0 || s.Events() != nil {
 		t.Fatalf("nil sink buffered events")
 	}
 	if s.Registered() != nil {
@@ -163,8 +163,8 @@ func TestTraceRunsTracksAndCap(t *testing.T) {
 	s.MaxEvents = s.EventCount()
 	b.Instant("x", 1)
 	b.Instant("y", 2)
-	if s.EventCount() != 3 || s.Dropped() != 2 {
-		t.Fatalf("cap not enforced: %d events, %d dropped", s.EventCount(), s.Dropped())
+	if s.EventCount() != 3 || s.dropped != 2 {
+		t.Fatalf("cap not enforced: %d events, %d dropped", s.EventCount(), s.dropped)
 	}
 	if s.Metrics().TraceDropped != 2 {
 		t.Fatalf("dropped count missing from metrics snapshot")
@@ -273,8 +273,8 @@ func TestAbsorbMatchesOneSink(t *testing.T) {
 	if want.String() != got.String() {
 		t.Errorf("absorbed trace differs from one sink's:\n--- one\n%s\n--- absorbed\n%s", want.String(), got.String())
 	}
-	if one.Dropped() != root.Dropped() || root.Dropped() != 13 {
-		t.Errorf("dropped: one sink %d, absorbed %d, want 13", one.Dropped(), root.Dropped())
+	if one.dropped != root.dropped || root.dropped != 13 {
+		t.Errorf("dropped: one sink %d, absorbed %d, want 13", one.dropped, root.dropped)
 	}
 	wm, gm := one.Metrics(), root.Metrics()
 	if !equalJSON(t, wm, gm) {

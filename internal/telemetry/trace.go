@@ -225,11 +225,3 @@ func (s *Sink) EventCount() int {
 	}
 	return len(s.events)
 }
-
-// Dropped returns how many events were discarded after MaxEvents was hit.
-func (s *Sink) Dropped() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.dropped
-}

@@ -55,8 +55,9 @@ bench ./internal/crossbar/ BenchmarkCrossbarArbitration
 # Table IV L1D and L2.
 bench ./internal/cpu/ BenchmarkCoreCompiledBlock BenchmarkCoreLongBody BenchmarkStreamLoadPath BenchmarkScratchpadLoadPath BenchmarkCachedLoadPath
 # The cache's hit path and the Prefetch configuration's demand path. Line
-# state is built in chunks on the first install into a set; those few
-# builds amortize to 0 allocs/op, and any per-access allocation fails here.
+# state is built in chunks on the first install into a line they cover;
+# those few builds amortize to 0 allocs/op, and any per-access allocation
+# fails here.
 bench ./internal/memhier/ BenchmarkCacheHit BenchmarkCachePrefetchStream
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
