@@ -112,11 +112,11 @@ func TestReqtraceSteadyStateZeroAlloc(t *testing.T) {
 
 // TestDataPlaneSteadyStateZeroAlloc pins the zero-copy guarantee of the
 // feeder -> crossbar -> stream-buffer path: past the fixed lazy start-up
-// allocations (stream rings, event-pool fill, program compilation), pushing
-// more pages through the pipeline must allocate nothing. An 8x increase in
-// page count is allowed at most a whisker of extra allocations, so any
-// per-page allocation sneaking back into the pump/deliver/drain hot path
-// fails the test by hundreds.
+// allocations (output stream chunks, event-pool fill, program
+// compilation), pushing more pages through the pipeline must allocate
+// nothing. An 8x increase in page count is allowed at most a whisker of
+// extra allocations, so any per-page allocation sneaking back into the
+// pump/deliver/drain hot path fails the test by hundreds.
 func TestDataPlaneSteadyStateZeroAlloc(t *testing.T) {
 	small := minAllocs(t, streamRun, 8)
 	large := minAllocs(t, streamRun, 64)

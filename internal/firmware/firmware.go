@@ -583,6 +583,19 @@ type drainer struct {
 	pumpFn func(now sim.Time) // bound once at Submit
 }
 
+// collect appends data to the host output, doubling its capacity when
+// full: append's growth for large slices (about 1.25×) reallocates and
+// copies a long stream's output many times over, while doubling allocates
+// under twice the final capacity in all.
+func (d *drainer) collect(data []byte) {
+	if n := len(d.collected) + len(data); n > cap(d.collected) {
+		grown := make([]byte, len(d.collected), max(2*cap(d.collected), n))
+		copy(grown, d.collected)
+		d.collected = grown
+	}
+	d.collected = append(d.collected, data...)
+}
+
 func (d *drainer) schedulePump() {
 	if d.pumping || d.finished {
 		return
@@ -607,9 +620,10 @@ func (d *drainer) pump(now sim.Time) {
 			// targets that is the bus-transfer completion, for DRAM targets
 			// the DRAM write completion.
 			var freedAt sim.Time
-			// data aliases the stream's scratch buffer and is only valid
-			// until the Drain call below; flash.Array.Write copies the page
-			// into its own store and the DRAM path never retains it.
+			// data is a view of the stream's head chunk, valid until the
+			// Drain below releases it for reuse: flash.Array.Write copies
+			// the page into its own store, collect copies it into the host
+			// output, and the DRAM path never retains it.
 			data := d.stream.PeekBytes(n)
 			switch d.target.Kind {
 			case OutToFlash:
@@ -625,12 +639,10 @@ func (d *drainer) pump(now sim.Time) {
 			default:
 				freedAt = now
 			}
-			// drained also aliases the scratch buffer (and overwrote data
-			// above); append copies it out before the next Peek/Drain.
-			drained := d.stream.Drain(n, freedAt)
 			if d.target.Collect {
-				d.collected = append(d.collected, drained...)
+				d.collect(data)
 			}
+			d.stream.Drain(n, freedAt)
 			d.e.Req.AddDrain(d.task, int64(n), int64(now), int64(freedAt))
 			if d.track != nil {
 				d.track.Span("drain", int64(now), int64(freedAt),

@@ -337,3 +337,31 @@ func TestEngineTooManyStreamsRejected(t *testing.T) {
 		t.Fatal("20 inputs accepted with 2 slots")
 	}
 }
+
+// TestCollectDoublesCapacity checks the host-output buffer keeps every
+// collected byte in order and reallocates only when full, to at least
+// twice its capacity: 200 pages take 9 reallocations, where append's
+// ~1.25× growth for large slices takes 16.
+func TestCollectDoublesCapacity(t *testing.T) {
+	d := &drainer{}
+	var want []byte
+	grows := 0
+	for i := 0; i < 200; i++ {
+		page := bytes.Repeat([]byte{byte(i)}, 1024)
+		old := cap(d.collected)
+		d.collect(page)
+		want = append(want, page...)
+		if c := cap(d.collected); c != old {
+			grows++
+			if c < 2*old {
+				t.Fatalf("page %d: capacity grew %d -> %d, want at least double", i, old, c)
+			}
+		}
+	}
+	if !bytes.Equal(d.collected, want) {
+		t.Fatal("collected bytes diverge from the drained pages")
+	}
+	if grows > 9 {
+		t.Fatalf("200 pages reallocated %d times, want at most 9", grows)
+	}
+}

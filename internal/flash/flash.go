@@ -249,7 +249,9 @@ func (a *Array) chipAt(p PPA) *chip { return a.chips[p.Channel][p.Chip] }
 // The returned slice aliases the array's stored page (or, for erased pages,
 // a shared all-0xFF image) — callers must treat it as read-only. The page
 // pipeline relies on this: page bytes flow flash→crossbar→stream buffer by
-// reference and are only copied once, into the stream ring.
+// reference and are never copied, because a stored page never changes
+// (Write and InstallPage store into fresh arena pages, Erase only drops
+// references), so an input stream window holds the page itself.
 func (a *Array) Sense(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	if err := a.validate(p); err != nil {
 		return nil, 0, err

@@ -177,15 +177,18 @@ func (f *FTL) l2pAt(lpa int) flash.PPA {
 	if c == nil || c[lpa%pageChunk] < 0 {
 		return flash.PPA{Page: -1}
 	}
-	idx := int(c[lpa%pageChunk])
-	perChip := f.cfg.BlocksPerChip * f.cfg.PagesPerBlock
-	perChannel := perChip * f.cfg.ChipsPerChannel
-	return flash.PPA{
-		Channel: idx / perChannel,
-		Chip:    idx % perChannel / perChip,
-		Block:   idx % perChip / f.cfg.PagesPerBlock,
-		Page:    idx % f.cfg.PagesPerBlock,
-	}
+	// A packed index is below 2^31 (New checks), so it decodes in uint32:
+	// three 32-bit divisions, each remainder a multiply-subtract.
+	idx := uint32(c[lpa%pageChunk])
+	perBlock := uint32(f.cfg.PagesPerBlock)
+	perChip := uint32(f.cfg.BlocksPerChip) * perBlock
+	perChannel := perChip * uint32(f.cfg.ChipsPerChannel)
+	channel := idx / perChannel
+	idx -= channel * perChannel
+	chip := idx / perChip
+	idx -= chip * perChip
+	block := idx / perBlock
+	return flash.PPA{Channel: int(channel), Chip: int(chip), Block: int(block), Page: int(idx - block*perBlock)}
 }
 
 // l2pSet stores the mapping of lpa, materializing its chunk.

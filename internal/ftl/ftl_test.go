@@ -358,3 +358,34 @@ func TestGCPinnedStats(t *testing.T) {
 		t.Fatalf("stats = %+v, want %+v", got, want)
 	}
 }
+
+// TestL2PDecodeRoundTrip stores every physical page of a geometry with no
+// power-of-two dimension and checks l2pAt decodes each packed index back
+// to the page ppaIndex packed.
+func TestL2PDecodeRoundTrip(t *testing.T) {
+	cfg := flash.DefaultConfig()
+	cfg.Channels = 3
+	cfg.ChipsPerChannel = 5
+	cfg.BlocksPerChip = 7
+	cfg.PagesPerBlock = 6
+	cfg.PageSize = 256
+	f := New(flash.New(cfg), nil)
+	lpa := 0
+	for ch := 0; ch < cfg.Channels; ch++ {
+		for chip := 0; chip < cfg.ChipsPerChannel; chip++ {
+			for b := 0; b < cfg.BlocksPerChip; b++ {
+				for pg := 0; pg < cfg.PagesPerBlock; pg++ {
+					want := flash.PPA{Channel: ch, Chip: chip, Block: b, Page: pg}
+					f.l2pSet(lpa, want)
+					if got := f.l2pAt(lpa); got != want {
+						t.Fatalf("lpa %d: l2pAt = %v, stored %v", lpa, got, want)
+					}
+					lpa++
+				}
+			}
+		}
+	}
+	if got := f.l2pAt(lpa); got.Page >= 0 {
+		t.Fatalf("unmapped lpa %d decodes to %v", lpa, got)
+	}
+}

@@ -98,6 +98,22 @@ func BenchmarkStreamLoad(b *testing.B) {
 	}
 }
 
+// BenchmarkOutStreamDrain measures the output side of the data plane: a
+// core appending a page of 4-byte words, then the firmware's page drain,
+// a view of the head chunk written nowhere. It must not allocate.
+func BenchmarkOutStreamDrain(b *testing.B) {
+	s := NewOutStream(2, 4096)
+	b.SetBytes(4096)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := 0; w < 4096/4; w++ {
+			s.Append(uint32(w), 4)
+		}
+		s.PeekBytes(4096)
+		s.Drain(4096, 0)
+	}
+}
+
 func BenchmarkDRAMAccess(b *testing.B) {
 	d := NewDRAM(DefaultDRAMConfig())
 	cl := &DRAMClient{Name: "b"}

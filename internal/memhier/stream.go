@@ -53,26 +53,27 @@ const (
 	LoadEOS
 )
 
-// availSeg records that stream bytes below End become usable at At.
+// availSeg is one push: the stream bytes [End-len(Data), End), held by
+// reference, become usable at At.
 type availSeg struct {
-	End int64 // exclusive absolute byte offset
-	At  sim.Time
+	End  int64 // exclusive absolute byte offset
+	At   sim.Time
+	Data []byte
 }
 
-// InStream is one input stream slot of an ASSASIN stream buffer: a circular
-// window of P flash pages with Head (consume) and Tail (deliver) pointers
-// exposed as CSRs. The firmware pushes pages (with their flash arrival
-// times); the core consumes bytes through StreamLoad/Peek/Adv, or — for the
+// InStream is one input stream slot of an ASSASIN stream buffer: a window
+// of P flash pages with Head (consume) and Tail (deliver) pointers exposed
+// as CSRs. The firmware pushes pages (with their flash arrival times); the
+// core consumes bytes through StreamLoad/Peek/Adv, or — for the
 // software-managed scratchpad and DRAM-staged configurations — through
 // window-absolute reads.
+//
+// The window references the pushed pages instead of copying them: flash
+// pages are never mutated once written, so a push costs no copy, and
+// capBytes is pure window accounting (CanPush, Buffered).
 type InStream struct {
 	capBytes int
-	// capMask is capBytes-1 when the capacity is a power of two (the usual
-	// pages×pageSize geometry), letting the per-word gather path replace the
-	// int64 modulo with a mask; 0 selects the modulo fallback.
-	capMask  int
 	pageSize int
-	ring     []byte
 
 	consumed  int64 // Head: absolute bytes consumed/released
 	delivered int64 // Tail: absolute bytes delivered
@@ -86,6 +87,11 @@ type InStream struct {
 	scan   int
 	scanAt sim.Time
 
+	// cur is the pushed segment gather read last; it holds the stream
+	// bytes [curStart, curStart+len(cur)).
+	cur      []byte
+	curStart int64
+
 	// OnFree, if set, is called when window space is released (the
 	// firmware uses it to schedule more flash reads).
 	OnFree func()
@@ -98,45 +104,12 @@ type InStream struct {
 }
 
 // NewInStream returns an input stream with a window of pages×pageSize bytes.
-// The ring backing is sized to the bytes pushed so far (see growRing):
-// stream slots are recreated per offload request and most requests use a
-// fraction of them, so eager window allocation used to dominate the
-// construction profile.
+// It allocates no window storage: pushes are held by reference.
 func NewInStream(pages, pageSize int) *InStream {
 	if pages <= 0 || pageSize <= 0 {
 		panic("memhier: bad stream window geometry")
 	}
-	cap := pages * pageSize
-	return &InStream{capBytes: cap, capMask: ringMask(cap), pageSize: pageSize}
-}
-
-// ringMask returns cap-1 for power-of-two capacities, else 0 (modulo path).
-func ringMask(cap int) int {
-	if cap&(cap-1) == 0 {
-		return cap - 1
-	}
-	return 0
-}
-
-// growRing returns ring grown to hold the stream bytes below end: one page
-// first, then ×8 steps, capped at capBytes. A ring short of capBytes has
-// never wrapped (pos(off) == off), so growing copies the prefix as is.
-func growRing(ring []byte, end int64, pageSize, capBytes int) []byte {
-	n := max(len(ring), pageSize)
-	for int64(n) < end && n < capBytes {
-		n *= 8
-	}
-	grown := make([]byte, min(n, capBytes))
-	copy(grown, ring)
-	return grown
-}
-
-// pos maps an absolute stream offset to a ring index.
-func (s *InStream) pos(off int64) int {
-	if s.capMask != 0 {
-		return int(off) & s.capMask
-	}
-	return int(off % int64(s.capBytes))
+	return &InStream{capBytes: pages * pageSize, pageSize: pageSize}
 }
 
 // WindowBytes returns the window capacity in bytes.
@@ -162,6 +135,8 @@ func (s *InStream) Exhausted() bool { return s.closed && s.Buffered() == 0 }
 
 // Push delivers data (typically one flash page) that becomes usable at
 // availableAt. It fails if the window lacks space or the stream is closed.
+// The stream keeps data by reference until Head passes it, so the caller
+// must not change it (flash pages never change once written).
 func (s *InStream) Push(data []byte, availableAt sim.Time) error {
 	if s.closed {
 		return fmt.Errorf("memhier: push on closed stream")
@@ -169,12 +144,6 @@ func (s *InStream) Push(data []byte, availableAt sim.Time) error {
 	if !s.CanPush(len(data)) {
 		return fmt.Errorf("memhier: stream window overflow (%d buffered + %d > %d)", s.Buffered(), len(data), s.capBytes)
 	}
-	if end := s.delivered + int64(len(data)); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
-		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
-	}
-	pos := s.pos(s.delivered)
-	n := copy(s.ring[pos:], data)
-	copy(s.ring, data[n:])
 	s.delivered += int64(len(data))
 	// Availability is monotone per stream: a page can't be usable before
 	// its predecessors (the firmware delivers in order).
@@ -182,7 +151,7 @@ func (s *InStream) Push(data []byte, availableAt sim.Time) error {
 		availableAt = s.lastAvail
 	}
 	s.lastAvail = availableAt
-	s.avail = append(s.avail, availSeg{End: s.delivered, At: availableAt})
+	s.avail = append(s.avail, availSeg{End: s.delivered, At: availableAt, Data: data})
 	if t := s.Tel; t != nil {
 		t.PushPages.Inc()
 		t.PushBytes.Add(int64(len(data)))
@@ -208,37 +177,59 @@ func (s *InStream) availableAtOffset(off int64) sim.Time {
 	return 0
 }
 
-func (s *InStream) byteAt(off int64) byte {
-	return s.ring[s.pos(off)]
+// gather returns the little-endian width-byte word at the absolute offset
+// off, which must lie in [Head, Tail).
+func (s *InStream) gather(off int64, width int) uint32 {
+	p := int(off - s.curStart)
+	if p < 0 || p+width > len(s.cur) {
+		return s.gatherMiss(off, width)
+	}
+	// Width-specialized little-endian loads over an exact-width subslice:
+	// one bounds check, and the compiler fuses each run of byte ORs into a
+	// single load. StreamLoad traffic is almost entirely 1/2/4-byte words.
+	r := s.cur[p : p+width]
+	switch width {
+	case 4:
+		return uint32(r[0]) | uint32(r[1])<<8 | uint32(r[2])<<16 | uint32(r[3])<<24
+	case 1:
+		return uint32(r[0])
+	case 2:
+		return uint32(r[0]) | uint32(r[1])<<8
+	}
+	var v uint32
+	for i, b := range r {
+		v |= uint32(b) << (8 * i)
+	}
+	return v
 }
 
-func (s *InStream) gather(off int64, width int) uint32 {
-	pos := s.pos(off)
-	if pos+width <= len(s.ring) {
-		// Width-specialized little-endian loads over an exact-width
-		// subslice: one bounds check, and the compiler fuses each run of
-		// byte ORs into a single load. StreamLoad traffic is almost
-		// entirely 1/2/4-byte words.
-		r := s.ring[pos : pos+width]
-		switch width {
-		case 4:
-			return uint32(r[0]) | uint32(r[1])<<8 | uint32(r[2])<<16 | uint32(r[3])<<24
-		case 1:
-			return uint32(r[0])
-		case 2:
-			return uint32(r[0]) | uint32(r[1])<<8
-		}
-		var v uint32
-		for i, b := range r {
-			v |= uint32(b) << (8 * i)
-		}
-		return v
+// gatherMiss is gather's slow path: it moves cur to the segment holding
+// off, and reads a word that straddles two segments byte by byte.
+func (s *InStream) gatherMiss(off int64, width int) uint32 {
+	s.locate(off)
+	if int(off-s.curStart)+width <= len(s.cur) {
+		return s.gather(off, width)
 	}
 	var v uint32
 	for i := 0; i < width; i++ {
-		v |= uint32(s.byteAt(off+int64(i))) << (8 * i)
+		o := off + int64(i)
+		if o >= s.curStart+int64(len(s.cur)) {
+			s.locate(o)
+		}
+		v |= uint32(s.cur[o-s.curStart]) << (8 * i)
 	}
 	return v
+}
+
+// locate points cur at the live segment holding the byte at off.
+func (s *InStream) locate(off int64) {
+	for i := s.availHead; i < len(s.avail); i++ {
+		if seg := &s.avail[i]; off < seg.End {
+			s.cur, s.curStart = seg.Data, seg.End-int64(len(seg.Data))
+			return
+		}
+	}
+	panic(fmt.Sprintf("memhier: stream read at %d past Tail %d", off, s.delivered))
 }
 
 // BulkAvail returns how many buffered bytes past Head are usable at time at:
@@ -382,15 +373,23 @@ func (s *InStream) ReadAt(at sim.Time, off int64, width int) (uint32, sim.Time, 
 
 // OutStream is one output stream slot: the core appends bytes, the firmware
 // drains them page-wise toward the flash array or SSD DRAM.
+//
+// Appends go into page-sized chunks, chunk k holding the stream bytes
+// [k×pageSize, (k+1)×pageSize). The firmware drains whole pages from page
+// boundaries (all but a stream's last drain), so each drain is a view of
+// the head chunk, and a chunk Head has passed is reused for a later page:
+// page-aligned drains keep at most a window's worth of chunks live.
 type OutStream struct {
 	capBytes int
-	capMask  int // capBytes-1 for power-of-two windows (see InStream.capMask)
 	pageSize int
-	ring     []byte
+
+	chunks  [][]byte // live chunks, oldest first; chunks[0] holds Head
+	tail    []byte   // the newest chunk; full (or nil) when Tail starts a page
+	tailOff int      // Tail's offset in tail
+	free    [][]byte // released chunks, reused before allocating
 
 	appended int64
 	drained  int64
-	scratch  []byte // reused by PeekBytes/Drain; see the aliasing contract there
 
 	// OnData, if set, is called when bytes are appended (the firmware uses
 	// it to schedule drains).
@@ -404,21 +403,13 @@ type OutStream struct {
 }
 
 // NewOutStream returns an output stream with a window of pages×pageSize.
-// Like NewInStream, the ring backing grows with the bytes appended.
+// Like NewInStream, it allocates no window storage: chunks are built on
+// the first append into them.
 func NewOutStream(pages, pageSize int) *OutStream {
 	if pages <= 0 || pageSize <= 0 {
 		panic("memhier: bad stream window geometry")
 	}
-	cap := pages * pageSize
-	return &OutStream{capBytes: cap, capMask: ringMask(cap), pageSize: pageSize}
-}
-
-// pos maps an absolute stream offset to a ring index.
-func (s *OutStream) pos(off int64) int {
-	if s.capMask != 0 {
-		return int(off) & s.capMask
-	}
-	return int(off % int64(s.capBytes))
+	return &OutStream{capBytes: pages * pageSize, pageSize: pageSize}
 }
 
 // WindowBytes returns the window capacity.
@@ -448,18 +439,19 @@ func (s *OutStream) Append(v uint32, width int) bool {
 		}
 		return false
 	}
-	if end := s.appended + int64(width); len(s.ring) < s.capBytes && end > int64(len(s.ring)) {
-		s.ring = growRing(s.ring, end, s.pageSize, s.capBytes)
-	}
-	pos := s.pos(s.appended)
-	if pos+width <= len(s.ring) {
-		r := s.ring[pos : pos+width]
+	if s.tailOff+width <= len(s.tail) {
+		r := s.tail[s.tailOff : s.tailOff+width]
 		for i := range r {
 			r[i] = byte(v >> (8 * i))
 		}
+		s.tailOff += width
 	} else {
 		for i := 0; i < width; i++ {
-			s.ring[s.pos(s.appended+int64(i))] = byte(v >> (8 * i))
+			if s.tailOff == len(s.tail) {
+				s.nextChunk()
+			}
+			s.tail[s.tailOff] = byte(v >> (8 * i))
+			s.tailOff++
 		}
 	}
 	s.appended += int64(width)
@@ -469,47 +461,66 @@ func (s *OutStream) Append(v uint32, width int) bool {
 	return true
 }
 
-// peekInto copies n buffered bytes from the Head into the shared scratch
-// buffer (growing it as needed) and returns the filled prefix.
-func (s *OutStream) peekInto(n int) []byte {
-	if n > len(s.scratch) {
-		s.scratch = make([]byte, n)
+// nextChunk starts the chunk for the page at Tail, reusing a released one.
+func (s *OutStream) nextChunk() {
+	if n := len(s.free); n > 0 {
+		s.tail = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		s.tail = make([]byte, s.pageSize)
 	}
-	out := s.scratch[:n]
-	pos := s.pos(s.drained)
-	c := copy(out, s.ring[pos:])
-	copy(out[c:], s.ring)
+	s.chunks = append(s.chunks, s.tail)
+	s.tailOff = 0
+}
+
+// view returns the n buffered bytes at Head: a view of the head chunk when
+// they lie in it, else a joined copy.
+func (s *OutStream) view(n int) []byte {
+	h := int(s.drained % int64(s.pageSize))
+	if h+n <= s.pageSize {
+		return s.chunks[0][h : h+n]
+	}
+	out := make([]byte, 0, n)
+	for _, c := range s.chunks {
+		out = append(out, c[h:min(len(c), h+n-len(out))]...)
+		if len(out) == n {
+			break
+		}
+		h = 0
+	}
 	return out
 }
 
 // PeekBytes returns up to n buffered bytes without draining them — the
 // firmware uses it to issue the flash/DRAM write before freeing the window.
 //
-// Aliasing contract: the returned slice is a view of a scratch buffer owned
-// by the stream; it is valid only until the next PeekBytes or Drain call on
-// this stream. Callers that need the bytes beyond that must copy them.
+// Aliasing contract: bytes within one page are a view of the stream's
+// chunk, valid until the next Append or Drain on this stream; bytes that
+// span a page boundary are returned as a copy. Callers that need the bytes
+// beyond that must copy them.
 func (s *OutStream) PeekBytes(n int) []byte {
-	if n > s.Buffered() {
-		n = s.Buffered()
-	}
+	n = min(n, s.Buffered())
 	if n <= 0 {
 		return nil
 	}
-	return s.peekInto(n)
+	return s.view(n)
 }
 
 // Drain removes up to n buffered bytes and returns them; at is when the
 // space is freed (propagated to a stalled producer via OnSpace). The same
-// aliasing contract as PeekBytes applies: the result shares the stream's
-// scratch buffer and is invalidated by the next PeekBytes/Drain call.
+// aliasing contract as PeekBytes applies, and a chunk Head passes goes
+// back for reuse by a later Append.
 func (s *OutStream) Drain(n int, at sim.Time) []byte {
-	if n > s.Buffered() {
-		n = s.Buffered()
-	}
+	n = min(n, s.Buffered())
 	if n <= 0 {
 		return nil
 	}
-	out := s.peekInto(n)
+	out := s.view(n)
+	ps := int64(s.pageSize)
+	for done := (s.drained+int64(n))/ps - s.drained/ps; done > 0; done-- {
+		s.free = append(s.free, s.chunks[0])
+		s.chunks = s.chunks[:copy(s.chunks, s.chunks[1:])]
+	}
 	s.drained += int64(n)
 	if t := s.Tel; t != nil {
 		t.DrainBytes.Add(int64(n))

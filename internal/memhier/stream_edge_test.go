@@ -189,37 +189,54 @@ func TestInStreamLoadDirectMatchesLoad(t *testing.T) {
 	}
 }
 
-// TestOutStreamScratchReuse pins the PeekBytes/Drain aliasing contract: the
-// two calls share one scratch buffer (no per-call allocation), so a second
-// call invalidates the first call's slice.
-func TestOutStreamScratchReuse(t *testing.T) {
+// TestOutStreamChunkReuse pins the drain contract the firmware relies on:
+// a page drained from a page boundary is a view of the stream's chunk (no
+// staging copy), the chunk goes back for the next page, page-aligned
+// traffic never holds more than a window's worth of chunks, and steady
+// page traffic allocates nothing.
+func TestOutStreamChunkReuse(t *testing.T) {
 	s := NewOutStream(2, 8)
-	appendBytes(s, []byte{1, 2, 3, 4})
-	p1 := s.PeekBytes(4)
-	if !bytes.Equal(p1, []byte{1, 2, 3, 4}) {
-		t.Fatalf("PeekBytes = %v", p1)
-	}
-	d1 := s.Drain(4, 0)
-	if &p1[0] != &d1[0] {
-		t.Fatal("PeekBytes and Drain returned distinct buffers; scratch not reused")
+	appendBytes(s, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	chunk := s.chunks[0]
+	p1 := s.PeekBytes(8)
+	d1 := s.Drain(8, 0)
+	if &p1[0] != &chunk[0] || &d1[0] != &chunk[0] {
+		t.Fatal("page-aligned PeekBytes/Drain did not return a view of the head chunk")
 	}
 	appendBytes(s, []byte{9, 8, 7, 6})
-	_ = s.Drain(4, 0)
-	if !bytes.Equal(p1, []byte{9, 8, 7, 6}) {
-		t.Fatalf("earlier slice not overwritten by later Drain: %v", p1)
+	if &s.chunks[0][0] != &chunk[0] {
+		t.Fatal("the next page did not reuse the drained chunk")
+	}
+	if got := s.Drain(4, 0); !bytes.Equal(got, []byte{9, 8, 7, 6}) || !bytes.Equal(d1[:4], []byte{9, 8, 7, 6}) {
+		t.Fatalf("Drain = %v; earlier view %v not overwritten by the reused chunk", got, d1)
 	}
 
-	// Steady page-size traffic must not allocate after the first call.
-	s2 := NewOutStream(2, 8)
+	// Full windows drained a page at a time, as the firmware does.
+	s2 := NewOutStream(3, 8)
 	page := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-	appendBytes(s2, page)
-	s2.Drain(8, 0)
-	allocs := testing.AllocsPerRun(100, func() {
-		appendBytes(s2, page)
-		s2.PeekBytes(8)
-		s2.Drain(8, 0)
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state PeekBytes/Drain allocates %.1f per round", allocs)
+	fill := func() {
+		for s2.CanAppend(len(page)) {
+			appendBytes(s2, page)
+		}
+		for s2.Buffered() > 0 {
+			s2.PeekBytes(8)
+			s2.Drain(8, 0)
+		}
+	}
+	fill()
+	fill()
+	if built := len(s2.chunks) + len(s2.free); built != 3 {
+		t.Fatalf("page-aligned traffic built %d chunks for a 3-page window", built)
+	}
+	if allocs := testing.AllocsPerRun(100, fill); allocs != 0 {
+		t.Fatalf("steady-state page traffic allocates %.1f per window", allocs)
+	}
+
+	// A drain across a page boundary returns a copy of both pages' bytes.
+	s3 := NewOutStream(2, 8)
+	appendBytes(s3, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	s3.Drain(6, 0)
+	if got := s3.Drain(4, 0); !bytes.Equal(got, []byte{7, 8, 9, 10}) || &got[0] == &s3.free[0][6] {
+		t.Fatalf("spanning Drain = %v, want a copy of [7 8 9 10]", got)
 	}
 }

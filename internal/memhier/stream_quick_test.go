@@ -11,8 +11,7 @@ import (
 
 // modelGeometry draws a window geometry for the model-based tests: pages of
 // 8, 16 or 32 bytes and window depths that include non-power-of-two
-// capacities (the modulo path) and windows deep enough for the ring to grow
-// in two ×8 steps (one page, 8 pages, then the cap).
+// capacities.
 func modelGeometry(rng *rand.Rand) (pages, pageSize int) {
 	return []int{2, 3, 4, 5, 9, 12, 16, 70}[rng.Intn(8)], 8 << rng.Intn(3)
 }
@@ -30,16 +29,50 @@ func refBulkAvail(s *InStream, at sim.Time) int64 {
 	return end - s.consumed
 }
 
+// pushModel is the byte FIFO an InStream must behave as: every byte pushed,
+// in order, and where each push ended.
+type pushModel struct {
+	bytes []byte
+	ends  []int64
+}
+
+// word returns the little-endian width-byte word at off.
+func (m *pushModel) word(off int64, width int) uint32 {
+	var v uint32
+	for i := 0; i < width; i++ {
+		v |= uint32(m.bytes[off+int64(i)]) << (8 * i)
+	}
+	return v
+}
+
+// oddStraddle reports whether [off, off+width) crosses the end of an
+// odd-length push.
+func (m *pushModel) oddStraddle(off int64, width int) bool {
+	for i, e := range m.ends {
+		start := int64(0)
+		if i > 0 {
+			start = m.ends[i-1]
+		}
+		if off < e && e < off+int64(width) && (e-start)%2 == 1 {
+			return true
+		}
+	}
+	return false
+}
+
 // TestInStreamModelBased drives an InStream with random interleavings of
-// Push / Load / Peek / Adv / ReadAt against a simple FIFO model and
-// against a twin whose ring is allocated at full capacity up front, and
-// checks every observable agrees: the growing ring must behave exactly like
-// a full-capacity one. After every step BulkAvail must equal the walk from
-// the trim point, at a query clock that mostly moves forward, as a core's
-// does, and now and then steps back; some trials compact the availability
-// list under the resume index.
+// Push / Load / Peek / Adv / ReadAt against a byte FIFO model and checks
+// every value and pointer agrees. The window holds pushes by reference, so
+// the trials make sure the segment-crossing paths run: 2- and 4-byte words
+// that straddle pushes of odd lengths, peeks past Head's segment into later
+// ones, and a full ReadAt read-back right after the availability list is
+// compacted. After every step BulkAvail must equal the walk from the trim
+// point, at a query clock that mostly moves forward, as a core's does, and
+// now and then steps back; some trials compact the availability list under
+// the resume index. Last, a Push into a warm stream allocates nothing.
 func TestInStreamModelBased(t *testing.T) {
-	compactions := 0
+	compactions, readsAfterCompaction, laterPeeks := 0, 0, 0
+	straddles := map[int]int{}
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		// A separate source for the query clock keeps the op sequences of
@@ -48,20 +81,32 @@ func TestInStreamModelBased(t *testing.T) {
 		var at sim.Time
 		pages, pageSize := modelGeometry(rng)
 		s := NewInStream(pages, pageSize)
-		full := NewInStream(pages, pageSize)
-		full.ring = make([]byte, full.capBytes)
 
-		var model []byte    // bytes pushed, in order
+		var model pushModel
 		var consumed int64  // model head
 		var delivered int64 // model tail
 		produced := byte(0)
-		grown := 0
+
+		// check compares a word the stream returned with the model and
+		// counts the odd-length pushes it straddled.
+		check := func(what string, step int, off int64, w int, v uint32, st LoadStatus) {
+			t.Helper()
+			if st != LoadOK || v != model.word(off, w) {
+				t.Fatalf("trial %d step %d: %s(%d, width %d) = %#x, %v; model %#x", trial, step, what, off, w, v, st, model.word(off, w))
+			}
+			if w > 1 && model.oddStraddle(off, w) {
+				straddles[w]++
+			}
+		}
 
 		for step := 0; step < 600; step++ {
 			head0, scan0 := s.availHead, s.scan
 			switch rng.Intn(6) {
-			case 0: // push a chunk of up to two pages
+			case 0: // push a chunk of up to two pages, often a few bytes
 				n := 1 + rng.Intn(2*pageSize)
+				if rng.Intn(3) == 0 {
+					n = 1 + rng.Intn(7)
+				}
 				if !s.CanPush(n) {
 					if err := s.Push(make([]byte, n), 0); err == nil {
 						t.Fatal("overfull push accepted")
@@ -73,54 +118,33 @@ func TestInStreamModelBased(t *testing.T) {
 					chunk[i] = produced
 					produced++
 				}
-				before := len(s.ring)
 				if err := s.Push(chunk, sim.Time(step)); err != nil {
 					t.Fatal(err)
 				}
-				if err := full.Push(chunk, sim.Time(step)); err != nil {
-					t.Fatal(err)
-				}
-				if len(s.ring) != before {
-					grown++
-				}
-				model = append(model, chunk...)
+				model.bytes = append(model.bytes, chunk...)
 				delivered += int64(n)
+				model.ends = append(model.ends, delivered)
 			case 1: // load
 				w := []int{1, 2, 4}[rng.Intn(3)]
-				v, ready, st := s.Load(0, w)
-				fv, fready, fst := full.Load(0, w)
-				if v != fv || ready != fready || st != fst {
-					t.Fatalf("trial %d step %d: load = (%#x,%d,%v), full ring (%#x,%d,%v)", trial, step, v, ready, st, fv, fready, fst)
-				}
+				v, _, st := s.Load(0, w)
 				if delivered-consumed < int64(w) {
 					if st == LoadOK {
 						t.Fatal("load succeeded with insufficient data")
 					}
 					continue
 				}
-				if st != LoadOK {
-					t.Fatalf("load failed with %d buffered", delivered-consumed)
-				}
-				var want uint32
-				for i := 0; i < w; i++ {
-					want |= uint32(model[consumed+int64(i)]) << (8 * i)
-				}
-				if v != want {
-					t.Fatalf("trial %d step %d: load = %#x, want %#x", trial, step, v, want)
-				}
+				check("Load", step, consumed, w, v, st)
 				consumed += int64(w)
-			case 2: // peek
-				if delivered-consumed < 2 {
+			case 2: // peek anywhere in the buffered bytes
+				w := []int{1, 2, 4}[rng.Intn(3)]
+				if delivered-consumed < int64(w) {
 					continue
 				}
-				off := int64(rng.Intn(int(delivered - consumed - 1)))
-				w := []int{1, 2}[rng.Intn(2)]
+				off := int64(rng.Intn(int(delivered-consumed) - w + 1))
 				v, _, st := s.Peek(0, off, w)
-				if fv, _, _ := full.Peek(0, off, w); st != LoadOK || v != fv {
-					t.Fatalf("peek = %#x, %v; full ring %#x", v, st, fv)
-				}
-				if byte(v) != model[consumed+off] {
-					t.Fatal("peek value wrong")
+				check("Peek", step, consumed+off, w, v, st)
+				if consumed+off >= s.avail[s.availHead].End {
+					laterPeeks++
 				}
 			case 3: // adv
 				if delivered == consumed {
@@ -130,33 +154,36 @@ func TestInStreamModelBased(t *testing.T) {
 				if _, err := s.Adv(n); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := full.Adv(n); err != nil {
-					t.Fatal(err)
-				}
 				consumed += n
 			case 4: // readAt
-				if delivered == consumed {
+				w := []int{1, 2, 4}[rng.Intn(3)]
+				if delivered-consumed < int64(w) {
 					continue
 				}
-				off := consumed + int64(rng.Intn(int(delivered-consumed)))
-				v, _, st := s.ReadAt(0, off, 1)
-				if st != LoadOK {
-					t.Fatalf("ReadAt(%d) failed with head=%d tail=%d", off, consumed, delivered)
-				}
-				if byte(v) != model[off] {
-					t.Fatal("ReadAt value wrong")
-				}
-			case 5: // read back everything buffered, across any ring wrap
-				for off := consumed; off < delivered; off++ {
-					v, _, st := s.ReadAt(0, off, 1)
-					fv, _, _ := full.ReadAt(0, off, 1)
-					if st != LoadOK || v != fv || byte(v) != model[off] {
-						t.Fatalf("ReadAt(%d) = %#x, %v; full ring %#x, model %#x", off, v, st, fv, model[off])
+				off := consumed + int64(rng.Intn(int(delivered-consumed)-w+1))
+				v, _, st := s.ReadAt(0, off, w)
+				check("ReadAt", step, off, w, v, st)
+			case 5: // read back everything buffered, in every width
+				for _, w := range []int{1, 2, 4} {
+					for off := consumed; off+int64(w) <= delivered; off++ {
+						v, _, st := s.ReadAt(0, off, w)
+						check("ReadAt", step, off, w, v, st)
 					}
 				}
 			}
 			if s.Head() != consumed || s.Tail() != delivered {
 				t.Fatalf("pointer drift: got (%d,%d) want (%d,%d)", s.Head(), s.Tail(), consumed, delivered)
+			}
+			if s.availHead < head0 {
+				// Just compacted: every buffered word must still read back.
+				readsAfterCompaction++
+				for off := consumed; off+4 <= delivered; off++ {
+					v, _, st := s.ReadAt(0, off, 4)
+					check("ReadAt after compaction", step, off, 4, v, st)
+				}
+				if scan0 > head0 {
+					compactions++ // compacted with the resume index past the trim point
+				}
 			}
 			// Pushes become usable at their step number; the clock trails
 			// them by up to 16 steps, and one step in eight jumps back.
@@ -168,39 +195,56 @@ func TestInStreamModelBased(t *testing.T) {
 			if got, want := s.BulkAvail(at), refBulkAvail(s, at); got != want {
 				t.Fatalf("trial %d step %d: BulkAvail(%d) = %d, walk from the trim point %d", trial, step, at, got, want)
 			}
-			if s.availHead < head0 && scan0 > head0 {
-				compactions++ // compacted with the resume index past the trim point
-			}
-			if len(s.ring) > s.capBytes {
-				t.Fatalf("ring grew to %d past capacity %d", len(s.ring), s.capBytes)
-			}
-		}
-		if pages > 8 && grown < 2 {
-			t.Fatalf("trial %d: %d-page window grew %d times, want at least two growth steps", trial, pages, grown)
 		}
 	}
 	if compactions == 0 {
 		t.Fatal("no trial compacted the availability list under a live resume index")
 	}
+	if readsAfterCompaction == 0 || laterPeeks == 0 || straddles[2] == 0 || straddles[4] == 0 {
+		t.Fatalf("paths not exercised: %d read-backs after a compaction, %d peeks into later segments, %d 2-byte and %d 4-byte words straddling odd-length pushes",
+			readsAfterCompaction, laterPeeks, straddles[2], straddles[4])
+	}
+
+	// Once avail has grown to its working set, a push (and the Adv that
+	// frees its room) allocates nothing: the page is held, not copied.
+	s := NewInStream(2, 16)
+	page := make([]byte, 16)
+	for i := 0; i < 200; i++ {
+		if err := s.Push(page, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Adv(16)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := s.Push(page, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.Adv(16)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Push allocates %.1f per page", allocs)
+	}
 }
 
-// TestOutStreamModelBased checks Append/Drain against a byte
-// queue and against a twin whose ring is allocated at full capacity.
+// TestOutStreamModelBased checks Append/PeekBytes/Drain against a byte
+// queue, and the chunk layout under them: a drain that stays in one page
+// returns a view of the head chunk (no copy), a chunk Head has passed is
+// reused (a trial never holds more than a window's worth of chunks plus the
+// one an unaligned Head leaves), appends straddle chunk boundaries, and a
+// drain that spans chunks returns a joined copy.
 func TestOutStreamModelBased(t *testing.T) {
+	views, copies, straddles, reused := 0, 0, 0, 0
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		pages, pageSize := modelGeometry(rng)
 		s := NewOutStream(pages, pageSize)
-		full := NewOutStream(pages, pageSize)
-		full.ring = make([]byte, full.capBytes)
 		var model []byte
 		var drained []byte
 		var want []byte
 		produced := byte(0)
-		grown := 0
+		chunks := map[*byte]bool{} // every chunk the stream ever held
 		for step := 0; step < 600; step++ {
-			before := len(s.ring)
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // one word
 				w := []int{1, 2, 4}[rng.Intn(3)]
 				var v uint32
@@ -210,8 +254,11 @@ func TestOutStreamModelBased(t *testing.T) {
 					v |= uint32(tmp[i]) << (8 * i)
 				}
 				ok := s.CanAppend(w)
-				if got, fgot := s.Append(v, w), full.Append(v, w); got != ok || fgot != ok {
-					t.Fatalf("Append = %v (full ring %v), want %v", got, fgot, ok)
+				if off := int(s.Tail() % int64(pageSize)); ok && off > 0 && off+w > pageSize {
+					straddles++
+				}
+				if got := s.Append(v, w); got != ok {
+					t.Fatalf("Append = %v, want %v", got, ok)
 				}
 				if ok {
 					produced += byte(w)
@@ -224,44 +271,72 @@ func TestOutStreamModelBased(t *testing.T) {
 					tmp[i] = produced + byte(i)
 				}
 				ok := s.CanAppend(len(tmp))
-				if got, fgot := appendBytes(s, tmp), appendBytes(full, tmp); got != ok || fgot != ok {
-					t.Fatalf("appendBytes = %v (full ring %v), want %v", got, fgot, ok)
+				if got := appendBytes(s, tmp); got != ok {
+					t.Fatalf("appendBytes = %v, want %v", got, ok)
 				}
 				if ok {
 					produced += byte(len(tmp))
 					model = append(model, tmp...)
 					want = append(want, tmp...)
 				}
-			case 2:
+			case 2: // drain any length
 				if len(model) == 0 {
 					continue
 				}
 				n := 1 + rng.Intn(len(model))
-				if got, fgot := s.PeekBytes(n), full.PeekBytes(n); !bytes.Equal(got, fgot) {
-					t.Fatalf("PeekBytes(%d) = %v, full ring %v", n, got, fgot)
+				h := int(s.Head() % int64(pageSize))
+				if got := s.PeekBytes(n); !bytes.Equal(got, model[:n]) {
+					t.Fatalf("PeekBytes(%d) = %v, model %v", n, got, model[:n])
 				}
+				head := &s.chunks[0][h]
 				got := s.Drain(n, 0)
-				if fgot := full.Drain(n, 0); !bytes.Equal(got, fgot) {
-					t.Fatalf("Drain(%d) = %v, full ring %v", n, got, fgot)
+				if !bytes.Equal(got, model[:n]) {
+					t.Fatalf("Drain(%d) = %v, model %v", n, got, model[:n])
+				}
+				if h+n > pageSize {
+					if &got[0] == head {
+						t.Fatalf("Drain(%d) across a chunk boundary returned a view, want a copy", n)
+					}
+					copies++
 				}
 				drained = append(drained, got...)
-				model = model[len(got):]
+				model = model[n:]
+			case 3: // drain to the next page boundary, as the firmware does
+				h := int(s.Head() % int64(pageSize))
+				n := pageSize - h
+				if len(model) < n {
+					continue
+				}
+				head := &s.chunks[0][h]
+				got := s.Drain(n, 0)
+				if &got[0] != head || !bytes.Equal(got, model[:n]) {
+					t.Fatalf("page drain = %v (view %v), model %v", got, &got[0] == head, model[:n])
+				}
+				views++
+				drained = append(drained, got...)
+				model = model[n:]
 			}
-			if len(s.ring) != before {
-				grown++
+			for _, c := range s.chunks {
+				chunks[&c[0]] = true
 			}
-			if s.Tail() != full.Tail() || s.Head() != full.Head() || len(s.ring) > s.capBytes {
-				t.Fatalf("pointer drift: (%d,%d) vs full ring (%d,%d), ring %d of %d",
-					s.Head(), s.Tail(), full.Head(), full.Tail(), len(s.ring), s.capBytes)
+			if int(s.Tail()-s.Head()) != len(model) || len(s.chunks) > pages+1 || len(chunks) != len(s.chunks)+len(s.free) {
+				t.Fatalf("trial %d step %d: head %d tail %d with %d bytes modelled; %d live and %d free chunks of %d built, window %d pages",
+					trial, step, s.Head(), s.Tail(), len(model), len(s.chunks), len(s.free), len(chunks), pages)
 			}
+		}
+		if touched := int((s.Tail() + int64(pageSize) - 1) / int64(pageSize)); len(chunks) < touched {
+			reused++
+		}
+		if len(chunks) > pages+1 {
+			t.Fatalf("trial %d: %d chunks built for a %d-page window", trial, len(chunks), pages)
 		}
 		drained = append(drained, s.Drain(1<<30, 0)...)
 		if !bytes.Equal(drained, want) {
 			t.Fatalf("trial %d: drained bytes diverge from appended", trial)
 		}
-		if pages > 8 && grown < 2 {
-			t.Fatalf("trial %d: %d-page window grew %d times, want at least two growth steps", trial, pages, grown)
-		}
+	}
+	if views == 0 || copies == 0 || straddles == 0 || reused == 0 {
+		t.Fatalf("paths not exercised: %d page views, %d spanning copies, %d straddling appends, %d trials reusing chunks", views, copies, straddles, reused)
 	}
 }
 

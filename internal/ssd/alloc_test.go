@@ -47,17 +47,17 @@ func offloadAlloc(t *testing.T, a Arch) uint64 {
 // offload (about 180 KiB for AES). The memo is process-wide, so each
 // architecture first runs one offload to build its program: without that
 // warm-up the measurement would depend on which tests ran first. Measured
-// on linux/amd64 with Go 1.24 (KiB): Baseline 393, UDP 255, Prefetch 414,
-// AssasinSp 254, AssasinSb 254, AssasinSb$ 264. Each budget is that
+// on linux/amd64 with Go 1.24 (KiB): Baseline 362, UDP 224, Prefetch 383,
+// AssasinSp 223, AssasinSb 223, AssasinSb$ 233. Each budget is that
 // measurement plus 25%.
 func TestOffloadAllocBudget(t *testing.T) {
 	budgetKiB := map[Arch]uint64{
-		Baseline:       491,
-		UDP:            319,
-		Prefetch:       518,
-		AssasinSp:      318,
-		AssasinSb:      318,
-		AssasinSbCache: 330,
+		Baseline:       453,
+		UDP:            280,
+		Prefetch:       479,
+		AssasinSp:      279,
+		AssasinSb:      279,
+		AssasinSbCache: 291,
 	}
 	for _, a := range AllArchs() {
 		offloadAlloc(t, a) // builds the memo's program, if no test has

@@ -518,19 +518,15 @@ func (t *Tracer) Complete(r *Request, completePs int64) {
 // retain keeps r if it is among the K slowest, otherwise pools it.
 // Ordering is (latency desc, id asc): among equal latencies the earliest
 // request wins, so retention is independent of completion interleaving.
+// A request that ranks after the K-th retained one is pooled after one
+// comparison, without the search.
 func (t *Tracer) retain(r *Request) {
-	k := t.cfg.TopK
-	pos := sort.Search(len(t.top), func(i int) bool {
-		o := t.top[i]
-		if o.LatencyPs != r.LatencyPs {
-			return o.LatencyPs < r.LatencyPs
-		}
-		return o.ID > r.ID
-	})
-	if pos >= k {
+	k := t.cfg.TopK // at least 1
+	if len(t.top) == k && !ranksAfter(t.top[k-1], r) {
 		t.free = append(t.free, r)
 		return
 	}
+	pos := sort.Search(len(t.top), func(i int) bool { return ranksAfter(t.top[i], r) })
 	t.top = append(t.top, nil)
 	copy(t.top[pos+1:], t.top[pos:])
 	t.top[pos] = r
@@ -540,6 +536,15 @@ func (t *Tracer) retain(r *Request) {
 		t.top = t.top[:len(t.top)-1]
 		t.free = append(t.free, evict)
 	}
+}
+
+// ranksAfter reports whether o ranks after r in retention order (latency
+// desc, id asc).
+func ranksAfter(o, r *Request) bool {
+	if o.LatencyPs != r.LatencyPs {
+		return o.LatencyPs < r.LatencyPs
+	}
+	return o.ID > r.ID
 }
 
 // Count returns how many requests completed (0 on a nil tracer).

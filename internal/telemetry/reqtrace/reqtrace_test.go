@@ -3,6 +3,8 @@ package reqtrace
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -140,6 +142,48 @@ func TestTopKRetention(t *testing.T) {
 	}
 	if sum.Find(4) == nil || sum.Find(5) != nil {
 		t.Fatal("Find does not match retention")
+	}
+}
+
+// TestTopKRetentionMatchesSort checks retention, early reject included,
+// against sorting every request by (latency desc, id asc), over latencies
+// drawn from a small range so that ties with the K-th request are common,
+// and requests completing out of ID order.
+func TestTopKRetentionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rng.Intn(6)
+		tr := New(nil, Config{TopK: k})
+		type done struct {
+			id  uint64
+			lat int64
+		}
+		var all []done
+		var open []*Request
+		for i := 0; i < 200; i++ {
+			open = append(open, tr.Begin("offload", "", 0))
+		}
+		rng.Shuffle(len(open), func(i, j int) { open[i], open[j] = open[j], open[i] })
+		for _, r := range open {
+			lat := int64(rng.Intn(20))
+			all = append(all, done{r.ID, lat})
+			tr.Complete(r, lat)
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].lat != all[j].lat {
+				return all[i].lat > all[j].lat
+			}
+			return all[i].id < all[j].id
+		})
+		got := tr.Summary("x").Slowest
+		if len(got) != k {
+			t.Fatalf("trial %d: retained %d, want %d", trial, len(got), k)
+		}
+		for i, r := range got {
+			if r.ID != all[i].id || r.LatencyPs != all[i].lat {
+				t.Fatalf("trial %d: slowest[%d] = id %d lat %d, want id %d lat %d", trial, i, r.ID, r.LatencyPs, all[i].id, all[i].lat)
+			}
+		}
 	}
 }
 

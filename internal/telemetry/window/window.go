@@ -144,6 +144,7 @@ func (w *Windows) advanceSlow(nowPs int64) {
 			r.slots[slot] = 0
 		}
 		for _, h := range w.hists {
+			h.folded.Absorb(&h.slots[slot])
 			h.slots[slot].Reset()
 		}
 		w.epoch, w.cur = e, slot
@@ -268,24 +269,24 @@ func (r *Rate) Total() int64 {
 }
 
 // Hist is a windowed histogram: one telemetry.Histogram per ring bucket
-// plus a cumulative histogram over the whole run. Nil-safe.
+// plus the buckets that have left the ring, folded into one histogram, so
+// the whole run is folded plus the ring. Nil-safe.
 type Hist struct {
 	w       *Windows
 	name    string
 	slots   []telemetry.Histogram
-	cum     telemetry.Histogram
-	scratch telemetry.Histogram
+	folded  telemetry.Histogram // every bucket rotation has cleared
+	cum     telemetry.Histogram // Cumulative's result
+	scratch telemetry.Histogram // Window's and Last's result
 }
 
-// Observe records one sample at nowPs into the current bucket and the
-// cumulative histogram.
+// Observe records one sample at nowPs into the current bucket.
 func (h *Hist) Observe(nowPs, v int64) {
 	if h == nil {
 		return
 	}
 	h.w.Advance(nowPs)
 	h.slots[h.w.slot()].Observe(v)
-	h.cum.Observe(v)
 }
 
 // Window folds the ring into the reused scratch histogram and returns it:
@@ -317,10 +318,17 @@ func (h *Hist) Last(spanPs int64) *telemetry.Histogram {
 	return &h.scratch
 }
 
-// Cumulative returns the run-cumulative histogram (nil on a nil receiver).
+// Cumulative returns the run-cumulative histogram: the folded buckets plus
+// the live ring, which is exact because Absorb sums buckets, counts and
+// sums and keeps the min and max. The pointer is invalidated by the next
+// Cumulative call. Returns nil on a nil receiver.
 func (h *Hist) Cumulative() *telemetry.Histogram {
 	if h == nil {
 		return nil
+	}
+	h.cum = h.folded
+	for i := range h.slots {
+		h.cum.Absorb(&h.slots[i])
 	}
 	return &h.cum
 }
@@ -381,7 +389,7 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 		})
 	}
 	for _, h := range w.hists {
-		win := h.Window()
+		win, cum := h.Window(), h.Cumulative()
 		snap.Hists = append(snap.Hists, HistSnapshot{
 			Name:        h.name,
 			WindowCount: win.Count(),
@@ -389,8 +397,8 @@ func (w *Windows) Snapshot(nowPs int64) *Snapshot {
 			P95Ps:       win.Percentile(0.95),
 			P99Ps:       win.Percentile(0.99),
 			MaxPs:       win.MaxValue(),
-			TotalCount:  h.cum.Count(),
-			TotalP99Ps:  h.cum.Percentile(0.99),
+			TotalCount:  cum.Count(),
+			TotalP99Ps:  cum.Percentile(0.99),
 		})
 	}
 	sort.Slice(snap.Rates, func(i, j int) bool { return snap.Rates[i].Name < snap.Rates[j].Name })

@@ -1,7 +1,10 @@
 package window
 
 import (
+	"math/rand"
 	"testing"
+
+	"assasin/internal/telemetry"
 )
 
 const (
@@ -205,5 +208,33 @@ func TestCachedSlotMatchesEpoch(t *testing.T) {
 	for _, jump := range []int64{8, 15, 100, 7} {
 		w.Advance((w.epoch + jump) * ms)
 		check("long jump")
+	}
+}
+
+// TestHistCumulativeExact checks Cumulative, the folded buckets plus the
+// live ring, against one histogram fed every sample: bucket counts, count,
+// sum, min and max. The clock steps inside a bucket, across one boundary
+// and past the whole ring, and samples include 0 and negative values.
+func TestHistCumulativeExact(t *testing.T) {
+	w := New(Config{WindowPs: 5 * ms, Buckets: 5})
+	h := w.Hist("lat")
+	var want telemetry.Histogram
+	rng := rand.New(rand.NewSource(7))
+	now := int64(0)
+	for i := 0; i < 3000; i++ {
+		switch rng.Intn(20) {
+		case 0:
+			now += int64(rng.Intn(12)) * ms // may clear the whole ring
+		default:
+			now += int64(rng.Intn(300)) * us
+		}
+		v := int64(rng.Intn(1<<20)) - 1000
+		h.Observe(now, v)
+		want.Observe(v)
+		if i%97 == 0 || i == 2999 {
+			if got := h.Cumulative(); *got != want {
+				t.Fatalf("sample %d: Cumulative = %+v, want %+v", i, *got, want)
+			}
+		}
 	}
 }

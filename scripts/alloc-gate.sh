@@ -57,8 +57,9 @@ bench ./internal/cpu/ BenchmarkCoreCompiledBlock BenchmarkCoreLongBody Benchmark
 # The cache's hit path and the Prefetch configuration's demand path. Line
 # state is built in chunks on the first install into a line they cover;
 # those few builds amortize to 0 allocs/op, and any per-access allocation
-# fails here.
-bench ./internal/memhier/ BenchmarkCacheHit BenchmarkCachePrefetchStream
+# fails here. The stream buffer's input loads and output page drains run
+# over pushed pages and reused chunks, so neither allocates per page.
+bench ./internal/memhier/ BenchmarkCacheHit BenchmarkCachePrefetchStream BenchmarkStreamLoad BenchmarkOutStreamDrain
 
 bad=$(awk '/allocs\/op/ && $(NF-1) != 0 { print $1 }' "$OUT")
 if [ -n "$bad" ]; then
