@@ -252,6 +252,9 @@ func (e *Engine) Submit(tasks []Task) error {
 			}
 			e.drainers = append(e.drainers, dr)
 			e.liveDrains++
+			// Flash keeps each page it is handed and the host output keeps
+			// each collected page, so such a stream never reuses a chunk.
+			dr.stream.Keep = dr.target.Kind == OutToFlash || dr.target.Collect
 			dr.stream.OnData = func() { dr.schedulePump() }
 			dr.stream.OnSpace = func(at sim.Time) {
 				core.Wake(at)
@@ -305,13 +308,14 @@ func (e *Engine) noteProgress(at sim.Time) {
 }
 
 // Collected returns the drained output bytes for (coreID, outSlot) drainers
-// with Collect set, in task order.
+// with Collect set, in task order. The drained pages are joined into one
+// slice of exactly their length on the first call.
 func (e *Engine) Collected(coreID, slot int) []byte {
 	idx := 0
 	for _, dr := range e.drainers {
 		if dr.coreID == coreID {
 			if idx == slot {
-				return dr.collected
+				return dr.output()
 			}
 			idx++
 		}
@@ -573,8 +577,10 @@ type drainer struct {
 	stream *memhier.OutStream
 	target OutTarget
 
-	lpa        int
-	collected  []byte
+	lpa int
+	// collected holds the drained pages kept for the host, in order: views
+	// of chunks the stream never reuses (OutStream.Keep).
+	collected  [][]byte
 	pumping    bool
 	coreHalted bool
 	finished   bool
@@ -583,17 +589,24 @@ type drainer struct {
 	pumpFn func(now sim.Time) // bound once at Submit
 }
 
-// collect appends data to the host output, doubling its capacity when
-// full: append's growth for large slices (about 1.25×) reallocates and
-// copies a long stream's output many times over, while doubling allocates
-// under twice the final capacity in all.
-func (d *drainer) collect(data []byte) {
-	if n := len(d.collected) + len(data); n > cap(d.collected) {
-		grown := make([]byte, len(d.collected), max(2*cap(d.collected), n))
-		copy(grown, d.collected)
-		d.collected = grown
+// output joins the collected pages once, at their exact total size.
+func (d *drainer) output() []byte {
+	switch len(d.collected) {
+	case 0:
+		return nil
+	case 1:
+		return d.collected[0]
 	}
-	d.collected = append(d.collected, data...)
+	n := 0
+	for _, p := range d.collected {
+		n += len(p)
+	}
+	out := make([]byte, 0, n)
+	for _, p := range d.collected {
+		out = append(out, p...)
+	}
+	d.collected = append(d.collected[:0], out)
+	return out
 }
 
 func (d *drainer) schedulePump() {
@@ -620,10 +633,10 @@ func (d *drainer) pump(now sim.Time) {
 			// targets that is the bus-transfer completion, for DRAM targets
 			// the DRAM write completion.
 			var freedAt sim.Time
-			// data is a view of the stream's head chunk, valid until the
-			// Drain below releases it for reuse: flash.Array.Write copies
-			// the page into its own store, collect copies it into the host
-			// output, and the DRAM path never retains it.
+			// data is a view of the stream's head chunk. A kept stream
+			// never reuses it, so flash stores it and the host output
+			// collects it as is; otherwise the Drain below releases it for
+			// reuse, and the DRAM and discard paths never retain it.
 			data := d.stream.PeekBytes(n)
 			switch d.target.Kind {
 			case OutToFlash:
@@ -640,7 +653,7 @@ func (d *drainer) pump(now sim.Time) {
 				freedAt = now
 			}
 			if d.target.Collect {
-				d.collect(data)
+				d.collected = append(d.collected, data)
 			}
 			d.stream.Drain(n, freedAt)
 			d.e.Req.AddDrain(d.task, int64(n), int64(now), int64(freedAt))

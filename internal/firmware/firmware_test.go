@@ -98,7 +98,7 @@ func TestEngineStreamsPagesToCore(t *testing.T) {
 	r := newRig(t)
 	data := make([]byte, 3000)
 	for i := range data {
-		data[i] = byte(i * 7)
+		data[i] = byte(i*7 + i/1024) // each page differs
 	}
 	lpas := r.install(t, data)
 	r.core.LoadProgram(cpu.Translate(copyProgram()))
@@ -129,7 +129,7 @@ func TestEngineDeliversInStreamOrderPastBusyChannel(t *testing.T) {
 	r := newRig(t)
 	data := make([]byte, 8*1024)
 	for i := range data {
-		data[i] = byte(i * 13)
+		data[i] = byte(i*13 + i/1024) // each page differs
 	}
 	lpas := r.install(t, data)
 	arr := r.f.Array()
@@ -233,7 +233,7 @@ func TestEngineWritesResultsToFlash(t *testing.T) {
 	r := newRig(t)
 	data := make([]byte, 2048)
 	for i := range data {
-		data[i] = byte(i * 3)
+		data[i] = byte(i*3 + i/1024) // each page differs
 	}
 	lpas := r.install(t, data)
 	r.core.LoadProgram(cpu.Translate(copyProgram()))
@@ -254,6 +254,43 @@ func TestEngineWritesResultsToFlash(t *testing.T) {
 	}
 	if st := r.f.Stats(); st.HostWrites < 2 {
 		t.Fatalf("flash writes = %d", st.HostWrites)
+	}
+}
+
+// TestFlashOutputMatchesCollected checks a kept output stream: flash
+// stores each drained page and the host output collects the same pages,
+// so every output LPA reads back as its share of the collected bytes (the
+// short last page zero-padded), and both equal the input.
+func TestFlashOutputMatchesCollected(t *testing.T) {
+	r := newRig(t)
+	ps := 1024
+	data := make([]byte, 5*ps+300)
+	for i := range data {
+		data[i] = byte(i*5 + i/ps*3 + 1) // each page differs
+	}
+	lpas := r.install(t, data)
+	r.core.LoadProgram(cpu.Translate(copyProgram()))
+	e := New(Config{PageSize: ps, Path: PathCrossbar}, r.sched, r.f, r.dram, nil)
+	outStart := 100
+	runEngine(t, r, e, []Task{{
+		Core:    r.core,
+		Inputs:  []StreamSpec{{LPAs: lpas, Length: int64(len(data))}},
+		Outputs: []OutTarget{{Kind: OutToFlash, StartLPA: outStart, Collect: true}},
+	}})
+	got := e.Collected(0, 0)
+	if !bytes.Equal(got, data) {
+		t.Fatalf("collected %d bytes differ from the %d copied", len(got), len(data))
+	}
+	for p := 0; p*ps < len(got); p++ {
+		stored, _, err := r.f.Read(0, outStart+p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]byte, ps)
+		copy(want, got[p*ps:])
+		if !bytes.Equal(stored, want) {
+			t.Fatalf("output lpa %d differs from collected page %d", outStart+p, p)
+		}
 	}
 }
 
@@ -338,30 +375,32 @@ func TestEngineTooManyStreamsRejected(t *testing.T) {
 	}
 }
 
-// TestCollectDoublesCapacity checks the host-output buffer keeps every
-// collected byte in order and reallocates only when full, to at least
-// twice its capacity: 200 pages take 9 reallocations, where append's
-// ~1.25× growth for large slices takes 16.
-func TestCollectDoublesCapacity(t *testing.T) {
+// TestCollectedJoinsDrainedPages checks the host output keeps every
+// drained page in order, short last page included, and joins them once
+// into a slice of exactly their length: a later read returns the same
+// slice without joining again.
+func TestCollectedJoinsDrainedPages(t *testing.T) {
 	d := &drainer{}
+	if got := d.output(); got != nil {
+		t.Fatalf("no pages collected, output %v, want nil", got)
+	}
 	var want []byte
-	grows := 0
 	for i := 0; i < 200; i++ {
 		page := bytes.Repeat([]byte{byte(i)}, 1024)
-		old := cap(d.collected)
-		d.collect(page)
-		want = append(want, page...)
-		if c := cap(d.collected); c != old {
-			grows++
-			if c < 2*old {
-				t.Fatalf("page %d: capacity grew %d -> %d, want at least double", i, old, c)
-			}
+		if i == 199 {
+			page = page[:100]
 		}
+		d.collected = append(d.collected, page)
+		want = append(want, page...)
 	}
-	if !bytes.Equal(d.collected, want) {
-		t.Fatal("collected bytes diverge from the drained pages")
+	got := d.output()
+	if !bytes.Equal(got, want) {
+		t.Fatal("joined output diverges from the drained pages")
 	}
-	if grows > 9 {
-		t.Fatalf("200 pages reallocated %d times, want at most 9", grows)
+	if cap(got) != len(got) {
+		t.Fatalf("joined output has cap %d for %d bytes, want them equal", cap(got), len(got))
+	}
+	if again := d.output(); &again[0] != &got[0] || len(again) != len(got) {
+		t.Fatal("a second read joined the pages again")
 	}
 }

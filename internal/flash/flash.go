@@ -57,24 +57,15 @@ func (p PPA) String() string {
 	return fmt.Sprintf("ch%d/chip%d/blk%d/pg%d", p.Channel, p.Chip, p.Block, p.Page)
 }
 
-// pageState tracks NAND programming constraints.
-type pageState uint8
-
-const (
-	pageErased pageState = iota
-	pageWritten
-)
-
-// blockStore holds one erase block's page contents and programming state.
-// Blocks materialize independently, so the per-run footprint of a chip is
-// proportional to the blocks it actually touches, not its geometry.
+// blockStore holds one erase block's programmed pages in program order:
+// NAND programs a block's pages in order, so len(data) is the next
+// programmable page and every page past it reads as erased. Blocks
+// materialize independently and grow by the pages programmed, so the
+// per-run footprint of a chip is proportional to the pages it actually
+// holds, not its geometry.
 type blockStore struct {
-	// nextPage is the next programmable page index (NAND requires in-order
-	// programming within an erase block).
-	nextPage int
-	erases   int64
-	states   []pageState // pagesPerBlock entries
-	data     [][]byte    // pagesPerBlock entries
+	data   [][]byte
+	erases int64
 }
 
 type chip struct {
@@ -95,21 +86,27 @@ func (ch *chip) block(b int) *blockStore {
 	return ch.blocks[b]
 }
 
-// state reads a page's programming state through the lazy arrays.
-func (ch *chip) state(block, page int) pageState {
-	if bs := ch.block(block); bs != nil {
-		return bs.states[page]
-	}
-	return pageErased
-}
-
 // nextProgPage reads a block's next programmable page through the lazy
-// arrays.
+// table.
 func (ch *chip) nextProgPage(block int) int {
 	if bs := ch.block(block); bs != nil {
-		return bs.nextPage
+		return len(bs.data)
 	}
 	return 0
+}
+
+// materialize returns one block's store, building it on first mutation and
+// growing the chip's block table to reach it.
+func (ch *chip) materialize(block int) *blockStore {
+	if block >= len(ch.blocks) {
+		ch.blocks = append(ch.blocks, make([]*blockStore, block+1-len(ch.blocks))...)
+	}
+	bs := ch.blocks[block]
+	if bs == nil {
+		bs = &blockStore{}
+		ch.blocks[block] = bs
+	}
+	return bs
 }
 
 // Array is the flash array: timing and functional content.
@@ -148,12 +145,6 @@ type Array struct {
 	// pages; like written pages, it is handed out by reference and must not
 	// be mutated by callers (see Sense).
 	erased []byte
-	// arena backs stored page copies (Write/InstallPage) in pointer-free
-	// chunks so the GC never scans per-page allocations. Chunks double from
-	// one page up to 128, so a dataset of n pages zeroes fewer than 2n.
-	arena      []byte
-	arenaOff   int
-	arenaPages int
 
 	// Tel, when non-nil, counts senses/transfers/programs/erases.
 	Tel *Tel
@@ -187,32 +178,32 @@ func (a *Array) erasedPage() []byte {
 	return a.erased
 }
 
-// allocPage carves one page-sized buffer out of the arena.
-func (a *Array) allocPage() []byte {
-	ps := a.cfg.PageSize
-	if a.arenaOff+ps > len(a.arena) {
-		a.arenaPages = min(max(2*a.arenaPages, 1), 128)
-		a.arena = make([]byte, ps*a.arenaPages)
-		a.arenaOff = 0
+// program checks NAND's constraints for programming p — the target page
+// must be erased, and a block's pages are programmed in order — and
+// stores data there. The array keeps a full page as handed over; a short
+// one is zero-padded into a fresh page.
+func (a *Array) program(op string, p PPA, data []byte) error {
+	if err := a.validate(p); err != nil {
+		return err
 	}
-	p := a.arena[a.arenaOff : a.arenaOff+ps : a.arenaOff+ps]
-	a.arenaOff += ps
-	return p
-}
-
-// materialize allocates one block's page arrays on first mutation, growing
-// the chip's block table to reach it, and returns its store.
-func (a *Array) materialize(ch *chip, block int) *blockStore {
-	if block >= len(ch.blocks) {
-		ch.blocks = append(ch.blocks, make([]*blockStore, block+1-len(ch.blocks))...)
+	if len(data) > a.cfg.PageSize {
+		return fmt.Errorf("flash: %s of %d bytes exceeds page size %d", op, len(data), a.cfg.PageSize)
 	}
-	bs := ch.blocks[block]
-	if bs == nil {
-		ppb := a.cfg.PagesPerBlock
-		bs = &blockStore{states: make([]pageState, ppb), data: make([][]byte, ppb)}
-		ch.blocks[block] = bs
+	ch := a.chipAt(p)
+	switch next := ch.nextProgPage(p.Block); {
+	case p.Page < next:
+		return fmt.Errorf("flash: %s of non-erased page %v", op, p)
+	case p.Page > next:
+		return fmt.Errorf("flash: out-of-order %s %v (next programmable page is %d)", op, p, next)
 	}
-	return bs
+	if len(data) < a.cfg.PageSize {
+		padded := make([]byte, a.cfg.PageSize)
+		copy(padded, data)
+		data = padded
+	}
+	bs := ch.materialize(p.Block)
+	bs.data = append(bs.data, data[:a.cfg.PageSize:a.cfg.PageSize])
+	return nil
 }
 
 // Config returns the geometry.
@@ -246,12 +237,13 @@ func (a *Array) chipAt(p PPA) *chip { return a.chips[p.Channel][p.Chip] }
 // the flash controller can gate it on downstream buffer space. Reading an
 // erased page returns all-0xFF data, as real NAND does.
 //
-// The returned slice aliases the array's stored page (or, for erased pages,
-// a shared all-0xFF image) — callers must treat it as read-only. The page
-// pipeline relies on this: page bytes flow flash→crossbar→stream buffer by
-// reference and are never copied, because a stored page never changes
-// (Write and InstallPage store into fresh arena pages, Erase only drops
-// references), so an input stream window holds the page itself.
+// The returned slice is the array's stored page itself (or, for erased
+// pages, a shared all-0xFF image) — callers must treat it as read-only. The
+// page pipeline relies on this: page bytes flow flash→crossbar→stream buffer
+// by reference and are never copied, because a stored page never changes
+// (Write and InstallPage keep pages their writers never touch again, Erase
+// only drops references), so an input stream window holds the page itself
+// and garbage collection re-stores it without a copy.
 func (a *Array) Sense(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	if err := a.validate(p); err != nil {
 		return nil, 0, err
@@ -263,14 +255,10 @@ func (a *Array) Sense(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 	if a.Tel != nil {
 		a.Tel.Senses.Inc()
 	}
-	var data []byte
-	if bs := ch.block(p.Block); bs != nil {
-		data = bs.data[p.Page]
+	if bs := ch.block(p.Block); bs != nil && p.Page < len(bs.data) {
+		return bs.data[p.Page], senseDone, nil
 	}
-	if data == nil {
-		data = a.erasedPage()
-	}
-	return data, senseDone, nil
+	return a.erasedPage(), senseDone, nil
 }
 
 // Transfer moves size bytes (up to one page) over a channel bus at time at,
@@ -304,24 +292,17 @@ func (a *Array) Read(at sim.Time, p PPA) ([]byte, sim.Time, error) {
 }
 
 // Write transfers and programs one page. It returns both the bus-transfer
-// completion (when the source buffer can be reused) and the program
+// completion (when the page has left the source buffer) and the program
 // completion (when the data is durable). NAND constraints are enforced: the
 // target page must be erased and pages within a block must be programmed in
-// order.
+// order. The array keeps data as the stored page (a short one is
+// zero-padded into a fresh page), so the caller hands it over and must
+// never change it afterwards.
 func (a *Array) Write(at sim.Time, p PPA, data []byte) (busDone, progDone sim.Time, err error) {
-	if err := a.validate(p); err != nil {
+	if err := a.program("program", p, data); err != nil {
 		return 0, 0, err
 	}
-	if len(data) > a.cfg.PageSize {
-		return 0, 0, fmt.Errorf("flash: write of %d bytes exceeds page size %d", len(data), a.cfg.PageSize)
-	}
 	ch := a.chipAt(p)
-	if ch.state(p.Block, p.Page) != pageErased {
-		return 0, 0, fmt.Errorf("flash: program of non-erased page %v", p)
-	}
-	if ch.nextProgPage(p.Block) != p.Page {
-		return 0, 0, fmt.Errorf("flash: out-of-order program %v (next programmable page is %d)", p, ch.nextProgPage(p.Block))
-	}
 	busDone = a.channels[p.Channel].Access(at, a.cfg.PageSize)
 	start := sim.MaxT(busDone, ch.nextFree)
 	progDone = start + a.cfg.ProgramLatency
@@ -330,14 +311,6 @@ func (a *Array) Write(at sim.Time, p PPA, data []byte) (busDone, progDone sim.Ti
 		a.Tel.Programs.Inc()
 		a.Tel.TransferBytes.Add(int64(a.cfg.PageSize))
 	}
-	bs := a.materialize(ch, p.Block)
-	// Arena chunks are fresh zeroed memory and never recycled, so a short
-	// write is zero-padded exactly like the old make+copy.
-	stored := a.allocPage()
-	copy(stored, data)
-	bs.data[p.Page] = stored
-	bs.states[p.Page] = pageWritten
-	bs.nextPage = p.Page + 1
 	return busDone, progDone, nil
 }
 
@@ -351,12 +324,9 @@ func (a *Array) Erase(at sim.Time, channel, chipIdx, block int) (sim.Time, error
 	start := sim.MaxT(at, ch.nextFree)
 	done := start + a.cfg.EraseLatency
 	ch.nextFree = done
-	bs := a.materialize(ch, block)
-	for i := 0; i < a.cfg.PagesPerBlock; i++ {
-		bs.states[i] = pageErased
-		bs.data[i] = nil
-	}
-	bs.nextPage = 0
+	bs := ch.materialize(block)
+	clear(bs.data)
+	bs.data = bs.data[:0]
 	bs.erases++
 	if a.Tel != nil {
 		a.Tel.Erases.Inc()
@@ -366,28 +336,11 @@ func (a *Array) Erase(at sim.Time, channel, chipIdx, block int) (sim.Time, error
 
 // InstallPage stores page contents functionally without consuming simulated
 // time — used to set up experiment datasets (the equivalent of the drive
-// having been written in the past). NAND ordering constraints still apply.
+// having been written in the past). NAND ordering constraints still apply,
+// and the array keeps data as Write does: the caller must never change it
+// afterwards.
 func (a *Array) InstallPage(p PPA, data []byte) error {
-	if err := a.validate(p); err != nil {
-		return err
-	}
-	if len(data) > a.cfg.PageSize {
-		return fmt.Errorf("flash: install of %d bytes exceeds page size %d", len(data), a.cfg.PageSize)
-	}
-	ch := a.chipAt(p)
-	if ch.state(p.Block, p.Page) != pageErased {
-		return fmt.Errorf("flash: install on non-erased page %v", p)
-	}
-	if ch.nextProgPage(p.Block) != p.Page {
-		return fmt.Errorf("flash: out-of-order install %v (next is %d)", p, ch.nextProgPage(p.Block))
-	}
-	bs := a.materialize(ch, p.Block)
-	stored := a.allocPage()
-	copy(stored, data)
-	bs.data[p.Page] = stored
-	bs.states[p.Page] = pageWritten
-	bs.nextPage = p.Page + 1
-	return nil
+	return a.program("install", p, data)
 }
 
 // EraseCount returns how many times a block has been erased.

@@ -233,3 +233,55 @@ func TestTotals(t *testing.T) {
 		t.Errorf("TotalBandwidth = %g", a.TotalBandwidth())
 	}
 }
+
+// TestBlockPageTable pins a block's store: its page table holds only the
+// pages programmed, in order, keeping a full page as handed over and
+// zero-padding a short one into a fresh page; a read past them returns the
+// all-0xFF page; Erase empties it and keeps counting erases; and the
+// out-of-order and non-erased program errors read as before.
+func TestBlockPageTable(t *testing.T) {
+	a := New(smallConfig())
+	ps := a.Config().PageSize
+	full := bytes.Repeat([]byte{0xA5}, ps)
+	if _, _, err := a.Write(0, PPA{Block: 1}, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.InstallPage(PPA{Block: 1, Page: 1}, []byte{1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	bs := a.chips[0][0].block(1)
+	if len(bs.data) != 2 {
+		t.Fatalf("block holds %d pages after programming 2", len(bs.data))
+	}
+	if &bs.data[0][0] != &full[0] || len(bs.data[0]) != ps {
+		t.Fatal("a full page was not kept as handed over")
+	}
+	short, _, _ := a.Sense(0, PPA{Block: 1, Page: 1})
+	if len(short) != ps || !bytes.Equal(short[:3], []byte{1, 2, 3}) || !bytes.Equal(short[3:], make([]byte, ps-3)) {
+		t.Fatalf("short page reads back %x..., want 010203 and zeros", short[:4])
+	}
+	if past, _, _ := a.Sense(0, PPA{Block: 1, Page: 2}); !bytes.Equal(past, bytes.Repeat([]byte{0xFF}, ps)) {
+		t.Fatal("page past the programmed ones does not read all 0xFF")
+	}
+
+	_, _, err := a.Write(0, PPA{Block: 1, Page: 3}, full)
+	if want := "flash: out-of-order program ch0/chip0/blk1/pg3 (next programmable page is 2)"; err == nil || err.Error() != want {
+		t.Fatalf("out-of-order program: %v, want %q", err, want)
+	}
+	_, _, err = a.Write(0, PPA{Block: 1, Page: 1}, full)
+	if want := "flash: program of non-erased page ch0/chip0/blk1/pg1"; err == nil || err.Error() != want {
+		t.Fatalf("overwrite: %v, want %q", err, want)
+	}
+
+	for round := int64(1); round <= 2; round++ {
+		if _, err := a.Erase(0, 0, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if len(bs.data) != 0 || a.EraseCount(0, 0, 1) != round {
+			t.Fatalf("erase %d: block holds %d pages, count %d", round, len(bs.data), a.EraseCount(0, 0, 1))
+		}
+		if _, _, err := a.Write(0, PPA{Block: 1}, full); err != nil {
+			t.Fatalf("erase %d: program page 0: %v", round, err)
+		}
+	}
+}

@@ -298,9 +298,12 @@ func (f *FTL) chipForWrite(channel, lpa int) int {
 }
 
 // Write programs a logical page at time at. It returns the bus-transfer
-// completion (when the source buffer is reusable) and the program completion
-// (when the data is durable). Old mappings are invalidated; GC runs when the
-// target (channel, chip) runs low on free blocks.
+// completion (when the page has left the source buffer) and the program
+// completion (when the data is durable). The array keeps data as the stored
+// page, so the caller must never change it afterwards (flash.Array.Write).
+// Old mappings are invalidated; GC runs when the target (channel, chip) runs
+// low on free blocks, migrating each valid page by re-storing the sensed
+// slice.
 func (f *FTL) Write(at sim.Time, lpa int, data []byte) (busDone, progDone sim.Time, err error) {
 	return f.write(at, lpa, data, false)
 }
@@ -334,7 +337,7 @@ func (f *FTL) write(at sim.Time, lpa int, data []byte, gc bool) (busDone, progDo
 }
 
 // Install maps and stores a logical page without consuming simulated time
-// (dataset setup).
+// (dataset setup). Like Write, it keeps data as the stored page.
 func (f *FTL) Install(lpa int, data []byte) error {
 	if lpa < 0 || lpa >= f.UserPages() {
 		return fmt.Errorf("ftl: lpa %d out of capacity %d", lpa, f.UserPages())

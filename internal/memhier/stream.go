@@ -377,8 +377,10 @@ func (s *InStream) ReadAt(at sim.Time, off int64, width int) (uint32, sim.Time, 
 // Appends go into page-sized chunks, chunk k holding the stream bytes
 // [k×pageSize, (k+1)×pageSize). The firmware drains whole pages from page
 // boundaries (all but a stream's last drain), so each drain is a view of
-// the head chunk, and a chunk Head has passed is reused for a later page:
-// page-aligned drains keep at most a window's worth of chunks live.
+// the head chunk. When the drainer keeps nothing, a chunk Head has passed
+// is reused for a later page, so page-aligned drains keep at most a
+// window's worth of chunks live; with Keep set, every drained view is the
+// drainer's for good and no chunk is reused.
 type OutStream struct {
 	capBytes int
 	pageSize int
@@ -390,6 +392,12 @@ type OutStream struct {
 
 	appended int64
 	drained  int64
+
+	// Keep, when set, hands drained pages over: a chunk Head passes is
+	// dropped rather than reused, so a view Drain or PeekBytes returned
+	// never changes afterwards (the firmware sets it for streams whose
+	// pages it stores in flash or collects for the host).
+	Keep bool
 
 	// OnData, if set, is called when bytes are appended (the firmware uses
 	// it to schedule drains).
@@ -478,7 +486,7 @@ func (s *OutStream) nextChunk() {
 func (s *OutStream) view(n int) []byte {
 	h := int(s.drained % int64(s.pageSize))
 	if h+n <= s.pageSize {
-		return s.chunks[0][h : h+n]
+		return s.chunks[0][h : h+n : h+n]
 	}
 	out := make([]byte, 0, n)
 	for _, c := range s.chunks {
@@ -495,9 +503,10 @@ func (s *OutStream) view(n int) []byte {
 // firmware uses it to issue the flash/DRAM write before freeing the window.
 //
 // Aliasing contract: bytes within one page are a view of the stream's
-// chunk, valid until the next Append or Drain on this stream; bytes that
-// span a page boundary are returned as a copy. Callers that need the bytes
-// beyond that must copy them.
+// chunk; bytes that span a page boundary are returned as a copy. Without
+// Keep, a view is valid until the next Append or Drain on this stream, and
+// callers that need the bytes beyond that must copy them; with Keep, it
+// never changes.
 func (s *OutStream) PeekBytes(n int) []byte {
 	n = min(n, s.Buffered())
 	if n <= 0 {
@@ -508,8 +517,8 @@ func (s *OutStream) PeekBytes(n int) []byte {
 
 // Drain removes up to n buffered bytes and returns them; at is when the
 // space is freed (propagated to a stalled producer via OnSpace). The same
-// aliasing contract as PeekBytes applies, and a chunk Head passes goes
-// back for reuse by a later Append.
+// aliasing contract as PeekBytes applies, and without Keep a chunk Head
+// passes goes back for reuse by a later Append.
 func (s *OutStream) Drain(n int, at sim.Time) []byte {
 	n = min(n, s.Buffered())
 	if n <= 0 {
@@ -518,7 +527,9 @@ func (s *OutStream) Drain(n int, at sim.Time) []byte {
 	out := s.view(n)
 	ps := int64(s.pageSize)
 	for done := (s.drained+int64(n))/ps - s.drained/ps; done > 0; done-- {
-		s.free = append(s.free, s.chunks[0])
+		if !s.Keep {
+			s.free = append(s.free, s.chunks[0])
+		}
 		s.chunks = s.chunks[:copy(s.chunks, s.chunks[1:])]
 	}
 	s.drained += int64(n)

@@ -226,21 +226,29 @@ func TestInStreamModelBased(t *testing.T) {
 	}
 }
 
+// keptView is a drained slice of a kept stream and the bytes it held when
+// drained.
+type keptView struct{ got, want []byte }
+
 // TestOutStreamModelBased checks Append/PeekBytes/Drain against a byte
 // queue, and the chunk layout under them: a drain that stays in one page
 // returns a view of the head chunk (no copy), a chunk Head has passed is
 // reused (a trial never holds more than a window's worth of chunks plus the
 // one an unaligned Head leaves), appends straddle chunk boundaries, and a
-// drain that spans chunks returns a joined copy.
+// drain that spans chunks returns a joined copy. Every other trial sets
+// Keep: there every page gets a chunk of its own, none is reused, and a
+// drained slice never changes after later appends and drains.
 func TestOutStreamModelBased(t *testing.T) {
-	views, copies, straddles, reused := 0, 0, 0, 0
+	views, copies, straddles, reused, keptViews := 0, 0, 0, 0, 0
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		pages, pageSize := modelGeometry(rng)
 		s := NewOutStream(pages, pageSize)
+		s.Keep = trial%2 == 1
 		var model []byte
 		var drained []byte
 		var want []byte
+		var kept []keptView
 		produced := byte(0)
 		chunks := map[*byte]bool{} // every chunk the stream ever held
 		for step := 0; step < 600; step++ {
@@ -300,6 +308,9 @@ func TestOutStreamModelBased(t *testing.T) {
 					copies++
 				}
 				drained = append(drained, got...)
+				if s.Keep {
+					kept = append(kept, keptView{got, bytes.Clone(got)})
+				}
 				model = model[n:]
 			case 3: // drain to the next page boundary, as the firmware does
 				h := int(s.Head() % int64(pageSize))
@@ -314,20 +325,36 @@ func TestOutStreamModelBased(t *testing.T) {
 				}
 				views++
 				drained = append(drained, got...)
+				if s.Keep {
+					kept = append(kept, keptView{got, bytes.Clone(got)})
+				}
 				model = model[n:]
 			}
 			for _, c := range s.chunks {
 				chunks[&c[0]] = true
 			}
-			if int(s.Tail()-s.Head()) != len(model) || len(s.chunks) > pages+1 || len(chunks) != len(s.chunks)+len(s.free) {
-				t.Fatalf("trial %d step %d: head %d tail %d with %d bytes modelled; %d live and %d free chunks of %d built, window %d pages",
-					trial, step, s.Head(), s.Tail(), len(model), len(s.chunks), len(s.free), len(chunks), pages)
+			// Without Keep every chunk built is live or free; with Keep
+			// each page touched has a chunk of its own and none is freed.
+			touched := int((s.Tail() + int64(pageSize) - 1) / int64(pageSize))
+			reuse := len(chunks) == len(s.chunks)+len(s.free)
+			if s.Keep {
+				reuse = len(s.free) == 0 && len(chunks) == touched
+			}
+			if int(s.Tail()-s.Head()) != len(model) || len(s.chunks) > pages+1 || !reuse {
+				t.Fatalf("trial %d step %d (keep %v): head %d tail %d with %d bytes modelled; %d live and %d free chunks of %d built, window %d pages",
+					trial, step, s.Keep, s.Head(), s.Tail(), len(model), len(s.chunks), len(s.free), len(chunks), pages)
+			}
+			for i, k := range kept {
+				if !bytes.Equal(k.got, k.want) {
+					t.Fatalf("trial %d step %d: kept drain %d changed to %v, drained as %v", trial, step, i, k.got, k.want)
+				}
 			}
 		}
-		if touched := int((s.Tail() + int64(pageSize) - 1) / int64(pageSize)); len(chunks) < touched {
+		keptViews += len(kept)
+		if touched := int((s.Tail() + int64(pageSize) - 1) / int64(pageSize)); !s.Keep && len(chunks) < touched {
 			reused++
 		}
-		if len(chunks) > pages+1 {
+		if !s.Keep && len(chunks) > pages+1 {
 			t.Fatalf("trial %d: %d chunks built for a %d-page window", trial, len(chunks), pages)
 		}
 		drained = append(drained, s.Drain(1<<30, 0)...)
@@ -335,8 +362,9 @@ func TestOutStreamModelBased(t *testing.T) {
 			t.Fatalf("trial %d: drained bytes diverge from appended", trial)
 		}
 	}
-	if views == 0 || copies == 0 || straddles == 0 || reused == 0 {
-		t.Fatalf("paths not exercised: %d page views, %d spanning copies, %d straddling appends, %d trials reusing chunks", views, copies, straddles, reused)
+	if views == 0 || copies == 0 || straddles == 0 || reused == 0 || keptViews == 0 {
+		t.Fatalf("paths not exercised: %d page views, %d spanning copies, %d straddling appends, %d trials reusing chunks, %d kept drains",
+			views, copies, straddles, reused, keptViews)
 	}
 }
 

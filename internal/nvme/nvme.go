@@ -221,18 +221,16 @@ func (c *Controller) execute(slot *IOCompletion, now sim.Time) {
 		var done sim.Time
 		var critLink, critDRAM, critFlash sim.Time
 		for p := 0; p < req.Pages; p++ {
-			lo := p * ps
-			hi := lo + ps
-			var chunk []byte
-			if lo < len(req.Data) {
-				if hi > len(req.Data) {
-					hi = len(req.Data)
-				}
-				chunk = req.Data[lo:hi]
+			// The host owns req.Data and the array keeps the page it is
+			// handed, so each page is copied once into a fresh one
+			// (zero-padded past the end of the data).
+			page := make([]byte, ps)
+			if lo := p * ps; lo < len(req.Data) {
+				copy(page, req.Data[lo:])
 			}
 			in := c.link.Access(now, ps)
 			staged := c.drive.DRAM.Access(in, ps, true, &c.hostWrite)
-			busDone, _, err := c.drive.FTL.Write(staged, req.LPA+p, chunk)
+			busDone, _, err := c.drive.FTL.Write(staged, req.LPA+p, page)
 			if err != nil {
 				slot.Err = err
 				tracer.Abort(tr)

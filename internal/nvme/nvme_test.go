@@ -213,3 +213,38 @@ func TestRunMixedPureIOKeepsEventClock(t *testing.T) {
 		t.Fatalf("second read done %v latency %v, want a read submitted at %v taking tens of µs", got.Done, got.Latency, submit)
 	}
 }
+
+// TestWriteCopiesHostPages checks a write takes its own copy of each host
+// page: changing the host buffer after the write completes leaves the
+// stored pages, the zero-padded short last page included, as written.
+func TestWriteCopiesHostPages(t *testing.T) {
+	s := ssd.New(ssd.Options{Arch: ssd.AssasinSb, Cores: 2})
+	c := New(s, DefaultConfig())
+	ps := s.Flash.PageSize
+	payload := make([]byte, ps+ps/2)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	want := make([]byte, 2*ps)
+	copy(want, payload)
+	start := s.ReserveLPAs(2)
+	_, comps, err := c.RunMixed(nil, []IORequest{{Op: OpWrite, LPA: start, Pages: 2, Data: payload}}, sim.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := comps[0].Err; err != nil {
+		t.Fatal(err)
+	}
+	for i := range payload {
+		payload[i] = 0xEE
+	}
+	for p := 0; p < 2; p++ {
+		got, _, err := s.FTL.Read(comps[0].Done, start+p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[p*ps:(p+1)*ps]) {
+			t.Fatalf("page %d changed with the host buffer", p)
+		}
+	}
+}

@@ -38,8 +38,9 @@ func offloadAlloc(t *testing.T, a Arch) uint64 {
 
 // TestOffloadAllocBudget bounds the bytes one 16 KiB AES offload allocates
 // on a fresh 4-core SSD of each architecture, set-up included. Stream
-// windows, scratchpads, cache line state, the flash arena and block tables
-// and the FTL maps are sized to the lines and pages an offload touches,
+// windows, scratchpads, cache line state, the flash block tables and the
+// FTL maps are sized to the lines and pages an offload touches, stored
+// pages are the installed slab and the drained output chunks themselves,
 // each core's stream buffer is built once for the first request, and every
 // SSD shares the program memo's build, state image and translation; this
 // fails when one of them goes back to allocating the whole Table IV
@@ -47,17 +48,17 @@ func offloadAlloc(t *testing.T, a Arch) uint64 {
 // offload (about 180 KiB for AES). The memo is process-wide, so each
 // architecture first runs one offload to build its program: without that
 // warm-up the measurement would depend on which tests ran first. Measured
-// on linux/amd64 with Go 1.24 (KiB): Baseline 362, UDP 224, Prefetch 383,
-// AssasinSp 223, AssasinSb 223, AssasinSb$ 233. Each budget is that
+// on linux/amd64 with Go 1.24 (KiB): Baseline 304, UDP 165, Prefetch 324,
+// AssasinSp 165, AssasinSb 165, AssasinSb$ 174. Each budget is that
 // measurement plus 25%.
 func TestOffloadAllocBudget(t *testing.T) {
 	budgetKiB := map[Arch]uint64{
-		Baseline:       453,
-		UDP:            280,
-		Prefetch:       479,
-		AssasinSp:      279,
-		AssasinSb:      279,
-		AssasinSbCache: 291,
+		Baseline:       380,
+		UDP:            206,
+		Prefetch:       405,
+		AssasinSp:      206,
+		AssasinSb:      206,
+		AssasinSbCache: 218,
 	}
 	for _, a := range AllArchs() {
 		offloadAlloc(t, a) // builds the memo's program, if no test has

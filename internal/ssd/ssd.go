@@ -332,22 +332,26 @@ func (s *SSD) newStreams() *memhier.StreamBuffer {
 }
 
 // InstallBytes writes data into the flash array as a fresh dataset (no
-// simulated time) and returns the logical pages backing it.
+// simulated time) and returns the logical pages backing it. It copies data
+// once, into one page-rounded slab whose pages the array keeps, so the
+// caller may reuse data afterwards. Data that does not fit the logical
+// pages left is rejected before anything is installed.
 func (s *SSD) InstallBytes(data []byte) ([]int, error) {
 	ps := s.Flash.PageSize
-	var lpas []int
-	for off := 0; off < len(data); off += ps {
-		end := off + ps
-		if end > len(data) {
-			end = len(data)
-		}
-		lpa := s.nextDataLPA
-		s.nextDataLPA++
-		if err := s.FTL.Install(lpa, data[off:end]); err != nil {
+	n := (len(data) + ps - 1) / ps
+	if left := s.FTL.UserPages() - s.nextDataLPA; n > left {
+		return nil, fmt.Errorf("ssd: install of %d pages exceeds the %d logical pages left", n, left)
+	}
+	slab := make([]byte, n*ps)
+	copy(slab, data)
+	lpas := make([]int, n)
+	for i := range lpas {
+		lpas[i] = s.nextDataLPA + i
+		if err := s.FTL.Install(lpas[i], slab[i*ps:(i+1)*ps:(i+1)*ps]); err != nil {
 			return nil, err
 		}
-		lpas = append(lpas, lpa)
 	}
+	s.nextDataLPA += n
 	return lpas, nil
 }
 
