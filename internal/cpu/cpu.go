@@ -676,15 +676,12 @@ func (c *Core) step(in *decoded, period sim.Time) (blocked bool) {
 	return false
 }
 
-// loadStallKind attributes load stalls: stream-view addresses stall on flash
-// data, everything else on the memory hierarchy.
+// loadStallKind attributes load stalls: stream-view addresses on a core
+// with a scratchpad stall on flash data, everything else on the memory
+// hierarchy (a view staged in SSD DRAM is read through the caches).
 func (c *Core) loadStallKind(addr uint32) StallKind {
-	if addr >= memhier.StreamInViewBase && addr < memhier.DRAMBase {
-		if c.sys.ViewPath == memhier.ViewScratchpad {
-			return StallStreamWait
-		}
-		// Cached view stalls are dominated by the cache/DRAM path.
-		return StallMem
+	if addr >= memhier.StreamInViewBase && addr < memhier.DRAMBase && c.sys.Scratchpad != nil {
+		return StallStreamWait
 	}
 	return StallMem
 }

@@ -12,9 +12,10 @@ import (
 // streamRunOut builds a fresh rig, submits a copy task over pages flash
 // pages into the output target out, optionally with a request record
 // attached, and returns the heap allocations made while the scheduler ran
-// the offload (setup and teardown excluded): all of them, and those of the
-// runtime size class that holds one page-sized output chunk.
-func streamRunOut(t testing.TB, pages int, out OutTarget, traced bool) (allocs, pageAllocs uint64) {
+// the offload (setup and teardown excluded): all of them, those of the
+// runtime size class that holds one page-sized output chunk, and the bytes
+// allocated.
+func streamRunOut(t testing.TB, pages int, out OutTarget, traced bool) (allocs, pageAllocs, bytes uint64) {
 	ps := 1024
 	data := make([]byte, pages*ps)
 	for i := range data {
@@ -56,13 +57,13 @@ func streamRunOut(t testing.TB, pages int, out OutTarget, traced bool) (allocs, 
 			pageAllocs = c.Mallocs - m0.BySize[i].Mallocs
 		}
 	}
-	return m1.Mallocs - m0.Mallocs, pageAllocs
+	return m1.Mallocs - m0.Mallocs, pageAllocs, m1.TotalAlloc - m0.TotalAlloc
 }
 
 // streamRun runs the copy offload into a discarded output stream and
 // returns the allocations it made.
 func streamRun(t testing.TB, pages int) uint64 {
-	n, _ := streamRunOut(t, pages, OutTarget{Kind: OutDiscard}, false)
+	n, _, _ := streamRunOut(t, pages, OutTarget{Kind: OutDiscard}, false)
 	return n
 }
 
@@ -70,7 +71,7 @@ func streamRun(t testing.TB, pages int) uint64 {
 // engine, so the measured window also covers the per-page AddPage/NoteEOS
 // accounting and the OnHalt NoteHalt in the data-plane hot path.
 func streamRunTraced(t testing.TB, pages int) uint64 {
-	n, _ := streamRunOut(t, pages, OutTarget{Kind: OutDiscard}, true)
+	n, _, _ := streamRunOut(t, pages, OutTarget{Kind: OutDiscard}, true)
 	return n
 }
 
@@ -118,6 +119,27 @@ func TestDataPlaneSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFeederBytesIndependentOfStreamLength pins the feeder's page queue to
+// the pages in flight: a 1024-page copy offload into a discarded output
+// allocates at most a few KiB more than a 64-page one while the scheduler
+// runs, so nothing on the page path grows with the stream's length. A queue
+// that kept one entry per page of the stream would add tens of KiB.
+func TestFeederBytesIndependentOfStreamLength(t *testing.T) {
+	bytes := func(pages int) uint64 {
+		best := uint64(1 << 63)
+		for i := 0; i < 3; i++ {
+			_, _, b := streamRunOut(t, pages, OutTarget{Kind: OutDiscard}, false)
+			best = min(best, b)
+		}
+		return best
+	}
+	small, large := bytes(64), bytes(1024)
+	if slack := uint64(4 << 10); large > small+slack {
+		t.Fatalf("bytes allocated grow with the stream: 64 pages -> %d B, 1024 pages -> %d B (want <= %d)",
+			small, large, small+slack)
+	}
+}
+
 // TestKeptOutputSteadyStateAlloc pins the ownership hand-off of kept
 // output pages: on an OutToFlash stream with Collect set, flash stores each
 // drained chunk and the host output keeps it, so from 8 to 64 pages the
@@ -129,7 +151,7 @@ func TestKeptOutputSteadyStateAlloc(t *testing.T) {
 	kept := func(pages int) (others, chunks uint64) {
 		others, chunks = 1<<63, 1<<63
 		for i := 0; i < 3; i++ {
-			n, pn := streamRunOut(t, pages, OutTarget{Kind: OutToFlash, StartLPA: 1 << 10, Collect: true}, false)
+			n, pn, _ := streamRunOut(t, pages, OutTarget{Kind: OutToFlash, StartLPA: 1 << 10, Collect: true}, false)
 			others, chunks = min(others, n-pn), min(chunks, pn)
 		}
 		return others, chunks

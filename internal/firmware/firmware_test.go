@@ -40,7 +40,6 @@ func newRig(t testing.TB) *rig {
 		DRAM:       dram,
 		Backing:    memhier.NewSparseMem(),
 		Streams:    memhier.NewStreamBuffer(2, 4, 4, cfg.PageSize),
-		ViewPath:   memhier.ViewScratchpad,
 		Client:     memhier.DRAMClient{Name: "core0"},
 	}
 	core := cpu.New(cpu.DefaultConfig("core0"), sys)
@@ -296,7 +295,6 @@ func TestFlashOutputMatchesCollected(t *testing.T) {
 
 func TestEngineDRAMStagePathChargesDRAM(t *testing.T) {
 	r := newRig(t)
-	r.sys.ViewPath = memhier.ViewScratchpad // copy program uses stream ops anyway
 	data := make([]byte, 2048)
 	lpas := r.install(t, data)
 	r.core.LoadProgram(cpu.Translate(copyProgram()))

@@ -26,21 +26,6 @@ const (
 	DRAMBase = 0x8000_0000
 )
 
-// ViewPath selects how stream-view accesses are timed — i.e. where staged
-// stream data physically lives for this configuration.
-type ViewPath int
-
-// View paths.
-const (
-	// ViewScratchpad: pages are DMAed into core-local (ping-pong)
-	// scratchpads; accesses cost scratchpad latency. Used by AssasinSp and
-	// UDP.
-	ViewScratchpad ViewPath = iota
-	// ViewCached: pages are staged in SSD DRAM; accesses go through the
-	// cache hierarchy. Used by Baseline and Prefetch.
-	ViewCached
-)
-
 // AccessResult describes the outcome of a core memory or stream access.
 type AccessResult struct {
 	Value  uint32
@@ -58,25 +43,24 @@ type System struct {
 	DRAM       *DRAM       // shared SSD DRAM (required)
 	Backing    *SparseMem  // functional data for the DRAM space
 	Streams    *StreamBuffer
-	ViewPath   ViewPath
 	// Client tags this core's DRAM traffic, through the caches too.
 	Client DRAMClient
 }
 
 // viewTiming applies the configuration's data-path timing to a stream-view
-// access that functionally resolved at `ready`.
+// access that functionally resolved at `ready`. Where staged stream data
+// lives follows from the configuration: a core with a scratchpad has its
+// pages DMAed into core-local (ping-pong) scratchpads and pays scratchpad
+// latency (AssasinSp, AssasinSb, AssasinSb$, UDP); a core without one reads
+// pages staged in SSD DRAM through its caches (Baseline, Prefetch).
 func (m *System) viewTiming(at, ready sim.Time, addr uint32, size int, write bool, pc uint32) sim.Time {
-	switch m.ViewPath {
-	case ViewScratchpad:
-		if m.Scratchpad != nil {
-			ready = sim.MaxT(ready, at+m.Scratchpad.ExtraLatency(m.Clock))
-		}
-	case ViewCached:
-		if m.L1 != nil {
-			ready = sim.MaxT(ready, m.L1.Access(at, addr, size, write, pc, &m.Client))
-		} else if m.DRAM != nil {
-			ready = sim.MaxT(ready, m.DRAM.Access(at, size, write, &m.Client))
-		}
+	switch {
+	case m.Scratchpad != nil:
+		return sim.MaxT(ready, at+m.Scratchpad.ExtraLatency(m.Clock))
+	case m.L1 != nil:
+		return sim.MaxT(ready, m.L1.Access(at, addr, size, write, pc, &m.Client))
+	case m.DRAM != nil:
+		return sim.MaxT(ready, m.DRAM.Access(at, size, write, &m.Client))
 	}
 	return ready
 }

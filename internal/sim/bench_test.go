@@ -20,8 +20,8 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkEventQueueMixed measures the queue under the firmware's real mix:
-// mostly schedule-at-now pump events (the O(1) lane), a minority of future
-// transfer completions (the heap), with interleaved dispatch.
+// mostly schedule-at-now pump events, a minority of future transfer
+// completions, with interleaved dispatch.
 func BenchmarkEventQueueMixed(b *testing.B) {
 	var q EventQueue
 	fn := func(Time) {}
@@ -29,9 +29,9 @@ func BenchmarkEventQueueMixed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%4 == 0 {
-			q.Schedule(q.Now()+Time(i%13+1), fn) // future: heap path
+			q.Schedule(q.Now()+Time(i%13+1), fn) // future
 		} else {
-			q.Schedule(q.Now(), fn) // at-now: lane path
+			q.Schedule(q.Now(), fn) // at now
 		}
 		if i >= 32 {
 			q.Step()

@@ -35,15 +35,16 @@ func TestEventQueueFIFOAtSameTime(t *testing.T) {
 	}
 }
 
-// TestEventQueueTwoLevelMerge checks that now-lane entries and heap entries
-// at the same timestamp dispatch in global (At, seq) order.
-func TestEventQueueTwoLevelMerge(t *testing.T) {
+// TestEventQueueScheduledAtNowRunsAfterPeers checks that an event a callback
+// schedules at its own instant runs after the events already queued for that
+// instant: same-time events dispatch in global (at, seq) order.
+func TestEventQueueScheduledAtNowRunsAfterPeers(t *testing.T) {
 	var q EventQueue
 	var got []int
 	q.Schedule(20, func(now Time) {
 		got = append(got, 1)
-		// Lands in the now-lane with a seq after the heap-resident peer
-		// below: must fire last despite the lane being "nearer".
+		// Queued at Now with a seq after the already-queued peer
+		// below: must fire last.
 		q.Schedule(now, func(Time) { got = append(got, 3) })
 	})
 	q.Schedule(20, func(Time) { got = append(got, 2) })

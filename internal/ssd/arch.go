@@ -46,8 +46,7 @@ const defaultStreamSlots = 8
 type archSpec struct {
 	// name is the paper's configuration name.
 	name string
-	// path is how the firmware moves flash pages to the cores; it decides
-	// how software-style kernels see stream pages (viewPath).
+	// path is how the firmware moves flash pages to the cores.
 	path firmware.DataPath
 	// style is the kernel lowering.
 	style kernels.Style
@@ -160,16 +159,6 @@ func (sp *archSpec) stateBase() uint32 {
 		return memhier.ScratchpadBase
 	}
 	return memhier.DRAMBase
-}
-
-// viewPath is how stream pages appear to software-style kernels: through
-// the caches when the firmware stages pages in SSD DRAM, else in the
-// scratchpad the firmware or crossbar fills.
-func (sp *archSpec) viewPath() memhier.ViewPath {
-	if sp.path == firmware.PathDRAMStage {
-		return memhier.ViewCached
-	}
-	return memhier.ViewScratchpad
 }
 
 // spec returns the configuration's row. Arch values outside the table are

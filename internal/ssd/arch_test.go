@@ -91,9 +91,6 @@ func TestArchSpecConformance(t *testing.T) {
 				}
 
 				checkCaches(t, sys.L1, sp)
-				if sys.ViewPath != sp.viewPath() {
-					t.Errorf("ViewPath = %v, want %v", sys.ViewPath, sp.viewPath())
-				}
 				if len(sys.Streams.In) != defaultStreamSlots || len(sys.Streams.Out) != defaultStreamSlots {
 					t.Errorf("stream slots = %d in, %d out, want %d", len(sys.Streams.In), len(sys.Streams.Out), defaultStreamSlots)
 				}
