@@ -44,12 +44,11 @@ func run(data []byte, skew float64, channelLocal bool) float64 {
 		log.Fatal(err)
 	}
 	res, err := s.RunKernel(ssd.KernelRun{
-		Kernel:            kernels.Scan{Unroll: 2}, // ~2 cycles/byte: compute-limited per core
-		Inputs:            [][]int{lpas},
-		InputBytes:        []int64{int64(len(data))},
-		RecordSize:        s.Flash.PageSize,
-		OutKind:           firmware.OutDiscard,
-		ChannelLocalSplit: channelLocal,
+		Kernel:     kernels.Scan{Unroll: 2}, // ~2 cycles/byte: compute-limited per core
+		Inputs:     [][]int{lpas},
+		InputBytes: []int64{int64(len(data))},
+		RecordSize: s.Flash.PageSize,
+		OutKind:    firmware.OutDiscard,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -96,8 +96,8 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 			for k := 0; k < 8; k++ {
 				local, _, _ := c.Run(now + sim.Time(k+1)*200*sim.Nanosecond)
 				now = local
-				if b := out.Buffered(); b > 128 {
-					collected = append(collected, out.Drain(b, now)...)
+				if out.Buffered() > 128 {
+					collected = append(collected, drainAll(out, now)...)
 				}
 			}
 		}
@@ -105,9 +105,7 @@ func TestCompiledMatchesPreciseStreamLoop(t *testing.T) {
 		for !c.halted {
 			local, state, _ := c.Run(now + sim.Microsecond)
 			now = local
-			if b := out.Buffered(); b > 0 {
-				collected = append(collected, out.Drain(b, now)...)
-			}
+			collected = append(collected, drainAll(out, now)...)
 			if state == sim.StateDone {
 				break
 			}

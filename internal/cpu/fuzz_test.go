@@ -190,8 +190,8 @@ func runFuzzProgram(prog *Program, cfg Config, inData [4][]byte, sched fuzzSched
 		_, state, _ := c.Run(limit)
 		for s := range sys.Streams.Out {
 			st := sys.Streams.Out[s]
-			if b := st.Buffered(); b > 0 {
-				out.Out[s] = append(out.Out[s], st.Drain(b, limit)...)
+			if st.Buffered() > 0 {
+				out.Out[s] = append(out.Out[s], drainAll(st, limit)...)
 				c.Wake(limit)
 			}
 		}

@@ -112,8 +112,8 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 			for k := 0; k < 8; k++ {
 				local, _, _ := c.Run(now + sim.Time(k+1)*200*sim.Nanosecond)
 				now = local
-				if b := out.Buffered(); b > 128 {
-					out.Drain(b, now)
+				if out.Buffered() > 128 {
+					drainAll(out, now)
 				}
 			}
 		}
@@ -121,9 +121,7 @@ func TestKProfReconcilesAcrossModes(t *testing.T) {
 		for !c.halted {
 			local, state, _ := c.Run(now + sim.Microsecond)
 			now = local
-			if b := out.Buffered(); b > 0 {
-				out.Drain(b, now)
-			}
+			drainAll(out, now)
 			if state == sim.StateDone {
 				break
 			}

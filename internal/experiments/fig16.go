@@ -189,13 +189,12 @@ func Fig19(cfg Config) ([]Fig19Point, error) {
 			measured = s.FTL.Skew(lpas)
 			ps := s.Flash.PageSize
 			res, err := s.RunKernel(ssd.KernelRun{
-				Kernel:            scan,
-				Inputs:            [][]int{lpas},
-				InputBytes:        []int64{int64(len(data))},
-				RecordSize:        ps,
-				Cores:             cores,
-				OutKind:           firmware.OutDiscard,
-				ChannelLocalSplit: channelLocal,
+				Kernel:     scan,
+				Inputs:     [][]int{lpas},
+				InputBytes: []int64{int64(len(data))},
+				RecordSize: ps,
+				Cores:      cores,
+				OutKind:    firmware.OutDiscard,
 			})
 			if err != nil {
 				return 0, err

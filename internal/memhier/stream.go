@@ -375,12 +375,13 @@ func (s *InStream) ReadAt(at sim.Time, off int64, width int) (uint32, sim.Time, 
 // drains them page-wise toward the flash array or SSD DRAM.
 //
 // Appends go into page-sized chunks, chunk k holding the stream bytes
-// [k×pageSize, (k+1)×pageSize). The firmware drains whole pages from page
-// boundaries (all but a stream's last drain), so each drain is a view of
-// the head chunk. When the drainer keeps nothing, a chunk Head has passed
-// is reused for a later page, so page-aligned drains keep at most a
-// window's worth of chunks live; with Keep set, every drained view is the
-// drainer's for good and no chunk is reused.
+// [k×pageSize, (k+1)×pageSize). A drain never spans a page, so each is a
+// view of the head chunk; the firmware drains whole pages from page
+// boundaries (all but a stream's last drain). When the drainer keeps
+// nothing, a chunk Head has passed is reused for a later page, so
+// page-aligned drains keep at most a window's worth of chunks live; with
+// Keep set, every drained view is the drainer's for good and no chunk is
+// reused.
 type OutStream struct {
 	capBytes int
 	pageSize int
@@ -394,8 +395,8 @@ type OutStream struct {
 	drained  int64
 
 	// Keep, when set, hands drained pages over: a chunk Head passes is
-	// dropped rather than reused, so a view Drain or PeekBytes returned
-	// never changes afterwards (the firmware sets it for streams whose
+	// dropped rather than reused, so a view PeekBytes returned never
+	// changes afterwards (the firmware sets it for streams whose
 	// pages it stores in flash or collects for the host).
 	Keep bool
 
@@ -481,52 +482,39 @@ func (s *OutStream) nextChunk() {
 	s.tailOff = 0
 }
 
-// view returns the n buffered bytes at Head: a view of the head chunk when
-// they lie in it, else a joined copy.
-func (s *OutStream) view(n int) []byte {
-	h := int(s.drained % int64(s.pageSize))
-	if h+n <= s.pageSize {
-		return s.chunks[0][h : h+n : h+n]
-	}
-	out := make([]byte, 0, n)
-	for _, c := range s.chunks {
-		out = append(out, c[h:min(len(c), h+n-len(out))]...)
-		if len(out) == n {
-			break
-		}
-		h = 0
-	}
-	return out
+// headSpan returns Head's offset in its page and how many of up to n
+// buffered bytes lie in that page.
+func (s *OutStream) headSpan(n int) (h, m int) {
+	h = int(s.drained % int64(s.pageSize))
+	return h, min(n, s.Buffered(), s.pageSize-h)
 }
 
-// PeekBytes returns up to n buffered bytes without draining them — the
-// firmware uses it to issue the flash/DRAM write before freeing the window.
+// PeekBytes returns up to n buffered bytes from Head without draining
+// them, stopping at the end of Head's page — the firmware uses it to issue
+// the flash/DRAM write before freeing the window.
 //
-// Aliasing contract: bytes within one page are a view of the stream's
-// chunk; bytes that span a page boundary are returned as a copy. Without
-// Keep, a view is valid until the next Append or Drain on this stream, and
-// callers that need the bytes beyond that must copy them; with Keep, it
+// Aliasing contract: the bytes are a view of the stream's chunk. Without
+// Keep, the view is valid until the next Append or Drain on this stream,
+// and callers that need the bytes beyond that must copy them; with Keep, it
 // never changes.
 func (s *OutStream) PeekBytes(n int) []byte {
-	n = min(n, s.Buffered())
+	h, n := s.headSpan(n)
 	if n <= 0 {
 		return nil
 	}
-	return s.view(n)
+	return s.chunks[0][h : h+n : h+n]
 }
 
-// Drain removes up to n buffered bytes and returns them; at is when the
-// space is freed (propagated to a stalled producer via OnSpace). The same
-// aliasing contract as PeekBytes applies, and without Keep a chunk Head
-// passes goes back for reuse by a later Append.
-func (s *OutStream) Drain(n int, at sim.Time) []byte {
-	n = min(n, s.Buffered())
+// Drain removes up to n buffered bytes from Head, stopping at the end of
+// Head's page; at is when the space is freed (propagated to a stalled
+// producer via OnSpace). Without Keep, a chunk Head passes goes back for
+// reuse by a later Append.
+func (s *OutStream) Drain(n int, at sim.Time) {
+	h, n := s.headSpan(n)
 	if n <= 0 {
-		return nil
+		return
 	}
-	out := s.view(n)
-	ps := int64(s.pageSize)
-	for done := (s.drained+int64(n))/ps - s.drained/ps; done > 0; done-- {
+	if h+n == s.pageSize {
 		if !s.Keep {
 			s.free = append(s.free, s.chunks[0])
 		}
@@ -540,7 +528,6 @@ func (s *OutStream) Drain(n int, at sim.Time) []byte {
 	if s.OnSpace != nil {
 		s.OnSpace(at)
 	}
-	return out
 }
 
 // StreamBuffer bundles a core's input and output stream slots (S of each,

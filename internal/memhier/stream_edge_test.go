@@ -198,16 +198,15 @@ func TestOutStreamChunkReuse(t *testing.T) {
 	s := NewOutStream(2, 8)
 	appendBytes(s, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	chunk := s.chunks[0]
-	p1 := s.PeekBytes(8)
-	d1 := s.Drain(8, 0)
-	if &p1[0] != &chunk[0] || &d1[0] != &chunk[0] {
-		t.Fatal("page-aligned PeekBytes/Drain did not return a view of the head chunk")
+	d1 := take(s, 8, 0)
+	if &d1[0] != &chunk[0] {
+		t.Fatal("page-aligned PeekBytes did not return a view of the head chunk")
 	}
 	appendBytes(s, []byte{9, 8, 7, 6})
 	if &s.chunks[0][0] != &chunk[0] {
 		t.Fatal("the next page did not reuse the drained chunk")
 	}
-	if got := s.Drain(4, 0); !bytes.Equal(got, []byte{9, 8, 7, 6}) || !bytes.Equal(d1[:4], []byte{9, 8, 7, 6}) {
+	if got := take(s, 4, 0); !bytes.Equal(got, []byte{9, 8, 7, 6}) || !bytes.Equal(d1[:4], []byte{9, 8, 7, 6}) {
 		t.Fatalf("Drain = %v; earlier view %v not overwritten by the reused chunk", got, d1)
 	}
 
@@ -232,11 +231,14 @@ func TestOutStreamChunkReuse(t *testing.T) {
 		t.Fatalf("steady-state page traffic allocates %.1f per window", allocs)
 	}
 
-	// A drain across a page boundary returns a copy of both pages' bytes.
+	// A peek or drain past the end of Head's page stops there.
 	s3 := NewOutStream(2, 8)
 	appendBytes(s3, []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	s3.Drain(6, 0)
-	if got := s3.Drain(4, 0); !bytes.Equal(got, []byte{7, 8, 9, 10}) || &got[0] == &s3.free[0][6] {
-		t.Fatalf("spanning Drain = %v, want a copy of [7 8 9 10]", got)
+	if got := s3.PeekBytes(4); !bytes.Equal(got, []byte{7, 8}) {
+		t.Fatalf("PeekBytes(4) at offset 6 of an 8-byte page = %v, want [7 8]", got)
+	}
+	if s3.Drain(4, 0); s3.Head() != 8 {
+		t.Fatalf("Drain(4) at offset 6 of an 8-byte page left Head at %d, want 8", s3.Head())
 	}
 }

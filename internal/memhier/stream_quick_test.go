@@ -231,15 +231,15 @@ func TestInStreamModelBased(t *testing.T) {
 type keptView struct{ got, want []byte }
 
 // TestOutStreamModelBased checks Append/PeekBytes/Drain against a byte
-// queue, and the chunk layout under them: a drain that stays in one page
-// returns a view of the head chunk (no copy), a chunk Head has passed is
-// reused (a trial never holds more than a window's worth of chunks plus the
-// one an unaligned Head leaves), appends straddle chunk boundaries, and a
-// drain that spans chunks returns a joined copy. Every other trial sets
-// Keep: there every page gets a chunk of its own, none is reused, and a
-// drained slice never changes after later appends and drains.
+// queue, and the chunk layout under them: a peek returns a view of the head
+// chunk (no copy) and a peek or drain stops at the end of Head's page, a
+// chunk Head has passed is reused (a trial never holds more than a window's
+// worth of chunks plus the one an unaligned Head leaves), and appends
+// straddle chunk boundaries. Every other trial sets Keep: there every page
+// gets a chunk of its own, none is reused, and a drained slice never
+// changes after later appends and drains.
 func TestOutStreamModelBased(t *testing.T) {
-	views, copies, straddles, reused, keptViews := 0, 0, 0, 0, 0
+	views, clamped, straddles, reused, keptViews := 0, 0, 0, 0, 0
 	for trial := 0; trial < 80; trial++ {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		pages, pageSize := modelGeometry(rng)
@@ -287,31 +287,26 @@ func TestOutStreamModelBased(t *testing.T) {
 					model = append(model, tmp...)
 					want = append(want, tmp...)
 				}
-			case 2: // drain any length
+			case 2: // drain any length: it stops at the end of Head's page
 				if len(model) == 0 {
 					continue
 				}
 				n := 1 + rng.Intn(len(model))
 				h := int(s.Head() % int64(pageSize))
-				if got := s.PeekBytes(n); !bytes.Equal(got, model[:n]) {
-					t.Fatalf("PeekBytes(%d) = %v, model %v", n, got, model[:n])
-				}
+				m := min(n, pageSize-h)
 				head := &s.chunks[0][h]
-				got := s.Drain(n, 0)
-				if !bytes.Equal(got, model[:n]) {
-					t.Fatalf("Drain(%d) = %v, model %v", n, got, model[:n])
+				got := take(s, n, 0)
+				if &got[0] != head || !bytes.Equal(got, model[:m]) {
+					t.Fatalf("drain of %d at page offset %d = %v (view %v), model %v", n, h, got, &got[0] == head, model[:m])
 				}
-				if h+n > pageSize {
-					if &got[0] == head {
-						t.Fatalf("Drain(%d) across a chunk boundary returned a view, want a copy", n)
-					}
-					copies++
+				if m < n {
+					clamped++
 				}
 				drained = append(drained, got...)
 				if s.Keep {
 					kept = append(kept, keptView{got, bytes.Clone(got)})
 				}
-				model = model[n:]
+				model = model[m:]
 			case 3: // drain to the next page boundary, as the firmware does
 				h := int(s.Head() % int64(pageSize))
 				n := pageSize - h
@@ -319,7 +314,7 @@ func TestOutStreamModelBased(t *testing.T) {
 					continue
 				}
 				head := &s.chunks[0][h]
-				got := s.Drain(n, 0)
+				got := take(s, n, 0)
 				if &got[0] != head || !bytes.Equal(got, model[:n]) {
 					t.Fatalf("page drain = %v (view %v), model %v", got, &got[0] == head, model[:n])
 				}
@@ -357,14 +352,14 @@ func TestOutStreamModelBased(t *testing.T) {
 		if !s.Keep && len(chunks) > pages+1 {
 			t.Fatalf("trial %d: %d chunks built for a %d-page window", trial, len(chunks), pages)
 		}
-		drained = append(drained, s.Drain(1<<30, 0)...)
+		drained = append(drained, drainAll(s)...)
 		if !bytes.Equal(drained, want) {
 			t.Fatalf("trial %d: drained bytes diverge from appended", trial)
 		}
 	}
-	if views == 0 || copies == 0 || straddles == 0 || reused == 0 || keptViews == 0 {
-		t.Fatalf("paths not exercised: %d page views, %d spanning copies, %d straddling appends, %d trials reusing chunks, %d kept drains",
-			views, copies, straddles, reused, keptViews)
+	if views == 0 || clamped == 0 || straddles == 0 || reused == 0 || keptViews == 0 {
+		t.Fatalf("paths not exercised: %d page views, %d drains stopped at a page end, %d straddling appends, %d trials reusing chunks, %d kept drains",
+			views, clamped, straddles, reused, keptViews)
 	}
 }
 

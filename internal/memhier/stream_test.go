@@ -192,6 +192,23 @@ func appendBytes(s *OutStream, data []byte) bool {
 	return true
 }
 
+// take drains up to n bytes from Head, stopping at the end of Head's page,
+// and returns them, as the firmware does: PeekBytes, then Drain.
+func take(s *OutStream, n int, at sim.Time) []byte {
+	got := s.PeekBytes(n)
+	s.Drain(len(got), at)
+	return got
+}
+
+// drainAll drains every buffered byte, a page at a time, and returns them.
+func drainAll(s *OutStream) []byte {
+	var out []byte
+	for s.Buffered() > 0 {
+		out = append(out, take(s, s.Buffered(), 0)...)
+	}
+	return out
+}
+
 func TestOutStreamAppendDrain(t *testing.T) {
 	s := NewOutStream(2, 8) // 16 bytes
 	if !s.Append(0x04030201, 4) {
@@ -203,7 +220,7 @@ func TestOutStreamAppendDrain(t *testing.T) {
 	if s.Buffered() != 6 {
 		t.Fatalf("buffered = %d", s.Buffered())
 	}
-	got := s.Drain(100, 0)
+	got := take(s, 100, 0)
 	if !bytes.Equal(got, []byte{1, 2, 3, 4, 9, 9}) {
 		t.Fatalf("drained = %v", got)
 	}
@@ -244,10 +261,10 @@ func TestOutStreamRingWrapLong(t *testing.T) {
 		}
 		want = append(want, b)
 		if s.Buffered() > 12 {
-			got = append(got, s.Drain(8, 0)...)
+			got = append(got, take(s, 8, 0)...)
 		}
 	}
-	got = append(got, s.Drain(1<<20, 0)...)
+	got = append(got, drainAll(s)...)
 	if !bytes.Equal(got, want) {
 		t.Fatal("out ring corrupted")
 	}
