@@ -7,8 +7,11 @@
 # feeder -> crossbar -> stream-buffer page path, one delivery event per
 # page, both with request tracing disabled and with a live request record
 # attached, and the kept output path, where flash stores and the host
-# output keeps each drained chunk, at exactly one chunk per page) must pass. Any per-event or per-page allocation that sneaks back
-# in fails CI here with a benchmark name attached. The guest-profiler guard
+# output keeps each drained chunk, at exactly one chunk per page) must pass,
+# as must the guard that a 1024-page offload allocates no more bytes than a
+# 64-page one, so no feeder queue grows with the stream. Any per-event or
+# per-page allocation that sneaks back in fails CI here with a benchmark
+# name attached. The guest-profiler guard
 # rides along: with no kprof profiler attached, both exec engines must stay
 # allocation-free per Run slice (the disabled half of the kprof zero-cost
 # contract).
@@ -69,7 +72,7 @@ if [ -n "$bad" ]; then
 	exit 1
 fi
 
-run ./internal/firmware/ TestDataPlaneSteadyStateZeroAlloc TestReqtraceSteadyStateZeroAlloc TestKeptOutputSteadyStateAlloc
+run ./internal/firmware/ TestDataPlaneSteadyStateZeroAlloc TestFeederBytesIndependentOfStreamLength TestReqtraceSteadyStateZeroAlloc TestKeptOutputSteadyStateAlloc
 run ./internal/telemetry/reqtrace/ TestSteadyStateZeroAlloc TestNilZeroCost
 run ./internal/cpu/ TestKProfDisabledZeroAlloc
 # The streaming-SLO half of the zero-cost contract: window ticks and
